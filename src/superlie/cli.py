@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .fields import FieldCtx
+from .fields import FieldCtx, InexactScalar
 from .superalgebra import (
     GradingViolation,
     JacobiViolation,
@@ -27,7 +27,7 @@ from .census import (
 )
 
 VALIDATION_ERRORS = (SkewViolation, GradingViolation, JacobiViolation,
-                     ValueError, ArithmeticError)
+                     InexactScalar, ValueError, ArithmeticError)
 
 FAMILY_PARAMS = {
     "gl": ("m", "n"), "sl": ("m", "n"), "pgl": ("m", "n"), "psl": ("m", "n"),

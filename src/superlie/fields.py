@@ -32,6 +32,10 @@ class ArityMismatch(ValueError):
     pass
 
 
+class InexactScalar(TypeError):
+    pass
+
+
 class DegreeCapExceeded(ValueError):
     pass
 
@@ -107,7 +111,14 @@ class FieldCtx:
         return 1 if self.p else Fraction(1)
 
     def of(self, x: ScalarLike):
-        """Canonicalize an int, Fraction or decimal string like "3" or "-3/4"."""
+        """Canonicalize an int, Fraction or decimal string like "3" or "-3/4".
+
+        Anything else, floats and bools included, raises InexactScalar (a
+        TypeError): rounding an inexact value would silently change the
+        mathematics."""
+        if isinstance(x, bool) or not isinstance(
+                x, (int, np.integer, Fraction, str)):
+            raise InexactScalar(f"not an exact scalar: {x!r}")
         if self.p:
             if isinstance(x, str):
                 if "/" in x:

@@ -386,26 +386,6 @@ def kernel(m: Matrix) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# lattice conveniences matching the operation names in the docs
-# ---------------------------------------------------------------------------
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    return u.sum(v)
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersect(v)
-
-
-def subspace_contains(u: Subspace, vector: np.ndarray) -> bool:
-    return u.contains(vector)
-
-
-def subspace_leq(u: Subspace, v: Subspace) -> bool:
-    return u.leq(v)
-
-
-# ---------------------------------------------------------------------------
 # spinning
 # ---------------------------------------------------------------------------
 

@@ -266,16 +266,6 @@ def module_from_json(s: str) -> GModule:
 # functorial constructions
 # ---------------------------------------------------------------------------
 
-def trivial_module(ctx: FieldCtx, lie_labels: Sequence[str],
-                   family_labels: Sequence[str],
-                   weight_arity: int = 1) -> GModule:
-    one = Matrix.identity(ctx, 1)
-    z = Matrix.zeros(ctx, 1, 1)
-    fams = [family(l, [one]) for l in family_labels]
-    return GModule(ctx, ["1"], lie_labels, [z] * len(lie_labels), fams,
-                   weights=[(0,) * weight_arity], meta={"name": "trivial"})
-
-
 def dual(m: GModule) -> GModule:
     """Dual module: x acts by -x^T; X(t) acts by (X(t)^{-1})^T = X(-t)^T,
     so the k-th coefficient operator is (-1)^k A_k^T."""
@@ -530,45 +520,89 @@ def trivial_quotient_defect(m: GModule) -> Subspace:
 # intertwiners
 # ---------------------------------------------------------------------------
 
+OpPair = Tuple[Matrix, Matrix]
+
+
 def _constraint_pairs(m1: GModule, m2: GModule, mode: str):
-    pairs = []
+    """(algebra pairs, group pairs, degree-1 group pairs) of (op on m1, op on
+    m2); the lists a mode does not use are empty."""
+    alg: List[OpPair] = []
+    grp: List[OpPair] = []
+    deg1: List[OpPair] = []
     if mode in ("algebra", "both"):
         if m1.lie_labels != m2.lie_labels:
             raise LabelMismatch("modules act under different Lie labels")
         alg = list(zip(m1.lie_action, m2.lie_action))
-    else:
-        alg = []
     if mode in ("group", "both"):
-        grp = []
         for f1 in m1.families:
             f2 = m2.family_by_label(f1.label)
+            deg1.append((f1.op(1), f2.op(1)))
             for k in range(1, max(f1.degree, f2.degree) + 1):
                 grp.append((f1.op(k), f2.op(k)))
-    else:
-        grp = []
-    return alg, grp
+    return alg, grp, deg1
+
+
+def _commutator_pairs(pairs: Sequence[OpPair]) -> List[OpPair]:
+    """([a, a'], [b, b']) for every two pairs (a, b), (a', b'): a map with
+    b f = f a and b' f = f a' satisfies the commutator constraint too."""
+    return [(a @ a2 - a2 @ a, b @ b2 - b2 @ b)
+            for i, (a, b) in enumerate(pairs) for a2, b2 in pairs[i + 1:]]
+
+
+def _is_diagonal(m: Matrix) -> bool:
+    return np.count_nonzero(m.data) == np.count_nonzero(np.diagonal(m.data))
+
+
+def _weight_support(d1: int, d2: int, pairs: Sequence[OpPair]) -> np.ndarray:
+    """d2 x d1 mask of the entries of f that B f = f A allows to be nonzero.
+
+    Each pair with both operators diagonal forces (b_r - a_c) f_rc = 0, so
+    f_rc = 0 unless b_r == a_c as field elements; other pairs allow
+    everything."""
+    mask = np.ones((d2, d1), dtype=bool)
+    for a, b in pairs:
+        if _is_diagonal(a) and _is_diagonal(b):
+            mask &= (np.diagonal(b.data)[:, None]
+                     == np.diagonal(a.data)[None, :])
+    return mask
 
 
 def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
-                       op_pairs: Sequence[Tuple[Matrix, Matrix]]) -> Subspace:
-    """Solutions f (d2 x d1, flattened row-major) of B f = f A for all pairs."""
+                       op_pairs: Sequence[OpPair],
+                       implied: Sequence[OpPair] = ()) -> Subspace:
+    """Solutions f (d2 x d1, flattened row-major) of B f = f A for all pairs.
+
+    implied are pairs every solution satisfies anyway.  Only the entries in
+    the weight support of both lists are unknowns: the column of f_rc in the
+    Kronecker system is B[:, r] (x) e_c - e_r (x) A[c, :]."""
     n = d1 * d2
+    rs, cs = np.nonzero(_weight_support(d1, d2, list(op_pairs) + list(implied)))
+    unknowns = np.arange(len(rs))
     space: Optional[Subspace] = None
     for a, b in op_pairs:
-        i1, i2 = ctx.eye(d1), ctx.eye(d2)
-        lmat = ctx.reduce(_kron(ctx, b.data, i1) - _kron(ctx, i2, a.data.T))
+        cols = ctx.zeros(d2, d1, len(rs))
+        cols[:, cs, unknowns] = b.data[:, rs]
+        cols[rs, :, unknowns] -= a.data[cs, :]
+        lmat = ctx.reduce(cols.reshape(n, len(rs)))
+        lmat = lmat[np.any(lmat, axis=1)]
         if space is None:
             space = kernel(Matrix(ctx, lmat))
-        else:
-            if space.dim == 0:
-                return space
+        elif lmat.shape[0]:
             resid = exact_matmul(ctx, space.basis.data, lmat.T)
             coeff_kernel = kernel(Matrix(ctx, resid.T))
             vecs = exact_matmul(ctx, coeff_kernel.basis.data, space.basis.data)
-            space = Subspace.from_vectors(ctx, n, list(vecs))
+            space = Subspace.from_vectors(ctx, len(rs), list(vecs))
+        if space.dim == 0:
+            break
     if space is None:
-        space = Subspace.full(ctx, n)
-    return space
+        space = Subspace.full(ctx, len(rs))
+    # the support indices increase, so the embedded basis stays in reduced
+    # echelon form with the same pivots
+    support = rs * d1 + cs
+    basis = ctx.zeros(space.dim, n)
+    basis[:, support] = space.basis.data
+    return Subspace(ctx, n, Matrix(ctx, basis),
+                    [int(support[c]) for c in space.pivots])
 
 
 @dataclass
@@ -585,33 +619,35 @@ def hom_space(m1: GModule, m2: GModule, mode: str = "group") -> HomReport:
     """Equivariant linear maps m1 -> m2.
 
     algebra mode: f a = b f over the Lie generators; group mode: the same per
-    positive t-power of every matched family; both computes both spaces."""
+    positive t-power of every matched family; both computes both spaces.
+    Each solve has unknowns only on the weight support: the entries f_rc
+    that diagonal constraints (the Cartan elements of the Lie action, or
+    commutators of the families' degree-1 operators) leave free."""
     if m1.ctx != m2.ctx:
         raise DimensionMismatch("field mismatch")
     ctx, d1, d2 = m1.ctx, m1.dim, m2.dim
 
-    def solve_pairs(pairs):
-        space = _intertwiner_space(ctx, d1, d2, pairs)
+    def solve_pairs(pairs, implied=()):
+        space = _intertwiner_space(ctx, d1, d2, pairs, implied)
         mats = [Matrix(ctx, v.reshape(d2, d1).copy()) for v in space.basis.data]
         return space.dim, mats
 
+    if mode not in ("algebra", "group", "both"):
+        raise ValueError(f"unknown mode {mode!r}")
+    alg, grp, deg1 = _constraint_pairs(m1, m2, mode)
     if mode == "algebra":
-        alg, _ = _constraint_pairs(m1, m2, "algebra")
         dim, basis = solve_pairs(alg)
         return HomReport(dim=dim, basis=basis, dim_algebra=dim,
                          basis_algebra=basis)
+    implied = _commutator_pairs(deg1)
     if mode == "group":
-        _, grp = _constraint_pairs(m1, m2, "group")
-        dim, basis = solve_pairs(grp)
+        dim, basis = solve_pairs(grp, implied)
         return HomReport(dim=dim, basis=basis, dim_group=dim,
                          basis_group=basis)
-    if mode == "both":
-        alg, grp = _constraint_pairs(m1, m2, "both")
-        da, ba = solve_pairs(alg)
-        dg, bg = solve_pairs(grp)
-        return HomReport(dim=dg, basis=bg, dim_algebra=da, dim_group=dg,
-                         basis_algebra=ba, basis_group=bg)
-    raise ValueError(f"unknown mode {mode!r}")
+    da, ba = solve_pairs(alg)
+    dg, bg = solve_pairs(grp, implied)
+    return HomReport(dim=dg, basis=bg, dim_algebra=da, dim_group=dg,
+                     basis_algebra=ba, basis_group=bg)
 
 
 def socle_via_homs(m: GModule, irreducibles: Sequence[GModule]) -> Subspace:

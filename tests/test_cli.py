@@ -144,6 +144,19 @@ class TestValidateFile:
         assert rc == 1
         assert out.startswith("invalid: SkewViolation")
 
+    def test_float_coefficient_rejected(self, capsys, tmp_path):
+        path = str(tmp_path / "alg.json")
+        run(capsys, "build", "sl", "--m", "2", "--n", "1", "--p", "5",
+            "--out", path)
+        with open(path) as f:
+            d = json.load(f)
+        d["brackets"][0][2][0][1] = 1.0  # a JSON number, not an exact string
+        with open(path, "w") as f:
+            json.dump(d, f)
+        rc, out, _ = run(capsys, "validate-file", path)
+        assert rc == 1
+        assert out.startswith("invalid: InexactScalar")
+
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run(capsys, "validate-file", "/no/such/file.json")
         assert rc == 2

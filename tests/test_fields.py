@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -67,6 +68,21 @@ class TestFieldCtx:
     def test_of_fraction_in_prime_field(self):
         assert F5.of(Fraction(1, 2)) == 3
         assert F7.of(Fraction(-1, 3)) == F7.mul(F7.neg(1), F7.inv(3))
+
+    @pytest.mark.parametrize("ctx", [F5, Q])
+    @pytest.mark.parametrize("x", [0.5, 0.1, 2.0, True, False,
+                                   np.float64(3.0), np.float32(0.5),
+                                   np.bool_(True)])
+    def test_of_rejects_inexact_scalars(self, ctx, x):
+        with pytest.raises(TypeError):
+            ctx.of(x)
+
+    def test_of_accepts_exact_scalars(self):
+        assert F5.of(np.int64(7)) == 2
+        assert F5.of(np.int32(-1)) == 4
+        assert Q.of(np.int64(-3)) == Fraction(-3)
+        assert Q.of("0.1") == Fraction(1, 10)
+        assert F5.of(Fraction(6, 1)) == 1
 
     @given(a=st.integers(0, 4), b=st.integers(0, 4))
     def test_round_trip_add_f5(self, a, b):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
+import superlie.brj as brj
+import superlie.modules as modules
 from superlie.fields import FieldCtx
-from superlie.linalg import Matrix, Subspace
+from superlie.linalg import Matrix, Subspace, exact_matmul, kernel
 from superlie.modules import (
     CompositionViolation,
+    GModule,
     NotInvariant,
+    _commutator_pairs,
+    _constraint_pairs,
+    _intertwiner_space,
+    _is_diagonal,
+    _weight_support,
     dual,
     family,
     hom_space,
@@ -28,6 +36,7 @@ from superlie.constructions import (
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
+BIG = FieldCtx.prime(2**31 - 1)
 Q = FieldCtx.rationals()
 
 
@@ -172,6 +181,140 @@ class TestHom:
         t = tensor(symn_module(1, F5), symn_module(1, F5))
         soc = socle_via_homs(t, [symn_module(1, F5)])
         assert soc.dim == 0
+
+
+def full_system_kernel(ctx, d1, d2, pairs):
+    """Kernel of the stacked Kronecker system B f - f A = 0 on all d1*d2
+    entries of f (flattened row-major), one pair's block at a time.  The
+    order of the blocks does not change the kernel; diagonal blocks go first
+    because they make the later ones cheap."""
+    n = d1 * d2
+    space = None
+    for a, b in sorted(pairs, key=lambda ab: not (
+            _is_diagonal(ab[0]) and _is_diagonal(ab[1]))):
+        block = ctx.reduce(np.kron(b.data, ctx.eye(d1))
+                           - np.kron(ctx.eye(d2), a.data.T))
+        if space is None:
+            space = kernel(Matrix(ctx, block))
+            continue
+        resid = exact_matmul(ctx, space.basis.data, block.T)
+        coeffs = kernel(Matrix(ctx, resid.T))
+        space = Subspace.from_vectors(
+            ctx, n, list(exact_matmul(ctx, coeffs.basis.data,
+                                      space.basis.data)))
+    return space
+
+
+def mode_pairs(m1, m2, mode):
+    """(constraint pairs, implied pairs) that hom_space solves in mode."""
+    alg, grp, deg1 = _constraint_pairs(m1, m2, mode)
+    if mode == "algebra":
+        return alg, []
+    return grp, _commutator_pairs(deg1)
+
+
+def support_size(m1, m2, mode):
+    pairs, implied = mode_pairs(m1, m2, mode)
+    return int(_weight_support(m1.dim, m2.dim, pairs + implied).sum())
+
+
+def assert_matches_full_system(m1, m2, mode):
+    """The weight-supported solve gives the subspace of the full system, and
+    hom_space returns its canonical basis."""
+    ctx, d1, d2 = m1.ctx, m1.dim, m2.dim
+    pairs, implied = mode_pairs(m1, m2, mode)
+    want = full_system_kernel(ctx, d1, d2, pairs)
+    got = _intertwiner_space(ctx, d1, d2, pairs, implied)
+    assert got == want and got.pivots == want.pivots
+    rep = hom_space(m1, m2, mode=mode)
+    assert rep.dim == want.dim
+    for f, v in zip(rep.basis, want.basis.data):
+        assert np.array_equal(f.data.reshape(-1), v)
+    return rep
+
+
+@pytest.fixture(scope="module")
+def brj_hom_calls():
+    """(m1, m2, mode) of each hom_space call of the p = 5 pipeline."""
+    calls = []
+
+    def record(m1, m2, mode="group"):
+        calls.append((m1, m2, mode))
+        return hom_space(m1, m2, mode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "hom_space", record)
+        mp.setattr(brj, "hom_space", record)
+        brj.brj25(p=5, skip_simplicity=True)
+    return {(m1.meta["name"], m2.meta["name"]): (m1, m2, mode)
+            for m1, m2, mode in calls}
+
+
+def conjugated(m, p_rows, p_inv_rows):
+    ctx = m.ctx
+    p = Matrix.from_rows(ctx, p_rows)
+    p_inv = Matrix.from_rows(ctx, p_inv_rows)
+    assert (p @ p_inv).is_identity()
+    fams = [family(f.label, [p @ op @ p_inv for op in f.ops])
+            for f in m.families]
+    return GModule(ctx, m.labels, m.lie_labels,
+                   [p @ a @ p_inv for a in m.lie_action], fams,
+                   brackets=m.brackets, meta={"name": "conjugated"})
+
+
+class TestHomWeightSupport:
+    @pytest.mark.parametrize("mode", ["algebra", "group"])
+    def test_brj_sym2u_to_adjoint(self, brj_hom_calls, mode):
+        s2u, adj, _ = brj_hom_calls[("Sym2(U)", "adjoint-sp4")]
+        assert s2u.dim * adj.dim == 780
+        assert support_size(s2u, adj, mode) == 44
+        assert assert_matches_full_system(s2u, adj, mode).dim == 1
+
+    def test_brj_socle_hom(self, brj_hom_calls):
+        v, m, mode = brj_hom_calls[("V", "M")]
+        assert mode == "group"
+        # M's echelon basis consists of weight vectors, so the coroots
+        # (commutators of opposite root families) are diagonal there too
+        assert support_size(v, m, mode) == 8
+        assert assert_matches_full_system(v, m, mode).dim == 1
+
+    @pytest.mark.parametrize("ctx,n", [(F7, n) for n in range(1, 7)]
+                             + [(Q, n) for n in range(1, 4)]
+                             + [(BIG, n) for n in range(1, 4)])
+    def test_sl2_forms(self, ctx, n):
+        m1, m2 = sym2(symn_dual(n, ctx)), adjoint_sl2_module(ctx)
+        for mode in ("algebra", "group"):
+            assert assert_matches_full_system(m1, m2, mode).dim == n % 2
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("mode", ["algebra", "group"])
+    def test_weights_colliding_mod_p(self, n, mode):
+        m = symn_module(n, F5)
+        same_weight = sum(w1 == w2 for w1 in m.weights for w2 in m.weights)
+        assert support_size(m, m, mode) > same_weight
+        assert_matches_full_system(m, m, mode)
+
+    def test_algebra_maps_between_weights_equal_mod_p(self):
+        # s_0 and s_5 in Sym_5 have weights -5, 5 = 0 in F_5 and are killed
+        # by h, e, f, but the divided powers X(+-2)[t^5] move them
+        triv, m = symn_module(0, F5), symn_module(5, F5)
+        alg = assert_matches_full_system(triv, m, "algebra")
+        assert alg.dim == 2
+        images = {int(np.nonzero(f.data[:, 0])[0][0]) for f in alg.basis}
+        assert {m.weights[i] for i in images} == {(-5,), (5,)}
+        assert assert_matches_full_system(triv, m, "group").dim == 0
+
+    @pytest.mark.parametrize("mode", ["algebra", "group"])
+    def test_no_diagonal_operator_keeps_full_support(self, mode):
+        adj = adjoint_sl2_module(F7)
+        c = conjugated(adj, [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+                       [[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+        s = sym2(symn_dual(1, F7))
+        assert not any(_is_diagonal(op) for op in c.all_operators())
+        for m1, m2 in ((c, c), (s, c), (c, s)):
+            assert support_size(m1, m2, mode) == 9
+            rep = assert_matches_full_system(m1, m2, mode)
+            assert rep.dim == hom_space(adj, adj, mode).dim == 1
 
 
 class TestJson:
