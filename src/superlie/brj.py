@@ -30,8 +30,8 @@ import numpy as np
 from .fields import FieldCtx
 from .linalg import Matrix, Subspace
 from .modules import (
+    CoeffOperatorFamily,
     GModule,
-    family,
     hom_space,
     lambda2,
     module_from_subspace,
@@ -138,7 +138,7 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
     roots, _ = _sp4_elements(ctx)
     lie = [Matrix(ctx, m) for m in g.matrix_basis]
     fams = [
-        family(l, [Matrix.identity(ctx, 4), Matrix(ctx, m)], root=w)
+        CoeffOperatorFamily(l, [Matrix.identity(ctx, 4), Matrix(ctx, m)], w)
         for l, w, m in roots
     ]
     return GModule(ctx, ["v+e1", "v+e2", "v-e1", "v-e2"], g.labels, lie, fams,

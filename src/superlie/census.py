@@ -30,31 +30,34 @@ class CensusRow:
         return (self.family, json.dumps(self.params, sort_keys=True), self.p)
 
 
+# family name -> (parameter names, builder(params, ctx)); each builder looks
+# its constructions function up when called, so a rebound one is used
+FAMILIES = {
+    "gl": (("m", "n"), lambda p, ctx: cons.gl(int(p["m"]), int(p["n"]), ctx)),
+    "sl": (("m", "n"), lambda p, ctx: cons.sl(int(p["m"]), int(p["n"]), ctx)),
+    "pgl": (("m", "n"),
+            lambda p, ctx: cons.pgl(int(p["m"]), int(p["n"]), ctx)),
+    "psl": (("m", "n"),
+            lambda p, ctx: cons.psl(int(p["m"]), int(p["n"]), ctx)),
+    "spo": (("m", "odd"),
+            lambda p, ctx: cons.spo(int(p["m"]) * 2, int(p["odd"]), ctx)),
+    "periplectic": (("n",),
+                    lambda p, ctx: cons.periplectic(int(p["n"]), ctx)),
+    "periplectic_derived": (
+        ("n",), lambda p, ctx: cons.periplectic_derived(int(p["n"]), ctx)),
+    "queer": (("n",), lambda p, ctx: cons.queer(int(p["n"]), ctx)),
+    "pq": (("n",), lambda p, ctx: cons.pq(int(p["n"]), ctx)),
+    "psq": (("n",), lambda p, ctx: cons.psq(int(p["n"]), ctx)),
+    "d21": (("a1", "a2", "a3"),
+            lambda p, ctx: cons.d21(
+                cons.D21Params(p["a1"], p["a2"], p["a3"]), ctx)),
+}
+
+
 def build_from_params(family: str, params: Dict[str, object], ctx: FieldCtx):
-    if family == "gl":
-        return cons.gl(int(params["m"]), int(params["n"]), ctx)
-    if family == "sl":
-        return cons.sl(int(params["m"]), int(params["n"]), ctx)
-    if family == "pgl":
-        return cons.pgl(int(params["m"]), int(params["n"]), ctx)
-    if family == "psl":
-        return cons.psl(int(params["m"]), int(params["n"]), ctx)
-    if family == "spo":
-        return cons.spo(int(params["m"]) * 2, int(params["odd"]), ctx)
-    if family == "periplectic":
-        return cons.periplectic(int(params["n"]), ctx)
-    if family == "periplectic_derived":
-        return cons.periplectic_derived(int(params["n"]), ctx)
-    if family == "queer":
-        return cons.queer(int(params["n"]), ctx)
-    if family == "pq":
-        return cons.pq(int(params["n"]), ctx)
-    if family == "psq":
-        return cons.psq(int(params["n"]), ctx)
-    if family == "d21":
-        return cons.d21(
-            cons.D21Params(params["a1"], params["a2"], params["a3"]), ctx)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family][1](params, ctx)
 
 
 def _run_checks(alg, checks: Sequence[str], seed: int) -> Dict[str, object]:

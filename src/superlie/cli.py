@@ -19,6 +19,7 @@ from .superalgebra import (
 from .modules import hom_space, module_from_json_dict, sym2
 from .pairs import check_sas_conditions, pair_from_json_dict
 from .census import (
+    FAMILIES,
     GRID_PRESETS,
     build_from_params,
     run_census,
@@ -29,24 +30,17 @@ from .census import (
 VALIDATION_ERRORS = (SkewViolation, GradingViolation, JacobiViolation,
                      InexactScalar, ValueError, ArithmeticError)
 
-FAMILY_PARAMS = {
-    "gl": ("m", "n"), "sl": ("m", "n"), "pgl": ("m", "n"), "psl": ("m", "n"),
-    "spo": ("m", "odd"), "periplectic": ("n",), "periplectic_derived": ("n",),
-    "queer": ("n",), "pq": ("n",), "psq": ("n",),
-    "d21": ("a1", "a2", "a3"),
-}
-
 
 def _ctx(p: int) -> FieldCtx:
     return FieldCtx.rationals() if p == 0 else FieldCtx.prime(p)
 
 
 def _collect_params(family: str, args) -> dict:
-    if family not in FAMILY_PARAMS:
+    if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; "
-                         f"known: {', '.join(sorted(FAMILY_PARAMS))}")
+                         f"known: {', '.join(sorted(FAMILIES))}")
     params = {}
-    for name in FAMILY_PARAMS[family]:
+    for name in FAMILIES[family][0]:
         val = getattr(args, name, None)
         if val is None:
             raise UsageError(f"family {family} requires --{name}")

@@ -8,6 +8,7 @@ orders are fixed and documented per construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -15,6 +16,8 @@ import numpy as np
 
 from .fields import FieldCtx
 from .linalg import Matrix, SpanSolver, Subspace, kernel
+from .modules import CoeffOperatorFamily, GModule, dual
+from .pairs import BilinearMap, HCPair, assemble_pair
 from .superalgebra import (
     CenterNotInside,
     LieSuperalgebra,
@@ -484,18 +487,6 @@ def d21(params: D21Params, ctx: FieldCtx) -> LieSuperalgebra:
 # rank-one even part: symmetric-power modules and form-valued brackets
 # ---------------------------------------------------------------------------
 
-from .modules import (  # noqa: E402  (keeps the module layer optional above)
-    CoeffOperatorFamily,
-    GModule,
-    dual,
-    family,
-    sym2,
-)
-from .pairs import BilinearMap, HCPair, assemble_pair  # noqa: E402
-
-import math  # noqa: E402
-
-
 def sl2_algebra(ctx: FieldCtx) -> LieSuperalgebra:
     """Purely even algebra on H, E12, E21 inside 2x2 matrices."""
     h = ctx.arr([[1, 0], [0, -1]])
@@ -533,8 +524,9 @@ def conjugation_family(alg: LieSuperalgebra, label: str, x: np.ndarray,
             raise ValueError("conjugation image leaves the algebra")
         a1[:, j] = img1
         a2[:, j] = img2
-    return family(label, [Matrix.identity(ctx, d), Matrix(ctx, a1),
-                          Matrix(ctx, a2)], root=root)
+    return CoeffOperatorFamily(
+        label, [Matrix.identity(ctx, d), Matrix(ctx, a1), Matrix(ctx, a2)],
+        root)
 
 
 def adjoint_sl2_module(ctx: FieldCtx) -> GModule:
@@ -583,8 +575,8 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
                 down[i - k, i] = ctx.of(math.comb(i, k))
         up_ops.append(Matrix(ctx, up))
         down_ops.append(Matrix(ctx, down))
-    fams = [family("X2", up_ops, root=(2,)),
-            family("X-2", down_ops, root=(-2,))]
+    fams = [CoeffOperatorFamily("X2", up_ops, (2,)),
+            CoeffOperatorFamily("X-2", down_ops, (-2,))]
     return GModule(
         ctx, [f"s{i}" for i in range(d)], alg.labels,
         [Matrix(ctx, h), Matrix(ctx, e), Matrix(ctx, f)], fams,

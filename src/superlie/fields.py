@@ -189,7 +189,7 @@ class FieldCtx:
     def zeros(self, *shape) -> np.ndarray:
         if self.dtype is object:
             a = np.empty(shape, dtype=object)
-            a[...] = Fraction(0)
+            a[...] = self.zero
             return a
         return np.zeros(shape, dtype=np.int64)
 

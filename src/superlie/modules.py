@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,11 +51,23 @@ class LabelMismatch(ValueError):
 @dataclass(frozen=True)
 class CoeffOperatorFamily:
     """One-parameter subgroup X(t) = sum_i t^i ops[i]; ops[0] must be the
-    identity.  root, when set, is the weight shift of each t-power."""
+    identity.  root, when set, is the weight shift of each t-power.
+
+    Construction drops trailing zero operators and checks the composition
+    law, so every instance is a valid family."""
 
     label: str
     ops: Tuple[Matrix, ...]
     root: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self):
+        ops = list(self.ops)
+        while len(ops) > 1 and ops[-1].is_zero():
+            ops.pop()
+        object.__setattr__(self, "ops", tuple(ops))
+        if self.root is not None:
+            object.__setattr__(self, "root", tuple(self.root))
+        self.validate()
 
     @property
     def ctx(self) -> FieldCtx:
@@ -75,10 +87,10 @@ class CoeffOperatorFamily:
         return Matrix.zeros(self.ctx, self.dim, self.dim)
 
     def validate(self):
-        ctx = self.ctx
-        n = self.dim
         if not self.ops:
             raise CompositionViolation(f"{self.label}: empty family")
+        ctx = self.ctx
+        n = self.dim
         if not np.array_equal(self.ops[0].data, ctx.eye(n)):
             raise CompositionViolation(f"{self.label}: op_0 is not the identity")
         d = self.degree
@@ -119,21 +131,6 @@ class CoeffOperatorFamily:
                     raise CompositionViolation(
                         f"{self.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
 
-    def trimmed(self) -> "CoeffOperatorFamily":
-        ops = list(self.ops)
-        while len(ops) > 1 and ops[-1].is_zero():
-            ops.pop()
-        return CoeffOperatorFamily(self.label, tuple(ops), self.root)
-
-
-def family(label: str, ops: Sequence[Matrix],
-           root: Optional[Sequence[int]] = None) -> CoeffOperatorFamily:
-    f = CoeffOperatorFamily(
-        label, tuple(ops), tuple(root) if root is not None else None
-    ).trimmed()
-    f.validate()
-    return f
-
 
 class GModule:
     """A module with aligned Lie-algebra generators and group families.
@@ -149,7 +146,7 @@ class GModule:
                  families: Sequence[CoeffOperatorFamily],
                  weights: Optional[Sequence[Tuple[int, ...]]] = None,
                  brackets: Optional[Dict[Tuple[int, int], Dict[int, object]]] = None,
-                 meta: Optional[dict] = None, validate: bool = True):
+                 meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -159,8 +156,7 @@ class GModule:
         self.weights = tuple(tuple(w) for w in weights) if weights else None
         self.brackets = brackets
         self.meta = dict(meta or {})
-        if validate:
-            self.validate()
+        self.validate()
 
     def __repr__(self):
         return f"GModule(dim={self.dim}, {self.ctx}, {self.meta.get('name', '?')})"
@@ -187,7 +183,6 @@ class GModule:
         for f in self.families:
             if f.dim != self.dim:
                 raise DimensionMismatch(f"family {f.label} shape mismatch")
-            f.validate()
         if self.brackets is not None:
             for (i, j), row in self.brackets.items():
                 a, b = self.lie_action[i].data, self.lie_action[j].data
@@ -250,8 +245,9 @@ def module_from_json_dict(d: dict) -> GModule:
     lie_labels = [e["label"] for e in d["lie"]]
     lie_action = [Matrix.from_rows(ctx, e["matrix"]) for e in d["lie"]]
     fams = [
-        family(e["label"], [Matrix.from_rows(ctx, m) for m in e["ops"]],
-               root=e.get("root"))
+        CoeffOperatorFamily(
+            e["label"], [Matrix.from_rows(ctx, m) for m in e["ops"]],
+            e.get("root"))
         for e in d["families"]
     ]
     return GModule(ctx, d["labels"], lie_labels, lie_action, fams,
@@ -278,7 +274,7 @@ def dual(m: GModule) -> GModule:
             for k, op in enumerate(f.ops)
         ]
         # the underlying group element is unchanged, so the root is too
-        fams.append(family(f.label, ops, root=f.root))
+        fams.append(CoeffOperatorFamily(f.label, ops, f.root))
     weights = [tuple(-x for x in w) for w in m.weights] if m.weights else None
     labels = [l + "*" for l in m.labels]
     meta = dict(m.meta)
@@ -303,9 +299,9 @@ def _kron(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ctx.reduce(np.kron(a, b))
 
 
-def tensor(m1: GModule, m2: GModule) -> GModule:
-    """Tensor product: Leibniz action for the Lie part; X(t) (x) X(t) for the
-    families, coefficients gathered by t-power."""
+def _tensor_ops(m1: GModule, m2: GModule):
+    """Operators of the tensor product: the Leibniz Lie action, and for each
+    family of m1 the coefficients of X(t) (x) X(t) gathered by t-power."""
     ctx = m1.ctx
     if ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
@@ -315,7 +311,7 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
         Matrix(ctx, _kron(ctx, a.data, i2) + _kron(ctx, i1, b.data))
         for a, b in zip(m1.lie_action, m2.lie_action)
     ]
-    fams = []
+    fam_ops = []
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
         deg = f1.degree + f2.degree
@@ -325,7 +321,15 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
             for a in range(k + 1):
                 acc = acc + _kron(ctx, f1.op(a).data, f2.op(k - a).data)
             ops.append(Matrix(ctx, acc))
-        fams.append(family(f1.label, ops, root=f1.root))
+        fam_ops.append((f1, ops))
+    return lie, fam_ops
+
+
+def tensor(m1: GModule, m2: GModule) -> GModule:
+    """Tensor product: Leibniz action for the Lie part; X(t) (x) X(t) for the
+    families, coefficients gathered by t-power."""
+    lie, fam_ops = _tensor_ops(m1, m2)
+    fams = [CoeffOperatorFamily(f.label, ops, f.root) for f, ops in fam_ops]
     labels = [f"{a}(x){b}" for a in m1.labels for b in m2.labels]
     weights = None
     if m1.weights and m2.weights:
@@ -334,7 +338,7 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
             for wa in m1.weights for wb in m2.weights
         ]
     meta = {"name": f"{m1.meta.get('name','?')}(x){m2.meta.get('name','?')}"}
-    return GModule(ctx, labels, m1.lie_labels, lie, fams, weights=weights,
+    return GModule(m1.ctx, labels, m1.lie_labels, lie, fams, weights=weights,
                    brackets=m1.brackets, meta=meta)
 
 
@@ -358,18 +362,18 @@ def _pair_maps(ctx: FieldCtx, n: int, sign: int):
 
 
 def _squared(m: GModule, sign: int, name: str) -> GModule:
+    """Sym^2 (sign +1) or Lambda^2 (sign -1): the tensor square's operators
+    compressed to the (anti)symmetric tensors, proj . op . iota."""
     ctx = m.ctx
-    sq = tensor(m, m)
+    lie, fam_ops = _tensor_ops(m, m)
     pairs, iota, proj = _pair_maps(ctx, m.dim, sign)
-    lie = [Matrix(ctx, exact_matmul(
-        ctx, exact_matmul(ctx, proj.data, a.data), iota.data))
-        for a in sq.lie_action]
-    fams = []
-    for f in sq.families:
-        ops = [Matrix(ctx, exact_matmul(
+
+    def compress(op: Matrix) -> Matrix:
+        return Matrix(ctx, exact_matmul(
             ctx, exact_matmul(ctx, proj.data, op.data), iota.data))
-            for op in f.ops]
-        fams.append(family(f.label, ops, root=f.root))
+
+    fams = [CoeffOperatorFamily(f.label, [compress(op) for op in ops], f.root)
+            for f, ops in fam_ops]
     sep = "." if sign > 0 else "^"
     labels = [f"{m.labels[i]}{sep}{m.labels[j]}" for i, j in pairs]
     weights = None
@@ -379,8 +383,8 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
             for i, j in pairs
         ]
     meta = {"name": f"{name}({m.meta.get('name','?')})"}
-    mod = GModule(ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                  brackets=m.brackets, meta=meta)
+    mod = GModule(ctx, labels, m.lie_labels, [compress(a) for a in lie], fams,
+                  weights=weights, brackets=m.brackets, meta=meta)
     mod.pair_index = {p: c for c, p in enumerate(pairs)}  # type: ignore
     return mod
 
@@ -399,49 +403,58 @@ def submodule_generated(m: GModule, seeds: Sequence[np.ndarray]) -> Subspace:
     return invariant_closure(m.ctx, m.dim, list(seeds), m.all_operators())
 
 
-def _operator_name(m: GModule, idx: int) -> str:
-    if idx < len(m.lie_action):
-        return m.lie_labels[idx]
-    idx -= len(m.lie_action)
+def induced_operators(ctx: FieldCtx,
+                      named_ops: Sequence[Tuple[str, Matrix]],
+                      w: Subspace, reps: Sequence[np.ndarray]) -> List[Matrix]:
+    """Matrices of the operators on span(w, reps)/w in the basis of the reps.
+
+    Each image is expressed in the spanning set w's basis followed by the
+    reps; the rep coordinates are the induced matrix column.  Raises
+    NotInvariant(name) when an operator maps a vector of w out of w, or a
+    rep out of span(w, reps)."""
+    rows = list(w.basis.data) + [ctx.reduce(np.asarray(r)) for r in reps]
+    nw, d = w.dim, len(reps)
+    solver = SpanSolver(ctx, np.stack(rows)) if rows else None
+    out = []
+    for name, op in named_ops:
+        m = ctx.zeros(d, d)
+        for i, v in enumerate(rows):
+            coords = solver.coords(op.mv(v))
+            if coords is None or (i < nw and np.any(coords[nw:])):
+                raise NotInvariant(name)
+            if i >= nw:
+                m[:, i - nw] = coords[nw:]
+        out.append(Matrix(ctx, m))
+    return out
+
+
+def _subquotient(m: GModule, w: Subspace, reps: Sequence[np.ndarray],
+                 labels: Sequence[str], weights: Optional[Sequence],
+                 meta: dict) -> GModule:
+    """The module span(w, reps)/w on the basis of the reps."""
+    named = list(zip(m.lie_labels, m.lie_action))
     for f in m.families:
-        n = len(f.ops) - 1
-        if idx < n:
-            return f"{f.label}[t^{idx + 1}]"
-        idx -= n
-    return "?"
+        named += [(f"{f.label}[t^{k}]", op) for k, op in enumerate(f.ops)]
+    ops = iter(induced_operators(m.ctx, named, w, reps))
+    lie = [next(ops) for _ in m.lie_action]
+    fams = [CoeffOperatorFamily(f.label, [next(ops) for _ in f.ops], f.root)
+            for f in m.families]
+    return GModule(m.ctx, labels, m.lie_labels, lie, fams, weights=weights,
+                   brackets=m.brackets, meta=meta)
 
 
 def quotient_module(m: GModule, w: Subspace,
                     labels: Optional[Sequence[str]] = None) -> GModule:
     """Quotient by an invariant subspace; basis = non-pivot coordinates."""
-    ctx = m.ctx
-    for k, op in enumerate(m.all_operators()):
-        for v in w.basis.data:
-            if not w.contains(op.mv(v)):
-                raise NotInvariant(_operator_name(m, k))
-    keep = [i for i in range(m.dim) if i not in set(w.pivots)]
-    d = len(keep)
-
-    def induce(op: Matrix) -> Matrix:
-        out = ctx.zeros(d, d)
-        for col, b in enumerate(keep):
-            img = op.data[:, b].copy()
-            residual, _ = w.reduce_vector(img)
-            out[:, col] = residual[keep]
-        return Matrix(ctx, out)
-
-    lie = [induce(a) for a in m.lie_action]
-    fams = [
-        family(f.label, [induce(op) for op in f.ops], root=f.root)
-        for f in m.families
-    ]
+    pivots = set(w.pivots)
+    keep = [i for i in range(m.dim) if i not in pivots]
+    eye = m.ctx.eye(m.dim)
     if labels is None:
         labels = [m.labels[i] + "~" for i in keep]
     weights = [m.weights[i] for i in keep] if m.weights else None
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "/w"
-    return GModule(ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.brackets, meta=meta)
+    return _subquotient(m, w, [eye[i] for i in keep], labels, weights, meta)
 
 
 def quotient_module_with_basis(m: GModule, w: Subspace,
@@ -449,61 +462,19 @@ def quotient_module_with_basis(m: GModule, w: Subspace,
                                labels: Sequence[str],
                                weights: Optional[Sequence] = None,
                                name: str = "quotient") -> GModule:
-    """Quotient of span(w, reps) by w, on the given representative basis.
-
-    Operators must preserve the span; the induced matrices are read off from
-    coordinates in the (w-basis + reps) spanning set.
-    """
-    ctx = m.ctx
-    rows = list(w.basis.data) + [ctx.reduce(np.asarray(r)) for r in reps]
-    solver = SpanSolver(ctx, np.stack(rows))
-    nw, d = w.dim, len(reps)
-
-    def induce(op: Matrix, opname: str) -> Matrix:
-        out = ctx.zeros(d, d)
-        for col in range(d):
-            img = op.mv(rows[nw + col])
-            coords = solver.coords(img)
-            if coords is None:
-                raise NotInvariant(opname, "(image leaves the span)")
-            out[:, col] = coords[nw:]
-        return Matrix(ctx, out)
-
-    lie = [induce(a, l) for a, l in zip(m.lie_action, m.lie_labels)]
-    fams = [
-        family(f.label, [induce(op, f.label) for op in f.ops], root=f.root)
-        for f in m.families
-    ]
-    return GModule(ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.brackets, meta={"name": name})
+    """Quotient of span(w, reps) by the invariant subspace w, on the given
+    representative basis.  Operators must preserve the span."""
+    return _subquotient(m, w, reps, labels, weights, {"name": name})
 
 
 def module_from_subspace(m: GModule, w: Subspace,
                          labels: Optional[Sequence[str]] = None,
                          name: str = "submodule") -> GModule:
     """Restriction of all operators to an invariant subspace."""
-    ctx = m.ctx
-    solver = SpanSolver(ctx, w.basis.data)
-    d = w.dim
-
-    def restrict(op: Matrix, opname: str) -> Matrix:
-        out = ctx.zeros(d, d)
-        for col in range(d):
-            coords = solver.coords(op.mv(w.basis.data[col]))
-            if coords is None:
-                raise NotInvariant(opname)
-            out[:, col] = coords
-        return Matrix(ctx, out)
-
-    lie = [restrict(a, l) for a, l in zip(m.lie_action, m.lie_labels)]
-    fams = [
-        family(f.label, [restrict(op, f.label) for op in f.ops], root=f.root)
-        for f in m.families
-    ]
     if labels is None:
-        labels = [f"w{i}" for i in range(d)]
-    return GModule(ctx, labels, m.lie_labels, lie, fams,
-                   brackets=m.brackets, meta={"name": name})
+        labels = [f"w{i}" for i in range(w.dim)]
+    return _subquotient(m, Subspace.zero(m.ctx, m.dim), list(w.basis.data),
+                        labels, None, {"name": name})
 
 
 def trivial_quotient_defect(m: GModule) -> Subspace:

@@ -20,11 +20,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import FieldCtx
-from .linalg import DimensionMismatch, Matrix, Subspace, kernel
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    kernel,
+    largest_invariant_within,
+)
 from .modules import (
     CoeffOperatorFamily,
     GModule,
-    family,
+    induced_operators,
     module_from_json_dict,
     quotient_module,
     trivial_quotient_defect,
@@ -186,7 +192,6 @@ def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
     for f in adjoint_families:
         if f.dim != even.dim:
             raise DimensionMismatch("adjoint family shape mismatch")
-        f.validate()
 
     _check_equivariance(odd, bracket, adjoint_families)
 
@@ -235,8 +240,6 @@ def check_sas_conditions(pair: HCPair):
     trivial quotient on the odd part; (2) the bracket-annihilator contains no
     nonzero invariant subspace.  The group-level almost-simplicity of the even
     group is an input assumption, recorded in the details."""
-    from .linalg import largest_invariant_within
-
     odd = pair.odd
     defect = trivial_quotient_defect(odd)
     cond1 = defect.dim == odd.dim
@@ -367,17 +370,14 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
             entries[(a, b)] = residual[keep_g]
     bracket_q = BilinearMap.from_entries(
         ctx, len(keep_v), len(keep_g), entries)
+    eye = ctx.eye(pair.even.dim)
+    reps_g = [eye[i] for i in keep_g]
     adj_q = []
     for gfam in pair.adjoint_families:
-        ops = []
-        for op in gfam.ops:
-            out = ctx.zeros(len(keep_g), len(keep_g))
-            for col, b in enumerate(keep_g):
-                img = op.data[:, b].copy()
-                residual, _ = s.h_lie.reduce_vector(img)
-                out[:, col] = residual[keep_g]
-            ops.append(Matrix(ctx, out))
-        adj_q.append(family(gfam.label, ops, root=gfam.root))
+        named = [(f"{gfam.label}[t^{k}]", op) for k, op in enumerate(gfam.ops)]
+        adj_q.append(CoeffOperatorFamily(
+            gfam.label, induced_operators(ctx, named, s.h_lie, reps_g),
+            gfam.root))
     return assemble_pair(even_q, odd_q, bracket_q, adj_q,
                          meta={"name": pair.meta.get("name", "pair") + "/q"})
 
@@ -416,8 +416,9 @@ def pair_from_json_dict(d: dict) -> HCPair:
     }
     bracket = BilinearMap.from_entries(ctx, odd.dim, even.dim, entries)
     adj = [
-        family(e["label"], [Matrix.from_rows(ctx, m) for m in e["ops"]],
-               root=e.get("root"))
+        CoeffOperatorFamily(
+            e["label"], [Matrix.from_rows(ctx, m) for m in e["ops"]],
+            e.get("root"))
         for e in d["adjoint_families"]
     ]
     return assemble_pair(even, odd, bracket, adj, meta=d.get("meta", {}))

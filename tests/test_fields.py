@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from superlie.constructions import symn_dual
 from superlie.fields import (
     ArityMismatch,
     DegreeCapExceeded,
@@ -11,11 +12,13 @@ from superlie.fields import (
     MultiPoly,
     ZeroInverse,
 )
+from superlie.modules import sym2
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
 Q = FieldCtx.rationals()
+BIG = FieldCtx.prime(2**31 - 1)
 
 
 def brute_force_inverse(a, p):
@@ -204,3 +207,16 @@ class TestMultiPoly:
             f = poly(F7, 1, {(3,): c3, (2,): c2, (1,): c1, (0,): c0})
             x = rng.randrange(7)
             assert f.eval([x]) == (((c3 * x + c2) * x + c1) * x + c0) % 7
+
+
+class TestLargePrimeEntries:
+    """Near 2^31 arrays are object arrays of int residues, never Fractions."""
+
+    def test_zeros_hold_ints(self):
+        assert BIG.dtype is object
+        assert all(type(x) is int for x in BIG.zeros(3, 4).flat)
+
+    def test_sym2_operators_hold_ints(self):
+        m = sym2(symn_dual(3, BIG))
+        ops = list(m.lie_action) + [op for f in m.families for op in f.ops]
+        assert all(type(x) is int for op in ops for x in op.data.flat)

@@ -6,6 +6,7 @@ import superlie.modules as modules
 from superlie.fields import FieldCtx
 from superlie.linalg import Matrix, Subspace, exact_matmul, kernel
 from superlie.modules import (
+    CoeffOperatorFamily,
     CompositionViolation,
     GModule,
     NotInvariant,
@@ -15,12 +16,12 @@ from superlie.modules import (
     _is_diagonal,
     _weight_support,
     dual,
-    family,
     hom_space,
     lambda2,
     module_from_json,
     module_from_subspace,
     quotient_module,
+    quotient_module_with_basis,
     socle_via_homs,
     submodule_generated,
     sym2,
@@ -44,26 +45,63 @@ class TestFamilies:
     def test_op0_must_be_identity(self):
         z = Matrix.zeros(F5, 2, 2)
         with pytest.raises(CompositionViolation):
-            family("bad", [z])
+            CoeffOperatorFamily("bad", [z])
 
     def test_composition_violation_detected(self):
         # declaring A_2 = A_1 breaks A_1 A_1 = 2 A_2 when A_1^2 = 0
         a1 = Matrix.from_rows(F5, [[0, 1], [0, 0]])
-        family("ok", [Matrix.identity(F5, 2), a1])  # nilpotent: fine
+        # nilpotent: fine
+        CoeffOperatorFamily("ok", [Matrix.identity(F5, 2), a1])
         with pytest.raises(CompositionViolation):
-            family("bad", [Matrix.identity(F5, 2), a1, a1])
+            CoeffOperatorFamily("bad", [Matrix.identity(F5, 2), a1, a1])
 
     def test_truncation_beyond_degree_checked(self):
         # A_1^2 nonzero but no A_2 declared
         a1 = Matrix.from_rows(Q, [[1, 0], [0, 0]])  # idempotent, not nilpotent
         with pytest.raises(CompositionViolation):
-            family("bad", [Matrix.identity(Q, 2), a1])
+            CoeffOperatorFamily("bad", [Matrix.identity(Q, 2), a1])
 
     def test_divided_powers_compose_in_small_characteristic(self):
         # binomial tables stay consistent even when p <= n
         m = symn_module(5, F3)
         for f in m.families:
             f.validate()
+
+    def test_trailing_zero_operators_dropped(self):
+        a1 = Matrix.from_rows(F5, [[0, 1], [0, 0]])
+        f = CoeffOperatorFamily(
+            "x", [Matrix.identity(F5, 2), a1, Matrix.zeros(F5, 2, 2)], [2])
+        assert f.degree == 1 and f.ops == (Matrix.identity(F5, 2), a1)
+        assert f.root == (2,)
+
+
+def count_validations(monkeypatch):
+    """The families CoeffOperatorFamily.validate runs on, in call order."""
+    seen = []
+    validate = CoeffOperatorFamily.validate
+
+    def counting(self):
+        seen.append(self)
+        validate(self)
+
+    monkeypatch.setattr(CoeffOperatorFamily, "validate", counting)
+    return seen
+
+
+class TestValidationCount:
+    def test_sym2_validates_each_family_once(self, monkeypatch):
+        seen = count_validations(monkeypatch)
+        sym2(symn_dual(5, Q))
+        # two families each for Sym_5, its dual and Sym2 of the dual; the
+        # tensor square is never built as a module
+        assert len(seen) == 6
+
+    def test_brj_validates_each_family_once(self, monkeypatch):
+        seen = count_validations(monkeypatch)
+        brj.brj25(p=5, skip_simplicity=True)
+        # seen keeps every family alive, so distinct families have
+        # distinct ids
+        assert len(seen) == len({id(f) for f in seen})
 
 
 class TestDual:
@@ -130,24 +168,41 @@ class TestSubquotients:
             quotient_module(m, w)
 
     def test_quotient_by_invariant_line(self):
-        # in Sym_p over F_p the fixed line spanned by s_0...: use the
-        # submodule generated by s_0 in Sym_3 over F_3, a Frobenius kernel
+        # over F_3, s0 generates the proper submodule span(s0, s3) of Sym_3
+        # (C(3, 1) and C(3, 2) vanish); s1 generates everything
         m = symn_module(3, F3)
-        e = F3.zeros(4)
-        e[3] = 1  # highest vector generates everything
-        w = submodule_generated(m, [F3.vec([0, 1, 0, 0])])
-        if w.dim < 4:
-            q = quotient_module(m, w)
-            assert q.dim == 4 - w.dim
+        w = submodule_generated(m, [F3.vec([1, 0, 0, 0])])
+        assert w.dim == 2
+        q = quotient_module(m, w)
+        assert q.dim == 2 and q.labels == ("s1~", "s2~")
+
+    def test_quotient_with_basis_requires_invariant_w(self):
+        # over F_3 every operator before X2[t^3] maps s0 into span(s0),
+        # but X2[t^3] s0 = s3
+        m = symn_module(3, F3)
+        e = F3.eye(4)
+        w = Subspace.from_vectors(F3, 4, [e[0]])
+        with pytest.raises(NotInvariant) as exc:
+            quotient_module_with_basis(m, w, list(e[1:]), ["s1", "s2", "s3"])
+        assert exc.value.operator_name == "X2[t^3]"
+
+    def test_quotient_with_basis_matches_quotient(self):
+        m = symn_module(3, F3)
+        w = submodule_generated(m, [F3.vec([1, 0, 0, 0])])
+        assert 0 < w.dim < 4
+        keep = [i for i in range(4) if i not in w.pivots]
+        q = quotient_module(m, w)
+        qb = quotient_module_with_basis(
+            m, w, [F3.eye(4)[i] for i in keep], q.labels, q.weights)
+        assert qb.lie_action == q.lie_action
+        assert [f.ops for f in qb.families] == [f.ops for f in q.families]
 
     def test_module_from_subspace_roundtrip_dims(self):
         m = symn_module(3, F3)
-        w = submodule_generated(m, [F3.vec([0, 1, 0, 0])])
-        assert 0 < w.dim
-        if w.dim < 4:
-            sub = module_from_subspace(m, w)
-            assert sub.dim == w.dim
-            sub.validate()
+        w = submodule_generated(m, [F3.vec([1, 0, 0, 0])])
+        sub = module_from_subspace(m, w)
+        assert sub.dim == w.dim == 2
+        sub.validate()
 
     def test_trivial_quotient_defect_full_for_symn(self):
         m = symn_module(3, F5)
@@ -255,7 +310,7 @@ def conjugated(m, p_rows, p_inv_rows):
     p = Matrix.from_rows(ctx, p_rows)
     p_inv = Matrix.from_rows(ctx, p_inv_rows)
     assert (p @ p_inv).is_identity()
-    fams = [family(f.label, [p @ op @ p_inv for op in f.ops])
+    fams = [CoeffOperatorFamily(f.label, [p @ op @ p_inv for op in f.ops])
             for f in m.families]
     return GModule(ctx, m.labels, m.lie_labels,
                    [p @ a @ p_inv for a in m.lie_action], fams,

@@ -15,6 +15,7 @@ from superlie.pairs import (
     is_split,
     pair_from_json,
     pair_to_json_dict,
+    quotient_pair,
 )
 from superlie.constructions import (
     RecurrenceViolation,
@@ -32,6 +33,16 @@ F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
 Q = FieldCtx.rationals()
+
+
+def _unnamed(d):
+    """A pair's JSON without the names a quotient changes: meta, and the
+    trailing "~" of quotient basis labels."""
+    if isinstance(d, dict):
+        return {k: _unnamed(v) for k, v in d.items() if k != "meta"}
+    if isinstance(d, list):
+        return [_unnamed(x) for x in d]
+    return d.rstrip("~") if isinstance(d, str) else d
 
 
 def adj_families(ctx):
@@ -159,12 +170,19 @@ class TestSasAndSubpairs:
             check_normality(p, s)
 
     def test_quotient_by_full_subpair_is_zero(self):
-        from superlie.pairs import quotient_pair
         p = sl2_symn_pair(3, 1, F3)
         s = SubpairSpec(Subspace.full(F3, 3), ("X2", "X-2"),
                         Subspace.full(F3, 4))
         q = quotient_pair(p, s)
         assert q.dims == (0, 0)
+
+    @pytest.mark.parametrize("n,ctx", [(3, F3), (1, F5), (1, F7)])
+    def test_quotient_by_zero_subpair_is_the_pair(self, n, ctx):
+        p = sl2_symn_pair(n, 1, ctx)
+        s = SubpairSpec(Subspace.zero(ctx, 3), (), Subspace.zero(ctx, n + 1))
+        q = quotient_pair(p, s)
+        assert q.algebra.table == p.algebra.table
+        assert _unnamed(pair_to_json_dict(q)) == _unnamed(pair_to_json_dict(p))
 
 
 class TestPairJson:
