@@ -27,9 +27,13 @@ from .linalg import (
     Matrix,
     Subspace,
     invariant_closure,
+    kernel,
 )
 
 Table = Dict[Tuple[int, int], Dict[int, object]]
+
+# homogeneous random vectors the last-resort ideal search closes
+N_RANDOM = 64
 
 
 class SkewViolation(ValueError):
@@ -140,6 +144,9 @@ class LieSuperalgebra:
         self.table = table
         self.meta = dict(meta or {})
         self._ad_cache: Dict[int, Matrix] = {}
+        # the centre's (even, odd) parts: a SuperIdeal held here would point
+        # back at self and leave every algebra to the cyclic collector
+        self._center: Optional[Tuple[Subspace, Subspace]] = None
         self.even_coords = [i for i, p in enumerate(self.parities) if p == 0]
         self.odd_coords = [i for i, p in enumerate(self.parities) if p == 1]
 
@@ -375,19 +382,20 @@ class LieSuperalgebra:
         return series[-1] == (0, 0)
 
     def center(self) -> SuperIdeal:
-        ctx = self.ctx
-        blocks = []
-        for j in range(self.dim):
-            # row k, col m: coefficient of e_k in [e_m, e_j]
-            a = ctx.zeros(self.dim, self.dim)
-            for m in range(self.dim):
-                for k, c in self.table.get((m, j), {}).items():
-                    a[k, m] = c
-            blocks.append(a)
-        from .linalg import kernel
-
-        stacked = Matrix(ctx, np.concatenate(blocks, axis=0))
-        return self._graded_ideal_from_full(kernel(stacked))
+        """The centre, computed once per algebra."""
+        if self._center is None:
+            ctx = self.ctx
+            blocks = []
+            for j in range(self.dim):
+                # row k, col m: coefficient of e_k in [e_m, e_j]
+                a = ctx.zeros(self.dim, self.dim)
+                for m in range(self.dim):
+                    for k, c in self.table.get((m, j), {}).items():
+                        a[k, m] = c
+                blocks.append(a)
+            stacked = Matrix(ctx, np.concatenate(blocks, axis=0))
+            self._center = self.split_graded(kernel(stacked))
+        return SuperIdeal(self, *self._center)
 
     def ideal_closure(self, seeds: Sequence[np.ndarray]) -> SuperIdeal:
         """Smallest superideal containing the seeds: invariant closure of the
@@ -475,16 +483,20 @@ class LieSuperalgebra:
     def _proper(self, ideal: SuperIdeal) -> bool:
         return 0 < ideal.dim < self.dim
 
-    def is_graded_simple(self, seed: int = 0, n_random: int = 64) -> SimplicityVerdict:
-        """NotSimple carries a proper ideal as witness.  GradedSimple carries
-        proof: true when Norton's criterion settles it (norton_certificate), and
-        proof: false when it rests on a search that found no proper ideal
-        among the closures of basis and seeded random vectors."""
+    def is_graded_simple(self, seed: int = 0) -> SimplicityVerdict:
+        """Graded simplicity, decided in the order derived algebra, centre,
+        Norton's criterion (norton_certificate), and, only when Norton has no
+        seed, a search over the ideal closures of every basis vector and of
+        N_RANDOM random homogeneous vectors drawn with the given seed.
+
+        NotSimple carries a proper ideal as witness.  GradedSimple carries
+        proof: true when Norton's criterion settles it, and proof: false when
+        it rests on the search finding no proper ideal."""
         if self.dim == 0:
             return SimplicityVerdict("Zero")
         if not any(self.table.values()):
             return SimplicityVerdict("Abelian")
-        cert = {"strategy": [], "rng_seed": seed, "n_random": n_random}
+        cert = {"strategy": [], "rng_seed": seed, "n_random": N_RANDOM}
 
         derived = self.derived_subalgebra()
         if derived.dim == 0:
@@ -503,16 +515,13 @@ class LieSuperalgebra:
         cert["strategy"].append("center == 0")
 
         norton = self.norton_certificate()
-        if norton is not None and norton["proof"]:
-            return SimplicityVerdict(
-                "GradedSimple",
-                certificate={"strategy": cert["strategy"], **norton})
+        if norton is not None:
+            norton.certificate["strategy"] = cert["strategy"]
+            return norton
 
-        # closure of every basis vector
+        # last resort: closure of every basis vector
         for i in range(self.dim):
-            e = self.ctx.zeros(self.dim)
-            e[i] = self.ctx.one
-            cl = self.ideal_closure([e])
+            cl = self.ideal_closure([self._basis_vec(i)])
             if self._proper(cl):
                 return SimplicityVerdict(
                     "NotSimple", witness=cl,
@@ -521,7 +530,7 @@ class LieSuperalgebra:
 
         # random homogeneous vectors
         rng = random.Random(seed)
-        for t in range(n_random):
+        for t in range(N_RANDOM):
             parity = t % 2
             coords = self.odd_coords if parity else self.even_coords
             if not coords:
@@ -539,50 +548,72 @@ class LieSuperalgebra:
                     "NotSimple", witness=cl,
                     certificate={"found_by": "random_closure", "trial": t})
         cert["strategy"].append(
-            f"{n_random} random homogeneous vectors all generate everything")
+            f"{N_RANDOM} random homogeneous vectors all generate everything")
         cert["strategy"].append("[a,a] == a")
         cert["proof"] = False
         return SimplicityVerdict("GradedSimple", certificate=cert)
 
-    def norton_certificate(self) -> Optional[Dict]:
+    def norton_certificate(self) -> Optional[SimplicityVerdict]:
         """Norton's irreducibility criterion on the adjoint module.
 
         Graded ideals are the subspaces invariant under the unital algebra A
-        generated by every ad(e_i).  Give each basis vector e_j its joint
-        weight under the diagonal ad elements h_i.  If e_j's weight mu is
-        shared by no other basis vector, the projector e_mu onto the mu
-        weight space is a polynomial in the ad(h_i), so theta = I - e_mu lies
-        in A and ker theta = ker theta^T = span(e_j).  By Norton's criterion
-        the algebra is then graded simple iff e_j spins to everything both
-        under A and under the transposes A^T (R. A. Parker, "The computer
-        calculation of modular characters (the Meat-Axe)", 1984; D. F. Holt
-        and S. Rees, J. Austral. Math. Soc. A 57, 1994).
+        generated by every ad(e_i) and the parity projector.  Key each basis
+        vector e_j on its parity and its joint weight under the diagonal ad
+        elements h_i.  If e_j's key (eps, mu) is shared by no other basis
+        vector, the projector e_mu onto the mu weight space is a polynomial
+        in the ad(h_i), so theta = I - pi_eps e_mu lies in A (pi_eps the
+        parity projector) and ker theta = ker theta^T = span(e_j).  By
+        Norton's criterion the algebra is then graded simple, also over the
+        algebraic closure, iff e_j spins to everything both under A and under
+        the transposes A^T (R. A. Parker, "The computer calculation of
+        modular characters (the Meat-Axe)", 1984; D. F. Holt and S. Rees,
+        J. Austral. Math. Soc. A 57, 1994).  Both spins start from a
+        homogeneous vector under homogeneous operators, so they are graded
+        and the parity projector adds nothing to them.
 
-        Returns None when no joint weight has multiplicity 1; otherwise a
-        certificate naming the diagonal indices, the seed index and its joint
-        weight, with "proof" true iff both spins are the whole space."""
+        Returns None when no key is unique.  Otherwise the verdict, whose
+        certificate names the diagonal indices, the seed index with its
+        parity and joint weight, and "proof": GradedSimple with proof true
+        when both spins are the whole space, else NotSimple (proof false)
+        with "proper_spin" naming the proper one.  The witness is the ad
+        spin itself, the ideal generated by e_j, or, when only the transposed
+        spin W is proper, its annihilator {v : w.v = 0 for w in W}, an ideal
+        because <w, ad(x) v> = <ad(x)^T w, v>."""
         ctx = self.ctx
         diag = [i for i in self.even_coords if self._ad_is_diagonal(i)]
-        weights = [
-            tuple(self.table.get((i, j), {}).get(j, ctx.zero) for i in diag)
+        keys = [
+            (self.parities[j],
+             tuple(self.table.get((i, j), {}).get(j, ctx.zero) for i in diag))
             for j in range(self.dim)
         ]
-        counts = Counter(weights)
-        j = next((j for j, w in enumerate(weights) if counts[w] == 1), None)
+        counts = Counter(keys)
+        j = next((j for j, k in enumerate(keys) if counts[k] == 1), None)
         if j is None:
             return None
-        ads = self.ad_matrices()
-        seed = [self._basis_vec(j)]
-        spin = invariant_closure(ctx, self.dim, seed, ads)
-        dual = invariant_closure(ctx, self.dim, seed,
-                                 [m.transpose() for m in ads])
-        return {
+        cert = {
             "found_by": "norton",
             "diagonal": diag,
             "seed_index": j,
-            "weight": [ctx.scalar_to_str(x) for x in weights[j]],
-            "proof": spin.dim == dual.dim == self.dim,
+            "parity": keys[j][0],
+            "weight": [ctx.scalar_to_str(x) for x in keys[j][1]],
         }
+        ads = self.ad_matrices()
+        seed = [self._basis_vec(j)]
+        spin = invariant_closure(ctx, self.dim, seed, ads)
+        if spin.dim < self.dim:
+            return SimplicityVerdict(
+                "NotSimple", witness=self._graded_ideal_from_full(spin),
+                certificate={**cert, "proof": False, "proper_spin": "ad"})
+        dual = invariant_closure(ctx, self.dim, seed,
+                                 [m.transpose() for m in ads])
+        if dual.dim < self.dim:
+            witness = self._graded_ideal_from_full(kernel(dual.basis))
+            return SimplicityVerdict(
+                "NotSimple", witness=witness,
+                certificate={**cert, "proof": False,
+                             "proper_spin": "transpose"})
+        return SimplicityVerdict("GradedSimple",
+                                 certificate={**cert, "proof": True})
 
     def _basis_vec(self, i: int) -> np.ndarray:
         v = self.ctx.zeros(self.dim)

@@ -51,6 +51,16 @@ class TestCheck:
         assert rc == 0
         assert "simple: NotSimple, witness dim 1|0" in out
 
+    def test_norton_witness_dims(self, capsys):
+        rc, out, _ = run(capsys, "check", "--family", "psq", "--n", "2",
+                         "--p", "3", "simple")
+        assert rc == 0
+        assert "simple: NotSimple, witness dim 0|3" in out
+        rc, out, _ = run(capsys, "check", "--family", "d21", "--a1", "0",
+                         "--a2", "1", "--a3", "4", "--p", "5", "simple")
+        assert rc == 0
+        assert "simple: NotSimple, witness dim 6|8" in out
+
     def test_expectation_pass(self, capsys):
         rc, _, _ = run(capsys, "check", "--family", "spo", "--m", "1",
                        "--odd", "3", "--p", "3", "simple",

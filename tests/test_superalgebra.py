@@ -3,13 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from superlie import superalgebra
+from superlie.census import _row
 from superlie.fields import FieldCtx
-from superlie.linalg import invariant_closure
+from superlie.linalg import SpanSolver, invariant_closure
 from superlie.superalgebra import (
+    N_RANDOM,
     GradingViolation,
     JacobiViolation,
     NotAnIdeal,
     SkewViolation,
+    SuperIdeal,
     algebra_from_json,
     build_superalgebra,
 )
@@ -269,20 +273,42 @@ def sl2_natural_odd(ctx):
     )
 
 
+def rebased(alg):
+    """alg in the graded unitriangular basis b_k = sum of the e_u with u >= k
+    and the parity of k: no ad(b_i) is diagonal, so Norton has no seed."""
+    ctx = alg.ctx
+    b = ctx.zeros(alg.dim, alg.dim)
+    for k in range(alg.dim):
+        for u in range(k, alg.dim):
+            if alg.parities[u] == alg.parities[k]:
+                b[k, u] = ctx.one
+    solver = SpanSolver(ctx, b)
+    table = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            c = solver.coords(alg.bracket_vec(b[i], b[j]))
+            table[(i, j)] = {int(k): c[k] for k in np.nonzero(c)[0]}
+    return build_superalgebra(ctx, list(zip(alg.labels, alg.parities)), table)
+
+
 class TestNorton:
+    @staticmethod
+    def keys(alg, cert):
+        """(parity, joint weight) of every basis vector."""
+        return [(alg.parities[j],
+                 tuple(str(alg.ad(i).data[j, j]) for i in cert["diagonal"]))
+                for j in range(alg.dim)]
+
     def replay(self, alg, cert):
         """Recheck a Norton certificate from the ad matrices alone."""
         ctx = alg.ctx
         for i in cert["diagonal"]:
             d = alg.ad(i).data
             assert not np.any(d - np.diag(np.diag(d)))
-        weights = [
-            tuple(str(alg.ad(i).data[j, j]) for i in cert["diagonal"])
-            for j in range(alg.dim)
-        ]
+        keys = self.keys(alg, cert)
         j = cert["seed_index"]
-        assert list(weights[j]) == cert["weight"]
-        assert weights.count(weights[j]) == 1
+        assert keys[j] == (cert["parity"], tuple(cert["weight"]))
+        assert keys.count(keys[j]) == 1
         seed = ctx.zeros(alg.dim)
         seed[j] = ctx.one
         ads = alg.ad_matrices()
@@ -296,7 +322,11 @@ class TestNorton:
         lambda: spo(4, 5, F7),
         lambda: periplectic_derived(3, F5),
         lambda: sl(2, 1, Q),
-    ], ids=["sl34-p5", "psl33-p3", "spo45-p7", "periplectic3-p5", "sl21-Q"])
+        lambda: psq(3, F3),
+        lambda: psq(3, F5),
+        lambda: psq(4, F5),
+    ], ids=["sl34-p5", "psl33-p3", "spo45-p7", "periplectic3-p5", "sl21-Q",
+            "psq3-p3", "psq3-p5", "psq4-p5"])
     def test_certificate_replays(self, build):
         alg = build()
         v = alg.is_graded_simple()
@@ -308,8 +338,8 @@ class TestNorton:
     @pytest.mark.parametrize("alg", [gl(2, 1, F3), psq(2, F3)],
                              ids=["gl21-p3", "psq2-p3"])
     def test_no_proof_on_reducible(self, alg):
-        cert = alg.norton_certificate()
-        assert cert is None or cert["proof"] is False
+        v = alg.norton_certificate()
+        assert v is None or v.certificate["proof"] is False
 
     def test_dual_spin_is_needed(self):
         # e spins to everything under ad, so only the transposed spin sees
@@ -319,15 +349,93 @@ class TestNorton:
         seed = F5.zeros(alg.dim)
         seed[0] = 1
         assert invariant_closure(F5, alg.dim, [seed], ads).dim == alg.dim
-        cert = alg.norton_certificate()
+        cert = alg.norton_certificate().certificate
         assert cert["seed_index"] == 0 and cert["proof"] is False
         v = alg.is_graded_simple()
         assert v.verdict == "NotSimple" and v.witness.dims == (0, 2)
 
-    def test_psq3_falls_back_to_search(self):
+    def test_psq3_is_proved(self):
+        # psq(3) has no joint weight of multiplicity 1; its parity-refined
+        # key is unique and Norton proves it simple
         alg = psq(3, F5)
+        v = alg.is_graded_simple()
+        assert v.verdict == "GradedSimple"
+        assert v.certificate["found_by"] == "norton"
+        assert v.certificate["proof"] is True
+        weights = [k[1] for k in self.keys(alg, v.certificate)]
+        assert all(weights.count(w) > 1 for w in weights)
+        self.replay(alg, v.certificate)
+
+    @pytest.mark.parametrize("build, dims, spin", [
+        (lambda: psq(2, F3), (0, 3), "transpose"),
+        (lambda: psq(2, F5), (0, 3), "transpose"),
+        (lambda: d21(D21Params(0, 1, 4), F5), (6, 8), "transpose"),
+        (lambda: d21(D21Params(0, 0, 0), F5), (3, 8), "ad"),
+        (lambda: d21(D21Params(1, 4, 0), F5), (6, 8), "ad"),
+        (lambda: sl2_natural_odd(F5), (0, 2), "transpose"),
+    ], ids=["psq2-p3", "psq2-p5", "d21-014-p5", "d21-000-p5", "d21-140-p5",
+            "sl2-natural-odd-p5"])
+    def test_not_simple_witness(self, build, dims, spin):
+        alg = build()
+        v = alg.is_graded_simple()
+        assert v.verdict == "NotSimple"
+        assert v.certificate["found_by"] == "norton"
+        assert v.certificate["proof"] is False
+        assert v.certificate["proper_spin"] == spin
+        assert 0 < v.witness.dim < alg.dim
+        assert v.witness.dims == dims
+        assert v.witness.verify()
+
+    def test_transposed_spin_is_not_the_witness(self):
+        # the transposed spin is invariant under ad^T, not under ad: only its
+        # annihilator is an ideal
+        alg = sl2_natural_odd(F5)
+        j = alg.norton_certificate().certificate["seed_index"]
+        seed = F5.zeros(alg.dim)
+        seed[j] = 1
+        dual = invariant_closure(F5, alg.dim, [seed],
+                                 [m.transpose() for m in alg.ad_matrices()])
+        assert 0 < dual.dim < alg.dim
+        assert not SuperIdeal(alg, *alg.split_graded(dual)).verify()
+
+
+class TestSearch:
+    """The basis/random closure search, reached only when Norton has no
+    seed: in a rebased algebra no ad(b_i) is diagonal."""
+
+    def test_rebased_psq2_not_simple(self):
+        alg = rebased(psq(2, F3))
+        assert alg.norton_certificate() is None
+        v = alg.is_graded_simple()
+        assert v.verdict == "NotSimple"
+        assert v.certificate["found_by"] == "basis_closure"
+        assert v.witness.dims == (0, 3) and v.witness.verify()
+
+    @pytest.mark.parametrize("build", [lambda: sl(2, 1, F5),
+                                       lambda: psq(3, F5)],
+                             ids=["sl21-p5", "psq3-p5"])
+    def test_rebased_simple_is_unproved(self, build):
+        alg = rebased(build())
         assert alg.norton_certificate() is None
         v = alg.is_graded_simple()
         assert v.verdict == "GradedSimple"
         assert v.certificate["proof"] is False
+        assert v.certificate["n_random"] == N_RANDOM
         assert "found_by" not in v.certificate
+
+
+class TestCenterOnce:
+    def test_census_sl_row_solves_center_once(self, monkeypatch):
+        calls = []
+        real = superalgebra.kernel
+
+        def counting(m):
+            calls.append(m.data.shape)
+            return real(m)
+
+        monkeypatch.setattr(superalgebra, "kernel", counting)
+        for m, n in ((2, 1), (2, 2)):
+            calls.clear()
+            row = _row(("sl", {"m": m, "n": n}, 3), ("simple", "center_dim"), 0)
+            assert row.error is None
+            assert len(calls) == 1, (m, n)
