@@ -26,27 +26,23 @@ class DimensionMismatch(ValueError):
 def exact_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of canonical arrays.  For small primes the product is
     routed through float64 BLAS: every intermediate is an integer below 2^53,
-    so the result is exact and then reduced mod p."""
-    if (
-        ctx.p
-        and a.dtype == np.int64
-        and b.dtype == np.int64
-        and (ctx.p - 1) ** 2 * max(1, a.shape[-1]) < 2**53
-    ):
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64) % ctx.p
+    so the result is exact and then reduced mod p.  int64 products whose
+    dot products could pass 2^63 are taken on Python ints."""
+    if ctx.p and a.dtype == np.int64 and b.dtype == np.int64:
+        bound = (ctx.p - 1) ** 2 * max(1, a.shape[-1])
+        if bound < 2**53:
+            prod = a.astype(np.float64) @ b.astype(np.float64)
+            return prod.astype(np.int64) % ctx.p
+        if bound >= 2**63:
+            prod = a.astype(object) @ b.astype(object)
+            return (prod % ctx.p).astype(np.int64)
     if not ctx.p and a.dtype == object and a.ndim == 2 and b.ndim == 2:
         # Fraction matmul through numpy is a dense Python loop with a gcd on
         # every operation; clearing denominators first and iterating only
         # the nonzero entries is far cheaper on the sparse matrices in play
         ai, sa = int_scaled(a)
         bi, sb = int_scaled(b)
-        acc = sparse_int_matmul(ai, bi)
-        out = np.full(acc.shape, ctx.zero, dtype=object)
-        scale = sa * sb
-        nz = np.nonzero(acc)
-        out[nz] = [Fraction(int(v), scale) for v in acc[nz]]
-        return out
+        return from_int(ctx, sparse_int_matmul(ai, bi), sa * sb)
     return ctx.reduce(a @ b)
 
 
@@ -79,6 +75,31 @@ def int_scaled(m: np.ndarray) -> Tuple[np.ndarray, int]:
     out[idx] = [int(x.numerator) * (s // x.denominator)
                 if isinstance(x, Fraction) else int(x) * s for x in vals]
     return out, s
+
+
+def int_family(ctx: FieldCtx,
+               arrays: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], int]:
+    """(integer arrays J_i, one scale s) with arrays[i] == J_i / s in the
+    field.  Over F_p the J_i are the residues themselves (int64, or Python
+    ints for a large p) and s is 1; over Q they are Python ints and s is the
+    least common denominator of every entry of every array."""
+    if ctx.p:
+        return list(arrays), 1
+    scaled = [int_scaled(a) for a in arrays]
+    s = lcm(1, *(sk for _, sk in scaled))
+    return [j * (s // sk) for j, sk in scaled], s
+
+
+def from_int(ctx: FieldCtx, ints: np.ndarray, s: int) -> np.ndarray:
+    """The canonical field array ints / s, for an integer array and a
+    nonzero integer scale."""
+    if ctx.p:
+        a = ctx.reduce(ints)
+        return a if s == 1 else ctx.reduce(a * ctx.inv(s))
+    out = np.full(ints.shape, ctx.zero, dtype=object)
+    nz = np.nonzero(ints)
+    out[nz] = [Fraction(int(v), s) for v in ints[nz]]
+    return out
 
 
 class Matrix:

@@ -27,7 +27,8 @@ from .linalg import (
     SpanSolver,
     Subspace,
     exact_matmul,
-    int_scaled,
+    from_int,
+    int_family,
     invariant_closure,
     kernel,
     sparse_int_matmul,
@@ -98,11 +99,7 @@ class CoeffOperatorFamily:
             # clear all denominators once: A_k = J_k / s, so the identity
             # A_a A_b = C(a+b,a) A_{a+b} becomes J_a J_b = C s J_{a+b} with
             # plain integer arithmetic throughout
-            scaled = [int_scaled(op.data) for op in self.ops]
-            s = 1
-            for _, sk in scaled:
-                s = s * sk // math.gcd(s, sk)
-            ints = [j * (s // sk) for j, sk in scaled]
+            ints, s = int_family(ctx, [op.data for op in self.ops])
             for a in range(d + 1):
                 for b in range(d + 1):
                     lhs = sparse_int_matmul(ints[a], ints[b])
@@ -283,53 +280,72 @@ def dual(m: GModule) -> GModule:
                    brackets=m.brackets, meta=meta)
 
 
-def _kron(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype == object or b.dtype == object:
-        # dense object kron multiplies every Fraction pair; only the nonzero
-        # blocks matter
-        rb, cb = b.shape
-        out = np.full((a.shape[0] * rb, a.shape[1] * cb), ctx.zero,
-                      dtype=object)
-        bi, bj = np.nonzero(b)
-        bv = b[bi, bj]
-        for i, j in zip(*np.nonzero(a)):
-            aij = a[i, j]
-            out[i * rb + bi, j * cb + bj] = [aij * x for x in bv]
-        return ctx.reduce(out)
-    return ctx.reduce(np.kron(a, b))
+def _nonzeros(a: np.ndarray):
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+def _product_coeffs(ctx: FieldCtx, ops1: Sequence[np.ndarray],
+                    ops2: Sequence[np.ndarray], ks: Sequence[int]):
+    """(integer T_k for k in ks, their scale) with T_k / scale the t^k
+    coefficient of (sum_a t^a ops1[a]) (x) (sum_b t^b ops2[b]).
+
+    T_k = sum_{a+b=k} J_a (x) K_b over the int_family arrays of each side,
+    built from the nonzero entries only; over F_p it is reduced once."""
+    (j1, s1), (j2, s2) = int_family(ctx, ops1), int_family(ctx, ops2)
+    nz1, nz2 = [_nonzeros(j) for j in j1], [_nonzeros(j) for j in j2]
+    (r1, c1), (r2, c2) = j1[0].shape, j2[0].shape
+    out = []
+    for k in ks:
+        acc = np.zeros((r1 * r2, c1 * c2), dtype=ctx.dtype)
+        lo, hi = max(0, k - len(j2) + 1), min(k, len(j1) - 1)
+        for n_terms, a in enumerate(range(lo, hi + 1), 1):
+            ra, ca, va = nz1[a]
+            rb, cb, vb = nz2[k - a]
+            # the (row, col) pairs of one Kronecker term are distinct
+            acc[np.add.outer(ra * r2, rb), np.add.outer(ca * c2, cb)] += \
+                np.multiply.outer(va, vb)
+            if n_terms % 4096 == 0:
+                # int64 holds 8192 products of residues (FieldCtx.dtype)
+                acc = ctx.reduce(acc)
+        out.append(ctx.reduce(acc))
+    return out, s1 * s2
 
 
 def _tensor_ops(m1: GModule, m2: GModule):
-    """Operators of the tensor product: the Leibniz Lie action, and for each
-    family of m1 the coefficients of X(t) (x) X(t) gathered by t-power."""
+    """Integer operators of the tensor product, each list with its scale
+    (see _product_coeffs).  The Leibniz action a (x) 1 + 1 (x) b is the t^1
+    coefficient of (1 + t a) (x) (1 + t b); each family of m1 contributes
+    the coefficients of X(t) (x) X(t) gathered by t-power.
+
+    Returns (lie, fam_ops): lie is a list of ([T], scale), fam_ops a list
+    of (family of m1, [T_0, ..., T_deg], scale)."""
     ctx = m1.ctx
     if ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
-    d1, d2 = m1.dim, m2.dim
-    i1, i2 = ctx.eye(d1), ctx.eye(d2)
-    lie = [
-        Matrix(ctx, _kron(ctx, a.data, i2) + _kron(ctx, i1, b.data))
-        for a, b in zip(m1.lie_action, m2.lie_action)
-    ]
+    i1, i2 = ctx.eye(m1.dim), ctx.eye(m2.dim)
+    lie = [_product_coeffs(ctx, [i1, a.data], [i2, b.data], [1])
+           for a, b in zip(m1.lie_action, m2.lie_action)]
     fam_ops = []
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
-        deg = f1.degree + f2.degree
-        ops = []
-        for k in range(deg + 1):
-            acc = ctx.zeros(d1 * d2, d1 * d2)
-            for a in range(k + 1):
-                acc = acc + _kron(ctx, f1.op(a).data, f2.op(k - a).data)
-            ops.append(Matrix(ctx, acc))
-        fam_ops.append((f1, ops))
+        ts, s = _product_coeffs(ctx, [op.data for op in f1.ops],
+                                [op.data for op in f2.ops],
+                                range(f1.degree + f2.degree + 1))
+        fam_ops.append((f1, ts, s))
     return lie, fam_ops
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
     """Tensor product: Leibniz action for the Lie part; X(t) (x) X(t) for the
     families, coefficients gathered by t-power."""
+    ctx = m1.ctx
     lie, fam_ops = _tensor_ops(m1, m2)
-    fams = [CoeffOperatorFamily(f.label, ops, f.root) for f, ops in fam_ops]
+    lie = [Matrix(ctx, from_int(ctx, t, s)) for (t,), s in lie]
+    fams = [CoeffOperatorFamily(f.label,
+                                [Matrix(ctx, from_int(ctx, t, s)) for t in ts],
+                                f.root)
+            for f, ts, s in fam_ops]
     labels = [f"{a}(x){b}" for a in m1.labels for b in m2.labels]
     weights = None
     if m1.weights and m2.weights:
@@ -338,42 +354,35 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
             for wa in m1.weights for wb in m2.weights
         ]
     meta = {"name": f"{m1.meta.get('name','?')}(x){m2.meta.get('name','?')}"}
-    return GModule(m1.ctx, labels, m1.lie_labels, lie, fams, weights=weights,
+    return GModule(ctx, labels, m1.lie_labels, lie, fams, weights=weights,
                    brackets=m1.brackets, meta=meta)
 
 
-def _pair_maps(ctx: FieldCtx, n: int, sign: int):
-    """Injection/projection between the (anti)symmetric square and the tensor
-    square.  sign=+1: basis e_i e_j (i<=j); sign=-1: e_i ^ e_j (i<j)."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
-    d = len(pairs)
-    iota = ctx.zeros(n * n, d)
-    proj = ctx.zeros(d, n * n)
-    half = ctx.inv(ctx.of(2))
-    for col, (i, j) in enumerate(pairs):
-        iota[i * n + j, col] = ctx.one
-        if i != j:
-            iota[j * n + i, col] = ctx.of(sign)
-            proj[col, i * n + j] = half
-            proj[col, j * n + i] = ctx.mul(ctx.of(sign), half)
-        else:
-            proj[col, i * n + i] = ctx.one
-    return pairs, Matrix(ctx, iota), Matrix(ctx, proj)
-
-
 def _squared(m: GModule, sign: int, name: str) -> GModule:
-    """Sym^2 (sign +1) or Lambda^2 (sign -1): the tensor square's operators
-    compressed to the (anti)symmetric tensors, proj . op . iota."""
-    ctx = m.ctx
+    """Sym^2 (sign +1, basis e_i e_j with i <= j) or Lambda^2 (sign -1,
+    basis e_i ^ e_j with i < j): the tensor square's operators compressed
+    to the (anti)symmetric tensors, proj . T . iota.
+
+    iota sends the (i, j) basis vector to e_i (x) e_j + sign e_j (x) e_i
+    (e_i (x) e_i when i == j).  Every tensor-square operator T commutes with
+    the swap of factors, so T iota lands in the (anti)symmetric tensors,
+    where proj reads coordinate i*n + j: proj . T . iota is a gather of
+    integer entries of T, turned into field scalars once."""
+    ctx, n = m.ctx, m.dim
     lie, fam_ops = _tensor_ops(m, m)
-    pairs, iota, proj = _pair_maps(ctx, m.dim, sign)
+    pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
+    first = np.array([i * n + j for i, j in pairs], dtype=np.int64)
+    swapped = np.array([j * n + i for i, j in pairs], dtype=np.int64)
+    off = first != swapped
 
-    def compress(op: Matrix) -> Matrix:
-        return Matrix(ctx, exact_matmul(
-            ctx, exact_matmul(ctx, proj.data, op.data), iota.data))
+    def compress(t: np.ndarray, s: int) -> Matrix:
+        rows = t[first]
+        out = rows[:, first]
+        out[:, off] += sign * rows[:, swapped[off]]
+        return Matrix(ctx, from_int(ctx, out, s))
 
-    fams = [CoeffOperatorFamily(f.label, [compress(op) for op in ops], f.root)
-            for f, ops in fam_ops]
+    fams = [CoeffOperatorFamily(f.label, [compress(t, s) for t in ts], f.root)
+            for f, ts, s in fam_ops]
     sep = "." if sign > 0 else "^"
     labels = [f"{m.labels[i]}{sep}{m.labels[j]}" for i, j in pairs]
     weights = None
@@ -383,7 +392,8 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
             for i, j in pairs
         ]
     meta = {"name": f"{name}({m.meta.get('name','?')})"}
-    mod = GModule(ctx, labels, m.lie_labels, [compress(a) for a in lie], fams,
+    mod = GModule(ctx, labels, m.lie_labels,
+                  [compress(t, s) for (t,), s in lie], fams,
                   weights=weights, brackets=m.brackets, meta=meta)
     mod.pair_index = {p: c for c, p in enumerate(pairs)}  # type: ignore
     return mod

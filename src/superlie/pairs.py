@@ -24,12 +24,15 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    exact_matmul,
+    from_int,
     kernel,
     largest_invariant_within,
 )
 from .modules import (
     CoeffOperatorFamily,
     GModule,
+    _tensor_ops,
     induced_operators,
     module_from_json_dict,
     quotient_module,
@@ -155,26 +158,41 @@ class HCPair:
 
 def _check_equivariance(odd: GModule, bracket: BilinearMap,
                         adjoint_families: Sequence[CoeffOperatorFamily]):
-    ctx = odd.ctx
+    """Axiom 2 for every family X of the odd module, coefficientwise in t:
+    B T_m = G_m B for m = 1..max(2 deg X, deg G).
+
+    B is the dim_g x dim_v^2 bracket matrix (column i*n + j holds [e_i,
+    e_j]), T_m the t^m coefficient of X(t) (x) X(t) from _tensor_ops and
+    G_m that of the adjoint family with the same label; column i*n + j of
+    either side is the t^m coefficient of one side of X(t)[e_i, e_j] =
+    [X(t)e_i, X(t)e_j].  Raises EquivarianceViolation at the first failing
+    family, at its least pair i <= j and then its least power m."""
+    ctx, n = odd.ctx, odd.dim
     adj = {f.label: f for f in adjoint_families}
-    for fam in odd.families:
+    bmat = ctx.zeros(bracket.dim_g, n * n)
+    for (i, j), v in bracket.tensor.items():
+        bmat[:, i * n + j] = v
+        bmat[:, j * n + i] = v
+    upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
+    _, fam_ops = _tensor_ops(odd, odd)
+    for fam, ts, s in fam_ops:
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
         gfam = adj[fam.label]
         max_deg = max(2 * fam.degree, gfam.degree)
-        for i in range(odd.dim):
-            for j in range(i, odd.dim):
-                base = bracket.value(i, j)
-                for m in range(1, max_deg + 1):
-                    lhs = ctx.zeros(bracket.dim_g)
-                    for a in range(m + 1):
-                        xa = fam.op(a).data[:, i]
-                        xb = fam.op(m - a).data[:, j]
-                        if np.any(xa) and np.any(xb):
-                            lhs = ctx.reduce(lhs + bracket.apply(xa, xb))
-                    rhs = gfam.op(m).mv(base)
-                    if np.any(ctx.reduce(lhs - rhs)):
-                        raise EquivarianceViolation(fam.label, m, (i, j))
+        bad = np.zeros((max_deg + 1, n * n), dtype=bool)
+        for m in range(1, max_deg + 1):
+            # one side is zero past its degree; the other is an array
+            lhs = (exact_matmul(ctx, bmat, from_int(ctx, ts[m], s))
+                   if m < len(ts) else 0)
+            rhs = (exact_matmul(ctx, gfam.ops[m].data, bmat)
+                   if m <= gfam.degree else 0)
+            bad[m] = np.any(ctx.reduce(lhs - rhs), axis=0) & upper
+        cols = np.nonzero(np.any(bad, axis=0))[0]
+        if len(cols):
+            c = int(cols[0])
+            raise EquivarianceViolation(fam.label, int(np.argmax(bad[:, c])),
+                                        divmod(c, n))
 
 
 def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -215,10 +233,11 @@ def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
             table[(ne + i, ne + j)] = entry
     meta = dict(meta or {})
     meta.setdefault("name", "pair")
-    alg = build_superalgebra(ctx, basis, table, meta=meta)
+    alg = build_superalgebra(ctx, basis, table, meta=meta, validate=False)
     cubic = alg.validate_cubic_odd()
     if not cubic.ok:
         raise CubicViolation(cubic.witness)
+    alg.validate()
     cert = {
         "symmetric": True,
         "equivariant_families": [f.label for f in odd.families],

@@ -292,6 +292,19 @@ class LieSuperalgebra:
                 violations.append((i, j, k))
         return JacobiReport(ok=not violations, violations=violations)
 
+    def validate(self):
+        """Raise GradingViolation unless every bracket respects parity, then
+        JacobiViolation at the first failing triple of validate_jacobi."""
+        par = self.parities
+        for (i, j), row in self.table.items():
+            for k in row:
+                if par[k] != (par[i] + par[j]) % 2:
+                    raise GradingViolation(i, j, k)
+        report = self.validate_jacobi()
+        if not report.ok:
+            i, j, k = report.violations[0]
+            raise JacobiViolation(i, j, k, None)
+
     def validate_cubic_odd(self, with_polys: bool = False) -> CubicReport:
         """Expand [[v, v], v] for a symbolic odd vector v = sum x_a e_a and
         check coefficientwise vanishing."""
@@ -708,13 +721,5 @@ def build_superalgebra(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
 
     alg = LieSuperalgebra(ctx, labels, parities, clean, meta)
     if validate:
-        for (i, j), row in clean.items():
-            target_parity = (parities[i] + parities[j]) % 2
-            for k, c in row.items():
-                if parities[k] != target_parity:
-                    raise GradingViolation(i, j, k)
-        report = alg.validate_jacobi()
-        if not report.ok:
-            i, j, k = report.violations[0]
-            raise JacobiViolation(i, j, k, None)
+        alg.validate()
     return alg

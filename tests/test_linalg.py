@@ -1,8 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 from superlie.fields import FieldCtx
 from superlie.linalg import (
@@ -10,6 +14,7 @@ from superlie.linalg import (
     Matrix,
     SpanSolver,
     Subspace,
+    exact_matmul,
     invariant_closure,
     kernel,
     largest_invariant_within,
@@ -279,3 +284,77 @@ class TestSpanSolver:
         rows = np.stack([F5.vec([1, 2, 3]), F5.vec([2, 4, 6])])
         with pytest.raises(DimensionMismatch):
             SpanSolver(F5, rows)
+
+
+# -- sympy as an independent oracle --------------------------------------------
+
+# small primes, the largest int64 prime (FieldCtx.dtype) and the largest
+# supported prime, which uses Python ints, and the rationals
+ORACLE_FIELDS = [FieldCtx.prime(3), F5, FieldCtx.prime(33554393),
+                 FieldCtx.prime(2**31 - 1), Q]
+
+
+def _scalars(ctx):
+    if not ctx.p:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    # zeros often, so kernels are not always trivial, and residues near p
+    return st.one_of(st.just(0), st.integers(0, 3),
+                     st.integers(ctx.p - 3, ctx.p - 1))
+
+
+def _matrices(ctx, rows, cols):
+    return st.lists(st.lists(_scalars(ctx), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(ctx.arr)
+
+
+def _to_sympy(ctx, a: np.ndarray) -> DomainMatrix:
+    dom = GF(ctx.p) if ctx.p else QQ
+    conv = ((lambda x: dom(int(x))) if ctx.p
+            else (lambda x: QQ(x.numerator, x.denominator)))
+    return DomainMatrix([[conv(x) for x in row] for row in a.tolist()],
+                        a.shape, dom)
+
+
+def _from_sympy(ctx, m: DomainMatrix) -> np.ndarray:
+    conv = ((lambda x: int(x) % ctx.p) if ctx.p
+            else (lambda x: Fraction(int(x.numerator), int(x.denominator))))
+    out = ctx.zeros(*m.shape)
+    for i, row in enumerate(m.to_list()):
+        for j, x in enumerate(row):
+            out[i, j] = conv(x)
+    return out
+
+
+def test_int64_matmul_past_the_dot_product_limit():
+    # 9000 products of (p-1)^2 ~ 2^50 sum past 2^63
+    ctx = FieldCtx.prime(33554393)
+    a = np.full((1, 9000), ctx.p - 1, dtype=np.int64)
+    got = exact_matmul(ctx, a, a.T.copy())
+    assert got.dtype == np.int64 and got[0, 0] == 9000
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
+class TestSympyOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_exact_matmul(self, ctx, data):
+        r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a = data.draw(_matrices(ctx, r, k))
+        b = data.draw(_matrices(ctx, k, c))
+        want = _from_sympy(ctx, _to_sympy(ctx, a) * _to_sympy(ctx, b))
+        got = exact_matmul(ctx, a, b)
+        assert got.dtype == ctx.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_kernel(self, ctx, data):
+        r, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        a = data.draw(_matrices(ctx, r, c))
+        null = _to_sympy(ctx, a).nullspace()
+        got = kernel(Matrix(ctx, a))
+        assert got.dim == null.shape[0]
+        if got.dim:
+            # both reduced row echelon forms of the same space
+            want = _from_sympy(ctx, null.rref()[0])
+            assert np.array_equal(got.basis.data, want)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,8 @@ F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
 BIG = FieldCtx.prime(2**31 - 1)
+# the largest prime whose residues stay int64: (p-1)^2 * 8192 < 2^63
+INT64_TOP = FieldCtx.prime(33554393)
 Q = FieldCtx.rationals()
 
 
@@ -150,6 +154,97 @@ class TestTensorAndSquares:
         assert sorted(s.weights) == [(-2,), (0,), (2,)]
         rep = hom_space(s, adjoint_sl2_module(F7), mode="both")
         assert rep.dim_group == 1 and rep.dim_algebra == 1
+
+
+def _ints(ctx, a):
+    """a as Python ints: the residues, or over Q the entries, which are all
+    integers in the modules tested here."""
+    if ctx.p:
+        return a.astype(object)
+    assert all(x.denominator == 1 for x in a.flat)
+    return np.vectorize(int, otypes=[object])(a)
+
+
+def _ref_tensor_ops(m1, m2):
+    """Dense reference for the tensor product's operators, over the
+    integers: plain np.kron, not yet reduced."""
+    ctx = m1.ctx
+    i1, i2 = np.eye(m1.dim, dtype=int), np.eye(m2.dim, dtype=int)
+    lie = [np.kron(_ints(ctx, a.data), i2) + np.kron(i1, _ints(ctx, b.data))
+           for a, b in zip(m1.lie_action, m2.lie_action)]
+    fams = []
+    for f1 in m1.families:
+        f2 = m2.family_by_label(f1.label)
+        ops = [sum(np.kron(_ints(ctx, f1.op(a).data),
+                           _ints(ctx, f2.op(k - a).data))
+                   for a in range(k + 1))
+               for k in range(f1.degree + f2.degree + 1)]
+        fams.append(ops)
+    return lie, fams
+
+
+def _ref_pair_maps(n, sign):
+    """Dense 2 proj (d x n^2) and iota (n^2 x d) of the (anti)symmetric
+    square, sign +1 on e_i e_j (i <= j), -1 on e_i ^ e_j (i < j)."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
+    proj2 = np.zeros((len(pairs), n * n), dtype=object)
+    iota = np.zeros((n * n, len(pairs)), dtype=object)
+    for c, (i, j) in enumerate(pairs):
+        iota[i * n + j, c] = 1
+        proj2[c, i * n + j] = 1 if i != j else 2
+        if i != j:
+            iota[j * n + i, c] = sign
+            proj2[c, j * n + i] = sign
+    return proj2, iota
+
+
+def _field(ctx, a, scale=1):
+    """The integer array a / scale as canonical field scalars."""
+    if ctx.p:
+        return a * ctx.inv(scale) % ctx.p
+    return np.vectorize(lambda x: Fraction(x, scale), otypes=[object])(a)
+
+
+def _assert_ops_equal(ctx, got, want):
+    """got (Matrices) against want (field arrays), with trailing zero
+    operators of want dropped as CoeffOperatorFamily does."""
+    while len(want) > len(got) and not np.any(want[-1]):
+        want = want[:-1]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.data, w)
+        if ctx.dtype is object:
+            kind = int if ctx.p else Fraction
+            assert all(type(x) is kind for x in g.data.flat)
+
+
+class TestTensorKernelDifferential:
+    """tensor, sym2 and lambda2 against dense Kronecker products and
+    proj . T . iota as plain matrix products."""
+
+    @pytest.mark.parametrize("ctx", [Q, F5, INT64_TOP, BIG],
+                             ids=lambda c: repr(c))
+    def test_against_dense_reference(self, ctx):
+        assert INT64_TOP.dtype is np.int64
+        assert FieldCtx.prime(33554467).dtype is object  # the next prime
+        mods = [symn_dual(n, ctx) for n in range(5)]
+        mods.append(brj.sp4_natural_module(brj.sp4_algebra(ctx)))
+        for m in mods:
+            lie, fams = _ref_tensor_ops(m, m)
+            t = tensor(m, m)
+            _assert_ops_equal(ctx, t.lie_action, [_field(ctx, a) for a in lie])
+            for f, ops in zip(t.families, fams):
+                _assert_ops_equal(ctx, f.ops, [_field(ctx, a) for a in ops])
+            for sign, square in ((1, sym2), (-1, lambda2)):
+                proj2, iota = _ref_pair_maps(m.dim, sign)
+
+                def compress(a):
+                    return _field(ctx, proj2 @ a @ iota, 2)
+
+                s = square(m)
+                _assert_ops_equal(ctx, s.lie_action, [compress(a) for a in lie])
+                for f, ops in zip(s.families, fams):
+                    _assert_ops_equal(ctx, f.ops, [compress(a) for a in ops])
 
 
 class TestSubquotients:

@@ -3,13 +3,14 @@ import pytest
 
 from superlie.fields import FieldCtx
 from superlie.linalg import Subspace
-from superlie.superalgebra import JacobiViolation
 from superlie.pairs import (
     BilinearMap,
+    CubicViolation,
     EquivarianceViolation,
     InvalidSubpair,
     SubpairSpec,
     SymmetryViolation,
+    _check_equivariance,
     assemble_pair,
     check_sas_conditions,
     is_split,
@@ -43,6 +44,27 @@ def _unnamed(d):
     if isinstance(d, list):
         return [_unnamed(x) for x in d]
     return d.rstrip("~") if isinstance(d, str) else d
+
+
+def loop_equivariance_witness(odd, bracket, adjoint_families):
+    """Reference for the equivariance axiom, one (i <= j, m) at a time:
+    the first (family label, power, pair) where the t^m coefficients of
+    X(t)[e_i, e_j] and [X(t)e_i, X(t)e_j] differ, or None."""
+    ctx = odd.ctx
+    adj = {f.label: f for f in adjoint_families}
+    for fam in odd.families:
+        gfam = adj[fam.label]
+        for i in range(odd.dim):
+            for j in range(i, odd.dim):
+                for m in range(1, max(2 * fam.degree, gfam.degree) + 1):
+                    lhs = ctx.zeros(bracket.dim_g)
+                    for a in range(m + 1):
+                        lhs = ctx.reduce(lhs + bracket.apply(
+                            fam.op(a).data[:, i], fam.op(m - a).data[:, j]))
+                    rhs = gfam.op(m).mv(bracket.value(i, j))
+                    if np.any(ctx.reduce(lhs - rhs)):
+                        return fam.label, m, (i, j)
+    return None
 
 
 def adj_families(ctx):
@@ -120,19 +142,52 @@ class TestAssembly:
             assert p.dims == (3, 2)
 
     def test_n3_fails_outside_char3(self):
-        for ctx in (F5, F7, Q):
-            with pytest.raises(JacobiViolation):
+        # the cubic axiom is checked before Jacobi, so it is what fails
+        for ctx, c in ((F5, 1), (F7, 6), (Q, 6)):
+            with pytest.raises(CubicViolation) as exc:
                 sl2_symn_pair(3, 1, ctx)
+            assert exc.value.witness == (3, (0, 3, 0, 0), ctx.of(c))
 
     def test_equivariance_violation_on_doctored_bracket(self):
-        even, adj = adj_families(F3)
-        odd = symn_dual(3, F3)
-        b = sl2_symn_bracket(3, 1, F3)
-        entries = dict(b.tensor)
-        entries[(0, 3)] = F3.reduce(entries[(0, 3)] * 2)  # break one constant
-        bad = BilinearMap.from_entries(F3, 4, 3, entries)
-        with pytest.raises(EquivarianceViolation):
-            assemble_pair(even, odd, bad, adj)
+        # (field, n, bracket entry, factor it is scaled by, witness)
+        cases = [
+            (F3, 3, (0, 3), 2, ("X2", 1, (0, 3))),
+            (F5, 1, (0, 1), 2, ("X2", 1, (0, 1))),
+            (F7, 1, (1, 1), 3, ("X2", 1, (1, 1))),
+            (Q, 1, (0, 0), 2, ("X2", 1, (0, 1))),
+        ]
+        for ctx, n, entry, factor, witness in cases:
+            even, adj = adj_families(ctx)
+            odd = symn_dual(n, ctx)
+            entries = dict(sl2_symn_bracket(n, 1, ctx).tensor)
+            entries[entry] = ctx.reduce(entries[entry] * factor)
+            bad = BilinearMap.from_entries(ctx, n + 1, 3, entries)
+            with pytest.raises(EquivarianceViolation) as exc:
+                assemble_pair(even, odd, bad, adj)
+            assert (exc.value.family_label, exc.value.power,
+                    exc.value.pair) == witness
+
+    def test_equivariance_matches_loop_reference(self):
+        # every bracket with one basis vector added at one pair
+        for ctx in (F3, F5, Q):
+            even, adj = adj_families(ctx)
+            for n in (1, 3):
+                odd = symn_dual(n, ctx)
+                tensor = sl2_symn_bracket(n, 1, ctx).tensor
+                for i in range(n + 1):
+                    for j in range(i, n + 1):
+                        for k in range(3):
+                            entries = dict(tensor)
+                            v = entries.get((i, j), ctx.zeros(3)).copy()
+                            v[k] = ctx.add(v[k], ctx.one)
+                            entries[(i, j)] = v
+                            b = BilinearMap.from_entries(ctx, n + 1, 3, entries)
+                            try:
+                                _check_equivariance(odd, b, adj)
+                                got = None
+                            except EquivarianceViolation as e:
+                                got = (e.family_label, e.power, e.pair)
+                            assert got == loop_equivariance_witness(odd, b, adj)
 
     def test_split_pair(self):
         even, adj = adj_families(F5)
