@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx
+from .fields import FieldCtx, SuperlieError
 from .linalg import Matrix, Subspace
 from .modules import (
     CoeffOperatorFamily,
@@ -62,7 +62,7 @@ EXPECTED_STAGE_DIMS = {
 }
 
 
-class PipelineAssertion(AssertionError):
+class PipelineAssertion(SuperlieError, AssertionError):
     def __init__(self, stage: str, expected, got, report=None):
         super().__init__(f"stage {stage}: expected {expected}, got {got}")
         self.stage = stage

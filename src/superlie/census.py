@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import FieldCtx
+from .fields import FieldCtx, InputError, SuperlieError
 from . import constructions as cons
 
 
@@ -56,7 +56,7 @@ FAMILIES = {
 
 def build_from_params(family: str, params: Dict[str, object], ctx: FieldCtx):
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise InputError(f"unknown family {family!r}")
     return FAMILIES[family][1](params, ctx)
 
 
@@ -73,7 +73,7 @@ def _run_checks(alg, checks: Sequence[str], seed: int) -> Dict[str, object]:
             d = alg.derived_subalgebra()
             out[c] = "|".join(str(a - b) for a, b in zip(alg.dims, d.dims))
         else:
-            raise ValueError(f"unknown check {c!r}")
+            raise InputError(f"unknown check {c!r}")
     return out
 
 
@@ -85,7 +85,7 @@ def _row(job, checks: Sequence[str], seed: int) -> CensusRow:
         alg = build_from_params(family, params, ctx)
         row.dims = alg.dims
         row.verdicts = _run_checks(alg, checks, seed)
-    except Exception as e:  # per-row capture: the run continues
+    except SuperlieError as e:  # per-row capture: the run continues
         row.error = f"{type(e).__name__}: {e}"
     return row
 

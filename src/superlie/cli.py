@@ -9,13 +9,8 @@ import argparse
 import json
 import sys
 
-from .fields import FieldCtx, InexactScalar
-from .superalgebra import (
-    GradingViolation,
-    JacobiViolation,
-    SkewViolation,
-    algebra_from_json_dict,
-)
+from .fields import FieldCtx, SuperlieError
+from .superalgebra import algebra_from_json_dict
 from .modules import hom_space, module_from_json_dict, sym2
 from .pairs import check_sas_conditions, pair_from_json_dict
 from .census import (
@@ -26,10 +21,6 @@ from .census import (
     rows_to_jsonl,
     rows_to_tsv,
 )
-
-VALIDATION_ERRORS = (SkewViolation, GradingViolation, JacobiViolation,
-                     InexactScalar, ValueError, ArithmeticError)
-
 
 def _ctx(p: int) -> FieldCtx:
     return FieldCtx.rationals() if p == 0 else FieldCtx.prime(p)
@@ -67,7 +58,7 @@ def cmd_build(args) -> int:
     params = _collect_params(args.family, args)
     try:
         alg = build_from_params(args.family, params, _ctx(args.p))
-    except VALIDATION_ERRORS as e:
+    except SuperlieError as e:
         print(f"invalid: {type(e).__name__}: {e}")
         return 1
     de, do = alg.dims
@@ -103,7 +94,7 @@ def cmd_check(args) -> int:
             alg = build_from_params(args.family, params, _ctx(args.p))
         else:
             raise UsageError("check needs --family or --file")
-    except VALIDATION_ERRORS as e:
+    except SuperlieError as e:
         print(f"invalid: {type(e).__name__}: {e}")
         return 1
 
@@ -257,7 +248,7 @@ def cmd_validate_file(args) -> int:
             print(f"valid algebra: dims {de}|{do}")
         else:
             raise UsageError("unrecognized JSON shape")
-    except VALIDATION_ERRORS as e:
+    except SuperlieError as e:
         print(f"invalid: {type(e).__name__}: {e}")
         return 1
     return 0

@@ -14,8 +14,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx
-from .linalg import Matrix, SpanSolver, Subspace, kernel
+from .fields import FieldCtx, InputError, SuperlieError
+from .linalg import (
+    Matrix,
+    SpanSolver,
+    Subspace,
+    from_int,
+    int_family,
+    int_matmul,
+    kernel,
+)
 from .modules import CoeffOperatorFamily, GModule, dual
 from .pairs import BilinearMap, HCPair, assemble_pair
 from .superalgebra import (
@@ -30,20 +38,23 @@ from .superalgebra import (
 # generic matrix-superalgebra builder
 # ---------------------------------------------------------------------------
 
-def _supercommutator(ctx: FieldCtx, x: np.ndarray, y: np.ndarray,
-                     px: int, py: int) -> np.ndarray:
-    xy = ctx.reduce(x @ y)
-    yx = ctx.reduce(y @ x)
-    return ctx.reduce(xy + yx) if (px and py) else ctx.reduce(xy - yx)
-
-
-def _check_block_parity(bp: Sequence[int], m: np.ndarray, parity: int):
-    n = len(bp)
-    for a in range(n):
-        for b in range(n):
-            if m[a, b] and (bp[a] + bp[b]) % 2 != parity:
-                raise ValueError(
-                    f"entry ({a},{b}) violates declared parity {parity}")
+def _bracket_rows(ctx: FieldCtx, mats: np.ndarray,
+                  parities: Sequence[int]
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j) index arrays of the pairs i <= j in row-major order, and the
+    flattened supercommutators [M_i, M_j] as rows.  Every product M_i M_j
+    is one block of a single (dN x N)(N x dN) product, taken on the
+    int_family arrays of the M_i."""
+    d, n, _ = mats.shape
+    (ints,), s = int_family(ctx, [mats])
+    prod = int_matmul(ctx, ints.reshape(d * n, n),
+                      ints.transpose(1, 0, 2).reshape(n, d * n))
+    prod = prod.reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    i, j = np.triu_indices(d)
+    odd = np.asarray(parities, dtype=bool)
+    xy, yx = prod[i, j], prod[j, i]
+    br = np.where((odd[i] & odd[j])[:, None, None], xy + yx, xy - yx)
+    return i, j, from_int(ctx, br.reshape(len(i), n * n), s * s)
 
 
 def algebra_from_matrices(ctx: FieldCtx,
@@ -54,32 +65,41 @@ def algebra_from_matrices(ctx: FieldCtx,
 
     elems: (label, parity, square matrix) triples forming a basis of a
     subspace closed under the supercommutator.  block_parities gives the
-    parity of each row/column index of the ambient matrix space.
+    parity of each row/column index of the ambient matrix space.  Every
+    bracket [x, y], x before or equal to y, is solved for in one batch; the
+    first pair (in that order) whose bracket leaves the span is reported.
     """
     n_amb = len(block_parities)
-    basis_vecs = []
-    mats = []
-    for label, parity, m in elems:
-        m = ctx.reduce(np.asarray(m))
-        if m.shape != (n_amb, n_amb):
-            raise ValueError(f"matrix for {label} has shape {m.shape}")
-        _check_block_parity(block_parities, m, parity)
-        mats.append(m)
-        basis_vecs.append(m.reshape(-1))
+    for label, _, m in elems:
+        if np.shape(m) != (n_amb, n_amb):
+            raise InputError(f"matrix for {label} has shape {np.shape(m)}")
     d = len(elems)
-    solver = SpanSolver(ctx, np.stack(basis_vecs)) if d else None
+    mats: List[np.ndarray] = []
+    solver = None
     table: Dict[Tuple[int, int], Dict[int, object]] = {}
-    for i in range(d):
-        for j in range(i, d):
-            br = _supercommutator(ctx, mats[i], mats[j],
-                                  elems[i][1], elems[j][1])
-            coords = solver.coords(br.reshape(-1))
-            if coords is None:
-                raise ValueError(
-                    f"bracket [{elems[i][0]},{elems[j][0]}] leaves the span")
-            entry = {int(k): coords[int(k)] for k in np.nonzero(coords)[0]}
-            if entry:
-                table[(i, j)] = entry
+    if d:
+        stack = ctx.reduce(np.stack([np.asarray(m) for _, _, m in elems]))
+        # entry (a, b) of a homogeneous element has parity bp[a] + bp[b]
+        bp = np.asarray(block_parities)
+        parities = np.array([parity for _, parity, _ in elems])
+        bad = np.argwhere(stack.astype(bool) & (
+            np.add.outer(bp, bp) % 2 != parities[:, None, None]))
+        if len(bad):
+            e, a, b = bad[0]
+            raise InputError(f"entry ({a},{b}) of {elems[e][0]} violates "
+                             f"declared parity {elems[e][1]}")
+        mats = list(stack)
+        solver = SpanSolver(ctx, stack.reshape(d, -1))
+        i, j, rows = _bracket_rows(ctx, stack, parities)
+        coords, in_span = solver.coords_rows(rows)
+        if not in_span.all():
+            r = int(np.argmin(in_span))
+            raise InputError(f"bracket [{elems[i[r]][0]},{elems[j[r]][0]}] "
+                             "leaves the span")
+        rs, ks = np.nonzero(coords)
+        for r, k, c in zip(rs.tolist(), ks.tolist(),
+                           coords[rs, ks].tolist()):
+            table.setdefault((int(i[r]), int(j[r])), {})[k] = c
     alg = build_superalgebra(
         ctx, [(label, parity) for label, parity, _ in elems], table, meta=meta)
     alg.matrix_basis = mats  # type: ignore[attr-defined]
@@ -108,7 +128,7 @@ def gl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
     """gl(m|n) on elementary matrices; even elements first (A block row-major,
     then D block), odd after (B block, then C block).  Labels E{i}{j}, 1-based."""
     if m + n < 1:
-        raise ValueError("need m+n >= 1")
+        raise InputError("need m+n >= 1")
     N = m + n
     bp = [0] * m + [1] * n
     elems = []
@@ -151,7 +171,7 @@ def _sl_elems(m: int, n: int, ctx: FieldCtx):
 def sl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
     """Supertraceless matrices in gl(m|n)."""
     if m + n < 2:
-        raise ValueError("need m+n >= 2")
+        raise InputError("need m+n >= 2")
     elems, bp = _sl_elems(m, n, ctx)
     return algebra_from_matrices(
         ctx, elems, bp, meta={"name": "sl", "m": m, "n": n})
@@ -238,7 +258,7 @@ def spo(two_m: int, odd_dim: int, ctx: FieldCtx) -> LieSuperalgebra:
     (J_s skew for the symplectic part, J_o symmetric for the orthogonal one);
     odd elements are B in Mat_{2m x d} with C = J_o B^t J_s."""
     if two_m % 2 or two_m < 2 or odd_dim < 1:
-        raise ValueError("need even 2m >= 2 and odd_dim >= 1")
+        raise InputError("need even 2m >= 2 and odd_dim >= 1")
     m2, d = two_m, odd_dim
     N = m2 + d
     bp = [0] * m2 + [1] * d
@@ -275,7 +295,7 @@ def periplectic(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     Basis order: A{i}{j} row-major, then symmetric B (diagonal first, then
     i<j), then skew C (i<j)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     N = 2 * n
     bp = [0] * n + [1] * n
     elems = []
@@ -321,7 +341,7 @@ def queer(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     """q(n): couples (A|B) realized as [[A,B],[B,A]] in gl(n|n); even part
     A{i}{j} row-major, odd part B{i}{j} row-major."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     N = 2 * n
     bp = [0] * n + [1] * n
     elems = []
@@ -513,19 +533,18 @@ def conjugation_family(alg: LieSuperalgebra, label: str, x: np.ndarray,
     y -> y + t(xy - yx) - t^2 xyx."""
     ctx = alg.ctx
     if np.any(ctx.reduce(x @ x)):
-        raise ValueError("conjugation_family needs a square-zero matrix")
+        raise InputError("conjugation_family needs a square-zero matrix")
     d = alg.dim
-    a1 = ctx.zeros(d, d)
-    a2 = ctx.zeros(d, d)
-    for j, m in enumerate(alg.matrix_basis):
-        img1 = coords_of_matrix(alg, ctx.reduce(x @ m - m @ x))
-        img2 = coords_of_matrix(alg, ctx.reduce(-(x @ m @ x)))
-        if img1 is None or img2 is None:
-            raise ValueError("conjugation image leaves the algebra")
-        a1[:, j] = img1
-        a2[:, j] = img2
+    mats = alg.matrix_basis
+    images = [x @ m - m @ x for m in mats] + [-(x @ m @ x) for m in mats]
+    solver: SpanSolver = alg.matrix_solver  # type: ignore[attr-defined]
+    coords, in_span = solver.coords_rows(
+        ctx.reduce(np.stack(images).reshape(2 * d, -1)))
+    if not in_span.all():
+        raise InputError("conjugation image leaves the algebra")
     return CoeffOperatorFamily(
-        label, [Matrix.identity(ctx, d), Matrix(ctx, a1), Matrix(ctx, a2)],
+        label, [Matrix.identity(ctx, d), Matrix(ctx, coords[:d].T.copy()),
+                Matrix(ctx, coords[d:].T.copy())],
         root)
 
 
@@ -551,7 +570,7 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
       X-2[t^k] s_i = C(i, k)   s_{i-k}
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InputError("n must be nonnegative")
     alg = sl2_algebra(ctx)
     d = n + 1
     h = ctx.zeros(d, d)
@@ -589,7 +608,7 @@ def symn_dual(n: int, ctx: FieldCtx) -> GModule:
     return dual(symn_module(n, ctx))
 
 
-class RecurrenceViolation(ValueError):
+class RecurrenceViolation(SuperlieError, ValueError):
     pass
 
 

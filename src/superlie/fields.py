@@ -24,19 +24,32 @@ ScalarLike = Union[int, str, Fraction]
 DEGREE_CAP = 3
 
 
-class ZeroInverse(ZeroDivisionError):
+class SuperlieError(Exception):
+    """Base of every error superlie raises on purpose: a failed axiom or
+    check, or bad input.  Each subclass also keeps its builtin base
+    (ValueError, TypeError, ...).  An IndexError or ValueError from numpy
+    that is not a SuperlieError is a bug in superlie, and callers that
+    recover from errors (census rows, the CLI) let it propagate."""
+
+
+class InputError(SuperlieError, ValueError):
+    """Bad input: an unknown name, an unsupported parameter, a malformed
+    scalar or matrix."""
+
+
+class ZeroInverse(SuperlieError, ZeroDivisionError):
     pass
 
 
-class ArityMismatch(ValueError):
+class ArityMismatch(SuperlieError, ValueError):
     pass
 
 
-class InexactScalar(TypeError):
+class InexactScalar(SuperlieError, TypeError):
     pass
 
 
-class DegreeCapExceeded(ValueError):
+class DegreeCapExceeded(SuperlieError, ValueError):
     pass
 
 
@@ -65,9 +78,9 @@ class FieldCtx:
     def __init__(self, p: int):
         if p != 0:
             if p == 2:
-                raise ValueError("characteristic 2 not supported")
+                raise InputError("characteristic 2 not supported")
             if not (2 < p < 2**31) or not _is_prime(p):
-                raise ValueError(f"not an odd prime < 2^31: {p}")
+                raise InputError(f"not an odd prime < 2^31: {p}")
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, *a):
@@ -76,7 +89,7 @@ class FieldCtx:
     @classmethod
     def prime(cls, p: int) -> "FieldCtx":
         if p == 0:
-            raise ValueError("use FieldCtx.rationals() for characteristic 0")
+            raise InputError("use FieldCtx.rationals() for characteristic 0")
         return cls(p)
 
     @classmethod
@@ -115,22 +128,34 @@ class FieldCtx:
 
         Anything else, floats and bools included, raises InexactScalar (a
         TypeError): rounding an inexact value would silently change the
-        mathematics."""
+        mathematics.  A string that does not parse raises InputError."""
+        if type(x) is int:  # the common case; bool is not int here
+            return x % self.p if self.p else Fraction(x)
         if isinstance(x, bool) or not isinstance(
                 x, (int, np.integer, Fraction, str)):
             raise InexactScalar(f"not an exact scalar: {x!r}")
+        if isinstance(x, str):
+            try:
+                return self._of_str(x)
+            except ZeroInverse:
+                raise
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"not an exact scalar: {x!r}") from None
         if self.p:
-            if isinstance(x, str):
-                if "/" in x:
-                    num, den = x.split("/")
-                    return self.mul(int(num) % self.p, self.inv(int(den) % self.p))
-                x = int(x)
             if isinstance(x, Fraction):
                 if x.denominator == 1:
                     return x.numerator % self.p
                 return self.mul(x.numerator % self.p, self.inv(x.denominator % self.p))
             return int(x) % self.p
         return Fraction(x)
+
+    def _of_str(self, x: str):
+        if not self.p:
+            return Fraction(x)
+        if "/" in x:
+            num, den = x.split("/")
+            return self.mul(int(num) % self.p, self.inv(int(den) % self.p))
+        return int(x) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b

@@ -16,10 +16,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx
+from .fields import FieldCtx, SuperlieError
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(SuperlieError, ValueError):
     pass
 
 
@@ -88,6 +88,12 @@ def int_family(ctx: FieldCtx,
     scaled = [int_scaled(a) for a in arrays]
     s = lcm(1, *(sk for _, sk in scaled))
     return [j * (s // sk) for j, sk in scaled], s
+
+
+def int_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of integer arrays as int_family gives them: canonical
+    residues over F_p, exact integers over Q."""
+    return exact_matmul(ctx, a, b) if ctx.p else sparse_int_matmul(a, b)
 
 
 def from_int(ctx: FieldCtx, ints: np.ndarray, s: int) -> np.ndarray:
@@ -233,21 +239,19 @@ def _rref_array(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = ctx.inv(a[r, c])
-        a[r] = ctx.reduce(a[r] * inv)
+        if a[r, c] != 1:
+            a[r] = ctx.reduce(a[r] * ctx.inv(a[r, c]))
+        # the rank-1 update touches only the rows with a nonzero factor and
+        # the pivot row's support: the systems in play are sparse, and on
+        # Fractions every avoided operation is a gcd saved
         factors = a[:, c].copy()
         factors[r] = 0
-        if a.dtype == object:
-            # touch only the entries the rank-1 update can change; Fraction
-            # arithmetic is slow enough that sparsity dominates the cost
-            rows_nz = np.nonzero(factors)[0]
+        rows_nz = np.nonzero(factors)[0]
+        if len(rows_nz):
             cols_nz = np.nonzero(a[r])[0]
-            if len(rows_nz) and len(cols_nz):
-                ix = np.ix_(rows_nz, cols_nz)
-                a[ix] = ctx.reduce(
-                    a[ix] - np.outer(factors[rows_nz], a[r][cols_nz]))
-        elif np.any(factors):
-            a = ctx.reduce(a - np.outer(factors, a[r]))
+            ix = np.ix_(rows_nz, cols_nz)
+            a[ix] = ctx.reduce(
+                a[ix] - np.outer(factors[rows_nz], a[r][cols_nz]))
         pivots.append(c)
         r += 1
     return a, r, pivots
@@ -544,12 +548,14 @@ def largest_invariant_within(k: Subspace,
 class SpanSolver:
     """Coordinates with respect to a fixed independent spanning set.
 
-    Precomputes an RREF with a recorded transform so repeated coordinate
-    queries are a single reduction each.
+    Precomputes an RREF with a recorded transform, so coordinates of any
+    batch of vectors are a pivot gather and two products.  Both run on
+    integer arrays (linalg.int_family): over Q the RREF and transform are
+    held as integers over one common denominator.
     """
 
     __slots__ = ("ctx", "span_dim", "ambient_dim", "_rref", "_transform",
-                 "_pivots")
+                 "_scale", "_pivots")
 
     def __init__(self, ctx: FieldCtx, basis_rows: np.ndarray):
         self.ctx = ctx
@@ -560,15 +566,26 @@ class SpanSolver:
         r, rk, pivots = _rref_array(ctx, aug)
         if rk != d or any(p >= n for p in pivots):
             raise DimensionMismatch("basis rows are linearly dependent")
+        (r,), self._scale = int_family(ctx, [r])
         self._rref = r[:, :n]
         self._transform = r[:, n:]
         self._pivots = pivots
 
+    def coords_rows(self, vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(coefficients, in_span) for the rows of vs: where in_span[r] holds,
+        row r of coefficients expresses vs[r] in the original basis rows.
+
+        With vs = V / t and the RREF and transform R / s and X / s, the
+        residual vs - vs[:, pivots] R / s is (s V - V[:, pivots] R) / (s t)
+        and the coefficients are V[:, pivots] X / (s t)."""
+        ctx, s = self.ctx, self._scale
+        (v,), t = int_family(ctx, [ctx.reduce(np.asarray(vs))])
+        c = v[:, self._pivots]
+        residual = ctx.reduce(v * s - int_matmul(ctx, c, self._rref))
+        in_span = ~residual.astype(bool).any(axis=1)
+        return from_int(ctx, int_matmul(ctx, c, self._transform), s * t), in_span
+
     def coords(self, v: np.ndarray) -> Optional[np.ndarray]:
         """Coefficients of v in the original basis rows, or None."""
-        v = self.ctx.reduce(np.asarray(v))
-        c = v[self._pivots].copy()
-        residual = self.ctx.reduce(v - c @ self._rref)
-        if np.any(residual):
-            return None
-        return self.ctx.reduce(c @ self._transform)
+        c, in_span = self.coords_rows(np.asarray(v).reshape(1, -1))
+        return c[0] if in_span[0] else None

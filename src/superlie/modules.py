@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx
+from .fields import FieldCtx, InputError, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -29,23 +29,23 @@ from .linalg import (
     exact_matmul,
     from_int,
     int_family,
+    int_matmul,
     invariant_closure,
     kernel,
-    sparse_int_matmul,
 )
 
 
-class CompositionViolation(ValueError):
+class CompositionViolation(SuperlieError, ValueError):
     pass
 
 
-class NotInvariant(ValueError):
+class NotInvariant(SuperlieError, ValueError):
     def __init__(self, operator_name: str, msg: str = ""):
         super().__init__(f"subspace not invariant under {operator_name} {msg}")
         self.operator_name = operator_name
 
 
-class LabelMismatch(ValueError):
+class LabelMismatch(SuperlieError, ValueError):
     pass
 
 
@@ -95,36 +95,20 @@ class CoeffOperatorFamily:
         if not np.array_equal(self.ops[0].data, ctx.eye(n)):
             raise CompositionViolation(f"{self.label}: op_0 is not the identity")
         d = self.degree
-        if not ctx.p:
-            # clear all denominators once: A_k = J_k / s, so the identity
-            # A_a A_b = C(a+b,a) A_{a+b} becomes J_a J_b = C s J_{a+b} with
-            # plain integer arithmetic throughout
-            ints, s = int_family(ctx, [op.data for op in self.ops])
-            for a in range(d + 1):
-                for b in range(d + 1):
-                    lhs = sparse_int_matmul(ints[a], ints[b])
-                    if a + b > d:
-                        if np.any(lhs != 0):
-                            raise CompositionViolation(
-                                f"{self.label}: A_{a} A_{b} nonzero beyond "
-                                f"degree {d}")
-                        continue
-                    rhs = ints[a + b] * (math.comb(a + b, a) * s)
-                    if not np.array_equal(lhs, rhs):
-                        raise CompositionViolation(
-                            f"{self.label}: A_{a} A_{b} != C({a+b},{a}) "
-                            f"A_{a+b}")
-            return
+        # clear all denominators once: A_k = J_k / s, so the identity
+        # A_a A_b = C(a+b,a) A_{a+b} becomes J_a J_b = C s J_{a+b} on integer
+        # arrays (over F_p the residues themselves, s = 1)
+        ints, s = int_family(ctx, [op.data for op in self.ops])
         for a in range(d + 1):
             for b in range(d + 1):
-                lhs = exact_matmul(ctx, self.ops[a].data, self.ops[b].data)
-                c = ctx.of(math.comb(a + b, a))
-                rhs = self.op(a + b).data * c if a + b <= d else None
-                if rhs is None:
+                lhs = int_matmul(ctx, ints[a], ints[b])
+                if a + b > d:
                     if np.any(lhs):
                         raise CompositionViolation(
                             f"{self.label}: A_{a} A_{b} nonzero beyond degree {d}")
-                elif np.any(ctx.reduce(lhs - rhs)):
+                    continue
+                rhs = ints[a + b] * ctx.reduce(math.comb(a + b, a) * s)
+                if np.any(ctx.reduce(lhs - rhs)):
                     raise CompositionViolation(
                         f"{self.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
 
@@ -312,20 +296,28 @@ def _product_coeffs(ctx: FieldCtx, ops1: Sequence[np.ndarray],
     return out, s1 * s2
 
 
-def _tensor_ops(m1: GModule, m2: GModule):
-    """Integer operators of the tensor product, each list with its scale
-    (see _product_coeffs).  The Leibniz action a (x) 1 + 1 (x) b is the t^1
-    coefficient of (1 + t a) (x) (1 + t b); each family of m1 contributes
-    the coefficients of X(t) (x) X(t) gathered by t-power.
-
-    Returns (lie, fam_ops): lie is a list of ([T], scale), fam_ops a list
-    of (family of m1, [T_0, ..., T_deg], scale)."""
-    ctx = m1.ctx
-    if ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
+def _check_factors(m1: GModule, m2: GModule):
+    if m1.ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
+
+
+def _tensor_lie_ops(m1: GModule, m2: GModule):
+    """The Leibniz action a (x) 1 + 1 (x) b of each Lie element, as the t^1
+    coefficient of (1 + t a) (x) (1 + t b): a list of ([T], scale) with
+    integer T (see _product_coeffs)."""
+    _check_factors(m1, m2)
+    ctx = m1.ctx
     i1, i2 = ctx.eye(m1.dim), ctx.eye(m2.dim)
-    lie = [_product_coeffs(ctx, [i1, a.data], [i2, b.data], [1])
-           for a, b in zip(m1.lie_action, m2.lie_action)]
+    return [_product_coeffs(ctx, [i1, a.data], [i2, b.data], [1])
+            for a, b in zip(m1.lie_action, m2.lie_action)]
+
+
+def _tensor_family_ops(m1: GModule, m2: GModule):
+    """The coefficients of X(t) (x) X(t) gathered by t-power, for each family
+    X of m1 and the family of m2 with the same label: a list of (family of
+    m1, [T_0, ..., T_deg], scale) with integer T (see _product_coeffs)."""
+    _check_factors(m1, m2)
+    ctx = m1.ctx
     fam_ops = []
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
@@ -333,19 +325,19 @@ def _tensor_ops(m1: GModule, m2: GModule):
                                 [op.data for op in f2.ops],
                                 range(f1.degree + f2.degree + 1))
         fam_ops.append((f1, ts, s))
-    return lie, fam_ops
+    return fam_ops
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
     """Tensor product: Leibniz action for the Lie part; X(t) (x) X(t) for the
     families, coefficients gathered by t-power."""
     ctx = m1.ctx
-    lie, fam_ops = _tensor_ops(m1, m2)
-    lie = [Matrix(ctx, from_int(ctx, t, s)) for (t,), s in lie]
+    lie = [Matrix(ctx, from_int(ctx, t, s))
+           for (t,), s in _tensor_lie_ops(m1, m2)]
     fams = [CoeffOperatorFamily(f.label,
                                 [Matrix(ctx, from_int(ctx, t, s)) for t in ts],
                                 f.root)
-            for f, ts, s in fam_ops]
+            for f, ts, s in _tensor_family_ops(m1, m2)]
     labels = [f"{a}(x){b}" for a in m1.labels for b in m2.labels]
     weights = None
     if m1.weights and m2.weights:
@@ -369,7 +361,6 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
     where proj reads coordinate i*n + j: proj . T . iota is a gather of
     integer entries of T, turned into field scalars once."""
     ctx, n = m.ctx, m.dim
-    lie, fam_ops = _tensor_ops(m, m)
     pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
     first = np.array([i * n + j for i, j in pairs], dtype=np.int64)
     swapped = np.array([j * n + i for i, j in pairs], dtype=np.int64)
@@ -382,7 +373,7 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
         return Matrix(ctx, from_int(ctx, out, s))
 
     fams = [CoeffOperatorFamily(f.label, [compress(t, s) for t in ts], f.root)
-            for f, ts, s in fam_ops]
+            for f, ts, s in _tensor_family_ops(m, m)]
     sep = "." if sign > 0 else "^"
     labels = [f"{m.labels[i]}{sep}{m.labels[j]}" for i, j in pairs]
     weights = None
@@ -393,7 +384,7 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
         ]
     meta = {"name": f"{name}({m.meta.get('name','?')})"}
     mod = GModule(ctx, labels, m.lie_labels,
-                  [compress(t, s) for (t,), s in lie], fams,
+                  [compress(t, s) for (t,), s in _tensor_lie_ops(m, m)], fams,
                   weights=weights, brackets=m.brackets, meta=meta)
     mod.pair_index = {p: c for c, p in enumerate(pairs)}  # type: ignore
     return mod
@@ -423,18 +414,18 @@ def induced_operators(ctx: FieldCtx,
     NotInvariant(name) when an operator maps a vector of w out of w, or a
     rep out of span(w, reps)."""
     rows = list(w.basis.data) + [ctx.reduce(np.asarray(r)) for r in reps]
-    nw, d = w.dim, len(reps)
-    solver = SpanSolver(ctx, np.stack(rows)) if rows else None
+    if not rows:
+        return [Matrix.zeros(ctx, 0, 0) for _ in named_ops]
+    rows = np.stack(rows)
+    nw = w.dim
+    solver = SpanSolver(ctx, rows)
     out = []
     for name, op in named_ops:
-        m = ctx.zeros(d, d)
-        for i, v in enumerate(rows):
-            coords = solver.coords(op.mv(v))
-            if coords is None or (i < nw and np.any(coords[nw:])):
-                raise NotInvariant(name)
-            if i >= nw:
-                m[:, i - nw] = coords[nw:]
-        out.append(Matrix(ctx, m))
+        coords, in_span = solver.coords_rows(
+            exact_matmul(ctx, rows, op.data.T))
+        if not in_span.all() or np.any(coords[:nw, nw:]):
+            raise NotInvariant(name)
+        out.append(Matrix(ctx, coords[nw:, nw:].T.copy()))
     return out
 
 
@@ -614,7 +605,7 @@ def hom_space(m1: GModule, m2: GModule, mode: str = "group") -> HomReport:
         return space.dim, mats
 
     if mode not in ("algebra", "group", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     alg, grp, deg1 = _constraint_pairs(m1, m2, mode)
     if mode == "algebra":
         dim, basis = solve_pairs(alg)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx
+from .fields import FieldCtx, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -32,7 +32,7 @@ from .linalg import (
 from .modules import (
     CoeffOperatorFamily,
     GModule,
-    _tensor_ops,
+    _tensor_family_ops,
     induced_operators,
     module_from_json_dict,
     quotient_module,
@@ -46,11 +46,11 @@ from .superalgebra import (
 )
 
 
-class SymmetryViolation(ValueError):
+class SymmetryViolation(SuperlieError, ValueError):
     pass
 
 
-class EquivarianceViolation(ValueError):
+class EquivarianceViolation(SuperlieError, ValueError):
     def __init__(self, family_label: str, power: int, pair: Tuple[int, int]):
         super().__init__(
             f"equivariance fails for {family_label} at t^{power} on basis "
@@ -60,17 +60,17 @@ class EquivarianceViolation(ValueError):
         self.pair = pair
 
 
-class CubicViolation(ValueError):
+class CubicViolation(SuperlieError, ValueError):
     def __init__(self, witness):
         super().__init__(f"[[v,v],v] does not vanish; witness {witness}")
         self.witness = witness
 
 
-class NotNormal(ValueError):
+class NotNormal(SuperlieError, ValueError):
     pass
 
 
-class InvalidSubpair(ValueError):
+class InvalidSubpair(SuperlieError, ValueError):
     pass
 
 
@@ -162,7 +162,7 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     B T_m = G_m B for m = 1..max(2 deg X, deg G).
 
     B is the dim_g x dim_v^2 bracket matrix (column i*n + j holds [e_i,
-    e_j]), T_m the t^m coefficient of X(t) (x) X(t) from _tensor_ops and
+    e_j]), T_m the t^m coefficient of X(t) (x) X(t) from _tensor_family_ops and
     G_m that of the adjoint family with the same label; column i*n + j of
     either side is the t^m coefficient of one side of X(t)[e_i, e_j] =
     [X(t)e_i, X(t)e_j].  Raises EquivarianceViolation at the first failing
@@ -174,8 +174,7 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
         bmat[:, i * n + j] = v
         bmat[:, j * n + i] = v
     upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
-    _, fam_ops = _tensor_ops(odd, odd)
-    for fam, ts, s in fam_ops:
+    for fam, ts, s in _tensor_family_ops(odd, odd):
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
         gfam = adj[fam.label]

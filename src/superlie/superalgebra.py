@@ -21,11 +21,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx, MultiPoly
+from .fields import FieldCtx, MultiPoly, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    int_family,
     invariant_closure,
     kernel,
 )
@@ -36,31 +37,43 @@ Table = Dict[Tuple[int, int], Dict[int, object]]
 N_RANDOM = 64
 
 
-class SkewViolation(ValueError):
+class SkewViolation(SuperlieError, ValueError):
     def __init__(self, i, j, k, msg=""):
         super().__init__(f"super-antisymmetry fails at ({i},{j})->{k} {msg}")
         self.triple = (i, j, k)
 
 
-class GradingViolation(ValueError):
+class GradingViolation(SuperlieError, ValueError):
     def __init__(self, i, j, k):
         super().__init__(f"grading fails at ({i},{j})->{k}")
         self.triple = (i, j, k)
 
 
-class JacobiViolation(ValueError):
+class JacobiViolation(SuperlieError, ValueError):
     def __init__(self, i, j, k, residual):
         super().__init__(f"graded Jacobi fails at triple ({i},{j},{k})")
         self.triple = (i, j, k)
         self.residual = residual
 
 
-class NotAnIdeal(ValueError):
+class NotAnIdeal(SuperlieError, ValueError):
     pass
 
 
-class CenterNotInside(ValueError):
+class CenterNotInside(SuperlieError, ValueError):
     pass
+
+
+class BracketIndexError(SuperlieError, IndexError):
+    pass
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the previous
+    one: the first entry of each run of equal values."""
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = a[1:] != a[:-1]
+    return starts
 
 
 @dataclass
@@ -245,52 +258,59 @@ class LieSuperalgebra:
 
     # -- validation ---------------------------------------------------------------
     def validate_jacobi(self, full: bool = False) -> JacobiReport:
-        """Graded Jacobi on basis triples.  The reduced scan over i<=j<=k is
-        equivalent to all triples once super-antisymmetry holds (the Jacobi
-        expression is alternating up to sign under permutations); full=True
-        forces the cubic-cost scan anyway."""
-        ctx, T, par = self.ctx, self.table, self.parities
+        """Graded Jacobi on basis triples: J(i, j, k) = s_ik [[e_i,e_j],e_k]
+        + s_ji [[e_j,e_k],e_i] + s_kj [[e_k,e_i],e_j] = 0, s_xy =
+        (-1)^{|x||y|}.  The reduced scan over i<=j<=k is equivalent to all
+        triples once super-antisymmetry holds (the Jacobi expression is
+        alternating up to sign under permutations); full=True reports every
+        failing triple anyway.  Violations are listed in lexicographic order.
+
+        Each composition [[e_a,e_b],e_c]_l = sum_m [e_a,e_b]_m [e_m,e_c]_l
+        comes from one join of the table's entries on the middle index m.  It
+        is the first term of J(a,b,c), the second of J(c,a,b) and the third
+        of J(b,c,a), each time with the sign s_ac; the terms are summed per
+        (triple, l) by sorting packed keys.  Over F_p the values are
+        residues, over Q integers over one common denominator."""
         n = self.dim
-        violations = []
-        zero, add, mul = ctx.zero, ctx.add, ctx.mul
-
-        def term(res, sign, a, b, c):
-            w = T.get((a, b))
-            if not w:
-                return
-            for m, cm in w.items():
-                row = T.get((m, c))
-                if not row:
-                    continue
-                for l, cl in row.items():
-                    v = mul(cm, cl)
-                    if sign < 0:
-                        v = ctx.neg(v)
-                    res[l] = add(res.get(l, zero), v)
-
-        def jac(i, j, k):
-            res: Dict[int, object] = {}
-            term(res, 1 if par[i] * par[k] == 0 else -1, i, j, k)
-            term(res, 1 if par[j] * par[i] == 0 else -1, j, k, i)
-            term(res, 1 if par[k] * par[j] == 0 else -1, k, i, j)
-            return {l: v for l, v in res.items() if not ctx.is_zero(v)}
-
-        if full:
-            triples = (
-                (i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            )
-        else:
-            triples = (
-                (i, j, k)
-                for i in range(n)
-                for j in range(i, n)
-                for k in range(j, n)
-            )
-        for (i, j, k) in triples:
-            res = jac(i, j, k)
-            if res:
-                violations.append((i, j, k))
+        ea, eb, ek, vals = self._table_coo()
+        # join: entry x = ([e_a,e_b] -> e_m) meets every entry y with a = m
+        order = np.argsort(ea, kind="stable")
+        lo = np.searchsorted(ea[order], ek, "left")
+        cnt = np.searchsorted(ea[order], ek, "right") - lo
+        x = np.repeat(np.arange(len(ea)), cnt)
+        start = np.repeat(np.cumsum(cnt) - cnt, cnt)
+        y = order[np.repeat(lo, cnt) + np.arange(len(x)) - start]
+        a, b, c, l = ea[x], eb[x], eb[y], ek[y]
+        odd = np.asarray(self.parities, dtype=bool)
+        terms = self.ctx.reduce(vals[x] * vals[y])
+        terms = np.where(odd[a] & odd[c], -terms, terms)
+        keys, parts = [], []
+        for i, j, k in ((a, b, c), (c, a, b), (b, c, a)):
+            keep = slice(None) if full else (i <= j) & (j <= k)
+            keys.append((((i * n + j) * n + k) * n + l)[keep])
+            parts.append(terms[keep])
+        keys, terms = np.concatenate(keys), np.concatenate(parts)
+        if not len(keys):
+            return JacobiReport(ok=True)
+        order = np.argsort(keys, kind="stable")
+        keys, terms = keys[order], terms[order]
+        first = np.flatnonzero(_run_starts(keys))
+        sums = self.ctx.reduce(np.add.reduceat(terms, first))
+        triples = keys[first[sums != 0]] // n
+        triples = triples[_run_starts(triples)]
+        violations = [(t // (n * n), t // n % n, t % n)
+                      for t in triples.tolist()]
         return JacobiReport(ok=not violations, violations=violations)
+
+    def _table_coo(self):
+        """The table's entries as arrays (i, j, k, c), [e_i, e_j] having
+        coefficient c on e_k; c as in linalg.int_family."""
+        coo = [(i, j, k, c) for (i, j), row in self.table.items()
+               for k, c in row.items()]
+        idx = np.array([e[:3] for e in coo], dtype=np.int64).reshape(-1, 3)
+        vals = np.array([e[3] for e in coo], dtype=self.ctx.dtype)
+        (vals,), _ = int_family(self.ctx, [vals])
+        return idx[:, 0], idx[:, 1], idx[:, 2], vals
 
     def validate(self):
         """Raise GradingViolation unless every bracket respects parity, then
@@ -475,18 +495,14 @@ class LieSuperalgebra:
         if labels is None:
             labels = [f"b{i}" for i in range(d)]
         parities = [0] * even_sub.dim + [1] * odd_sub.dim
+        coords, in_span = solver.coords_rows(np.stack(
+            [self.bracket_vec(b[i], b[j]) for i in range(d) for j in range(d)]))
+        if not in_span.all():
+            raise NotAnIdeal("subspace is not closed under the bracket")
         table: Table = {}
-        for i in range(d):
-            for j in range(d):
-                v = self.bracket_vec(b[i], b[j])
-                coords = solver.coords(v)
-                if coords is None:
-                    raise NotAnIdeal("subspace is not closed under the bracket")
-                entry = {
-                    int(k): coords[int(k)] for k in np.nonzero(coords)[0]
-                }
-                if entry:
-                    table[(i, j)] = entry
+        rs, ks = np.nonzero(coords)
+        for r, k, c in zip(rs.tolist(), ks.tolist(), coords[rs, ks].tolist()):
+            table.setdefault(divmod(r, d), {})[k] = c
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + ".sub"
         return build_superalgebra(self.ctx, list(zip(labels, parities)), table,
@@ -690,11 +706,11 @@ def build_superalgebra(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
     clean: Table = {}
     for (i, j), row in table.items():
         if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"bracket index ({i},{j}) out of range")
+            raise BracketIndexError(f"bracket index ({i},{j}) out of range")
         entry = {}
         for k, c in row.items():
             if not 0 <= k < n:
-                raise IndexError(f"bracket target {k} out of range")
+                raise BracketIndexError(f"bracket target {k} out of range")
             c = ctx.of(c)
             if not ctx.is_zero(c):
                 entry[int(k)] = c

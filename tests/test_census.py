@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from superlie import constructions
 from superlie.census import (
     GRID_PRESETS,
     build_from_params,
@@ -79,3 +82,45 @@ class TestPresets:
         assert header == ["family", "params", "p", "dim_even", "dim_odd",
                           "simple", "center_dim", "error"]
         assert text.endswith("\n")
+
+
+class TestErrorScope:
+    """Only SuperlieError becomes an error row; anything else is a bug and
+    propagates."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_library_bug_propagates(self, monkeypatch, threads):
+        def broken(m, n, ctx):
+            raise IndexError("boolean index did not match")
+
+        monkeypatch.setattr(constructions, "sl", broken)
+        with pytest.raises(IndexError):
+            run_census([("sl", {"m": 2, "n": 1}, 5),
+                        ("psq", {"n": 2}, 5)], ("simple",), threads=threads)
+
+    def test_d21_error_rows_name_the_violation(self):
+        rows = run_census(grid_d21(), ("simple",))
+        errors = [r.error for r in rows if r.error]
+        assert len(errors) == 3
+        assert all(e.startswith("JacobiViolation: graded Jacobi fails")
+                   for e in errors)
+
+    def test_presets_are_byte_stable(self):
+        # sha256 of `superlie census <preset> --format tsv|jsonl` at seed 0
+        digests = {
+            "sl-dichotomy": (
+                "211b8e6445596fe701b20da1c6ae495f44cb8734a584c84f0f7c743e8ac859bb",
+                "43598ca21044ca9f79e4515c9f2cd53f71a36d5b80f858aeab306a420b0d8e8a"),
+            "family-catalog": (
+                "18af7dcf386b097e846c7929a7208cda79f6fc1ccaabf9ae3f346f2f022a3676",
+                "8ad20c48da88887befb95fe3465a9b75b14d09e1977e5185a779a100091ec91b"),
+            "d21": (
+                "96cbd1b25b47bff2aca6a34fc89705f60b0e2efca5dfddd36ce4f4e7ea33aabd",
+                "da862ff46f896f6334b0e99df647a0105f944c28ddd66aedb197cc40ef899f62"),
+        }
+        for preset, (tsv, jsonl) in digests.items():
+            gridf, checks = GRID_PRESETS[preset]
+            rows = run_census(gridf(), checks, seed=0)
+            for text, want in ((rows_to_tsv(rows, checks), tsv),
+                               (rows_to_jsonl(rows), jsonl)):
+                assert hashlib.sha256(text.encode()).hexdigest() == want, preset

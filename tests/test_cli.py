@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,26 @@ class TestBuild:
                          "--a3", "1", "--p", "0")
         assert rc == 1
         assert out.startswith("invalid: JacobiViolation")
+
+    @pytest.mark.parametrize("argv, error", [
+        (("sl", "--m", "1", "--n", "0", "--p", "5"), "InputError"),
+        (("d21", "--a1", "x", "--a2", "1", "--a3", "1"), "InputError"),
+        (("sl", "--m", "2", "--n", "1", "--p", "4"), "InputError"),
+    ])
+    def test_bad_input_exits_1(self, capsys, argv, error):
+        rc, out, _ = run(capsys, "build", *argv)
+        assert rc == 1
+        assert out.startswith(f"invalid: {error}")
+
+    def test_library_bug_is_not_invalid_input(self, monkeypatch):
+        from superlie import constructions
+
+        def broken(m, n, ctx):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(constructions, "sl", broken)
+        with pytest.raises(ValueError):
+            main(["build", "sl", "--m", "2", "--n", "1"])
 
     def test_unknown_family_exits_2(self, capsys):
         rc, _, err = run(capsys, "build", "nope", "--p", "5")
@@ -171,3 +194,24 @@ class TestValidateFile:
         rc, _, err = run(capsys, "validate-file", "/no/such/file.json")
         assert rc == 2
         assert "cannot read" in err
+
+
+def test_census_and_brj_never_import_numpy_ma():
+    # numpy.ma (pulled in by np.unique, for one) costs about 0.7 MB of peak
+    # resident memory; a census row of each benchmark slice and the brj run
+    # do without it
+    code = """
+import sys
+from superlie.census import run_census
+from superlie.cli import main
+run_census([("sl", {"m": 2, "n": 1}, 3)], ("simple", "center_dim"))
+run_census([("psq", {"n": 3}, 5), ("d21", {"a1": 1, "a2": 1, "a3": 1}, 5)],
+           ("simple",), threads=2)
+assert main(["brj", "--p", "5"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from superlie.fields import FieldCtx
+from superlie import constructions
+from superlie.fields import FieldCtx, InputError
+from superlie.linalg import Matrix, solve
 from superlie.superalgebra import CenterNotInside, JacobiViolation
 from superlie.constructions import (
+    algebra_from_matrices,
     D21Params,
     d21,
     gl,
@@ -199,3 +203,87 @@ class TestSimplicityCatalog:
 
     def test_spo_simple_small(self):
         assert spo(2, 3, F5).is_graded_simple().is_simple
+
+
+def loop_matrix_table(ctx, elems):
+    """The per-pair build that algebra_from_matrices replaced, as a
+    reference: the table over pairs i <= j, each bracket solved on its own,
+    or the labels of the first pair whose bracket leaves the span."""
+    mats = [ctx.reduce(np.asarray(m)) for _, _, m in elems]
+    basis = Matrix(ctx, np.stack([m.reshape(-1) for m in mats], axis=1))
+    table = {}
+    for i, (li, pi, x) in enumerate(elems):
+        for j in range(i, len(elems)):
+            lj, pj, y = elems[j]
+            xy, yx = ctx.reduce(mats[i] @ mats[j]), ctx.reduce(mats[j] @ mats[i])
+            br = ctx.reduce(xy + yx) if pi and pj else ctx.reduce(xy - yx)
+            c = solve(basis, br.reshape(-1))
+            if c is None:
+                return (li, lj)
+            entry = {int(k): ctx.of(c[k]) for k in np.nonzero(c)[0]}
+            if entry:
+                table[(i, j)] = entry
+    return table
+
+
+def built_tables(monkeypatch, build):
+    """(ctx, elems, table over i <= j) of every algebra_from_matrices call
+    made by build()."""
+    calls = []
+
+    def recording(ctx, elems, bp, meta=None):
+        alg = algebra_from_matrices(ctx, elems, bp, meta)
+        upper = {key: row for key, row in alg.table.items() if key[0] <= key[1]}
+        calls.append((ctx, list(elems), upper))
+        return alg
+
+    monkeypatch.setattr(constructions, "algebra_from_matrices", recording)
+    build()
+    return calls
+
+
+class TestMatrixBuildDifferential:
+    """algebra_from_matrices against loop_matrix_table."""
+
+    @pytest.mark.parametrize("ctx", [F3, F5, FieldCtx.prime(2**31 - 1), Q],
+                             ids=repr)
+    def test_tables_match_loop(self, monkeypatch, ctx):
+        builds = (lambda: gl(2, 1, ctx), lambda: sl(2, 1, ctx),
+                  lambda: psl(2, 2, ctx), lambda: spo(2, 3, ctx),
+                  lambda: spo(4, 1, ctx), lambda: periplectic(3, ctx),
+                  lambda: psq(3, ctx))
+        for build in builds:
+            calls = built_tables(monkeypatch, build)
+            assert len(calls) == 1
+            (c, elems, table), = calls
+            assert table == loop_matrix_table(c, elems)
+
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_first_pair_leaving_the_span(self, monkeypatch, ctx):
+        (_, elems, _), = built_tables(monkeypatch, lambda: gl(2, 1, ctx))
+        rng = random.Random(5)
+        outside = 0
+        for size in (2, 3, 4, 5, 6, 7, 8):
+            for _ in range(3):
+                subset = sorted(rng.sample(range(len(elems)), size))
+                sub = [elems[i] for i in subset]
+                want = loop_matrix_table(ctx, sub)
+                if isinstance(want, dict):
+                    alg = algebra_from_matrices(ctx, sub, [0, 0, 1])
+                    assert {key: row for key, row in alg.table.items()
+                            if key[0] <= key[1]} == want
+                    continue
+                outside += 1
+                with pytest.raises(InputError) as exc:
+                    algebra_from_matrices(ctx, sub, [0, 0, 1])
+                assert str(exc.value) == (f"bracket [{want[0]},{want[1]}] "
+                                          "leaves the span")
+        assert outside >= 10
+
+    def test_declared_parity_is_checked(self, monkeypatch):
+        (_, elems, _), = built_tables(monkeypatch, lambda: gl(2, 1, F5))
+        wrong = [(label, 1 - parity, m) if label == "E2,3" else (label, parity, m)
+                 for label, parity, m in elems]
+        with pytest.raises(InputError,
+                           match=r"entry \(1,2\) of E2,3 violates declared parity 0"):
+            algebra_from_matrices(F5, wrong, [0, 0, 1])

@@ -280,6 +280,25 @@ class TestSpanSolver:
         solver = SpanSolver(F5, rows)
         assert solver.coords(F5.vec([0, 0, 1])) is None
 
+    @pytest.mark.parametrize("ctx", [F7, Q], ids=repr)
+    def test_batch_matches_rows(self, ctx):
+        rng = random.Random(3)
+        # pivots 2 and 3: over Q the RREF has denominators
+        rows = ctx.arr([[2, 1, 0, 0, 3], [0, 3, 0, 4, 0], [2, 0, 1, 0, 1]])
+        solver = SpanSolver(ctx, rows)
+        vs = ctx.arr([[rng.randrange(-3, 4) for _ in range(5)]
+                      for _ in range(12)])
+        vs[::2] = ctx.reduce(ctx.arr([[rng.randrange(-3, 4) for _ in range(3)]
+                                      for _ in range(6)]) @ rows)
+        coeffs, in_span = solver.coords_rows(vs)
+        assert in_span[::2].all()
+        for v, c, ok in zip(vs, coeffs, in_span):
+            want = solver.coords(v)
+            assert (want is not None) == ok
+            if ok:
+                assert np.array_equal(c, want)
+                assert np.array_equal(ctx.reduce(c @ rows), v)
+
     def test_dependent_rows_rejected(self):
         rows = np.stack([F5.vec([1, 2, 3]), F5.vec([2, 4, 6])])
         with pytest.raises(DimensionMismatch):
@@ -358,3 +377,14 @@ class TestSympyOracle:
             # both reduced row echelon forms of the same space
             want = _from_sympy(ctx, null.rref()[0])
             assert np.array_equal(got.basis.data, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rref(self, ctx, data):
+        r, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        a = data.draw(_matrices(ctx, r, c))
+        want, want_pivots = _to_sympy(ctx, a).rref()
+        got, rk, pivots = rref(Matrix(ctx, a))
+        assert pivots == list(want_pivots) and rk == len(pivots)
+        assert got.data.dtype == ctx.dtype
+        assert np.array_equal(got.data, _from_sympy(ctx, want))

@@ -1,16 +1,19 @@
+import functools
 import json
+import random
 
 import numpy as np
 import pytest
 
-from superlie import superalgebra
-from superlie.census import _row
+from superlie import constructions, superalgebra
+from superlie.census import GRID_PRESETS, _row, build_from_params
 from superlie.fields import FieldCtx
 from superlie.linalg import SpanSolver, invariant_closure
 from superlie.superalgebra import (
     N_RANDOM,
     GradingViolation,
     JacobiViolation,
+    LieSuperalgebra,
     NotAnIdeal,
     SkewViolation,
     SuperIdeal,
@@ -217,6 +220,105 @@ class TestJacobiScan:
 
         broken = LieSuperalgebra(F5, a.labels, a.parities, bad)
         assert not broken.validate_jacobi(full=True).ok
+
+
+def loop_jacobi_violations(alg, full=False):
+    """The per-triple scan that validate_jacobi replaced, kept as a
+    reference: the Jacobi residual of each triple from the table dicts."""
+    ctx, T, par = alg.ctx, alg.table, alg.parities
+    n = alg.dim
+    zero, add, mul = ctx.zero, ctx.add, ctx.mul
+
+    def term(res, sign, a, b, c):
+        for m, cm in T.get((a, b), {}).items():
+            for l, cl in T.get((m, c), {}).items():
+                v = mul(cm, cl)
+                if sign < 0:
+                    v = ctx.neg(v)
+                res[l] = add(res.get(l, zero), v)
+
+    def jac(i, j, k):
+        res = {}
+        term(res, 1 if par[i] * par[k] == 0 else -1, i, j, k)
+        term(res, 1 if par[j] * par[i] == 0 else -1, j, k, i)
+        term(res, 1 if par[k] * par[j] == 0 else -1, k, i, j)
+        return any(not ctx.is_zero(v) for v in res.values())
+
+    return [(i, j, k) for i in range(n)
+            for j in (range(n) if full else range(i, n))
+            for k in (range(n) if full else range(j, n)) if jac(i, j, k)]
+
+
+@functools.lru_cache(maxsize=None)
+def preset_algebras():
+    """Every algebra of the three census presets that passes validation."""
+    out = []
+    for gridf, _ in GRID_PRESETS.values():
+        for family, params, p in gridf():
+            try:
+                out.append(build_from_params(family, params, FieldCtx(p)))
+            except JacobiViolation:
+                pass
+    return out
+
+
+def perturbed(alg, rng):
+    """alg with one structure constant changed, or one mirror entry of an
+    i < j pair dropped, built without validation."""
+    ctx = alg.ctx
+    table = {key: dict(row) for key, row in alg.table.items()}
+    (i, j), row = rng.choice(sorted(
+        (key, row) for key, row in table.items() if row))
+    k = rng.choice(sorted(row))
+    if i != j and rng.random() < 0.5:
+        mirror = table[(j, i)]
+        del mirror[rng.choice(sorted(mirror))]
+    else:
+        row[k] = ctx.add(row[k], ctx.of(rng.randrange(1, 3)))
+    return LieSuperalgebra(ctx, alg.labels, alg.parities, table)
+
+
+class TestJacobiDifferential:
+    """validate_jacobi against loop_jacobi_violations, in both modes."""
+
+    def test_preset_algebras(self):
+        algs = preset_algebras()
+        assert len(algs) == 81
+        for alg in algs:
+            assert alg.validate_jacobi().violations == []
+            assert loop_jacobi_violations(alg) == []
+            # the full reference scan is cubic: run it on the smaller ones
+            if alg.dim <= 24:
+                assert alg.validate_jacobi(full=True).violations == []
+                assert loop_jacobi_violations(alg, full=True) == []
+
+    def test_failing_d21_triples(self, monkeypatch):
+        monkeypatch.setattr(constructions, "build_superalgebra",
+                            functools.partial(build_superalgebra,
+                                              validate=False))
+        failing = 0
+        for family, params, p in GRID_PRESETS["d21"][0]():
+            alg = build_from_params(family, params, FieldCtx(p))
+            for full in (False, True):
+                want = loop_jacobi_violations(alg, full)
+                assert alg.validate_jacobi(full).violations == want
+            failing += bool(want)
+        assert failing == 3
+
+    @pytest.mark.parametrize("ctx", [F3, F5, FieldCtx.prime(2**31 - 1), Q],
+                             ids=repr)
+    def test_perturbed_tables(self, ctx):
+        rng = random.Random(ctx.p)
+        bases = (sl(2, 1, ctx), spo(2, 1, ctx), d21(D21Params(1, 1, -2), ctx))
+        broken = 0
+        for base in bases:
+            for _ in range(10):
+                alg = perturbed(base, rng)
+                for full in (False, True):
+                    want = loop_jacobi_violations(alg, full)
+                    assert alg.validate_jacobi(full).violations == want
+                broken += bool(want)
+        assert broken >= 20
 
 
 class TestCubic:
