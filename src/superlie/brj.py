@@ -46,7 +46,6 @@ from .superalgebra import LieSuperalgebra
 from .constructions import (
     algebra_from_matrices,
     conjugation_family,
-    even_bracket_dict,
 )
 
 EXPECTED_STAGE_DIMS = {
@@ -143,7 +142,7 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
     ]
     return GModule(ctx, ["v+e1", "v+e2", "v-e1", "v-e2"], g.labels, lie, fams,
                    weights=[(1, 0), (0, 1), (-1, 0), (0, -1)],
-                   brackets=even_bracket_dict(g), meta={"name": "V"})
+                   brackets=g.consts, meta={"name": "V"})
 
 
 def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
@@ -153,7 +152,7 @@ def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
     fams = [conjugation_family(g, l, m, root=w) for l, w, m in roots]
     weights = [w for _, w, _ in roots] + [(0, 0), (0, 0)]
     return GModule(ctx, g.labels, g.labels, lie, fams, weights=weights,
-                   brackets=even_bracket_dict(g), meta={"name": "adjoint-sp4"})
+                   brackets=g.consts, meta={"name": "adjoint-sp4"})
 
 
 def _vector(ctx: FieldCtx, dim: int, terms: Dict[int, int]) -> np.ndarray:

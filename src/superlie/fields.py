@@ -98,10 +98,6 @@ class FieldCtx:
 
     # -- predicates ---------------------------------------------------------
     @property
-    def is_prime_field(self) -> bool:
-        return self.p != 0
-
-    @property
     def characteristic(self) -> int:
         return self.p
 
@@ -178,9 +174,6 @@ class FieldCtx:
         if a == 0:
             raise ZeroInverse("0 has no inverse")
         return Fraction(1) / a
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return (a % self.p == 0) if self.p else a == 0

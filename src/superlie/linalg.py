@@ -64,7 +64,8 @@ def sparse_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def int_scaled(m: np.ndarray) -> Tuple[np.ndarray, int]:
     """(integer object array, scale) with m == array / scale, entrywise."""
-    idx = np.nonzero(m)
+    # np.nonzero on an object array tests every entry twice
+    idx = np.nonzero(m.astype(bool))
     vals = m[idx]
     s = 1
     for x in vals:
@@ -175,12 +176,6 @@ class Matrix:
             )
         return Matrix(self.ctx, exact_matmul(self.ctx, self.data, other.data))
 
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.ctx, self.data * self.ctx.of(c))
-
-    def neg(self) -> "Matrix":
-        return Matrix(self.ctx, -self.data)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, self.data.T.copy())
 
@@ -212,13 +207,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ctx}, {self.data.tolist()})"
-
-    def to_lists(self) -> List[List[str]]:
-        return [[str(x) for x in row] for row in self.data.tolist()]
-
-    @classmethod
-    def from_lists(cls, ctx: FieldCtx, rows: Sequence[Sequence[str]]) -> "Matrix":
-        return cls.from_rows(ctx, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +298,6 @@ class Subspace:
         return cls(ctx, ambient_dim, Matrix(ctx, r[:rk]), pivots)
 
     @classmethod
-    def from_matrix_rows(cls, m: Matrix) -> "Subspace":
-        r, rk, pivots = rref(m)
-        return cls(m.ctx, m.cols, Matrix(m.ctx, r.data[:rk]), pivots)
-
-    @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
         return cls(ctx, ambient_dim, Matrix.zeros(ctx, 0, ambient_dim), [])
 
@@ -357,6 +340,19 @@ class Subspace:
         coeffs = v[self._pivots].copy()
         residual = self.ctx.reduce(v - coeffs @ self.basis.data)
         return residual, coeffs
+
+    def residuals(self, vs: np.ndarray) -> np.ndarray:
+        """The residual of each row of vs, as reduce_vector gives it: one
+        product on integer arrays (linalg.int_family).
+
+        With vs = V / s and the basis B / s, the residual
+        vs - vs[:, pivots] B / s is (s V - V[:, pivots] B) / s^2."""
+        ctx = self.ctx
+        if self.dim == 0:
+            return ctx.reduce(vs)
+        (v, b), s = int_family(ctx, [vs, self.basis.data])
+        return from_int(ctx, v * s - int_matmul(ctx, v[:, self._pivots], b),
+                        s * s)
 
     def contains(self, v: np.ndarray) -> bool:
         residual, _ = self.reduce_vector(v)
@@ -422,44 +418,6 @@ def _check_operators(ambient_dim: int, operators: Sequence[Matrix]):
             )
 
 
-def _sparse_int_columns(op: Matrix) -> List[List[Tuple[int, int]]]:
-    """Columns of an operator as sparse (row, int coeff) lists, scaled by the
-    common denominator.  Scaling does not change the span of the images."""
-    from math import lcm
-
-    data = op.data
-    scale = 1
-    for x in data.flat:
-        if x:
-            scale = lcm(scale, getattr(x, "denominator", 1))
-    cols = []
-    for j in range(data.shape[1]):
-        col = [
-            (int(k), int(data[k, j] * scale))
-            for k in np.nonzero(data[:, j])[0]
-        ]
-        cols.append(col)
-    return cols
-
-
-def _sparse_apply(ctx: FieldCtx, cols, v: np.ndarray) -> np.ndarray:
-    """op @ v for a scaled-to-integers vector and sparse integer columns."""
-    from math import lcm
-
-    scale = 1
-    for x in v:
-        if x:
-            scale = lcm(scale, getattr(x, "denominator", 1))
-    out = [0] * len(cols)
-    for j in np.nonzero(v)[0]:
-        vj = int(v[j] * scale)
-        for k, c in cols[int(j)]:
-            out[k] += c * vj
-    res = np.empty(len(cols), dtype=object)
-    res[:] = out
-    return ctx.reduce(res)
-
-
 def invariant_closure(ctx: FieldCtx, ambient_dim: int,
                       seeds: Sequence[np.ndarray],
                       operators: Sequence[Matrix]) -> Subspace:
@@ -469,47 +427,23 @@ def invariant_closure(ctx: FieldCtx, ambient_dim: int,
     w = Subspace.from_vectors(ctx, ambient_dim, seeds)
     if not operators:
         return w
-    sparse = ctx.dtype is object
-    op_cols = [_sparse_int_columns(op) for op in operators] if sparse else None
     frontier = w.basis.data
     while w.dim not in (0, ambient_dim) and frontier.shape[0] > 0:
         # only images of vectors added last round can enlarge the span
-        if sparse:
-            # object arrays: dense matmul on Fractions is slow, so apply the
-            # operators column-sparsely in pure integer arithmetic and reduce
-            # each image against the growing basis as it arrives
-            nxt = w
-            for v in frontier:
-                for cols in op_cols:
-                    img = _sparse_apply(ctx, cols, v)
-                    residual, _ = nxt.reduce_vector(img)
-                    if np.any(residual):
-                        nxt = nxt.sum(Subspace.from_vectors(
-                            ctx, ambient_dim, [residual]))
-                        if nxt.dim == ambient_dim:
-                            return nxt
-        else:
-            images = np.concatenate(
-                [exact_matmul(ctx, frontier, op.data.T) for op in operators],
-                axis=0,
-            )
-            if w.dim:
-                coeffs = images[:, w.pivots]
-                residuals = ctx.reduce(
-                    images - exact_matmul(ctx, coeffs, w.basis.data)
-                )
-            else:
-                residuals = images
-            fresh = residuals[np.any(residuals, axis=1)]
-            if fresh.shape[0] == 0:
-                break
-            nxt = w.sum(Subspace.from_vectors(ctx, ambient_dim, list(fresh)))
+        images = np.concatenate(
+            [exact_matmul(ctx, frontier, op.data.T) for op in operators],
+            axis=0,
+        )
+        residuals = w.residuals(images)
+        fresh = residuals[residuals.astype(bool).any(axis=1)]
+        if fresh.shape[0] == 0:
+            break
+        nxt = w.sum(Subspace.from_vectors(ctx, ambient_dim, list(fresh)))
         if nxt.dim == w.dim:
             break
         # new frontier: basis vectors of the enlarged space not in the old one
-        frontier = np.stack(
-            [v for v in nxt.basis.data if not w.contains(v)]
-        )
+        frontier = nxt.basis.data[
+            w.residuals(nxt.basis.data).astype(bool).any(axis=1)]
         w = nxt
     return w
 
@@ -578,8 +512,14 @@ class SpanSolver:
         With vs = V / t and the RREF and transform R / s and X / s, the
         residual vs - vs[:, pivots] R / s is (s V - V[:, pivots] R) / (s t)
         and the coefficients are V[:, pivots] X / (s t)."""
+        (v,), t = int_family(self.ctx, [self.ctx.reduce(np.asarray(vs))])
+        return self.coords_int_rows(v, t)
+
+    def coords_int_rows(self, v: np.ndarray,
+                        t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """coords_rows of the rows of v / t, for an integer array v as
+        linalg.int_family gives it."""
         ctx, s = self.ctx, self._scale
-        (v,), t = int_family(ctx, [ctx.reduce(np.asarray(vs))])
         c = v[:, self._pivots]
         residual = ctx.reduce(v * s - int_matmul(ctx, c, self._rref))
         in_span = ~residual.astype(bool).any(axis=1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,15 +118,16 @@ class GModule:
 
     lie_labels/lie_action list the acting even Lie elements (typically a full
     basis of the even algebra); families are the group generators.  brackets,
-    when provided, gives the structure constants of the acting algebra in the
-    same indexing so the representation property can be verified.
+    when provided, is the acting algebra's structure-constant array consts
+    (superalgebra.LieSuperalgebra) in the same indexing, so the
+    representation property can be verified.
     """
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
                  lie_labels: Sequence[str], lie_action: Sequence[Matrix],
                  families: Sequence[CoeffOperatorFamily],
                  weights: Optional[Sequence[Tuple[int, ...]]] = None,
-                 brackets: Optional[Dict[Tuple[int, int], Dict[int, object]]] = None,
+                 brackets: Optional[np.ndarray] = None,
                  meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
@@ -165,16 +166,7 @@ class GModule:
             if f.dim != self.dim:
                 raise DimensionMismatch(f"family {f.label} shape mismatch")
         if self.brackets is not None:
-            for (i, j), row in self.brackets.items():
-                a, b = self.lie_action[i].data, self.lie_action[j].data
-                comm = ctx.reduce(
-                    exact_matmul(ctx, a, b) - exact_matmul(ctx, b, a))
-                want = ctx.zeros(self.dim, self.dim)
-                for k, c in row.items():
-                    want = want + self.lie_action[k].data * ctx.of(c)
-                if np.any(ctx.reduce(comm - want)):
-                    raise CompositionViolation(
-                        f"representation property fails on ({i},{j})")
+            self._check_brackets()
         if self.weights is not None:
             for f in self.families:
                 if f.root is None:
@@ -190,6 +182,32 @@ class GModule:
                             raise CompositionViolation(
                                 f"{f.label}: op_{k} breaks weights at "
                                 f"({r},{c})")
+
+    def _check_brackets(self):
+        """[A_i, A_j] = sum_k brackets[i, j, k] A_k for every pair i < j.
+
+        Per i, one product gives every A_i A_j, one every A_j A_i and one
+        every right-hand side: all pairs at once would hold d^2 n^2
+        entries, 18 MB for brj's 78-dimensional Sym2(U)."""
+        ctx, n, d = self.ctx, self.dim, len(self.lie_action)
+        if self.brackets.shape != (d, d, d):
+            raise DimensionMismatch("brackets shape mismatch")
+        if not d:
+            return
+        stack = np.stack([m.data for m in self.lie_action])
+        for i in range(d - 1):
+            rest, m = stack[i + 1:], d - 1 - i
+            ab = exact_matmul(ctx, stack[i],
+                              rest.transpose(1, 0, 2).reshape(n, m * n))
+            ba = exact_matmul(ctx, rest.reshape(m * n, n), stack[i])
+            want = exact_matmul(ctx, self.brackets[i, i + 1:],
+                                stack.reshape(d, n * n))
+            diff = (ab.reshape(n, m, n).transpose(1, 0, 2).reshape(m, -1)
+                    - ba.reshape(m, -1) - want)
+            bad = np.flatnonzero(ctx.reduce(diff).astype(bool).any(axis=1))
+            if len(bad):
+                raise CompositionViolation(
+                    f"representation property fails on ({i},{i + 1 + bad[0]})")
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -41,8 +41,8 @@ from .modules import (
 from .superalgebra import (
     LieSuperalgebra,
     SuperIdeal,
+    algebra_from_consts,
     algebra_from_json_dict,
-    build_superalgebra,
 )
 
 
@@ -149,12 +149,6 @@ class HCPair:
     def dims(self) -> Tuple[int, int]:
         return self.even.dim, self.odd.dim
 
-    def adjoint_by_label(self, label: str) -> CoeffOperatorFamily:
-        for f in self.adjoint_families:
-            if f.label == label:
-                return f
-        raise KeyError(f"no adjoint family labeled {label}")
-
 
 def _check_equivariance(odd: GModule, bracket: BilinearMap,
                         adjoint_families: Sequence[CoeffOperatorFamily]):
@@ -194,12 +188,30 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
                                         divmod(c, n))
 
 
+def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
+                  meta: dict) -> LieSuperalgebra:
+    """The superalgebra even + odd, unvalidated.  Its structure constants
+    are three blocks: the even algebra's own, the odd action
+    [e_i, v_j] = lie_action[i] v_j, and the odd bracket [v_i, v_j]; the
+    mirror blocks are completed by super-antisymmetry."""
+    ctx = even.ctx
+    ne, no = even.dim, odd.dim
+    consts = ctx.zeros(ne + no, ne + no, ne + no)
+    consts[:ne, :ne, :ne] = even.consts
+    if ne and no:
+        consts[:ne, ne:, ne:] = np.stack(
+            [a.data.T for a in odd.lie_action])
+    for (i, j), v in bracket.tensor.items():
+        consts[ne + i, ne + j, :ne] = v
+    basis = [(l, 0) for l in even.labels] + [(l, 1) for l in odd.labels]
+    return algebra_from_consts(ctx, basis, consts, meta=meta, validate=False)
+
+
 def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
                   adjoint_families: Sequence[CoeffOperatorFamily],
                   meta: Optional[dict] = None) -> HCPair:
     """Validated Harish-Chandra pair.  Runs the symmetry, equivariance and
     cubic axioms, assembles the total superalgebra and validates Jacobi."""
-    ctx = even.ctx
     if any(p for p in even.parities):
         raise DimensionMismatch("even part must be purely even")
     if odd.lie_labels != even.labels:
@@ -212,27 +224,9 @@ def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
 
     _check_equivariance(odd, bracket, adjoint_families)
 
-    ne, no = even.dim, odd.dim
-    basis = [(l, 0) for l in even.labels] + [(l, 1) for l in odd.labels]
-    table: Dict[Tuple[int, int], Dict[int, object]] = {}
-    for (i, j), row in even.table.items():
-        if i <= j and row:
-            table[(i, j)] = dict(row)
-    for i in range(ne):
-        a = odd.lie_action[i].data
-        for j in range(no):
-            entry = {
-                ne + int(k): a[int(k), j] for k in np.nonzero(a[:, j])[0]
-            }
-            if entry:
-                table[(i, ne + j)] = entry
-    for (i, j), v in bracket.tensor.items():
-        entry = {int(k): v[int(k)] for k in np.nonzero(v)[0]}
-        if entry:
-            table[(ne + i, ne + j)] = entry
     meta = dict(meta or {})
     meta.setdefault("name", "pair")
-    alg = build_superalgebra(ctx, basis, table, meta=meta, validate=False)
+    alg = total_algebra(even, odd, bracket, meta)
     cubic = alg.validate_cubic_odd()
     if not cubic.ok:
         raise CubicViolation(cubic.witness)

@@ -1,14 +1,16 @@
-"""Lie superalgebras: graded basis, sparse superbracket table, validation,
+"""Lie superalgebras: graded basis, structure-constant array, validation,
 and structural computations (ideals, center, derived series, quotients,
 graded simplicity, proved by Norton's criterion or searched for).
 
 Conventions.  A superalgebra of total dimension n lives on coordinates
 0..n-1 in the given basis order; parities are per basis element.  The
-bracket table is a sparse map (i, j) -> {k: c} with
-[e_i, e_j] = sum_k c * e_k, stored for all ordered pairs (completion by
-super-antisymmetry happens at build time).  Subspaces of the even/odd parts
-are kept in their own coordinate spaces (dimension = number of even/odd
-basis elements) and embedded into the full space on demand.
+bracket is one (n, n, n) array consts in ctx.zeros' dtype:
+[e_i, e_j] = sum_k consts[i, j, k] e_k, held for all ordered pairs
+(completion by super-antisymmetry happens at build time).  The sparse
+table (i, j) -> {k: c} of JSON files and hand-written algebras is read
+only by build_superalgebra.  Subspaces of the even/odd parts are kept in
+their own coordinate spaces (dimension = number of even/odd basis
+elements) and embedded into the full space on demand.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ from .fields import FieldCtx, MultiPoly, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    SpanSolver,
     Subspace,
+    exact_matmul,
+    from_int,
     int_family,
+    int_matmul,
     invariant_closure,
     kernel,
 )
@@ -104,14 +110,14 @@ class SuperIdeal:
         return self.full_subspace().contains(v)
 
     def verify(self) -> bool:
-        """Exact check: bracketing with every basis element stays inside."""
-        a = self.parent
+        """Exact check: bracketing with every basis element stays inside.
+        All brackets [w, e_j] come from one product and are tested in one
+        batch."""
+        a, n = self.parent, self.parent.dim
         full = self.full_subspace()
-        for w in full.basis.data:
-            for i in range(a.dim):
-                if not full.contains(a.bracket_with_basis(w, i)):
-                    return False
-        return True
+        images = exact_matmul(a.ctx, full.basis.data,
+                              a.consts.reshape(n, n * n))
+        return not full.residuals(images.reshape(-1, n)).astype(bool).any()
 
     def __eq__(self, other):
         return (
@@ -149,14 +155,29 @@ class SimplicityVerdict:
 
 
 class LieSuperalgebra:
+    """A Lie superalgebra on a graded basis; consts[i, j, k] is the
+    coefficient of e_k in [e_i, e_j] (see the module docstring).  The
+    constructor stores the array as given and makes it read-only;
+    algebra_from_consts and build_superalgebra complete and check it.
+
+    The support of consts (its nonzero (i, j, k)) is found once, on first
+    use, and kept: over Q each zero test is a Python call, and consts
+    cannot change."""
+
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
-                 parities: Sequence[int], table: Table, meta: Optional[dict] = None):
+                 parities: Sequence[int], consts: np.ndarray,
+                 meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
         self.parities = tuple(int(p) & 1 for p in parities)
-        self.table = table
+        n = len(self.labels)
+        if consts.shape != (n, n, n):
+            raise DimensionMismatch(
+                f"structure constants of shape {consts.shape} for dimension {n}")
+        consts.setflags(write=False)
+        self.consts = consts
         self.meta = dict(meta or {})
-        self._ad_cache: Dict[int, Matrix] = {}
+        self._support: Optional[Tuple[np.ndarray, ...]] = None
         # the centre's (even, odd) parts: a SuperIdeal held here would point
         # back at self and leave every algebra to the cyclic collector
         self._center: Optional[Tuple[Subspace, Subspace]] = None
@@ -191,9 +212,6 @@ class LieSuperalgebra:
     def even_component(self, v: np.ndarray) -> np.ndarray:
         return v[self.even_coords].copy()
 
-    def odd_component(self, v: np.ndarray) -> np.ndarray:
-        return v[self.odd_coords].copy()
-
     def split_graded(self, w: Subspace) -> Tuple[Subspace, Subspace]:
         """Split a graded full-space subspace into even/odd coordinate parts."""
         ctx = self.ctx
@@ -213,50 +231,54 @@ class LieSuperalgebra:
 
     # -- bracket ----------------------------------------------------------------
     def bracket_basis(self, i: int, j: int) -> Dict[int, object]:
-        return self.table.get((i, j), {})
+        """[e_i, e_j] as {k: coefficient of e_k}, nonzero coefficients only."""
+        row = self.consts[i, j]
+        ks = np.flatnonzero(row)
+        return dict(zip(ks.tolist(), row[ks].tolist()))
+
+    def _brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """[x_r, y_s] for every row x_r of xs and y_s of ys, as an array of
+        shape (len(xs), len(ys), n): two products with consts."""
+        ctx, n = self.ctx, self.dim
+        # left[b, r, k] = [x_r, e_b]_k
+        left = exact_matmul(ctx, xs, self.consts.reshape(n, n * n))
+        left = left.reshape(len(xs), n, n).transpose(1, 0, 2)
+        out = exact_matmul(ctx, ys, left.reshape(n, len(xs) * n))
+        return out.reshape(len(ys), len(xs), n).transpose(1, 0, 2)
 
     def bracket_with_basis(self, x: np.ndarray, j: int) -> np.ndarray:
         """[x, e_j] for a coordinate vector x."""
-        out = self.ctx.zeros(self.dim)
-        for i in np.nonzero(x)[0]:
-            xi = x[i]
-            for k, c in self.table.get((int(i), j), {}).items():
-                out[k] = self.ctx.add(out[k], self.ctx.mul(xi, c))
-        return out
+        return exact_matmul(self.ctx, np.asarray(x)[None, :],
+                            self.consts[:, j, :])[0]
 
     def bracket_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self.ctx.zeros(self.dim)
-        for i in np.nonzero(x)[0]:
-            xi = x[i]
-            for j in np.nonzero(y)[0]:
-                coeff = self.ctx.mul(xi, y[j])
-                for k, c in self.table.get((int(i), int(j)), {}).items():
-                    out[k] = self.ctx.add(out[k], self.ctx.mul(coeff, c))
-        return out
+        return self._brackets(np.asarray(x)[None, :],
+                              np.asarray(y)[None, :])[0, 0]
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): x -> [e_i, x]."""
-        m = self._ad_cache.get(i)
-        if m is None:
-            a = self.ctx.zeros(self.dim, self.dim)
-            for j in range(self.dim):
-                for k, c in self.table.get((i, j), {}).items():
-                    a[k, j] = c
-            m = Matrix(self.ctx, a)
-            self._ad_cache[i] = m
-        return m
+        return Matrix(self.ctx, self.consts[i].T)
 
     def ad_matrices(self) -> List[Matrix]:
         return [self.ad(i) for i in range(self.dim)]
 
-    def even_action_matrix(self, even_index: int) -> Matrix:
-        """Action of the even basis element #even_index on the odd part:
-        the odd-coordinate block of its ad matrix."""
-        i = self.even_coords[even_index]
-        blk = self.ad(i).data[np.ix_(self.odd_coords, self.odd_coords)]
-        return Matrix(self.ctx, blk.copy())
-
     # -- validation ---------------------------------------------------------------
+    def _coo(self):
+        """The nonzero structure constants as arrays (i, j, k, c) in
+        lexicographic order of (i, j, k)."""
+        if self._support is None:
+            self._support = np.nonzero(self.consts.astype(bool))
+        i, j, k = self._support
+        return i, j, k, self.consts[i, j, k]
+
+    def _upper_pairs(self) -> np.ndarray:
+        """The flat indices i * n + j of the pairs i <= j with
+        [e_i, e_j] != 0, in increasing order."""
+        i, j, _, _ = self._coo()
+        # sorted, as the support is; np.unique would import numpy.ma
+        flat = (i * self.dim + j)[i <= j]
+        return flat[_run_starts(flat)]
+
     def validate_jacobi(self, full: bool = False) -> JacobiReport:
         """Graded Jacobi on basis triples: J(i, j, k) = s_ik [[e_i,e_j],e_k]
         + s_ji [[e_j,e_k],e_i] + s_kj [[e_k,e_i],e_j] = 0, s_xy =
@@ -266,13 +288,15 @@ class LieSuperalgebra:
         failing triple anyway.  Violations are listed in lexicographic order.
 
         Each composition [[e_a,e_b],e_c]_l = sum_m [e_a,e_b]_m [e_m,e_c]_l
-        comes from one join of the table's entries on the middle index m.  It
-        is the first term of J(a,b,c), the second of J(c,a,b) and the third
-        of J(b,c,a), each time with the sign s_ac; the terms are summed per
-        (triple, l) by sorting packed keys.  Over F_p the values are
-        residues, over Q integers over one common denominator."""
+        comes from one join of the nonzero structure constants on the
+        middle index m.  It is the first term of J(a,b,c), the second of
+        J(c,a,b) and the third of J(b,c,a), each time with the sign s_ac;
+        the terms are summed per (triple, l) by sorting packed keys.  Over
+        F_p the values are residues, over Q integers over one common
+        denominator."""
         n = self.dim
-        ea, eb, ek, vals = self._table_coo()
+        ea, eb, ek, vals = self._coo()
+        (vals,), _ = int_family(self.ctx, [vals])
         # join: entry x = ([e_a,e_b] -> e_m) meets every entry y with a = m
         order = np.argsort(ea, kind="stable")
         lo = np.searchsorted(ea[order], ek, "left")
@@ -302,24 +326,16 @@ class LieSuperalgebra:
                       for t in triples.tolist()]
         return JacobiReport(ok=not violations, violations=violations)
 
-    def _table_coo(self):
-        """The table's entries as arrays (i, j, k, c), [e_i, e_j] having
-        coefficient c on e_k; c as in linalg.int_family."""
-        coo = [(i, j, k, c) for (i, j), row in self.table.items()
-               for k, c in row.items()]
-        idx = np.array([e[:3] for e in coo], dtype=np.int64).reshape(-1, 3)
-        vals = np.array([e[3] for e in coo], dtype=self.ctx.dtype)
-        (vals,), _ = int_family(self.ctx, [vals])
-        return idx[:, 0], idx[:, 1], idx[:, 2], vals
-
     def validate(self):
-        """Raise GradingViolation unless every bracket respects parity, then
-        JacobiViolation at the first failing triple of validate_jacobi."""
-        par = self.parities
-        for (i, j), row in self.table.items():
-            for k in row:
-                if par[k] != (par[i] + par[j]) % 2:
-                    raise GradingViolation(i, j, k)
+        """Raise GradingViolation at the least (i, j, k) where a bracket
+        breaks parity, then JacobiViolation at the first failing triple of
+        validate_jacobi."""
+        i, j, k, _ = self._coo()
+        odd = np.asarray(self.parities, dtype=bool)
+        bad = np.flatnonzero(odd[i] ^ odd[j] ^ odd[k])
+        if len(bad):
+            b = bad[0]
+            raise GradingViolation(int(i[b]), int(j[b]), int(k[b]))
         report = self.validate_jacobi()
         if not report.ok:
             i, j, k = report.violations[0]
@@ -327,53 +343,43 @@ class LieSuperalgebra:
 
     def validate_cubic_odd(self, with_polys: bool = False) -> CubicReport:
         """Expand [[v, v], v] for a symbolic odd vector v = sum x_a e_a and
-        check coefficientwise vanishing."""
-        ctx = self.ctx
-        odd = self.odd_coords
-        no = len(odd)
-        arity = no
-        zero_t = (0,) * arity
+        check coefficientwise vanishing.
 
-        def mono(positions: Sequence[int]) -> Tuple[int, ...]:
-            ev = [0] * arity
-            for p in positions:
-                ev[p] += 1
-            return tuple(ev)
-
-        # quadratic even coordinates of [v, v]
-        quad: Dict[int, Dict[Tuple[int, ...], object]] = {}
-        for ai, a in enumerate(odd):
-            for bi, b in enumerate(odd):
-                for k, c in self.table.get((a, b), {}).items():
-                    t = quad.setdefault(k, {})
-                    m = mono([ai, bi])
-                    t[m] = ctx.add(t.get(m, ctx.zero), c)
-        # cubic odd coordinates of [[v, v], v]
+        The coefficient of x_a x_b x_c e_l in the expansion is
+        sum_m [e_a, e_b]_m [e_m, e_c]_l (a, b, c over the odd basis): one
+        product on integer arrays (linalg.int_family), whose entries are
+        summed per monomial."""
+        ctx, odd, n = self.ctx, self.odd_coords, self.dim
+        arity = len(odd)
         cubic: Dict[int, Dict[Tuple[int, ...], object]] = {}
-        for e, poly_e in quad.items():
-            for ci, cidx in enumerate(odd):
-                row = self.table.get((e, cidx), {})
-                for l, cl in row.items():
-                    t = cubic.setdefault(l, {})
-                    for m, cm in poly_e.items():
-                        m2 = list(m)
-                        m2[ci] += 1
-                        m2 = tuple(m2)
-                        t[m2] = ctx.add(t.get(m2, ctx.zero), ctx.mul(cm, cl))
-        witness = None
-        for l in sorted(cubic):
-            for m in sorted(cubic[l]):
-                v = cubic[l][m]
-                if not ctx.is_zero(v):
-                    witness = (l, m, v)
-                    break
-            if witness:
-                break
+        if arity:
+            (quad, right), s = int_family(ctx, [
+                self.consts[np.ix_(odd, odd)].reshape(arity * arity, n),
+                self.consts[:, odd, :].reshape(n, arity * n)])
+            prod = int_matmul(ctx, quad, right).reshape(arity, arity, arity, n)
+            a, b, c, l = np.nonzero(prod)
+            # one key per (l, monomial): the sorted odd indices of x_a x_b x_c
+            tri = np.sort(np.stack([a, b, c], axis=1), axis=1)
+            keys = l * arity ** 3 + tri @ np.array([arity ** 2, arity, 1])
+            keys, inv = np.unique(keys, return_inverse=True)
+            sums = np.zeros(len(keys), dtype=prod.dtype)
+            np.add.at(sums, inv, prod[a, b, c, l])
+            sums = from_int(ctx, sums, s * s)
+            for key, v in zip(keys.tolist(), sums.tolist()):
+                if ctx.is_zero(v):
+                    continue
+                l, rest = divmod(key, arity ** 3)
+                ev = [0] * arity
+                for x in (rest // arity ** 2, rest // arity % arity,
+                          rest % arity):
+                    ev[x] += 1
+                cubic.setdefault(l, {})[tuple(ev)] = v
+        witness = min(((l, m, v) for l, t in cubic.items()
+                       for m, v in t.items()), default=None,
+                      key=lambda w: w[:2])
         polys = None
         if with_polys:
-            polys = [
-                MultiPoly(ctx, arity, cubic.get(l, {})) for l in odd
-            ]
+            polys = [MultiPoly(ctx, arity, cubic.get(l, {})) for l in odd]
         return CubicReport(ok=witness is None, witness=witness,
                            coefficient_polys=polys)
 
@@ -383,15 +389,9 @@ class LieSuperalgebra:
         return SuperIdeal(self, even, odd)
 
     def derived_subalgebra(self) -> SuperIdeal:
-        vecs = []
-        for (i, j), row in self.table.items():
-            if i > j:
-                continue
-            v = self.ctx.zeros(self.dim)
-            for k, c in row.items():
-                v[k] = c
-            vecs.append(v)
-        w = Subspace.from_vectors(self.ctx, self.dim, vecs)
+        n = self.dim
+        rows = self.consts.reshape(n * n, n)[self._upper_pairs()]
+        w = Subspace.from_vectors(self.ctx, n, rows)
         return self._graded_ideal_from_full(w)
 
     def derived_series(self) -> List[Tuple[int, int]]:
@@ -415,19 +415,13 @@ class LieSuperalgebra:
         return series[-1] == (0, 0)
 
     def center(self) -> SuperIdeal:
-        """The centre, computed once per algebra."""
+        """The centre, computed once per algebra: the kernel of the stacked
+        n^2 x n matrix whose row (j, k), column m holds the coefficient of
+        e_k in [e_m, e_j]."""
         if self._center is None:
-            ctx = self.ctx
-            blocks = []
-            for j in range(self.dim):
-                # row k, col m: coefficient of e_k in [e_m, e_j]
-                a = ctx.zeros(self.dim, self.dim)
-                for m in range(self.dim):
-                    for k, c in self.table.get((m, j), {}).items():
-                        a[k, m] = c
-                blocks.append(a)
-            stacked = Matrix(ctx, np.concatenate(blocks, axis=0))
-            self._center = self.split_graded(kernel(stacked))
+            n = self.dim
+            stacked = self.consts.transpose(1, 2, 0).reshape(n * n, n)
+            self._center = self.split_graded(kernel(Matrix(self.ctx, stacked)))
         return SuperIdeal(self, *self._center)
 
     def ideal_closure(self, seeds: Sequence[np.ndarray]) -> SuperIdeal:
@@ -447,6 +441,8 @@ class LieSuperalgebra:
         return self._graded_ideal_from_full(w)
 
     def quotient(self, ideal: SuperIdeal, check: bool = True) -> "LieSuperalgebra":
+        """The quotient on the non-pivot coordinates of the ideal: every
+        bracket of two of them, reduced against the ideal in one product."""
         if ideal.parent is not self:
             raise NotAnIdeal("ideal belongs to a different algebra")
         if check and not ideal.verify():
@@ -454,59 +450,40 @@ class LieSuperalgebra:
         full = ideal.full_subspace()
         pivot = set(full.pivots)
         keep = [i for i in range(self.dim) if i not in pivot]
-        pos = {c: idx for idx, c in enumerate(keep)}
-        labels = [self.labels[c] + "~" for c in keep]
-        parities = [self.parities[c] for c in keep]
-        table: Table = {}
-        for a_idx, a in enumerate(keep):
-            for b_idx, b in enumerate(keep):
-                row = self.table.get((a, b))
-                if not row:
-                    continue
-                v = self.ctx.zeros(self.dim)
-                for k, c in row.items():
-                    v[k] = c
-                residual, _ = full.reduce_vector(v)
-                entry = {}
-                for k in np.nonzero(residual)[0]:
-                    entry[pos[int(k)]] = residual[int(k)]
-                if entry:
-                    table[(a_idx, b_idx)] = entry
+        d = len(keep)
+        rows = self.consts[np.ix_(keep, keep)].reshape(d * d, self.dim)
+        consts = full.residuals(rows)[:, keep].reshape(d, d, d)
+        basis = [(self.labels[c] + "~", self.parities[c]) for c in keep]
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + "/ideal"
-        return build_superalgebra(self.ctx, list(zip(labels, parities)), table,
-                                  meta=meta)
+        return algebra_from_consts(self.ctx, basis, consts, meta=meta)
 
     def subalgebra_from_ideal(self, ideal: SuperIdeal) -> "LieSuperalgebra":
         return self.subalgebra(ideal.even_part, ideal.odd_part)
 
     def subalgebra(self, even_sub: Subspace, odd_sub: Subspace,
                    labels: Optional[Sequence[str]] = None) -> "LieSuperalgebra":
-        """The algebra structure on a graded subspace closed under the bracket."""
-        from .linalg import SpanSolver
-
+        """The algebra structure on a graded subspace closed under the
+        bracket: every bracket of two basis vectors from one contraction,
+        their coordinates from one batched solve."""
         vecs = [self.embed_even(v) for v in even_sub.basis.data]
         vecs += [self.embed_odd(v) for v in odd_sub.basis.data]
         d = len(vecs)
         if d == 0:
-            return build_superalgebra(self.ctx, [], {}, meta=dict(self.meta))
+            return algebra_from_consts(self.ctx, [], self.ctx.zeros(0, 0, 0),
+                                       meta=dict(self.meta))
         b = np.stack(vecs)
-        solver = SpanSolver(self.ctx, b)
+        coords, in_span = SpanSolver(self.ctx, b).coords_rows(
+            self._brackets(b, b).reshape(d * d, self.dim))
+        if not in_span.all():
+            raise NotAnIdeal("subspace is not closed under the bracket")
         if labels is None:
             labels = [f"b{i}" for i in range(d)]
         parities = [0] * even_sub.dim + [1] * odd_sub.dim
-        coords, in_span = solver.coords_rows(np.stack(
-            [self.bracket_vec(b[i], b[j]) for i in range(d) for j in range(d)]))
-        if not in_span.all():
-            raise NotAnIdeal("subspace is not closed under the bracket")
-        table: Table = {}
-        rs, ks = np.nonzero(coords)
-        for r, k, c in zip(rs.tolist(), ks.tolist(), coords[rs, ks].tolist()):
-            table.setdefault(divmod(r, d), {})[k] = c
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + ".sub"
-        return build_superalgebra(self.ctx, list(zip(labels, parities)), table,
-                                  meta=meta)
+        return algebra_from_consts(self.ctx, list(zip(labels, parities)),
+                                   coords.reshape(d, d, d), meta=meta)
 
     # -- simplicity ----------------------------------------------------------------
     def _proper(self, ideal: SuperIdeal) -> bool:
@@ -523,7 +500,7 @@ class LieSuperalgebra:
         it rests on the search finding no proper ideal."""
         if self.dim == 0:
             return SimplicityVerdict("Zero")
-        if not any(self.table.values()):
+        if not self._upper_pairs().size:
             return SimplicityVerdict("Abelian")
         cert = {"strategy": [], "rng_seed": seed, "n_random": N_RANDOM}
 
@@ -609,12 +586,13 @@ class LieSuperalgebra:
         spin W is proper, its annihilator {v : w.v = 0 for w in W}, an ideal
         because <w, ad(x) v> = <ad(x)^T w, v>."""
         ctx = self.ctx
-        diag = [i for i in self.even_coords if self._ad_is_diagonal(i)]
-        keys = [
-            (self.parities[j],
-             tuple(self.table.get((i, j), {}).get(j, ctx.zero) for i in diag))
-            for j in range(self.dim)
-        ]
+        # ad(e_a) is diagonal unless some [e_a, e_b] has an e_c term, c != b
+        a, b, c, _ = self._coo()
+        offdiag = set(a[b != c].tolist())
+        diag = [h for h in self.even_coords if h not in offdiag]
+        # weights[j][t] = coefficient of e_j in [h_t, e_j], h_t = e_diag[t]
+        weights = np.diagonal(self.consts, axis1=1, axis2=2)[diag].T.tolist()
+        keys = [(self.parities[j], tuple(w)) for j, w in enumerate(weights)]
         counts = Counter(keys)
         j = next((j for j, k in enumerate(keys) if counts[k] == 1), None)
         if j is None:
@@ -649,23 +627,14 @@ class LieSuperalgebra:
         v[i] = self.ctx.one
         return v
 
-    def _ad_is_diagonal(self, i: int) -> bool:
-        for j in range(self.dim):
-            for k, c in self.table.get((i, j), {}).items():
-                if k != j and not self.ctx.is_zero(c):
-                    return False
-        return True
-
     # -- serialization ----------------------------------------------------------
     def to_json_dict(self) -> dict:
-        brackets = []
-        for (i, j) in sorted(self.table):
-            if i > j:
-                continue
-            row = self.table[(i, j)]
-            entry = [[k, self.ctx.scalar_to_str(c)] for k, c in sorted(row.items())]
-            if entry:
-                brackets.append([i, j, entry])
+        brackets = [
+            [i, j, [[k, self.ctx.scalar_to_str(c)]
+                    for k, c in self.bracket_basis(i, j).items()]]
+            for i, j in (divmod(f, self.dim)
+                         for f in self._upper_pairs().tolist())
+        ]
         return {
             "field": {"p": self.ctx.p} if self.ctx.p else "Q",
             "basis": [
@@ -686,7 +655,7 @@ def algebra_from_json_dict(d: dict) -> LieSuperalgebra:
     basis = [(b["label"], int(b["parity"])) for b in d["basis"]]
     table: Table = {}
     for i, j, entry in d["brackets"]:
-        table[(int(i), int(j))] = {int(k): ctx.of(c) for k, c in entry}
+        table[(int(i), int(j))] = {int(k): c for k, c in entry}
     return build_superalgebra(ctx, basis, table, meta=d.get("meta", {}))
 
 
@@ -694,48 +663,62 @@ def algebra_from_json(s: str) -> LieSuperalgebra:
     return algebra_from_json_dict(json.loads(s))
 
 
-def build_superalgebra(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
-                       table: Table, meta: Optional[dict] = None,
-                       validate: bool = True) -> LieSuperalgebra:
-    """Validated constructor.  The table may give either order of each pair;
-    missing mirror entries are completed by super-antisymmetry, present ones
-    are checked for consistency."""
+def algebra_from_consts(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
+                        consts: np.ndarray, meta: Optional[dict] = None,
+                        validate: bool = True) -> LieSuperalgebra:
+    """The algebra on the (label, parity) basis with structure constants
+    consts (canonical scalars, see the module docstring), which may give
+    either order of each pair.  Every all-zero slice consts[j, i] whose
+    mirror consts[i, j] is not is filled by super-antisymmetry,
+    [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]; where both slices are given
+    they must agree, else SkewViolation at the least (i, j, k) where they
+    differ.  Works on the nonzero entries only, on a copy of consts; with
+    validate, the algebra then runs validate()."""
     labels = [b[0] for b in basis]
     parities = [int(b[1]) & 1 for b in basis]
-    n = len(labels)
-    clean: Table = {}
-    for (i, j), row in table.items():
-        if not (0 <= i < n and 0 <= j < n):
-            raise BracketIndexError(f"bracket index ({i},{j}) out of range")
-        entry = {}
-        for k, c in row.items():
-            if not 0 <= k < n:
-                raise BracketIndexError(f"bracket target {k} out of range")
-            c = ctx.of(c)
-            if not ctx.is_zero(c):
-                entry[int(k)] = c
-        if entry:
-            clean[(int(i), int(j))] = entry
-
-    sign_table: Table = {}
-    for (i, j), row in clean.items():
-        sign = -1 if parities[i] and parities[j] else 1
-        mirror = {
-            k: (ctx.neg(c) if sign > 0 else c) for k, c in row.items()
-        }
-        if (j, i) in clean or (i == j):
-            other = clean.get((j, i), {}) if i != j else row
-            keys = set(mirror) | set(other)
-            for k in keys:
-                if not ctx.is_zero(
-                    ctx.sub(other.get(k, ctx.zero), mirror.get(k, ctx.zero))
-                ):
-                    raise SkewViolation(i, j, k)
-        else:
-            sign_table[(j, i)] = mirror
-    clean.update(sign_table)
-
-    alg = LieSuperalgebra(ctx, labels, parities, clean, meta)
+    consts = consts.copy()
+    odd = np.asarray(parities, dtype=bool)
+    nz = consts.astype(bool)
+    i, j, k = np.nonzero(nz)
+    vals = consts[i, j, k]
+    mirror = np.where(odd[i] & odd[j], vals, ctx.reduce(-vals))
+    fill = ~nz.any(axis=2)[j, i]
+    consts[j[fill], i[fill], k[fill]] = mirror[fill]
+    given = ~fill
+    bad = ctx.reduce(consts[j[given], i[given], k[given]]
+                     - mirror[given]).astype(bool)
+    if bad.any():
+        i, j, k = i[given][bad], j[given][bad], k[given][bad]
+        raise SkewViolation(*min(zip(np.minimum(i, j).tolist(),
+                                     np.maximum(i, j).tolist(), k.tolist())))
+    alg = LieSuperalgebra(ctx, labels, parities, consts, meta)
+    # the completed array's support, so that no second scan finds it
+    support = [np.concatenate(x)
+               for x in ((i, j[fill]), (j, i[fill]), (k, k[fill]))]
+    order = np.lexsort(support[::-1])
+    alg._support = tuple(x[order] for x in support)
     if validate:
         alg.validate()
     return alg
+
+
+def build_superalgebra(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
+                       table: Table, meta: Optional[dict] = None,
+                       validate: bool = True) -> LieSuperalgebra:
+    """Validated constructor from a sparse table (i, j) -> {k: c}, the
+    format of JSON files and hand-written algebras: each coefficient is
+    canonicalised and range-checked once, and the array goes to
+    algebra_from_consts.  The table may give either order of each pair;
+    missing mirror entries are completed by super-antisymmetry, present
+    ones are checked for consistency."""
+    n = len(basis)
+    consts = ctx.zeros(n, n, n)
+    for (i, j), row in table.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise BracketIndexError(f"bracket index ({i},{j}) out of range")
+        for k, c in row.items():
+            if not 0 <= k < n:
+                raise BracketIndexError(f"bracket target {k} out of range")
+            consts[i, j, k] = ctx.of(c)
+    return algebra_from_consts(ctx, basis, consts, meta=meta,
+                               validate=validate)

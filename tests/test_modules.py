@@ -6,7 +6,13 @@ import pytest
 import superlie.brj as brj
 import superlie.modules as modules
 from superlie.fields import FieldCtx
-from superlie.linalg import Matrix, Subspace, exact_matmul, kernel
+from superlie.linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    exact_matmul,
+    kernel,
+)
 from superlie.modules import (
     CoeffOperatorFamily,
     CompositionViolation,
@@ -106,6 +112,28 @@ class TestValidationCount:
         # seen keeps every family alive, so distinct families have
         # distinct ids
         assert len(seen) == len({id(f) for f in seen})
+
+
+class TestRepresentationCheck:
+    """GModule checks [A_i, A_j] = sum_k brackets[i, j, k] A_k."""
+
+    @pytest.mark.parametrize("ctx", [F5, BIG, Q], ids=repr)
+    def test_wrong_bracket_is_named(self, ctx):
+        m = sym2(symn_dual(3, ctx))
+        GModule(ctx, m.labels, m.lie_labels, m.lie_action, m.families,
+                brackets=m.brackets)
+        # basis H, E12, E21: [E12, E21] = H, made 2H
+        bad = m.brackets.copy()
+        bad[1, 2, 0] = ctx.of(2)
+        with pytest.raises(CompositionViolation, match=r"fails on \(1,2\)"):
+            GModule(ctx, m.labels, m.lie_labels, m.lie_action, m.families,
+                    brackets=bad)
+
+    def test_brackets_shape_is_checked(self):
+        m = adjoint_sl2_module(F5)
+        with pytest.raises(DimensionMismatch):
+            GModule(F5, m.labels, m.lie_labels, m.lie_action, m.families,
+                    brackets=F5.zeros(2, 2, 2))
 
 
 class TestDual:

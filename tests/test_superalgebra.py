@@ -8,7 +8,14 @@ import pytest
 from superlie import constructions, superalgebra
 from superlie.census import GRID_PRESETS, _row, build_from_params
 from superlie.fields import FieldCtx
-from superlie.linalg import SpanSolver, invariant_closure
+from superlie.linalg import (
+    DimensionMismatch,
+    Matrix,
+    SpanSolver,
+    Subspace,
+    invariant_closure,
+    kernel,
+)
 from superlie.superalgebra import (
     N_RANDOM,
     GradingViolation,
@@ -17,6 +24,7 @@ from superlie.superalgebra import (
     NotAnIdeal,
     SkewViolation,
     SuperIdeal,
+    algebra_from_consts,
     algebra_from_json,
     build_superalgebra,
 )
@@ -51,7 +59,7 @@ class TestBuild:
     def test_sl11_mirror_completion(self):
         a = sl11(F5)
         # [y,x] = +[x,y] for odd pairs
-        assert a.table[(2, 1)] == {0: 1}
+        assert a.bracket_basis(2, 1) == {0: 1}
 
     def test_skew_violation(self):
         with pytest.raises(SkewViolation):
@@ -70,6 +78,32 @@ class TestBuild:
             build_superalgebra(
                 F5, [("a", 0), ("b", 0), ("v", 1)], {(0, 1): {2: 1}}
             )
+
+    @pytest.mark.parametrize("basis, table, error, triple", [
+        # the mirror row (1, 0) is given but leaves out the e_3 term
+        ([("a", 0), ("b", 0), ("c", 0), ("d", 0)],
+         {(0, 1): {2: 1, 3: 1}, (1, 0): {2: -1}}, SkewViolation, (0, 1, 3)),
+        ([("a", 0), ("b", 0)], {(0, 0): {1: 1}}, SkewViolation, (0, 0, 1)),
+        # an even-even bracket with an odd target
+        ([("a", 0), ("b", 0), ("v", 1)], {(0, 1): {2: 1}}, GradingViolation,
+         (0, 1, 2)),
+    ], ids=["partial-mirror", "even-self-bracket", "odd-target"])
+    def test_least_violation(self, basis, table, error, triple):
+        with pytest.raises(error) as exc:
+            build_superalgebra(F5, basis, table)
+        assert exc.value.triple == triple
+        n = len(basis)
+        consts = F5.zeros(n, n, n)
+        for (i, j), row in table.items():
+            for k, c in row.items():
+                consts[i, j, k] = F5.of(c)
+        with pytest.raises(error) as exc:
+            algebra_from_consts(F5, basis, consts)
+        assert exc.value.triple == triple
+
+    def test_consts_shape_is_checked(self):
+        with pytest.raises(DimensionMismatch):
+            LieSuperalgebra(F5, ["a", "b"], [0, 0], F5.zeros(3, 3, 3))
 
     def test_jacobi_violation(self):
         # [a,b]=c, [a,c]=b on even elements fails Jacobi unless more relations
@@ -210,22 +244,25 @@ class TestJacobiScan:
     def test_full_scan_catches_planted_defect(self):
         a = sl(2, 1, F5)
         # corrupt one structure constant, bypassing the validated constructor
-        bad = dict(a.table)
-        (i, j), row = next(iter(x for x in bad.items() if x[1]))
-        row = dict(row)
-        k = next(iter(row))
-        row[k] = F5.add(row[k], 1)
-        bad[(i, j)] = row
-        from superlie.superalgebra import LieSuperalgebra
-
+        bad = a.consts.copy()
+        i, j, k = next(zip(*np.nonzero(bad)))
+        bad[i, j, k] = F5.add(bad[i, j, k], 1)
         broken = LieSuperalgebra(F5, a.labels, a.parities, bad)
         assert not broken.validate_jacobi(full=True).ok
 
 
+def bracket_table(alg):
+    """Every nonzero bracket [e_i, e_j] as {(i, j): {k: c}}, read through
+    bracket_basis."""
+    rows = {(i, j): alg.bracket_basis(i, j)
+            for i in range(alg.dim) for j in range(alg.dim)}
+    return {key: row for key, row in rows.items() if row}
+
+
 def loop_jacobi_violations(alg, full=False):
     """The per-triple scan that validate_jacobi replaced, kept as a
-    reference: the Jacobi residual of each triple from the table dicts."""
-    ctx, T, par = alg.ctx, alg.table, alg.parities
+    reference: the Jacobi residual of each triple from the bracket dicts."""
+    ctx, T, par = alg.ctx, bracket_table(alg), alg.parities
     n = alg.dim
     zero, add, mul = ctx.zero, ctx.add, ctx.mul
 
@@ -266,16 +303,15 @@ def perturbed(alg, rng):
     """alg with one structure constant changed, or one mirror entry of an
     i < j pair dropped, built without validation."""
     ctx = alg.ctx
-    table = {key: dict(row) for key, row in alg.table.items()}
-    (i, j), row = rng.choice(sorted(
-        (key, row) for key, row in table.items() if row))
+    consts = alg.consts.copy()
+    (i, j), row = rng.choice(sorted(bracket_table(alg).items()))
     k = rng.choice(sorted(row))
     if i != j and rng.random() < 0.5:
-        mirror = table[(j, i)]
-        del mirror[rng.choice(sorted(mirror))]
+        mirror = alg.bracket_basis(j, i)
+        consts[j, i, rng.choice(sorted(mirror))] = ctx.zero
     else:
-        row[k] = ctx.add(row[k], ctx.of(rng.randrange(1, 3)))
-    return LieSuperalgebra(ctx, alg.labels, alg.parities, table)
+        consts[i, j, k] = ctx.add(consts[i, j, k], ctx.of(rng.randrange(1, 3)))
+    return LieSuperalgebra(ctx, alg.labels, alg.parities, consts)
 
 
 class TestJacobiDifferential:
@@ -321,6 +357,182 @@ class TestJacobiDifferential:
         assert broken >= 20
 
 
+# -- dict-loop references for the array methods ----------------------------
+# The per-coefficient loops the structure-constant array replaced, each
+# reading the brackets from T = bracket_table(alg).
+
+def loop_bracket_vec(ctx, T, x, y):
+    out = ctx.zeros(len(x))
+    for i in np.nonzero(x)[0]:
+        for j in np.nonzero(y)[0]:
+            coeff = ctx.mul(x[i], y[j])
+            for k, c in T.get((int(i), int(j)), {}).items():
+                out[k] = ctx.add(out[k], ctx.mul(coeff, c))
+    return out
+
+
+def loop_ad(alg, T, i):
+    a = alg.ctx.zeros(alg.dim, alg.dim)
+    for j in range(alg.dim):
+        for k, c in T.get((i, j), {}).items():
+            a[k, j] = c
+    return a
+
+
+def loop_center(alg, T):
+    """(even, odd) parts of the kernel of x -> ([x, e_j])_j."""
+    ctx, n = alg.ctx, alg.dim
+    blocks = []
+    for j in range(n):
+        a = ctx.zeros(n, n)
+        for m in range(n):
+            for k, c in T.get((m, j), {}).items():
+                a[k, m] = c
+        blocks.append(a)
+    return alg.split_graded(kernel(Matrix(ctx, np.concatenate(blocks))))
+
+
+def loop_derived(alg, T):
+    """(even, odd) parts of the span of the brackets [e_i, e_j], i <= j."""
+    ctx, n = alg.ctx, alg.dim
+    vecs = []
+    for (i, j), row in T.items():
+        if i <= j:
+            v = ctx.zeros(n)
+            for k, c in row.items():
+                v[k] = c
+            vecs.append(v)
+    return alg.split_graded(Subspace.from_vectors(ctx, n, vecs))
+
+
+def loop_quotient_table(alg, T, ideal):
+    """The quotient's brackets on the non-pivot coordinates, each bracket
+    reduced against the ideal on its own."""
+    ctx = alg.ctx
+    full = ideal.full_subspace()
+    keep = [i for i in range(alg.dim) if i not in full.pivots]
+    table = {}
+    for a, i in enumerate(keep):
+        for b, j in enumerate(keep):
+            v = ctx.zeros(alg.dim)
+            for k, c in T.get((i, j), {}).items():
+                v[k] = c
+            residual, _ = full.reduce_vector(v)
+            entry = {keep.index(int(k)): residual[k]
+                     for k in np.nonzero(residual)[0]}
+            if entry:
+                table[(a, b)] = entry
+    return table
+
+
+def loop_subalgebra_table(alg, T, even_sub, odd_sub):
+    """The brackets of the subalgebra's basis vectors, one bracket_vec
+    loop per pair."""
+    b = [alg.embed_even(v) for v in even_sub.basis.data]
+    b += [alg.embed_odd(v) for v in odd_sub.basis.data]
+    coords, in_span = SpanSolver(alg.ctx, np.stack(b)).coords_rows(np.stack(
+        [loop_bracket_vec(alg.ctx, T, x, y) for x in b for y in b]))
+    assert in_span.all()
+    table = {}
+    for r, c in enumerate(coords):
+        entry = {int(k): c[k] for k in np.nonzero(c)[0]}
+        if entry:
+            table[divmod(r, len(b))] = entry
+    return table
+
+
+def loop_cubic_witness(alg, T):
+    """The least (odd index, monomial, coefficient) of [[v, v], v] that
+    does not vanish, expanded term by term."""
+    ctx, odd = alg.ctx, alg.odd_coords
+    cubic = {}
+    for ai, a in enumerate(odd):
+        for bi, b in enumerate(odd):
+            for m, cm in T.get((a, b), {}).items():
+                for ci, c in enumerate(odd):
+                    for l, cl in T.get((m, c), {}).items():
+                        ev = [0] * len(odd)
+                        for x in (ai, bi, ci):
+                            ev[x] += 1
+                        t = cubic.setdefault(l, {})
+                        t[tuple(ev)] = ctx.add(t.get(tuple(ev), ctx.zero),
+                                               ctx.mul(cm, cl))
+    return next(((l, m, cubic[l][m]) for l in sorted(cubic)
+                 for m in sorted(cubic[l]) if not ctx.is_zero(cubic[l][m])),
+                None)
+
+
+def loop_json_brackets(ctx, T):
+    return [[i, j, [[k, ctx.scalar_to_str(c)] for k, c in sorted(row.items())]]
+            for (i, j), row in sorted(T.items()) if i <= j]
+
+
+def small_algebras():
+    """sl(2|1), spo(2|1), d21 and the 1|1 algebra [x, x] = H (whose
+    derived algebra comes from a diagonal bracket alone) over Q and over
+    F_(2^31-1)."""
+    return [build(ctx) for ctx in (Q, FieldCtx.prime(2**31 - 1))
+            for build in (lambda c: sl(2, 1, c), lambda c: spo(2, 1, c),
+                          lambda c: d21(D21Params(1, 1, -2), c),
+                          lambda c: build_superalgebra(
+                              c, [("H", 0), ("x", 1)], {(1, 1): {0: 1}}))]
+
+
+def assert_matches_loops(alg, rng):
+    ctx, n = alg.ctx, alg.dim
+    T = bracket_table(alg)
+    for i in range(n):
+        assert np.array_equal(alg.ad(i).data, loop_ad(alg, T, i))
+    for _ in range(3):
+        x, y = ctx.zeros(n), ctx.zeros(n)
+        for v in (x, y):
+            for c in rng.sample(range(n), min(n, 4)):
+                v[c] = ctx.of(rng.randrange(-3, 4))
+        assert np.array_equal(alg.bracket_vec(x, y),
+                              loop_bracket_vec(ctx, T, x, y))
+    center, derived = alg.center(), alg.derived_subalgebra()
+    assert (center.even_part, center.odd_part) == loop_center(alg, T)
+    assert (derived.even_part, derived.odd_part) == loop_derived(alg, T)
+    assert alg.to_json_dict()["brackets"] == loop_json_brackets(ctx, T)
+    assert alg.validate_cubic_odd().witness == loop_cubic_witness(alg, T)
+    # the per-pair loops are quadratic in the dimension: the smaller ones
+    if n <= 24:
+        for ideal in (center, derived):
+            assert (bracket_table(alg.quotient(ideal))
+                    == loop_quotient_table(alg, T, ideal))
+        assert (bracket_table(alg.subalgebra_from_ideal(derived))
+                == loop_subalgebra_table(alg, T, derived.even_part,
+                                         derived.odd_part))
+
+
+class TestArrayMethodsDifferential:
+    """The array methods against the dict-loop references above."""
+
+    def test_preset_algebras(self):
+        rng = random.Random(0)
+        for alg in preset_algebras():
+            assert_matches_loops(alg, rng)
+
+    def test_small_algebras_over_q_and_large_p(self):
+        rng = random.Random(1)
+        for alg in small_algebras():
+            assert_matches_loops(alg, rng)
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
+    def test_cubic_witness_when_it_fails(self, ctx):
+        failing = 0
+        for n in (1, 3, 5, 7):
+            alg = constructions.sl2_symn_algebra(n, 1, ctx)
+            rep = alg.validate_cubic_odd(with_polys=True)
+            assert rep.witness == loop_cubic_witness(alg, bracket_table(alg))
+            failing += not rep.ok
+            if rep.witness:
+                l, m, c = rep.witness
+                poly = rep.coefficient_polys[alg.odd_coords.index(l)]
+                assert poly.coefficient(m) == c
+        assert failing
+
+
 class TestCubic:
     def test_cubic_holds_for_matrix_algebra(self):
         rep = gl(2, 1, F5).validate_cubic_odd()
@@ -347,7 +559,7 @@ class TestJson:
             b = algebra_from_json(a.to_json())
             assert b.labels == a.labels
             assert b.parities == a.parities
-            assert b.table == a.table
+            assert np.array_equal(b.consts, a.consts)
             assert b.ctx == a.ctx
 
     def test_json_shape(self):
@@ -424,11 +636,12 @@ class TestNorton:
         lambda: spo(4, 5, F7),
         lambda: periplectic_derived(3, F5),
         lambda: sl(2, 1, Q),
+        lambda: psl(3, 3, Q),
         lambda: psq(3, F3),
         lambda: psq(3, F5),
         lambda: psq(4, F5),
     ], ids=["sl34-p5", "psl33-p3", "spo45-p7", "periplectic3-p5", "sl21-Q",
-            "psq3-p3", "psq3-p5", "psq4-p5"])
+            "psl33-Q", "psq3-p3", "psq3-p5", "psq4-p5"])
     def test_certificate_replays(self, build):
         alg = build()
         v = alg.is_graded_simple()
