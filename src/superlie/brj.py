@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .fields import FieldCtx, SuperlieError
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, exact_matmul, kernel
 from .modules import (
     CoeffOperatorFamily,
     GModule,
@@ -230,8 +230,7 @@ HIGHEST_WEIGHT_SYSTEM = [
 
 
 def highest_weight_hom_bound(ctx: FieldCtx) -> int:
-    from .linalg import kernel as _kernel
-    return _kernel(Matrix.from_rows(ctx, HIGHEST_WEIGHT_SYSTEM)).dim
+    return kernel(Matrix.from_rows(ctx, HIGHEST_WEIGHT_SYSTEM)).dim
 
 
 def _first_nonzero_scan(ctx: FieldCtx, bracket: BilinearMap):
@@ -298,12 +297,8 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     if soc_in_m.dim != 4:
         raise PipelineAssertion("socle", 4, soc_in_m.dim, report)
     # back to ambient coordinates of N and against the expected span
-    soc_vecs = [
-        sum((x * b for x, b in zip(row, m_sub.basis.data)),
-            start=ctx.zeros(20))
-        for row in soc_in_m.basis.data
-    ]
-    soc = Subspace.from_vectors(ctx, 20, [ctx.reduce(v) for v in soc_vecs])
+    soc = Subspace.from_vectors(ctx, 20, exact_matmul(
+        ctx, soc_in_m.basis.data, m_sub.basis.data))
     expected = Subspace.from_vectors(ctx, 20, expected_socle_vectors(ctx))
     report.socle_matches_expected = soc == expected
     if not report.socle_matches_expected:

@@ -81,8 +81,7 @@ def _row(job, checks: Sequence[str], seed: int) -> CensusRow:
     family, params, p = job
     row = CensusRow(family=family, params=dict(params), p=p)
     try:
-        ctx = FieldCtx.rationals() if p == 0 else FieldCtx.prime(p)
-        alg = build_from_params(family, params, ctx)
+        alg = build_from_params(family, params, FieldCtx(p))
         row.dims = alg.dims
         row.verdicts = _run_checks(alg, checks, seed)
     except SuperlieError as e:  # per-row capture: the run continues

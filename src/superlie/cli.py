@@ -22,9 +22,6 @@ from .census import (
     rows_to_tsv,
 )
 
-def _ctx(p: int) -> FieldCtx:
-    return FieldCtx.rationals() if p == 0 else FieldCtx.prime(p)
-
 
 def _collect_params(family: str, args) -> dict:
     if family not in FAMILIES:
@@ -57,7 +54,7 @@ def _add_family_flags(sub):
 def cmd_build(args) -> int:
     params = _collect_params(args.family, args)
     try:
-        alg = build_from_params(args.family, params, _ctx(args.p))
+        alg = build_from_params(args.family, params, FieldCtx(args.p))
     except SuperlieError as e:
         print(f"invalid: {type(e).__name__}: {e}")
         return 1
@@ -91,7 +88,7 @@ def cmd_check(args) -> int:
         elif args.family:
             pair = None
             params = _collect_params(args.family, args)
-            alg = build_from_params(args.family, params, _ctx(args.p))
+            alg = build_from_params(args.family, params, FieldCtx(args.p))
         else:
             raise UsageError("check needs --family or --file")
     except SuperlieError as e:
@@ -138,7 +135,7 @@ def cmd_check(args) -> int:
 
 def _catalog_module(name: str, args):
     from .constructions import adjoint_sl2_module, symn_dual
-    ctx = _ctx(args.p)
+    ctx = FieldCtx(args.p)
     if name == "sym2-dual-sym":
         if args.n is None:
             raise UsageError("sym2-dual-sym needs --n")

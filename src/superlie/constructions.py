@@ -58,6 +58,26 @@ def _bracket_rows(ctx: FieldCtx, mats: np.ndarray,
     return i, j, ctx.reduce(br.reshape(len(i), n * n)), s * s
 
 
+def _bracket_consts(ctx: FieldCtx, mats: np.ndarray, parities: np.ndarray,
+                    solver: SpanSolver, labels: Sequence[str]) -> np.ndarray:
+    """The structure constants of the span of a (d, N, N) stack: every
+    supercommutator from _bracket_rows, solved for with one batched
+    SpanSolver call.  Raises InputError for the first pair (i <= j, in
+    row-major order) whose bracket leaves the span.  Its own function, so
+    that the rows and coordinates are freed before the algebra is
+    completed and validated, where the build's memory peaks."""
+    d = len(mats)
+    i, j, rows, t = _bracket_rows(ctx, mats, parities)
+    coords, in_span = solver.coords_int_rows(rows, t)
+    if not in_span.all():
+        r = int(np.argmin(in_span))
+        raise InputError(f"bracket [{labels[i[r]]},{labels[j[r]]}] "
+                         "leaves the span")
+    consts = ctx.zeros(d, d, d)
+    consts[i, j] = coords
+    return consts
+
+
 def algebra_from_matrices(ctx: FieldCtx,
                           elems: Sequence[Tuple[str, int, np.ndarray]],
                           block_parities: Sequence[int],
@@ -77,7 +97,7 @@ def algebra_from_matrices(ctx: FieldCtx,
     d = len(elems)
     mats: List[np.ndarray] = []
     solver = None
-    consts = ctx.zeros(d, d, d)
+    consts = ctx.zeros(0, 0, 0)
     if d:
         stack = ctx.reduce(np.stack([np.asarray(m) for _, _, m in elems]))
         # entry (a, b) of a homogeneous element has parity bp[a] + bp[b]
@@ -91,13 +111,8 @@ def algebra_from_matrices(ctx: FieldCtx,
                              f"declared parity {elems[e][1]}")
         mats = list(stack)
         solver = SpanSolver(ctx, stack.reshape(d, -1))
-        i, j, rows, t = _bracket_rows(ctx, stack, parities)
-        coords, in_span = solver.coords_int_rows(rows, t)
-        if not in_span.all():
-            r = int(np.argmin(in_span))
-            raise InputError(f"bracket [{elems[i[r]][0]},{elems[j[r]][0]}] "
-                             "leaves the span")
-        consts[i, j] = coords
+        consts = _bracket_consts(ctx, stack, parities, solver,
+                                 [label for label, _, _ in elems])
     alg = algebra_from_consts(
         ctx, [(label, parity) for label, parity, _ in elems], consts, meta=meta)
     alg.matrix_basis = mats  # type: ignore[attr-defined]
@@ -187,11 +202,8 @@ def identity_coords(alg: LieSuperalgebra) -> np.ndarray:
 
 def scalar_ideal(alg: LieSuperalgebra) -> SuperIdeal:
     """The central superideal spanned by the identity matrix."""
-    coords = identity_coords(alg)
-    even = Subspace.from_vectors(
-        alg.ctx, len(alg.even_coords), [alg.even_component(coords)])
-    odd = Subspace.zero(alg.ctx, len(alg.odd_coords))
-    return SuperIdeal(alg, even, odd)
+    return SuperIdeal(alg, Subspace.from_vectors(alg.ctx, alg.dim,
+                                                 [identity_coords(alg)]))
 
 
 def pgl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
@@ -362,17 +374,11 @@ def queer(n: int, ctx: FieldCtx) -> LieSuperalgebra:
 def pq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     """q(n) / k.(I|0)"""
     qn = queer(n, ctx)
-    # (I|0) has even coordinates of the diagonal A elements
-    ne = len(qn.even_coords)
-    v = ctx.zeros(ne)
+    # (I|0) is the sum of the diagonal A elements
+    v = ctx.zeros(qn.dim)
     for a in range(n):
-        v[a * n + a] = ctx.one
-    ideal = SuperIdeal(
-        qn,
-        Subspace.from_vectors(ctx, ne, [v]),
-        Subspace.zero(ctx, len(qn.odd_coords)),
-    )
-    out = qn.quotient(ideal)
+        v[qn.even_coords[a * n + a]] = ctx.one
+    out = qn.quotient(SuperIdeal(qn, Subspace.from_vectors(ctx, qn.dim, [v])))
     out.meta.update({"name": "pq", "n": n})
     return out
 
@@ -380,24 +386,23 @@ def pq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
 def psq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     """The subalgebra (pgl_n | sl_n) of pq(n)."""
     pqn = pq(n, ctx)
-    ne, no = len(pqn.even_coords), len(pqn.odd_coords)
-    even_sub = Subspace.full(ctx, ne)
-    odd_vecs = []
+    odd = pqn.odd_coords
+    vecs = list(ctx.eye(pqn.dim)[pqn.even_coords])
     for a in range(n):
         for b in range(n):
             if a != b:
-                v = ctx.zeros(no)
-                v[a * n + b] = ctx.one
-                odd_vecs.append(v)
+                v = ctx.zeros(pqn.dim)
+                v[odd[a * n + b]] = ctx.one
+                vecs.append(v)
     for a in range(n - 1):
-        v = ctx.zeros(no)
-        v[a * n + a] = ctx.one
-        v[(n - 1) * n + (n - 1)] = ctx.neg(ctx.one)
-        odd_vecs.append(v)
-    odd_sub = Subspace.from_vectors(ctx, no, odd_vecs)
+        v = ctx.zeros(pqn.dim)
+        v[odd[a * n + a]] = ctx.one
+        v[odd[(n - 1) * n + (n - 1)]] = ctx.neg(ctx.one)
+        vecs.append(v)
     labels = [pqn.labels[c] for c in pqn.even_coords]
-    labels += [f"s{i}" for i in range(odd_sub.dim)]
-    out = pqn.subalgebra(even_sub, odd_sub, labels=labels)
+    labels += [f"s{i}" for i in range(len(vecs) - len(labels))]
+    out = pqn.subalgebra(Subspace.from_vectors(ctx, pqn.dim, vecs),
+                         labels=labels)
     out.meta.update({"name": "psq", "n": n})
     return out
 

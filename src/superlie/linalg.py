@@ -367,43 +367,65 @@ class Subspace:
             raise DimensionMismatch("subspace ambient mismatch")
 
     # -- lattice --------------------------------------------------------------
+    def extended(self, vs: np.ndarray) -> Tuple["Subspace", np.ndarray]:
+        """(the span of self and the rows of vs, the rows it adds to the
+        basis).  Only the nonzero residuals of vs are row-reduced; their
+        RREF C is zero at self's pivots, so clearing C's pivot columns from
+        self's rows with one product and merging the rows by pivot gives
+        the RREF of the sum."""
+        ctx = self.ctx
+        res = self.residuals(vs)
+        res = res[res.astype(bool).any(axis=1)]
+        if not res.shape[0]:
+            return self, res
+        c, rk, new = _rref_array(ctx, res)
+        c = c[:rk]
+        b = self.basis.data
+        b = ctx.reduce(b - exact_matmul(ctx, b[:, new], c))
+        pivots = self._pivots + new
+        order = np.argsort(pivots, kind="stable")
+        w = Subspace(ctx, self.ambient_dim,
+                     Matrix(ctx, np.concatenate([b, c])[order]),
+                     [pivots[i] for i in order])
+        return w, c
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        stacked = np.concatenate([self.basis.data, other.basis.data], axis=0)
-        return Subspace.from_vectors(self.ctx, self.ambient_dim, list(stacked))
+        return self.extended(other.basis.data)[0]
+
+    def where_zero(self, images: np.ndarray) -> "Subspace":
+        """{x.B : x.images = 0} for the basis B, where row i of images is a
+        linear image of basis row i.  With K the RREF of those x, K.B is
+        already in reduced echelon form, on the pivots of B that K picks."""
+        ctx = self.ctx
+        ker = kernel(Matrix(ctx, images.T))
+        if ker.dim == self.dim:
+            return self
+        return Subspace(ctx, self.ambient_dim,
+                        Matrix(ctx, exact_matmul(ctx, ker.basis.data,
+                                                 self.basis.data)),
+                        [self._pivots[k] for k in ker.pivots])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ctx, self.ambient_dim)
-        # x in both spans: x = a.U = b.V  <=>  (a, b) in kernel of [U^T | -V^T]
-        stacked = np.concatenate(
-            [self.basis.data.T, -other.basis.data.T], axis=1
-        )
-        ker = kernel(Matrix(self.ctx, stacked))
-        if ker.dim == 0:
-            return Subspace.zero(self.ctx, self.ambient_dim)
-        coeffs = ker.basis.data[:, : self.dim]
-        vecs = self.ctx.reduce(coeffs @ self.basis.data)
-        return Subspace.from_vectors(self.ctx, self.ambient_dim, list(vecs))
-
-    def complement_constraints(self) -> Matrix:
-        """A matrix C with kernel(C) = this subspace."""
-        return kernel(Matrix(self.ctx, self.basis.data)).basis
+        # x.B lies in other iff its residual x.residuals(B) vanishes
+        return self.where_zero(other.residuals(self.basis.data))
 
 
 def kernel(m: Matrix) -> Subspace:
     """{v : m.v = 0} as a canonical Subspace of ctx^cols."""
-    r, rk, pivots = _rref_array(m.ctx, m.data)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    if not free:
-        return Subspace.zero(m.ctx, m.cols)
-    basis = m.ctx.zeros(len(free), m.cols)
-    for row_i, f in enumerate(free):
-        basis[row_i, f] = m.ctx.one
-        for i, c in enumerate(pivots):
-            basis[row_i, c] = m.ctx.reduce(-r[i, f])
-    return Subspace.from_vectors(m.ctx, m.cols, list(basis))
+    ctx = m.ctx
+    r, rk, pivots = _rref_array(ctx, m.data)
+    pivot = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot]
+    # only the free columns of the echelon rows are read: the full reduced
+    # matrix (n^2 x n for a centre) is released before the basis is built
+    tail = r[:rk, free]
+    del r
+    basis = ctx.zeros(len(free), m.cols)
+    basis[range(len(free)), free] = ctx.one
+    basis[:, pivots] = ctx.reduce(-tail.T)
+    return Subspace.from_vectors(ctx, m.cols, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -422,57 +444,38 @@ def invariant_closure(ctx: FieldCtx, ambient_dim: int,
                       seeds: Sequence[np.ndarray],
                       operators: Sequence[Matrix]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under every
-    operator: the fixed point of W -> W + sum(op(W))."""
+    operator: the fixed point of W -> W + sum(op(W)).  Only the images of
+    the rows added last round can enlarge the span, so each round extends
+    the basis by the residuals of those images."""
     _check_operators(ambient_dim, operators)
     w = Subspace.from_vectors(ctx, ambient_dim, seeds)
     if not operators:
         return w
     frontier = w.basis.data
-    while w.dim not in (0, ambient_dim) and frontier.shape[0] > 0:
-        # only images of vectors added last round can enlarge the span
-        images = np.concatenate(
-            [exact_matmul(ctx, frontier, op.data.T) for op in operators],
-            axis=0,
-        )
-        residuals = w.residuals(images)
-        fresh = residuals[residuals.astype(bool).any(axis=1)]
-        if fresh.shape[0] == 0:
-            break
-        nxt = w.sum(Subspace.from_vectors(ctx, ambient_dim, list(fresh)))
-        if nxt.dim == w.dim:
-            break
-        # new frontier: basis vectors of the enlarged space not in the old one
-        frontier = nxt.basis.data[
-            w.residuals(nxt.basis.data).astype(bool).any(axis=1)]
-        w = nxt
+    while 0 < w.dim < ambient_dim and frontier.shape[0]:
+        w, frontier = w.extended(np.concatenate(
+            [exact_matmul(ctx, frontier, op.data.T) for op in operators]))
     return w
 
 
 def largest_invariant_within(k: Subspace,
                              operators: Sequence[Matrix]) -> Subspace:
     """Largest subspace W <= k with op(W) <= W for every operator; iterates
-    W <- {w in W : op(w) in W for all op} to a fixed point."""
+    W <- {w in W : op(w) in W for all op} to a fixed point.  Row i of the
+    images is the residual against W of every op(b_i), b_i basis row i."""
     _check_operators(k.ambient_dim, operators)
-    ctx = k.ctx
-    w = k
-    while True:
-        if w.dim == 0:
+    ctx, n, w = k.ctx, k.ambient_dim, k
+    if not operators:
+        return w
+    ops_t = np.concatenate([op.data.T for op in operators], axis=1)
+    while w.dim:
+        images = exact_matmul(ctx, w.basis.data, ops_t)
+        res = w.residuals(images.reshape(-1, n)).reshape(w.dim, -1)
+        nxt = w.where_zero(res)
+        if nxt.dim == w.dim:
             return w
-        c = w.complement_constraints()  # kernel(c) == w
-        if c.rows == 0:
-            return w  # full ambient space is invariant under any operator
-        b = w.basis.data  # d x n
-        blocks = [
-            ctx.reduce(c.data @ ctx.reduce(op.data @ b.T)) for op in operators
-        ]
-        if not blocks:
-            return w
-        stacked = Matrix(ctx, np.concatenate(blocks, axis=0))
-        coeff_kernel = kernel(stacked)  # coefficient vectors within w
-        if coeff_kernel.dim == w.dim:
-            return w
-        vecs = ctx.reduce(coeff_kernel.basis.data @ b)
-        w = Subspace.from_vectors(ctx, k.ambient_dim, list(vecs))
+        w = nxt
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -578,10 +578,8 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
         if space is None:
             space = kernel(Matrix(ctx, lmat))
         elif lmat.shape[0]:
-            resid = exact_matmul(ctx, space.basis.data, lmat.T)
-            coeff_kernel = kernel(Matrix(ctx, resid.T))
-            vecs = exact_matmul(ctx, coeff_kernel.basis.data, space.basis.data)
-            space = Subspace.from_vectors(ctx, len(rs), list(vecs))
+            space = space.where_zero(exact_matmul(ctx, space.basis.data,
+                                                  lmat.T))
         if space.dim == 0:
             break
     if space is None:
@@ -647,6 +645,5 @@ def socle_via_homs(m: GModule, irreducibles: Sequence[GModule]) -> Subspace:
     for irr in irreducibles:
         rep = hom_space(irr, m, mode="group")
         for f in rep.basis:
-            total = total.sum(Subspace.from_vectors(
-                m.ctx, m.dim, list(f.data.T)))
+            total = total.extended(f.data.T)[0]
     return total

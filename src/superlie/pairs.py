@@ -362,9 +362,7 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
     if not report["ok"]:
         raise NotNormal(f"normality criterion fails: {report}")
     ctx = pair.even.ctx
-    ideal = SuperIdeal(pair.even, s.h_lie,
-                       Subspace.zero(ctx, 0))
-    even_q = pair.even.quotient(ideal)
+    even_q = pair.even.quotient(SuperIdeal(pair.even, s.h_lie))
     keep_g = [i for i in range(pair.even.dim) if i not in set(s.h_lie.pivots)]
     odd_q_all = quotient_module(pair.odd, s.w)
     odd_q = GModule(

@@ -8,9 +8,10 @@ bracket is one (n, n, n) array consts in ctx.zeros' dtype:
 [e_i, e_j] = sum_k consts[i, j, k] e_k, held for all ordered pairs
 (completion by super-antisymmetry happens at build time).  The sparse
 table (i, j) -> {k: c} of JSON files and hand-written algebras is read
-only by build_superalgebra.  Subspaces of the even/odd parts are kept in
-their own coordinate spaces (dimension = number of even/odd basis
-elements) and embedded into the full space on demand.
+only by build_superalgebra.  A graded subspace (an ideal, the centre, a
+subalgebra) is one Subspace of the full coordinate space: its reduced
+echelon rows are homogeneous, and those with an even pivot span its even
+part.
 """
 
 from __future__ import annotations
@@ -84,48 +85,35 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SuperIdeal:
-    """A graded subspace closed under bracketing with the whole algebra.
-
-    even_part / odd_part live in the even / odd coordinate spaces."""
+    """A graded subspace of the full coordinate space, meant to be closed
+    under bracketing with the whole algebra (verify checks that).  The
+    constructor raises NotAnIdeal when the subspace is not graded."""
 
     parent: "LieSuperalgebra"
-    even_part: Subspace
-    odd_part: Subspace
+    space: Subspace
+
+    def __post_init__(self):
+        self.parent._row_parities(self.space)
 
     @property
     def dims(self) -> Tuple[int, int]:
-        return self.even_part.dim, self.odd_part.dim
+        odd = sum(self.parent.parities[c] for c in self.space.pivots)
+        return self.space.dim - odd, odd
 
     @property
     def dim(self) -> int:
-        return self.even_part.dim + self.odd_part.dim
-
-    def full_subspace(self) -> Subspace:
-        a = self.parent
-        vecs = [a.embed_even(v) for v in self.even_part.basis.data]
-        vecs += [a.embed_odd(v) for v in self.odd_part.basis.data]
-        return Subspace.from_vectors(a.ctx, a.dim, vecs)
+        return self.space.dim
 
     def contains(self, v: np.ndarray) -> bool:
-        return self.full_subspace().contains(v)
+        return self.space.contains(v)
 
     def verify(self) -> bool:
         """Exact check: bracketing with every basis element stays inside.
         All brackets [w, e_j] come from one product and are tested in one
         batch."""
-        a, n = self.parent, self.parent.dim
-        full = self.full_subspace()
-        images = exact_matmul(a.ctx, full.basis.data,
-                              a.consts.reshape(n, n * n))
-        return not full.residuals(images.reshape(-1, n)).astype(bool).any()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperIdeal)
-            and self.parent is other.parent
-            and self.even_part == other.even_part
-            and self.odd_part == other.odd_part
-        )
+        a, n, w = self.parent, self.parent.dim, self.space
+        images = exact_matmul(a.ctx, w.basis.data, a.consts.reshape(n, n * n))
+        return not w.residuals(images.reshape(-1, n)).astype(bool).any()
 
 
 @dataclass
@@ -178,9 +166,9 @@ class LieSuperalgebra:
         self.consts = consts
         self.meta = dict(meta or {})
         self._support: Optional[Tuple[np.ndarray, ...]] = None
-        # the centre's (even, odd) parts: a SuperIdeal held here would point
-        # back at self and leave every algebra to the cyclic collector
-        self._center: Optional[Tuple[Subspace, Subspace]] = None
+        # the centre's subspace: a SuperIdeal held here would point back at
+        # self and leave every algebra to the cyclic collector
+        self._center: Optional[Subspace] = None
         self.even_coords = [i for i, p in enumerate(self.parities) if p == 0]
         self.odd_coords = [i for i, p in enumerate(self.parities) if p == 1]
 
@@ -198,36 +186,15 @@ class LieSuperalgebra:
         name = self.meta.get("name", "LieSuperalgebra")
         return f"{name}({self.ctx}, dims {e}|{o})"
 
-    # -- embeddings between graded coordinate spaces ---------------------------
-    def embed_even(self, v: np.ndarray) -> np.ndarray:
-        out = self.ctx.zeros(self.dim)
-        out[self.even_coords] = v
-        return out
-
-    def embed_odd(self, v: np.ndarray) -> np.ndarray:
-        out = self.ctx.zeros(self.dim)
-        out[self.odd_coords] = v
-        return out
-
-    def even_component(self, v: np.ndarray) -> np.ndarray:
-        return v[self.even_coords].copy()
-
-    def split_graded(self, w: Subspace) -> Tuple[Subspace, Subspace]:
-        """Split a graded full-space subspace into even/odd coordinate parts."""
-        ctx = self.ctx
-        ne, no = self.dims
-        even_vecs, odd_vecs = [], []
-        for v in w.basis.data:
-            ev, ov = v[self.even_coords], v[self.odd_coords]
-            if np.any(ev):
-                even_vecs.append(ev.copy())
-            if np.any(ov):
-                odd_vecs.append(ov.copy())
-        even = Subspace.from_vectors(ctx, ne, even_vecs)
-        odd = Subspace.from_vectors(ctx, no, odd_vecs)
-        if even.dim + odd.dim != w.dim:
+    def _row_parities(self, w: Subspace) -> List[int]:
+        """The parity of each basis row of a graded subspace, read off its
+        pivot.  A subspace is graded iff no row of its reduced echelon basis
+        mixes parities; otherwise this raises NotAnIdeal."""
+        odd = np.asarray(self.parities, dtype=bool)
+        nz = w.basis.data.astype(bool)
+        if ((nz & odd).any(axis=1) & (nz & ~odd).any(axis=1)).any():
             raise NotAnIdeal("subspace is not graded")
-        return even, odd
+        return [self.parities[c] for c in w.pivots]
 
     # -- bracket ----------------------------------------------------------------
     def bracket_basis(self, i: int, j: int) -> Dict[int, object]:
@@ -384,15 +351,10 @@ class LieSuperalgebra:
                            coefficient_polys=polys)
 
     # -- structural computations -----------------------------------------------
-    def _graded_ideal_from_full(self, w: Subspace) -> SuperIdeal:
-        even, odd = self.split_graded(w)
-        return SuperIdeal(self, even, odd)
-
     def derived_subalgebra(self) -> SuperIdeal:
         n = self.dim
         rows = self.consts.reshape(n * n, n)[self._upper_pairs()]
-        w = Subspace.from_vectors(self.ctx, n, rows)
-        return self._graded_ideal_from_full(w)
+        return SuperIdeal(self, Subspace.from_vectors(self.ctx, n, rows))
 
     def derived_series(self) -> List[Tuple[int, int]]:
         """Dims of the derived series of the algebra, down to stabilization."""
@@ -421,8 +383,8 @@ class LieSuperalgebra:
         if self._center is None:
             n = self.dim
             stacked = self.consts.transpose(1, 2, 0).reshape(n * n, n)
-            self._center = self.split_graded(kernel(Matrix(self.ctx, stacked)))
-        return SuperIdeal(self, *self._center)
+            self._center = kernel(Matrix(self.ctx, stacked))
+        return SuperIdeal(self, self._center)
 
     def ideal_closure(self, seeds: Sequence[np.ndarray]) -> SuperIdeal:
         """Smallest superideal containing the seeds: invariant closure of the
@@ -437,8 +399,8 @@ class LieSuperalgebra:
                 parts.append(ev)
             if np.any(ov):
                 parts.append(ov)
-        w = invariant_closure(self.ctx, self.dim, parts, self.ad_matrices())
-        return self._graded_ideal_from_full(w)
+        return SuperIdeal(self, invariant_closure(self.ctx, self.dim, parts,
+                                                  self.ad_matrices()))
 
     def quotient(self, ideal: SuperIdeal, check: bool = True) -> "LieSuperalgebra":
         """The quotient on the non-pivot coordinates of the ideal: every
@@ -447,42 +409,41 @@ class LieSuperalgebra:
             raise NotAnIdeal("ideal belongs to a different algebra")
         if check and not ideal.verify():
             raise NotAnIdeal("subspace is not closed under bracketing")
-        full = ideal.full_subspace()
-        pivot = set(full.pivots)
+        pivot = set(ideal.space.pivots)
         keep = [i for i in range(self.dim) if i not in pivot]
         d = len(keep)
         rows = self.consts[np.ix_(keep, keep)].reshape(d * d, self.dim)
-        consts = full.residuals(rows)[:, keep].reshape(d, d, d)
+        consts = ideal.space.residuals(rows)[:, keep].reshape(d, d, d)
         basis = [(self.labels[c] + "~", self.parities[c]) for c in keep]
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + "/ideal"
         return algebra_from_consts(self.ctx, basis, consts, meta=meta)
 
     def subalgebra_from_ideal(self, ideal: SuperIdeal) -> "LieSuperalgebra":
-        return self.subalgebra(ideal.even_part, ideal.odd_part)
+        return self.subalgebra(ideal.space)
 
-    def subalgebra(self, even_sub: Subspace, odd_sub: Subspace,
+    def subalgebra(self, w: Subspace,
                    labels: Optional[Sequence[str]] = None) -> "LieSuperalgebra":
         """The algebra structure on a graded subspace closed under the
-        bracket: every bracket of two basis vectors from one contraction,
-        their coordinates from one batched solve."""
-        vecs = [self.embed_even(v) for v in even_sub.basis.data]
-        vecs += [self.embed_odd(v) for v in odd_sub.basis.data]
-        d = len(vecs)
+        bracket, on its basis rows with the even pivots first: every
+        bracket of two basis vectors from one contraction, their
+        coordinates from one batched solve."""
+        parities = self._row_parities(w)
+        d = w.dim
         if d == 0:
             return algebra_from_consts(self.ctx, [], self.ctx.zeros(0, 0, 0),
                                        meta=dict(self.meta))
-        b = np.stack(vecs)
+        b = w.basis.data[np.argsort(parities, kind="stable")]
         coords, in_span = SpanSolver(self.ctx, b).coords_rows(
             self._brackets(b, b).reshape(d * d, self.dim))
         if not in_span.all():
             raise NotAnIdeal("subspace is not closed under the bracket")
         if labels is None:
             labels = [f"b{i}" for i in range(d)]
-        parities = [0] * even_sub.dim + [1] * odd_sub.dim
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + ".sub"
-        return algebra_from_consts(self.ctx, list(zip(labels, parities)),
+        return algebra_from_consts(self.ctx,
+                                   list(zip(labels, sorted(parities))),
                                    coords.reshape(d, d, d), meta=meta)
 
     # -- simplicity ----------------------------------------------------------------
@@ -609,12 +570,12 @@ class LieSuperalgebra:
         spin = invariant_closure(ctx, self.dim, seed, ads)
         if spin.dim < self.dim:
             return SimplicityVerdict(
-                "NotSimple", witness=self._graded_ideal_from_full(spin),
+                "NotSimple", witness=SuperIdeal(self, spin),
                 certificate={**cert, "proof": False, "proper_spin": "ad"})
         dual = invariant_closure(ctx, self.dim, seed,
                                  [m.transpose() for m in ads])
         if dual.dim < self.dim:
-            witness = self._graded_ideal_from_full(kernel(dual.basis))
+            witness = SuperIdeal(self, kernel(dual.basis))
             return SimplicityVerdict(
                 "NotSimple", witness=witness,
                 certificate={**cert, "proof": False,

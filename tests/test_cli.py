@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from superlie.cli import main
+from superlie.brj import brj25
+from superlie.cli import _brj_report_dict, main
 
 
 def run(capsys, *argv):
@@ -144,6 +146,65 @@ class TestBrj:
         rc, out, _ = run(capsys, "brj", "--p", "7")
         assert rc == 1
         assert "pipeline halted at stage hom: expected 1, got 0" in out
+
+
+# sha256 of `hom sym2-dual-sym adjoint-sl2 --n N --p P --mode M --out FILE`;
+# every zero-dimensional space writes the same file
+_EMPTY_GROUP = "7c28125a3e9bda72d44d4c112ac7ace6d83148f0ee4b96ce2bbbdab6620281bf"
+_EMPTY_ALGEBRA = "798540945ffe90e3c21df05191a2a2f2d908dd86eaaa47ce1860451d188caaad"
+HOM_DIGESTS = {
+    ("group", 7, 1): "7eb846dfeb4bbdfda59517ac9f506a6b0c76218eade58dd3f16775491282969c",
+    ("group", 7, 2): _EMPTY_GROUP,
+    ("group", 7, 3): "bfa2372792f08180614c999d3acb79a8e368b14a4440a2d1e6df82690a71cc69",
+    ("group", 7, 4): _EMPTY_GROUP,
+    ("group", 7, 5): "a436e10d2939cb35d21be6e9fe6b39a04dc2909d50fb95d326947aeaa0591371",
+    ("group", 7, 6): _EMPTY_GROUP,
+    ("group", 0, 1): "3d5c9cb6b9d605c076579eb84d3de030c4f2beeef01f611764de5fbda198f21e",
+    ("group", 0, 2): _EMPTY_GROUP,
+    ("group", 0, 3): "c292e69ae31daccd26ad17fd95f9790fe130e5c0bb133c85974250a1e8087408",
+    ("group", 0, 4): _EMPTY_GROUP,
+    ("group", 0, 5): "ed4cc9422f939cfe69aef33fb9803f5b5493e4d97a7d0027c18a0884e96db998",
+    ("group", 2**31 - 1, 1): "6fcfeb7c7b2a8138cf67d9dea3dfbddef184ef36972b782d2f70e7fa0659418b",
+    ("group", 2**31 - 1, 2): _EMPTY_GROUP,
+    ("algebra", 7, 1): "11762d7363aa7b018a1dd17cd8e8d26775b3265b457526e450e868cad4527dfd",
+    ("algebra", 7, 2): _EMPTY_ALGEBRA,
+    ("algebra", 7, 3): "307d115f4ee8cfd28c5af1ba3e73e21257b23636b4fdd22205287c1571bfe4d1",
+    ("algebra", 7, 4): _EMPTY_ALGEBRA,
+    ("algebra", 7, 5): "13312553db1b095f0e3715b80e96991f4a702c9d85ebed4bb8516553473ccd48",
+    ("algebra", 7, 6): _EMPTY_ALGEBRA,
+    ("algebra", 0, 1): "964f2c7a6d10371b64a3afed391acc997a18d8bbfce6335de41b6bb8adafb17c",
+    ("algebra", 0, 2): _EMPTY_ALGEBRA,
+    ("algebra", 0, 3): "ace004c6eaf573c412ae86825f9dbf22be42ba3cd55f9a61dfb21cccf8822d36",
+    ("algebra", 0, 4): _EMPTY_ALGEBRA,
+    ("algebra", 0, 5): "c10f2625b4d02b99ca42621b233569e49086585cb6eb82b7303f051073bfd95d",
+    ("algebra", 2**31 - 1, 1): "3d9b6b03d38f490ee56f9eb1d82ee6d94b5f4395148a44e6658503968cb447c9",
+    ("algebra", 2**31 - 1, 2): _EMPTY_ALGEBRA,
+}
+
+
+class TestByteStable:
+    @pytest.mark.parametrize("mode, p, n", sorted(HOM_DIGESTS))
+    def test_hom_out_file(self, capsys, tmp_path, mode, p, n):
+        path = str(tmp_path / "hom.json")
+        rc, _, _ = run(capsys, "hom", "sym2-dual-sym", "adjoint-sl2",
+                       "--n", str(n), "--p", str(p), "--mode", mode,
+                       "--out", path)
+        assert rc == 0
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == \
+                HOM_DIGESTS[mode, p, n]
+
+    def test_brj_report_and_algebra(self):
+        # the --report JSON without its timings, and the 10|12 algebra
+        report = brj25(5)
+        d = _brj_report_dict(report)
+        del d["seconds"]
+        text = json.dumps(d, indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "5ab5b1750cafad31b6950a166b595a56983a758490f7b6495d347d45d9e9550d"
+        text = report.algebra.to_json(sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "9565e15b7ec4c3435728347eb764a5fd05396fe7d8ad92a2b4a31dd968d1a613"
 
 
 class TestCensus:

@@ -186,12 +186,6 @@ class TestSubspaceLattice:
         assert u == v
         assert np.array_equal(u.basis.data, v.basis.data)
 
-    def test_complement_constraints(self):
-        rng = random.Random(9)
-        u = rand_subspace(F7, 6, 3, rng)
-        c = u.complement_constraints()
-        assert kernel(Matrix(F7, c.data)) == u
-
 
 class TestSpinning:
     def shift_op(self, ctx, n):
@@ -388,3 +382,142 @@ class TestSympyOracle:
         assert pivots == list(want_pivots) and rk == len(pivots)
         assert got.data.dtype == ctx.dtype
         assert np.array_equal(got.data, _from_sympy(ctx, want))
+
+
+# -- the echelon layer against the algorithms it replaced -------------------
+
+def ref_sum(u, v):
+    """The RREF of the stacked bases."""
+    stacked = np.concatenate([u.basis.data, v.basis.data])
+    return Subspace.from_vectors(u.ctx, u.ambient_dim, list(stacked))
+
+
+def ref_intersect(u, v):
+    """x = a.U = b.V: the kernel of [U^T | -V^T], mapped back through U."""
+    ctx = u.ctx
+    if u.dim == 0 or v.dim == 0:
+        return Subspace.zero(ctx, u.ambient_dim)
+    ker = kernel(Matrix(ctx, np.concatenate([u.basis.data.T,
+                                             -v.basis.data.T], axis=1)))
+    vecs = ctx.reduce(ker.basis.data[:, :u.dim] @ u.basis.data)
+    return Subspace.from_vectors(ctx, u.ambient_dim, list(vecs))
+
+
+def ref_closure(ctx, n, seeds, ops):
+    """The closure loop that row-reduces the fresh vectors, then the whole
+    stack, then finds its frontier by a residual pass."""
+    w = Subspace.from_vectors(ctx, n, seeds)
+    if not ops:
+        return w
+    frontier = w.basis.data
+    while w.dim not in (0, n) and frontier.shape[0] > 0:
+        images = np.concatenate([ctx.reduce(frontier @ op.data.T)
+                                 for op in ops])
+        residuals = w.residuals(images)
+        fresh = residuals[residuals.astype(bool).any(axis=1)]
+        if fresh.shape[0] == 0:
+            break
+        nxt = ref_sum(w, Subspace.from_vectors(ctx, n, list(fresh)))
+        if nxt.dim == w.dim:
+            break
+        frontier = nxt.basis.data[
+            w.residuals(nxt.basis.data).astype(bool).any(axis=1)]
+        w = nxt
+    return w
+
+
+def ref_largest_invariant_within(k, ops):
+    """W <- {w in W : C.op(w) = 0 for all op}, C a matrix with kernel W."""
+    ctx, w = k.ctx, k
+    while w.dim:
+        c = kernel(Matrix(ctx, w.basis.data)).basis
+        if c.rows == 0 or not ops:
+            return w
+        b = w.basis.data
+        blocks = [ctx.reduce(c.data @ ctx.reduce(op.data @ b.T)) for op in ops]
+        coeff_kernel = kernel(Matrix(ctx, np.concatenate(blocks)))
+        if coeff_kernel.dim == w.dim:
+            return w
+        vecs = ctx.reduce(coeff_kernel.basis.data @ b)
+        w = Subspace.from_vectors(ctx, k.ambient_dim, list(vecs))
+    return w
+
+
+def assert_same(got, want):
+    assert got == want
+    assert got.pivots == want.pivots
+    assert got.basis.data.dtype == want.basis.data.dtype
+
+
+def _shift(ctx, n):
+    """e_i -> e_(i+1): e_0 spins to everything in n - 1 rounds."""
+    a = ctx.zeros(n, n)
+    a[np.arange(1, n), np.arange(n - 1)] = ctx.one
+    return Matrix(ctx, a)
+
+
+@st.composite
+def _subspaces(draw, ctx, n):
+    rows = draw(st.integers(0, n))
+    if rows == 0:
+        return Subspace.zero(ctx, n)
+    return Subspace.from_vectors(ctx, n, list(draw(_matrices(ctx, rows, n))))
+
+
+@st.composite
+def _operators(draw, ctx, n):
+    ops = [Matrix(ctx, a) for a in draw(st.lists(_matrices(ctx, n, n),
+                                                 max_size=2))]
+    if draw(st.booleans()):
+        ops.append(_shift(ctx, n))
+    return ops
+
+
+ECHELON_FIELDS = [F3, F5, FieldCtx.prime(2**31 - 1), Q]
+
+
+@pytest.mark.parametrize("ctx", ECHELON_FIELDS, ids=repr)
+class TestEchelonDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sum_and_intersect(self, ctx, data):
+        n = data.draw(st.integers(1, 6))
+        u, v = data.draw(_subspaces(ctx, n)), data.draw(_subspaces(ctx, n))
+        assert_same(u.sum(v), ref_sum(u, v))
+        assert_same(u.intersect(v), ref_intersect(u, v))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_invariant_closure(self, ctx, data):
+        n = data.draw(st.integers(1, 8))
+        ops = data.draw(_operators(ctx, n))
+        seeds = list(data.draw(_matrices(ctx, data.draw(st.integers(1, 2)), n)))
+        if data.draw(st.booleans()):
+            seeds = [ctx.eye(n)[0]]
+        assert_same(invariant_closure(ctx, n, seeds, ops),
+                    ref_closure(ctx, n, seeds, ops))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_largest_invariant_within(self, ctx, data):
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(_subspaces(ctx, n))
+        ops = data.draw(_operators(ctx, n))
+        assert_same(largest_invariant_within(k, ops),
+                    ref_largest_invariant_within(k, ops))
+
+    def test_shift_chain(self, ctx):
+        # one row a round: e_0 spins to everything, and the largest
+        # invariant subspace of span(e_0..e_(n-3), e_(n-1)) loses one row a
+        # round down to span(e_(n-1))
+        n = 8
+        op = _shift(ctx, n)
+        seed = [ctx.eye(n)[0]]
+        w = invariant_closure(ctx, n, seed, [op])
+        assert w.dim == n
+        assert_same(w, ref_closure(ctx, n, seed, [op]))
+        k = Subspace.from_vectors(ctx, n,
+                                  list(ctx.eye(n)[[*range(n - 2), n - 1]]))
+        core = largest_invariant_within(k, [op])
+        assert core.pivots == [n - 1]
+        assert_same(core, ref_largest_invariant_within(k, [op]))

@@ -186,7 +186,7 @@ class TestStructure:
         s = g.subalgebra_from_ideal(d)
         # all supertraces vanish on the derived subalgebra
         mats = g.matrix_basis
-        for v in d.full_subspace().basis.data:
+        for v in d.space.basis.data:
             m = sum(int(v[i]) * mats[i] for i in range(g.dim))
             strace = (m[0, 0] + m[1, 1] - m[2, 2]) % 5
             assert strace == 0
@@ -219,12 +219,12 @@ class TestStructure:
         from superlie.linalg import Subspace
 
         a = sl(2, 1, F5)
-        v = F5.zeros(len(a.even_coords))
-        v[0] = 1
-        bogus = Subspace.from_vectors(F5, len(a.even_coords), [v])
+        v = F5.zeros(a.dim)
+        v[a.even_coords[0]] = 1
+        bogus = Subspace.from_vectors(F5, a.dim, [v])
         from superlie.superalgebra import SuperIdeal
 
-        ideal = SuperIdeal(a, bogus, Subspace.zero(F5, len(a.odd_coords)))
+        ideal = SuperIdeal(a, bogus)
         with pytest.raises(NotAnIdeal):
             a.quotient(ideal)
 
@@ -380,7 +380,7 @@ def loop_ad(alg, T, i):
 
 
 def loop_center(alg, T):
-    """(even, odd) parts of the kernel of x -> ([x, e_j])_j."""
+    """The kernel of x -> ([x, e_j])_j."""
     ctx, n = alg.ctx, alg.dim
     blocks = []
     for j in range(n):
@@ -389,11 +389,11 @@ def loop_center(alg, T):
             for k, c in T.get((m, j), {}).items():
                 a[k, m] = c
         blocks.append(a)
-    return alg.split_graded(kernel(Matrix(ctx, np.concatenate(blocks))))
+    return kernel(Matrix(ctx, np.concatenate(blocks)))
 
 
 def loop_derived(alg, T):
-    """(even, odd) parts of the span of the brackets [e_i, e_j], i <= j."""
+    """The span of the brackets [e_i, e_j], i <= j."""
     ctx, n = alg.ctx, alg.dim
     vecs = []
     for (i, j), row in T.items():
@@ -402,14 +402,14 @@ def loop_derived(alg, T):
             for k, c in row.items():
                 v[k] = c
             vecs.append(v)
-    return alg.split_graded(Subspace.from_vectors(ctx, n, vecs))
+    return Subspace.from_vectors(ctx, n, vecs)
 
 
 def loop_quotient_table(alg, T, ideal):
     """The quotient's brackets on the non-pivot coordinates, each bracket
     reduced against the ideal on its own."""
     ctx = alg.ctx
-    full = ideal.full_subspace()
+    full = ideal.space
     keep = [i for i in range(alg.dim) if i not in full.pivots]
     table = {}
     for a, i in enumerate(keep):
@@ -425,11 +425,12 @@ def loop_quotient_table(alg, T, ideal):
     return table
 
 
-def loop_subalgebra_table(alg, T, even_sub, odd_sub):
-    """The brackets of the subalgebra's basis vectors, one bracket_vec
-    loop per pair."""
-    b = [alg.embed_even(v) for v in even_sub.basis.data]
-    b += [alg.embed_odd(v) for v in odd_sub.basis.data]
+def loop_subalgebra_table(alg, T, w):
+    """The brackets of the subalgebra's basis vectors, the rows with an even
+    pivot first, one bracket_vec loop per pair."""
+    rows = list(zip(w.basis.data, w.pivots))
+    b = [v for v, c in rows if not alg.parities[c]]
+    b += [v for v, c in rows if alg.parities[c]]
     coords, in_span = SpanSolver(alg.ctx, np.stack(b)).coords_rows(np.stack(
         [loop_bracket_vec(alg.ctx, T, x, y) for x in b for y in b]))
     assert in_span.all()
@@ -491,8 +492,8 @@ def assert_matches_loops(alg, rng):
         assert np.array_equal(alg.bracket_vec(x, y),
                               loop_bracket_vec(ctx, T, x, y))
     center, derived = alg.center(), alg.derived_subalgebra()
-    assert (center.even_part, center.odd_part) == loop_center(alg, T)
-    assert (derived.even_part, derived.odd_part) == loop_derived(alg, T)
+    assert center.space == loop_center(alg, T)
+    assert derived.space == loop_derived(alg, T)
     assert alg.to_json_dict()["brackets"] == loop_json_brackets(ctx, T)
     assert alg.validate_cubic_odd().witness == loop_cubic_witness(alg, T)
     # the per-pair loops are quadratic in the dimension: the smaller ones
@@ -501,8 +502,7 @@ def assert_matches_loops(alg, rng):
             assert (bracket_table(alg.quotient(ideal))
                     == loop_quotient_table(alg, T, ideal))
         assert (bracket_table(alg.subalgebra_from_ideal(derived))
-                == loop_subalgebra_table(alg, T, derived.even_part,
-                                         derived.odd_part))
+                == loop_subalgebra_table(alg, T, derived.space))
 
 
 class TestArrayMethodsDifferential:
@@ -532,6 +532,71 @@ class TestArrayMethodsDifferential:
                 assert poly.coefficient(m) == c
         assert failing
 
+
+
+def interleaved(alg):
+    """alg read back from JSON with its basis reordered odd, even, odd, ...
+    (each parity keeps its own order), so an odd element comes first."""
+    odd, even = alg.odd_coords, alg.even_coords
+    order = []
+    for k in range(max(len(odd), len(even))):
+        order += odd[k:k + 1] + even[k:k + 1]
+    pos = {old: new for new, old in enumerate(order)}
+    d = alg.to_json_dict()
+    d["basis"] = [d["basis"][i] for i in order]
+    d["brackets"] = [[pos[i], pos[j], [[pos[k], c] for k, c in entry]]
+                     for i, j, entry in d["brackets"]]
+    return algebra_from_json(json.dumps(d))
+
+
+class TestGradedInvariant:
+    """Every SuperIdeal is graded, and bases that interleave parities give
+    the same answers as their even-first order."""
+
+    def test_mixed_parity_subspace_rejected(self):
+        a = sl(2, 1, F5)
+        v = F5.zeros(a.dim)
+        v[[a.even_coords[0], a.odd_coords[0]]] = 1
+        mixed = Subspace.from_vectors(F5, a.dim, [v])
+        with pytest.raises(NotAnIdeal, match="not graded"):
+            SuperIdeal(a, mixed)
+        with pytest.raises(NotAnIdeal, match="not graded"):
+            a.subalgebra(mixed)
+
+    def test_parity_breaking_bracket_in_derived(self):
+        # unvalidated, so nothing has checked the grading: [H, x] = H + x
+        consts = F5.zeros(2, 2, 2)
+        consts[0, 1] = [1, 1]
+        consts[1, 0] = [4, 4]
+        alg = LieSuperalgebra(F5, ["H", "x"], [0, 1], consts)
+        with pytest.raises(NotAnIdeal, match="not graded"):
+            alg.derived_subalgebra()
+
+    @pytest.mark.parametrize("build", [
+        lambda: gl(2, 1, F5), lambda: sl(2, 1, Q),
+        lambda: periplectic_derived(2, F5), lambda: psq(2, F3),
+        lambda: sl11(F7)],
+        ids=["gl21-p5", "sl21-q", "periplectic2-p5", "psq2-p3", "sl11-p7"])
+    def test_odd_first_basis(self, build):
+        alg = build()
+        assert list(alg.parities) == sorted(alg.parities)
+        mixed = interleaved(alg)
+        assert mixed.parities[0] == 1
+        T = bracket_table(mixed)
+        center, derived = mixed.center(), mixed.derived_subalgebra()
+        assert center.space == loop_center(mixed, T)
+        assert derived.space == loop_derived(mixed, T)
+        assert center.dims == alg.center().dims
+        assert derived.dims == alg.derived_subalgebra().dims
+        assert (mixed.is_graded_simple().verdict
+                == alg.is_graded_simple().verdict)
+        sub = mixed.subalgebra_from_ideal(derived)
+        assert bracket_table(sub) == loop_subalgebra_table(mixed, T,
+                                                           derived.space)
+        # each parity keeps its order, so the rows of each part are the
+        # same and so is the subalgebra
+        even_first = alg.subalgebra_from_ideal(alg.derived_subalgebra())
+        assert sub.to_json() == even_first.to_json()
 
 class TestCubic:
     def test_cubic_holds_for_matrix_algebra(self):
@@ -711,7 +776,7 @@ class TestNorton:
         dual = invariant_closure(F5, alg.dim, [seed],
                                  [m.transpose() for m in alg.ad_matrices()])
         assert 0 < dual.dim < alg.dim
-        assert not SuperIdeal(alg, *alg.split_graded(dual)).verify()
+        assert not SuperIdeal(alg, dual).verify()
 
 
 class TestSearch:
