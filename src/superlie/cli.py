@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check/validation failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -251,7 +252,10 @@ def cmd_validate_file(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged
+    and gives every call a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="superlie",
         description="exact construction and verification of modular Lie "
@@ -306,8 +310,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

@@ -109,6 +109,46 @@ def from_int(ctx: FieldCtx, ints: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# sparse joins: products and sums on the nonzero entries of integer arrays
+# ---------------------------------------------------------------------------
+
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the previous
+    one: the first entry of each run of equal values."""
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = a[1:] != a[:-1]
+    return starts
+
+
+def join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The index pairs (x, y) with left[x] == right[y], by increasing x and,
+    for one x, increasing y.  Joining the entries of matrices on the middle
+    index gives every term of their products."""
+    order = np.argsort(right, kind="stable")
+    srt = right[order]
+    lo = np.searchsorted(srt, left, "left")
+    cnt = np.searchsorted(srt, left, "right") - lo
+    x = np.repeat(np.arange(len(left)), cnt)
+    start = np.repeat(np.cumsum(cnt) - cnt, cnt)
+    y = order[np.repeat(lo, cnt) + np.arange(len(x)) - start]
+    return x, y
+
+
+def nonzero_sums(ctx: FieldCtx, keys: np.ndarray,
+                 terms: np.ndarray) -> np.ndarray:
+    """The distinct keys, in increasing order, whose terms do not sum to
+    zero in the field: terms are integers, reduced once per key (residues
+    over F_p, integers over one common denominator over Q)."""
+    if not len(keys):
+        return keys
+    order = np.argsort(keys, kind="stable")
+    keys, terms = keys[order], terms[order]
+    first = np.flatnonzero(run_starts(keys))
+    sums = ctx.reduce(np.add.reduceat(terms, first))
+    return keys[first[sums != 0]]
+
+
 class Matrix:
     """Immutable dense matrix over a FieldCtx."""
 
@@ -216,12 +256,16 @@ class Matrix:
 def _rref_array(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int]]:
     a = a.copy()
     n_rows, n_cols = a.shape
+    # np.nonzero tests each entry of an object array twice; a cast to bool
+    # tests it once
+    obj = a.dtype == object
     pivots: List[int] = []
     r = 0
     for c in range(n_cols):
         if r == n_rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[r:, c]
+        nz = np.nonzero(col.astype(bool) if obj else col)[0]
         if len(nz) == 0:
             continue
         i = r + int(nz[0])
@@ -234,9 +278,9 @@ def _rref_array(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int
         # Fractions every avoided operation is a gcd saved
         factors = a[:, c].copy()
         factors[r] = 0
-        rows_nz = np.nonzero(factors)[0]
+        rows_nz = np.nonzero(factors.astype(bool) if obj else factors)[0]
         if len(rows_nz):
-            cols_nz = np.nonzero(a[r])[0]
+            cols_nz = np.nonzero(a[r].astype(bool) if obj else a[r])[0]
             ix = np.ix_(rows_nz, cols_nz)
             a[ix] = ctx.reduce(
                 a[ix] - np.outer(factors[rows_nz], a[r][cols_nz]))

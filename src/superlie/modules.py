@@ -29,9 +29,10 @@ from .linalg import (
     exact_matmul,
     from_int,
     int_family,
-    int_matmul,
     invariant_closure,
+    join,
     kernel,
+    nonzero_sums,
 )
 
 
@@ -95,22 +96,47 @@ class CoeffOperatorFamily:
         if not np.array_equal(self.ops[0].data, ctx.eye(n)):
             raise CompositionViolation(f"{self.label}: op_0 is not the identity")
         d = self.degree
+        if not d:
+            return
         # clear all denominators once: A_k = J_k / s, so the identity
         # A_a A_b = C(a+b,a) A_{a+b} becomes J_a J_b = C s J_{a+b} on integer
-        # arrays (over F_p the residues themselves, s = 1)
-        ints, s = int_family(ctx, [op.data for op in self.ops])
-        for a in range(d + 1):
-            for b in range(d + 1):
-                lhs = int_matmul(ctx, ints[a], ints[b])
-                if a + b > d:
-                    if np.any(lhs):
-                        raise CompositionViolation(
-                            f"{self.label}: A_{a} A_{b} nonzero beyond degree {d}")
-                    continue
-                rhs = ints[a + b] * ctx.reduce(math.comb(a + b, a) * s)
-                if np.any(ctx.reduce(lhs - rhs)):
-                    raise CompositionViolation(
-                        f"{self.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
+        # arrays (over F_p the residues themselves, s = 1).  It holds when a
+        # or b is 0; every other J_a J_b comes from one join of the entries
+        # of J_1..J_d on the middle index, and C s J_{a+b} is added with the
+        # opposite sign at each split a + b of its degree.  A key packs
+        # (a, b, row, col), so the least one left is the least failing (a, b)
+        ints, s = int_family(ctx, [op.data for op in self.ops[1:]])
+        k, r, c, v = _nonzeros(np.stack(ints))
+        k += 1
+        x, y = join(c, r)
+        lhs_keys = ((k[x] * (d + 1) + k[y]) * n + r[x]) * n + c[y]
+        # entry e of J_k once for each split k = a + b with a, b >= 1
+        splits = k - 1
+        e = np.repeat(np.arange(len(k)), splits)
+        first = np.repeat(np.cumsum(splits) - splits, splits)
+        a = np.arange(len(e)) - first + 1
+        rhs_keys = ((a * (d + 1) + k[e] - a) * n + r[e]) * n + c[e]
+        binom = ctx.reduce(np.array(
+            [[math.comb(i, j) * s for j in range(d + 1)]
+             for i in range(d + 1)], dtype=object)).astype(v.dtype)
+        keys = nonzero_sums(
+            ctx, np.concatenate([lhs_keys, rhs_keys]),
+            np.concatenate([ctx.reduce(v[x] * v[y]),
+                            ctx.reduce(-binom[k[e], a] * v[e])]))
+        if len(keys):
+            a, b = divmod(int(keys[0]) // (n * n), d + 1)
+            if a + b > d:
+                raise CompositionViolation(
+                    f"{self.label}: A_{a} A_{b} nonzero beyond degree {d}")
+            raise CompositionViolation(
+                f"{self.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
+
+
+def _nonzeros(a: np.ndarray):
+    """The indices of the nonzero entries of a, one array per axis in
+    lexicographic order, followed by their values."""
+    idx = np.nonzero(a.astype(bool))
+    return (*idx, a[idx])
 
 
 class GModule:
@@ -156,7 +182,6 @@ class GModule:
         raise LabelMismatch(f"no family labeled {label}")
 
     def validate(self):
-        ctx = self.ctx
         for m in self.lie_action:
             if m.rows != self.dim or m.cols != self.dim:
                 raise DimensionMismatch("lie action shape mismatch")
@@ -168,46 +193,69 @@ class GModule:
         if self.brackets is not None:
             self._check_brackets()
         if self.weights is not None:
-            for f in self.families:
-                if f.root is None:
-                    continue
-                for k, op in enumerate(f.ops):
-                    if k == 0:
-                        continue
-                    for r, c in zip(*np.nonzero(op.data)):
-                        if tuple(
-                            a + k * b
-                            for a, b in zip(self.weights[c], f.root)
-                        ) != self.weights[r]:
-                            raise CompositionViolation(
-                                f"{f.label}: op_{k} breaks weights at "
-                                f"({r},{c})")
+            self._check_weights()
+
+    def _check_weights(self):
+        """Each op_k of a family with a root maps weight w to w + k root:
+        raise at the first entry (r, c), in row-major order, of the first
+        operator that breaks it."""
+        if (len(self.weights) != self.dim
+                or len({len(wt) for wt in self.weights}) > 1):
+            raise DimensionMismatch("weights need one tuple of one length "
+                                    "per basis vector")
+        w = np.array(self.weights).reshape(self.dim, -1)
+        for f in self.families:
+            if f.root is None:
+                continue
+            if len(f.root) != w.shape[1]:
+                raise DimensionMismatch(
+                    f"family {f.label} root length mismatch")
+            root = np.array(f.root)
+            for k, op in enumerate(f.ops[1:], 1):
+                r, c, _ = _nonzeros(op.data)
+                bad = np.flatnonzero((w[c] + k * root != w[r]).any(axis=1))
+                if len(bad):
+                    raise CompositionViolation(
+                        f"{f.label}: op_{k} breaks weights at "
+                        f"({r[bad[0]]},{c[bad[0]]})")
 
     def _check_brackets(self):
         """[A_i, A_j] = sum_k brackets[i, j, k] A_k for every pair i < j.
 
-        Per i, one product gives every A_i A_j, one every A_j A_i and one
-        every right-hand side: all pairs at once would hold d^2 n^2
-        entries, 18 MB for brj's 78-dimensional Sym2(U)."""
+        With A_i = J_i / s and brackets = K / t on integer arrays, that is
+        t (J_i J_j - J_j J_i) = s sum_k K_ijk J_k.  Every product J_i J_j
+        comes from one join of the entries of the J on the middle index,
+        every right-hand side from one join of the entries of K with those
+        of the J_k.  A key packs (i, j, row, col), so the least one left is
+        the least failing (i, j)."""
         ctx, n, d = self.ctx, self.dim, len(self.lie_action)
         if self.brackets.shape != (d, d, d):
             raise DimensionMismatch("brackets shape mismatch")
         if not d:
             return
-        stack = np.stack([m.data for m in self.lie_action])
-        for i in range(d - 1):
-            rest, m = stack[i + 1:], d - 1 - i
-            ab = exact_matmul(ctx, stack[i],
-                              rest.transpose(1, 0, 2).reshape(n, m * n))
-            ba = exact_matmul(ctx, rest.reshape(m * n, n), stack[i])
-            want = exact_matmul(ctx, self.brackets[i, i + 1:],
-                                stack.reshape(d, n * n))
-            diff = (ab.reshape(n, m, n).transpose(1, 0, 2).reshape(m, -1)
-                    - ba.reshape(m, -1) - want)
-            bad = np.flatnonzero(ctx.reduce(diff).astype(bool).any(axis=1))
-            if len(bad):
-                raise CompositionViolation(
-                    f"representation property fails on ({i},{i + 1 + bad[0]})")
+        ints, s = int_family(ctx, [m.data for m in self.lie_action])
+        (consts,), t = int_family(ctx, [self.brackets])
+        i, r, c, v = _nonzeros(np.stack(ints))
+        x, y = join(c, r)
+        off = i[x] != i[y]
+        x, y = x[off], y[off]
+        lo, hi = np.minimum(i[x], i[y]), np.maximum(i[x], i[y])
+        prod = ctx.reduce(v[x] * v[y] * t)
+        # J_j J_i with i < j enters the commutator of (i, j) negated
+        prod = np.where(i[x] < i[y], prod, -prod)
+        bi, bj, bk, bv = _nonzeros(consts)
+        upper = bi < bj
+        bi, bj, bk, bv = bi[upper], bj[upper], bk[upper], bv[upper]
+        x2, y2 = join(bk, i)
+        keys = nonzero_sums(
+            ctx,
+            np.concatenate([((lo * d + hi) * n + r[x]) * n + c[y],
+                            ((bi[x2] * d + bj[x2]) * n + r[y2]) * n + c[y2]]),
+            np.concatenate([prod, ctx.reduce(-(bv[x2] * v[y2] * s))]))
+        if len(keys):
+            i, j = divmod(int(keys[0]) // (n * n), d)
+            raise CompositionViolation(
+                f"representation property fails on ({i},{j})")
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -280,11 +328,6 @@ def dual(m: GModule) -> GModule:
     meta["name"] = meta.get("name", "module") + "*"
     return GModule(ctx, labels, m.lie_labels, lie, fams, weights=weights,
                    brackets=m.brackets, meta=meta)
-
-
-def _nonzeros(a: np.ndarray):
-    rows, cols = np.nonzero(a)
-    return rows, cols, a[rows, cols]
 
 
 def _product_coeffs(ctx: FieldCtx, ops1: Sequence[np.ndarray],
@@ -564,19 +607,22 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
 
     implied are pairs every solution satisfies anyway.  Only the entries in
     the weight support of both lists are unknowns: the column of f_rc in the
-    Kronecker system is B[:, r] (x) e_c - e_r (x) A[c, :]."""
+    Kronecker system is B[:, r] (x) e_c - e_r (x) A[c, :].  With A = J_A / s
+    and B = J_B / s on integer arrays the system is built from J_B and J_A,
+    s times the one over the field, with the same solutions."""
     n = d1 * d2
     rs, cs = np.nonzero(_weight_support(d1, d2, list(op_pairs) + list(implied)))
     unknowns = np.arange(len(rs))
     space: Optional[Subspace] = None
     for a, b in op_pairs:
-        cols = ctx.zeros(d2, d1, len(rs))
-        cols[:, cs, unknowns] = b.data[:, rs]
-        cols[rs, :, unknowns] -= a.data[cs, :]
+        (ja, jb), _ = int_family(ctx, [a.data, b.data])
+        cols = np.zeros((d2, d1, len(rs)), dtype=ctx.dtype)
+        cols[:, cs, unknowns] = jb[:, rs]
+        cols[rs, :, unknowns] -= ja[cs, :]
         lmat = ctx.reduce(cols.reshape(n, len(rs)))
-        lmat = lmat[np.any(lmat, axis=1)]
+        lmat = lmat[lmat.astype(bool).any(axis=1)]
         if space is None:
-            space = kernel(Matrix(ctx, lmat))
+            space = kernel(Matrix(ctx, from_int(ctx, lmat, 1)))
         elif lmat.shape[0]:
             space = space.where_zero(exact_matmul(ctx, space.basis.data,
                                                   lmat.T))

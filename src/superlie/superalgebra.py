@@ -35,7 +35,10 @@ from .linalg import (
     int_family,
     int_matmul,
     invariant_closure,
+    join,
     kernel,
+    nonzero_sums,
+    run_starts,
 )
 
 Table = Dict[Tuple[int, int], Dict[int, object]]
@@ -73,14 +76,6 @@ class CenterNotInside(SuperlieError, ValueError):
 
 class BracketIndexError(SuperlieError, IndexError):
     pass
-
-
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the previous
-    one: the first entry of each run of equal values."""
-    starts = np.ones(len(a), dtype=bool)
-    starts[1:] = a[1:] != a[:-1]
-    return starts
 
 
 @dataclass
@@ -244,7 +239,7 @@ class LieSuperalgebra:
         i, j, _, _ = self._coo()
         # sorted, as the support is; np.unique would import numpy.ma
         flat = (i * self.dim + j)[i <= j]
-        return flat[_run_starts(flat)]
+        return flat[run_starts(flat)]
 
     def validate_jacobi(self, full: bool = False) -> JacobiReport:
         """Graded Jacobi on basis triples: J(i, j, k) = s_ik [[e_i,e_j],e_k]
@@ -265,12 +260,7 @@ class LieSuperalgebra:
         ea, eb, ek, vals = self._coo()
         (vals,), _ = int_family(self.ctx, [vals])
         # join: entry x = ([e_a,e_b] -> e_m) meets every entry y with a = m
-        order = np.argsort(ea, kind="stable")
-        lo = np.searchsorted(ea[order], ek, "left")
-        cnt = np.searchsorted(ea[order], ek, "right") - lo
-        x = np.repeat(np.arange(len(ea)), cnt)
-        start = np.repeat(np.cumsum(cnt) - cnt, cnt)
-        y = order[np.repeat(lo, cnt) + np.arange(len(x)) - start]
+        x, y = join(ek, ea)
         a, b, c, l = ea[x], eb[x], eb[y], ek[y]
         odd = np.asarray(self.parities, dtype=bool)
         terms = self.ctx.reduce(vals[x] * vals[y])
@@ -280,15 +270,9 @@ class LieSuperalgebra:
             keep = slice(None) if full else (i <= j) & (j <= k)
             keys.append((((i * n + j) * n + k) * n + l)[keep])
             parts.append(terms[keep])
-        keys, terms = np.concatenate(keys), np.concatenate(parts)
-        if not len(keys):
-            return JacobiReport(ok=True)
-        order = np.argsort(keys, kind="stable")
-        keys, terms = keys[order], terms[order]
-        first = np.flatnonzero(_run_starts(keys))
-        sums = self.ctx.reduce(np.add.reduceat(terms, first))
-        triples = keys[first[sums != 0]] // n
-        triples = triples[_run_starts(triples)]
+        triples = nonzero_sums(self.ctx, np.concatenate(keys),
+                               np.concatenate(parts)) // n
+        triples = triples[run_starts(triples)]
         violations = [(t // (n * n), t // n % n, t % n)
                       for t in triples.tolist()]
         return JacobiReport(ok=not violations, violations=violations)

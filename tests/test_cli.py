@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from superlie.brj import brj25
-from superlie.cli import _brj_report_dict, main
+from superlie.cli import _brj_report_dict, main, make_parser
 
 
 def run(capsys, *argv):
@@ -126,6 +126,31 @@ class TestHom:
                          "--n", "3", "--p", "7", "--mode", "both")
         assert rc == 0
         assert "dim group: 1" in out and "dim algebra: 1" in out
+
+
+class TestRepeatedMain:
+    """main parses with one parser per process; each call still behaves as
+    a fresh process."""
+
+    def test_options_do_not_carry_over(self, capsys, tmp_path):
+        assert make_parser() is make_parser()
+        path = tmp_path / "hom.json"
+        rc, out, _ = run(capsys, "hom", "sym2-dual-sym", "adjoint-sl2",
+                         "--n", "3", "--p", "7", "--mode", "both",
+                         "--out", str(path))
+        assert rc == 0 and out.endswith(f"wrote {path}\n")
+        path.unlink()
+        rc, out, _ = run(capsys, "hom", "sym2-dual-sym", "adjoint-sl2",
+                         "--n", "3")
+        # no --out, and the defaults --p 5 and --mode group again
+        assert (rc, out) == (0, "dim: 1\n") and not path.exists()
+        rc, out, _ = run(capsys, "check", "center", "--family", "sl",
+                         "--m", "2", "--n", "2", "--p", "3",
+                         "--expect", "center=0|0")
+        assert rc == 1
+        rc, out, _ = run(capsys, "check", "center", "--family", "sl",
+                         "--m", "2", "--n", "2", "--p", "3")
+        assert (rc, out) == (0, "center: 1|0\n")
 
 
 class TestBrj:

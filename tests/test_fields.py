@@ -11,6 +11,7 @@ from superlie.fields import (
     FieldCtx,
     MultiPoly,
     ZeroInverse,
+    _is_prime,
 )
 from superlie.modules import sym2
 
@@ -27,6 +28,39 @@ def brute_force_inverse(a, p):
         if (a * b) % p == 1:
             return b
     raise AssertionError(f"no inverse of {a} mod {p}")
+
+
+def trial_division(n):
+    """The trial division _is_prime replaced, as the reference."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+class TestPrimality:
+    """_is_prime (Miller-Rabin on the bases 2, 3, 5, 7) is exact for every
+    modulus FieldCtx admits."""
+
+    def test_matches_trial_division(self):
+        assert all(_is_prime(n) == trial_division(n) for n in range(200000))
+
+    @pytest.mark.parametrize("n, prime", [
+        (2**31 - 1, True),
+        (33554393, True),
+        # strong pseudoprimes to base 2
+        (2047, False), (3277, False), (4033, False),
+        # strong pseudoprime to the bases 2, 3 and 5
+        (25326001, False),
+    ])
+    def test_hard_cases(self, n, prime):
+        assert _is_prime(n) is prime is trial_division(n)
 
 
 class TestFieldCtx:

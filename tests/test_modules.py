@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from superlie.linalg import (
     Matrix,
     Subspace,
     exact_matmul,
+    int_family,
+    int_matmul,
     kernel,
 )
 from superlie.modules import (
@@ -404,6 +407,12 @@ def assert_matches_full_system(m1, m2, mode):
     want = full_system_kernel(ctx, d1, d2, pairs)
     got = _intertwiner_space(ctx, d1, d2, pairs, implied)
     assert got == want and got.pivots == want.pivots
+    # the integer Kronecker system against the one built over the field
+    ref = ref_intertwiner_space(ctx, d1, d2, pairs, implied)
+    assert got.pivots == ref.pivots
+    assert got.basis.data.dtype == ref.basis.data.dtype
+    assert [(type(x), x) for x in got.basis.data.flat] == \
+        [(type(x), x) for x in ref.basis.data.flat]
     rep = hom_space(m1, m2, mode=mode)
     assert rep.dim == want.dim
     for f, v in zip(rep.basis, want.basis.data):
@@ -483,6 +492,18 @@ class TestHomWeightSupport:
         assert assert_matches_full_system(triv, m, "group").dim == 0
 
     @pytest.mark.parametrize("mode", ["algebra", "group"])
+    def test_fractional_entries_over_q(self, mode):
+        # conjugating by diag(3, 1, 1) gives the operators entries in
+        # thirds, so the two sides of each pair have different denominators
+        adj = adjoint_sl2_module(Q)
+        c = conjugated(adj, [[3, 0, 0], [0, 1, 0], [0, 0, 1]],
+                       [["1/3", 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert any(x.denominator == 3 for op in c.all_operators()
+                   for x in op.data.flat)
+        for m1, m2 in ((c, adj), (adj, c)):
+            assert assert_matches_full_system(m1, m2, mode).dim == 1
+
+    @pytest.mark.parametrize("mode", ["algebra", "group"])
     def test_no_diagonal_operator_keeps_full_support(self, mode):
         adj = adjoint_sl2_module(F7)
         c = conjugated(adj, [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
@@ -493,6 +514,219 @@ class TestHomWeightSupport:
             assert support_size(m1, m2, mode) == 9
             rep = assert_matches_full_system(m1, m2, mode)
             assert rep.dim == hom_space(adj, adj, mode).dim == 1
+
+
+# ---------------------------------------------------------------------------
+# the replaced dense checks, kept as references for the sparse joins
+# ---------------------------------------------------------------------------
+
+def ref_family_validate(ctx, label, ops):
+    """The per-(a, b) loop CoeffOperatorFamily.validate ran after its
+    identity check: one product J_a J_b per pair."""
+    d = len(ops) - 1
+    ints, s = int_family(ctx, [op.data for op in ops])
+    for a in range(d + 1):
+        for b in range(d + 1):
+            lhs = int_matmul(ctx, ints[a], ints[b])
+            if a + b > d:
+                if np.any(lhs):
+                    raise CompositionViolation(
+                        f"{label}: A_{a} A_{b} nonzero beyond degree {d}")
+                continue
+            rhs = ints[a + b] * ctx.reduce(math.comb(a + b, a) * s)
+            if np.any(ctx.reduce(lhs - rhs)):
+                raise CompositionViolation(
+                    f"{label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
+
+
+def ref_check_brackets(ctx, lie_action, brackets):
+    """The per-i dense bracket check: per i, one product for every A_i A_j,
+    one for every A_j A_i and one for every right-hand side."""
+    n, d = lie_action[0].rows, len(lie_action)
+    stack = np.stack([m.data for m in lie_action])
+    for i in range(d - 1):
+        rest, m = stack[i + 1:], d - 1 - i
+        ab = exact_matmul(ctx, stack[i],
+                          rest.transpose(1, 0, 2).reshape(n, m * n))
+        ba = exact_matmul(ctx, rest.reshape(m * n, n), stack[i])
+        want = exact_matmul(ctx, brackets[i, i + 1:], stack.reshape(d, n * n))
+        diff = (ab.reshape(n, m, n).transpose(1, 0, 2).reshape(m, -1)
+                - ba.reshape(m, -1) - want)
+        bad = np.flatnonzero(ctx.reduce(diff).astype(bool).any(axis=1))
+        if len(bad):
+            raise CompositionViolation(
+                f"representation property fails on ({i},{i + 1 + bad[0]})")
+
+
+def ref_check_weights(families, weights):
+    """The per-entry weight loop."""
+    for f in families:
+        if f.root is None:
+            continue
+        for k, op in enumerate(f.ops):
+            if k == 0:
+                continue
+            for r, c in zip(*np.nonzero(op.data)):
+                if tuple(a + k * b for a, b in zip(weights[c], f.root)) \
+                        != weights[r]:
+                    raise CompositionViolation(
+                        f"{f.label}: op_{k} breaks weights at ({r},{c})")
+
+
+def ref_intertwiner_space(ctx, d1, d2, op_pairs, implied=()):
+    """_intertwiner_space with the Kronecker columns built over the field
+    (Fraction subtraction over Q)."""
+    n = d1 * d2
+    rs, cs = np.nonzero(_weight_support(d1, d2, list(op_pairs) + list(implied)))
+    unknowns = np.arange(len(rs))
+    space = None
+    for a, b in op_pairs:
+        cols = ctx.zeros(d2, d1, len(rs))
+        cols[:, cs, unknowns] = b.data[:, rs]
+        cols[rs, :, unknowns] -= a.data[cs, :]
+        lmat = ctx.reduce(cols.reshape(n, len(rs)))
+        lmat = lmat[np.any(lmat, axis=1)]
+        if space is None:
+            space = kernel(Matrix(ctx, lmat))
+        elif lmat.shape[0]:
+            space = space.where_zero(exact_matmul(ctx, space.basis.data,
+                                                  lmat.T))
+        if space.dim == 0:
+            break
+    if space is None:
+        space = Subspace.full(ctx, len(rs))
+    support = rs * d1 + cs
+    basis = ctx.zeros(space.dim, n)
+    basis[:, support] = space.basis.data
+    return Subspace(ctx, n, Matrix(ctx, basis),
+                    [int(support[c]) for c in space.pivots])
+
+
+def outcome(fn, *args, **kw):
+    """(exception type, message) of fn(*args, **kw), or None."""
+    try:
+        fn(*args, **kw)
+    except CompositionViolation as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def ref_module(ctx, labels, lie_labels, lie, families, weights, brackets):
+    """GModule.validate's bracket and weight checks as the loops ran them."""
+    if brackets is not None:
+        ref_check_brackets(ctx, lie, brackets)
+    if weights:
+        ref_check_weights(families, tuple(tuple(w) for w in weights))
+
+
+def lw2(ctx):
+    """brj's Lw2: the quotient of Lambda^2 of sp4's natural module by the
+    line of its invariant form, built over any field."""
+    l2 = lambda2(brj.sp4_natural_module(brj.sp4_algebra(ctx)))
+    z = ctx.zeros(6)
+    z[l2.pair_index[(0, 2)]] = z[l2.pair_index[(1, 3)]] = ctx.one
+    return quotient_module(l2, Subspace.from_vectors(ctx, 6, [z]))
+
+
+def spots(a):
+    """A few entries of a square array to perturb: its first, middle and
+    last nonzero entry and its first zero entry."""
+    nz = list(zip(*np.nonzero(a.astype(bool))))
+    zero = list(zip(*np.nonzero(~a.astype(bool))))
+    picks = [nz[0], nz[len(nz) // 2], nz[-1]] if nz else []
+    return sorted(set(picks + zero[:1]))
+
+
+def bumped(op, r, c, delta):
+    data = op.data.copy()
+    data[r, c] = op.ctx.add(data[r, c], delta)
+    return Matrix(op.ctx, data)
+
+
+DIFF_MODULES = {
+    "symn": lambda ctx: symn_module(3, ctx),
+    "symn_dual": lambda ctx: symn_dual(4, ctx),
+    "sym2": lambda ctx: sym2(symn_dual(2, ctx)),
+    "lambda2": lambda ctx: lambda2(symn_module(3, ctx)),
+    "adjoint": adjoint_sl2_module,
+    "lw2": lw2,
+}
+
+
+class TestModuleChecksDifferential:
+    """The family, bracket and weight checks on sparse joins against the
+    dense loops they replaced: the same exception type and message, hence
+    the same (a, b), (i, j) or (r, c), on modules with one entry changed."""
+
+    @pytest.mark.parametrize("name", sorted(DIFF_MODULES))
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, BIG, Q], ids=repr)
+    def test_perturbed(self, ctx, name):
+        m = DIFF_MODULES[name](ctx)
+        # 1/2: a new denominator over Q, a nonzero residue over F_p
+        delta = ctx.of(Fraction(1, 2))
+        caught = 0  # changes that the checks reject
+        for f in m.families:
+            for k in range(1, len(f.ops)):
+                for r, c in spots(f.ops[k].data):
+                    ops = list(f.ops)
+                    ops[k] = bumped(ops[k], r, c, delta)
+                    while len(ops) > 1 and ops[-1].is_zero():
+                        ops.pop()
+                    want = outcome(ref_family_validate, ctx, f.label, ops)
+                    got = outcome(CoeffOperatorFamily, f.label, ops, f.root)
+                    assert got == want
+                    caught += want is not None
+        args = (ctx, m.labels, m.lie_labels)
+        for i, a in enumerate(m.lie_action):
+            for r, c in spots(a.data):
+                lie = list(m.lie_action)
+                lie[i] = bumped(a, r, c, delta)
+                want = outcome(ref_module, *args, lie, m.families, m.weights,
+                               m.brackets)
+                got = outcome(GModule, *args, lie, m.families,
+                              weights=m.weights, brackets=m.brackets)
+                assert got == want
+                caught += want is not None
+        for i in range(m.dim):
+            weights = list(m.weights)
+            weights[i] = (weights[i][0] + 1,) + tuple(weights[i][1:])
+            want = outcome(ref_module, *args, m.lie_action, m.families,
+                           weights, m.brackets)
+            got = outcome(GModule, *args, m.lie_action, m.families,
+                          weights=weights, brackets=m.brackets)
+            assert got == want
+            caught += want is not None
+        assert caught
+
+    def test_brj_submodule(self, brj_hom_calls):
+        # M, the submodule of V (x) Lw2 that the p = 5 pipeline restricts to
+        _, m, _ = brj_hom_calls[("V", "M")]
+        sub = m.lie_action
+        assert m.brackets is not None
+        for i, a in enumerate(sub):
+            for r, c in spots(a.data):
+                lie = list(sub)
+                lie[i] = bumped(a, r, c, F5.one)
+                want = outcome(ref_module, F5, m.labels, m.lie_labels, lie,
+                               m.families, None, m.brackets)
+                got = outcome(GModule, F5, m.labels, m.lie_labels, lie,
+                              m.families, brackets=m.brackets)
+                assert got == want and want is not None
+        for f in m.families:
+            for k in range(1, len(f.ops)):
+                for r, c in spots(f.ops[k].data):
+                    ops = list(f.ops)
+                    ops[k] = bumped(ops[k], r, c, F5.one)
+                    assert outcome(CoeffOperatorFamily, f.label, ops) == \
+                        outcome(ref_family_validate, F5, f.label, ops)
+
+    def test_weights_shape_is_checked(self):
+        m = symn_module(2, F5)
+        args = (F5, m.labels, m.lie_labels, m.lie_action, m.families)
+        with pytest.raises(DimensionMismatch):
+            GModule(*args, weights=m.weights[:-1])
+        with pytest.raises(DimensionMismatch):
+            GModule(*args, weights=[w + (0,) for w in m.weights])
 
 
 class TestJson:
