@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .fields import FieldCtx, SuperlieError
-from .linalg import Matrix, Subspace, exact_matmul, kernel
+from .linalg import Matrix, Subspace, exact_matmul, kernel, operator_images
 from .modules import (
     CoeffOperatorFamily,
     GModule,
@@ -233,18 +233,6 @@ def highest_weight_hom_bound(ctx: FieldCtx) -> int:
     return kernel(Matrix.from_rows(ctx, HIGHEST_WEIGHT_SYSTEM)).dim
 
 
-def _first_nonzero_scan(ctx: FieldCtx, bracket: BilinearMap):
-    """First nonzero structure constant in the (i <= j, target) lexicographic
-    scan; used to normalize the bracket."""
-    for i in range(bracket.dim_v):
-        for j in range(i, bracket.dim_v):
-            v = bracket.value(i, j)
-            for k in range(bracket.dim_g):
-                if not ctx.is_zero(v[k]):
-                    return (i, j, k), v[k]
-    return None, None
-
-
 def brj25(p: int = 5, skip_simplicity: bool = False,
           seed: int = 0) -> PipelineReport:
     ctx = FieldCtx.prime(p)
@@ -260,10 +248,11 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     # the invariant form element v+e1 ^ v-e1 + v+e2 ^ v-e2
     z = _vector(ctx, 6, {l2.pair_index[(0, 2)]: 1, l2.pair_index[(1, 3)]: 1})
     zspan = Subspace.from_vectors(ctx, 6, [z])
-    for op in l2.all_operators():
-        if not zspan.contains(op.mv(z)):
-            raise PipelineAssertion("L2V", "invariant form element",
-                                    "not invariant", report)
+    images = operator_images(
+        ctx, z[None, :], [op.data for op in l2.all_operators()])
+    if zspan.residuals(images).any():
+        raise PipelineAssertion("L2V", "invariant form element",
+                                "not invariant", report)
     w_labels = ["w+e1+e2", "w+e1-e2", "w0", "w-e1+e2", "w-e1-e2"]
     w_weights = [(1, 1), (1, -1), (0, 0), (-1, 1), (-1, -1)]
     w_reps = [
@@ -328,18 +317,19 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
 
     t0 = time.monotonic()
     f = rep.basis_group[0]  # 10 x 78, columns indexed by sym2 pairs
-    half = ctx.inv(ctx.of(2))
-    entries = {}
+    # [u_i, u_j] is the column of f at the sym2 pair {i, j}, halved off
+    # the diagonal: one gather
+    cols = np.zeros((12, 12), dtype=np.int64)
     for (i, j), col in s2u.pair_index.items():
-        val = f.data[:, col].copy()
-        if i != j:
-            val = ctx.reduce(val * half)
-        entries[(i, j)] = val
-    bracket = BilinearMap.from_entries(ctx, 12, 10, entries)
-    pos, c = _first_nonzero_scan(ctx, bracket)
-    scale = ctx.inv(c)
-    entries = {k: ctx.reduce(v * scale) for k, v in bracket.tensor.items()}
-    bracket = BilinearMap.from_entries(ctx, 12, 10, entries)
+        cols[i, j] = cols[j, i] = col
+    weight = np.where(np.eye(12, dtype=bool), ctx.one, ctx.inv(ctx.of(2)))
+    consts = ctx.reduce(f.data[:, cols].transpose(1, 2, 0) * weight[..., None])
+    # normalised by the first nonzero constant in (i <= j, target) order
+    iu = np.triu_indices(12)
+    first = np.flatnonzero(consts[iu])[0]
+    pos = (iu[0][first // 10], iu[1][first // 10], first % 10)
+    consts = ctx.reduce(consts * ctx.inv(int(consts[pos])))
+    bracket = BilinearMap(ctx, consts)
     report.first_constant = f"[{u_labels[pos[0]]},{u_labels[pos[1]]}] " \
                             f"-> {g.labels[pos[2]]}"
 

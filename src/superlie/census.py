@@ -1,14 +1,13 @@
 """Batch evaluation of structural dichotomies over parameter grids.
 
-Rows are computed independently (optionally on a thread pool capped by the
-SUPERLIE_THREADS environment variable) and merged in sorted order, so the
-TSV/JSON-lines output is a pure function of (grid, checks, seed).
+Rows are computed independently (on a thread pool when run_census is given
+threads > 1) and merged in sorted order, so the TSV/JSON-lines output is a
+pure function of (grid, checks, seed).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,19 +88,11 @@ def _row(job, checks: Sequence[str], seed: int) -> CensusRow:
     return row
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SUPERLIE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_census(jobs: Sequence[Tuple[str, Dict[str, object], int]],
                checks: Sequence[str], seed: int = 0,
-               threads: Optional[int] = None) -> List[CensusRow]:
+               threads: int = 1) -> List[CensusRow]:
     """jobs: (family, params, p) triples.  Output sorted, deterministic."""
-    threads = thread_count() if threads is None else max(1, threads)
-    if threads == 1:
+    if threads <= 1:
         rows = [_row(j, checks, seed) for j in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

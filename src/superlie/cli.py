@@ -300,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("preset", help=", ".join(sorted(GRID_PRESETS)))
     n.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     n.add_argument("--out")
-    n.add_argument("--threads", type=int, default=None)
+    n.add_argument("--threads", type=int, default=1)
     n.set_defaults(func=cmd_census)
 
     v = sub.add_parser("validate-file", help="revalidate a JSON artifact")

@@ -677,25 +677,15 @@ def sl2_symn_constants(n: int, a, ctx: FieldCtx) -> SL2FamilyConstants:
 
 
 def sl2_symn_bracket(n: int, a, ctx: FieldCtx) -> BilinearMap:
+    """The bracket of SL2FamilyConstants on s*_0..s*_n, into the sl2
+    basis (H, E12, E21)."""
     const = sl2_symn_constants(n, a, ctx)
-    entries: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def put(i, j, g_idx, c):
-        if i > j:
-            i, j = j, i
-        v = entries.setdefault((i, j), ctx.zeros(3))
-        v[g_idx] = ctx.add(v[g_idx], c)
-
-    for i in range(n + 1):
-        if i <= n - i:
-            put(i, n - i, 0, const.a_list[i])
-    for j in range(n):
-        if j <= n - 1 - j:
-            put(j, n - 1 - j, 1, const.b_list[j])
-    for k in range(1, n + 1):
-        if k <= n + 1 - k:
-            put(k, n + 1 - k, 2, const.c_list[k - 1])
-    return BilinearMap.from_entries(ctx, n + 1, 3, entries)
+    consts = ctx.zeros(n + 1, n + 1, 3)
+    i = np.arange(n + 1)
+    consts[i, n - i, 0] = const.a_list
+    consts[i[:n], n - 1 - i[:n], 1] = const.b_list
+    consts[i[1:], n + 1 - i[1:], 2] = const.c_list
+    return BilinearMap(ctx, consts)
 
 
 def sl2_symn_algebra(n: int, a, ctx: FieldCtx) -> LieSuperalgebra:

@@ -46,6 +46,19 @@ def exact_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ctx.reduce(a @ b)
 
 
+def bilinear(ctx: FieldCtx, consts: np.ndarray, xs: np.ndarray,
+             ys: np.ndarray) -> np.ndarray:
+    """B(x_r, y_s) for every row x_r of xs and y_s of ys, as an array of
+    shape (len(xs), len(ys), g), where B(e_i, e_j) = consts[i, j] for an
+    (n, n, g) array consts: two products with consts."""
+    n, g = consts.shape[1:]
+    # left[b, r, k] = B(x_r, e_b)_k
+    left = exact_matmul(ctx, xs, consts.reshape(n, n * g))
+    left = left.reshape(len(xs), n, g).transpose(1, 0, 2)
+    out = exact_matmul(ctx, ys, left.reshape(n, len(xs) * g))
+    return out.reshape(len(ys), len(xs), g).transpose(1, 0, 2)
+
+
 def sparse_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of integer object arrays, touching only nonzero entries."""
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=object)
@@ -502,19 +515,30 @@ def invariant_closure(ctx: FieldCtx, ambient_dim: int,
     return w
 
 
+def operator_images(ctx: FieldCtx, vs: np.ndarray,
+                    ops: Sequence[np.ndarray]) -> np.ndarray:
+    """op.v for every row v of vs and every (n, n) array op of ops, as the
+    rows of one product: the images of row i are rows i*len(ops) onwards."""
+    n = vs.shape[1]
+    if not len(ops):
+        return ctx.zeros(0, n)
+    ops_t = np.concatenate([op.T for op in ops], axis=1)
+    return exact_matmul(ctx, vs, ops_t).reshape(len(vs) * len(ops), n)
+
+
 def largest_invariant_within(k: Subspace,
                              operators: Sequence[Matrix]) -> Subspace:
     """Largest subspace W <= k with op(W) <= W for every operator; iterates
     W <- {w in W : op(w) in W for all op} to a fixed point.  Row i of the
     images is the residual against W of every op(b_i), b_i basis row i."""
     _check_operators(k.ambient_dim, operators)
-    ctx, n, w = k.ctx, k.ambient_dim, k
+    ctx, w = k.ctx, k
     if not operators:
         return w
-    ops_t = np.concatenate([op.data.T for op in operators], axis=1)
+    ops = [op.data for op in operators]
     while w.dim:
-        images = exact_matmul(ctx, w.basis.data, ops_t)
-        res = w.residuals(images.reshape(-1, n)).reshape(w.dim, -1)
+        images = operator_images(ctx, w.basis.data, ops)
+        res = w.residuals(images).reshape(w.dim, -1)
         nxt = w.where_zero(res)
         if nxt.dim == w.dim:
             return w

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,10 +24,12 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    bilinear,
     exact_matmul,
     from_int,
     kernel,
     largest_invariant_within,
+    operator_images,
 )
 from .modules import (
     CoeffOperatorFamily,
@@ -74,58 +76,73 @@ class InvalidSubpair(SuperlieError, ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BilinearMap:
-    """Symmetric bilinear map V x V -> g, stored sparsely on i <= j pairs."""
+    """Symmetric bilinear map V x V -> g: consts[i, j, k] is the coefficient
+    of e_k in [v_i, v_j], a read-only (dim_v, dim_v, dim_g) array of
+    canonical scalars in ctx.zeros' dtype.  The constructor checks the
+    shape, the dtype and the symmetry."""
 
     ctx: FieldCtx
-    dim_v: int
-    dim_g: int
-    tensor: Dict[Tuple[int, int], np.ndarray]
+    consts: np.ndarray
+
+    def __post_init__(self):
+        c = self.consts
+        if (c.ndim != 3 or c.shape[0] != c.shape[1]
+                or c.dtype != self.ctx.dtype):
+            raise DimensionMismatch(
+                f"bracket array of shape {c.shape} and dtype {c.dtype}")
+        bad = np.argwhere(c != c.transpose(1, 0, 2))
+        if len(bad):
+            raise SymmetryViolation(
+                f"conflicting values for pair {tuple(bad[0, :2].tolist())}")
+        view = c.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "consts", view)
 
     @classmethod
     def from_entries(cls, ctx: FieldCtx, dim_v: int, dim_g: int,
                      entries: Dict[Tuple[int, int], np.ndarray]) -> "BilinearMap":
-        t: Dict[Tuple[int, int], np.ndarray] = {}
+        """The map with [v_i, v_j] = [v_j, v_i] = value for each (i, j) ->
+        value of entries.  A zero value sets nothing; two nonzero values
+        for one pair must agree, else SymmetryViolation."""
+        consts = ctx.zeros(dim_v, dim_v, dim_g)
         for (i, j), v in entries.items():
             v = ctx.reduce(np.asarray(v))
             if v.shape != (dim_g,):
                 raise DimensionMismatch("bracket value length mismatch")
+            if not (0 <= i < dim_v and 0 <= j < dim_v):
+                raise DimensionMismatch(
+                    f"bracket pair ({i}, {j}) out of range")
             key = (min(i, j), max(i, j))
-            if key in t:
-                if np.any(ctx.reduce(t[key] - v)):
-                    raise SymmetryViolation(
-                        f"conflicting values for pair {key}")
-            elif np.any(v):
-                t[key] = v
-        return cls(ctx, dim_v, dim_g, t)
+            if consts[key].any() and ctx.reduce(consts[key] - v).any():
+                raise SymmetryViolation(f"conflicting values for pair {key}")
+            consts[i, j] = consts[j, i] = v
+        return cls(ctx, consts)
 
-    def value(self, i: int, j: int) -> np.ndarray:
-        v = self.tensor.get((min(i, j), max(i, j)))
-        return v if v is not None else self.ctx.zeros(self.dim_g)
+    @property
+    def dim_v(self) -> int:
+        return self.consts.shape[0]
 
-    def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self.ctx.zeros(self.dim_g)
-        for i in np.nonzero(x)[0]:
-            for j in np.nonzero(y)[0]:
-                v = self.tensor.get((min(i, j), max(i, j)))
-                if v is not None:
-                    out = self.ctx.reduce(
-                        out + v * self.ctx.mul(x[int(i)], y[int(j)]))
-        return out
+    @property
+    def dim_g(self) -> int:
+        return self.consts.shape[2]
 
     def is_zero(self) -> bool:
-        return not self.tensor
+        return not self.consts.any()
+
+    def brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """[x_r, y_s] for every row x_r of xs and y_s of ys, as row
+        r * len(ys) + s."""
+        return bilinear(self.ctx, self.consts, xs, ys).reshape(
+            len(xs) * len(ys), self.dim_g)
 
     def annihilator(self) -> Subspace:
-        """{v : [v, w] = 0 for all w}."""
-        blocks = []
-        for j in range(self.dim_v):
-            a = self.ctx.zeros(self.dim_g, self.dim_v)
-            for i in range(self.dim_v):
-                a[:, i] = self.value(i, j)
-            blocks.append(a)
-        return kernel(Matrix(self.ctx, np.concatenate(blocks, axis=0)))
+        """{v : [v, w] = 0 for all w}: the kernel of the dim_v^2 dim_g x
+        dim_v matrix whose column i holds every [v_i, v_j]."""
+        n = self.dim_v
+        return kernel(Matrix(self.ctx,
+                             self.consts.reshape(n, n * self.dim_g).T))
 
 
 @dataclass(frozen=True)
@@ -155,18 +172,16 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     """Axiom 2 for every family X of the odd module, coefficientwise in t:
     B T_m = G_m B for m = 1..max(2 deg X, deg G).
 
-    B is the dim_g x dim_v^2 bracket matrix (column i*n + j holds [e_i,
-    e_j]), T_m the t^m coefficient of X(t) (x) X(t) from _tensor_family_ops and
-    G_m that of the adjoint family with the same label; column i*n + j of
-    either side is the t^m coefficient of one side of X(t)[e_i, e_j] =
-    [X(t)e_i, X(t)e_j].  Raises EquivarianceViolation at the first failing
-    family, at its least pair i <= j and then its least power m."""
+    B is the dim_g x dim_v^2 bracket matrix, consts reshaped (column
+    i*n + j holds [e_i, e_j]), T_m the t^m coefficient of X(t) (x) X(t)
+    from _tensor_family_ops and G_m that of the adjoint family with the
+    same label; column i*n + j of either side is the t^m coefficient of
+    one side of X(t)[e_i, e_j] = [X(t)e_i, X(t)e_j].  Raises
+    EquivarianceViolation at the first failing family, at its least pair
+    i <= j and then its least power m."""
     ctx, n = odd.ctx, odd.dim
     adj = {f.label: f for f in adjoint_families}
-    bmat = ctx.zeros(bracket.dim_g, n * n)
-    for (i, j), v in bracket.tensor.items():
-        bmat[:, i * n + j] = v
-        bmat[:, j * n + i] = v
+    bmat = bracket.consts.reshape(n * n, bracket.dim_g).T
     upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
     for fam, ts, s in _tensor_family_ops(odd, odd):
         if fam.label not in adj:
@@ -193,7 +208,7 @@ def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
     """The superalgebra even + odd, unvalidated.  Its structure constants
     are three blocks: the even algebra's own, the odd action
     [e_i, v_j] = lie_action[i] v_j, and the odd bracket [v_i, v_j]; the
-    mirror blocks are completed by super-antisymmetry."""
+    mirror block of the odd action is completed by super-antisymmetry."""
     ctx = even.ctx
     ne, no = even.dim, odd.dim
     consts = ctx.zeros(ne + no, ne + no, ne + no)
@@ -201,8 +216,7 @@ def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
     if ne and no:
         consts[:ne, ne:, ne:] = np.stack(
             [a.data.T for a in odd.lie_action])
-    for (i, j), v in bracket.tensor.items():
-        consts[ne + i, ne + j, :ne] = v
+    consts[ne:, ne:, :ne] = bracket.consts
     basis = [(l, 0) for l in even.labels] + [(l, 1) for l in odd.labels]
     return algebra_from_consts(ctx, basis, consts, meta=meta, validate=False)
 
@@ -272,87 +286,58 @@ def check_sas_conditions(pair: HCPair):
     return cond1, cond2, details
 
 
-def _vector_action(pair: HCPair, g_vec: np.ndarray) -> Matrix:
-    """Action of an even element (in g coordinates) on the odd part."""
-    ctx = pair.even.ctx
-    out = ctx.zeros(pair.odd.dim, pair.odd.dim)
-    for i in np.nonzero(g_vec)[0]:
-        out = ctx.reduce(
-            out + pair.odd.lie_action[int(i)].data * g_vec[int(i)])
-    return Matrix(ctx, out)
+def _vector_action(pair: HCPair, hs: np.ndarray) -> np.ndarray:
+    """The actions on the odd part of the even elements hs (rows in g
+    coordinates), as a (len(hs), dim_v, dim_v) stack: one contraction of
+    the lie_action stack."""
+    ctx, n = pair.even.ctx, pair.odd.dim
+    lie = np.array([a.data for a in pair.odd.lie_action], dtype=ctx.dtype)
+    acts = exact_matmul(ctx, hs, lie.reshape(pair.even.dim, n * n))
+    return acts.reshape(len(hs), n, n)
 
 
 def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     """Normality conditions for a subpair, at the level checkable from
     module data.  cond1 is the algebra-level ideal condition; cond2-cond4
-    are checked directly on the declared generators."""
-    ctx = pair.even.ctx
-    odd = pair.odd
+    are checked directly on the declared generators.  Each condition is
+    one batched containment test: every image lies in the space iff all
+    its residuals vanish."""
+    ctx, odd = pair.even.ctx, pair.odd
     if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != odd.dim:
         raise InvalidSubpair("subpair ambient dimensions do not match")
+    h, w = s.h_lie.basis.data, s.w.basis.data
+
+    def inside(space: Subspace, rows: np.ndarray) -> bool:
+        return not space.residuals(rows).any()
+
     # subpair internal validity: w closed under H, bracket(w, w) in h_lie
+    gen_ops = []
     for label in s.h_generators:
-        fam = odd.family_by_label(label)
-        for op in fam.ops[1:]:
-            for v in s.w.basis.data:
-                if not s.w.contains(op.mv(v)):
-                    raise InvalidSubpair(f"w not closed under {label}")
-    for h in s.h_lie.basis.data:
-        act = _vector_action(pair, h)
-        for v in s.w.basis.data:
-            if not s.w.contains(act.mv(v)):
-                raise InvalidSubpair("w not closed under Lie(H)")
-    for v1 in s.w.basis.data:
-        for v2 in s.w.basis.data:
-            if not s.h_lie.contains(pair.bracket.apply(v1, v2)):
-                raise InvalidSubpair("bracket(w, w) leaves Lie(H)")
+        ops = [op.data for op in odd.family_by_label(label).ops[1:]]
+        if not inside(s.w, operator_images(ctx, w, ops)):
+            raise InvalidSubpair(f"w not closed under {label}")
+        gen_ops += ops
+    acts = list(_vector_action(pair, h))
+    if not inside(s.w, operator_images(ctx, w, acts)):
+        raise InvalidSubpair("w not closed under Lie(H)")
+    if not inside(s.h_lie, pair.bracket.brackets(w, w)):
+        raise InvalidSubpair("bracket(w, w) leaves Lie(H)")
 
     report: Dict[str, bool] = {}
     # (1) at algebra level: Lie(H) is an ideal, stable under adjoint families
-    ok = True
-    for h in s.h_lie.basis.data:
-        full = pair.even.ctx.zeros(pair.even.dim)
-        full[:] = h
-        for j in range(pair.even.dim):
-            if not s.h_lie.contains(pair.even.bracket_with_basis(full, j)):
-                ok = False
-    for gfam in pair.adjoint_families:
-        for op in gfam.ops[1:]:
-            for h in s.h_lie.basis.data:
-                if not s.h_lie.contains(op.mv(h)):
-                    ok = False
-    report["cond1_algebra_level"] = ok
+    adj_ops = [op.data for f in pair.adjoint_families for op in f.ops[1:]]
+    report["cond1_algebra_level"] = (
+        SuperIdeal(pair.even, s.h_lie).verify()
+        and inside(s.h_lie, operator_images(ctx, h, adj_ops)))
     # (2) w invariant under every operator of the whole pair
-    ok = True
-    for op in odd.all_operators():
-        for v in s.w.basis.data:
-            if not s.w.contains(op.mv(v)):
-                ok = False
-    report["cond2"] = ok
+    report["cond2"] = inside(s.w, operator_images(
+        ctx, w, [op.data for op in odd.all_operators()]))
     # (3) H acts trivially on V/w: positive-power images of the generator
     # families and the images of Lie(H) land in w
-    ok = True
-    for label in s.h_generators:
-        fam = odd.family_by_label(label)
-        for op in fam.ops[1:]:
-            for col in op.data.T:
-                if not s.w.contains(col):
-                    ok = False
-    for h in s.h_lie.basis.data:
-        act = _vector_action(pair, h)
-        for col in act.data.T:
-            if not s.w.contains(col):
-                ok = False
-    report["cond3"] = ok
+    eye = ctx.eye(odd.dim)
+    report["cond3"] = inside(s.w, operator_images(ctx, eye, gen_ops + acts))
     # (4) [V, w] inside Lie(H)
-    ok = True
-    for v in s.w.basis.data:
-        for i in range(odd.dim):
-            e = ctx.zeros(odd.dim)
-            e[i] = ctx.one
-            if not s.h_lie.contains(pair.bracket.apply(e, v)):
-                ok = False
-    report["cond4"] = ok
+    report["cond4"] = inside(s.h_lie, pair.bracket.brackets(eye, w))
     report["ok"] = all(report.values())
     return report
 
@@ -371,15 +356,11 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
         odd_q_all.families, weights=odd_q_all.weights,
         meta={"name": pair.meta.get("name", "pair") + "/sub"})
     keep_v = [i for i in range(pair.odd.dim) if i not in set(s.w.pivots)]
-    entries: Dict[Tuple[int, int], np.ndarray] = {}
-    for a, i in enumerate(keep_v):
-        for b, j in enumerate(keep_v):
-            if a > b:
-                continue
-            residual, _ = s.h_lie.reduce_vector(pair.bracket.value(i, j))
-            entries[(a, b)] = residual[keep_g]
-    bracket_q = BilinearMap.from_entries(
-        ctx, len(keep_v), len(keep_g), entries)
+    dv = len(keep_v)
+    rows = pair.bracket.consts[np.ix_(keep_v, keep_v)].reshape(
+        dv * dv, pair.even.dim)
+    bracket_q = BilinearMap(ctx, s.h_lie.residuals(rows)[:, keep_g].reshape(
+        dv, dv, len(keep_g)))
     eye = ctx.eye(pair.even.dim)
     reps_g = [eye[i] for i in keep_g]
     adj_q = []
@@ -404,9 +385,10 @@ def pair_to_json_dict(pair: HCPair) -> dict:
 
     d = pair.even.to_json_dict()
     d["odd_action"] = pair.odd.to_json_dict()
+    b = pair.bracket.consts
     d["odd_bracket"] = [
-        [i, j, [ctx.scalar_to_str(x) for x in v.tolist()]]
-        for (i, j), v in sorted(pair.bracket.tensor.items())
+        [i, j, [ctx.scalar_to_str(x) for x in b[i, j].tolist()]]
+        for i, j in np.argwhere(np.triu(b.astype(bool).any(axis=2))).tolist()
     ]
     d["adjoint_families"] = [
         {"label": f.label, "root": list(f.root) if f.root else None,

@@ -30,6 +30,7 @@ from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
+    bilinear,
     exact_matmul,
     from_int,
     int_family,
@@ -198,24 +199,9 @@ class LieSuperalgebra:
         ks = np.flatnonzero(row)
         return dict(zip(ks.tolist(), row[ks].tolist()))
 
-    def _brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """[x_r, y_s] for every row x_r of xs and y_s of ys, as an array of
-        shape (len(xs), len(ys), n): two products with consts."""
-        ctx, n = self.ctx, self.dim
-        # left[b, r, k] = [x_r, e_b]_k
-        left = exact_matmul(ctx, xs, self.consts.reshape(n, n * n))
-        left = left.reshape(len(xs), n, n).transpose(1, 0, 2)
-        out = exact_matmul(ctx, ys, left.reshape(n, len(xs) * n))
-        return out.reshape(len(ys), len(xs), n).transpose(1, 0, 2)
-
-    def bracket_with_basis(self, x: np.ndarray, j: int) -> np.ndarray:
-        """[x, e_j] for a coordinate vector x."""
-        return exact_matmul(self.ctx, np.asarray(x)[None, :],
-                            self.consts[:, j, :])[0]
-
     def bracket_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._brackets(np.asarray(x)[None, :],
-                              np.asarray(y)[None, :])[0, 0]
+        return bilinear(self.ctx, self.consts, np.asarray(x)[None, :],
+                        np.asarray(y)[None, :])[0, 0]
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): x -> [e_i, x]."""
@@ -419,7 +405,7 @@ class LieSuperalgebra:
                                        meta=dict(self.meta))
         b = w.basis.data[np.argsort(parities, kind="stable")]
         coords, in_span = SpanSolver(self.ctx, b).coords_rows(
-            self._brackets(b, b).reshape(d * d, self.dim))
+            bilinear(self.ctx, self.consts, b, b).reshape(d * d, self.dim))
         if not in_span.all():
             raise NotAnIdeal("subspace is not closed under the bracket")
         if labels is None:
@@ -617,11 +603,11 @@ def algebra_from_consts(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
     mirror consts[i, j] is not is filled by super-antisymmetry,
     [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]; where both slices are given
     they must agree, else SkewViolation at the least (i, j, k) where they
-    differ.  Works on the nonzero entries only, on a copy of consts; with
-    validate, the algebra then runs validate()."""
+    differ.  Works on the nonzero entries only and completes consts in
+    place, with no copy: the algebra keeps the caller's array, read-only,
+    as its own.  With validate, the algebra then runs validate()."""
     labels = [b[0] for b in basis]
     parities = [int(b[1]) & 1 for b in basis]
-    consts = consts.copy()
     odd = np.asarray(parities, dtype=bool)
     nz = consts.astype(bool)
     i, j, k = np.nonzero(nz)

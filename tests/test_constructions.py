@@ -81,8 +81,8 @@ class TestMatrixRealizations:
     def test_gl_identity_is_central(self):
         g = gl(3, 2, F7)
         v = identity_coords(g)
-        for i in range(g.dim):
-            assert not np.any(g.bracket_with_basis(v, i))
+        for e in F7.eye(g.dim):
+            assert not np.any(g.bracket_vec(v, e))
 
     def test_spo_preserves_the_form(self):
         # even matrices X satisfy X^t G + G X = 0 for the block Gram matrix

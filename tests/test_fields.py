@@ -13,6 +13,7 @@ from superlie.fields import (
     ZeroInverse,
     _is_prime,
 )
+from superlie.linalg import Matrix, exact_matmul, kernel
 from superlie.modules import sym2
 
 F3 = FieldCtx.prime(3)
@@ -254,3 +255,33 @@ class TestLargePrimeEntries:
         m = sym2(symn_dual(3, BIG))
         ops = list(m.lie_action) + [op for f in m.families for op in f.ops]
         assert all(type(x) is int for op in ops for x in op.data.flat)
+
+
+class TestInt64Limit:
+    """FieldCtx.dtype keeps int64 while dot products of length 8192 of
+    residues stay below 2^63: (p - 1)^2 * 8192 < 2^63, so p - 1 < 2^25."""
+
+    LAST_INT64 = FieldCtx.prime(33554393)  # the largest prime below 2^25 + 1
+
+    def test_dtype_switches_at_the_limit(self):
+        assert self.LAST_INT64.dtype is np.int64
+        assert FieldCtx.prime(33554467).dtype is object  # the next prime
+
+    def test_matmul_at_the_dot_product_limit(self):
+        ctx = self.LAST_INT64
+        a = np.full((2, 8192), ctx.p - 1, dtype=np.int64)
+        b = np.full((8192, 3), ctx.p - 1, dtype=np.int64)
+        got = exact_matmul(ctx, a, b)
+        want = (a.astype(object) @ b.astype(object)) % ctx.p
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    def test_kernel_residues_near_p(self):
+        ctx = self.LAST_INT64
+        rng = np.random.default_rng(0)
+        a = ctx.reduce(ctx.p - rng.integers(1, 2**20, size=(4, 12)))
+        a[3] = ctx.reduce(a[0] * 5 + a[1] * (ctx.p - 7))
+        k = kernel(Matrix(ctx, a))
+        assert k.basis.data.dtype == np.int64 and k.dim == 9
+        prod = (a.astype(object) @ k.basis.data.T.astype(object)) % ctx.p
+        assert not prod.any()

@@ -1,8 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from superlie.fields import FieldCtx
-from superlie.linalg import Subspace
+from superlie.brj import brj25
+from superlie.fields import FieldCtx, SuperlieError
+from superlie.linalg import DimensionMismatch, Matrix, Subspace, kernel
+from superlie.modules import GModule
 from superlie.pairs import (
     BilinearMap,
     CubicViolation,
@@ -12,6 +17,7 @@ from superlie.pairs import (
     SymmetryViolation,
     _check_equivariance,
     assemble_pair,
+    check_normality,
     check_sas_conditions,
     is_split,
     pair_from_json,
@@ -46,6 +52,111 @@ def _unnamed(d):
     return d.rstrip("~") if isinstance(d, str) else d
 
 
+def ref_value(bracket, i, j):
+    return bracket.consts[i, j]
+
+
+def ref_apply(bracket, x, y):
+    """Reference for [x, y], one pair of nonzero coordinates at a time."""
+    ctx = bracket.ctx
+    out = ctx.zeros(bracket.dim_g)
+    for i in np.nonzero(x)[0]:
+        for j in np.nonzero(y)[0]:
+            out = ctx.reduce(
+                out + ref_value(bracket, i, j) * ctx.mul(x[int(i)], y[int(j)]))
+    return out
+
+
+def ref_annihilator(bracket):
+    """Reference for {v : [v, w] = 0 for all w}, one block per w = e_j."""
+    ctx, n = bracket.ctx, bracket.dim_v
+    blocks = []
+    for j in range(n):
+        a = ctx.zeros(bracket.dim_g, n)
+        for i in range(n):
+            a[:, i] = ref_value(bracket, i, j)
+        blocks.append(a)
+    return kernel(Matrix(ctx, np.concatenate(blocks, axis=0)))
+
+
+def ref_vector_action(pair, g_vec):
+    ctx = pair.even.ctx
+    out = ctx.zeros(pair.odd.dim, pair.odd.dim)
+    for i in np.nonzero(g_vec)[0]:
+        out = ctx.reduce(
+            out + pair.odd.lie_action[int(i)].data * g_vec[int(i)])
+    return Matrix(ctx, out)
+
+
+def ref_check_normality(pair, s):
+    """Reference for check_normality: one containment test per vector."""
+    ctx = pair.even.ctx
+    odd = pair.odd
+    if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != odd.dim:
+        raise InvalidSubpair("subpair ambient dimensions do not match")
+    for label in s.h_generators:
+        fam = odd.family_by_label(label)
+        for op in fam.ops[1:]:
+            for v in s.w.basis.data:
+                if not s.w.contains(op.mv(v)):
+                    raise InvalidSubpair(f"w not closed under {label}")
+    for h in s.h_lie.basis.data:
+        act = ref_vector_action(pair, h)
+        for v in s.w.basis.data:
+            if not s.w.contains(act.mv(v)):
+                raise InvalidSubpair("w not closed under Lie(H)")
+    for v1 in s.w.basis.data:
+        for v2 in s.w.basis.data:
+            if not s.h_lie.contains(ref_apply(pair.bracket, v1, v2)):
+                raise InvalidSubpair("bracket(w, w) leaves Lie(H)")
+
+    report = {}
+    ok = True
+    for h in s.h_lie.basis.data:
+        for e in ctx.eye(pair.even.dim):
+            if not s.h_lie.contains(pair.even.bracket_vec(h, e)):
+                ok = False
+    for gfam in pair.adjoint_families:
+        for op in gfam.ops[1:]:
+            for h in s.h_lie.basis.data:
+                if not s.h_lie.contains(op.mv(h)):
+                    ok = False
+    report["cond1_algebra_level"] = ok
+    ok = True
+    for op in odd.all_operators():
+        for v in s.w.basis.data:
+            if not s.w.contains(op.mv(v)):
+                ok = False
+    report["cond2"] = ok
+    ok = True
+    for label in s.h_generators:
+        for op in odd.family_by_label(label).ops[1:]:
+            for col in op.data.T:
+                if not s.w.contains(col):
+                    ok = False
+    for h in s.h_lie.basis.data:
+        for col in ref_vector_action(pair, h).data.T:
+            if not s.w.contains(col):
+                ok = False
+    report["cond3"] = ok
+    ok = True
+    for v in s.w.basis.data:
+        for e in ctx.eye(odd.dim):
+            if not s.h_lie.contains(ref_apply(pair.bracket, e, v)):
+                ok = False
+    report["cond4"] = ok
+    report["ok"] = all(report.values())
+    return report
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the SuperlieError it raises."""
+    try:
+        return f(*args)
+    except SuperlieError as e:
+        return type(e).__name__, str(e)
+
+
 def loop_equivariance_witness(odd, bracket, adjoint_families):
     """Reference for the equivariance axiom, one (i <= j, m) at a time:
     the first (family label, power, pair) where the t^m coefficients of
@@ -59,9 +170,10 @@ def loop_equivariance_witness(odd, bracket, adjoint_families):
                 for m in range(1, max(2 * fam.degree, gfam.degree) + 1):
                     lhs = ctx.zeros(bracket.dim_g)
                     for a in range(m + 1):
-                        lhs = ctx.reduce(lhs + bracket.apply(
-                            fam.op(a).data[:, i], fam.op(m - a).data[:, j]))
-                    rhs = gfam.op(m).mv(bracket.value(i, j))
+                        lhs = ctx.reduce(lhs + ref_apply(
+                            bracket, fam.op(a).data[:, i],
+                            fam.op(m - a).data[:, j]))
+                    rhs = gfam.op(m).mv(ref_value(bracket, i, j))
                     if np.any(ctx.reduce(lhs - rhs)):
                         return fam.label, m, (i, j)
     return None
@@ -79,26 +191,58 @@ class TestBilinearMap:
     def test_symmetric_storage(self):
         v = F5.vec([1, 0, 0])
         b = BilinearMap.from_entries(F5, 2, 3, {(1, 0): v})
-        assert np.array_equal(b.value(0, 1), v)
-        assert np.array_equal(b.value(1, 0), v)
+        assert np.array_equal(b.consts[0, 1], v)
+        assert np.array_equal(b.consts[1, 0], v)
+        assert (b.dim_v, b.dim_g) == (2, 3)
+        assert not b.consts.flags.writeable
 
     def test_conflicting_values_rejected(self):
         with pytest.raises(SymmetryViolation):
             BilinearMap.from_entries(
                 F5, 2, 3, {(0, 1): F5.vec([1, 0, 0]),
                            (1, 0): F5.vec([2, 0, 0])})
+        # a zero value sets nothing, so a later value does not conflict
+        b = BilinearMap.from_entries(
+            F5, 2, 3, {(0, 1): F5.zeros(3), (1, 0): F5.vec([2, 0, 0])})
+        assert b.consts[0, 1].tolist() == [2, 0, 0]
+
+    def test_constructor_checks_array(self):
+        c = F5.zeros(3, 3, 2)
+        c[0, 2, 1] = 1
+        with pytest.raises(SymmetryViolation, match=r"pair \(0, 2\)"):
+            BilinearMap(F5, c)
+        for bad in (F5.zeros(2, 3, 2), F5.zeros(3, 3), Q.zeros(3, 3, 2)):
+            with pytest.raises(DimensionMismatch):
+                BilinearMap(F5, bad)
+        with pytest.raises(DimensionMismatch):
+            BilinearMap.from_entries(F5, 2, 3, {(0, 2): F5.vec([1, 0, 0])})
 
     def test_apply_is_bilinear(self):
+        # brackets(xs, ys) against the loop reference, and bilinear
         b = sl2_symn_bracket(3, 1, Q)
         x = Q.vec([1, 2, 0, 1])
         y = Q.vec([0, 1, 3, 0])
-        lhs = b.apply(Q.reduce(x + y), Q.reduce(x + y))
-        rhs = Q.reduce(b.apply(x, x) + 2 * b.apply(x, y) + b.apply(y, y))
-        assert np.array_equal(lhs, rhs)
+        xs = np.stack([x, y, Q.reduce(x + y)])
+        got = b.brackets(xs, xs).reshape(3, 3, 3)
+        for r in range(3):
+            for c in range(3):
+                assert np.array_equal(got[r, c], ref_apply(b, xs[r], xs[c]))
+        rhs = Q.reduce(got[0, 0] + 2 * got[0, 1] + got[1, 1])
+        assert np.array_equal(got[2, 2], rhs)
 
     def test_annihilator_of_nondegenerate(self):
         b = sl2_symn_bracket(3, 1, F3)
         assert b.annihilator().dim == 0
+
+    def test_annihilator_matches_loop_reference(self):
+        for ctx in (F3, F5, Q):
+            for entries in ({}, {(0, 0): [1, 0, 0]}, {(1, 2): [0, 1, 2]},
+                            {(0, 3): [1, 1, 0], (2, 2): [0, 0, 1]}):
+                b = BilinearMap.from_entries(
+                    ctx, 4, 3, {k: ctx.vec(v) for k, v in entries.items()})
+                assert b.annihilator() == ref_annihilator(b)
+            b = sl2_symn_bracket(3, 1, ctx)
+            assert b.annihilator() == ref_annihilator(b)
 
 
 class TestConstants:
@@ -159,9 +303,10 @@ class TestAssembly:
         for ctx, n, entry, factor, witness in cases:
             even, adj = adj_families(ctx)
             odd = symn_dual(n, ctx)
-            entries = dict(sl2_symn_bracket(n, 1, ctx).tensor)
-            entries[entry] = ctx.reduce(entries[entry] * factor)
-            bad = BilinearMap.from_entries(ctx, n + 1, 3, entries)
+            consts = sl2_symn_bracket(n, 1, ctx).consts.copy()
+            i, j = entry
+            consts[i, j] = consts[j, i] = ctx.reduce(consts[i, j] * factor)
+            bad = BilinearMap(ctx, consts)
             with pytest.raises(EquivarianceViolation) as exc:
                 assemble_pair(even, odd, bad, adj)
             assert (exc.value.family_label, exc.value.power,
@@ -173,15 +318,14 @@ class TestAssembly:
             even, adj = adj_families(ctx)
             for n in (1, 3):
                 odd = symn_dual(n, ctx)
-                tensor = sl2_symn_bracket(n, 1, ctx).tensor
+                base = sl2_symn_bracket(n, 1, ctx).consts
                 for i in range(n + 1):
                     for j in range(i, n + 1):
                         for k in range(3):
-                            entries = dict(tensor)
-                            v = entries.get((i, j), ctx.zeros(3)).copy()
-                            v[k] = ctx.add(v[k], ctx.one)
-                            entries[(i, j)] = v
-                            b = BilinearMap.from_entries(ctx, n + 1, 3, entries)
+                            consts = base.copy()
+                            v = ctx.add(consts[i, j, k], ctx.one)
+                            consts[i, j, k] = consts[j, i, k] = v
+                            b = BilinearMap(ctx, consts)
                             try:
                                 _check_equivariance(odd, b, adj)
                                 got = None
@@ -207,7 +351,6 @@ class TestSasAndSubpairs:
         assert details["annihilator_dim"] == 0
 
     def test_full_subpair_is_normal(self):
-        from superlie.pairs import check_normality
         p = sl2_symn_pair(3, 1, F3)
         s = SubpairSpec(Subspace.full(F3, 3), ("X2", "X-2"),
                         Subspace.full(F3, 4))
@@ -215,7 +358,6 @@ class TestSasAndSubpairs:
         assert rep["ok"]
 
     def test_invalid_subpair_rejected(self):
-        from superlie.pairs import check_normality
         p = sl2_symn_pair(3, 1, F3)
         v = F3.zeros(4)
         v[0] = 1
@@ -223,6 +365,43 @@ class TestSasAndSubpairs:
                         Subspace.from_vectors(F3, 4, [v]))
         with pytest.raises(InvalidSubpair):
             check_normality(p, s)
+
+    @pytest.mark.parametrize("n,ctx", [(3, F3), (1, F5), (1, Q)])
+    def test_normality_matches_loop_reference(self, n, ctx):
+        # the zero and the full subpair, generator subsets such as ("X2",),
+        # coordinate lines, the InvalidSubpair cases and an unknown label
+        p = sl2_symn_pair(n, 1, ctx)
+        eye_g, eye_v = ctx.eye(3), ctx.eye(n + 1)
+        hs = [Subspace.zero(ctx, 3), Subspace.full(ctx, 3)] + [
+            Subspace.from_vectors(ctx, 3, [e]) for e in eye_g]
+        ws = [Subspace.zero(ctx, n + 1), Subspace.full(ctx, n + 1),
+              Subspace.from_vectors(ctx, n + 1, [eye_v[0]]),
+              Subspace.from_vectors(ctx, n + 1, [eye_v[n]]),
+              Subspace.from_vectors(ctx, n + 1, eye_v[1:])]
+        gens = [(), ("X2",), ("X-2",), ("X2", "X-2"), ("X2", "nosuch")]
+        specs = [SubpairSpec(h, g, w) for h in hs for g in gens for w in ws]
+        specs.append(SubpairSpec(Subspace.zero(ctx, 4), (), ws[0]))
+        seen = set()
+        for spec in specs:
+            got = outcome(check_normality, p, spec)
+            assert got == outcome(ref_check_normality, p, spec)
+            seen.add(got[0] if isinstance(got, tuple) else got["ok"])
+        assert {True, False, "InvalidSubpair"} <= seen
+
+    def test_ideal_condition_without_families(self):
+        # with no group families only the ideal test can fail cond1:
+        # span(H) is not an ideal of sl2
+        even = sl2_algebra(F5)
+        odd = symn_dual(1, F5)
+        odd = GModule(F5, odd.labels, odd.lie_labels, odd.lie_action, [])
+        p = assemble_pair(even, odd, BilinearMap.from_entries(F5, 2, 3, {}),
+                          [])
+        for h, want in (([1, 0, 0], False), ([0, 0, 0], True)):
+            s = SubpairSpec(Subspace.from_vectors(F5, 3, [F5.vec(h)]), (),
+                            Subspace.zero(F5, 2))
+            rep = check_normality(p, s)
+            assert rep["cond1_algebra_level"] is want
+            assert rep == ref_check_normality(p, s)
 
     def test_quotient_by_full_subpair_is_zero(self):
         p = sl2_symn_pair(3, 1, F3)
@@ -241,9 +420,31 @@ class TestSasAndSubpairs:
 
 
 class TestPairJson:
+    # sha256 of json.dumps(pair_to_json_dict(pair), sort_keys=True), as
+    # recorded while the bracket was a dict of (i <= j) -> vector
+    DIGESTS = [
+        ("sym1-F3", lambda: sl2_symn_pair(1, 1, F3),
+         "fb9c361ef874b5741fc260b14b48dcaa02931abb49a9355ceaa2d8bf00764ae3"),
+        ("sym1-F5", lambda: sl2_symn_pair(1, 1, F5),
+         "01f1dceffc2a86eb0e1e396b0d02f41e210a2fe0900f3ba1930109e26be6a96b"),
+        ("sym1-F7", lambda: sl2_symn_pair(1, 1, F7),
+         "89ac783ab5909fde12e529c1de0e1523b12357b26e043e47117327a120775c55"),
+        ("sym1-Q", lambda: sl2_symn_pair(1, 1, Q),
+         "063725ca14990d7ba39618229d9bfed48f2698e7caf93ac11ccfafb4596514f4"),
+        ("sym3-F3", lambda: sl2_symn_pair(3, 1, F3),
+         "0e2b273fe7f9a7e29d8c021afe4cf3636317a803f15e0a1c4b09ede7987d24ad"),
+        ("brj-p5", lambda: brj25(p=5, skip_simplicity=True).pair,
+         "090a06b2ff7282595b1e2795d9c87e132edffd414c8464b8197c03ad740c117d"),
+    ]
+
+    @pytest.mark.parametrize("name,build,digest", DIGESTS,
+                             ids=[d[0] for d in DIGESTS])
+    def test_json_digest(self, name, build, digest):
+        text = json.dumps(pair_to_json_dict(build()), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_round_trip(self):
         p = sl2_symn_pair(3, 1, F3)
-        import json
         q = pair_from_json(json.dumps(pair_to_json_dict(p)))
         assert q.dims == p.dims
         assert np.array_equal(q.algebra.consts, p.algebra.consts)

@@ -101,6 +101,15 @@ class TestBuild:
             algebra_from_consts(F5, basis, consts)
         assert exc.value.triple == triple
 
+    def test_consts_completed_in_place(self):
+        # the algebra keeps the array it is given: no second (n, n, n) copy
+        consts = F5.zeros(3, 3, 3)
+        consts[0, 1, 2] = 1
+        alg = algebra_from_consts(F5, [("a", 0), ("b", 0), ("c", 0)], consts,
+                                  validate=False)
+        assert np.shares_memory(alg.consts, consts)
+        assert consts[1, 0, 2] == 4 and not consts.flags.writeable
+
     def test_consts_shape_is_checked(self):
         with pytest.raises(DimensionMismatch):
             LieSuperalgebra(F5, ["a", "b"], [0, 0], F5.zeros(3, 3, 3))
