@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
+from superlie import linalg
 from superlie.fields import FieldCtx
 from superlie.linalg import (
     DimensionMismatch,
@@ -320,6 +321,78 @@ def _matrices(ctx, rows, cols):
                     min_size=rows, max_size=rows).map(ctx.arr)
 
 
+@st.composite
+def _peelable(draw, ctx):
+    """Matrices up to 14 x 7, tall ones included.  A column order puts k
+    peel columns first.  A planted row is nonzero in peel column 0 only,
+    or in peel columns i - 1 and i, so that it has one entry only once a
+    peel round has cleared column i - 1: such rows make chains of rounds.
+    Every other row is nonzero on all of the other columns, if there are
+    two or more, so the peel leaves it to the pivot loop; it stays random
+    otherwise."""
+    r, c = draw(st.integers(1, 14)), draw(st.integers(1, 7))
+    a = draw(_matrices(ctx, r, c))
+    # the entries planted, all nonzero
+    fill = draw(_matrices(ctx, r, c))
+    fill[~fill.astype(bool)] = ctx.one
+    order = draw(st.permutations(range(c)))
+    # often two or more columns left to the pivot loop
+    k = draw(st.integers(0, c - 2) if c > 2 and draw(st.booleans())
+             else st.integers(0, c))
+    for row in range(r):
+        i = draw(st.integers(-1, k - 1))
+        if i >= 0:
+            cols = order[i - 1:i + 1] if i else order[:1]
+            a[row] = ctx.zero
+            a[row, cols] = fill[row, :len(cols)]
+        elif c - k >= 2:
+            a[row, order[k:]] = fill[row, k:]
+    return a
+
+
+def ref_rref(ctx, a):
+    """The pivot loop _rref_array ran before single-entry rows were peeled:
+    Gauss-Jordan elimination on the leftmost nonzero pivot."""
+    a = a.copy()
+    n_rows, n_cols = a.shape
+    obj = a.dtype == object
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        col = a[r:, c]
+        nz = np.nonzero(col.astype(bool) if obj else col)[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        if a[r, c] != 1:
+            a[r] = ctx.reduce(a[r] * ctx.inv(a[r, c]))
+        factors = a[:, c].copy()
+        factors[r] = 0
+        rows_nz = np.nonzero(factors.astype(bool) if obj else factors)[0]
+        if len(rows_nz):
+            cols_nz = np.nonzero(a[r].astype(bool) if obj else a[r])[0]
+            ix = np.ix_(rows_nz, cols_nz)
+            a[ix] = ctx.reduce(
+                a[ix] - np.outer(factors[rows_nz], a[r][cols_nz]))
+        pivots.append(c)
+        r += 1
+    return a, r, pivots
+
+
+def ref_kernel_basis(ctx, a):
+    """The RREF basis of {v : a.v = 0}, read off ref_rref."""
+    r, rk, pivots = ref_rref(ctx, a)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = ctx.zeros(len(free), a.shape[1])
+    basis[range(len(free)), free] = ctx.one
+    basis[:, pivots] = ctx.reduce(-r[:rk, free].T)
+    return ref_rref(ctx, basis)[0]
+
+
 def _to_sympy(ctx, a: np.ndarray) -> DomainMatrix:
     dom = GF(ctx.p) if ctx.p else QQ
     conv = ((lambda x: dom(int(x))) if ctx.p
@@ -362,11 +435,11 @@ class TestSympyOracle:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_kernel(self, ctx, data):
-        r, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
-        a = data.draw(_matrices(ctx, r, c))
+        a = data.draw(_peelable(ctx))
         null = _to_sympy(ctx, a).nullspace()
         got = kernel(Matrix(ctx, a))
         assert got.dim == null.shape[0]
+        assert np.array_equal(got.basis.data, ref_kernel_basis(ctx, a))
         if got.dim:
             # both reduced row echelon forms of the same space
             want = _from_sympy(ctx, null.rref()[0])
@@ -375,13 +448,22 @@ class TestSympyOracle:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_rref(self, ctx, data):
-        r, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-        a = data.draw(_matrices(ctx, r, c))
+        a = data.draw(_peelable(ctx))
         want, want_pivots = _to_sympy(ctx, a).rref()
         got, rk, pivots = rref(Matrix(ctx, a))
         assert pivots == list(want_pivots) and rk == len(pivots)
         assert got.data.dtype == ctx.dtype
         assert np.array_equal(got.data, _from_sympy(ctx, want))
+        ref, ref_rk, ref_pivots = ref_rref(ctx, a)
+        assert (pivots, rk) == (ref_pivots, ref_rk)
+        assert np.array_equal(got.data, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_from_vectors_list_and_array(self, ctx, data):
+        a = data.draw(_peelable(ctx))
+        assert_same(Subspace.from_vectors(ctx, a.shape[1], list(a)),
+                    Subspace.from_vectors(ctx, a.shape[1], a))
 
 
 # -- the echelon layer against the algorithms it replaced -------------------
@@ -506,7 +588,7 @@ class TestEchelonDifferential:
         assert_same(largest_invariant_within(k, ops),
                     ref_largest_invariant_within(k, ops))
 
-    def test_shift_chain(self, ctx):
+    def test_shift_chain(self, ctx, monkeypatch):
         # one row a round: e_0 spins to everything, and the largest
         # invariant subspace of span(e_0..e_(n-3), e_(n-1)) loses one row a
         # round down to span(e_(n-1))
@@ -521,3 +603,18 @@ class TestEchelonDifferential:
         core = largest_invariant_within(k, [op])
         assert core.pivots == [n - 1]
         assert_same(core, ref_largest_invariant_within(k, [op]))
+
+        # a second operator that adds nothing keeps the n - 1 rounds, and
+        # each round takes the images under both from one product with the
+        # stacked transposes, of shape (n, 2n)
+        shapes = []
+        real = linalg.exact_matmul
+
+        def counting(c, a, b):
+            shapes.append(b.shape)
+            return real(c, a, b)
+
+        monkeypatch.setattr(linalg, "exact_matmul", counting)
+        both = invariant_closure(ctx, n, seed, [op, Matrix.zeros(ctx, n, n)])
+        assert_same(both, w)
+        assert shapes.count((n, 2 * n)) == n - 1

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from superlie import constructions, superalgebra
 from superlie.census import GRID_PRESETS, _row, build_from_params
-from superlie.fields import FieldCtx
+from superlie.fields import FieldCtx, SuperlieError
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -828,3 +829,35 @@ class TestCenterOnce:
             row = _row(("sl", {"m": m, "n": n}, 3), ("simple", "center_dim"), 0)
             assert row.error is None
             assert len(calls) == 1, (m, n)
+
+
+def _space_text(space):
+    return repr((space.pivots, space.basis.data.tolist()))
+
+
+class TestCertificateDigest:
+    """Every row of the three census presets, hashed: the verdict and
+    certificate, the witness basis, the centre basis and the derived
+    basis.  The echelon forms are canonical, so no change to how a row
+    reduction runs may move this digest."""
+
+    DIGEST = "4a3c6c6148d4ffeed2cfc13dd9f4dca1f09bf234d224920dbc23daf3f565795b"
+
+    def test_preset_rows(self):
+        h = hashlib.sha256()
+        for _, (gridf, _) in sorted(GRID_PRESETS.items()):
+            for family, params, p in gridf():
+                h.update(repr((family, sorted(params.items()), p)).encode())
+                try:
+                    alg = build_from_params(family, params, FieldCtx(p))
+                except SuperlieError as e:
+                    h.update(f"{type(e).__name__}: {e}".encode())
+                    continue
+                v = alg.is_graded_simple()
+                h.update(json.dumps([v.verdict, v.certificate],
+                                    sort_keys=True).encode())
+                if v.witness is not None:
+                    h.update(_space_text(v.witness.space).encode())
+                h.update(_space_text(alg.center().space).encode())
+                h.update(_space_text(alg.derived_subalgebra().space).encode())
+        assert h.hexdigest() == self.DIGEST
