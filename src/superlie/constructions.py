@@ -19,6 +19,7 @@ from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
+    from_int,
     int_family,
     int_matmul,
     kernel,
@@ -68,13 +69,13 @@ def _bracket_consts(ctx: FieldCtx, mats: np.ndarray, parities: np.ndarray,
     completed and validated, where the build's memory peaks."""
     d = len(mats)
     i, j, rows, t = _bracket_rows(ctx, mats, parities)
-    coords, in_span = solver.coords_int_rows(rows, t)
+    coords, u, in_span = solver.coords_int_rows(rows, t)
     if not in_span.all():
         r = int(np.argmin(in_span))
         raise InputError(f"bracket [{labels[i[r]]},{labels[j[r]]}] "
                          "leaves the span")
     consts = ctx.zeros(d, d, d)
-    consts[i, j] = coords
+    consts[i, j] = from_int(ctx, coords, u)
     return consts
 
 
@@ -520,21 +521,23 @@ def conjugation_family(alg: LieSuperalgebra, label: str, x: np.ndarray,
                        root: Optional[Sequence[int]] = None) -> CoeffOperatorFamily:
     """Adjoint coefficient family of the unipotent (1 + t x) for a square-zero
     matrix x, acting on a matrix-realized algebra by conjugation:
-    y -> y + t(xy - yx) - t^2 xyx."""
+    y -> y + t(xy - yx) - t^2 xyx.  On integer forms x = X / s and
+    y = Y / s that is (XY - YX) / s^2 and XYX / s^3."""
     ctx = alg.ctx
-    if np.any(ctx.reduce(x @ x)):
-        raise InputError("conjugation_family needs a square-zero matrix")
     d = alg.dim
-    mats = alg.matrix_basis
-    images = [x @ m - m @ x for m in mats] + [-(x @ m @ x) for m in mats]
+    (xi, ys), s = int_family(ctx, [x, np.stack(alg.matrix_basis)])
+    if np.any(ctx.reduce(xi @ xi)):
+        raise InputError("conjugation_family needs a square-zero matrix")
+    xy, yx = ctx.reduce(xi @ ys), ctx.reduce(ys @ xi)
+    rows = np.concatenate([(xy - yx) * s, -(xy @ xi)]).reshape(2 * d, -1)
     solver: SpanSolver = alg.matrix_solver  # type: ignore[attr-defined]
-    coords, in_span = solver.coords_rows(
-        ctx.reduce(np.stack(images).reshape(2 * d, -1)))
+    coords, u, in_span = solver.coords_int_rows(ctx.reduce(rows), s ** 3)
     if not in_span.all():
         raise InputError("conjugation image leaves the algebra")
     return CoeffOperatorFamily(
-        label, [Matrix.identity(ctx, d), Matrix(ctx, coords[:d].T.copy()),
-                Matrix(ctx, coords[d:].T.copy())],
+        label, [Matrix.identity(ctx, d)]
+        + [Matrix.from_int(ctx, c.T.copy(), u, reduced=True)
+           for c in (coords[:d], coords[d:])],
         root)
 
 
@@ -563,32 +566,34 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
         raise InputError("n must be nonnegative")
     alg = sl2_algebra(ctx)
     d = n + 1
-    h = ctx.zeros(d, d)
-    e = ctx.zeros(d, d)
-    f = ctx.zeros(d, d)
+
+    def zeros():
+        # Python ints: binomials pass int64 for large n
+        return np.zeros((d, d), dtype=object)
+
+    h, e, f = zeros(), zeros(), zeros()
     for i in range(d):
-        h[i, i] = ctx.of(2 * i - n)
+        h[i, i] = 2 * i - n
         if i + 1 <= n:
-            e[i + 1, i] = ctx.of(n - i)
+            e[i + 1, i] = n - i
         if i - 1 >= 0:
-            f[i - 1, i] = ctx.of(i)
+            f[i - 1, i] = i
     up_ops = []
     down_ops = []
     for k in range(n + 1):
-        up = ctx.zeros(d, d)
-        down = ctx.zeros(d, d)
+        up, down = zeros(), zeros()
         for i in range(d):
             if i + k <= n:
-                up[i + k, i] = ctx.of(math.comb(n - i, k))
+                up[i + k, i] = math.comb(n - i, k)
             if i - k >= 0:
-                down[i - k, i] = ctx.of(math.comb(i, k))
-        up_ops.append(Matrix(ctx, up))
-        down_ops.append(Matrix(ctx, down))
+                down[i - k, i] = math.comb(i, k)
+        up_ops.append(Matrix.from_int(ctx, up))
+        down_ops.append(Matrix.from_int(ctx, down))
     fams = [CoeffOperatorFamily("X2", up_ops, (2,)),
             CoeffOperatorFamily("X-2", down_ops, (-2,))]
     return GModule(
         ctx, [f"s{i}" for i in range(d)], alg.labels,
-        [Matrix(ctx, h), Matrix(ctx, e), Matrix(ctx, f)], fams,
+        [Matrix.from_int(ctx, a) for a in (h, e, f)], fams,
         weights=[(2 * i - n,) for i in range(d)],
         brackets=alg.consts,
         meta={"name": f"sym{n}"})

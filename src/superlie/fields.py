@@ -85,7 +85,7 @@ class FieldCtx:
     all operations are pure.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "dtype")
 
     def __init__(self, p: int):
         if p != 0:
@@ -94,6 +94,10 @@ class FieldCtx:
             if not (2 < p < 2**31) or not _is_prime(p):
                 raise InputError(f"not an odd prime < 2^31: {p}")
         object.__setattr__(self, "p", p)
+        # the dtype of the field's arrays (see the numpy array helpers),
+        # set once: every Matrix reads it
+        object.__setattr__(self, "dtype", np.int64
+                           if p and (p - 1) ** 2 * 8192 < 2**63 else object)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldCtx is immutable")
@@ -199,12 +203,6 @@ class FieldCtx:
     # play: |a*b| <= (p-1)^2 and dot products of length <= 2^13 stay below 2^63
     # for p < 2^24; constructions here have p in the low thousands at most,
     # but guard anyway.
-    @property
-    def dtype(self):
-        if self.p and (self.p - 1) ** 2 * 8192 < 2**63:
-            return np.int64
-        return object
-
     def arr(self, rows) -> np.ndarray:
         a = np.array(
             [[self.of(x) for x in row] for row in rows], dtype=self.dtype

@@ -1,29 +1,34 @@
 """Exact dense linear algebra over a FieldCtx.
 
-Matrices wrap numpy arrays: int64 canonical residues for prime fields,
-Fraction object arrays for the rationals.  Everything is exact; there is no
-floating point anywhere.  Row reduction returns the reduced row echelon
-form, which depends only on the row space, so Subspace basis matrices are
-canonical: two subspaces are equal iff their basis arrays are identical.  On
-int64 arrays of three or more rows and columns it first peels the rows with
-a single nonzero entry, as structured Gaussian elimination does (LaMacchia
-and Odlyzko, CRYPTO '90): such a row puts a unit vector into the row space,
-so its column is cleared from every row, which can leave new single-entry
-rows, until none is left.  In a weight basis [h, e_a] = a(h) e_a for
-diagonal h, so most rows of the centre and derived systems are single.  The
-leftmost nonzero pivot loop then runs only on the rows that remain, and the
-unit rows are merged back by pivot: the result is the same unique form.
+A Matrix holds one canonical integer form, ints / scale: the residues
+themselves over F_p (int64 below 2^25, Python ints above), Python ints over
+their least common denominator over Q.  Built from either form it makes
+the other at most once, on first use: the field array (Fractions over Q)
+for row reduction and output, the integers for operator checks and
+products.  Everything is exact; there is no floating point anywhere.
+
+Row reduction returns the reduced row echelon form, which depends only on
+the row space, so Subspace basis matrices are canonical: two subspaces are
+equal iff their basis arrays are identical.  On int64 arrays of three or
+more rows and columns it first peels the rows with a single nonzero entry,
+as structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO
+'90): such a row puts a unit vector into the row space, so its column is
+cleared from every row, which can leave new single-entry rows, until none
+is left.  In a weight basis [h, e_a] = a(h) e_a for diagonal h, so most
+rows of the centre and derived systems are single.  The leftmost nonzero
+pivot loop then runs only on the rows that remain, and the unit rows are
+merged back by pivot: the result is the same unique form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx, SuperlieError
+from .fields import FieldCtx, InexactScalar, SuperlieError
 
 
 class DimensionMismatch(SuperlieError, ValueError):
@@ -99,16 +104,19 @@ def int_scaled(m: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def int_family(ctx: FieldCtx,
-               arrays: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], int]:
-    """(integer arrays J_i, one scale s) with arrays[i] == J_i / s in the
-    field.  Over F_p the J_i are the residues themselves (int64, or Python
-    ints for a large p) and s is 1; over Q they are Python ints and s is the
-    least common denominator of every entry of every array."""
+               items: Sequence) -> Tuple[List[np.ndarray], int]:
+    """(integer arrays J_i, one scale s) with items[i] == J_i / s in the
+    field.  A Matrix gives its integer form, only rescaled; a field array
+    (the raw arrays of superalgebra.py and of Subspace bases) is converted
+    by int_scaled.  Over F_p the J_i are the residues themselves (int64,
+    or Python ints for a large p) and s is 1; over Q they are Python ints
+    and s is the least common denominator of every entry of every item."""
     if ctx.p:
-        return list(arrays), 1
-    scaled = [int_scaled(a) for a in arrays]
-    s = lcm(1, *(sk for _, sk in scaled))
-    return [j * (s // sk) for j, sk in scaled], s
+        return [m.ints if isinstance(m, Matrix) else m for m in items], 1
+    forms = [(m.ints, m.scale) if isinstance(m, Matrix) else int_scaled(m)
+             for m in items]
+    s = lcm(1, *(sk for _, sk in forms))
+    return [j if sk == s else j * (s // sk) for j, sk in forms], s
 
 
 def int_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,19 +177,92 @@ def nonzero_sums(ctx: FieldCtx, keys: np.ndarray,
     return keys[first[sums != 0]]
 
 
-class Matrix:
-    """Immutable dense matrix over a FieldCtx."""
+def _int_form(ctx: FieldCtx, ints: np.ndarray, s: int) -> Tuple[np.ndarray, int]:
+    """The canonical integer form (see Matrix) of ints / s: over F_p its
+    residues, reduced once, and scale 1; over Q Python ints and a scale
+    s > 0, with the gcd of s and every entry divided out."""
+    if ctx.p:
+        a = from_int(ctx, ints, s)
+        return a if a.dtype == ctx.dtype else a.astype(ctx.dtype), 1
+    if ints.dtype != object:
+        ints = ints.astype(object)
+    if s < 0:
+        ints, s = -ints, -s
+    g = gcd(s, *ints.flat) if s != 1 else 1
+    return (ints // g, s // g) if g != 1 else (ints, s)
 
-    __slots__ = ("ctx", "data")
+
+class Matrix:
+    """Immutable dense matrix over a FieldCtx, held in one canonical integer
+    form: the matrix is ints / scale.  Over F_p, ints are the canonical
+    residues in FieldCtx.dtype (int64 for p < 2^25, Python ints above) and
+    scale is 1.  Over Q, ints are Python ints and scale > 0 is their least
+    common denominator: no prime divides scale and every entry, so the
+    pair is unique.  Equality and hash compare that form.
+
+    data is the field array that row reduction, serialization and output
+    read: the residues themselves over F_p, Fractions over Q.  Over Q a
+    Matrix keeps the form it was built from and makes the other at most
+    once, on first use."""
+
+    __slots__ = ("ctx", "shape", "_data", "_ints", "_scale")
 
     def __init__(self, ctx: FieldCtx, data: np.ndarray):
+        """The matrix of an exact array: an integer dtype, or objects that
+        FieldCtx.of takes (ints, Fractions).  Float, complex and bool
+        arrays or entries raise InexactScalar, as FieldCtx.of does."""
         if data.ndim != 2:
             raise DimensionMismatch(f"expected 2d array, got shape {data.shape}")
-        self.ctx = ctx
-        self.data = ctx.reduce(data)
-        self.data.setflags(write=False)
+        kind = data.dtype.kind
+        if kind == "O":
+            types = set(map(type, data.flat))
+            if not types <= {int}:
+                if ctx.p or not types <= {Fraction}:
+                    data = np.array([ctx.of(x) for x in data.flat],
+                                    dtype=ctx.dtype).reshape(data.shape)
+                self._hold(ctx, data, None, None)
+                return
+        elif kind not in "iu":
+            raise InexactScalar(f"not an exact array: dtype {data.dtype}")
+        self._hold(ctx, None, *_int_form(ctx, data, 1))
+
+    def _hold(self, ctx: FieldCtx, data: Optional[np.ndarray],
+              ints: Optional[np.ndarray], scale: Optional[int]):
+        """Hold canonical arrays read-only: a field array, an integer form
+        or both.  Over F_p they are one array."""
+        if ctx.p:
+            data = ints = data if ints is None else ints
+            scale = 1
+        for a in (data,) if data is ints else (data, ints):
+            if a is not None:
+                a.setflags(write=False)
+                self.shape = a.shape
+        self.ctx, self._data, self._ints, self._scale = ctx, data, ints, scale
+
+    @classmethod
+    def _canonical(cls, ctx: FieldCtx, data: Optional[np.ndarray] = None,
+                   ints: Optional[np.ndarray] = None,
+                   scale: Optional[int] = None) -> "Matrix":
+        """A Matrix on arrays already canonical, neither checked nor
+        reduced: row reduction's output, or a transpose."""
+        m = cls.__new__(cls)
+        m._hold(ctx, data, ints, scale)
+        return m
 
     # -- constructors --------------------------------------------------------
+    @classmethod
+    def from_int(cls, ctx: FieldCtx, ints: np.ndarray, scale: int = 1,
+                 reduced: bool = False) -> "Matrix":
+        """The matrix ints / scale for an integer array and a nonzero
+        integer scale: reduced once over F_p, the gcd divided out over Q.
+        reduced says that over F_p ints are canonical residues already and
+        scale is 1, as exact_matmul and int_matmul return them."""
+        if ints.ndim != 2:
+            raise DimensionMismatch(f"expected 2d array, got shape {ints.shape}")
+        if reduced and ctx.p:
+            return cls._canonical(ctx, ints=ints)
+        return cls._canonical(ctx, None, *_int_form(ctx, ints, scale))
+
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows: Sequence[Sequence]) -> "Matrix":
         n_rows = len(rows)
@@ -192,41 +273,67 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
             for j, x in enumerate(row):
                 a[i, j] = ctx.of(x)
-        return cls(ctx, a)
+        return cls._canonical(ctx, a)
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "Matrix":
-        return cls(ctx, ctx.zeros(rows, cols))
+        return cls.from_int(ctx, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
-        return cls(ctx, ctx.eye(n))
+        return cls.from_int(ctx, np.eye(n, dtype=np.int64))
+
+    # -- the two forms -------------------------------------------------------
+    @property
+    def data(self) -> np.ndarray:
+        """The canonical field array."""
+        if self._data is None:
+            self._data = from_int(self.ctx, self._ints, self._scale)
+            self._data.setflags(write=False)
+        return self._data
+
+    def _form(self) -> Tuple[np.ndarray, int]:
+        if self._ints is None:
+            ints, self._scale = int_scaled(self._data)
+            ints.setflags(write=False)
+            self._ints = ints
+        return self._ints, self._scale
+
+    @property
+    def ints(self) -> np.ndarray:
+        """The integer numerators: the matrix is ints / scale."""
+        return self._form()[0]
+
+    @property
+    def scale(self) -> int:
+        return self._form()[1]
 
     # -- shape ---------------------------------------------------------------
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     def _check_ctx(self, other: "Matrix"):
         if self.ctx != other.ctx:
             raise DimensionMismatch("field mismatch")
 
-    # -- arithmetic -----------------------------------------------------------
-    def __add__(self, other: "Matrix") -> "Matrix":
+    # -- arithmetic on the integer forms ------------------------------------
+    def _combine(self, other: "Matrix", sign: int, op: str) -> "Matrix":
         self._check_ctx(other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatch("shape mismatch in add")
-        return Matrix(self.ctx, self.data + other.data)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"shape mismatch in {op}")
+        (a, b), s = int_family(self.ctx, [self, other])
+        return Matrix.from_int(self.ctx, a + sign * b, s)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_ctx(other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatch("shape mismatch in sub")
-        return Matrix(self.ctx, self.data - other.data)
+        return self._combine(other, -1, "sub")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_ctx(other)
@@ -234,10 +341,15 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix(self.ctx, exact_matmul(self.ctx, self.data, other.data))
+        return Matrix.from_int(self.ctx,
+                               int_matmul(self.ctx, self.ints, other.ints),
+                               self.scale * other.scale, reduced=True)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, self.data.T.copy())
+        data, ints = self._data, self._ints
+        return Matrix._canonical(
+            self.ctx, None if data is None or self.ctx.p else data.T.copy(),
+            None if ints is None else ints.T.copy(), self._scale)
 
     def mv(self, v: np.ndarray) -> np.ndarray:
         """Apply to a column vector given as a 1d array."""
@@ -246,24 +358,25 @@ class Matrix:
         return self.ctx.reduce(self.data @ v)
 
     def is_zero(self) -> bool:
-        return not np.any(self.data)
+        return not np.any(self.ints)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and np.array_equal(
-            self.data, self.ctx.eye(self.rows)
-        )
+        return (self.rows == self.cols and self.scale == 1
+                and np.array_equal(self.ints, np.eye(self.rows, dtype=int)))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.ctx == other.ctx
-            and self.data.shape == other.data.shape
-            and np.array_equal(self.data, other.data)
+            and self.shape == other.shape
+            and self.scale == other.scale
+            and np.array_equal(self.ints, other.ints)
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.data.shape, self.data.tobytes()
-                     if self.data.dtype != object else str(self.data)))
+        ints = self.ints
+        return hash((self.ctx, self.shape, self.scale, ints.tobytes()
+                     if ints.dtype != object else tuple(ints.flat)))
 
     def __repr__(self):
         return f"Matrix({self.ctx}, {self.data.tolist()})"
@@ -349,7 +462,7 @@ def _pivot_rref(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int
 def rref(m: Matrix) -> Tuple[Matrix, int, List[int]]:
     """Unique reduced row echelon form, with rank and pivot columns."""
     a, rank, pivots = _rref_array(m.ctx, m.data)
-    return Matrix(m.ctx, a), rank, pivots
+    return Matrix._canonical(m.ctx, a), rank, pivots
 
 
 def rank(m: Matrix) -> int:
@@ -398,7 +511,7 @@ class Subspace:
         if a.shape[1] != ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
         r, rk, pivots = _rref_array(ctx, a)
-        return cls(ctx, ambient_dim, Matrix(ctx, r[:rk]), pivots)
+        return cls(ctx, ambient_dim, Matrix._canonical(ctx, r[:rk]), pivots)
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
@@ -488,7 +601,7 @@ class Subspace:
         pivots = self._pivots + new
         order = np.argsort(pivots, kind="stable")
         w = Subspace(ctx, self.ambient_dim,
-                     Matrix(ctx, np.concatenate([b, c])[order]),
+                     Matrix._canonical(ctx, np.concatenate([b, c])[order]),
                      [pivots[i] for i in order])
         return w, c
 
@@ -505,8 +618,8 @@ class Subspace:
         if ker.dim == self.dim:
             return self
         return Subspace(ctx, self.ambient_dim,
-                        Matrix(ctx, exact_matmul(ctx, ker.basis.data,
-                                                 self.basis.data)),
+                        Matrix._canonical(ctx, exact_matmul(
+                            ctx, ker.basis.data, self.basis.data)),
                         [self._pivots[k] for k in ker.pivots])
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -632,17 +745,19 @@ class SpanSolver:
         residual vs - vs[:, pivots] R / s is (s V - V[:, pivots] R) / (s t)
         and the coefficients are V[:, pivots] X / (s t)."""
         (v,), t = int_family(self.ctx, [self.ctx.reduce(np.asarray(vs))])
-        return self.coords_int_rows(v, t)
+        c, u, in_span = self.coords_int_rows(v, t)
+        return from_int(self.ctx, c, u), in_span
 
     def coords_int_rows(self, v: np.ndarray,
-                        t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """coords_rows of the rows of v / t, for an integer array v as
-        linalg.int_family gives it."""
+                        t: int) -> Tuple[np.ndarray, int, np.ndarray]:
+        """(C, u, in_span): coords_rows of the rows of v / t, for an integer
+        array v as linalg.int_family gives it, with the coefficients C / u
+        on integers (canonical residues and u = 1 over F_p)."""
         ctx, s = self.ctx, self._scale
         c = v[:, self._pivots]
         residual = ctx.reduce(v * s - int_matmul(ctx, c, self._rref))
         in_span = ~residual.astype(bool).any(axis=1)
-        return from_int(ctx, int_matmul(ctx, c, self._transform), s * t), in_span
+        return int_matmul(ctx, c, self._transform), s * t, in_span
 
     def coords(self, v: np.ndarray) -> Optional[np.ndarray]:
         """Coefficients of v in the original basis rows, or None."""

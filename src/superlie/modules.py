@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
-    exact_matmul,
-    from_int,
     int_family,
+    int_matmul,
     invariant_closure,
     join,
     kernel,
@@ -93,19 +92,19 @@ class CoeffOperatorFamily:
             raise CompositionViolation(f"{self.label}: empty family")
         ctx = self.ctx
         n = self.dim
-        if not np.array_equal(self.ops[0].data, ctx.eye(n)):
+        if not self.ops[0].is_identity():
             raise CompositionViolation(f"{self.label}: op_0 is not the identity")
         d = self.degree
         if not d:
             return
-        # clear all denominators once: A_k = J_k / s, so the identity
-        # A_a A_b = C(a+b,a) A_{a+b} becomes J_a J_b = C s J_{a+b} on integer
-        # arrays (over F_p the residues themselves, s = 1).  It holds when a
-        # or b is 0; every other J_a J_b comes from one join of the entries
-        # of J_1..J_d on the middle index, and C s J_{a+b} is added with the
-        # opposite sign at each split a + b of its degree.  A key packs
-        # (a, b, row, col), so the least one left is the least failing (a, b)
-        ints, s = int_family(ctx, [op.data for op in self.ops[1:]])
+        # on the integer forms A_k = J_k / s (over F_p the residues
+        # themselves, s = 1) the identity A_a A_b = C(a+b,a) A_{a+b} becomes
+        # J_a J_b = C s J_{a+b}.  It holds when a or b is 0; every other
+        # J_a J_b comes from one join of the entries of J_1..J_d on the
+        # middle index, and C s J_{a+b} is added with the opposite sign at
+        # each split a + b of its degree.  A key packs (a, b, row, col), so
+        # the least one left is the least failing (a, b)
+        ints, s = int_family(ctx, self.ops[1:])
         k, r, c, v = _nonzeros(np.stack(ints))
         k += 1
         x, y = join(c, r)
@@ -146,14 +145,16 @@ class GModule:
     basis of the even algebra); families are the group generators.  brackets,
     when provided, is the acting algebra's structure-constant array consts
     (superalgebra.LieSuperalgebra) in the same indexing, so the
-    representation property can be verified.
+    representation property can be verified.  It is held as the (d^2, d)
+    Matrix bracket_matrix, which modules built from this one share, so its
+    integer form is made once.
     """
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
                  lie_labels: Sequence[str], lie_action: Sequence[Matrix],
                  families: Sequence[CoeffOperatorFamily],
                  weights: Optional[Sequence[Tuple[int, ...]]] = None,
-                 brackets: Optional[np.ndarray] = None,
+                 brackets: Union[np.ndarray, Matrix, None] = None,
                  meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
@@ -162,12 +163,23 @@ class GModule:
         self.lie_action = tuple(lie_action)
         self.families = tuple(families)
         self.weights = tuple(tuple(w) for w in weights) if weights else None
-        self.brackets = brackets
+        if brackets is not None and not isinstance(brackets, Matrix):
+            d = len(self.lie_action)
+            if brackets.shape != (d, d, d):
+                raise DimensionMismatch("brackets shape mismatch")
+            brackets = Matrix(ctx, brackets.reshape(d * d, d))
+        self.bracket_matrix = brackets
         self.meta = dict(meta or {})
         self.validate()
 
     def __repr__(self):
         return f"GModule(dim={self.dim}, {self.ctx}, {self.meta.get('name', '?')})"
+
+    @property
+    def brackets(self) -> Optional[np.ndarray]:
+        """The structure constants as a (d, d, d) array."""
+        b = self.bracket_matrix
+        return None if b is None else b.data.reshape(b.cols, b.cols, b.cols)
 
     def all_operators(self) -> List[Matrix]:
         ops = list(self.lie_action)
@@ -190,7 +202,7 @@ class GModule:
         for f in self.families:
             if f.dim != self.dim:
                 raise DimensionMismatch(f"family {f.label} shape mismatch")
-        if self.brackets is not None:
+        if self.bracket_matrix is not None:
             self._check_brackets()
         if self.weights is not None:
             self._check_weights()
@@ -212,7 +224,7 @@ class GModule:
                     f"family {f.label} root length mismatch")
             root = np.array(f.root)
             for k, op in enumerate(f.ops[1:], 1):
-                r, c, _ = _nonzeros(op.data)
+                r, c, _ = _nonzeros(op.ints)
                 bad = np.flatnonzero((w[c] + k * root != w[r]).any(axis=1))
                 if len(bad):
                     raise CompositionViolation(
@@ -229,12 +241,13 @@ class GModule:
         of the J_k.  A key packs (i, j, row, col), so the least one left is
         the least failing (i, j)."""
         ctx, n, d = self.ctx, self.dim, len(self.lie_action)
-        if self.brackets.shape != (d, d, d):
+        b = self.bracket_matrix
+        if b.shape != (d * d, d):
             raise DimensionMismatch("brackets shape mismatch")
         if not d:
             return
-        ints, s = int_family(ctx, [m.data for m in self.lie_action])
-        (consts,), t = int_family(ctx, [self.brackets])
+        ints, s = int_family(ctx, self.lie_action)
+        consts, t = b.ints.reshape(d, d, d), b.scale
         i, r, c, v = _nonzeros(np.stack(ints))
         x, y = join(c, r)
         off = i[x] != i[y]
@@ -313,13 +326,15 @@ def dual(m: GModule) -> GModule:
     """Dual module: x acts by -x^T; X(t) acts by (X(t)^{-1})^T = X(-t)^T,
     so the k-th coefficient operator is (-1)^k A_k^T."""
     ctx = m.ctx
-    lie = [Matrix(ctx, -a.data.T) for a in m.lie_action]
+
+    def minus_t(a: Matrix) -> Matrix:
+        return Matrix.from_int(ctx, -a.ints.T, a.scale)
+
+    lie = [minus_t(a) for a in m.lie_action]
     fams = []
     for f in m.families:
-        ops = [
-            Matrix(ctx, op.data.T if k % 2 == 0 else -op.data.T)
-            for k, op in enumerate(f.ops)
-        ]
+        ops = [op.transpose() if k % 2 == 0 else minus_t(op)
+               for k, op in enumerate(f.ops)]
         # the underlying group element is unchanged, so the root is too
         fams.append(CoeffOperatorFamily(f.label, ops, f.root))
     weights = [tuple(-x for x in w) for w in m.weights] if m.weights else None
@@ -327,16 +342,19 @@ def dual(m: GModule) -> GModule:
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "*"
     return GModule(ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.brackets, meta=meta)
+                   brackets=m.bracket_matrix, meta=meta)
 
 
-def _product_coeffs(ctx: FieldCtx, ops1: Sequence[np.ndarray],
-                    ops2: Sequence[np.ndarray], ks: Sequence[int]):
+def _product_coeffs(ctx: FieldCtx, ops1: Sequence[Matrix],
+                    ops2: Sequence[Matrix], ks: Sequence[int]):
     """(integer T_k for k in ks, their scale) with T_k / scale the t^k
     coefficient of (sum_a t^a ops1[a]) (x) (sum_b t^b ops2[b]).
 
-    T_k = sum_{a+b=k} J_a (x) K_b over the int_family arrays of each side,
-    built from the nonzero entries only; over F_p it is reduced once."""
+    T_k = sum_{a+b=k} J_a (x) K_b over the int_family forms of each side,
+    built from the nonzero entries only.  Over F_p an entry of T_k is a
+    sum of fewer than 4096 products of residues, left unreduced:
+    Matrix.from_int reduces it once, also after a gather that adds two
+    entries (int64 holds 8192 such products, FieldCtx.dtype)."""
     (j1, s1), (j2, s2) = int_family(ctx, ops1), int_family(ctx, ops2)
     nz1, nz2 = [_nonzeros(j) for j in j1], [_nonzeros(j) for j in j2]
     (r1, c1), (r2, c2) = j1[0].shape, j2[0].shape
@@ -351,9 +369,8 @@ def _product_coeffs(ctx: FieldCtx, ops1: Sequence[np.ndarray],
             acc[np.add.outer(ra * r2, rb), np.add.outer(ca * c2, cb)] += \
                 np.multiply.outer(va, vb)
             if n_terms % 4096 == 0:
-                # int64 holds 8192 products of residues (FieldCtx.dtype)
                 acc = ctx.reduce(acc)
-        out.append(ctx.reduce(acc))
+        out.append(acc)
     return out, s1 * s2
 
 
@@ -368,8 +385,8 @@ def _tensor_lie_ops(m1: GModule, m2: GModule):
     integer T (see _product_coeffs)."""
     _check_factors(m1, m2)
     ctx = m1.ctx
-    i1, i2 = ctx.eye(m1.dim), ctx.eye(m2.dim)
-    return [_product_coeffs(ctx, [i1, a.data], [i2, b.data], [1])
+    i1, i2 = Matrix.identity(ctx, m1.dim), Matrix.identity(ctx, m2.dim)
+    return [_product_coeffs(ctx, [i1, a], [i2, b], [1])
             for a, b in zip(m1.lie_action, m2.lie_action)]
 
 
@@ -382,8 +399,7 @@ def _tensor_family_ops(m1: GModule, m2: GModule):
     fam_ops = []
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
-        ts, s = _product_coeffs(ctx, [op.data for op in f1.ops],
-                                [op.data for op in f2.ops],
+        ts, s = _product_coeffs(ctx, f1.ops, f2.ops,
                                 range(f1.degree + f2.degree + 1))
         fam_ops.append((f1, ts, s))
     return fam_ops
@@ -393,10 +409,9 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
     """Tensor product: Leibniz action for the Lie part; X(t) (x) X(t) for the
     families, coefficients gathered by t-power."""
     ctx = m1.ctx
-    lie = [Matrix(ctx, from_int(ctx, t, s))
-           for (t,), s in _tensor_lie_ops(m1, m2)]
+    lie = [Matrix.from_int(ctx, t, s) for (t,), s in _tensor_lie_ops(m1, m2)]
     fams = [CoeffOperatorFamily(f.label,
-                                [Matrix(ctx, from_int(ctx, t, s)) for t in ts],
+                                [Matrix.from_int(ctx, t, s) for t in ts],
                                 f.root)
             for f, ts, s in _tensor_family_ops(m1, m2)]
     labels = [f"{a}(x){b}" for a in m1.labels for b in m2.labels]
@@ -408,7 +423,7 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
         ]
     meta = {"name": f"{m1.meta.get('name','?')}(x){m2.meta.get('name','?')}"}
     return GModule(ctx, labels, m1.lie_labels, lie, fams, weights=weights,
-                   brackets=m1.brackets, meta=meta)
+                   brackets=m1.bracket_matrix, meta=meta)
 
 
 def _squared(m: GModule, sign: int, name: str) -> GModule:
@@ -420,7 +435,7 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
     (e_i (x) e_i when i == j).  Every tensor-square operator T commutes with
     the swap of factors, so T iota lands in the (anti)symmetric tensors,
     where proj reads coordinate i*n + j: proj . T . iota is a gather of
-    integer entries of T, turned into field scalars once."""
+    integer entries of T, reduced once by Matrix.from_int."""
     ctx, n = m.ctx, m.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
     first = np.array([i * n + j for i, j in pairs], dtype=np.int64)
@@ -431,7 +446,7 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
         rows = t[first]
         out = rows[:, first]
         out[:, off] += sign * rows[:, swapped[off]]
-        return Matrix(ctx, from_int(ctx, out, s))
+        return Matrix.from_int(ctx, out, s)
 
     fams = [CoeffOperatorFamily(f.label, [compress(t, s) for t in ts], f.root)
             for f, ts, s in _tensor_family_ops(m, m)]
@@ -446,7 +461,7 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
     meta = {"name": f"{name}({m.meta.get('name','?')})"}
     mod = GModule(ctx, labels, m.lie_labels,
                   [compress(t, s) for (t,), s in _tensor_lie_ops(m, m)], fams,
-                  weights=weights, brackets=m.brackets, meta=meta)
+                  weights=weights, brackets=m.bracket_matrix, meta=meta)
     mod.pair_index = {p: c for c, p in enumerate(pairs)}  # type: ignore
     return mod
 
@@ -473,20 +488,24 @@ def induced_operators(ctx: FieldCtx,
     Each image is expressed in the spanning set w's basis followed by the
     reps; the rep coordinates are the induced matrix column.  Raises
     NotInvariant(name) when an operator maps a vector of w out of w, or a
-    rep out of span(w, reps)."""
+    rep out of span(w, reps).  The images and coordinates are taken on
+    integer forms: with the rows R / t and an operator J / s, the images
+    are R J^T / (t s)."""
     rows = list(w.basis.data) + [ctx.reduce(np.asarray(r)) for r in reps]
     if not rows:
         return [Matrix.zeros(ctx, 0, 0) for _ in named_ops]
     rows = np.stack(rows)
     nw = w.dim
     solver = SpanSolver(ctx, rows)
+    (r,), t = int_family(ctx, [rows])
     out = []
     for name, op in named_ops:
-        coords, in_span = solver.coords_rows(
-            exact_matmul(ctx, rows, op.data.T))
+        coords, u, in_span = solver.coords_int_rows(
+            int_matmul(ctx, r, op.ints.T), t * op.scale)
         if not in_span.all() or np.any(coords[:nw, nw:]):
             raise NotInvariant(name)
-        out.append(Matrix(ctx, coords[nw:, nw:].T.copy()))
+        out.append(Matrix.from_int(ctx, coords[nw:, nw:].T.copy(), u,
+                                   reduced=True))
     return out
 
 
@@ -502,7 +521,7 @@ def _subquotient(m: GModule, w: Subspace, reps: Sequence[np.ndarray],
     fams = [CoeffOperatorFamily(f.label, [next(ops) for _ in f.ops], f.root)
             for f in m.families]
     return GModule(m.ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.brackets, meta=meta)
+                   brackets=m.bracket_matrix, meta=meta)
 
 
 def quotient_module(m: GModule, w: Subspace,
@@ -583,20 +602,21 @@ def _commutator_pairs(pairs: Sequence[OpPair]) -> List[OpPair]:
 
 
 def _is_diagonal(m: Matrix) -> bool:
-    return np.count_nonzero(m.data) == np.count_nonzero(np.diagonal(m.data))
+    return np.count_nonzero(m.ints) == np.count_nonzero(np.diagonal(m.ints))
 
 
 def _weight_support(d1: int, d2: int, pairs: Sequence[OpPair]) -> np.ndarray:
     """d2 x d1 mask of the entries of f that B f = f A allows to be nonzero.
 
     Each pair with both operators diagonal forces (b_r - a_c) f_rc = 0, so
-    f_rc = 0 unless b_r == a_c as field elements; other pairs allow
+    f_rc = 0 unless b_r == a_c as field elements, that is unless
+    J_b[r, r] s_a == J_a[c, c] s_b on the integer forms; other pairs allow
     everything."""
     mask = np.ones((d2, d1), dtype=bool)
     for a, b in pairs:
         if _is_diagonal(a) and _is_diagonal(b):
-            mask &= (np.diagonal(b.data)[:, None]
-                     == np.diagonal(a.data)[None, :])
+            mask &= (np.diagonal(b.ints)[:, None] * a.scale
+                     == np.diagonal(a.ints)[None, :] * b.scale)
     return mask
 
 
@@ -608,27 +628,27 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
     implied are pairs every solution satisfies anyway.  Only the entries in
     the weight support of both lists are unknowns: the column of f_rc in the
     Kronecker system is B[:, r] (x) e_c - e_r (x) A[c, :].  With A = J_A / s
-    and B = J_B / s on integer arrays the system is built from J_B and J_A,
-    s times the one over the field, with the same solutions."""
+    and B = J_B / s on the integer forms of a pair its system is built from
+    J_B and J_A, s times the one over the field, with the same solutions.
+    The systems of all pairs are stacked and solved by one kernel."""
     n = d1 * d2
     rs, cs = np.nonzero(_weight_support(d1, d2, list(op_pairs) + list(implied)))
     unknowns = np.arange(len(rs))
-    space: Optional[Subspace] = None
+    blocks = []
     for a, b in op_pairs:
-        (ja, jb), _ = int_family(ctx, [a.data, b.data])
+        (ja, jb), _ = int_family(ctx, [a, b])
         cols = np.zeros((d2, d1, len(rs)), dtype=ctx.dtype)
         cols[:, cs, unknowns] = jb[:, rs]
         cols[rs, :, unknowns] -= ja[cs, :]
         lmat = ctx.reduce(cols.reshape(n, len(rs)))
-        lmat = lmat[lmat.astype(bool).any(axis=1)]
-        if space is None:
-            space = kernel(Matrix(ctx, from_int(ctx, lmat, 1)))
-        elif lmat.shape[0]:
-            space = space.where_zero(exact_matmul(ctx, space.basis.data,
-                                                  lmat.T))
-        if space.dim == 0:
-            break
-    if space is None:
+        blocks.append(lmat[lmat.astype(bool).any(axis=1)])
+    if blocks:
+        # sparsest rows first: the pivot loop takes the first nonzero row
+        # of a column as its pivot, and a sparse pivot row fills in less
+        lmat = np.concatenate(blocks)
+        lmat = lmat[np.argsort(lmat.astype(bool).sum(axis=1), kind="stable")]
+        space = kernel(Matrix.from_int(ctx, lmat, reduced=True))
+    else:
         space = Subspace.full(ctx, len(rs))
     # the support indices increase, so the embedded basis stays in reduced
     # echelon form with the same pivots

@@ -26,7 +26,8 @@ from .linalg import (
     Subspace,
     bilinear,
     exact_matmul,
-    from_int,
+    int_family,
+    int_matmul,
     kernel,
     largest_invariant_within,
     operator_images,
@@ -176,12 +177,14 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     i*n + j holds [e_i, e_j]), T_m the t^m coefficient of X(t) (x) X(t)
     from _tensor_family_ops and G_m that of the adjoint family with the
     same label; column i*n + j of either side is the t^m coefficient of
-    one side of X(t)[e_i, e_j] = [X(t)e_i, X(t)e_j].  Raises
-    EquivarianceViolation at the first failing family, at its least pair
-    i <= j and then its least power m."""
+    one side of X(t)[e_i, e_j] = [X(t)e_i, X(t)e_j].  With B = K / c,
+    T_m = J / u and G_m = H / v on integer forms the identity is
+    v K J = u H K.  Raises EquivarianceViolation at the first failing
+    family, at its least pair i <= j and then its least power m."""
     ctx, n = odd.ctx, odd.dim
     adj = {f.label: f for f in adjoint_families}
-    bmat = bracket.consts.reshape(n * n, bracket.dim_g).T
+    (kmat,), _ = int_family(
+        ctx, [bracket.consts.reshape(n * n, bracket.dim_g).T])
     upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
     for fam, ts, s in _tensor_family_ops(odd, odd):
         if fam.label not in adj:
@@ -190,11 +193,12 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
         max_deg = max(2 * fam.degree, gfam.degree)
         bad = np.zeros((max_deg + 1, n * n), dtype=bool)
         for m in range(1, max_deg + 1):
-            # one side is zero past its degree; the other is an array
-            lhs = (exact_matmul(ctx, bmat, from_int(ctx, ts[m], s))
-                   if m < len(ts) else 0)
-            rhs = (exact_matmul(ctx, gfam.ops[m].data, bmat)
-                   if m <= gfam.degree else 0)
+            g = gfam.op(m)  # zero past its degree, as T_m is
+            lhs, rhs = 0, int_matmul(ctx, g.ints, kmat)
+            if m < len(ts):
+                t = Matrix.from_int(ctx, ts[m], s)
+                lhs = int_matmul(ctx, kmat, t.ints) * g.scale
+                rhs = rhs * t.scale
             bad[m] = np.any(ctx.reduce(lhs - rhs), axis=0) & upper
         cols = np.nonzero(np.any(bad, axis=0))[0]
         if len(cols):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from superlie import linalg
-from superlie.fields import FieldCtx
+from superlie.fields import FieldCtx, InexactScalar
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -618,3 +619,137 @@ class TestEchelonDifferential:
         both = invariant_closure(ctx, n, seed, [op, Matrix.zeros(ctx, n, n)])
         assert_same(both, w)
         assert shapes.count((n, 2 * n)) == n - 1
+
+
+# -- the integer form of a Matrix ----------------------------------------------
+
+@pytest.mark.parametrize("ctx", [Q, FieldCtx.prime(2**31 - 1)], ids=repr)
+def test_hash_reads_every_entry(ctx):
+    # numpy prints arrays of more than 1000 entries with "...", so a hash
+    # of the printed array misses most entries of a 40 x 40 matrix
+    a = ctx.zeros(40, 40)
+    b = a.copy()
+    b[20, 20] = ctx.one
+    ma, mb = Matrix(ctx, a), Matrix(ctx, b)
+    assert ma != mb
+    assert hash(ma) != hash(mb)
+    assert hash(ma) == hash(Matrix(ctx, a.copy()))
+
+
+class TestExactInput:
+    """Matrix takes exact arrays only and holds the field's own dtype."""
+
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_float_array_is_rejected(self, ctx):
+        with pytest.raises(InexactScalar):
+            Matrix(ctx, np.array([[1.5, 2.0]]))
+
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_bool_array_is_rejected(self, ctx):
+        with pytest.raises(InexactScalar):
+            Matrix(ctx, np.array([[True, False]]))
+
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_float_entry_is_rejected(self, ctx):
+        with pytest.raises(InexactScalar):
+            Matrix(ctx, np.array([[1, 0.5]], dtype=object))
+
+    def test_int64_over_q_gives_fractions(self):
+        m = Matrix(Q, np.array([[1, -2]], dtype=np.int64))
+        assert m.data.dtype == object
+        assert [type(x) for x in m.data.flat] == [Fraction, Fraction]
+        assert m.data.tolist() == [[1, -2]]
+
+    def test_object_array_over_f5_gives_int64(self):
+        m = Matrix(F5, np.array([[1, 7, Fraction(1, 2)]], dtype=object))
+        assert m.data.dtype == np.int64
+        assert m.data.tolist() == [[1, 2, 3]]
+
+
+def _mixed_scalars(ctx):
+    if not ctx.p:
+        # denominators 1 to 12 mixed in one matrix, so the common scale
+        # is a proper lcm and some numerators share its factors
+        return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    return _scalars(ctx)
+
+
+def _mixed_matrices(ctx, rows, cols):
+    return st.lists(st.lists(_mixed_scalars(ctx), min_size=cols,
+                             max_size=cols),
+                    min_size=rows, max_size=rows).map(ctx.arr)
+
+
+def ref_int_form(ctx, a):
+    """(integers, scale) of a field array, read off its entries."""
+    if ctx.p:
+        return a.astype(object), 1
+    s = math.lcm(1, *(x.denominator for x in a.flat))
+    return np.array([[int(x * s) for x in row] for row in a],
+                    dtype=object).reshape(a.shape), s
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
+class TestIntegerForm:
+    """A Matrix built from its field array or from integers holds one
+    canonical form, and its operations match the same operations on the
+    field arrays."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_constructors_agree(self, ctx, data):
+        r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+        a = data.draw(_mixed_matrices(ctx, r, c))
+        ints, s = ref_int_form(ctx, a)
+        # the same matrix as (k ints) / (k s), k != 0 in the field
+        k = data.draw(st.integers(-6, 6).filter(
+            lambda k: k % (ctx.p or 7) != 0))
+        from_data = Matrix(ctx, a)
+        from_ints = Matrix.from_int(ctx, ints * k, s * k)
+        assert from_data == from_ints
+        assert hash(from_data) == hash(from_ints)
+        assert from_data.scale == from_ints.scale
+        assert np.array_equal(from_data.ints, from_ints.ints)
+        for m in (from_data, from_ints):
+            assert np.array_equal(m.data, a)
+            if ctx.p:
+                assert m.scale == 1 and m.ints is m.data
+            else:
+                assert m.scale > 0
+                assert math.gcd(m.scale, *m.ints.flat) == 1
+            if not ctx.p:
+                assert all(type(x) is Fraction for x in m.data.flat)
+            elif ctx.dtype is np.int64:
+                assert m.data.dtype == np.int64
+            else:
+                assert all(type(x) is int for x in m.data.flat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_operations_match_field_arrays(self, ctx, data):
+        r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a, b = (data.draw(_mixed_matrices(ctx, r, k)) for _ in range(2))
+        d = data.draw(_mixed_matrices(ctx, k, c))
+        if data.draw(st.booleans()):
+            b = a.copy()
+        if data.draw(st.booleans()):
+            b = ctx.zeros(r, k)
+        if r == k and data.draw(st.booleans()):
+            a = ctx.eye(r)
+
+        def via_ints(x):
+            return Matrix.from_int(ctx, *ref_int_form(ctx, x))
+
+        ma, mb, md = via_ints(a), Matrix(ctx, b), via_ints(d)
+        obj = [x.astype(object) for x in (a, b, d)]
+        assert np.array_equal((ma + mb).data, ctx.reduce(obj[0] + obj[1]))
+        assert np.array_equal((ma - mb).data, ctx.reduce(obj[0] - obj[1]))
+        assert np.array_equal((ma @ md).data, ctx.reduce(obj[0] @ obj[2]))
+        assert np.array_equal(ma.transpose().data, a.T)
+        assert mb.is_zero() == (not any(x != 0 for x in b.flat))
+        assert ma.is_identity() == (r == k and np.array_equal(a, ctx.eye(r)))
+        assert (ma == mb) == np.array_equal(a, b)
+        if np.array_equal(a, b):
+            assert hash(ma) == hash(mb)
+        for m in (ma + mb, ma - mb, ma @ md, ma.transpose()):
+            assert m.data.dtype == ctx.dtype

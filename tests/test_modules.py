@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import superlie.brj as brj
+import superlie.linalg as linalg
 import superlie.modules as modules
 from superlie.fields import FieldCtx
 from superlie.linalg import (
@@ -115,6 +116,27 @@ class TestValidationCount:
         # seen keeps every family alive, so distinct families have
         # distinct ids
         assert len(seen) == len({id(f) for f in seen})
+
+
+class TestIntegerFormCount:
+    def test_q_forms_convert_no_fraction_array(self, monkeypatch):
+        # the operators of Sym_5*, its Sym2 and adjoint sl2 are built from
+        # integers or converted once when built, so the Sym2 build and the
+        # hom solve turn no Fraction array into integers.  The inputs are
+        # built first: sl2 itself converts its structure constants, raw
+        # superalgebra arrays that the Fraction path still serves
+        dual5, adj = symn_dual(5, Q), adjoint_sl2_module(Q)
+        calls = []
+        int_scaled = linalg.int_scaled
+
+        def counting(a):
+            calls.append(a.shape)
+            return int_scaled(a)
+
+        monkeypatch.setattr(linalg, "int_scaled", counting)
+        rep = hom_space(sym2(dual5), adj, "both")
+        assert (rep.dim_group, rep.dim_algebra) == (1, 1)
+        assert calls == []
 
 
 class TestRepresentationCheck:
