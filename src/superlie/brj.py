@@ -333,9 +333,7 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     report.first_constant = f"[{u_labels[pos[0]]},{u_labels[pos[1]]}] " \
                             f"-> {g.labels[pos[2]]}"
 
-    roots, _ = _sp4_elements(ctx)
-    adj_fams = [conjugation_family(g, l, m, root=w) for l, w, m in roots]
-    pair = assemble_pair(g, u_mod, bracket, adj_fams,
+    pair = assemble_pair(g, u_mod, bracket, adj.families,
                          meta={"name": f"brj(2;5)@p={p}"})
     report.pair = pair
     report.algebra = pair.algebra

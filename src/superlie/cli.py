@@ -160,8 +160,7 @@ def cmd_hom(args) -> int:
     else:
         print(f"dim: {rep.dim}")
     if args.out:
-        data = [[[m1.ctx.scalar_to_str(x) for x in row]
-                 for row in f.data.tolist()] for f in rep.basis]
+        data = [m.to_rows() for m in rep.basis]
         with open(args.out, "w") as f:
             json.dump({"mode": args.mode, "dim": rep.dim, "basis": data}, f)
         print(f"wrote {args.out}")

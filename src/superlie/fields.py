@@ -4,18 +4,17 @@ Scalars are plain python objects: canonical residues ``int`` in [0, p) for a
 prime field, ``fractions.Fraction`` for the rationals.  A FieldCtx bundles the
 arithmetic so the rest of the library never branches on the field kind.
 
-Also provides MultiPoly, a sparse multivariate polynomial of total degree <= 3
-used for the symbolic identity checks (the cubic [[v,v],v] expansions and the
-two-variable composition identities of one-parameter subgroups).  All the
-identities we need are polynomial identities with prime-subfield coefficients,
-so coefficientwise vanishing over F_p or Q certifies them over the algebraic
-closure.
+Also provides MultiPoly, the coefficient table of one polynomial of total
+degree <= 3: LieSuperalgebra.validate_cubic_odd(with_polys=True) reports the
+coefficients of [[v,v],v] in it.  The identity has prime-subfield
+coefficients, so coefficientwise vanishing over F_p or Q certifies it over
+the algebraic closure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -112,11 +111,15 @@ class FieldCtx:
     def rationals(cls) -> "FieldCtx":
         return cls(0)
 
-    # -- predicates ---------------------------------------------------------
-    @property
-    def characteristic(self) -> int:
-        return self.p
+    # -- JSON ---------------------------------------------------------------
+    def to_json_value(self) -> Union[dict, str]:
+        return {"p": self.p} if self.p else "Q"
 
+    @classmethod
+    def from_json_value(cls, v: Union[dict, str]) -> "FieldCtx":
+        return cls.rationals() if v == "Q" else cls.prime(int(v["p"]))
+
+    # -- predicates ---------------------------------------------------------
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.p == other.p
 
@@ -232,18 +235,20 @@ class FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials, total degree <= DEGREE_CAP
+# coefficient tables of polynomials of total degree <= DEGREE_CAP
 # ---------------------------------------------------------------------------
 
 Expvec = Tuple[int, ...]
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial of bounded total degree over a FieldCtx.
+    """The coefficient table of a multivariate polynomial of bounded total
+    degree over a FieldCtx.
 
-    Terms map exponent vectors (length = arity) to nonzero scalars.  The
-    degree cap keeps the symbolic checks honest: the only identities needed
-    are at most cubic, and hitting the cap signals a modelling bug.
+    terms maps exponent vectors (length = arity) to nonzero canonical
+    scalars.  The degree cap keeps the symbolic checks honest: the only
+    identities needed are at most cubic, and hitting the cap signals a
+    modelling bug.
     """
 
     __slots__ = ("ctx", "arity", "terms")
@@ -262,105 +267,5 @@ class MultiPoly:
                 clean[tuple(ev)] = c
         self.terms = clean
 
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def zero(cls, ctx: FieldCtx, arity: int) -> "MultiPoly":
-        return cls(ctx, arity, {})
-
-    @classmethod
-    def constant(cls, ctx: FieldCtx, arity: int, c) -> "MultiPoly":
-        return cls(ctx, arity, {(0,) * arity: c})
-
-    @classmethod
-    def variable(cls, ctx: FieldCtx, arity: int, i: int) -> "MultiPoly":
-        ev = [0] * arity
-        ev[i] = 1
-        return cls(ctx, arity, {tuple(ev): ctx.one})
-
-    # -- ring operations -----------------------------------------------------
-    def _check(self, other: "MultiPoly"):
-        if self.arity != other.arity or self.ctx != other.ctx:
-            raise ArityMismatch("polynomial arity/field mismatch")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        t = dict(self.terms)
-        for ev, c in other.terms.items():
-            t[ev] = self.ctx.add(t.get(ev, self.ctx.zero), c)
-        return MultiPoly(self.ctx, self.arity, t)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other.scale(self.ctx.neg(self.ctx.one))
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        t: dict = {}
-        for ev1, c1 in self.terms.items():
-            for ev2, c2 in other.terms.items():
-                ev = tuple(a + b for a, b in zip(ev1, ev2))
-                if sum(ev) > DEGREE_CAP:
-                    raise DegreeCapExceeded(
-                        f"product monomial {ev} exceeds degree {DEGREE_CAP}"
-                    )
-                c = self.ctx.mul(c1, c2)
-                t[ev] = self.ctx.add(t.get(ev, self.ctx.zero), c)
-        return MultiPoly(self.ctx, self.arity, t)
-
-    def scale(self, c) -> "MultiPoly":
-        c = self.ctx.of(c)
-        return MultiPoly(
-            self.ctx,
-            self.arity,
-            {ev: self.ctx.mul(c, v) for ev, v in self.terms.items()},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.arity == other.arity
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.arity, frozenset(self.terms.items())))
-
-    # -- queries -------------------------------------------------------------
-    def eval(self, point: Iterable) -> ScalarLike:
-        pt = [self.ctx.of(x) for x in point]
-        if len(pt) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} coordinates, got {len(pt)}")
-        acc = self.ctx.zero
-        for ev, c in self.terms.items():
-            term = c
-            for x, e in zip(pt, ev):
-                for _ in range(e):
-                    term = self.ctx.mul(term, x)
-            acc = self.ctx.add(acc, term)
-        return acc
-
-    def is_zero(self) -> Tuple[bool, Optional[Tuple[Expvec, ScalarLike]]]:
-        """(True, None) if identically zero, else (False, witness term)."""
-        if not self.terms:
-            return True, None
-        ev = min(self.terms)
-        return False, (ev, self.terms[ev])
-
     def coefficient(self, ev: Expvec):
         return self.terms.get(tuple(ev), self.ctx.zero)
-
-    def degree(self) -> int:
-        return max((sum(ev) for ev in self.terms), default=0)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for ev in sorted(self.terms):
-            mono = "*".join(
-                f"x{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(ev)
-                if e
-            )
-            parts.append(f"{self.terms[ev]}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)

@@ -275,6 +275,12 @@ class Matrix:
                 a[i, j] = ctx.of(x)
         return cls._canonical(ctx, a)
 
+    def to_rows(self) -> List[List[str]]:
+        """The entries as strings, row by row: the JSON form from_rows
+        reads back."""
+        return [[self.ctx.scalar_to_str(x) for x in row]
+                for row in self.data.tolist()]
+
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "Matrix":
         return cls.from_int(ctx, np.zeros((rows, cols), dtype=np.int64))
@@ -545,38 +551,31 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
     # -- membership -----------------------------------------------------------
-    def reduce_vector(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(residual, coefficients): v = coeffs @ basis + residual, residual
-        supported away from pivot coordinates."""
-        v = self.ctx.reduce(np.asarray(v))
-        if v.shape[0] != self.ambient_dim:
-            raise DimensionMismatch("vector length mismatch")
-        if self.dim == 0:
-            return v, self.ctx.zeros(0)
-        coeffs = v[self._pivots].copy()
-        residual = self.ctx.reduce(v - coeffs @ self.basis.data)
-        return residual, coeffs
-
     def residuals(self, vs: np.ndarray) -> np.ndarray:
-        """The residual of each row of vs, as reduce_vector gives it: one
-        product on integer arrays (linalg.int_family).
+        """The residual of each row v of the 2-D array vs: v minus its
+        pivot coordinates times the basis, zero at the pivots, and zero iff
+        v lies in the space.  One product on integer arrays
+        (linalg.int_family), on the integer form the basis Matrix holds.
 
         With vs = V / s and the basis B / s, the residual
         vs - vs[:, pivots] B / s is (s V - V[:, pivots] B) / s^2."""
         ctx = self.ctx
+        if vs.ndim != 2 or vs.shape[1] != self.ambient_dim:
+            raise DimensionMismatch(
+                f"rows of shape {vs.shape} in ambient dimension "
+                f"{self.ambient_dim}")
         if self.dim == 0:
             return ctx.reduce(vs)
-        (v, b), s = int_family(ctx, [vs, self.basis.data])
+        (v, b), s = int_family(ctx, [vs, self.basis])
         return from_int(ctx, v * s - int_matmul(ctx, v[:, self._pivots], b),
                         s * s)
 
     def contains(self, v: np.ndarray) -> bool:
-        residual, _ = self.reduce_vector(v)
-        return not np.any(residual)
+        return not self.residuals(np.asarray(v)[None, :]).astype(bool).any()
 
     def leq(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(other.contains(row) for row in self.basis.data)
+        return not other.residuals(self.basis.data).astype(bool).any()
 
     def _check(self, other: "Subspace"):
         if self.ctx != other.ctx or self.ambient_dim != other.ambient_dim:

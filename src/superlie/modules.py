@@ -87,6 +87,16 @@ class CoeffOperatorFamily:
             return self.ops[k]
         return Matrix.zeros(self.ctx, self.dim, self.dim)
 
+    def to_json_dict(self) -> dict:
+        return {"label": self.label,
+                "root": list(self.root) if self.root else None,
+                "ops": [op.to_rows() for op in self.ops]}
+
+    @classmethod
+    def from_json_dict(cls, ctx: FieldCtx, d: dict) -> "CoeffOperatorFamily":
+        return cls(d["label"], [Matrix.from_rows(ctx, m) for m in d["ops"]],
+                   d.get("root"))
+
     def validate(self):
         if not self.ops:
             raise CompositionViolation(f"{self.label}: empty family")
@@ -272,26 +282,15 @@ class GModule:
 
     # -- serialization --------------------------------------------------------
     def to_json_dict(self) -> dict:
-        def mat(m: Matrix):
-            return [[self.ctx.scalar_to_str(x) for x in row]
-                    for row in m.data.tolist()]
-
         return {
-            "field": {"p": self.ctx.p} if self.ctx.p else "Q",
+            "field": self.ctx.to_json_value(),
             "labels": list(self.labels),
             "weights": [list(w) for w in self.weights] if self.weights else None,
             "lie": [
-                {"label": l, "matrix": mat(m)}
+                {"label": l, "matrix": m.to_rows()}
                 for l, m in zip(self.lie_labels, self.lie_action)
             ],
-            "families": [
-                {
-                    "label": f.label,
-                    "root": list(f.root) if f.root else None,
-                    "ops": [mat(op) for op in f.ops],
-                }
-                for f in self.families
-            ],
+            "families": [f.to_json_dict() for f in self.families],
             "meta": self.meta,
         }
 
@@ -300,16 +299,11 @@ class GModule:
 
 
 def module_from_json_dict(d: dict) -> GModule:
-    ctx = FieldCtx.rationals() if d["field"] == "Q" else FieldCtx.prime(
-        int(d["field"]["p"]))
+    ctx = FieldCtx.from_json_value(d["field"])
     lie_labels = [e["label"] for e in d["lie"]]
     lie_action = [Matrix.from_rows(ctx, e["matrix"]) for e in d["lie"]]
-    fams = [
-        CoeffOperatorFamily(
-            e["label"], [Matrix.from_rows(ctx, m) for m in e["ops"]],
-            e.get("root"))
-        for e in d["families"]
-    ]
+    fams = [CoeffOperatorFamily.from_json_dict(ctx, e)
+            for e in d["families"]]
     return GModule(ctx, d["labels"], lie_labels, lie_action, fams,
                    weights=d.get("weights"), meta=d.get("meta", {}))
 

@@ -383,10 +383,6 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
 
 def pair_to_json_dict(pair: HCPair) -> dict:
     ctx = pair.even.ctx
-
-    def mat(m: Matrix):
-        return [[ctx.scalar_to_str(x) for x in row] for row in m.data.tolist()]
-
     d = pair.even.to_json_dict()
     d["odd_action"] = pair.odd.to_json_dict()
     b = pair.bracket.consts
@@ -394,11 +390,8 @@ def pair_to_json_dict(pair: HCPair) -> dict:
         [i, j, [ctx.scalar_to_str(x) for x in b[i, j].tolist()]]
         for i, j in np.argwhere(np.triu(b.astype(bool).any(axis=2))).tolist()
     ]
-    d["adjoint_families"] = [
-        {"label": f.label, "root": list(f.root) if f.root else None,
-         "ops": [mat(op) for op in f.ops]}
-        for f in pair.adjoint_families
-    ]
+    d["adjoint_families"] = [f.to_json_dict()
+                             for f in pair.adjoint_families]
     return d
 
 
@@ -411,12 +404,8 @@ def pair_from_json_dict(d: dict) -> HCPair:
         (int(i), int(j)): ctx.vec(v) for i, j, v in d["odd_bracket"]
     }
     bracket = BilinearMap.from_entries(ctx, odd.dim, even.dim, entries)
-    adj = [
-        CoeffOperatorFamily(
-            e["label"], [Matrix.from_rows(ctx, m) for m in e["ops"]],
-            e.get("root"))
-        for e in d["adjoint_families"]
-    ]
+    adj = [CoeffOperatorFamily.from_json_dict(ctx, e)
+           for e in d["adjoint_families"]]
     return assemble_pair(even, odd, bracket, adj, meta=d.get("meta", {}))
 
 

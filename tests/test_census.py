@@ -84,6 +84,25 @@ class TestPresets:
         assert text.endswith("\n")
 
 
+class TestChecks:
+    def test_solvable_and_derived_codim(self):
+        checks = ("solvable", "derived_codim")
+        rows = run_census([("gl", {"m": 1, "n": 1}, 5),
+                           ("sl", {"m": 2, "n": 1}, 3),
+                           ("pgl", {"m": 2, "n": 2}, 3),
+                           ("periplectic", {"n": 2}, 5)], checks)
+        got = {(r.family, r.p): (r.dims, r.verdicts) for r in rows}
+        assert got == {
+            ("gl", 5): ((2, 2), {"solvable": True, "derived_codim": "1|0"}),
+            ("sl", 3): ((4, 4), {"solvable": False, "derived_codim": "0|0"}),
+            ("pgl", 3): ((7, 8), {"solvable": False, "derived_codim": "1|0"}),
+            ("periplectic", 5): ((4, 4), {"solvable": False,
+                                          "derived_codim": "1|0"}),
+        }
+        assert rows_to_tsv(rows, checks).splitlines()[1].split("\t")[5:] == [
+            "True", "1|0", ""]
+
+
 class TestErrorScope:
     """Only SuperlieError becomes an error row; anything else is a bug and
     propagates."""

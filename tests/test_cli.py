@@ -8,6 +8,10 @@ import pytest
 
 from superlie.brj import brj25
 from superlie.cli import _brj_report_dict, main, make_parser
+from superlie.constructions import sl2_symn_pair, symn_dual
+from superlie.fields import FieldCtx
+from superlie.modules import sym2
+from superlie.pairs import pair_to_json_dict
 
 
 def run(capsys, *argv):
@@ -106,6 +110,27 @@ class TestCheck:
         rc, out, _ = run(capsys, "check", "--file", path, "derived", "center")
         assert rc == 0
         assert "center: 0|0" in out
+
+    def test_cubic_on_catalog_algebra(self, capsys):
+        rc, out, _ = run(capsys, "check", "cubic", "--family", "spo", "--m",
+                         "1", "--odd", "3", "--p", "5",
+                         "--expect", "cubic=pass")
+        assert (rc, out) == (0, "cubic: pass\n")
+
+    def test_sas_from_pair_file(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair_to_json_dict(
+            sl2_symn_pair(3, 1, FieldCtx.prime(3))), indent=1))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "46ecb18e241c473b7d61f35f797fab253abcef37f7afe94dc674e8da219f354c"
+        rc, out, _ = run(capsys, "check", "sas", "cubic", "--file", str(path))
+        assert (rc, out) == (0, "sas: true,true\ncubic: pass\n")
+
+    def test_sas_needs_a_pair_file(self, capsys):
+        rc, _, err = run(capsys, "check", "sas", "--family", "sl", "--m", "2",
+                         "--n", "1", "--p", "5")
+        assert rc == 2
+        assert "sas check needs a pair JSON" in err
 
 
 class TestHom:
@@ -240,6 +265,19 @@ class TestCensus:
         assert lines[0].startswith("family\tparams\tp")
         assert len(lines) == 20  # header + 19 rows
 
+    @pytest.mark.parametrize("preset, fmt, rows, digest", [
+        ("family-catalog", "tsv", 19,
+         "18af7dcf386b097e846c7929a7208cda79f6fc1ccaabf9ae3f346f2f022a3676"),
+        ("d21", "jsonl", 20,
+         "da862ff46f896f6334b0e99df647a0105f944c28ddd66aedb197cc40ef899f62"),
+    ])
+    def test_out_file(self, capsys, tmp_path, preset, fmt, rows, digest):
+        path = tmp_path / f"census.{fmt}"
+        rc, out, _ = run(capsys, "census", preset, "--format", fmt,
+                         "--out", str(path))
+        assert (rc, out) == (0, f"wrote {path} ({rows} rows)\n")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_unknown_preset_exits_2(self, capsys):
         rc, _, err = run(capsys, "census", "nope")
         assert rc == 2
@@ -275,6 +313,31 @@ class TestValidateFile:
         rc, out, _ = run(capsys, "validate-file", path)
         assert rc == 1
         assert out.startswith("invalid: InexactScalar")
+
+    def test_pair_and_module_files(self, capsys, tmp_path):
+        pair = sl2_symn_pair(3, 1, FieldCtx.prime(3))
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair_to_json_dict(pair)))
+        rc, out, _ = run(capsys, "validate-file", str(path))
+        assert (rc, out) == (0, "valid pair: dims 3|4\n")
+        path = tmp_path / "module.json"
+        path.write_text(sym2(symn_dual(3, FieldCtx.rationals())).to_json())
+        rc, out, _ = run(capsys, "validate-file", str(path))
+        assert (rc, out) == (0, "valid module: dim 10\n")
+        # a module file whose family breaks the composition law
+        d = json.loads(path.read_text())
+        d["families"][0]["ops"][1][0][0] = "1"
+        path.write_text(json.dumps(d))
+        rc, out, _ = run(capsys, "validate-file", str(path))
+        assert rc == 1
+        assert out.startswith("invalid: CompositionViolation")
+
+    def test_unrecognized_shape_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("{}")
+        rc, _, err = run(capsys, "validate-file", str(path))
+        assert rc == 2
+        assert "unrecognized JSON shape" in err
 
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run(capsys, "validate-file", "/no/such/file.json")

@@ -189,6 +189,33 @@ class TestSubspaceLattice:
         assert np.array_equal(u.basis.data, v.basis.data)
 
 
+class TestResiduals:
+    @pytest.mark.parametrize("ctx", [F5, Q])
+    def test_width_checked(self, ctx):
+        line = Subspace.from_vectors(ctx, 3, [ctx.vec([1, 2, 0])])
+        for space in (Subspace.zero(ctx, 3), line):
+            for bad in (ctx.zeros(2, 4), ctx.zeros(2, 2), ctx.zeros(3)):
+                with pytest.raises(DimensionMismatch):
+                    space.residuals(bad)
+            with pytest.raises(DimensionMismatch):
+                space.contains(ctx.vec([1, 2]))
+            with pytest.raises(DimensionMismatch):
+                space.leq(Subspace.zero(ctx, 4))
+
+    @pytest.mark.parametrize("ctx", [F5, Q])
+    def test_membership(self, ctx):
+        line = Subspace.from_vectors(ctx, 3, [ctx.vec([1, 2, 0])])
+        rows = np.stack([ctx.vec([2, 4, 0]), ctx.vec([1, 2, 1]),
+                         ctx.vec([0, 1, 0])])
+        assert ctx.reduce(rows - line.residuals(rows)).tolist() == [
+            ctx.vec([2, 4, 0]).tolist(), ctx.vec([1, 2, 0]).tolist(),
+            ctx.zeros(3).tolist()]
+        assert [line.contains(r) for r in rows] == [True, False, False]
+        assert Subspace.zero(ctx, 3).leq(line) and line.leq(line)
+        assert not line.leq(Subspace.from_vectors(ctx, 3, rows[1:]))
+        assert line.leq(Subspace.from_vectors(ctx, 3, rows))
+
+
 class TestSpinning:
     def shift_op(self, ctx, n):
         rows = [[0] * n for _ in range(n)]

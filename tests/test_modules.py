@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -767,3 +768,24 @@ class TestJson:
         m2 = module_from_json(m.to_json())
         for a, b in zip(m2.lie_action, m.lie_action):
             assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("name, build, digest", [
+        ("symn3-F5", lambda: symn_module(3, F5),
+         "acb24ea184ba3152d1a8fa9ff6d534b5f770fec128ac10caf7711964f35c8657"),
+        ("dual2-Q", lambda: symn_dual(2, Q),
+         "25d251488ccdeb5d80b6ef2021ff162a36c851bdfcd6a1a31132472f788751e0"),
+        ("sym2-dual3-BIG", lambda: sym2(symn_dual(3, BIG)),
+         "00faf29ef1f465f20270512f0671b2e955b2d5cff9727482274b968475d31a7c"),
+        ("fractions-Q", lambda: GModule(
+            Q, ["a", "b"], ["h"],
+            [Matrix.from_rows(Q, [["1/2", "0"], ["0", "-1/2"]])],
+            [CoeffOperatorFamily("u", [Matrix.identity(Q, 2), Matrix.from_rows(
+                Q, [["0", "1/3"], ["0", "0"]])], (1,))],
+            weights=[(1,), (0,)], meta={"name": "frac"}),
+         "a466f203f3da3da8e829bfafdd878a8b22508fbed773aaac7fccdc05160ff1de"),
+    ])
+    def test_json_digest(self, name, build, digest):
+        # sha256 of to_json(), and the decoder gives the same text back
+        text = build().to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert module_from_json(text).to_json() == text

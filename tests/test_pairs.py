@@ -24,8 +24,11 @@ from superlie.pairs import (
     pair_to_json_dict,
     quotient_pair,
 )
+from superlie.superalgebra import build_superalgebra
 from superlie.constructions import (
     RecurrenceViolation,
+    gl,
+    pgl,
     sl2_algebra,
     sl2_symn_algebra,
     sl2_symn_bracket,
@@ -417,6 +420,34 @@ class TestSasAndSubpairs:
         q = quotient_pair(p, s)
         assert np.array_equal(q.algebra.consts, p.algebra.consts)
         assert _unnamed(pair_to_json_dict(q)) == _unnamed(pair_to_json_dict(p))
+
+
+def gl11_pair(ctx):
+    """gl(1|1) as a pair: the even part gl1 + gl1 on E11, E22, the odd
+    module E12, E21 under ad with no families, [E12, E21] = E11 + E22."""
+    even = build_superalgebra(ctx, [("E1,1", 0), ("E2,2", 0)], {})
+    odd = GModule(ctx, ["E1,2", "E2,1"], even.labels,
+                  [Matrix.from_rows(ctx, [[1, 0], [0, -1]]),
+                   Matrix.from_rows(ctx, [[-1, 0], [0, 1]])], [],
+                  brackets=even.consts)
+    bracket = BilinearMap.from_entries(ctx, 2, 2, {(0, 1): ctx.vec([1, 1])})
+    return assemble_pair(even, odd, bracket, [], meta={"name": "gl11"})
+
+
+class TestProperQuotient:
+    """quotient_pair by a nonzero proper Lie(H): the odd bracket must be
+    reduced against Lie(H) before it is restricted to the kept
+    coordinates."""
+
+    @pytest.mark.parametrize("ctx", [F3, F5, Q])
+    def test_gl11_by_scalars_is_pgl11(self, ctx):
+        p = gl11_pair(ctx)
+        assert np.array_equal(p.algebra.consts, gl(1, 1, ctx).consts)
+        s = SubpairSpec(Subspace.from_vectors(ctx, 2, [ctx.vec([1, 1])]), (),
+                        Subspace.zero(ctx, 2))
+        q = quotient_pair(p, s)
+        assert q.dims == (1, 2)
+        assert np.array_equal(q.algebra.consts, pgl(1, 1, ctx).consts)
 
 
 class TestPairJson:

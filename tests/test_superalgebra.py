@@ -238,6 +238,15 @@ class TestStructure:
         with pytest.raises(NotAnIdeal):
             a.quotient(ideal)
 
+    def test_zero_and_abelian_verdicts(self):
+        for ctx in (F3, Q):
+            zero = algebra_from_consts(ctx, [], ctx.zeros(0, 0, 0))
+            assert zero.is_graded_simple().verdict == "Zero"
+            abelian = build_superalgebra(ctx, [("x", 0), ("y", 1)], {})
+            v = abelian.is_graded_simple()
+            assert (v.verdict, v.witness, v.is_simple) == ("Abelian", None,
+                                                           False)
+
     def test_derived_series_of_solvable(self):
         a = sl11(F5)
         series = a.derived_series()
@@ -427,7 +436,7 @@ def loop_quotient_table(alg, T, ideal):
             v = ctx.zeros(alg.dim)
             for k, c in T.get((i, j), {}).items():
                 v[k] = c
-            residual, _ = full.reduce_vector(v)
+            residual = full.residuals(v[None, :])[0]
             entry = {keep.index(int(k)): residual[k]
                      for k in np.nonzero(residual)[0]}
             if entry:
@@ -643,6 +652,20 @@ class TestJson:
         assert d["basis"][0] == {"label": "H", "parity": 0}
         # only i <= j pairs are serialized
         assert all(i <= j for i, j, _ in d["brackets"])
+
+    @pytest.mark.parametrize("name, build, digest", [
+        ("psq3-F5", lambda: psq(3, F5),
+         "15daaee03ae40a09ace4a5ad7d64ec98696d04d750dc5d372eee56c00a09ef0e"),
+        ("d21-Q", lambda: d21(D21Params(1, 1, -2), Q),
+         "ebb77acf6b4b836ad33dc5a647484f8c7da844f2d6896e4f9bc4eeb170c47714"),
+        ("d21-halves-Q", lambda: d21(D21Params("1/2", "1/2", -1), Q),
+         "3d29c8168027d3a72a7402dc238617245f0d883179bb82aebfbadd09c687d4fb"),
+    ])
+    def test_json_digest(self, name, build, digest):
+        # sha256 of to_json(), and the decoder gives the same text back
+        text = build().to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert algebra_from_json(text).to_json() == text
 
     def test_corrupted_json_rejected(self):
         d = sl11(F5).to_json_dict()
