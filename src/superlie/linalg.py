@@ -164,17 +164,17 @@ def join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def nonzero_sums(ctx: FieldCtx, keys: np.ndarray,
-                 terms: np.ndarray) -> np.ndarray:
+                 terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct keys, in increasing order, whose terms do not sum to
-    zero in the field: terms are integers, reduced once per key (residues
-    over F_p, integers over one common denominator over Q)."""
+    zero in the field, and their sums: terms are integers, reduced once per
+    key (residues over F_p, integers over one common denominator over Q)."""
     if not len(keys):
-        return keys
+        return keys, terms
     order = np.argsort(keys, kind="stable")
     keys, terms = keys[order], terms[order]
     first = np.flatnonzero(run_starts(keys))
     sums = ctx.reduce(np.add.reduceat(terms, first))
-    return keys[first[sums != 0]]
+    return keys[first[sums != 0]], sums[sums != 0]
 
 
 def _int_form(ctx: FieldCtx, ints: np.ndarray, s: int) -> Tuple[np.ndarray, int]:

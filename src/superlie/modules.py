@@ -32,6 +32,7 @@ from .linalg import (
     join,
     kernel,
     nonzero_sums,
+    run_starts,
 )
 
 
@@ -128,7 +129,7 @@ class CoeffOperatorFamily:
         binom = ctx.reduce(np.array(
             [[math.comb(i, j) * s for j in range(d + 1)]
              for i in range(d + 1)], dtype=object)).astype(v.dtype)
-        keys = nonzero_sums(
+        keys, _ = nonzero_sums(
             ctx, np.concatenate([lhs_keys, rhs_keys]),
             np.concatenate([ctx.reduce(v[x] * v[y]),
                             ctx.reduce(-binom[k[e], a] * v[e])]))
@@ -146,6 +147,22 @@ def _nonzeros(a: np.ndarray):
     lexicographic order, followed by their values."""
     idx = np.nonzero(a.astype(bool))
     return (*idx, a[idx])
+
+
+def _commutator_terms(ctx: FieldCtx, ints: Sequence[np.ndarray]):
+    """(keys, terms) whose sums per key (i, j, row, col), i < j, are the
+    entries of J_i J_j - J_j J_i for the n x n integer arrays ints: every
+    product from one join of all their entries on the middle index."""
+    d, n = len(ints), ints[0].shape[0]
+    i, r, c, v = _nonzeros(np.stack(ints))
+    x, y = join(c, r)
+    off = i[x] != i[y]
+    x, y = x[off], y[off]
+    lo, hi = np.minimum(i[x], i[y]), np.maximum(i[x], i[y])
+    prod = ctx.reduce(v[x] * v[y])
+    # J_j J_i with i < j enters the commutator of (i, j) negated
+    prod = np.where(i[x] < i[y], prod, -prod)
+    return ((lo * d + hi) * n + r[x]) * n + c[y], prod
 
 
 class GModule:
@@ -232,24 +249,23 @@ class GModule:
             if len(f.root) != w.shape[1]:
                 raise DimensionMismatch(
                     f"family {f.label} root length mismatch")
-            root = np.array(f.root)
-            for k, op in enumerate(f.ops[1:], 1):
-                r, c, _ = _nonzeros(op.ints)
-                bad = np.flatnonzero((w[c] + k * root != w[r]).any(axis=1))
-                if len(bad):
-                    raise CompositionViolation(
-                        f"{f.label}: op_{k} breaks weights at "
-                        f"({r[bad[0]]},{c[bad[0]]})")
+            # op_0 is the identity, which keeps every weight
+            k, r, c, _ = _nonzeros(np.stack([op.ints for op in f.ops]))
+            bad = np.flatnonzero(
+                (w[c] + k[:, None] * np.array(f.root) != w[r]).any(axis=1))
+            if len(bad):
+                b = bad[0]
+                raise CompositionViolation(
+                    f"{f.label}: op_{k[b]} breaks weights at ({r[b]},{c[b]})")
 
     def _check_brackets(self):
         """[A_i, A_j] = sum_k brackets[i, j, k] A_k for every pair i < j.
 
         With A_i = J_i / s and brackets = K / t on integer arrays, that is
-        t (J_i J_j - J_j J_i) = s sum_k K_ijk J_k.  Every product J_i J_j
-        comes from one join of the entries of the J on the middle index,
-        every right-hand side from one join of the entries of K with those
-        of the J_k.  A key packs (i, j, row, col), so the least one left is
-        the least failing (i, j)."""
+        t (J_i J_j - J_j J_i) = s sum_k K_ijk J_k.  The commutators come
+        from _commutator_terms, every right-hand side from one join of the
+        entries of K with those of the J_k.  A key packs (i, j, row, col),
+        so the least one left is the least failing (i, j)."""
         ctx, n, d = self.ctx, self.dim, len(self.lie_action)
         b = self.bracket_matrix
         if b.shape != (d * d, d):
@@ -258,23 +274,17 @@ class GModule:
             return
         ints, s = int_family(ctx, self.lie_action)
         consts, t = b.ints.reshape(d, d, d), b.scale
+        lhs_keys, prod = _commutator_terms(ctx, ints)
         i, r, c, v = _nonzeros(np.stack(ints))
-        x, y = join(c, r)
-        off = i[x] != i[y]
-        x, y = x[off], y[off]
-        lo, hi = np.minimum(i[x], i[y]), np.maximum(i[x], i[y])
-        prod = ctx.reduce(v[x] * v[y] * t)
-        # J_j J_i with i < j enters the commutator of (i, j) negated
-        prod = np.where(i[x] < i[y], prod, -prod)
         bi, bj, bk, bv = _nonzeros(consts)
         upper = bi < bj
         bi, bj, bk, bv = bi[upper], bj[upper], bk[upper], bv[upper]
-        x2, y2 = join(bk, i)
-        keys = nonzero_sums(
+        x, y = join(bk, i)
+        keys, _ = nonzero_sums(
             ctx,
-            np.concatenate([((lo * d + hi) * n + r[x]) * n + c[y],
-                            ((bi[x2] * d + bj[x2]) * n + r[y2]) * n + c[y2]]),
-            np.concatenate([prod, ctx.reduce(-(bv[x2] * v[y2] * s))]))
+            np.concatenate([lhs_keys,
+                            ((bi[x] * d + bj[x]) * n + r[y]) * n + c[y]]),
+            np.concatenate([prod * t, ctx.reduce(-(bv[x] * v[y] * s))]))
         if len(keys):
             i, j = divmod(int(keys[0]) // (n * n), d)
             raise CompositionViolation(
@@ -339,123 +349,121 @@ def dual(m: GModule) -> GModule:
                    brackets=m.bracket_matrix, meta=meta)
 
 
-def _product_coeffs(ctx: FieldCtx, ops1: Sequence[Matrix],
-                    ops2: Sequence[Matrix], ks: Sequence[int]):
-    """(integer T_k for k in ks, their scale) with T_k / scale the t^k
-    coefficient of (sum_a t^a ops1[a]) (x) (sum_b t^b ops2[b]).
+def _kron_coeffs(ctx: FieldCtx, groups: Sequence[Tuple], fold=None):
+    """Per group (ops1, ops2, ks), the integer T_k for k in ks, and one
+    scale: T_k / scale is the t^k coefficient of
+    (sum_a t^a ops1[a]) (x) (sum_b t^b ops2[b]), T_k = sum_{a+b=k} J_a (x) K_b
+    over the int_family forms J of every ops1 and K of every ops2.
 
-    T_k = sum_{a+b=k} J_a (x) K_b over the int_family forms of each side,
-    built from the nonzero entries only.  Over F_p an entry of T_k is a
-    sum of fewer than 4096 products of residues, left unreduced:
-    Matrix.from_int reduces it once, also after a gather that adds two
-    entries (int64 holds 8192 such products, FieldCtx.dtype)."""
-    (j1, s1), (j2, s2) = int_family(ctx, ops1), int_family(ctx, ops2)
-    nz1, nz2 = [_nonzeros(j) for j in j1], [_nonzeros(j) for j in j2]
-    (r1, c1), (r2, c2) = j1[0].shape, j2[0].shape
-    out = []
-    for k in ks:
-        acc = np.zeros((r1 * r2, c1 * c2), dtype=ctx.dtype)
-        lo, hi = max(0, k - len(j2) + 1), min(k, len(j1) - 1)
-        for n_terms, a in enumerate(range(lo, hi + 1), 1):
-            ra, ca, va = nz1[a]
-            rb, cb, vb = nz2[k - a]
-            # the (row, col) pairs of one Kronecker term are distinct
-            acc[np.add.outer(ra * r2, rb), np.add.outer(ca * c2, cb)] += \
-                np.multiply.outer(va, vb)
-            if n_terms % 4096 == 0:
-                acc = ctx.reduce(acc)
-        out.append(acc)
-    return out, s1 * s2
+    Only the splits a + b = k asked for are formed, on nonzero entries: one
+    join pairs each split with the entries of its J_a, a second with those
+    of its K_b.  The terms (over F_p products of residues, 8192 of which
+    int64 holds) are summed per entry and reduced: residues over F_p, as
+    Matrix.from_int(reduced=True) reads them.  Entry (r1, r2), (c1, c2) of
+    J (x) K is at row r1 h2 + r2 and column c1 w2 + c2, for K of shape
+    h2 x w2.  fold = (size, rows, cols, signs) sends row r and column c to
+    rows[r], cols[c] of a size x size array instead, times signs[c]; -1
+    drops the term."""
+    if not groups:
+        return [], 1
+    ops1 = [op for g in groups for op in g[0]]
+    ops2 = [op for g in groups for op in g[1]]
+    splits, o, n1, n2 = [], 0, 0, 0
+    for a_ops, b_ops, ks in groups:
+        for k in ks:
+            for a in range(max(0, k - len(b_ops) + 1),
+                           min(k, len(a_ops) - 1) + 1):
+                splits.append((o, n1 + a, n2 + k - a))
+            o += 1
+        n1, n2 = n1 + len(a_ops), n2 + len(b_ops)
+    so, s1, s2 = np.array(splits, dtype=np.int64).reshape(-1, 3).T
+    (j1, t1), (j2, t2) = int_family(ctx, ops1), int_family(ctx, ops2)
+    i1, r1, c1, v1 = _nonzeros(np.stack(j1))
+    i2, r2, c2, v2 = _nonzeros(np.stack(j2))
+    x, e1 = join(s1, i1)
+    y, e2 = join(s2[x], i2)
+    x, e1 = x[y], e1[y]
+    (h1, w1), (h2, w2) = j1[0].shape, j2[0].shape
+    row, col, v = r1[e1] * h2 + r2[e2], c1[e1] * w2 + c2[e2], v1[e1] * v2[e2]
+    out, shape = so[x], (h1 * h2, w1 * w2)
+    if fold:
+        size, rows, cols, signs = fold
+        row, col, v, shape = rows[row], cols[col], v * signs[col], (size, size)
+        keep = (row >= 0) & (col >= 0)
+        out, row, col, v = out[keep], row[keep], col[keep], v[keep]
+    acc = np.zeros((o, *shape), dtype=ctx.dtype)
+    # a key is the flat index of its entry in the stacked T
+    keys, sums = nonzero_sums(ctx, (out * shape[0] + row) * shape[1] + col, v)
+    acc.reshape(-1)[keys] = sums
+    ts = iter(acc)
+    return [[next(ts) for _ in g[2]] for g in groups], t1 * t2
 
 
-def _check_factors(m1: GModule, m2: GModule):
+def _tensor_groups(m1: GModule, m2: GModule) -> List[Tuple]:
+    """The groups of _kron_coeffs for the tensor product: the Leibniz action
+    a (x) 1 + 1 (x) b of each Lie element, as the t^1 coefficient of
+    (1 + t a) (x) (1 + t b); then every t-power of X(t) (x) X(t), for each
+    family X of m1 and the family of m2 with the same label."""
     if m1.ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
-
-
-def _tensor_lie_ops(m1: GModule, m2: GModule):
-    """The Leibniz action a (x) 1 + 1 (x) b of each Lie element, as the t^1
-    coefficient of (1 + t a) (x) (1 + t b): a list of ([T], scale) with
-    integer T (see _product_coeffs)."""
-    _check_factors(m1, m2)
     ctx = m1.ctx
     i1, i2 = Matrix.identity(ctx, m1.dim), Matrix.identity(ctx, m2.dim)
-    return [_product_coeffs(ctx, [i1, a], [i2, b], [1])
-            for a, b in zip(m1.lie_action, m2.lie_action)]
-
-
-def _tensor_family_ops(m1: GModule, m2: GModule):
-    """The coefficients of X(t) (x) X(t) gathered by t-power, for each family
-    X of m1 and the family of m2 with the same label: a list of (family of
-    m1, [T_0, ..., T_deg], scale) with integer T (see _product_coeffs)."""
-    _check_factors(m1, m2)
-    ctx = m1.ctx
-    fam_ops = []
+    groups = [([i1, a], [i2, b], [1])
+              for a, b in zip(m1.lie_action, m2.lie_action)]
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
-        ts, s = _product_coeffs(ctx, f1.ops, f2.ops,
-                                range(f1.degree + f2.degree + 1))
-        fam_ops.append((f1, ts, s))
-    return fam_ops
+        groups.append((f1.ops, f2.ops, range(f1.degree + f2.degree + 1)))
+    return groups
+
+
+def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
+              sep: str, name: str, fold=None) -> GModule:
+    """The module on the basis vectors e_i sep e_j, (i, j) in pairs, of
+    weight w_i + w_j, whose operators _kron_coeffs makes (with fold) from
+    the groups of _tensor_groups: labels and roots are m1's."""
+    ctx, nl = m1.ctx, len(m1.lie_action)
+    ts, s = _kron_coeffs(ctx, _tensor_groups(m1, m2), fold)
+    lie = [Matrix.from_int(ctx, t, s, reduced=True) for (t,) in ts[:nl]]
+    fams = [CoeffOperatorFamily(f.label, [Matrix.from_int(
+                ctx, t, s, reduced=True) for t in ft], f.root)
+            for f, ft in zip(m1.families, ts[nl:])]
+    weights = None
+    if m1.weights and m2.weights:
+        weights = [tuple(x + y for x, y in zip(m1.weights[i], m2.weights[j]))
+                   for i, j in pairs]
+    labels = [f"{m1.labels[i]}{sep}{m2.labels[j]}" for i, j in pairs]
+    return GModule(ctx, labels, m1.lie_labels, lie, fams, weights=weights,
+                   brackets=m1.bracket_matrix, meta={"name": name})
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
     """Tensor product: Leibniz action for the Lie part; X(t) (x) X(t) for the
     families, coefficients gathered by t-power."""
-    ctx = m1.ctx
-    lie = [Matrix.from_int(ctx, t, s) for (t,), s in _tensor_lie_ops(m1, m2)]
-    fams = [CoeffOperatorFamily(f.label,
-                                [Matrix.from_int(ctx, t, s) for t in ts],
-                                f.root)
-            for f, ts, s in _tensor_family_ops(m1, m2)]
-    labels = [f"{a}(x){b}" for a in m1.labels for b in m2.labels]
-    weights = None
-    if m1.weights and m2.weights:
-        weights = [
-            tuple(x + y for x, y in zip(wa, wb))
-            for wa in m1.weights for wb in m2.weights
-        ]
-    meta = {"name": f"{m1.meta.get('name','?')}(x){m2.meta.get('name','?')}"}
-    return GModule(ctx, labels, m1.lie_labels, lie, fams, weights=weights,
-                   brackets=m1.bracket_matrix, meta=meta)
+    return _on_pairs(m1, m2, [(i, j) for i in range(m1.dim)
+                              for j in range(m2.dim)], "(x)",
+                     f"{m1.meta.get('name','?')}(x){m2.meta.get('name','?')}")
 
 
 def _squared(m: GModule, sign: int, name: str) -> GModule:
     """Sym^2 (sign +1, basis e_i e_j with i <= j) or Lambda^2 (sign -1,
-    basis e_i ^ e_j with i < j): the tensor square's operators compressed
+    basis e_i ^ e_j with i < j): the tensor square's operators T compressed
     to the (anti)symmetric tensors, proj . T . iota.
 
     iota sends the (i, j) basis vector to e_i (x) e_j + sign e_j (x) e_i
-    (e_i (x) e_i when i == j).  Every tensor-square operator T commutes with
-    the swap of factors, so T iota lands in the (anti)symmetric tensors,
-    where proj reads coordinate i*n + j: proj . T . iota is a gather of
-    integer entries of T, reduced once by Matrix.from_int."""
-    ctx, n = m.ctx, m.dim
+    (e_i (x) e_i when i == j).  Every T commutes with the swap of factors,
+    so T iota lands in the (anti)symmetric tensors, where proj reads
+    coordinate (i, j).  So _kron_coeffs keeps the entries of T in a row
+    (r1, r2) that is a basis pair and folds column (c1, c2) onto the pair
+    (min, max), times sign when c1 > c2: no tensor square is built."""
+    n = m.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
-    first = np.array([i * n + j for i, j in pairs], dtype=np.int64)
-    swapped = np.array([j * n + i for i, j in pairs], dtype=np.int64)
-    off = first != swapped
-
-    def compress(t: np.ndarray, s: int) -> Matrix:
-        rows = t[first]
-        out = rows[:, first]
-        out[:, off] += sign * rows[:, swapped[off]]
-        return Matrix.from_int(ctx, out, s)
-
-    fams = [CoeffOperatorFamily(f.label, [compress(t, s) for t in ts], f.root)
-            for f, ts, s in _tensor_family_ops(m, m)]
-    sep = "." if sign > 0 else "^"
-    labels = [f"{m.labels[i]}{sep}{m.labels[j]}" for i, j in pairs]
-    weights = None
-    if m.weights:
-        weights = [
-            tuple(x + y for x, y in zip(m.weights[i], m.weights[j]))
-            for i, j in pairs
-        ]
-    meta = {"name": f"{name}({m.meta.get('name','?')})"}
-    mod = GModule(ctx, labels, m.lie_labels,
-                  [compress(t, s) for (t,), s in _tensor_lie_ops(m, m)], fams,
-                  weights=weights, brackets=m.bracket_matrix, meta=meta)
+    pos = np.full((n, n), -1)
+    for c, p in enumerate(pairs):
+        pos[p] = c
+    fold = (len(pairs), pos.ravel(), np.maximum(pos, pos.T).ravel(),
+            np.where(np.tri(n, k=-1, dtype=bool), sign, 1).ravel())
+    mod = _on_pairs(m, m, pairs, "." if sign > 0 else "^",
+                    f"{name}({m.meta.get('name','?')})", fold)
     mod.pair_index = {p: c for c, p in enumerate(pairs)}  # type: ignore
     return mod
 
@@ -580,6 +588,8 @@ def _constraint_pairs(m1: GModule, m2: GModule, mode: str):
             raise LabelMismatch("modules act under different Lie labels")
         alg = list(zip(m1.lie_action, m2.lie_action))
     if mode in ("group", "both"):
+        if {f.label for f in m1.families} != {f.label for f in m2.families}:
+            raise LabelMismatch("modules carry different family labels")
         for f1 in m1.families:
             f2 = m2.family_by_label(f1.label)
             deg1.append((f1.op(1), f2.op(1)))
@@ -588,11 +598,29 @@ def _constraint_pairs(m1: GModule, m2: GModule, mode: str):
     return alg, grp, deg1
 
 
-def _commutator_pairs(pairs: Sequence[OpPair]) -> List[OpPair]:
-    """([a, a'], [b, b']) for every two pairs (a, b), (a', b'): a map with
-    b f = f a and b' f = f a' satisfies the commutator constraint too."""
-    return [(a @ a2 - a2 @ a, b @ b2 - b2 @ b)
-            for i, (a, b) in enumerate(pairs) for a2, b2 in pairs[i + 1:]]
+def _implied_pairs(ctx: FieldCtx, deg1: Sequence[OpPair]) -> List[OpPair]:
+    """([a, a'], [b, b']) for every two pairs (a, b), (a', b') of deg1 whose
+    commutators are both diagonal: a map with b f = f a and b' f = f a'
+    satisfies their constraint too, and only diagonal pairs shape the
+    weight support.  Each side's commutators are its summed
+    _commutator_terms, over the scale s^2 of its integer forms J / s."""
+    d = len(deg1)
+    if d < 2:
+        return []
+    keep, sides = np.ones(d * d, dtype=bool), []
+    for ops in zip(*deg1):
+        n = ops[0].rows
+        ints, s = int_family(ctx, ops)
+        keys, sums = nonzero_sums(ctx, *_commutator_terms(ctx, ints))
+        ij, r, c = keys // (n * n), keys // n % n, keys % n
+        keep[ij[r != c]] = False
+        diag = np.zeros((d * d, n), dtype=ctx.dtype)
+        diag[ij[r == c], r[r == c]] = sums[r == c]
+        sides.append((diag, s * s))
+    (a, sa), (b, sb) = sides
+    return [(Matrix.from_int(ctx, np.diag(a[k]), sa),
+             Matrix.from_int(ctx, np.diag(b[k]), sb))
+            for k in np.flatnonzero(keep).tolist() if k // d < k % d]
 
 
 def _is_diagonal(m: Matrix) -> bool:
@@ -619,31 +647,38 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
                        implied: Sequence[OpPair] = ()) -> Subspace:
     """Solutions f (d2 x d1, flattened row-major) of B f = f A for all pairs.
 
-    implied are pairs every solution satisfies anyway.  Only the entries in
-    the weight support of both lists are unknowns: the column of f_rc in the
-    Kronecker system is B[:, r] (x) e_c - e_r (x) A[c, :].  With A = J_A / s
-    and B = J_B / s on the integer forms of a pair its system is built from
-    J_B and J_A, s times the one over the field, with the same solutions.
-    The systems of all pairs are stacked and solved by one kernel."""
+    implied are pairs every solution satisfies anyway.  Only the entries
+    f_rc in the weight support of both lists are unknowns.  Row (i, j) of a
+    pair's system is (B f - f A)[i, j]: entry B[i, r] enters it at unknown
+    f_rj and entry A[c, j], negated, at f_ic.  One join of the entries of
+    all the B with the unknowns' rows, one of all the A with their columns,
+    and a sum per (pair, row, unknown) give the rows of every pair: on the
+    integer forms A = J_A / s, B = J_B / s of a pair, s times those over
+    the field, with the same solutions.  The nonzero rows, by (pair, row)
+    and then sparsest first, are solved by one kernel."""
     n = d1 * d2
     rs, cs = np.nonzero(_weight_support(d1, d2, list(op_pairs) + list(implied)))
-    unknowns = np.arange(len(rs))
-    blocks = []
-    for a, b in op_pairs:
-        (ja, jb), _ = int_family(ctx, [a, b])
-        cols = np.zeros((d2, d1, len(rs)), dtype=ctx.dtype)
-        cols[:, cs, unknowns] = jb[:, rs]
-        cols[rs, :, unknowns] -= ja[cs, :]
-        lmat = ctx.reduce(cols.reshape(n, len(rs)))
-        blocks.append(lmat[lmat.astype(bool).any(axis=1)])
-    if blocks:
+    u = len(rs)
+    if op_pairs:
+        ja, jb = zip(*(int_family(ctx, ab)[0] for ab in op_pairs))
+        pa, ac, aj, av = _nonzeros(np.stack(ja))
+        pb, bi, br, bv = _nonzeros(np.stack(jb))
+        x, xu = join(br, rs)
+        y, yu = join(ac, cs)
+        keys, vals = nonzero_sums(ctx, np.concatenate([
+            ((pb[x] * d2 + bi[x]) * d1 + cs[xu]) * u + xu,
+            ((pa[y] * d2 + rs[yu]) * d1 + aj[y]) * u + yu]),
+            np.concatenate([bv[x], -av[y]]))
+        row, unknown = np.divmod(keys, u)  # both empty when u == 0
+        starts = run_starts(row)
+        lmat = np.zeros((int(starts.sum()), u), dtype=ctx.dtype)
+        lmat[np.cumsum(starts) - 1, unknown] = vals
         # sparsest rows first: the pivot loop takes the first nonzero row
         # of a column as its pivot, and a sparse pivot row fills in less
-        lmat = np.concatenate(blocks)
         lmat = lmat[np.argsort(lmat.astype(bool).sum(axis=1), kind="stable")]
         space = kernel(Matrix.from_int(ctx, lmat, reduced=True))
     else:
-        space = Subspace.full(ctx, len(rs))
+        space = Subspace.full(ctx, u)
     # the support indices increase, so the embedded basis stays in reduced
     # echelon form with the same pivots
     support = rs * d1 + cs
@@ -667,10 +702,12 @@ def hom_space(m1: GModule, m2: GModule, mode: str = "group") -> HomReport:
     """Equivariant linear maps m1 -> m2.
 
     algebra mode: f a = b f over the Lie generators; group mode: the same per
-    positive t-power of every matched family; both computes both spaces.
-    Each solve has unknowns only on the weight support: the entries f_rc
-    that diagonal constraints (the Cartan elements of the Lie action, or
-    commutators of the families' degree-1 operators) leave free."""
+    positive t-power of every family, matched by label (the label sets must
+    agree); both computes both spaces.  Each solve is one kernel of the
+    system _intertwiner_space joins, with unknowns only on the weight
+    support: the entries f_rc that diagonal constraints (the Cartan
+    elements of the Lie action, or diagonal commutators of the families'
+    degree-1 operators) leave free."""
     if m1.ctx != m2.ctx:
         raise DimensionMismatch("field mismatch")
     ctx, d1, d2 = m1.ctx, m1.dim, m2.dim
@@ -687,7 +724,7 @@ def hom_space(m1: GModule, m2: GModule, mode: str = "group") -> HomReport:
         dim, basis = solve_pairs(alg)
         return HomReport(dim=dim, basis=basis, dim_algebra=dim,
                          basis_algebra=basis)
-    implied = _commutator_pairs(deg1)
+    implied = _implied_pairs(ctx, deg1)
     if mode == "group":
         dim, basis = solve_pairs(grp, implied)
         return HomReport(dim=dim, basis=basis, dim_group=dim,

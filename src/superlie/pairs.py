@@ -35,7 +35,7 @@ from .linalg import (
 from .modules import (
     CoeffOperatorFamily,
     GModule,
-    _tensor_family_ops,
+    _kron_coeffs,
     induced_operators,
     module_from_json_dict,
     quotient_module,
@@ -175,7 +175,7 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
 
     B is the dim_g x dim_v^2 bracket matrix, consts reshaped (column
     i*n + j holds [e_i, e_j]), T_m the t^m coefficient of X(t) (x) X(t)
-    from _tensor_family_ops and G_m that of the adjoint family with the
+    from _kron_coeffs and G_m that of the adjoint family with the
     same label; column i*n + j of either side is the t^m coefficient of
     one side of X(t)[e_i, e_j] = [X(t)e_i, X(t)e_j].  With B = K / c,
     T_m = J / u and G_m = H / v on integer forms the identity is
@@ -186,7 +186,9 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     (kmat,), _ = int_family(
         ctx, [bracket.consts.reshape(n * n, bracket.dim_g).T])
     upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
-    for fam, ts, s in _tensor_family_ops(odd, odd):
+    coeffs, s = _kron_coeffs(ctx, [(f.ops, f.ops, range(1, 2 * f.degree + 1))
+                                   for f in odd.families])
+    for fam, ts in zip(odd.families, coeffs):
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
         gfam = adj[fam.label]
@@ -195,8 +197,8 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
         for m in range(1, max_deg + 1):
             g = gfam.op(m)  # zero past its degree, as T_m is
             lhs, rhs = 0, int_matmul(ctx, g.ints, kmat)
-            if m < len(ts):
-                t = Matrix.from_int(ctx, ts[m], s)
+            if m <= len(ts):  # ts holds T_1..T_{2 deg X}
+                t = Matrix.from_int(ctx, ts[m - 1], s, reduced=True)
                 lhs = int_matmul(ctx, kmat, t.ints) * g.scale
                 rhs = rhs * t.scale
             bad[m] = np.any(ctx.reduce(lhs - rhs), axis=0) & upper

@@ -257,7 +257,7 @@ class LieSuperalgebra:
             keys.append((((i * n + j) * n + k) * n + l)[keep])
             parts.append(terms[keep])
         triples = nonzero_sums(self.ctx, np.concatenate(keys),
-                               np.concatenate(parts)) // n
+                               np.concatenate(parts))[0] // n
         triples = triples[run_starts(triples)]
         violations = [(t // (n * n), t // n % n, t % n)
                       for t in triples.tolist()]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import superlie.brj as brj_module
 from superlie.brj import brj25
 from superlie.cli import _brj_report_dict, main, make_parser
 from superlie.constructions import sl2_symn_pair, symn_dual
@@ -232,6 +233,26 @@ HOM_DIGESTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def brj_square_inputs():
+    """{"sym2(U)", "lambda2(V)", "tensor(V,Lw2)"}: (function, arguments) of
+    the first sym2, lambda2 and tensor call of brj25(5)."""
+    seen = {}
+
+    def record(fn, name):
+        def call(*args):
+            seen.setdefault(f"{name}({','.join(m.meta['name'] for m in args)})",
+                            (fn, args))
+            return fn(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for fn in (brj_module.sym2, brj_module.lambda2, brj_module.tensor):
+            mp.setattr(brj_module, fn.__name__, record(fn, fn.__name__))
+        brj25(5, skip_simplicity=True)
+    return seen
+
+
 class TestByteStable:
     @pytest.mark.parametrize("mode, p, n", sorted(HOM_DIGESTS))
     def test_hom_out_file(self, capsys, tmp_path, mode, p, n):
@@ -255,6 +276,26 @@ class TestByteStable:
         text = report.algebra.to_json(sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "9565e15b7ec4c3435728347eb764a5fd05396fe7d8ad92a2b4a31dd968d1a613"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("sym2(U)",
+         "814db163bdfe2f342c54c7c7710f40d41697f5f985582bde68d165aeb24914f5"),
+        ("lambda2(V)",
+         "f79db68cc600cf27da22756ef4f18dbeb3aa4539943e93ee129a55a43e03e5ff"),
+        ("tensor(V,Lw2)",
+         "d1e67d17314cc64af8984199f4b28587c85e18f825d1d4e5eac62374ebda20a3"),
+    ])
+    def test_brj_module_json(self, brj_square_inputs, name, digest):
+        # the to_json() of Sym2, Lambda2 and the tensor product, built on
+        # the modules the p = 5 pipeline passes to them
+        fn, args = brj_square_inputs[name]
+        text = fn(*args).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_sym2_dual_module_json_over_q(self):
+        text = sym2(symn_dual(3, FieldCtx.rationals())).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "7b540b6cdd7776122618699b1d032eaf072b7f1118c458f3cae434cd96dab384"
 
 
 class TestCensus:

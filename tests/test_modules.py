@@ -22,11 +22,13 @@ from superlie.modules import (
     CoeffOperatorFamily,
     CompositionViolation,
     GModule,
+    LabelMismatch,
     NotInvariant,
-    _commutator_pairs,
     _constraint_pairs,
+    _implied_pairs,
     _intertwiner_space,
     _is_diagonal,
+    _nonzeros,
     _weight_support,
     dual,
     hom_space,
@@ -414,7 +416,7 @@ def mode_pairs(m1, m2, mode):
     alg, grp, deg1 = _constraint_pairs(m1, m2, mode)
     if mode == "algebra":
         return alg, []
-    return grp, _commutator_pairs(deg1)
+    return grp, ref_commutator_pairs(deg1)
 
 
 def support_size(m1, m2, mode):
@@ -625,6 +627,87 @@ def ref_intertwiner_space(ctx, d1, d2, op_pairs, implied=()):
                     [int(support[c]) for c in space.pivots])
 
 
+def ref_product_coeffs(ctx, ops1, ops2, ks):
+    """(integer T_k for k in ks, their scale) with T_k / scale the t^k
+    coefficient of (sum_a t^a ops1[a]) (x) (sum_b t^b ops2[b]): one dense
+    n1 n2 x n1 n2 array per k, each Kronecker term J_a (x) K_b added into
+    it from the nonzero entries."""
+    (j1, s1), (j2, s2) = int_family(ctx, ops1), int_family(ctx, ops2)
+    nz1, nz2 = [_nonzeros(j) for j in j1], [_nonzeros(j) for j in j2]
+    (r1, c1), (r2, c2) = j1[0].shape, j2[0].shape
+    out = []
+    for k in ks:
+        acc = np.zeros((r1 * r2, c1 * c2), dtype=ctx.dtype)
+        lo, hi = max(0, k - len(j2) + 1), min(k, len(j1) - 1)
+        for n_terms, a in enumerate(range(lo, hi + 1), 1):
+            ra, ca, va = nz1[a]
+            rb, cb, vb = nz2[k - a]
+            # the (row, col) pairs of one Kronecker term are distinct
+            acc[np.add.outer(ra * r2, rb), np.add.outer(ca * c2, cb)] += \
+                np.multiply.outer(va, vb)
+            if n_terms % 4096 == 0:
+                acc = ctx.reduce(acc)
+        out.append(acc)
+    return out, s1 * s2
+
+
+def ref_tensor_coeffs(m1, m2):
+    """([(T, scale)] of the Lie elements, [(family, [T_k], scale)] of the
+    families) of m1 (x) m2 on the dense tensor-square arrays."""
+    ctx = m1.ctx
+    i1, i2 = Matrix.identity(ctx, m1.dim), Matrix.identity(ctx, m2.dim)
+    lie = [(ts[0], s) for ts, s in (
+        ref_product_coeffs(ctx, [i1, a], [i2, b], [1])
+        for a, b in zip(m1.lie_action, m2.lie_action))]
+    fams = []
+    for f1 in m1.families:
+        f2 = m2.family_by_label(f1.label)
+        ts, s = ref_product_coeffs(ctx, f1.ops, f2.ops,
+                                   range(f1.degree + f2.degree + 1))
+        fams.append((f1, ts, s))
+    return lie, fams
+
+
+def ref_compress(ctx, n, sign):
+    """proj . T . iota of the (anti)symmetric square as an index gather of
+    the n^2 x n^2 integer array T: rows and columns at i*n + j, i <= j
+    (i < j for sign -1), plus sign times the columns at j*n + i."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
+    first = np.array([i * n + j for i, j in pairs], dtype=np.int64)
+    swapped = np.array([j * n + i for i, j in pairs], dtype=np.int64)
+    off = first != swapped
+
+    def compress(t, s):
+        rows = t[first]
+        out = rows[:, first]
+        out[:, off] += sign * rows[:, swapped[off]]
+        return Matrix.from_int(ctx, out, s)
+
+    return compress
+
+
+def ref_operators(m, sign=None):
+    """(Lie action, family operators) of tensor(m, m) (sign None), sym2(m)
+    (sign +1) or lambda2(m) (sign -1) from the dense references."""
+    ctx = m.ctx
+    lie, fams = ref_tensor_coeffs(m, m)
+    if sign is None:
+        def compress(t, s):
+            return Matrix.from_int(ctx, t, s)
+    else:
+        compress = ref_compress(ctx, m.dim, sign)
+    return ([compress(t, s) for t, s in lie],
+            [CoeffOperatorFamily(f.label, [compress(t, s) for t in ts]).ops
+             for f, ts, s in fams])
+
+
+def ref_commutator_pairs(pairs):
+    """([a, a'], [b, b']) for every two pairs (a, b), (a', b'), each by four
+    dense products."""
+    return [(a @ a2 - a2 @ a, b @ b2 - b2 @ b)
+            for i, (a, b) in enumerate(pairs) for a2, b2 in pairs[i + 1:]]
+
+
 def outcome(fn, *args, **kw):
     """(exception type, message) of fn(*args, **kw), or None."""
     try:
@@ -789,3 +872,159 @@ class TestJson:
         text = build().to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert module_from_json(text).to_json() == text
+
+
+# ---------------------------------------------------------------------------
+# the sparse-join assembly against the dense code it replaced
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def brj_stage_modules():
+    """{"V", "L2V", "U"}: sp4's natural module V, its Lambda^2 and the
+    12-dimensional quotient U, as brj25(5) builds them."""
+    seen = {}
+
+    def record(fn, arg_name, out_name):
+        def call(m):
+            out = fn(m)
+            seen.setdefault(arg_name, m)
+            if out_name:
+                seen.setdefault(out_name, out)
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brj, "lambda2", record(brj.lambda2, "V", "L2V"))
+        mp.setattr(brj, "sym2", record(brj.sym2, "U", None))
+        brj.brj25(p=5, skip_simplicity=True)
+    assert [seen[k].dim for k in ("V", "L2V", "U")] == [4, 6, 12]
+    return seen
+
+
+def assert_squares_match_dense(m):
+    """tensor(m, m), sym2(m) and lambda2(m) have the operators of the dense
+    tensor-square references."""
+    for sign, build in ((None, lambda m: tensor(m, m)), (1, sym2),
+                        (-1, lambda2)):
+        got = build(m)
+        lie, fams = ref_operators(m, sign)
+        assert list(got.lie_action) == lie
+        assert [f.ops for f in got.families] == fams
+
+
+class TestSquaresDifferential:
+    """The operators folded from the sparse Kronecker entries equal the
+    ones gathered from the dense tensor squares."""
+
+    @pytest.mark.parametrize("name", ["V", "L2V", "U"])
+    def test_brj_stage_modules(self, brj_stage_modules, name):
+        assert_squares_match_dense(brj_stage_modules[name])
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q, BIG], ids=repr)
+    def test_symn_dual_and_adjoint(self, ctx):
+        for n in range(6):
+            assert_squares_match_dense(symn_dual(n, ctx))
+        assert_squares_match_dense(adjoint_sl2_module(ctx))
+
+    def test_tensor_of_two_modules(self, brj_stage_modules):
+        # factors of different dimensions: the pipeline's own tensor
+        v, l2 = brj_stage_modules["V"], brj_stage_modules["L2V"]
+        lie, fams = ref_tensor_coeffs(v, l2)
+        t = tensor(v, l2)
+        assert list(t.lie_action) == [Matrix.from_int(F5, a, s)
+                                      for a, s in lie]
+        assert [f.ops for f in t.families] == [
+            CoeffOperatorFamily(f.label, [Matrix.from_int(F5, a, s)
+                                          for a in ts]).ops
+            for f, ts, s in fams]
+
+
+def implied_cases(brj_hom_calls):
+    """(m1, m2) of group-mode hom solves: brj's two, sl2 forms, weights
+    that collide mod p and operators with fractions or no diagonal."""
+    adj7 = adjoint_sl2_module(F7)
+    skew = conjugated(adj7, [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+                      [[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+    adjq = adjoint_sl2_module(Q)
+    thirds = conjugated(adjq, [[3, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        [["1/3", 0, 0], [0, 1, 0], [0, 0, 1]])
+    cases = [brj_hom_calls[("Sym2(U)", "adjoint-sp4")][:2],
+             brj_hom_calls[("V", "M")][:2],
+             (symn_module(5, F5), symn_module(5, F5)),
+             (skew, skew), (sym2(symn_dual(1, F7)), skew),
+             (thirds, adjq), (adjq, thirds)]
+    for ctx in (F3, F7, Q, BIG):
+        for n in range(1, 4):
+            cases.append((sym2(symn_dual(n, ctx)), adjoint_sl2_module(ctx)))
+    return cases
+
+
+class TestImpliedPairs:
+    def test_diagonal_reference_pairs(self, brj_hom_calls):
+        # the implied pairs are the dense commutator pairs that are
+        # diagonal on both sides, in order, so the weight support is the
+        # one the full list gives
+        for m1, m2 in implied_cases(brj_hom_calls):
+            _, _, deg1 = _constraint_pairs(m1, m2, "group")
+            ref = ref_commutator_pairs(deg1)
+            got = _implied_pairs(m1.ctx, deg1)
+            assert got == [(a, b) for a, b in ref
+                           if _is_diagonal(a) and _is_diagonal(b)]
+            assert np.array_equal(_weight_support(m1.dim, m2.dim, got),
+                                  _weight_support(m1.dim, m2.dim, ref))
+
+    def test_brj_keeps_sixteen_pairs(self, brj_hom_calls):
+        m1, m2, _ = brj_hom_calls[("Sym2(U)", "adjoint-sp4")]
+        _, _, deg1 = _constraint_pairs(m1, m2, "group")
+        assert len(ref_commutator_pairs(deg1)) == 28
+        assert len(_implied_pairs(F5, deg1)) == 16
+
+
+def half_sym2():
+    """Sym_2 over F5 keeping only its family X2."""
+    m = symn_module(2, F5)
+    return m, GModule(F5, m.labels, m.lie_labels, m.lie_action,
+                      [f for f in m.families if f.label == "X2"],
+                      weights=m.weights, brackets=m.brackets,
+                      meta={"name": "half"})
+
+
+class TestFamilyLabels:
+    @pytest.mark.parametrize("mode", ["group", "both"])
+    def test_labels_must_agree_both_ways(self, mode):
+        m, half = half_sym2()
+        for m1, m2 in ((half, m), (m, half)):
+            with pytest.raises(LabelMismatch):
+                hom_space(m1, m2, mode)
+
+    def test_algebra_mode_reads_no_family(self):
+        m, half = half_sym2()
+        assert hom_space(half, m, "algebra").dim == \
+            hom_space(m, half, "algebra").dim == 1
+
+
+def zero_module(ctx):
+    """The 0-dimensional module with Sym_0's Lie labels and families."""
+    s0 = symn_module(0, ctx)
+    z = Matrix.zeros(ctx, 0, 0)
+    fams = [CoeffOperatorFamily(f.label, [Matrix.identity(ctx, 0)], f.root)
+            for f in s0.families]
+    return GModule(ctx, [], s0.lie_labels, [z for _ in s0.lie_action], fams,
+                   brackets=s0.brackets, meta={"name": "zero"})
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("ctx", [F3, Q, BIG], ids=repr)
+    def test_trivial_and_zero_modules(self, ctx):
+        s0, zero = symn_module(0, ctx), zero_module(ctx)
+        s = sym2(s0)
+        assert (s.dim, [f.degree for f in s.families]) == (1, [0, 0])
+        assert s.labels == ("s0.s0",) and s.weights == ((0,),)
+        assert lambda2(s0).dim == 0
+        assert sym2(zero).dim == tensor(zero, s0).dim == 0
+        # Sym_0's operators are zero: no nonzero row in either system
+        rep = hom_space(s0, s0, "both")
+        assert (rep.dim_group, rep.dim_algebra) == (1, 1)
+        assert rep.basis[0] == Matrix.identity(ctx, 1)
+        rep = hom_space(zero, s0, "both")
+        assert (rep.dim_group, rep.dim_algebra) == (0, 0)
