@@ -399,30 +399,24 @@ def _kron_coeffs(ctx: FieldCtx, groups: Sequence[Tuple], fold=None):
     return [[next(ts) for _ in g[2]] for g in groups], t1 * t2
 
 
-def _tensor_groups(m1: GModule, m2: GModule) -> List[Tuple]:
-    """The groups of _kron_coeffs for the tensor product: the Leibniz action
-    a (x) 1 + 1 (x) b of each Lie element, as the t^1 coefficient of
-    (1 + t a) (x) (1 + t b); then every t-power of X(t) (x) X(t), for each
+def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
+              sep: str, name: str, fold=None) -> GModule:
+    """The module on the basis vectors e_i sep e_j, (i, j) in pairs, of
+    weight w_i + w_j, with labels and roots of m1.  Its operators are the
+    coefficients _kron_coeffs makes (with fold) of the Leibniz action
+    a (x) 1 + 1 (x) b of each Lie element, the t^1 coefficient of
+    (1 + t a) (x) (1 + t b), and of every t-power of X(t) (x) X(t), for each
     family X of m1 and the family of m2 with the same label."""
     if m1.ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
-    ctx = m1.ctx
+    ctx, nl = m1.ctx, len(m1.lie_action)
     i1, i2 = Matrix.identity(ctx, m1.dim), Matrix.identity(ctx, m2.dim)
     groups = [([i1, a], [i2, b], [1])
               for a, b in zip(m1.lie_action, m2.lie_action)]
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
         groups.append((f1.ops, f2.ops, range(f1.degree + f2.degree + 1)))
-    return groups
-
-
-def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
-              sep: str, name: str, fold=None) -> GModule:
-    """The module on the basis vectors e_i sep e_j, (i, j) in pairs, of
-    weight w_i + w_j, whose operators _kron_coeffs makes (with fold) from
-    the groups of _tensor_groups: labels and roots are m1's."""
-    ctx, nl = m1.ctx, len(m1.lie_action)
-    ts, s = _kron_coeffs(ctx, _tensor_groups(m1, m2), fold)
+    ts, s = _kron_coeffs(ctx, groups, fold)
     lie = [Matrix.from_int(ctx, t, s, reduced=True) for (t,) in ts[:nl]]
     fams = [CoeffOperatorFamily(f.label, [Matrix.from_int(
                 ctx, t, s, reduced=True) for t in ft], f.root)
