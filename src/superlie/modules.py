@@ -455,7 +455,7 @@ def _squared(m: GModule, sign: int, name: str) -> GModule:
     for c, p in enumerate(pairs):
         pos[p] = c
     fold = (len(pairs), pos.ravel(), np.maximum(pos, pos.T).ravel(),
-            np.where(np.tri(n, k=-1, dtype=bool), sign, 1).ravel())
+            (1 + (sign - 1) * (np.arange(n)[:, None] > np.arange(n))).ravel())
     mod = _on_pairs(m, m, pairs, "." if sign > 0 else "^",
                     f"{name}({m.meta.get('name','?')})", fold)
     mod.pair_index = {p: c for c, p in enumerate(pairs)}  # type: ignore

@@ -241,8 +241,8 @@ def brj_square_inputs():
 
     def record(fn, name):
         def call(*args):
-            seen.setdefault(f"{name}({','.join(m.meta['name'] for m in args)})",
-                            (fn, args))
+            names = ",".join(m.meta["name"] for m in args)
+            seen.setdefault(f"{name}({names})", (fn, args))
             return fn(*args)
         return call
 
