@@ -11,7 +11,8 @@ Pipeline over F_p (p = 5 by default):
   4. the 12-dimensional quotient U = M/socle on an explicit weight basis,
   5. the space of equivariant maps Sym^2(U) -> g, expected 1-dimensional
      exactly for p = 5,
-  6. the normalized symmetric bracket, pair assembly, and the simplicity and
+  6. the pair brackets K of that space (pairs.pair_space, expected a line),
+     its normalized generator, pair assembly, and the simplicity and
      module-level SAS verdicts.
 
 Each stage's dimension is asserted against the expected profile; a mismatch
@@ -41,7 +42,8 @@ from .modules import (
     sym2,
     tensor,
 )
-from .pairs import BilinearMap, HCPair, assemble_pair, check_sas_conditions
+from .pairs import (BilinearMap, HCPair, assemble_pair, check_sas_conditions,
+                    normalised, pair_space)
 from .superalgebra import LieSuperalgebra
 from .constructions import (
     algebra_from_matrices,
@@ -316,19 +318,10 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
                                 highest_weight_hom_bound(ctx), report)
 
     t0 = time.monotonic()
-    f = rep.basis_group[0]  # 10 x 78, columns indexed by sym2 pairs
-    # [u_i, u_j] is the column of f at the sym2 pair {i, j}, halved off
-    # the diagonal: one gather
-    cols = np.zeros((12, 12), dtype=np.int64)
-    for (i, j), col in s2u.pair_index.items():
-        cols[i, j] = cols[j, i] = col
-    weight = np.where(np.eye(12, dtype=bool), ctx.one, ctx.inv(ctx.of(2)))
-    consts = ctx.reduce(f.data[:, cols].transpose(1, 2, 0) * weight[..., None])
-    # normalised by the first nonzero constant in (i <= j, target) order
-    iu = np.triu_indices(12)
-    first = np.flatnonzero(consts[iu])[0]
-    pos = (iu[0][first // 10], iu[1][first // 10], first % 10)
-    consts = ctx.reduce(consts * ctx.inv(int(consts[pos])))
+    _, ks = pair_space(u_mod, s2u, rep.basis_group)
+    if len(ks) != 1:
+        raise PipelineAssertion("pair", "dim K = 1", len(ks), report)
+    consts, pos = normalised(ctx, ks[0])
     bracket = BilinearMap(ctx, consts)
     report.first_constant = f"[{u_labels[pos[0]]},{u_labels[pos[1]]}] " \
                             f"-> {g.labels[pos[2]]}"

@@ -1,14 +1,12 @@
 """Batch evaluation of structural dichotomies over parameter grids.
 
-Rows are computed independently (on a thread pool when run_census is given
-threads > 1) and merged in sorted order, so the TSV/JSON-lines output is a
-pure function of (grid, checks, seed).
+Rows are computed one after another, each on its own, and sorted, so the
+TSV/JSON-lines output is a pure function of (grid, checks, seed).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,13 +89,11 @@ def _row(job, checks: Sequence[str], seed: int) -> CensusRow:
 def run_census(jobs: Sequence[Tuple[str, Dict[str, object], int]],
                checks: Sequence[str], seed: int = 0,
                threads: int = 1) -> List[CensusRow]:
-    """jobs: (family, params, p) triples.  Output sorted, deterministic."""
-    if threads <= 1:
-        rows = [_row(j, checks, seed) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda j: _row(j, checks, seed), jobs))
-    return sorted(rows, key=CensusRow.sort_key)
+    """jobs: (family, params, p) triples.  Output sorted, deterministic.
+    threads is ignored: the rows are computed serially (a thread pool
+    measured no faster), and the keyword stays for existing callers."""
+    return sorted((_row(j, checks, seed) for j in jobs),
+                  key=CensusRow.sort_key)
 
 
 # -- grids matching the headline dichotomies --------------------------------

@@ -217,7 +217,7 @@ def cmd_census(args) -> int:
         raise UsageError(f"unknown preset {args.preset!r}; "
                          f"known: {', '.join(sorted(GRID_PRESETS))}")
     gridf, checks = GRID_PRESETS[args.preset]
-    rows = run_census(gridf(), checks, seed=args.seed, threads=args.threads)
+    rows = run_census(gridf(), checks, seed=args.seed)
     text = (rows_to_tsv(rows, checks) if args.format == "tsv"
             else rows_to_jsonl(rows))
     if args.out:
@@ -299,7 +299,6 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("preset", help=", ".join(sorted(GRID_PRESETS)))
     n.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     n.add_argument("--out")
-    n.add_argument("--threads", type=int, default=1)
     n.set_defaults(func=cmd_census)
 
     v = sub.add_parser("validate-file", help="revalidate a JSON artifact")

@@ -24,8 +24,9 @@ from .linalg import (
     int_matmul,
     kernel,
 )
-from .modules import CoeffOperatorFamily, GModule, dual
-from .pairs import BilinearMap, HCPair, assemble_pair, total_algebra
+from .modules import CoeffOperatorFamily, GModule, dual, hom_space, sym2
+from .pairs import (BilinearMap, HCPair, assemble_pair, normalised,
+                    pair_space, total_algebra)
 from .superalgebra import (
     CenterNotInside,
     LieSuperalgebra,
@@ -693,25 +694,30 @@ def sl2_symn_bracket(n: int, a, ctx: FieldCtx) -> BilinearMap:
     return BilinearMap(ctx, consts)
 
 
+def _sl2_symn(n: int, a, ctx: FieldCtx):
+    """(sl2, Sym_n(V)*, bracket, adjoint families): the bracket is a times
+    the normalized generator of Hom_G(Sym^2(Sym_n(V)*), sl2)."""
+    odd, adj = symn_dual(n, ctx), adjoint_sl2_module(ctx)
+    s2 = sym2(odd)
+    hs, _ = pair_space(odd, s2, hom_space(s2, adj, mode="group").basis)
+    if len(hs) != 1:
+        raise RecurrenceViolation(f"{len(hs)} brackets for n={n}, not one")
+    consts, _ = normalised(ctx, hs[0])
+    bracket = BilinearMap(ctx, ctx.reduce(consts * ctx.of(a)))
+    return sl2_algebra(ctx), odd, bracket, adj.families
+
+
 def sl2_symn_algebra(n: int, a, ctx: FieldCtx) -> LieSuperalgebra:
     """Total superalgebra candidate sl2 + Sym_n(V)* with the form-valued odd
     bracket.  Built unvalidated: the cubic identity genuinely fails for most
     (n, p) and callers probe it with validate_cubic_odd/validate_jacobi."""
-    return total_algebra(
-        sl2_algebra(ctx), symn_dual(n, ctx), sl2_symn_bracket(n, a, ctx),
-        meta={"name": f"sl2+sym{n}*", "a": ctx.scalar_to_str(a)})
+    return total_algebra(*_sl2_symn(n, a, ctx)[:3], meta={
+        "name": f"sl2+sym{n}*", "a": ctx.scalar_to_str(a)})
 
 
 def sl2_symn_pair(n: int, a, ctx: FieldCtx) -> HCPair:
     """Fully validated pair; raises CubicViolation outside the small cases
     where the cubic identity actually holds."""
-    even = sl2_algebra(ctx)
-    odd = symn_dual(n, ctx)
-    bracket = sl2_symn_bracket(n, a, ctx)
-    adj = [
-        conjugation_family(even, "X2", _unit(ctx, 2, 0, 1), root=(2,)),
-        conjugation_family(even, "X-2", _unit(ctx, 2, 1, 0), root=(-2,)),
-    ]
-    return assemble_pair(even, odd, bracket, adj,
+    return assemble_pair(*_sl2_symn(n, a, ctx),
                          meta={"name": f"pair-sl2-sym{n}*",
                                "a": ctx.scalar_to_str(a)})

@@ -409,6 +409,8 @@ def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
     family X of m1 and the family of m2 with the same label."""
     if m1.ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
+    if {f.label for f in m1.families} != {f.label for f in m2.families}:
+        raise LabelMismatch("modules carry different family labels")
     ctx, nl = m1.ctx, len(m1.lie_action)
     i1, i2 = Matrix.identity(ctx, m1.dim), Matrix.identity(ctx, m2.dim)
     groups = [([i1, a], [i2, b], [1])

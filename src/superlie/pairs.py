@@ -8,7 +8,8 @@ even part.  Assembly checks the three pair axioms exactly:
 3. [[v, v], v] = 0 symbolically in the odd coordinates.
 
 The assembled object carries the total Lie superalgebra, which is also put
-through the full Jacobi validation.
+through the full Jacobi validation.  pair_space finds every bracket that
+meets axioms 2 and 3 from a basis of the equivariant maps Sym^2 V -> g.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .superalgebra import (
     SuperIdeal,
     algebra_from_consts,
     algebra_from_json_dict,
+    cubic_sums,
 )
 
 
@@ -261,6 +263,43 @@ def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
     return HCPair(even=even, odd=odd, bracket=bracket,
                   adjoint_families=tuple(adjoint_families), algebra=alg,
                   certificate=cert, meta=meta)
+
+
+def pair_space(odd: GModule, s2: GModule,
+               basis: Sequence[Matrix]) -> Tuple[np.ndarray, np.ndarray]:
+    """The pair brackets on the odd module V: H = Hom_G(Sym^2 V, g), from
+    basis, a basis of hom_space(s2, adjoint, mode="group") with
+    s2 = sym2(odd) (no solve is made here), and K, the kernel on H of the
+    cubic map.  A map f gives [v_i, v_j] = f(v_i v_j), halved off the
+    diagonal (v_i v_j is the image of v_i (x) v_j + v_j (x) v_i).  The
+    cubic map, linear in the bracket, is the cubic_sums of [[v, v], v]
+    against the odd action; for odd p, K is exactly the set of pair
+    structures.  Returns the (dim, n, n, dim g) bracket stacks of the bases
+    of H and K."""
+    ctx, n, dg = odd.ctx, odd.dim, len(odd.lie_action)
+    fs = np.array([f.data for f in basis], dtype=ctx.dtype).reshape(
+        len(basis), dg, s2.dim)
+    cols = np.zeros((n, n), dtype=np.int64)
+    for (i, j), c in s2.pair_index.items():
+        cols[i, j] = cols[j, i] = c
+    half = np.where(np.eye(n, dtype=bool), ctx.one, ctx.inv(ctx.of(2)))
+    hs = ctx.reduce(fs[:, :, cols].transpose(0, 2, 3, 1) * half[..., None])
+    rho = np.array([a.data.T for a in odd.lie_action], dtype=ctx.dtype)
+    _, sums = cubic_sums(ctx, hs, rho)
+    k = kernel(Matrix(ctx, sums.T)).basis.data
+    return hs, exact_matmul(ctx, k, hs.reshape(len(hs), n * n * dg)).reshape(
+        len(k), n, n, dg)
+
+
+def normalised(ctx: FieldCtx,
+               consts: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int, int]]:
+    """consts scaled so that its first nonzero constant in (i <= j, target)
+    order is one, and that constant's position (i, j, target)."""
+    iu = np.triu_indices(consts.shape[0])
+    first = int(np.flatnonzero(consts[iu])[0])
+    row, target = divmod(first, consts.shape[2])
+    pos = (int(iu[0][row]), int(iu[1][row]), target)
+    return ctx.reduce(consts * ctx.inv(consts[pos])), pos
 
 
 def is_split(pair: HCPair) -> bool:

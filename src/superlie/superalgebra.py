@@ -121,6 +121,28 @@ class CubicReport:
     coefficient_polys: Optional[List[MultiPoly]] = None
 
 
+def cubic_sums(ctx: FieldCtx, quads: np.ndarray,
+               right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The coefficients of [[v, v], v], v = sum x_a e_a, under each bracket
+    k: [e_a, e_b] = sum_m quads[k, a, b, m] f_m, [f_m, e_c] = sum_l
+    right[m, c, l] e_l.  One product on integer arrays, summed over the
+    distinct orderings (a, b, c) of each monomial, keyed l n^3 + a n^2 +
+    b n + c (a <= b <= c): the keys of the nonzero products, increasing,
+    and the (len(quads), len(keys)) field array of the sums."""
+    h, n, _, g = quads.shape
+    (quad, rest), s = int_family(ctx, [quads.reshape(h * n * n, g),
+                                       right.reshape(g, n * right.shape[2])])
+    prod = int_matmul(ctx, quad, rest).reshape(h, n, n, n, right.shape[2])
+    k, a, b, c, l = np.nonzero(prod)
+    # one key per (l, monomial): the sorted indices of x_a x_b x_c
+    tri = np.sort(np.stack([a, b, c], axis=1), axis=1)
+    keys, inv = np.unique(l * n ** 3 + tri @ np.array([n ** 2, n, 1]),
+                          return_inverse=True)
+    sums = np.zeros((h, len(keys)), dtype=prod.dtype)
+    np.add.at(sums, (k, inv), prod[k, a, b, c, l])
+    return keys, from_int(ctx, sums, s * s)
+
+
 @dataclass
 class JacobiReport:
     ok: bool
@@ -280,37 +302,21 @@ class LieSuperalgebra:
 
     def validate_cubic_odd(self, with_polys: bool = False) -> CubicReport:
         """Expand [[v, v], v] for a symbolic odd vector v = sum x_a e_a and
-        check coefficientwise vanishing.
-
-        The coefficient of x_a x_b x_c e_l in the expansion is
-        sum_m [e_a, e_b]_m [e_m, e_c]_l (a, b, c over the odd basis): one
-        product on integer arrays (linalg.int_family), whose entries are
-        summed per monomial."""
-        ctx, odd, n = self.ctx, self.odd_coords, self.dim
+        check coefficientwise vanishing: the cubic_sums of the brackets of
+        the odd basis against the whole algebra."""
+        ctx, odd = self.ctx, self.odd_coords
         arity = len(odd)
+        keys, sums = cubic_sums(ctx, self.consts[np.ix_(odd, odd)][None],
+                                self.consts[:, odd, :])
         cubic: Dict[int, Dict[Tuple[int, ...], object]] = {}
-        if arity:
-            (quad, right), s = int_family(ctx, [
-                self.consts[np.ix_(odd, odd)].reshape(arity * arity, n),
-                self.consts[:, odd, :].reshape(n, arity * n)])
-            prod = int_matmul(ctx, quad, right).reshape(arity, arity, arity, n)
-            a, b, c, l = np.nonzero(prod)
-            # one key per (l, monomial): the sorted odd indices of x_a x_b x_c
-            tri = np.sort(np.stack([a, b, c], axis=1), axis=1)
-            keys = l * arity ** 3 + tri @ np.array([arity ** 2, arity, 1])
-            keys, inv = np.unique(keys, return_inverse=True)
-            sums = np.zeros(len(keys), dtype=prod.dtype)
-            np.add.at(sums, inv, prod[a, b, c, l])
-            sums = from_int(ctx, sums, s * s)
-            for key, v in zip(keys.tolist(), sums.tolist()):
-                if ctx.is_zero(v):
-                    continue
-                l, rest = divmod(key, arity ** 3)
-                ev = [0] * arity
-                for x in (rest // arity ** 2, rest // arity % arity,
-                          rest % arity):
-                    ev[x] += 1
-                cubic.setdefault(l, {})[tuple(ev)] = v
+        for key, v in zip(keys.tolist(), sums[0].tolist()):
+            if ctx.is_zero(v):
+                continue
+            l, rest = divmod(key, arity ** 3)
+            ev = [0] * arity
+            for x in (rest // arity ** 2, rest // arity % arity, rest % arity):
+                ev[x] += 1
+            cubic.setdefault(l, {})[tuple(ev)] = v
         witness = min(((l, m, v) for l, t in cubic.items()
                        for m, v in t.items()), default=None,
                       key=lambda w: w[:2])

@@ -34,7 +34,7 @@ from superlie.constructions import (
     queer,
     symn_dual,
 )
-from superlie.pairs import check_sas_conditions
+from superlie.pairs import check_sas_conditions, pair_space
 
 Q = FieldCtx.rationals()
 
@@ -114,6 +114,15 @@ def test_03_unique_equivariant_form():
     finish("03 unique-form", failures, time.monotonic() - t0, 20)
 
 
+def cubic_kernel_dim(n, ctx):
+    """dim K: the pair brackets Sym^2(Sym_n*) -> sl2 that pass the cubic
+    identity."""
+    odd = symn_dual(n, ctx)
+    s2 = sym2(odd)
+    rep = hom_space(s2, adjoint_sl2_module(ctx), mode="group")
+    return len(pair_space(odd, s2, rep.basis)[1])
+
+
 def test_04_cubic_trichotomy():
     t0 = time.monotonic()
     failures = []
@@ -121,9 +130,15 @@ def test_04_cubic_trichotomy():
     for ctx in fields:
         if not sl2_symn_algebra(1, 1, ctx).validate_cubic_odd().ok:
             failures.append(f"n=1 over {ctx}: cubic fails")
+        if cubic_kernel_dim(1, ctx) != 1:
+            failures.append(f"n=1 over {ctx}: dim K != 1")
     if not sl2_symn_algebra(3, 1, ctx_of(3)).validate_cubic_odd().ok:
         failures.append("n=3 p=3: cubic fails")
+    if cubic_kernel_dim(3, ctx_of(3)) != 1:
+        failures.append("n=3 p=3: dim K != 1")
     for ctx in (ctx_of(5), ctx_of(7), Q):
+        if cubic_kernel_dim(3, ctx) != 0:
+            failures.append(f"n=3 over {ctx}: dim K != 0")
         alg = sl2_symn_algebra(3, 1, ctx)
         rep = alg.validate_cubic_odd(with_polys=True)
         if rep.ok:
@@ -138,6 +153,8 @@ def test_04_cubic_trichotomy():
     rep = sl2_symn_algebra(5, 1, ctx_of(7)).validate_cubic_odd()
     if rep.ok or rep.witness is None:
         failures.append("n=5 p=7: expected a cubic witness")
+    if cubic_kernel_dim(5, ctx_of(7)) != 0:
+        failures.append("n=5 p=7: dim K != 0")
     finish("04 cubic-trichotomy", failures, time.monotonic() - t0, 10)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import superlie.brj as brj
+import superlie.modules as modules
 from superlie.fields import FieldCtx
 from superlie.linalg import Subspace
 from superlie.brj import (
@@ -72,6 +74,31 @@ class TestChar5Pipeline:
         rep = brj25(p=5, skip_simplicity=True)
         assert rep.simplicity is None
         assert rep.algebra.dims == (10, 12)
+
+
+class TestPairStage:
+    def test_three_solves(self, monkeypatch):
+        # the socle solve and Sym^2 U -> adj in both modes; pair_space
+        # reads its brackets off the group-mode basis without a solve
+        shapes = []
+        solve = modules._intertwiner_space
+
+        def counted(ctx, d1, d2, *args):
+            shapes.append((d1, d2))
+            return solve(ctx, d1, d2, *args)
+
+        monkeypatch.setattr(modules, "_intertwiner_space", counted)
+        brj25(p=5)
+        assert shapes == [(4, 16), (78, 10), (78, 10)]
+
+    def test_cubic_kernel_must_be_a_line(self, monkeypatch):
+        pair_space = brj.pair_space
+        monkeypatch.setattr(brj, "pair_space",
+                            lambda *a: (pair_space(*a)[0], np.zeros(0)))
+        with pytest.raises(PipelineAssertion) as e:
+            brj25(p=5, skip_simplicity=True)
+        assert (e.value.stage, e.value.got) == ("pair", 0)
+        assert "pair" not in e.value.report.stage_dims
 
 
 class TestOtherCharacteristics:

@@ -324,6 +324,12 @@ class TestCensus:
         assert rc == 2
         assert "unknown preset" in err
 
+    def test_threads_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["census", "d21", "--threads", "2"])
+        assert e.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestValidateFile:
     def test_valid_and_corrupted(self, capsys, tmp_path):

@@ -997,6 +997,14 @@ class TestFamilyLabels:
             with pytest.raises(LabelMismatch):
                 hom_space(m1, m2, mode)
 
+    def test_tensor_labels_must_agree_both_ways(self):
+        # tensor(half, Sym_2) used to keep X2 alone; the reverse order
+        # failed later, on the missing X-2
+        m, half = half_sym2()
+        for m1, m2 in ((half, m), (m, half)):
+            with pytest.raises(LabelMismatch, match="different family labels"):
+                tensor(m1, m2)
+
     def test_algebra_mode_reads_no_family(self):
         m, half = half_sym2()
         assert hom_space(half, m, "algebra").dim == \

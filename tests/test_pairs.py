@@ -4,10 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from superlie.brj import brj25
+from superlie.brj import (
+    brj25,
+    sp4_adjoint_module,
+    sp4_algebra,
+    sp4_natural_module,
+)
 from superlie.fields import FieldCtx, SuperlieError
 from superlie.linalg import DimensionMismatch, Matrix, Subspace, kernel
-from superlie.modules import GModule
+from superlie.modules import GModule, hom_space, sym2
 from superlie.pairs import (
     BilinearMap,
     CubicViolation,
@@ -20,13 +25,17 @@ from superlie.pairs import (
     check_normality,
     check_sas_conditions,
     is_split,
+    normalised,
     pair_from_json,
+    pair_space,
     pair_to_json_dict,
     quotient_pair,
+    total_algebra,
 )
 from superlie.superalgebra import build_superalgebra
 from superlie.constructions import (
     RecurrenceViolation,
+    adjoint_sl2_module,
     gl,
     pgl,
     sl2_algebra,
@@ -344,6 +353,55 @@ class TestAssembly:
         assert is_split(p)
         c1, c2, _ = check_sas_conditions(p)
         assert c1 and not c2  # annihilator is everything when the bracket is 0
+
+
+def sl2_pair_space(n, ctx):
+    odd = symn_dual(n, ctx)
+    s2 = sym2(odd)
+    return pair_space(odd, s2, hom_space(
+        s2, adjoint_sl2_module(ctx), mode="group").basis)
+
+
+class TestPairSpace:
+    @pytest.mark.parametrize("ctx, top", [(F3, 7), (F5, 7), (F7, 7), (Q, 5)],
+                             ids=repr)
+    def test_sl2_dims(self, ctx, top):
+        # H is a line for odd n; the cubic identity cuts it to 0 except at
+        # n = 1, and at n = 3 in characteristic 3
+        for n in range(top + 1):
+            hs, ks = sl2_pair_space(n, ctx)
+            in_k = n == 1 or (n == 3 and ctx.p == 3)
+            assert (len(hs), len(ks)) == (n % 2, int(in_k)), n
+            assert hs.shape[1:] == ks.shape[1:] == (n + 1, n + 1, 3)
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
+    def test_h_generator_is_the_closed_form(self, ctx):
+        for n in (1, 3, 5, 7):
+            (h,), _ = sl2_pair_space(n, ctx)
+            consts, pos = normalised(ctx, h)
+            assert np.array_equal(consts, sl2_symn_bracket(n, 1, ctx).consts)
+            assert pos == (0, n - 1, 1)  # [s*_0, s*_{n-1}] = E12
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
+    def test_kernel_agrees_with_validate_cubic_odd(self, ctx):
+        even = sl2_algebra(ctx)
+        for n in (1, 3, 5):
+            (h,), ks = sl2_pair_space(n, ctx)
+            alg = total_algebra(even, symn_dual(n, ctx), BilinearMap(ctx, h),
+                                {})
+            assert alg.validate_cubic_odd().ok == (len(ks) == 1), n
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
+    def test_sp4_natural_module(self, ctx):
+        g = sp4_algebra(ctx)
+        v, adj = sp4_natural_module(g), sp4_adjoint_module(g)
+        s2 = sym2(v)
+        hs, ks = pair_space(v, s2, hom_space(s2, adj, mode="group").basis)
+        assert (len(hs), len(ks)) == (1, 1)
+        consts, _ = normalised(ctx, ks[0])
+        pair = assemble_pair(g, v, BilinearMap(ctx, consts), adj.families)
+        assert pair.algebra.dims == (10, 4)
+        assert pair.algebra.is_graded_simple(seed=0).verdict == "GradedSimple"
 
 
 class TestSasAndSubpairs:
