@@ -267,15 +267,16 @@ def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
 
 def pair_space(odd: GModule, s2: GModule,
                basis: Sequence[Matrix]) -> Tuple[np.ndarray, np.ndarray]:
-    """The pair brackets on the odd module V: H = Hom_G(Sym^2 V, g), from
-    basis, a basis of hom_space(s2, adjoint, mode="group") with
-    s2 = sym2(odd) (no solve is made here), and K, the kernel on H of the
-    cubic map.  A map f gives [v_i, v_j] = f(v_i v_j), halved off the
-    diagonal (v_i v_j is the image of v_i (x) v_j + v_j (x) v_i).  The
-    cubic map, linear in the bracket, is the cubic_sums of [[v, v], v]
-    against the odd action; for odd p, K is exactly the set of pair
-    structures.  Returns the (dim, n, n, dim g) bracket stacks of the bases
-    of H and K."""
+    """The pair brackets on the odd module V: the space H = Hom_G(Sym^2 V,
+    g) and K, the kernel on H of the cubic map.
+
+    basis is a basis of H from hom_space(s2, adjoint, mode="group") with
+    s2 = sym2(odd); no solve is made here.  A map f gives the bracket
+    [v_i, v_j] = f(v_i v_j), halved off the diagonal (v_i v_j is the image
+    of v_i (x) v_j + v_j (x) v_i).  The cubic map, linear in the bracket,
+    is the cubic_sums of [[v, v], v] against the odd action; for odd p, K
+    is exactly the set of pair structures.  Returns the (dim, n, n, dim g)
+    bracket stacks of the bases of H and K."""
     ctx, n, dg = odd.ctx, odd.dim, len(odd.lie_action)
     fs = np.array([f.data for f in basis], dtype=ctx.dtype).reshape(
         len(basis), dg, s2.dim)
