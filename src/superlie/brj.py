@@ -38,6 +38,7 @@ from .modules import (
     module_from_subspace,
     quotient_module_with_basis,
     socle_via_homs,
+    square_layout,
     submodule_generated,
     sym2,
     tensor,
@@ -125,10 +126,8 @@ def sp4_algebra(ctx: FieldCtx) -> LieSuperalgebra:
     order +2e1, +2e2, +e1-e2, +e1+e2 and their negatives, then h1, h2."""
     roots, cartan = _sp4_elements(ctx)
     elems = [(l, 0, m) for l, _, m in roots + cartan]
-    alg = algebra_from_matrices(ctx, elems, [0, 0, 0, 0],
-                                meta={"name": "sp4"})
-    alg.root_data = tuple((l, w) for l, w, _ in roots)  # type: ignore
-    return alg
+    return algebra_from_matrices(ctx, elems, [0, 0, 0, 0],
+                                 meta={"name": "sp4"})
 
 
 def sp4_natural_module(g: LieSuperalgebra) -> GModule:
@@ -247,8 +246,9 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
 
     l2 = lambda2(v_mod)
     _check(report, "L2V", l2.dim)
+    _, l2pos, _ = square_layout(v_mod.dim, -1)
     # the invariant form element v+e1 ^ v-e1 + v+e2 ^ v-e2
-    z = _vector(ctx, 6, {l2.pair_index[(0, 2)]: 1, l2.pair_index[(1, 3)]: 1})
+    z = _vector(ctx, 6, {l2pos[0, 2]: 1, l2pos[1, 3]: 1})
     zspan = Subspace.from_vectors(ctx, 6, [z])
     images = operator_images(
         ctx, z[None, :], [op.data for op in l2.all_operators()])
@@ -257,13 +257,8 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
                                 "not invariant", report)
     w_labels = ["w+e1+e2", "w+e1-e2", "w0", "w-e1+e2", "w-e1-e2"]
     w_weights = [(1, 1), (1, -1), (0, 0), (-1, 1), (-1, -1)]
-    w_reps = [
-        _vector(ctx, 6, {l2.pair_index[(0, 1)]: 1}),
-        _vector(ctx, 6, {l2.pair_index[(0, 3)]: 1}),
-        _vector(ctx, 6, {l2.pair_index[(0, 2)]: 1}),
-        _vector(ctx, 6, {l2.pair_index[(1, 2)]: -1}),
-        _vector(ctx, 6, {l2.pair_index[(2, 3)]: 1}),
-    ]
+    w_reps = [_vector(ctx, 6, {l2pos[i, j]: c}) for i, j, c in
+              ((0, 1, 1), (0, 3, 1), (0, 2, 1), (1, 2, -1), (2, 3, 1))]
     w_mod = quotient_module_with_basis(l2, zspan, w_reps, w_labels,
                                        weights=w_weights, name="Lw2")
     _check(report, "Lw2", w_mod.dim)
@@ -318,7 +313,7 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
                                 highest_weight_hom_bound(ctx), report)
 
     t0 = time.monotonic()
-    _, ks = pair_space(u_mod, s2u, rep.basis_group)
+    _, ks = pair_space(u_mod, rep.basis_group)
     if len(ks) != 1:
         raise PipelineAssertion("pair", "dim K = 1", len(ks), report)
     consts, pos = normalised(ctx, ks[0])

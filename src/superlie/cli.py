@@ -1,6 +1,8 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 check/validation failure, 2 usage or input error.
+Exit codes: 0 success, 1 check/validation failure (an input the library
+rejects with a SuperlieError prints "invalid: <Type>: <msg>"), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -54,11 +56,7 @@ def _add_family_flags(sub):
 
 def cmd_build(args) -> int:
     params = _collect_params(args.family, args)
-    try:
-        alg = build_from_params(args.family, params, FieldCtx(args.p))
-    except SuperlieError as e:
-        print(f"invalid: {type(e).__name__}: {e}")
-        return 1
+    alg = build_from_params(args.family, params, FieldCtx(args.p))
     de, do = alg.dims
     print(f"{args.family}: dims {de}|{do}, valid")
     if args.out:
@@ -77,24 +75,20 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_check(args) -> int:
-    try:
-        if args.file:
-            d = _load_json(args.file)
-            if "odd_bracket" in d:
-                pair = pair_from_json_dict(d)
-                alg = pair.algebra
-            else:
-                pair = None
-                alg = algebra_from_json_dict(d)
-        elif args.family:
-            pair = None
-            params = _collect_params(args.family, args)
-            alg = build_from_params(args.family, params, FieldCtx(args.p))
+    if args.file:
+        d = _load_json(args.file)
+        if "odd_bracket" in d:
+            pair = pair_from_json_dict(d)
+            alg = pair.algebra
         else:
-            raise UsageError("check needs --family or --file")
-    except SuperlieError as e:
-        print(f"invalid: {type(e).__name__}: {e}")
-        return 1
+            pair = None
+            alg = algebra_from_json_dict(d)
+    elif args.family:
+        pair = None
+        params = _collect_params(args.family, args)
+        alg = build_from_params(args.family, params, FieldCtx(args.p))
+    else:
+        raise UsageError("check needs --family or --file")
 
     results = {}
     for c in args.checks:
@@ -231,23 +225,19 @@ def cmd_census(args) -> int:
 
 def cmd_validate_file(args) -> int:
     d = _load_json(args.path)
-    try:
-        if "odd_bracket" in d:
-            pair = pair_from_json_dict(d)
-            de, do = pair.algebra.dims
-            print(f"valid pair: dims {de}|{do}")
-        elif "families" in d:
-            mod = module_from_json_dict(d)
-            print(f"valid module: dim {mod.dim}")
-        elif "brackets" in d:
-            alg = algebra_from_json_dict(d)
-            de, do = alg.dims
-            print(f"valid algebra: dims {de}|{do}")
-        else:
-            raise UsageError("unrecognized JSON shape")
-    except SuperlieError as e:
-        print(f"invalid: {type(e).__name__}: {e}")
-        return 1
+    if "odd_bracket" in d:
+        pair = pair_from_json_dict(d)
+        de, do = pair.algebra.dims
+        print(f"valid pair: dims {de}|{do}")
+    elif "families" in d:
+        mod = module_from_json_dict(d)
+        print(f"valid module: dim {mod.dim}")
+    elif "brackets" in d:
+        alg = algebra_from_json_dict(d)
+        de, do = alg.dims
+        print(f"valid algebra: dims {de}|{do}")
+    else:
+        raise UsageError("unrecognized JSON shape")
     return 0
 
 
@@ -314,6 +304,11 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    except SuperlieError as e:
+        # PipelineAssertion is caught by cmd_brj; a numpy or Python error
+        # is a library bug and propagates
+        print(f"invalid: {type(e).__name__}: {e}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -118,7 +118,6 @@ def algebra_from_matrices(ctx: FieldCtx,
     alg = algebra_from_consts(
         ctx, [(label, parity) for label, parity, _ in elems], consts, meta=meta)
     alg.matrix_basis = mats  # type: ignore[attr-defined]
-    alg.block_parities = list(block_parities)  # type: ignore[attr-defined]
     alg.matrix_solver = solver  # type: ignore[attr-defined]
     return alg
 
@@ -698,8 +697,7 @@ def _sl2_symn(n: int, a, ctx: FieldCtx):
     """(sl2, Sym_n(V)*, bracket, adjoint families): the bracket is a times
     the normalized generator of Hom_G(Sym^2(Sym_n(V)*), sl2)."""
     odd, adj = symn_dual(n, ctx), adjoint_sl2_module(ctx)
-    s2 = sym2(odd)
-    hs, _ = pair_space(odd, s2, hom_space(s2, adj, mode="group").basis)
+    hs, _ = pair_space(odd, hom_space(sym2(odd), adj, mode="group").basis)
     if len(hs) != 1:
         raise RecurrenceViolation(f"{len(hs)} brackets for n={n}, not one")
     consts, _ = normalised(ctx, hs[0])

@@ -742,8 +742,12 @@ class SpanSolver:
 
         With vs = V / t and the RREF and transform R / s and X / s, the
         residual vs - vs[:, pivots] R / s is (s V - V[:, pivots] R) / (s t)
-        and the coefficients are V[:, pivots] X / (s t)."""
-        (v,), t = int_family(self.ctx, [self.ctx.reduce(np.asarray(vs))])
+        and the coefficients are V[:, pivots] X / (s t).  Rows not
+        ambient_dim wide raise DimensionMismatch."""
+        vs = self.ctx.reduce(np.asarray(vs))
+        if vs.shape[1:] != (self.ambient_dim,):
+            raise DimensionMismatch(f"rows of shape {vs.shape}")
+        (v,), t = int_family(self.ctx, [vs])
         c, u, in_span = self.coords_int_rows(v, t)
         return from_int(self.ctx, c, u), in_span
 

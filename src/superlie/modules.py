@@ -440,28 +440,32 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
                      f"{m1.meta.get('name','?')}(x){m2.meta.get('name','?')}")
 
 
-def _squared(m: GModule, sign: int, name: str) -> GModule:
-    """Sym^2 (sign +1, basis e_i e_j with i <= j) or Lambda^2 (sign -1,
-    basis e_i ^ e_j with i < j): the tensor square's operators T compressed
-    to the (anti)symmetric tensors, proj . T . iota.
+def square_layout(n: int, sign: int):
+    """The basis of Sym^2 (sign +1, e_i e_j with i <= j) or Lambda^2 (sign
+    -1, e_i ^ e_j with i < j) on n vectors as (pairs, pos, fold): the pairs
+    in row-major order, the symmetric n x n matrix of their positions (-1
+    off the basis), and the _kron_coeffs fold giving proj . T . iota for a
+    tensor-square operator T.
 
     iota sends the (i, j) basis vector to e_i (x) e_j + sign e_j (x) e_i
     (e_i (x) e_i when i == j).  Every T commutes with the swap of factors,
     so T iota lands in the (anti)symmetric tensors, where proj reads
-    coordinate (i, j).  So _kron_coeffs keeps the entries of T in a row
+    coordinate (i, j).  So the fold keeps the entries of T in a row
     (r1, r2) that is a basis pair and folds column (c1, c2) onto the pair
     (min, max), times sign when c1 > c2: no tensor square is built."""
-    n = m.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n) if sign > 0 or i < j]
     pos = np.full((n, n), -1)
-    for c, p in enumerate(pairs):
-        pos[p] = c
-    fold = (len(pairs), pos.ravel(), np.maximum(pos, pos.T).ravel(),
-            (1 + (sign - 1) * (np.arange(n)[:, None] > np.arange(n))).ravel())
-    mod = _on_pairs(m, m, pairs, "." if sign > 0 else "^",
-                    f"{name}({m.meta.get('name','?')})", fold)
-    mod.pair_index = {p: c for c, p in enumerate(pairs)}  # type: ignore
-    return mod
+    for c, (i, j) in enumerate(pairs):
+        pos[i, j] = pos[j, i] = c
+    lower = np.arange(n)[:, None] > np.arange(n)
+    return pairs, pos, (len(pairs), np.where(lower, -1, pos).ravel(),
+                        pos.ravel(), np.where(lower, sign, 1).ravel())
+
+
+def _squared(m: GModule, sign: int, name: str) -> GModule:
+    pairs, _, fold = square_layout(m.dim, sign)
+    return _on_pairs(m, m, pairs, "." if sign > 0 else "^",
+                     f"{name}({m.meta.get('name','?')})", fold)
 
 
 def sym2(m: GModule) -> GModule:

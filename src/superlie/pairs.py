@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx, SuperlieError
+from .fields import FieldCtx, InputError, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -40,6 +40,7 @@ from .modules import (
     induced_operators,
     module_from_json_dict,
     quotient_module,
+    square_layout,
     trivial_quotient_defect,
 )
 from .superalgebra import (
@@ -172,43 +173,43 @@ class HCPair:
 
 def _check_equivariance(odd: GModule, bracket: BilinearMap,
                         adjoint_families: Sequence[CoeffOperatorFamily]):
-    """Axiom 2 for every family X of the odd module, coefficientwise in t:
-    B T_m = G_m B for m = 1..max(2 deg X, deg G).
+    """Axiom 2 for every family X of the odd module, coefficientwise in t,
+    on Sym^2 V: f S_m = G_m f for m = 1..max(2 deg X, deg G).
 
-    B is the dim_g x dim_v^2 bracket matrix, consts reshaped (column
-    i*n + j holds [e_i, e_j]), T_m the t^m coefficient of X(t) (x) X(t)
-    from _kron_coeffs and G_m that of the adjoint family with the
-    same label; column i*n + j of either side is the t^m coefficient of
-    one side of X(t)[e_i, e_j] = [X(t)e_i, X(t)e_j].  With B = K / c,
-    T_m = J / u and G_m = H / v on integer forms the identity is
-    v K J = u H K.  Raises EquivarianceViolation at the first failing
-    family, at its least pair i <= j and then its least power m."""
-    ctx, n = odd.ctx, odd.dim
+    f is the bracket as a map on the square_layout basis of Sym^2 V,
+    f(v_i v_j) = [v_i, v_j] for i = j and 2 [v_i, v_j] for i < j; S_m and
+    G_m are the t^m coefficients of X(t) on Sym^2 V (_kron_coeffs with the
+    layout's fold) and of the adjoint family with the same label.  Column
+    (i, j) of f S_m - G_m f is the t^m coefficient of X(t)[v_i, v_j] -
+    [X(t)v_i, X(t)v_j], times 2 if i < j (a unit: p is odd), and on integer
+    forms f = K / c, S_m = J / s, G_m = H / v it is (v K J - s H K) / vcs.
+    Raises at the first failing family, least pair i <= j, least m."""
+    ctx = odd.ctx
     adj = {f.label: f for f in adjoint_families}
-    (kmat,), _ = int_family(
-        ctx, [bracket.consts.reshape(n * n, bracket.dim_g).T])
-    upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
+    pairs, _, fold = square_layout(odd.dim, +1)
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    (kmat,), _ = int_family(ctx, [ctx.reduce(
+        bracket.consts[i, j] * (1 + (i < j))[:, None]).T])
     coeffs, s = _kron_coeffs(ctx, [(f.ops, f.ops, range(1, 2 * f.degree + 1))
-                                   for f in odd.families])
+                                   for f in odd.families], fold)
     for fam, ts in zip(odd.families, coeffs):
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
         gfam = adj[fam.label]
         max_deg = max(2 * fam.degree, gfam.degree)
-        bad = np.zeros((max_deg + 1, n * n), dtype=bool)
+        bad = np.zeros((max_deg + 1, len(pairs)), dtype=bool)
         for m in range(1, max_deg + 1):
-            g = gfam.op(m)  # zero past its degree, as T_m is
+            g = gfam.op(m)  # zero past its degree, as S_m is
             lhs, rhs = 0, int_matmul(ctx, g.ints, kmat)
-            if m <= len(ts):  # ts holds T_1..T_{2 deg X}
-                t = Matrix.from_int(ctx, ts[m - 1], s, reduced=True)
-                lhs = int_matmul(ctx, kmat, t.ints) * g.scale
-                rhs = rhs * t.scale
-            bad[m] = np.any(ctx.reduce(lhs - rhs), axis=0) & upper
+            if m <= len(ts):  # ts holds S_1..S_{2 deg X}
+                lhs = int_matmul(ctx, kmat, ts[m - 1]) * g.scale
+                rhs = rhs * s
+            bad[m] = np.any(ctx.reduce(lhs - rhs), axis=0)
         cols = np.nonzero(np.any(bad, axis=0))[0]
         if len(cols):
             c = int(cols[0])
             raise EquivarianceViolation(fam.label, int(np.argmax(bad[:, c])),
-                                        divmod(c, n))
+                                        pairs[c])
 
 
 def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -265,26 +266,27 @@ def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
                   certificate=cert, meta=meta)
 
 
-def pair_space(odd: GModule, s2: GModule,
+def pair_space(odd: GModule,
                basis: Sequence[Matrix]) -> Tuple[np.ndarray, np.ndarray]:
     """The pair brackets on the odd module V: the space H = Hom_G(Sym^2 V,
     g) and K, the kernel on H of the cubic map.
 
-    basis is a basis of H from hom_space(s2, adjoint, mode="group") with
-    s2 = sym2(odd); no solve is made here.  A map f gives the bracket
+    basis is a basis of H from hom_space(sym2(odd), adjoint, mode="group"),
+    maps on the square_layout basis of Sym^2 V (DimensionMismatch unless
+    dim g x n(n+1)/2); no solve is made here.  A map f gives the bracket
     [v_i, v_j] = f(v_i v_j), halved off the diagonal (v_i v_j is the image
     of v_i (x) v_j + v_j (x) v_i).  The cubic map, linear in the bracket,
     is the cubic_sums of [[v, v], v] against the odd action; for odd p, K
     is exactly the set of pair structures.  Returns the (dim, n, n, dim g)
     bracket stacks of the bases of H and K."""
     ctx, n, dg = odd.ctx, odd.dim, len(odd.lie_action)
+    pairs, pos, _ = square_layout(n, +1)
+    if any(f.shape != (dg, len(pairs)) for f in basis):
+        raise DimensionMismatch(f"maps Sym^2 V -> g are {dg} x {len(pairs)}")
     fs = np.array([f.data for f in basis], dtype=ctx.dtype).reshape(
-        len(basis), dg, s2.dim)
-    cols = np.zeros((n, n), dtype=np.int64)
-    for (i, j), c in s2.pair_index.items():
-        cols[i, j] = cols[j, i] = c
+        len(basis), dg, len(pairs))
     half = np.where(np.eye(n, dtype=bool), ctx.one, ctx.inv(ctx.of(2)))
-    hs = ctx.reduce(fs[:, :, cols].transpose(0, 2, 3, 1) * half[..., None])
+    hs = ctx.reduce(fs[:, :, pos].transpose(0, 2, 3, 1) * half[..., None])
     rho = np.array([a.data.T for a in odd.lie_action], dtype=ctx.dtype)
     _, sums = cubic_sums(ctx, hs, rho)
     k = kernel(Matrix(ctx, sums.T)).basis.data
@@ -295,10 +297,13 @@ def pair_space(odd: GModule, s2: GModule,
 def normalised(ctx: FieldCtx,
                consts: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int, int]]:
     """consts scaled so that its first nonzero constant in (i <= j, target)
-    order is one, and that constant's position (i, j, target)."""
+    order is one, and that constant's position (i, j, target); InputError
+    for the zero bracket."""
     iu = np.triu_indices(consts.shape[0])
-    first = int(np.flatnonzero(consts[iu])[0])
-    row, target = divmod(first, consts.shape[2])
+    nonzero = np.flatnonzero(consts[iu])
+    if not len(nonzero):
+        raise InputError("the zero bracket cannot be normalised")
+    row, target = divmod(int(nonzero[0]), consts.shape[2])
     pos = (int(iu[0][row]), int(iu[1][row]), target)
     return ctx.reduce(consts * ctx.inv(consts[pos])), pos
 
@@ -407,8 +412,7 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
         dv * dv, pair.even.dim)
     bracket_q = BilinearMap(ctx, s.h_lie.residuals(rows)[:, keep_g].reshape(
         dv, dv, len(keep_g)))
-    eye = ctx.eye(pair.even.dim)
-    reps_g = [eye[i] for i in keep_g]
+    reps_g = list(ctx.eye(pair.even.dim)[keep_g])
     adj_q = []
     for gfam in pair.adjoint_families:
         named = [(f"{gfam.label}[t^{k}]", op) for k, op in enumerate(gfam.ops)]

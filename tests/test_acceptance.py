@@ -118,9 +118,8 @@ def cubic_kernel_dim(n, ctx):
     """dim K: the pair brackets Sym^2(Sym_n*) -> sl2 that pass the cubic
     identity."""
     odd = symn_dual(n, ctx)
-    s2 = sym2(odd)
-    rep = hom_space(s2, adjoint_sl2_module(ctx), mode="group")
-    return len(pair_space(odd, s2, rep.basis)[1])
+    rep = hom_space(sym2(odd), adjoint_sl2_module(ctx), mode="group")
+    return len(pair_space(odd, rep.basis)[1])
 
 
 def test_04_cubic_trichotomy():

@@ -153,6 +153,26 @@ class TestHom:
         assert rc == 0
         assert "dim group: 1" in out and "dim algebra: 1" in out
 
+    @pytest.mark.parametrize("argv, msg", [
+        (("adjoint-sl2", "adjoint-sl2", "--p", "4"),
+         "InputError: not an odd prime < 2^31: 4"),
+        (("sym2-dual-sym", "adjoint-sl2", "--n", "-1", "--p", "5"),
+         "InputError: n must be nonnegative"),
+    ])
+    def test_bad_input_exits_1(self, capsys, argv, msg):
+        rc, out, _ = run(capsys, "hom", *argv)
+        assert (rc, out) == (1, f"invalid: {msg}\n")
+
+    def test_invalid_module_file_exits_1(self, capsys, tmp_path):
+        # a module file whose family breaks the composition law
+        d = json.loads(symn_dual(3, FieldCtx.prime(5)).to_json())
+        d["families"][0]["ops"][1][0][0] = "1"
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(d))
+        rc, out, _ = run(capsys, "hom", str(path), "adjoint-sl2")
+        assert rc == 1
+        assert out.startswith("invalid: CompositionViolation")
+
 
 class TestRepeatedMain:
     """main parses with one parser per process; each call still behaves as
@@ -197,6 +217,11 @@ class TestBrj:
         rc, out, _ = run(capsys, "brj", "--p", "7")
         assert rc == 1
         assert "pipeline halted at stage hom: expected 1, got 0" in out
+
+    def test_bad_characteristic_exits_1(self, capsys):
+        rc, out, _ = run(capsys, "brj", "--p", "4")
+        assert (rc, out) == (1, "invalid: InputError: not an odd prime "
+                                "< 2^31: 4\n")
 
 
 # sha256 of `hom sym2-dual-sym adjoint-sl2 --n N --p P --mode M --out FILE`;

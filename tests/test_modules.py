@@ -38,6 +38,7 @@ from superlie.modules import (
     quotient_module,
     quotient_module_with_basis,
     socle_via_homs,
+    square_layout,
     submodule_generated,
     sym2,
     tensor,
@@ -729,8 +730,9 @@ def lw2(ctx):
     """brj's Lw2: the quotient of Lambda^2 of sp4's natural module by the
     line of its invariant form, built over any field."""
     l2 = lambda2(brj.sp4_natural_module(brj.sp4_algebra(ctx)))
+    _, pos, _ = square_layout(4, -1)
     z = ctx.zeros(6)
-    z[l2.pair_index[(0, 2)]] = z[l2.pair_index[(1, 3)]] = ctx.one
+    z[pos[0, 2]] = z[pos[1, 3]] = ctx.one
     return quotient_module(l2, Subspace.from_vectors(ctx, 6, [z]))
 
 

@@ -10,7 +10,7 @@ from superlie.brj import (
     sp4_algebra,
     sp4_natural_module,
 )
-from superlie.fields import FieldCtx, SuperlieError
+from superlie.fields import FieldCtx, InputError, SuperlieError
 from superlie.linalg import DimensionMismatch, Matrix, Subspace, kernel
 from superlie.modules import GModule, hom_space, sym2
 from superlie.pairs import (
@@ -191,6 +191,15 @@ def loop_equivariance_witness(odd, bracket, adjoint_families):
     return None
 
 
+def equivariance_witness(odd, bracket, adjoint_families):
+    """_check_equivariance's (family label, power, pair), or None."""
+    try:
+        _check_equivariance(odd, bracket, adjoint_families)
+    except EquivarianceViolation as e:
+        return e.family_label, e.power, e.pair
+    return None
+
+
 def adj_families(ctx):
     even = sl2_algebra(ctx)
     return even, [
@@ -325,25 +334,42 @@ class TestAssembly:
                     exc.value.pair) == witness
 
     def test_equivariance_matches_loop_reference(self):
-        # every bracket with one basis vector added at one pair
+        # sl2 x Sym_n* (two families) and sp4 x V (eight families of degree
+        # 1 on V, of degree 2 on the adjoint module): every bracket with one
+        # basis vector added at one pair.  brj's U at p = 5 (12-dimensional,
+        # families of degree up to 3, the module whose V (x) V blocks were
+        # 144 x 144): its first, middle and last nonzero constant doubled
+        # and its first zero constant set to one.
+        cases = []
         for ctx in (F3, F5, Q):
             even, adj = adj_families(ctx)
             for n in (1, 3):
-                odd = symn_dual(n, ctx)
-                base = sl2_symn_bracket(n, 1, ctx).consts
-                for i in range(n + 1):
-                    for j in range(i, n + 1):
-                        for k in range(3):
-                            consts = base.copy()
-                            v = ctx.add(consts[i, j, k], ctx.one)
-                            consts[i, j, k] = consts[j, i, k] = v
-                            b = BilinearMap(ctx, consts)
-                            try:
-                                _check_equivariance(odd, b, adj)
-                                got = None
-                            except EquivarianceViolation as e:
-                                got = (e.family_label, e.power, e.pair)
-                            assert got == loop_equivariance_witness(odd, b, adj)
+                cases.append((symn_dual(n, ctx), adj,
+                              bumped(ctx, sl2_symn_bracket(n, 1, ctx).consts)))
+            g = sp4_algebra(ctx)
+            v, adjm = sp4_natural_module(g), sp4_adjoint_module(g)
+            cases.append((v, adjm.families,
+                          bumped(ctx, normalised_k(v, adjm, ctx))))
+        pair = brj25(p=5, skip_simplicity=True).pair
+        base = pair.bracket.consts
+        nz = np.argwhere(np.triu(base.astype(bool).transpose(2, 0, 1)))
+        spots = [(i, j, k, F5.mul(base[i, j, k], 2))
+                 for k, i, j in (nz[0], nz[len(nz) // 2], nz[-1])]
+        spots.append((*np.argwhere(~base.astype(bool))[0], F5.one))
+        doctored = []
+        for i, j, k, value in spots:
+            consts = base.copy()
+            consts[i, j, k] = consts[j, i, k] = value
+            doctored.append(consts)
+        cases.append((pair.odd, pair.adjoint_families, doctored))
+        for odd, adj, brackets in cases:
+            seen = set()
+            for consts in brackets:
+                b = BilinearMap(odd.ctx, consts)
+                got = equivariance_witness(odd, b, adj)
+                assert got == loop_equivariance_witness(odd, b, adj)
+                seen.add(got)
+            assert len(seen - {None}) > 1
 
     def test_split_pair(self):
         even, adj = adj_families(F5)
@@ -355,11 +381,30 @@ class TestAssembly:
         assert c1 and not c2  # annihilator is everything when the bracket is 0
 
 
+def bumped(ctx, base):
+    """base with one basis vector added at one pair, for each pair i <= j
+    and target in turn."""
+    n, _, dg = base.shape
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(dg):
+                consts = base.copy()
+                consts[i, j, k] = consts[j, i, k] = ctx.add(consts[i, j, k],
+                                                            ctx.one)
+                yield consts
+
+
+def normalised_k(odd, adj, ctx):
+    """The normalised generator of K for odd -> adj, which must be a line."""
+    _, ks = pair_space(odd, hom_space(sym2(odd), adj, mode="group").basis)
+    assert len(ks) == 1
+    return normalised(ctx, ks[0])[0]
+
+
 def sl2_pair_space(n, ctx):
     odd = symn_dual(n, ctx)
-    s2 = sym2(odd)
-    return pair_space(odd, s2, hom_space(
-        s2, adjoint_sl2_module(ctx), mode="group").basis)
+    return pair_space(odd, hom_space(
+        sym2(odd), adjoint_sl2_module(ctx), mode="group").basis)
 
 
 class TestPairSpace:
@@ -395,13 +440,24 @@ class TestPairSpace:
     def test_sp4_natural_module(self, ctx):
         g = sp4_algebra(ctx)
         v, adj = sp4_natural_module(g), sp4_adjoint_module(g)
-        s2 = sym2(v)
-        hs, ks = pair_space(v, s2, hom_space(s2, adj, mode="group").basis)
+        hs, ks = pair_space(v, hom_space(sym2(v), adj, mode="group").basis)
         assert (len(hs), len(ks)) == (1, 1)
         consts, _ = normalised(ctx, ks[0])
         pair = assemble_pair(g, v, BilinearMap(ctx, consts), adj.families)
         assert pair.algebra.dims == (10, 4)
         assert pair.algebra.is_graded_simple(seed=0).verdict == "GradedSimple"
+
+    def test_map_of_wrong_shape_rejected(self):
+        # a map on V (x) V (16 columns) is not one on Sym^2 V (10 columns)
+        odd = symn_dual(3, F5)
+        for shape in ((3, 16), (4, 10)):
+            with pytest.raises(DimensionMismatch, match="are 3 x 10"):
+                pair_space(odd, [Matrix(F5, F5.zeros(*shape))])
+
+    def test_zero_bracket_not_normalised(self):
+        for ctx in (F5, Q):
+            with pytest.raises(InputError):
+                normalised(ctx, ctx.zeros(2, 2, 3))
 
 
 class TestSasAndSubpairs:
@@ -492,6 +548,26 @@ def gl11_pair(ctx):
     return assemble_pair(even, odd, bracket, [], meta={"name": "gl11"})
 
 
+def gl2_pair(ctx):
+    """gl2 on Sym_1*, its centre acting by 0: the even part gl(2|0) with
+    the conjugation families X2 and X-2, the odd module symn_dual(1) with
+    E1,1 acting as H/2 and E2,2 as -H/2, and the bracket
+    sl2_symn_bracket(1, 1) with H placed as E1,1 - E2,2."""
+    even = gl(2, 0, ctx)
+    adj = [conjugation_family(even, "X2", _unit(ctx, 2, 0, 1), root=(2,)),
+           conjugation_family(even, "X-2", _unit(ctx, 2, 1, 0), root=(-2,))]
+    sym = symn_dual(1, ctx)
+    h, e, f = sym.lie_action
+    half = ctx.reduce(h.data * ctx.inv(ctx.of(2)))
+    odd = GModule(ctx, sym.labels, even.labels,
+                  [Matrix(ctx, half), e, f, Matrix(ctx, ctx.reduce(-half))],
+                  sym.families, weights=sym.weights, brackets=even.consts)
+    c = sl2_symn_bracket(1, 1, ctx).consts
+    bracket = BilinearMap(ctx, np.concatenate([c, ctx.reduce(-c[..., :1])],
+                                              axis=2))
+    return assemble_pair(even, odd, bracket, adj, meta={"name": "gl2"})
+
+
 class TestProperQuotient:
     """quotient_pair by a nonzero proper Lie(H): the odd bracket must be
     reduced against Lie(H) before it is restricted to the kept
@@ -506,6 +582,23 @@ class TestProperQuotient:
         q = quotient_pair(p, s)
         assert q.dims == (1, 2)
         assert np.array_equal(q.algebra.consts, pgl(1, 1, ctx).consts)
+
+    @pytest.mark.parametrize("ctx", [F3, F5, Q], ids=repr)
+    def test_gl2_by_centre_induces_adjoint_families(self, ctx):
+        p = gl2_pair(ctx)
+        s = SubpairSpec(Subspace.from_vectors(ctx, 4, [ctx.vec([1, 0, 0, 1])]),
+                        (), Subspace.zero(ctx, 2))
+        assert check_normality(p, s) == {
+            "cond1_algebra_level": True, "cond2": True, "cond3": True,
+            "cond4": True, "ok": True}
+        q = quotient_pair(p, s)
+        assert q.algebra.dims == (3, 2)
+        assert q.algebra.is_graded_simple(seed=0).verdict == "GradedSimple"
+        labels = [l.rstrip("~") for l in q.even.labels]
+        for fam, x in zip(q.adjoint_families, ("E1,2", "E2,1")):
+            # 1 + t ad x + t^2 ad(x)^2 / 2, induced on gl2 / centre
+            assert fam.degree == 2
+            assert fam.op(1) == q.even.ad(labels.index(x))
 
 
 class TestPairJson:

@@ -170,6 +170,13 @@ class TestBracketOracles:
             want = coords_of_matrix(a, comm)
             assert want is not None and np.array_equal(got, want)
 
+    def test_coords_of_matrix_of_wrong_shape(self):
+        # gl(2|1) lives in 3 x 3 matrices
+        a = gl(2, 1, F5)
+        for m in (F5.eye(2), F5.zeros(3, 4)):
+            with pytest.raises(DimensionMismatch, match="rows of shape"):
+                coords_of_matrix(a, m)
+
 
 class TestStructure:
     def test_sl11_center_and_derived(self):
