@@ -2,15 +2,19 @@
 
 All matrix families are produced by one generic routine that takes explicit
 supermatrices, computes supercommutators, and re-expresses them in the given
-basis, so the structure constants are derived rather than transcribed.  Basis
-orders are fixed and documented per construction.
+basis, so the structure constants are derived rather than transcribed.  sl2's
+data is written once, as small integer arrays (SL2_*): sl2_algebra takes its
+matrices from them, symn_module its labels and brackets, and d21 assembles
+its constants from the brackets, the action on V, the form and Sym2(V) ->
+sl2.  Basis orders are fixed and documented per construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cache, reduce
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +36,6 @@ from .superalgebra import (
     LieSuperalgebra,
     SuperIdeal,
     algebra_from_consts,
-    build_superalgebra,
 )
 
 
@@ -409,6 +412,41 @@ def psq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
 
 
 # ---------------------------------------------------------------------------
+# sl2 and V = span{v1, v2} as small integer arrays: the data sl2_algebra,
+# symn_module and d21 read
+# ---------------------------------------------------------------------------
+
+def _frozen(rows) -> np.ndarray:
+    a = np.array(rows, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+SL2_LABELS = ("H", "E12", "E21")
+# SL2_BRACKETS[i, j] = [x_i, x_j] in the basis H, E12, E21
+SL2_BRACKETS = _frozen([[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
+                        [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
+                        [[0, 0, 2], [-1, 0, 0], [0, 0, 0]]])
+# the matrices of H, E12, E21 on V: H = diag(1, -1), E12 v2 = v1, E21 v1 = v2
+SL2_ON_V = _frozen([[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+# the invariant form: <v1, v2> = 1 = -<v2, v1>
+SL2_FORM = _frozen([[0, 1], [-1, 0]])
+# twice the identification Sym2(V) -> sl2, uv -> (w -> (<u,w> v + <v,w> u) / 2):
+# SL2_SYM2[i, j] is twice the image of v_i v_j, so v1 v1 -> 2 E12,
+# v2 v2 -> -2 E21 and v1 v2 -> -H
+SL2_SYM2 = _frozen([[[0, 2, 0], [-1, 0, 0]],
+                    [[-1, 0, 0], [0, 0, -2]]])
+
+
+def sl2_algebra(ctx: FieldCtx) -> LieSuperalgebra:
+    """Purely even algebra on H, E12, E21 inside 2x2 matrices."""
+    return algebra_from_matrices(
+        ctx, [(label, 0, m) for label, m in
+              zip(SL2_LABELS, from_int(ctx, SL2_ON_V, 1))], [0, 0],
+        meta={"name": "sl2"})
+
+
+# ---------------------------------------------------------------------------
 # D(2,1;alpha) = Gamma(a1, a2, a3)
 # ---------------------------------------------------------------------------
 
@@ -419,103 +457,53 @@ class D21Params:
     a3: object
 
 
+@cache
+def _d21_ints() -> Tuple[np.ndarray, np.ndarray]:
+    """Twice the structure constants of d21 as integer arrays, built from
+    the SL2_* arrays: (base, odd).  base (17 x 17 x 17) holds the three
+    diagonal copies of the sl2 brackets and [x, v] for x in factor f, whose
+    ad on V (x) V (x) V is the Kronecker product with x's matrix in
+    place f.  odd[f] (8 x 8 x 9) is the odd-odd block without a_f: Sym2(V)
+    -> sl2 on factor f times the invariant form on the other two."""
+    base = np.zeros((17, 17, 17), dtype=np.int64)
+    odd = np.zeros((3, 8, 8, 9), dtype=np.int64)
+    eye = np.eye(2, dtype=np.int64)
+    for f in range(3):
+        x = slice(3 * f, 3 * f + 3)
+        base[x, x, x] = 2 * SL2_BRACKETS
+        for g, m in enumerate(SL2_ON_V):
+            act = reduce(np.kron, [m if h == f else eye for h in range(3)])
+            base[3 * f + g, 9:, 9:] = 2 * act.T
+        for k in range(3):
+            odd[f, :, :, 3 * f + k] = reduce(
+                np.kron, [SL2_SYM2[:, :, k] if h == f else SL2_FORM
+                          for h in range(3)])
+    base.setflags(write=False)
+    odd.setflags(write=False)
+    return base, odd
+
+
 def d21(params: D21Params, ctx: FieldCtx) -> LieSuperalgebra:
     """Even part sl2 x sl2 x sl2 (basis H_f, E_f, F_f per factor), odd part
     V (x) V (x) V with basis v{i}{j}{k} in lexicographic order.  The odd-odd
-    bracket uses the three parameters and the Sym2(V) = sl2 identification
-    [uv, w] = (1/2)(<u,w> v + <v,w> u).  Raises JacobiViolation unless
-    a1 + a2 + a3 = 0."""
+    bracket is the sum over f of a_f times (Sym2(V) -> sl2 on factor f)
+    times the invariant form on the other two factors.  Raises
+    JacobiViolation unless a1 + a2 + a3 = 0."""
     a = [ctx.of(params.a1), ctx.of(params.a2), ctx.of(params.a3)]
-    half = ctx.inv(ctx.of(2))
-    labels = []
-    for f in range(3):
-        labels += [(f"H{f+1}", 0), (f"E{f+1}", 0), (f"F{f+1}", 0)]
-    odd_index: Dict[Tuple[int, int, int], int] = {}
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                odd_index[(i, j, k)] = 9 + len(odd_index)
-                labels.append((f"v{i+1}{j+1}{k+1}", 1))
-
-    table: Dict[Tuple[int, int], Dict[int, object]] = {}
-
-    def put(i, j, k, c):
-        if ctx.is_zero(c):
-            return
-        row = table.setdefault((i, j), {})
-        row[k] = ctx.add(row.get(k, ctx.zero), c)
-        if ctx.is_zero(row[k]):
-            del row[k]
-
-    one = ctx.one
-    for f in range(3):
-        h, e, fl = 3 * f, 3 * f + 1, 3 * f + 2
-        put(h, e, e, ctx.of(2))
-        put(h, fl, fl, ctx.of(-2))
-        put(e, fl, h, one)
-
-    # standard sl2 action on V = span{v1, v2}
-    # H: v1 -> v1, v2 -> -v2 ; E: v2 -> v1 ; F: v1 -> v2
-    act = {
-        0: {0: {0: one}, 1: {1: ctx.neg(one)}},  # H, diag
-        1: {1: {0: one}},                        # E
-        2: {0: {1: one}},                        # F
-    }
-    for f in range(3):
-        for g in range(3):  # H/E/F within factor f
-            op = act[g]
-            for idx, pos in odd_index.items():
-                src = idx[f]
-                for dst, c in op.get(src, {}).items():
-                    tgt = list(idx)
-                    tgt[f] = dst
-                    put(3 * f + g, pos, odd_index[tuple(tgt)], c)
-
-    def form(i, j):  # <v_{i+1}, v_{j+1}>
-        if i == j:
-            return ctx.zero
-        return one if (i, j) == (0, 1) else ctx.neg(one)
-
-    # Sym2(V) -> sl2 coordinates of the operator for the pair (v_{i+1}, v_{j+1})
-    def sym_op(f, i, j):
-        if i == 0 and j == 0:
-            return {3 * f + 1: one}                      # E
-        if i == 1 and j == 1:
-            return {3 * f + 2: ctx.neg(one)}             # -F
-        return {3 * f: ctx.neg(half)}                    # -(1/2) H
-
-    items = sorted(odd_index.items())
-    for (idx1, p1) in items:
-        for (idx2, p2) in items:
-            if p2 < p1:
-                continue
-            for f in range(3):
-                o1, o2 = [g for g in range(3) if g != f]
-                c = ctx.mul(a[f], ctx.mul(form(idx1[o1], idx2[o1]),
-                                          form(idx1[o2], idx2[o2])))
-                if ctx.is_zero(c):
-                    continue
-                for tgt, coeff in sym_op(f, idx1[f], idx2[f]).items():
-                    put(p1, p2, tgt, ctx.mul(c, coeff))
-
-    return build_superalgebra(
-        ctx, labels, table,
+    base, odd = _d21_ints()
+    (ai,), s = int_family(ctx, [np.array(a, dtype=ctx.dtype)])
+    ints = base.astype(ai.dtype) * s
+    ints[9:, 9:, :9] = np.tensordot(ai, odd, 1)
+    labels = [(f"{x}{f}", 0) for f in (1, 2, 3) for x in "HEF"]
+    labels += [(f"v{i}{j}{k}", 1) for i in "12" for j in "12" for k in "12"]
+    return algebra_from_consts(
+        ctx, labels, from_int(ctx, ints, 2 * s),
         meta={"name": "d21", "a1": str(a[0]), "a2": str(a[1]), "a3": str(a[2])})
 
 
 # ---------------------------------------------------------------------------
 # rank-one even part: symmetric-power modules and form-valued brackets
 # ---------------------------------------------------------------------------
-
-def sl2_algebra(ctx: FieldCtx) -> LieSuperalgebra:
-    """Purely even algebra on H, E12, E21 inside 2x2 matrices."""
-    h = ctx.arr([[1, 0], [0, -1]])
-    e = _unit(ctx, 2, 0, 1)
-    f = _unit(ctx, 2, 1, 0)
-    return algebra_from_matrices(
-        ctx, [("H", 0, h), ("E12", 0, e), ("E21", 0, f)], [0, 0],
-        meta={"name": "sl2"})
-
 
 def conjugation_family(alg: LieSuperalgebra, label: str, x: np.ndarray,
                        root: Optional[Sequence[int]] = None) -> CoeffOperatorFamily:
@@ -564,7 +552,6 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
     """
     if n < 0:
         raise InputError("n must be nonnegative")
-    alg = sl2_algebra(ctx)
     d = n + 1
 
     def zeros():
@@ -592,10 +579,10 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
     fams = [CoeffOperatorFamily("X2", up_ops, (2,)),
             CoeffOperatorFamily("X-2", down_ops, (-2,))]
     return GModule(
-        ctx, [f"s{i}" for i in range(d)], alg.labels,
+        ctx, [f"s{i}" for i in range(d)], SL2_LABELS,
         [Matrix.from_int(ctx, a) for a in (h, e, f)], fams,
         weights=[(2 * i - n,) for i in range(d)],
-        brackets=alg.consts,
+        brackets=from_int(ctx, SL2_BRACKETS, 1),
         meta={"name": f"sym{n}"})
 
 

@@ -130,7 +130,9 @@ def from_int(ctx: FieldCtx, ints: np.ndarray, s: int) -> np.ndarray:
     nonzero integer scale."""
     if ctx.p:
         a = ctx.reduce(ints)
-        return a if s == 1 else ctx.reduce(a * ctx.inv(s))
+        if s != 1:
+            a = ctx.reduce(a * ctx.inv(s))
+        return a if a.dtype == ctx.dtype else a.astype(ctx.dtype)
     out = np.full(ints.shape, ctx.zero, dtype=object)
     nz = np.nonzero(ints)
     out[nz] = [Fraction(int(v), s) for v in ints[nz]]
@@ -182,8 +184,7 @@ def _int_form(ctx: FieldCtx, ints: np.ndarray, s: int) -> Tuple[np.ndarray, int]
     residues, reduced once, and scale 1; over Q Python ints and a scale
     s > 0, with the gcd of s and every entry divided out."""
     if ctx.p:
-        a = from_int(ctx, ints, s)
-        return a if a.dtype == ctx.dtype else a.astype(ctx.dtype), 1
+        return from_int(ctx, ints, s), 1
     if ints.dtype != object:
         ints = ints.astype(object)
     if s < 0:

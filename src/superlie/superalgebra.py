@@ -28,7 +28,6 @@ from .fields import FieldCtx, MultiPoly, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
-    SpanSolver,
     Subspace,
     bilinear,
     exact_matmul,
@@ -402,18 +401,20 @@ class LieSuperalgebra:
                    labels: Optional[Sequence[str]] = None) -> "LieSuperalgebra":
         """The algebra structure on a graded subspace closed under the
         bracket, on its basis rows with the even pivots first: every
-        bracket of two basis vectors from one contraction, their
-        coordinates from one batched solve."""
+        bracket of two basis vectors from one contraction.  The basis is
+        in echelon form, so a bracket in the span has its pivot entries as
+        its coordinates."""
         parities = self._row_parities(w)
         d = w.dim
         if d == 0:
             return algebra_from_consts(self.ctx, [], self.ctx.zeros(0, 0, 0),
                                        meta=dict(self.meta))
-        b = w.basis.data[np.argsort(parities, kind="stable")]
-        coords, in_span = SpanSolver(self.ctx, b).coords_rows(
-            bilinear(self.ctx, self.consts, b, b).reshape(d * d, self.dim))
-        if not in_span.all():
+        order = np.argsort(parities, kind="stable")
+        b = w.basis.data[order]
+        images = bilinear(self.ctx, self.consts, b, b).reshape(d * d, self.dim)
+        if w.residuals(images).astype(bool).any():
             raise NotAnIdeal("subspace is not closed under the bracket")
+        coords = images[:, np.asarray(w.pivots)[order]]
         if labels is None:
             labels = [f"b{i}" for i in range(d)]
         meta = dict(self.meta)

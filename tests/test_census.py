@@ -42,12 +42,6 @@ class TestDeterminism:
         assert rows_to_tsv(a, ("simple",)) == rows_to_tsv(b, ("simple",))
         assert rows_to_jsonl(a) == rows_to_jsonl(b)
 
-    def test_threads_do_not_change_output(self):
-        grid = grid_d21()
-        a = run_census(grid, ("simple",), seed=0, threads=1)
-        b = run_census(grid, ("simple",), seed=0, threads=4)
-        assert rows_to_tsv(a, ("simple",)) == rows_to_tsv(b, ("simple",))
-
     def test_rows_sorted(self):
         rows = run_census(grid_family_catalog(), (), threads=2)
         keys = [r.sort_key() for r in rows]
@@ -107,7 +101,8 @@ class TestErrorScope:
     """Only SuperlieError becomes an error row; anything else is a bug and
     propagates."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    # run_census ignores threads and runs serially, so one case is enough
+    @pytest.mark.parametrize("threads", [1])
     def test_library_bug_propagates(self, monkeypatch, threads):
         def broken(m, n, ctx):
             raise IndexError("boolean index did not match")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,9 +7,11 @@ import pytest
 
 from superlie import constructions
 from superlie.fields import FieldCtx, InputError
-from superlie.linalg import Matrix, solve
+from superlie.linalg import Matrix, from_int, solve
 from superlie.superalgebra import CenterNotInside, JacobiViolation
 from superlie.constructions import (
+    SL2_BRACKETS,
+    SL2_LABELS,
     algebra_from_matrices,
     D21Params,
     d21,
@@ -22,6 +25,7 @@ from superlie.constructions import (
     psq,
     queer,
     sl,
+    sl2_algebra,
     spo,
 )
 
@@ -131,7 +135,34 @@ class TestPeriplecticDerived:
             assert (m[0, 0] + m[1, 1]) % 5 == 0
 
 
+class TestSl2Data:
+    @pytest.mark.parametrize("ctx", [F3, F7, FieldCtx.prime(2**31 - 1), Q],
+                             ids=repr)
+    def test_brackets_are_the_matrix_brackets(self, ctx):
+        alg = sl2_algebra(ctx)
+        assert alg.labels == SL2_LABELS
+        assert np.array_equal(alg.consts, from_int(ctx, SL2_BRACKETS, 1))
+
+
 class TestD21:
+    # sha256 of d21(...).to_json(), recorded from the hand-written bracket
+    # table that d21 was built from before the sl2 arrays
+    @pytest.mark.parametrize("params, p, digest", [
+        ((1, 1, 3), 5,
+         "0d3bf8c1a5638cbb29378d92c9259cae301a6318ea974f344b4a0848f96a1d67"),
+        ((0, 1, 4), 5,
+         "b2fdd5976a3fb343fe4660b62a3e54b013dc3bcb3a26e27ddbdc7395b43396f1"),
+        ((1, 2, -3), 7,
+         "b4a10672f94a29eb40af4a60f5e3bdb9ac2a239ded87dadc8c7b7cb6d24c214c"),
+        ((1, 2, -3), 2**31 - 1,
+         "3d48580e6614034542cf5212bdb4e51746a08b4bfaa32238ae2ba5aa4cdf66da"),
+        (("1/2", 1, "-3/2"), 0,
+         "0306d8a3e3e926365ef9dcf6263f7e9b1524ed2135218f296643f22601aaa9d6"),
+    ])
+    def test_json_digest(self, params, p, digest):
+        text = d21(D21Params(*params), FieldCtx(p)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_jacobi_iff_parameters_sum_to_zero(self):
         for params in [(1, 1, -2), (1, 2, -3), ("1/2", "1/2", -1)]:
             d21(D21Params(*params), Q)

@@ -17,6 +17,7 @@ from superlie.linalg import (
     SpanSolver,
     Subspace,
     exact_matmul,
+    from_int,
     invariant_closure,
     kernel,
     largest_invariant_within,
@@ -780,3 +781,17 @@ class TestIntegerForm:
             assert hash(ma) == hash(mb)
         for m in (ma + mb, ma - mb, ma @ md, ma.transpose()):
             assert m.data.dtype == ctx.dtype
+
+
+def test_from_int_has_the_field_dtype():
+    # int64 integers for a large p and Python ints for a small one
+    big = FieldCtx.prime(2**31 - 1)
+    for ctx, ints in ((big, np.eye(2, dtype=np.int64)),
+                      (F5, np.array([[7, 0], [-1, 2**70]], dtype=object))):
+        for s in (1, 3):
+            a = from_int(ctx, ints, s)
+            assert a.dtype == ctx.dtype
+            assert np.array_equal(ctx.reduce(a.astype(object) * s),
+                                  ints % ctx.p)
+            if ctx.dtype is object:
+                assert all(type(x) is int for x in a.flat)

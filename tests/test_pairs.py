@@ -1,5 +1,7 @@
 import hashlib
 import json
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from superlie.brj import (
     sp4_natural_module,
 )
 from superlie.fields import FieldCtx, InputError, SuperlieError
-from superlie.linalg import DimensionMismatch, Matrix, Subspace, kernel
-from superlie.modules import GModule, hom_space, sym2
+from superlie.linalg import DimensionMismatch, Matrix, Subspace, from_int, kernel
+from superlie.modules import CoeffOperatorFamily, GModule, hom_space, sym2
 from superlie.pairs import (
     BilinearMap,
     CubicViolation,
@@ -34,8 +36,12 @@ from superlie.pairs import (
 )
 from superlie.superalgebra import build_superalgebra
 from superlie.constructions import (
+    SL2_ON_V,
+    D21Params,
     RecurrenceViolation,
     adjoint_sl2_module,
+    algebra_from_matrices,
+    d21,
     gl,
     pgl,
     sl2_algebra,
@@ -407,6 +413,42 @@ def sl2_pair_space(n, ctx):
         sym2(odd), adjoint_sl2_module(ctx), mode="group").basis)
 
 
+def sl2_cubed_pieces(ctx):
+    """(sl2^3, W, adjoint module) for d21's even part and odd module.
+    sl2^3 is matrix-built on block-diagonal 6 x 6 copies of H, E12, E21;
+    W = V (x) V (x) V under the Kronecker action, with one family [I, x]
+    per root vector x; the adjoint module has one conjugation_family per
+    root, under the same labels."""
+    eye = np.eye(2, dtype=np.int64)
+    elems, acts = [], []
+    for f in range(3):
+        for x, m in zip("HEF", SL2_ON_V):
+            block = np.zeros((6, 6), dtype=np.int64)
+            block[2 * f:2 * f + 2, 2 * f:2 * f + 2] = m
+            elems.append((f"{x}{f + 1}", 0, from_int(ctx, block, 1)))
+            acts.append(reduce(np.kron, [m if h == f else eye
+                                         for h in range(3)]))
+    even = algebra_from_matrices(ctx, elems, [0] * 6)
+    roots = {}
+    for f in range(3):
+        for g, sign in ((1, 1), (2, -1)):
+            roots[3 * f + g] = tuple(2 * sign * (h == f) for h in range(3))
+    odd_fams = [CoeffOperatorFamily(even.labels[i], [
+        Matrix.identity(ctx, 8), Matrix.from_int(ctx, acts[i])], root)
+        for i, root in roots.items()]
+    adj_fams = [conjugation_family(even, even.labels[i], elems[i][2], root)
+                for i, root in roots.items()]
+    w = GModule(ctx, [f"v{i}{j}{k}" for i, j, k in product("12", repeat=3)],
+                even.labels, [Matrix.from_int(ctx, a) for a in acts], odd_fams,
+                weights=[tuple(1 - 2 * b for b in bits)
+                         for bits in product((0, 1), repeat=3)],
+                brackets=even.consts)
+    adj = GModule(ctx, even.labels, even.labels, even.ad_matrices(), adj_fams,
+                  weights=[roots.get(i, (0, 0, 0)) for i in range(9)],
+                  brackets=even.consts)
+    return even, w, adj
+
+
 class TestPairSpace:
     @pytest.mark.parametrize("ctx, top", [(F3, 7), (F5, 7), (F7, 7), (Q, 5)],
                              ids=repr)
@@ -446,6 +488,23 @@ class TestPairSpace:
         pair = assemble_pair(g, v, BilinearMap(ctx, consts), adj.families)
         assert pair.algebra.dims == (10, 4)
         assert pair.algebra.is_graded_simple(seed=0).verdict == "GradedSimple"
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
+    def test_d21_is_the_sl2_cubed_pair(self, ctx):
+        # H has one bracket per factor, and K is the plane a1 + a2 + a3 = 0
+        even, w, adj = sl2_cubed_pieces(ctx)
+        alg = d21(D21Params(1, 1, -2), ctx)
+        assert np.array_equal(even.consts, alg.consts[:9, :9, :9])
+        hs, ks = pair_space(w, hom_space(sym2(w), adj, mode="group").basis)
+        assert (len(hs), len(ks)) == (3, 2)
+        plane = [d21(D21Params(*a), ctx).consts[9:, 9:, :9].reshape(-1)
+                 for a in ((1, -1, 0), (0, 1, -1))]
+        assert (Subspace.from_vectors(ctx, 8 * 8 * 9, list(ks.reshape(2, -1)))
+                == Subspace.from_vectors(ctx, 8 * 8 * 9, plane))
+        pair = assemble_pair(even, w,
+                             BilinearMap(ctx, alg.consts[9:, 9:, :9].copy()),
+                             adj.families)
+        assert np.array_equal(pair.algebra.consts, alg.consts)
 
     def test_map_of_wrong_shape_rejected(self):
         # a map on V (x) V (16 columns) is not one on Sym^2 V (10 columns)

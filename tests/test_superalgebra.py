@@ -355,8 +355,8 @@ class TestJacobiDifferential:
                 assert loop_jacobi_violations(alg, full=True) == []
 
     def test_failing_d21_triples(self, monkeypatch):
-        monkeypatch.setattr(constructions, "build_superalgebra",
-                            functools.partial(build_superalgebra,
+        monkeypatch.setattr(constructions, "algebra_from_consts",
+                            functools.partial(algebra_from_consts,
                                               validate=False))
         failing = 0
         for family, params, p in GRID_PRESETS["d21"][0]():
@@ -588,6 +588,13 @@ class TestGradedInvariant:
             SuperIdeal(a, mixed)
         with pytest.raises(NotAnIdeal, match="not graded"):
             a.subalgebra(mixed)
+
+    def test_unclosed_subspace_rejected(self):
+        # [E1,2, E2,1] = H1 lies outside span(E1,2, E2,1)
+        a = sl(2, 1, F5)
+        vecs = F5.eye(a.dim)[[a.labels.index("E1,2"), a.labels.index("E2,1")]]
+        with pytest.raises(NotAnIdeal, match="not closed"):
+            a.subalgebra(Subspace.from_vectors(F5, a.dim, list(vecs)))
 
     def test_parity_breaking_bracket_in_derived(self):
         # unvalidated, so nothing has checked the grading: [H, x] = H + x
