@@ -47,9 +47,11 @@ def _add_family_flags(sub):
     sub.add_argument("--m", type=int)
     sub.add_argument("--n", type=int)
     sub.add_argument("--odd", type=int)
-    sub.add_argument("--a1")
-    sub.add_argument("--a2")
-    sub.add_argument("--a3")
+    # argparse takes "-2" as a value but reads "-3/2" as an option, so a
+    # negative fraction needs the = form
+    for a in ("--a1", "--a2", "--a3"):
+        sub.add_argument(a, help="d21 parameter, an integer or fraction; "
+                         f"write a negative fraction as {a}=-3/2")
     sub.add_argument("--p", type=int, default=5,
                      help="characteristic; 0 for the rationals")
 

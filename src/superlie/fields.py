@@ -3,24 +3,16 @@
 Scalars are plain python objects: canonical residues ``int`` in [0, p) for a
 prime field, ``fractions.Fraction`` for the rationals.  A FieldCtx bundles the
 arithmetic so the rest of the library never branches on the field kind.
-
-Also provides MultiPoly, the coefficient table of one polynomial of total
-degree <= 3: LieSuperalgebra.validate_cubic_odd(with_polys=True) reports the
-coefficients of [[v,v],v] in it.  The identity has prime-subfield
-coefficients, so coefficientwise vanishing over F_p or Q certifies it over
-the algebraic closure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 ScalarLike = Union[int, str, Fraction]
-
-DEGREE_CAP = 3
 
 
 class SuperlieError(Exception):
@@ -40,15 +32,7 @@ class ZeroInverse(SuperlieError, ZeroDivisionError):
     pass
 
 
-class ArityMismatch(SuperlieError, ValueError):
-    pass
-
-
 class InexactScalar(SuperlieError, TypeError):
-    pass
-
-
-class DegreeCapExceeded(SuperlieError, ValueError):
     pass
 
 
@@ -232,40 +216,3 @@ class FieldCtx:
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         return a % self.p if self.p else a
-
-
-# ---------------------------------------------------------------------------
-# coefficient tables of polynomials of total degree <= DEGREE_CAP
-# ---------------------------------------------------------------------------
-
-Expvec = Tuple[int, ...]
-
-
-class MultiPoly:
-    """The coefficient table of a multivariate polynomial of bounded total
-    degree over a FieldCtx.
-
-    terms maps exponent vectors (length = arity) to nonzero canonical
-    scalars.  The degree cap keeps the symbolic checks honest: the only
-    identities needed are at most cubic, and hitting the cap signals a
-    modelling bug.
-    """
-
-    __slots__ = ("ctx", "arity", "terms")
-
-    def __init__(self, ctx: FieldCtx, arity: int, terms: Optional[dict] = None):
-        self.ctx = ctx
-        self.arity = arity
-        clean = {}
-        for ev, c in (terms or {}).items():
-            if len(ev) != arity:
-                raise ArityMismatch(f"exponent vector {ev} has wrong arity")
-            if sum(ev) > DEGREE_CAP:
-                raise DegreeCapExceeded(f"monomial {ev} exceeds degree {DEGREE_CAP}")
-            c = ctx.of(c)
-            if not ctx.is_zero(c):
-                clean[tuple(ev)] = c
-        self.terms = clean
-
-    def coefficient(self, ev: Expvec):
-        return self.terms.get(tuple(ev), self.ctx.zero)

@@ -2,17 +2,20 @@
 
 A Matrix holds one canonical integer form, ints / scale: the residues
 themselves over F_p (int64 below 2^25, Python ints above), Python ints over
-their least common denominator over Q.  Built from either form it makes
-the other at most once, on first use: the field array (Fractions over Q)
-for row reduction and output, the integers for operator checks and
-products.  Everything is exact; there is no floating point anywhere.
+their least common denominator over Q.  Row reduction, subspaces, spinning
+and SpanSolver read only that form; the field array (Fractions over Q) is
+made on first use, for output and for callers that want field elements.
+Everything is exact; there is no floating point anywhere.
 
-Row reduction returns the reduced row echelon form, which depends only on
-the row space, so Subspace basis matrices are canonical: two subspaces are
-equal iff their basis arrays are identical.  On int64 arrays of three or
-more rows and columns it first peels the rows with a single nonzero entry,
-as structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO
-'90): such a row puts a unit vector into the row space, so its column is
+Row reduction works on integer arrays over every field and returns the
+reduced row echelon form as R / s, which depends only on the row space, so
+Subspace basis matrices are canonical: two subspaces are equal iff their
+basis forms are identical.  Over F_p the pivot row is scaled to 1 and s is
+1.  Over Q rows are combined fraction-free and divided by their content,
+and the pivots are divided out once at the end.  On int64 arrays of three
+or more rows and columns it first peels the rows with a single nonzero
+entry, as structured Gaussian elimination does (LaMacchia and Odlyzko,
+CRYPTO '90): such a row puts a unit vector into the row space, so its column is
 cleared from every row, which can leave new single-entry rows, until none
 is left.  In a weight basis [h, e_a] = a(h) e_a for diagonal h, so most
 rows of the centre and derived systems are single.  The leftmost nonzero
@@ -107,10 +110,10 @@ def int_family(ctx: FieldCtx,
                items: Sequence) -> Tuple[List[np.ndarray], int]:
     """(integer arrays J_i, one scale s) with items[i] == J_i / s in the
     field.  A Matrix gives its integer form, only rescaled; a field array
-    (the raw arrays of superalgebra.py and of Subspace bases) is converted
-    by int_scaled.  Over F_p the J_i are the residues themselves (int64,
-    or Python ints for a large p) and s is 1; over Q they are Python ints
-    and s is the least common denominator of every entry of every item."""
+    (the raw arrays of superalgebra.py) is converted by int_scaled.  Over
+    F_p the J_i are the residues themselves (int64, or Python ints for a
+    large p) and s is 1; over Q they are Python ints and s is the least
+    common denominator of every entry of every item."""
     if ctx.p:
         return [m.ints if isinstance(m, Matrix) else m for m in items], 1
     forms = [(m.ints, m.scale) if isinstance(m, Matrix) else int_scaled(m)
@@ -193,6 +196,23 @@ def _int_form(ctx: FieldCtx, ints: np.ndarray, s: int) -> Tuple[np.ndarray, int]
     return (ints // g, s // g) if g != 1 else (ints, s)
 
 
+def _array_form(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The canonical integer form of an exact array: an integer dtype, or
+    objects that FieldCtx.of takes (ints, Fractions).  An array of integers
+    is read as it is.  Float, complex and bool arrays or entries raise
+    InexactScalar, as FieldCtx.of does."""
+    if a.dtype.kind == "O":
+        types = set(map(type, a.flat))
+        if not types <= {int}:
+            if ctx.p or not types <= {Fraction}:
+                a = np.array([ctx.of(x) for x in a.flat],
+                             dtype=ctx.dtype).reshape(a.shape)
+            return (a, 1) if ctx.p else int_scaled(a)
+    elif a.dtype.kind not in "iu":
+        raise InexactScalar(f"not an exact array: dtype {a.dtype}")
+    return _int_form(ctx, a, 1)
+
+
 class Matrix:
     """Immutable dense matrix over a FieldCtx, held in one canonical integer
     form: the matrix is ints / scale.  Over F_p, ints are the canonical
@@ -201,53 +221,31 @@ class Matrix:
     common denominator: no prime divides scale and every entry, so the
     pair is unique.  Equality and hash compare that form.
 
-    data is the field array that row reduction, serialization and output
-    read: the residues themselves over F_p, Fractions over Q.  Over Q a
-    Matrix keeps the form it was built from and makes the other at most
-    once, on first use."""
+    data is the field array: the residues themselves over F_p, Fractions
+    over Q, made on first use for serialization, output and callers that
+    want field elements."""
 
-    __slots__ = ("ctx", "shape", "_data", "_ints", "_scale")
+    __slots__ = ("ctx", "shape", "ints", "scale", "_data")
 
     def __init__(self, ctx: FieldCtx, data: np.ndarray):
-        """The matrix of an exact array: an integer dtype, or objects that
-        FieldCtx.of takes (ints, Fractions).  Float, complex and bool
-        arrays or entries raise InexactScalar, as FieldCtx.of does."""
+        """The matrix of an exact array (see _array_form), converted to the
+        integer form once."""
         if data.ndim != 2:
             raise DimensionMismatch(f"expected 2d array, got shape {data.shape}")
-        kind = data.dtype.kind
-        if kind == "O":
-            types = set(map(type, data.flat))
-            if not types <= {int}:
-                if ctx.p or not types <= {Fraction}:
-                    data = np.array([ctx.of(x) for x in data.flat],
-                                    dtype=ctx.dtype).reshape(data.shape)
-                self._hold(ctx, data, None, None)
-                return
-        elif kind not in "iu":
-            raise InexactScalar(f"not an exact array: dtype {data.dtype}")
-        self._hold(ctx, None, *_int_form(ctx, data, 1))
+        self._hold(ctx, *_array_form(ctx, data))
 
-    def _hold(self, ctx: FieldCtx, data: Optional[np.ndarray],
-              ints: Optional[np.ndarray], scale: Optional[int]):
-        """Hold canonical arrays read-only: a field array, an integer form
-        or both.  Over F_p they are one array."""
-        if ctx.p:
-            data = ints = data if ints is None else ints
-            scale = 1
-        for a in (data,) if data is ints else (data, ints):
-            if a is not None:
-                a.setflags(write=False)
-                self.shape = a.shape
-        self.ctx, self._data, self._ints, self._scale = ctx, data, ints, scale
+    def _hold(self, ctx: FieldCtx, ints: np.ndarray, scale: int):
+        ints.setflags(write=False)
+        self.ctx, self.shape, self.ints, self.scale = ctx, ints.shape, ints, scale
+        self._data = ints if ctx.p else None
 
     @classmethod
-    def _canonical(cls, ctx: FieldCtx, data: Optional[np.ndarray] = None,
-                   ints: Optional[np.ndarray] = None,
-                   scale: Optional[int] = None) -> "Matrix":
-        """A Matrix on arrays already canonical, neither checked nor
-        reduced: row reduction's output, or a transpose."""
+    def _canonical(cls, ctx: FieldCtx, ints: np.ndarray,
+                   scale: int = 1) -> "Matrix":
+        """A Matrix on an integer form already canonical, neither checked
+        nor reduced: row reduction's output, or a transpose."""
         m = cls.__new__(cls)
-        m._hold(ctx, data, ints, scale)
+        m._hold(ctx, ints, scale)
         return m
 
     # -- constructors --------------------------------------------------------
@@ -261,8 +259,8 @@ class Matrix:
         if ints.ndim != 2:
             raise DimensionMismatch(f"expected 2d array, got shape {ints.shape}")
         if reduced and ctx.p:
-            return cls._canonical(ctx, ints=ints)
-        return cls._canonical(ctx, None, *_int_form(ctx, ints, scale))
+            return cls._canonical(ctx, ints)
+        return cls._canonical(ctx, *_int_form(ctx, ints, scale))
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows: Sequence[Sequence]) -> "Matrix":
@@ -274,7 +272,7 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
             for j, x in enumerate(row):
                 a[i, j] = ctx.of(x)
-        return cls._canonical(ctx, a)
+        return cls(ctx, a)
 
     def to_rows(self) -> List[List[str]]:
         """The entries as strings, row by row: the JSON form from_rows
@@ -290,30 +288,13 @@ class Matrix:
     def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
         return cls.from_int(ctx, np.eye(n, dtype=np.int64))
 
-    # -- the two forms -------------------------------------------------------
     @property
     def data(self) -> np.ndarray:
         """The canonical field array."""
         if self._data is None:
-            self._data = from_int(self.ctx, self._ints, self._scale)
+            self._data = from_int(self.ctx, self.ints, self.scale)
             self._data.setflags(write=False)
         return self._data
-
-    def _form(self) -> Tuple[np.ndarray, int]:
-        if self._ints is None:
-            ints, self._scale = int_scaled(self._data)
-            ints.setflags(write=False)
-            self._ints = ints
-        return self._ints, self._scale
-
-    @property
-    def ints(self) -> np.ndarray:
-        """The integer numerators: the matrix is ints / scale."""
-        return self._form()[0]
-
-    @property
-    def scale(self) -> int:
-        return self._form()[1]
 
     # -- shape ---------------------------------------------------------------
     @property
@@ -353,10 +334,7 @@ class Matrix:
                                self.scale * other.scale, reduced=True)
 
     def transpose(self) -> "Matrix":
-        data, ints = self._data, self._ints
-        return Matrix._canonical(
-            self.ctx, None if data is None or self.ctx.p else data.T.copy(),
-            None if ints is None else ints.T.copy(), self._scale)
+        return Matrix._canonical(self.ctx, self.ints.T.copy(), self.scale)
 
     def mv(self, v: np.ndarray) -> np.ndarray:
         """Apply to a column vector given as a 1d array."""
@@ -393,18 +371,20 @@ class Matrix:
 # row reduction
 # ---------------------------------------------------------------------------
 
-def _rref_array(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int]]:
-    """(RREF of a, rank, pivot columns).  On int64 arrays the single-entry
-    rows are peeled first (see the module docstring) and only the rows left
-    are pivoted, on the columns where they are nonzero.  Those rows are
-    zero on the unit columns and the unit rows zero off them, so both
-    merged by pivot are the RREF."""
-    if a.dtype != np.int64 or min(a.shape) < 3:
-        # on Fractions and Python ints each extra zero test is a Python
-        # call, which costs more than the peel saves.  A matrix with fewer
-        # than three rows or columns has at most two pivots, which the loop
-        # takes in less than the peel's fixed cost (5-25 us against 40-70
-        # us on a 2-vCPU host); hom solves make many such systems
+def _rref_array(ctx: FieldCtx,
+                a: np.ndarray) -> Tuple[np.ndarray, int, int, List[int]]:
+    """(R, s, rank, pivot columns) with R / s the RREF of an integer array
+    in canonical form (see Matrix).  On int64 arrays over F_p the
+    single-entry rows are peeled first (see the module docstring) and only
+    the rows left are pivoted, on the columns where they are nonzero.
+    Those rows are zero on the unit columns and the unit rows zero off
+    them, so both merged by pivot are the RREF."""
+    if not ctx.p or a.dtype != np.int64 or min(a.shape) < 3:
+        # on Python ints each extra zero test is a Python call, which costs
+        # more than the peel saves.  A matrix with fewer than three rows or
+        # columns has at most two pivots, which the loop takes in less than
+        # the peel's fixed cost (5-25 us against 40-70 us on a 2-vCPU
+        # host); hom solves make many such systems
         return _pivot_rref(ctx, a.copy())
     nz = a != 0
     unit = np.zeros(a.shape[1], dtype=bool)
@@ -419,7 +399,7 @@ def _rref_array(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int
         return _pivot_rref(ctx, a.copy())
     rows = np.flatnonzero(count)
     keep = np.flatnonzero(nz[rows].any(axis=0))
-    rest, rk, rest_pivots = _pivot_rref(ctx, a[rows][:, keep])
+    rest, _, rk, rest_pivots = _pivot_rref(ctx, a[rows][:, keep])
     unit_cols = np.flatnonzero(unit)
     pivots = np.concatenate([unit_cols, keep[rest_pivots]])
     rank, order = len(pivots), np.argsort(pivots, kind="stable")
@@ -427,11 +407,16 @@ def _rref_array(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int
     out[np.arange(len(unit_cols)), unit_cols] = 1
     out[len(unit_cols):rank, keep] = rest[:rk]
     out[:rank] = out[order]
-    return out, rank, pivots[order].tolist()
+    return out, 1, rank, pivots[order].tolist()
 
 
-def _pivot_rref(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int]]:
-    """Gauss-Jordan elimination in place, on the leftmost nonzero pivot."""
+def _pivot_rref(ctx: FieldCtx,
+                a: np.ndarray) -> Tuple[np.ndarray, int, int, List[int]]:
+    """Gauss-Jordan elimination in place on an integer array, on the
+    leftmost nonzero pivot, as _rref_array returns it.  Over F_p the pivot
+    row is scaled to 1.  Over Q, fraction-free: a row with entry f in the
+    pivot column becomes p row - f (pivot row), p the pivot, divided by
+    its content, and the pivots are divided out at the end."""
     n_rows, n_cols = a.shape
     # np.nonzero tests each entry of an object array twice; a cast to bool
     # tests it once
@@ -448,46 +433,68 @@ def _pivot_rref(ctx: FieldCtx, a: np.ndarray) -> Tuple[np.ndarray, int, List[int
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        if a[r, c] != 1:
+        if ctx.p and a[r, c] != 1:
             a[r] = ctx.reduce(a[r] * ctx.inv(a[r, c]))
-        # the rank-1 update touches only the rows with a nonzero factor and
-        # the pivot row's support: the systems in play are sparse, and on
-        # Fractions every avoided operation is a gcd saved
         factors = a[:, c].copy()
         factors[r] = 0
         rows_nz = np.nonzero(factors.astype(bool) if obj else factors)[0]
-        if len(rows_nz):
+        if len(rows_nz) and ctx.p:
+            # the rank-1 update touches only the rows with a nonzero factor
+            # and the pivot row's support: the systems in play are sparse
             cols_nz = np.nonzero(a[r].astype(bool) if obj else a[r])[0]
             ix = np.ix_(rows_nz, cols_nz)
             a[ix] = ctx.reduce(
                 a[ix] - np.outer(factors[rows_nz], a[r][cols_nz]))
+        elif len(rows_nz):
+            b = a[rows_nz] * a[r, c] - np.outer(factors[rows_nz], a[r])
+            g = np.gcd.reduce(b, axis=1)
+            a[rows_nz] = b // np.where(g == 0, 1, g)[:, None]
         pivots.append(c)
         r += 1
-    return a, r, pivots
+    if ctx.p or not r:
+        return a, 1, r, pivots
+    # row i is p_i times RREF row i; times s / p_i, for s the lcm of the
+    # p_i, it is s times RREF row i
+    piv = a[np.arange(r), pivots]
+    s = lcm(*piv)
+    a[:r] *= (s // piv)[:, None]
+    return (*_int_form(ctx, a, s), r, pivots)
 
 
 def rref(m: Matrix) -> Tuple[Matrix, int, List[int]]:
     """Unique reduced row echelon form, with rank and pivot columns."""
-    a, rank, pivots = _rref_array(m.ctx, m.data)
-    return Matrix._canonical(m.ctx, a), rank, pivots
+    a, s, rank, pivots = _rref_array(m.ctx, m.ints)
+    return Matrix._canonical(m.ctx, a, s), rank, pivots
 
 
 def rank(m: Matrix) -> int:
-    return _rref_array(m.ctx, m.data)[1]
+    return _rref_array(m.ctx, m.ints)[2]
 
 
 def solve(a: Matrix, b: np.ndarray) -> Optional[np.ndarray]:
     """One solution of a.x = b, or None if inconsistent."""
     if a.rows != b.shape[0]:
         raise DimensionMismatch("rhs length mismatch")
-    aug = np.concatenate([a.data, b.reshape(-1, 1)], axis=1)
-    r, rk, pivots = _rref_array(a.ctx, aug)
+    ctx = a.ctx
+    # [A / s | v / t] has the row space of [t A | s v]
+    v, t = _array_form(ctx, b.reshape(-1, 1))
+    r, s, rk, pivots = _rref_array(
+        ctx, np.concatenate([a.ints * t, v * a.scale], axis=1))
     if pivots and pivots[-1] == a.cols:
         return None
-    x = a.ctx.zeros(a.cols)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, -1]
-    return x
+    x = np.zeros(a.cols, dtype=r.dtype)
+    x[pivots] = r[:rk, -1]
+    return from_int(ctx, x, s)
+
+
+def _int_residual(ctx: FieldCtx, v: np.ndarray, pivots: List[int],
+                  b: np.ndarray, s: int) -> np.ndarray:
+    """s v - v[:, pivots] b for integer arrays, where b / s is in reduced
+    echelon form on the pivots: over s t, its rows are the residuals of
+    the rows of v / t against the row space of b, zero at the pivots and
+    zero iff the row lies in that space.  Over F_p s is 1."""
+    prod = int_matmul(ctx, v[:, pivots], b)
+    return ctx.reduce(v - prod) if ctx.p else v * s - prod
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +502,10 @@ def solve(a: Matrix, b: np.ndarray) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of ctx^n held as a canonical RREF basis (no zero rows)."""
+    """A subspace of ctx^n held as a canonical RREF basis (no zero rows).
+
+    Every method works on the integer form of the basis; the arrays it
+    takes are exact arrays (see _array_form), integer arrays included."""
 
     __slots__ = ("ctx", "ambient_dim", "basis", "_pivots")
 
@@ -514,11 +524,17 @@ class Subspace:
         a = vectors if isinstance(vectors, np.ndarray) else list(vectors)
         if not len(a):
             return cls.zero(ctx, ambient_dim)
-        a = ctx.reduce(np.asarray(a))
-        if a.shape[1] != ambient_dim:
+        ints, _ = _array_form(ctx, np.asarray(a))
+        if ints.shape[1] != ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
-        r, rk, pivots = _rref_array(ctx, a)
-        return cls(ctx, ambient_dim, Matrix._canonical(ctx, r[:rk]), pivots)
+        return cls._span(ctx, ambient_dim, ints)
+
+    @classmethod
+    def _span(cls, ctx: FieldCtx, ambient_dim: int,
+              ints: np.ndarray) -> "Subspace":
+        """The span of the rows of an integer array in canonical form."""
+        r, s, rk, pivots = _rref_array(ctx, ints)
+        return cls(ctx, ambient_dim, Matrix._canonical(ctx, r[:rk], s), pivots)
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
@@ -552,31 +568,35 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
     # -- membership -----------------------------------------------------------
-    def residuals(self, vs: np.ndarray) -> np.ndarray:
-        """The residual of each row v of the 2-D array vs: v minus its
-        pivot coordinates times the basis, zero at the pivots, and zero iff
-        v lies in the space.  One product on integer arrays
-        (linalg.int_family), on the integer form the basis Matrix holds.
-
-        With vs = V / s and the basis B / s, the residual
-        vs - vs[:, pivots] B / s is (s V - V[:, pivots] B) / s^2."""
-        ctx = self.ctx
+    def _int_rows(self, vs: np.ndarray) -> Tuple[np.ndarray, int]:
+        """The integer form of the rows of the 2-D array vs."""
         if vs.ndim != 2 or vs.shape[1] != self.ambient_dim:
             raise DimensionMismatch(
                 f"rows of shape {vs.shape} in ambient dimension "
                 f"{self.ambient_dim}")
-        if self.dim == 0:
-            return ctx.reduce(vs)
-        (v, b), s = int_family(ctx, [vs, self.basis])
-        return from_int(ctx, v * s - int_matmul(ctx, v[:, self._pivots], b),
-                        s * s)
+        return _array_form(self.ctx, vs)
+
+    def _residual(self, v: np.ndarray) -> np.ndarray:
+        """_int_residual of the integer rows v against the basis."""
+        return _int_residual(self.ctx, v, self._pivots, self.basis.ints,
+                             self.basis.scale)
+
+    def residuals(self, vs: np.ndarray) -> np.ndarray:
+        """The residual of each row v of the 2-D array vs, as a field
+        array: v minus its pivot coordinates times the basis, zero at the
+        pivots, and zero iff v lies in the space.  One product on the
+        integer forms; rows of the wrong width raise DimensionMismatch."""
+        v, t = self._int_rows(vs)
+        res = self._residual(v)
+        return res if self.ctx.p else from_int(self.ctx, res,
+                                               self.basis.scale * t)
 
     def contains(self, v: np.ndarray) -> bool:
-        return not self.residuals(np.asarray(v)[None, :]).astype(bool).any()
+        return not self.residuals(np.asarray(v)[None, :]).any()
 
     def leq(self, other: "Subspace") -> bool:
         self._check(other)
-        return not other.residuals(self.basis.data).astype(bool).any()
+        return not other._residual(self.basis.ints).any()
 
     def _check(self, other: "Subspace"):
         if self.ctx != other.ctx or self.ambient_dim != other.ambient_dim:
@@ -584,30 +604,39 @@ class Subspace:
 
     # -- lattice --------------------------------------------------------------
     def extended(self, vs: np.ndarray) -> Tuple["Subspace", np.ndarray]:
-        """(the span of self and the rows of vs, the rows it adds to the
-        basis).  Only the nonzero residuals of vs are row-reduced; their
-        RREF C is zero at self's pivots, so clearing C's pivot columns from
-        self's rows with one product and merging the rows by pivot gives
+        """(the span of self and the rows of vs, the integer rows C it adds
+        to the basis, up to scale)."""
+        return self._extend(self._int_rows(vs)[0])
+
+    def _extend(self, v: np.ndarray) -> Tuple["Subspace", np.ndarray]:
+        """extended for integer rows v.  Only the nonzero residuals of v are
+        row-reduced; their RREF C / u is zero at self's pivots, so clearing
+        C's pivot columns from self's rows B / s with one product, as
+        (u B - B[:, new] C) / (s u), and merging the rows by pivot gives
         the RREF of the sum."""
         ctx = self.ctx
-        res = self.residuals(vs)
+        res = self._residual(v)
         res = res[res.astype(bool).any(axis=1)]
         if not res.shape[0]:
             return self, res
-        c, rk, new = _rref_array(ctx, res)
+        c, u, rk, new = _rref_array(ctx, res)
         c = c[:rk]
-        b = self.basis.data
-        b = ctx.reduce(b - exact_matmul(ctx, b[:, new], c))
+        b, s = self.basis.ints, self.basis.scale
+        prod = int_matmul(ctx, b[:, new], c)
         pivots = self._pivots + new
         order = np.argsort(pivots, kind="stable")
-        w = Subspace(ctx, self.ambient_dim,
-                     Matrix._canonical(ctx, np.concatenate([b, c])[order]),
-                     [pivots[i] for i in order])
+        if ctx.p:
+            basis = Matrix._canonical(
+                ctx, np.concatenate([ctx.reduce(b - prod), c])[order])
+        else:
+            basis = Matrix.from_int(
+                ctx, np.concatenate([b * u - prod, c * s])[order], s * u)
+        w = Subspace(ctx, self.ambient_dim, basis, [pivots[i] for i in order])
         return w, c
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return self.extended(other.basis.data)[0]
+        return self._extend(other.basis.ints)[0]
 
     def where_zero(self, images: np.ndarray) -> "Subspace":
         """{x.B : x.images = 0} for the basis B, where row i of images is a
@@ -617,31 +646,32 @@ class Subspace:
         ker = kernel(Matrix(ctx, images.T))
         if ker.dim == self.dim:
             return self
-        return Subspace(ctx, self.ambient_dim,
-                        Matrix._canonical(ctx, exact_matmul(
-                            ctx, ker.basis.data, self.basis.data)),
-                        [self._pivots[k] for k in ker.pivots])
+        return Subspace(ctx, self.ambient_dim, Matrix.from_int(
+            ctx, int_matmul(ctx, ker.basis.ints, self.basis.ints),
+            ker.basis.scale * self.basis.scale, reduced=True),
+            [self._pivots[k] for k in ker.pivots])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         # x.B lies in other iff its residual x.residuals(B) vanishes
-        return self.where_zero(other.residuals(self.basis.data))
+        return self.where_zero(other._residual(self.basis.ints))
 
 
 def kernel(m: Matrix) -> Subspace:
-    """{v : m.v = 0} as a canonical Subspace of ctx^cols."""
+    """{v : m.v = 0} as a canonical Subspace of ctx^cols: with the RREF
+    R / s, the vector of free column f is s e_f - R[:, f] on the pivots."""
     ctx = m.ctx
-    r, rk, pivots = _rref_array(ctx, m.data)
+    r, s, rk, pivots = _rref_array(ctx, m.ints)
     pivot = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot]
     # only the free columns of the echelon rows are read: the full reduced
     # matrix (n^2 x n for a centre) is released before the basis is built
     tail = r[:rk, free]
     del r
-    basis = ctx.zeros(len(free), m.cols)
-    basis[range(len(free)), free] = ctx.one
+    basis = np.zeros((len(free), m.cols), dtype=tail.dtype)
+    basis[range(len(free)), free] = s
     basis[:, pivots] = ctx.reduce(-tail.T)
-    return Subspace.from_vectors(ctx, m.cols, basis)
+    return Subspace._span(ctx, m.cols, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -662,17 +692,18 @@ def invariant_closure(ctx: FieldCtx, ambient_dim: int,
     """Smallest subspace containing the seeds and invariant under every
     operator: the fixed point of W -> W + sum(op(W)).  Only the images of
     the rows added last round can enlarge the span, so each round extends
-    the basis by the residuals of those images."""
+    the basis by the residuals of those images, all from one product with
+    the operators' integer forms (each image up to its operator's scale,
+    which changes no span)."""
     _check_operators(ambient_dim, operators)
     w = Subspace.from_vectors(ctx, ambient_dim, seeds)
     if not operators:
         return w
-    # every image of a round from one product, as operator_images takes them
-    ops_t = np.concatenate([op.data.T for op in operators], axis=1)
-    frontier = w.basis.data
+    ops_t = np.concatenate([op.ints.T for op in operators], axis=1)
+    frontier = w.basis.ints
     while 0 < w.dim < ambient_dim and frontier.shape[0]:
-        w, frontier = w.extended(exact_matmul(ctx, frontier, ops_t)
-                                 .reshape(-1, ambient_dim))
+        w, frontier = w._extend(int_matmul(ctx, frontier, ops_t)
+                                .reshape(-1, ambient_dim))
     return w
 
 
@@ -691,16 +722,17 @@ def largest_invariant_within(k: Subspace,
                              operators: Sequence[Matrix]) -> Subspace:
     """Largest subspace W <= k with op(W) <= W for every operator; iterates
     W <- {w in W : op(w) in W for all op} to a fixed point.  Row i of the
-    images is the residual against W of every op(b_i), b_i basis row i."""
+    images is the residual against W of every op(b_i), b_i basis row i,
+    as operator_images orders them."""
     _check_operators(k.ambient_dim, operators)
-    ctx, w = k.ctx, k
+    w = k
     if not operators:
         return w
-    ops = [op.data for op in operators]
+    ops_t = np.concatenate([op.ints.T for op in operators], axis=1)
     while w.dim:
-        images = operator_images(ctx, w.basis.data, ops)
-        res = w.residuals(images).reshape(w.dim, -1)
-        nxt = w.where_zero(res)
+        images = int_matmul(k.ctx, w.basis.ints, ops_t)
+        res = w._residual(images.reshape(-1, k.ambient_dim))
+        nxt = w.where_zero(res.reshape(w.dim, -1))
         if nxt.dim == w.dim:
             return w
         w = nxt
@@ -714,10 +746,10 @@ def largest_invariant_within(k: Subspace,
 class SpanSolver:
     """Coordinates with respect to a fixed independent spanning set.
 
-    Precomputes an RREF with a recorded transform, so coordinates of any
-    batch of vectors are a pivot gather and two products.  Both run on
-    integer arrays (linalg.int_family): over Q the RREF and transform are
-    held as integers over one common denominator.
+    With the rows B / t, the RREF of [B | t I] is [R | X] / s, where R / s
+    is the RREF of the rows and X / s the coefficients of its rows in
+    them.  Coordinates of any batch of vectors are then a pivot gather and
+    two products on integers.
     """
 
     __slots__ = ("ctx", "span_dim", "ambient_dim", "_rref", "_transform",
@@ -728,40 +760,38 @@ class SpanSolver:
         d, n = basis_rows.shape
         self.span_dim = d
         self.ambient_dim = n
-        aug = np.concatenate([ctx.reduce(basis_rows.copy()), ctx.eye(d)], axis=1)
-        r, rk, pivots = _rref_array(ctx, aug)
+        b, t = _array_form(ctx, basis_rows)
+        eye = np.zeros((d, d), dtype=b.dtype)
+        eye[range(d), range(d)] = t
+        r, s, rk, pivots = _rref_array(ctx, np.concatenate([b, eye], axis=1))
         if rk != d or any(p >= n for p in pivots):
             raise DimensionMismatch("basis rows are linearly dependent")
-        (r,), self._scale = int_family(ctx, [r])
-        self._rref = r[:, :n]
-        self._transform = r[:, n:]
+        self._rref, self._transform, self._scale = r[:, :n], r[:, n:], s
         self._pivots = pivots
 
     def coords_rows(self, vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(coefficients, in_span) for the rows of vs: where in_span[r] holds,
         row r of coefficients expresses vs[r] in the original basis rows.
-
-        With vs = V / t and the RREF and transform R / s and X / s, the
-        residual vs - vs[:, pivots] R / s is (s V - V[:, pivots] R) / (s t)
-        and the coefficients are V[:, pivots] X / (s t).  Rows not
-        ambient_dim wide raise DimensionMismatch."""
-        vs = self.ctx.reduce(np.asarray(vs))
+        Rows not ambient_dim wide raise DimensionMismatch."""
+        vs = np.asarray(vs)
         if vs.shape[1:] != (self.ambient_dim,):
             raise DimensionMismatch(f"rows of shape {vs.shape}")
-        (v,), t = int_family(self.ctx, [vs])
-        c, u, in_span = self.coords_int_rows(v, t)
+        c, u, in_span = self.coords_int_rows(*_array_form(self.ctx, vs))
         return from_int(self.ctx, c, u), in_span
 
     def coords_int_rows(self, v: np.ndarray,
                         t: int) -> Tuple[np.ndarray, int, np.ndarray]:
         """(C, u, in_span): coords_rows of the rows of v / t, for an integer
-        array v as linalg.int_family gives it, with the coefficients C / u
-        on integers (canonical residues and u = 1 over F_p)."""
+        array v (canonical residues over F_p), with the coefficients C / u
+        on integers (canonical residues and u = 1 over F_p).  With the RREF
+        and transform R / s and X / s, the residual of v / t is
+        (s v - v[:, pivots] R) / (s t) and the coefficients are
+        v[:, pivots] X / (s t)."""
         ctx, s = self.ctx, self._scale
-        c = v[:, self._pivots]
-        residual = ctx.reduce(v * s - int_matmul(ctx, c, self._rref))
+        residual = _int_residual(ctx, v, self._pivots, self._rref, s)
         in_span = ~residual.astype(bool).any(axis=1)
-        return int_matmul(ctx, c, self._transform), s * t, in_span
+        coeffs = int_matmul(ctx, v[:, self._pivots], self._transform)
+        return coeffs, s * t, in_span
 
     def coords(self, v: np.ndarray) -> Optional[np.ndarray]:
         """Coefficients of v in the original basis rows, or None."""

@@ -682,9 +682,10 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
     # the support indices increase, so the embedded basis stays in reduced
     # echelon form with the same pivots
     support = rs * d1 + cs
-    basis = ctx.zeros(space.dim, n)
-    basis[:, support] = space.basis.data
-    return Subspace(ctx, n, Matrix(ctx, basis),
+    basis = np.zeros((space.dim, n), dtype=space.basis.ints.dtype)
+    basis[:, support] = space.basis.ints
+    return Subspace(ctx, n,
+                    Matrix.from_int(ctx, basis, space.basis.scale, reduced=True),
                     [int(support[c]) for c in space.pivots])
 
 
@@ -714,7 +715,9 @@ def hom_space(m1: GModule, m2: GModule, mode: str = "group") -> HomReport:
 
     def solve_pairs(pairs, implied=()):
         space = _intertwiner_space(ctx, d1, d2, pairs, implied)
-        mats = [Matrix(ctx, v.reshape(d2, d1).copy()) for v in space.basis.data]
+        s = space.basis.scale
+        mats = [Matrix.from_int(ctx, v.reshape(d2, d1), s, reduced=True)
+                for v in space.basis.ints]
         return space.dim, mats
 
     if mode not in ("algebra", "group", "both"):
@@ -742,5 +745,5 @@ def socle_via_homs(m: GModule, irreducibles: Sequence[GModule]) -> Subspace:
     for irr in irreducibles:
         rep = hom_space(irr, m, mode="group")
         for f in rep.basis:
-            total = total.extended(f.data.T)[0]
+            total = total.extended(f.ints.T)[0]
     return total

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldCtx, MultiPoly, SuperlieError
+from .fields import FieldCtx, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -117,7 +117,11 @@ class CubicReport:
     # witness: (odd basis index, monomial exponent vector over odd coords,
     # coefficient) of a nonvanishing term of [[v,v],v]
     witness: Optional[Tuple[int, Tuple[int, ...], object]] = None
-    coefficient_polys: Optional[List[MultiPoly]] = None
+    # per odd basis element, its coefficient in [[v,v],v] as a polynomial:
+    # {exponent vector over odd coords: nonzero canonical coefficient}.
+    # The identity has prime-subfield coefficients, so coefficientwise
+    # vanishing over F_p or Q certifies it over the algebraic closure
+    coefficient_polys: Optional[List[Dict[Tuple[int, ...], object]]] = None
 
 
 def cubic_sums(ctx: FieldCtx, quads: np.ndarray,
@@ -319,9 +323,7 @@ class LieSuperalgebra:
         witness = min(((l, m, v) for l, t in cubic.items()
                        for m, v in t.items()), default=None,
                       key=lambda w: w[:2])
-        polys = None
-        if with_polys:
-            polys = [MultiPoly(ctx, arity, cubic.get(l, {})) for l in odd]
+        polys = [cubic.get(l, {}) for l in odd] if with_polys else None
         return CubicReport(ok=witness is None, witness=witness,
                            coefficient_polys=polys)
 

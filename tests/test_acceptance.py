@@ -146,7 +146,7 @@ def test_04_cubic_trichotomy():
         # the obstruction shows on the s*_{n-2} coordinate: cubing
         # v = x s*_0 + z s*_{n-1} leaves a nonzero x z^2 term there
         mono = (1, 0, 2, 0)
-        coeff = rep.coefficient_polys[1].terms.get(mono)
+        coeff = rep.coefficient_polys[1].get(mono)
         if coeff is None or ctx.is_zero(coeff):
             failures.append(f"n=3 over {ctx}: witness not on s*_1")
     rep = sl2_symn_algebra(5, 1, ctx_of(7)).validate_cubic_odd()

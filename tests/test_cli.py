@@ -34,6 +34,13 @@ class TestBuild:
         assert rc == 1
         assert out.startswith("invalid: JacobiViolation")
 
+    def test_negative_fraction_in_equals_form(self, capsys):
+        # every valid d21 point over Q but (0, 0, 0) has a negative entry
+        rc, out, _ = run(capsys, "build", "d21", "--a1", "1/2", "--a2", "1",
+                         "--a3=-3/2", "--p", "0")
+        assert rc == 0
+        assert "dims 9|8, valid" in out
+
     @pytest.mark.parametrize("argv, error", [
         (("sl", "--m", "1", "--n", "0", "--p", "5"), "InputError"),
         (("d21", "--a1", "x", "--a2", "1", "--a3", "1"), "InputError"),

@@ -5,14 +5,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from superlie.constructions import symn_dual
-from superlie.fields import (
-    ArityMismatch,
-    DegreeCapExceeded,
-    FieldCtx,
-    MultiPoly,
-    ZeroInverse,
-    _is_prime,
-)
+from superlie.fields import FieldCtx, ZeroInverse, _is_prime
 from superlie.linalg import Matrix, exact_matmul, kernel
 from superlie.modules import sym2
 
@@ -147,52 +140,6 @@ class TestFieldCtx:
             a, b = rng.randrange(7), rng.randrange(1, 7)
             assert F7.sub(F7.add(a, b), b) == a
             assert F7.mul(F7.mul(a, b), F7.inv(b)) == a
-
-
-def poly(ctx, arity, terms):
-    return MultiPoly(ctx, arity, terms)
-
-
-class TestMultiPoly:
-    """MultiPoly is the read-only coefficient table of validate_cubic_odd:
-    the constructor canonicalises the coefficients, drops the zero ones and
-    checks arity and degree cap."""
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            poly(F5, 2, {(1,): 1})
-        with pytest.raises(ArityMismatch):
-            poly(F5, 1, {(1, 0): 1})
-
-    def test_degree_cap(self):
-        with pytest.raises(DegreeCapExceeded):
-            poly(F5, 1, {(4,): 1})
-        with pytest.raises(DegreeCapExceeded):
-            poly(Q, 3, {(2, 1, 1): 0})
-        assert poly(F5, 3, {(1, 1, 1): 2}).terms == {(1, 1, 1): 2}
-
-    def test_is_zero_over_f3(self):
-        # 6*x1^3 - 9*x0*x1*x2 + 3*x0^2*x3: every coefficient vanishes mod 3
-        terms = {(0, 3, 0, 0): 6, (1, 1, 1, 0): -9, (2, 0, 0, 1): 3}
-        assert poly(F3, 4, terms).terms == {}
-        assert len(poly(Q, 4, terms).terms) == 3
-
-    def test_is_zero_witness(self):
-        f = poly(Q, 1, {(3,): 3, (1,): 0})
-        assert f.terms == {(3,): Fraction(3)}
-        assert f.coefficient((3,)) == Fraction(3)
-        assert poly(F3, 1, {(3,): 3}).terms == {}
-
-    def test_s2_coefficient_polynomial_nonzero_over_q(self):
-        # 6 a1^2 a3 - 3 a0 a2 a3 - 3 a1 a2^2 in variables (a0,a1,a2,a3)
-        f = poly(Q, 4, {(0, 2, 0, 1): 6, (1, 0, 1, 1): "-3",
-                        (0, 1, 2, 0): Fraction(-6, 2)})
-        assert f.coefficient([0, 2, 0, 1]) == 6
-        assert f.coefficient((1, 0, 1, 1)) == f.coefficient((0, 1, 2, 0)) == -3
-        assert f.coefficient((0, 0, 0, 3)) == 0
-        assert type(f.coefficient((0, 0, 0, 3))) is Fraction
-        assert poly(F7, 4, f.terms).terms == {
-            (0, 2, 0, 1): 6, (1, 0, 1, 1): 4, (0, 1, 2, 0): 4}
 
 
 class TestLargePrimeEntries:

@@ -635,15 +635,18 @@ class TestEchelonDifferential:
 
         # a second operator that adds nothing keeps the n - 1 rounds, and
         # each round takes the images under both from one product with the
-        # stacked transposes, of shape (n, 2n)
+        # stacked transposes, of shape (n, 2n).  Over Q the products are
+        # taken on Python ints by int_matmul, which exact_matmul serves over
+        # F_p
         shapes = []
-        real = linalg.exact_matmul
+        name = "exact_matmul" if ctx.p else "int_matmul"
+        real = getattr(linalg, name)
 
         def counting(c, a, b):
             shapes.append(b.shape)
             return real(c, a, b)
 
-        monkeypatch.setattr(linalg, "exact_matmul", counting)
+        monkeypatch.setattr(linalg, name, counting)
         both = invariant_closure(ctx, n, seed, [op, Matrix.zeros(ctx, n, n)])
         assert_same(both, w)
         assert shapes.count((n, 2 * n)) == n - 1
@@ -795,3 +798,94 @@ def test_from_int_has_the_field_dtype():
                                   ints % ctx.p)
             if ctx.dtype is object:
                 assert all(type(x) is int for x in a.flat)
+
+
+# -- row reduction on integers over Q ------------------------------------------
+
+class TestIntegerRowReduction:
+    """Over Q rows are reduced fraction-free on Python ints, and integer
+    input is never turned into Fractions and back."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        seen = []
+        for name in ("from_int", "int_scaled"):
+            real = getattr(linalg, name)
+
+            def counting(*args, _real=real, _name=name):
+                seen.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(linalg, name, counting)
+        return seen
+
+    def test_integer_input_makes_no_fractions(self, conversions):
+        rng = random.Random(8)
+        n = 8
+
+        def ints(rows, cols=n):
+            return np.array([[rng.randint(-9, 9) for _ in range(cols)]
+                             for _ in range(rows)], dtype=object)
+
+        eye = np.eye(n, dtype=np.int64).astype(object)
+        m = Matrix.from_int(Q, ints(5))
+        ker = kernel(m)
+        w = Subspace.from_vectors(Q, n, np.concatenate([eye[5:], ints(1)]))
+        grown, added = w.extended(ints(1))
+        shift = np.zeros((n, n), dtype=object)
+        shift[np.arange(1, n), np.arange(n - 1)] = 1
+        shift = Matrix.from_int(Q, shift)
+        ops = [shift, Matrix.from_int(Q, ints(n), 3)]
+        closure = invariant_closure(Q, n, [eye[0]], ops)
+        core = largest_invariant_within(grown, [shift])
+        rows, c = ints(4), ints(1, 4)
+        solver = SpanSolver(Q, rows)
+        coeffs, u, in_span = solver.coords_int_rows(
+            np.concatenate([c @ rows, ints(2)]), 7)
+        assert conversions == []
+
+        assert ker.dim == 3 and grown.dim == 5 and len(added) == 1
+        assert closure.dim == n and core.pivots == [5, 6, 7]
+        assert in_span.tolist() == [True, False, False]
+        # the same answers as from Fraction arrays
+        assert ker == kernel(Matrix(Q, m.data))
+        assert closure == invariant_closure(Q, n, [Q.eye(n)[0]], ops)
+        assert grown == Subspace.from_vectors(
+            Q, n, np.concatenate([w.basis.data, from_int(Q, added, 1)]))
+        # (c rows / 7) has the coefficients c / 7
+        assert np.array_equal(from_int(Q, coeffs[:1], u), from_int(Q, c, 7))
+
+    def test_dense_products_against_sympy(self):
+        # a rank-50 60 x 60 product of entries up to 99: the fraction-free
+        # rows grow far past the entries before the pivots are divided out
+        rng = random.Random(19)
+        a, b = (np.array([[rng.randint(-99, 99) for _ in range(c)]
+                          for _ in range(r)], dtype=object)
+                for r, c in ((60, 50), (50, 60)))
+        prod = a @ b
+        m = Matrix.from_int(Q, prod)
+        dm = _to_sympy(Q, prod)
+        want, want_pivots = dm.rref()
+        got, rk, pivots = rref(m)
+        assert rk == 50 and pivots == list(want_pivots)
+        assert np.array_equal(got.data, _from_sympy(Q, want))
+        assert got == Matrix(Q, _from_sympy(Q, want))
+        ker = kernel(m)
+        assert ker.dim == 10
+        assert np.array_equal(ker.basis.data,
+                              _from_sympy(Q, dm.nullspace().rref()[0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_span_solver_on_fractional_rows(self, data):
+        # rows with denominators: the solver reduces [B | t I] for rows B / t
+        d, n = data.draw(st.integers(1, 4)), data.draw(st.integers(4, 6))
+        rows = data.draw(_mixed_matrices(Q, d, n))
+        if Subspace.from_vectors(Q, n, rows).dim < d:
+            with pytest.raises(DimensionMismatch):
+                SpanSolver(Q, rows)
+            return
+        c = data.draw(_mixed_matrices(Q, 3, d))
+        solver = SpanSolver(Q, rows)
+        coeffs, in_span = solver.coords_rows(exact_matmul(Q, c, rows))
+        assert in_span.all() and np.array_equal(coeffs, c)

@@ -555,7 +555,7 @@ class TestArrayMethodsDifferential:
             if rep.witness:
                 l, m, c = rep.witness
                 poly = rep.coefficient_polys[alg.odd_coords.index(l)]
-                assert poly.coefficient(m) == c
+                assert poly.get(m) == c
         assert failing
 
 
@@ -648,7 +648,7 @@ class TestCubic:
         assert not rep.ok
         idx, mono, coeff = rep.witness
         assert mono == (3,)
-        assert rep.coefficient_polys[0].coefficient((3,)) == coeff
+        assert rep.coefficient_polys[0].get((3,)) == coeff
 
 
 class TestJson:
