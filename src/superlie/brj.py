@@ -46,10 +46,7 @@ from .modules import (
 from .pairs import (BilinearMap, HCPair, assemble_pair, check_sas_conditions,
                     normalised, pair_space)
 from .superalgebra import LieSuperalgebra
-from .constructions import (
-    algebra_from_matrices,
-    conjugation_family,
-)
+from .constructions import algebra_from_matrices
 
 EXPECTED_STAGE_DIMS = {
     "V": 4,
@@ -147,10 +144,12 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
 
 
 def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
+    """sp4's adjoint module, with exp(t ad x) for each root vector x."""
     ctx = g.ctx
     roots, _ = _sp4_elements(ctx)
     lie = [g.ad(i) for i in range(g.dim)]
-    fams = [conjugation_family(g, l, m, root=w) for l, w, m in roots]
+    fams = [CoeffOperatorFamily.exp(l, lie[i], root=w)
+            for i, (l, w, _) in enumerate(roots)]
     weights = [w for _, w, _ in roots] + [(0, 0), (0, 0)]
     return GModule(ctx, g.labels, g.labels, lie, fams, weights=weights,
                    brackets=g.consts, meta={"name": "adjoint-sp4"})

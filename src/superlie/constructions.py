@@ -4,9 +4,10 @@ All matrix families are produced by one generic routine that takes explicit
 supermatrices, computes supercommutators, and re-expresses them in the given
 basis, so the structure constants are derived rather than transcribed.  sl2's
 data is written once, as small integer arrays (SL2_*): sl2_algebra takes its
-matrices from them, symn_module its labels and brackets, and d21 assembles
-its constants from the brackets, the action on V, the form and Sym2(V) ->
-sl2.  Basis orders are fixed and documented per construction.
+matrices from them, symn_module its labels and brackets, adjoint_sl2_module
+its labels, brackets and ad(x_i) = SL2_BRACKETS[i].T, and d21 assembles its
+constants from the brackets, the action on V, the form and Sym2(V) -> sl2.
+Basis orders are fixed and documented per construction.
 """
 
 from __future__ import annotations
@@ -413,7 +414,7 @@ def psq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
 
 # ---------------------------------------------------------------------------
 # sl2 and V = span{v1, v2} as small integer arrays: the data sl2_algebra,
-# symn_module and d21 read
+# symn_module, adjoint_sl2_module and d21 read
 # ---------------------------------------------------------------------------
 
 def _frozen(rows) -> np.ndarray:
@@ -505,41 +506,15 @@ def d21(params: D21Params, ctx: FieldCtx) -> LieSuperalgebra:
 # rank-one even part: symmetric-power modules and form-valued brackets
 # ---------------------------------------------------------------------------
 
-def conjugation_family(alg: LieSuperalgebra, label: str, x: np.ndarray,
-                       root: Optional[Sequence[int]] = None) -> CoeffOperatorFamily:
-    """Adjoint coefficient family of the unipotent (1 + t x) for a square-zero
-    matrix x, acting on a matrix-realized algebra by conjugation:
-    y -> y + t(xy - yx) - t^2 xyx.  On integer forms x = X / s and
-    y = Y / s that is (XY - YX) / s^2 and XYX / s^3."""
-    ctx = alg.ctx
-    d = alg.dim
-    (xi, ys), s = int_family(ctx, [x, np.stack(alg.matrix_basis)])
-    if np.any(ctx.reduce(xi @ xi)):
-        raise InputError("conjugation_family needs a square-zero matrix")
-    xy, yx = ctx.reduce(xi @ ys), ctx.reduce(ys @ xi)
-    rows = np.concatenate([(xy - yx) * s, -(xy @ xi)]).reshape(2 * d, -1)
-    solver: SpanSolver = alg.matrix_solver  # type: ignore[attr-defined]
-    coords, u, in_span = solver.coords_int_rows(ctx.reduce(rows), s ** 3)
-    if not in_span.all():
-        raise InputError("conjugation image leaves the algebra")
-    return CoeffOperatorFamily(
-        label, [Matrix.identity(ctx, d)]
-        + [Matrix.from_int(ctx, c.T.copy(), u, reduced=True)
-           for c in (coords[:d], coords[d:])],
-        root)
-
-
 def adjoint_sl2_module(ctx: FieldCtx) -> GModule:
-    """The adjoint module of sl2 with its two unipotent coefficient families."""
-    alg = sl2_algebra(ctx)
-    lie = [alg.ad(i) for i in range(3)]
-    fams = [
-        conjugation_family(alg, "X2", _unit(ctx, 2, 0, 1), root=(2,)),
-        conjugation_family(alg, "X-2", _unit(ctx, 2, 1, 0), root=(-2,)),
-    ]
-    return GModule(ctx, alg.labels, alg.labels, lie, fams,
+    """sl2's adjoint module read off SL2_BRACKETS: ad(x_i) is
+    SL2_BRACKETS[i].T, with the families exp(t ad E12), exp(t ad E21)."""
+    lie = [Matrix.from_int(ctx, b.T) for b in SL2_BRACKETS]
+    fams = [CoeffOperatorFamily.exp("X2", lie[1], root=(2,)),
+            CoeffOperatorFamily.exp("X-2", lie[2], root=(-2,))]
+    return GModule(ctx, SL2_LABELS, SL2_LABELS, lie, fams,
                    weights=[(0,), (2,), (-2,)],
-                   brackets=alg.consts,
+                   brackets=Matrix.from_int(ctx, SL2_BRACKETS.reshape(9, 3)),
                    meta={"name": "adjoint-sl2"})
 
 
@@ -582,7 +557,7 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
         ctx, [f"s{i}" for i in range(d)], SL2_LABELS,
         [Matrix.from_int(ctx, a) for a in (h, e, f)], fams,
         weights=[(2 * i - n,) for i in range(d)],
-        brackets=from_int(ctx, SL2_BRACKETS, 1),
+        brackets=Matrix.from_int(ctx, SL2_BRACKETS.reshape(9, 3)),
         meta={"name": f"sym{n}"})
 
 

@@ -26,6 +26,7 @@ from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
+    _array_form,
     int_family,
     int_matmul,
     invariant_closure,
@@ -70,6 +71,30 @@ class CoeffOperatorFamily:
         if self.root is not None:
             object.__setattr__(self, "root", tuple(self.root))
         self.validate()
+
+    @classmethod
+    def exp(cls, label: str, x: Matrix,
+            root: Optional[Sequence[int]] = None) -> "CoeffOperatorFamily":
+        """exp(t x) = sum_k t^k x^k / k! for a nilpotent operator x, as
+        Ad(exp(t y)) = exp(t ad y) on a Lie algebra: A_0 = I and A_k =
+        A_{k-1} x / k (J X over the scale s u k, on integer forms J / s and
+        X / u) up to the first zero power.  Raises InputError unless x is
+        nilpotent and every nonzero x^k has k! a unit."""
+        ctx, n, u = x.ctx, x.rows, x.scale
+        if x.cols != n:
+            raise DimensionMismatch("exp needs a square operator")
+        ops = [Matrix.identity(ctx, n), x]
+        for k in range(2, n + 2):
+            prod = int_matmul(ctx, ops[-1].ints, x.ints)
+            if not np.any(prod):
+                break
+            if k >= n:  # x^n = 0 for a nilpotent n x n operator
+                raise InputError(f"{label}: x^{k} != 0, x is not nilpotent")
+            if ctx.p and k % ctx.p == 0:
+                raise InputError(f"{label}: x^{k} != 0 and {k}! is 0 mod "
+                                 f"{ctx.p}")
+            ops.append(Matrix.from_int(ctx, prod, ops[-1].scale * u * k))
+        return cls(label, ops, root)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -490,20 +515,21 @@ def induced_operators(ctx: FieldCtx,
     Each image is expressed in the spanning set w's basis followed by the
     reps; the rep coordinates are the induced matrix column.  Raises
     NotInvariant(name) when an operator maps a vector of w out of w, or a
-    rep out of span(w, reps).  The images and coordinates are taken on
-    integer forms: with the rows R / t and an operator J / s, the images
-    are R J^T / (t s)."""
-    rows = list(w.basis.data) + [ctx.reduce(np.asarray(r)) for r in reps]
-    if not rows:
-        return [Matrix.zeros(ctx, 0, 0) for _ in named_ops]
-    rows = np.stack(rows)
+    rep out of span(w, reps).  The reps are exact arrays (see
+    linalg._array_form).  The rows R are integer forms: w's basis rows and
+    the reps, all the reps over one common scale, which changes no induced
+    matrix.  With an operator J / s, the images are R J^T / s."""
     nw = w.dim
+    if not nw + len(reps):
+        return [Matrix.zeros(ctx, 0, 0) for _ in named_ops]
+    rows = w.basis.ints
+    if len(reps):
+        rows = np.concatenate([rows, _array_form(ctx, np.asarray(reps))[0]])
     solver = SpanSolver(ctx, rows)
-    (r,), t = int_family(ctx, [rows])
     out = []
     for name, op in named_ops:
         coords, u, in_span = solver.coords_int_rows(
-            int_matmul(ctx, r, op.ints.T), t * op.scale)
+            int_matmul(ctx, rows, op.ints.T), op.scale)
         if not in_span.all() or np.any(coords[:nw, nw:]):
             raise NotInvariant(name)
         out.append(Matrix.from_int(ctx, coords[nw:, nw:].T.copy(), u,
@@ -531,13 +557,13 @@ def quotient_module(m: GModule, w: Subspace,
     """Quotient by an invariant subspace; basis = non-pivot coordinates."""
     pivots = set(w.pivots)
     keep = [i for i in range(m.dim) if i not in pivots]
-    eye = m.ctx.eye(m.dim)
+    eye = np.eye(m.dim, dtype=np.int64)
     if labels is None:
         labels = [m.labels[i] + "~" for i in keep]
     weights = [m.weights[i] for i in keep] if m.weights else None
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "/w"
-    return _subquotient(m, w, [eye[i] for i in keep], labels, weights, meta)
+    return _subquotient(m, w, eye[keep], labels, weights, meta)
 
 
 def quotient_module_with_basis(m: GModule, w: Subspace,
@@ -556,7 +582,7 @@ def module_from_subspace(m: GModule, w: Subspace,
     """Restriction of all operators to an invariant subspace."""
     if labels is None:
         labels = [f"w{i}" for i in range(w.dim)]
-    return _subquotient(m, Subspace.zero(m.ctx, m.dim), list(w.basis.data),
+    return _subquotient(m, Subspace.zero(m.ctx, m.dim), w.basis.ints,
                         labels, None, {"name": name})
 
 

@@ -412,7 +412,7 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
         dv * dv, pair.even.dim)
     bracket_q = BilinearMap(ctx, s.h_lie.residuals(rows)[:, keep_g].reshape(
         dv, dv, len(keep_g)))
-    reps_g = list(ctx.eye(pair.even.dim)[keep_g])
+    reps_g = np.eye(pair.even.dim, dtype=np.int64)[keep_g]
     adj_q = []
     for gfam in pair.adjoint_families:
         named = [(f"{gfam.label}[t^{k}]", op) for k, op in enumerate(gfam.ops)]

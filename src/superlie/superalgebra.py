@@ -212,7 +212,7 @@ class LieSuperalgebra:
         pivot.  A subspace is graded iff no row of its reduced echelon basis
         mixes parities; otherwise this raises NotAnIdeal."""
         odd = np.asarray(self.parities, dtype=bool)
-        nz = w.basis.data.astype(bool)
+        nz = w.basis.ints.astype(bool)
         if ((nz & odd).any(axis=1) & (nz & ~odd).any(axis=1)).any():
             raise NotAnIdeal("subspace is not graded")
         return [self.parities[c] for c in w.pivots]

@@ -8,10 +8,11 @@ import pytest
 import superlie.brj as brj
 import superlie.linalg as linalg
 import superlie.modules as modules
-from superlie.fields import FieldCtx
+from superlie.fields import FieldCtx, InputError
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
+    SpanSolver,
     Subspace,
     exact_matmul,
     int_family,
@@ -46,6 +47,7 @@ from superlie.modules import (
 )
 from superlie.constructions import (
     adjoint_sl2_module,
+    sl2_algebra,
     symn_dual,
     symn_module,
 )
@@ -93,6 +95,110 @@ class TestFamilies:
         assert f.root == (2,)
 
 
+def jordan_block(ctx, n):
+    """The n x n nilpotent Jordan block: ones just above the diagonal."""
+    return Matrix.from_int(ctx, np.eye(n, k=1, dtype=np.int64))
+
+
+class TestExp:
+    @pytest.mark.parametrize("ctx, top", [(F3, 2), (F5, 4), (F7, 6), (Q, 6)],
+                             ids=repr)
+    def test_symn_raising_operator(self, ctx, top):
+        # e^k / k! s_i = C(n-i, k) s_{i+k}: symn_module's X2 family, for
+        # every n < p
+        for n in range(top + 1):
+            m = symn_module(n, ctx)
+            f = CoeffOperatorFamily.exp("X2", m.lie_action[1], (2,))
+            assert f == m.family_by_label("X2"), n
+
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_jordan_block(self, ctx):
+        j = jordan_block(ctx, 4)
+        f = CoeffOperatorFamily.exp("j", j)
+        assert f.degree == 3
+        assert f.ops[1] == j
+        assert f.ops[2] == Matrix.from_int(ctx, (j @ j).ints, 2)
+        assert f.ops[3] == Matrix.from_int(ctx, (j @ j @ j).ints, 6)
+
+    def test_jordan_block_needs_its_factorials(self):
+        # J^3 != 0 and 3! = 0 in F_3
+        with pytest.raises(InputError, match="3! is 0 mod 3"):
+            CoeffOperatorFamily.exp("j", jordan_block(F3, 4))
+
+    @pytest.mark.parametrize("ctx", [F3, F5, Q], ids=repr)
+    def test_not_nilpotent(self, ctx):
+        for rows in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[2]]):
+            with pytest.raises(InputError, match="not nilpotent"):
+                CoeffOperatorFamily.exp("x", Matrix.from_rows(ctx, rows))
+
+    def test_zero_and_empty_operators(self):
+        f = CoeffOperatorFamily.exp("z", Matrix.zeros(F5, 3, 3), (1,))
+        assert f.ops == (Matrix.identity(F5, 3),) and f.root == (1,)
+        assert CoeffOperatorFamily.exp("e", Matrix.zeros(Q, 0, 0)).degree == 0
+
+
+def ref_conjugation_family(alg, label, x, root=None):
+    """The adjoint family of the unipotent 1 + t x for a square-zero matrix
+    x on a matrix-built algebra, by conjugation: y -> y + t(xy - yx)
+    - t^2 xyx, each image solved for in the algebra's matrix basis.  The
+    builder that CoeffOperatorFamily.exp(ad x) replaced, kept as its
+    oracle."""
+    ctx, d = alg.ctx, alg.dim
+    (xi, ys), s = int_family(ctx, [x, np.stack(alg.matrix_basis)])
+    assert not np.any(ctx.reduce(xi @ xi))
+    xy, yx = ctx.reduce(xi @ ys), ctx.reduce(ys @ xi)
+    rows = np.concatenate([(xy - yx) * s, -(xy @ xi)]).reshape(2 * d, -1)
+    solver: SpanSolver = alg.matrix_solver
+    coords, u, in_span = solver.coords_int_rows(ctx.reduce(rows), s ** 3)
+    assert in_span.all()
+    return CoeffOperatorFamily(
+        label, [Matrix.identity(ctx, d)]
+        + [Matrix.from_int(ctx, c.T.copy(), u, reduced=True)
+           for c in (coords[:d], coords[d:])],
+        root)
+
+
+def ref_adjoint_module(alg, roots, weights, name):
+    """The adjoint module of a matrix-built algebra as it was built by
+    conjugation: ad read off the structure constants, and one
+    ref_conjugation_family per (label, root, matrix) of roots."""
+    fams = [ref_conjugation_family(alg, l, m, w) for l, w, m in roots]
+    return GModule(alg.ctx, alg.labels, alg.labels, alg.ad_matrices(), fams,
+                   weights=weights, brackets=alg.consts, meta={"name": name})
+
+
+def assert_same_module(got, want):
+    assert got.to_json() == want.to_json()
+    assert got.lie_action == want.lie_action
+    assert [(f.label, f.root, f.ops) for f in got.families] == \
+        [(f.label, f.root, f.ops) for f in want.families]
+    assert got.bracket_matrix == want.bracket_matrix
+
+
+class TestExpDifferential:
+    """exp(t ad x) against conjugation by 1 + t x: for square-zero x,
+    y + t[x,y] + (t^2/2)[x,[x,y]] = y + t[x,y] - t^2 xyx."""
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, BIG, Q], ids=repr)
+    def test_adjoint_sl2(self, ctx):
+        alg = sl2_algebra(ctx)
+        e12, e21 = (ctx.zeros(2, 2) for _ in range(2))
+        e12[0, 1] = e21[1, 0] = ctx.one
+        want = ref_adjoint_module(
+            alg, [("X2", (2,), e12), ("X-2", (-2,), e21)],
+            [(0,), (2,), (-2,)], "adjoint-sl2")
+        assert_same_module(adjoint_sl2_module(ctx), want)
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
+    def test_adjoint_sp4(self, ctx):
+        g = brj.sp4_algebra(ctx)
+        roots, _ = brj._sp4_elements(ctx)
+        want = ref_adjoint_module(
+            g, [(l, w, ctx.reduce(m)) for l, w, m in roots],
+            [w for _, w, _ in roots] + [(0, 0), (0, 0)], "adjoint-sp4")
+        assert_same_module(brj.sp4_adjoint_module(g), want)
+
+
 def count_validations(monkeypatch):
     """The families CoeffOperatorFamily.validate runs on, in call order."""
     seen = []
@@ -114,6 +220,11 @@ class TestValidationCount:
         # tensor square is never built as a module
         assert len(seen) == 6
 
+    def test_adjoint_sl2_validates_each_family_once(self, monkeypatch):
+        seen = count_validations(monkeypatch)
+        adjoint_sl2_module(F7)
+        assert [f.label for f in seen] == ["X2", "X-2"]
+
     def test_brj_validates_each_family_once(self, monkeypatch):
         seen = count_validations(monkeypatch)
         brj.brj25(p=5, skip_simplicity=True)
@@ -122,23 +233,28 @@ class TestValidationCount:
         assert len(seen) == len({id(f) for f in seen})
 
 
+def count_conversions(monkeypatch):
+    """The names of the linalg.from_int and linalg.int_scaled calls, the
+    conversions between field arrays and integer forms, in call order."""
+    calls = []
+    for name in ("from_int", "int_scaled"):
+        real = getattr(linalg, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
 class TestIntegerFormCount:
     def test_q_forms_convert_no_fraction_array(self, monkeypatch):
-        # the operators of Sym_5*, its Sym2 and adjoint sl2 are built from
-        # integers or converted once when built, so the Sym2 build and the
-        # hom solve turn no Fraction array into integers.  The inputs are
-        # built first: sl2 itself converts its structure constants, raw
-        # superalgebra arrays that the Fraction path still serves
-        dual5, adj = symn_dual(5, Q), adjoint_sl2_module(Q)
-        calls = []
-        int_scaled = linalg.int_scaled
-
-        def counting(a):
-            calls.append(a.shape)
-            return int_scaled(a)
-
-        monkeypatch.setattr(linalg, "int_scaled", counting)
-        rep = hom_space(sym2(dual5), adj, "both")
+        # Sym_5*, its Sym2 and adjoint sl2 are built from the integer
+        # arrays of symn_module and SL2_BRACKETS, so neither the builds nor
+        # the hom solve make a Fraction array or turn one into integers
+        calls = count_conversions(monkeypatch)
+        rep = hom_space(sym2(symn_dual(5, Q)), adjoint_sl2_module(Q), "both")
         assert (rep.dim_group, rep.dim_algebra) == (1, 1)
         assert calls == []
 
@@ -348,6 +464,36 @@ class TestSubquotients:
             m, w, [F3.eye(4)[i] for i in keep], q.labels, q.weights)
         assert qb.lie_action == q.lie_action
         assert [f.ops for f in qb.families] == [f.ops for f in q.families]
+
+    def test_module_from_subspace_reads_integer_forms(self, monkeypatch):
+        # over Q the rows are the basis's integer form: no Fraction array
+        # is made or turned back into integers.  The module is the one the
+        # Fraction basis rows give, since scaling every rep by one scalar
+        # changes no induced matrix
+        m = sym2(symn_dual(4, Q))
+        w = submodule_generated(m, [Q.eye(m.dim)[0]])
+        assert (m.dim, w.dim) == (15, 9)
+        want = quotient_module_with_basis(
+            m, Subspace.zero(Q, m.dim), list(w.basis.data),
+            [f"w{i}" for i in range(9)], name="submodule")
+        calls = count_conversions(monkeypatch)
+        got = module_from_subspace(m, w)
+        assert calls == []
+        assert_same_module(got, want)
+
+    def test_quotient_module_reads_integer_forms(self, monkeypatch):
+        # the reps are integer unit vectors: the same module as the
+        # Fraction unit vectors give, with no conversion over Q
+        m = sym2(symn_dual(4, Q))
+        w = submodule_generated(m, [Q.eye(m.dim)[0]])
+        keep = [i for i in range(m.dim) if i not in w.pivots]
+        want = quotient_module_with_basis(
+            m, w, list(Q.eye(m.dim)[keep]), [m.labels[i] + "~" for i in keep],
+            [m.weights[i] for i in keep], name=m.meta["name"] + "/w")
+        calls = count_conversions(monkeypatch)
+        got = quotient_module(m, w)
+        assert calls == []
+        assert_same_module(got, want)
 
     def test_module_from_subspace_roundtrip_dims(self):
         m = symn_module(3, F3)

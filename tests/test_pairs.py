@@ -50,8 +50,6 @@ from superlie.constructions import (
     sl2_symn_constants,
     sl2_symn_pair,
     symn_dual,
-    conjugation_family,
-    _unit,
 )
 
 F3 = FieldCtx.prime(3)
@@ -209,8 +207,8 @@ def equivariance_witness(odd, bracket, adjoint_families):
 def adj_families(ctx):
     even = sl2_algebra(ctx)
     return even, [
-        conjugation_family(even, "X2", _unit(ctx, 2, 0, 1), root=(2,)),
-        conjugation_family(even, "X-2", _unit(ctx, 2, 1, 0), root=(-2,)),
+        CoeffOperatorFamily.exp("X2", even.ad(1), root=(2,)),
+        CoeffOperatorFamily.exp("X-2", even.ad(2), root=(-2,)),
     ]
 
 
@@ -417,7 +415,7 @@ def sl2_cubed_pieces(ctx):
     """(sl2^3, W, adjoint module) for d21's even part and odd module.
     sl2^3 is matrix-built on block-diagonal 6 x 6 copies of H, E12, E21;
     W = V (x) V (x) V under the Kronecker action, with one family [I, x]
-    per root vector x; the adjoint module has one conjugation_family per
+    per root vector x; the adjoint module has one family exp(t ad x) per
     root, under the same labels."""
     eye = np.eye(2, dtype=np.int64)
     elems, acts = [], []
@@ -436,7 +434,7 @@ def sl2_cubed_pieces(ctx):
     odd_fams = [CoeffOperatorFamily(even.labels[i], [
         Matrix.identity(ctx, 8), Matrix.from_int(ctx, acts[i])], root)
         for i, root in roots.items()]
-    adj_fams = [conjugation_family(even, even.labels[i], elems[i][2], root)
+    adj_fams = [CoeffOperatorFamily.exp(even.labels[i], even.ad(i), root)
                 for i, root in roots.items()]
     w = GModule(ctx, [f"v{i}{j}{k}" for i, j, k in product("12", repeat=3)],
                 even.labels, [Matrix.from_int(ctx, a) for a in acts], odd_fams,
@@ -609,12 +607,12 @@ def gl11_pair(ctx):
 
 def gl2_pair(ctx):
     """gl2 on Sym_1*, its centre acting by 0: the even part gl(2|0) with
-    the conjugation families X2 and X-2, the odd module symn_dual(1) with
-    E1,1 acting as H/2 and E2,2 as -H/2, and the bracket
-    sl2_symn_bracket(1, 1) with H placed as E1,1 - E2,2."""
+    the families X2 = exp(t ad E1,2) and X-2 = exp(t ad E2,1), the odd
+    module symn_dual(1) with E1,1 acting as H/2 and E2,2 as -H/2, and the
+    bracket sl2_symn_bracket(1, 1) with H placed as E1,1 - E2,2."""
     even = gl(2, 0, ctx)
-    adj = [conjugation_family(even, "X2", _unit(ctx, 2, 0, 1), root=(2,)),
-           conjugation_family(even, "X-2", _unit(ctx, 2, 1, 0), root=(-2,))]
+    adj = [CoeffOperatorFamily.exp("X2", even.ad(1), root=(2,)),
+           CoeffOperatorFamily.exp("X-2", even.ad(2), root=(-2,))]
     sym = symn_dual(1, ctx)
     h, e, f = sym.lie_action
     half = ctx.reduce(h.data * ctx.inv(ctx.of(2)))

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from superlie import constructions, superalgebra
+from superlie import constructions, linalg, superalgebra
 from superlie.census import GRID_PRESETS, _row, build_from_params
 from superlie.fields import FieldCtx, SuperlieError
 from superlie.linalg import (
@@ -604,6 +604,22 @@ class TestGradedInvariant:
         alg = LieSuperalgebra(F5, ["H", "x"], [0, 1], consts)
         with pytest.raises(NotAnIdeal, match="not graded"):
             alg.derived_subalgebra()
+
+    def test_grading_test_reads_integer_forms(self, monkeypatch):
+        # every SuperIdeal tests its grading; over Q it reads the basis's
+        # integer form and makes no Fraction array
+        a = sl(2, 1, Q)
+        calls = []
+        real = linalg.from_int
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "from_int", counting)
+        assert a.center().dims == (0, 0)
+        assert a.derived_subalgebra().dims == (4, 4)
+        assert calls == []
 
     @pytest.mark.parametrize("build", [
         lambda: gl(2, 1, F5), lambda: sl(2, 1, Q),
