@@ -21,6 +21,11 @@ is left.  In a weight basis [h, e_a] = a(h) e_a for diagonal h, so most
 rows of the centre and derived systems are single.  The leftmost nonzero
 pivot loop then runs only on the rows that remain, and the unit rows are
 merged back by pivot: the result is the same unique form.
+
+Spinning (invariant_closure, largest_invariant_within) takes its k
+operators as one integer stack of their transposes, of shape (n, n k)
+(operator_stack): each round takes the images of its rows under every
+operator from one product.
 """
 
 from __future__ import annotations
@@ -63,14 +68,26 @@ def exact_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bilinear(ctx: FieldCtx, consts: np.ndarray, xs: np.ndarray,
              ys: np.ndarray) -> np.ndarray:
-    """B(x_r, y_s) for every row x_r of xs and y_s of ys, as an array of
-    shape (len(xs), len(ys), g), where B(e_i, e_j) = consts[i, j] for an
-    (n, n, g) array consts: two products with consts."""
+    """B(x_r, y_s) for every row x_r of xs and y_s of ys, as a field array
+    of shape (len(xs), len(ys), g), where B(e_i, e_j) = consts[i, j] for an
+    (n, n, g) array consts: int_bilinear on the integer forms of all three
+    over one scale s, so over s^3."""
+    if ctx.p:
+        return int_bilinear(ctx, consts, xs, ys)
+    (c, x, y), s = int_family(ctx, [consts, xs, ys])
+    return from_int(ctx, int_bilinear(ctx, c, x, y), s ** 3)
+
+
+def int_bilinear(ctx: FieldCtx, consts: np.ndarray, xs: np.ndarray,
+                 ys: np.ndarray) -> np.ndarray:
+    """bilinear on integer arrays as int_family gives them, from two
+    products on integers (int_matmul): the result is over the product of
+    the three scales."""
     n, g = consts.shape[1:]
     # left[b, r, k] = B(x_r, e_b)_k
-    left = exact_matmul(ctx, xs, consts.reshape(n, n * g))
+    left = int_matmul(ctx, xs, consts.reshape(n, n * g))
     left = left.reshape(len(xs), n, g).transpose(1, 0, 2)
-    out = exact_matmul(ctx, ys, left.reshape(n, len(xs) * g))
+    out = int_matmul(ctx, ys, left.reshape(n, len(xs) * g))
     return out.reshape(len(ys), len(xs), g).transpose(1, 0, 2)
 
 
@@ -651,6 +668,18 @@ class Subspace:
             ker.basis.scale * self.basis.scale, reduced=True),
             [self._pivots[k] for k in ker.pivots])
 
+    def embedded(self, coords: Sequence[int],
+                 ambient_dim: int) -> "Subspace":
+        """The image in ctx^ambient_dim under e_c -> e_coords[c], for
+        increasing coords: the zero-padded basis stays in reduced echelon
+        form, on the pivots coords picks."""
+        ints = self.basis.ints
+        basis = np.zeros((self.dim, ambient_dim), dtype=ints.dtype)
+        basis[:, coords] = ints
+        return Subspace(self.ctx, ambient_dim,
+                        Matrix._canonical(self.ctx, basis, self.basis.scale),
+                        [int(coords[c]) for c in self._pivots])
+
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         # x.B lies in other iff its residual x.residuals(B) vanishes
@@ -678,28 +707,43 @@ def kernel(m: Matrix) -> Subspace:
 # spinning
 # ---------------------------------------------------------------------------
 
-def _check_operators(ambient_dim: int, operators: Sequence[Matrix]):
-    for op in operators:
-        if op.rows != op.cols or op.rows != ambient_dim:
+def operator_stack(ctx: FieldCtx, n: int,
+                   ops: Sequence[Matrix]) -> Tuple[np.ndarray, int]:
+    """(S, s): S = [J_1^T ... J_k^T], the (n, n k) integer stack of the
+    transposes of n x n operators ops[i] = J_i / s on one scale
+    (int_family).  Row v of an integer array times S holds every J_i v
+    side by side, the images of v up to the scale s: the operator form
+    invariant_closure and largest_invariant_within take."""
+    for op in ops:
+        if op.shape != (n, n):
             raise DimensionMismatch(
-                f"operator shape {op.rows}x{op.cols} vs ambient {ambient_dim}"
-            )
+                f"operator shape {op.rows}x{op.cols} vs ambient {n}")
+    js, s = int_family(ctx, ops)
+    return np.concatenate([np.zeros((n, 0), dtype=np.int64),
+                           *(j.T for j in js)], axis=1), s
+
+
+def _check_stack(ambient_dim: int, ops_t: np.ndarray):
+    if ops_t.ndim != 2 or ops_t.shape[0] != ambient_dim or (
+            ambient_dim and ops_t.shape[1] % ambient_dim):
+        raise DimensionMismatch(f"operator stack of shape {ops_t.shape} "
+                                f"vs ambient {ambient_dim}")
 
 
 def invariant_closure(ctx: FieldCtx, ambient_dim: int,
                       seeds: Sequence[np.ndarray],
-                      operators: Sequence[Matrix]) -> Subspace:
+                      ops_t: np.ndarray) -> Subspace:
     """Smallest subspace containing the seeds and invariant under every
-    operator: the fixed point of W -> W + sum(op(W)).  Only the images of
-    the rows added last round can enlarge the span, so each round extends
-    the basis by the residuals of those images, all from one product with
-    the operators' integer forms (each image up to its operator's scale,
-    which changes no span)."""
-    _check_operators(ambient_dim, operators)
+    operator, given as the integer stack ops_t of their transposes (see
+    operator_stack): the fixed point of W -> W + sum(op(W)).  Only the
+    images of the rows added last round can enlarge the span, so each
+    round extends the basis by the residuals of those images, all from one
+    product with ops_t (each image up to a scale, which changes no
+    span)."""
+    _check_stack(ambient_dim, ops_t)
     w = Subspace.from_vectors(ctx, ambient_dim, seeds)
-    if not operators:
+    if not ops_t.shape[1]:
         return w
-    ops_t = np.concatenate([op.ints.T for op in operators], axis=1)
     frontier = w.basis.ints
     while 0 < w.dim < ambient_dim and frontier.shape[0]:
         w, frontier = w._extend(int_matmul(ctx, frontier, ops_t)
@@ -718,17 +762,15 @@ def operator_images(ctx: FieldCtx, vs: np.ndarray,
     return exact_matmul(ctx, vs, ops_t).reshape(len(vs) * len(ops), n)
 
 
-def largest_invariant_within(k: Subspace,
-                             operators: Sequence[Matrix]) -> Subspace:
-    """Largest subspace W <= k with op(W) <= W for every operator; iterates
-    W <- {w in W : op(w) in W for all op} to a fixed point.  Row i of the
-    images is the residual against W of every op(b_i), b_i basis row i,
-    as operator_images orders them."""
-    _check_operators(k.ambient_dim, operators)
+def largest_invariant_within(k: Subspace, ops_t: np.ndarray) -> Subspace:
+    """Largest subspace W <= k with op(W) <= W for every operator of the
+    integer stack ops_t (see operator_stack); iterates W <- {w in W :
+    op(w) in W for all op} to a fixed point.  Row i of the images is the
+    residual against W of every op(b_i), b_i basis row i, side by side."""
+    _check_stack(k.ambient_dim, ops_t)
     w = k
-    if not operators:
+    if not ops_t.shape[1]:
         return w
-    ops_t = np.concatenate([op.ints.T for op in operators], axis=1)
     while w.dim:
         images = int_matmul(k.ctx, w.basis.ints, ops_t)
         res = w._residual(images.reshape(-1, k.ambient_dim))

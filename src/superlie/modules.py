@@ -33,6 +33,7 @@ from .linalg import (
     join,
     kernel,
     nonzero_sums,
+    operator_stack,
     run_starts,
 )
 
@@ -504,7 +505,8 @@ def lambda2(m: GModule) -> GModule:
 def submodule_generated(m: GModule, seeds: Sequence[np.ndarray]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the Lie
     action and every coefficient operator."""
-    return invariant_closure(m.ctx, m.dim, list(seeds), m.all_operators())
+    return invariant_closure(m.ctx, m.dim, list(seeds), operator_stack(
+        m.ctx, m.dim, m.all_operators())[0])
 
 
 def induced_operators(ctx: FieldCtx,
@@ -514,25 +516,32 @@ def induced_operators(ctx: FieldCtx,
 
     Each image is expressed in the spanning set w's basis followed by the
     reps; the rep coordinates are the induced matrix column.  Raises
-    NotInvariant(name) when an operator maps a vector of w out of w, or a
-    rep out of span(w, reps).  The reps are exact arrays (see
-    linalg._array_form).  The rows R are integer forms: w's basis rows and
-    the reps, all the reps over one common scale, which changes no induced
-    matrix.  With an operator J / s, the images are R J^T / s."""
+    NotInvariant(name) for the first operator, in order, that maps a
+    vector of w out of w, or a rep out of span(w, reps).  The reps are
+    exact arrays (see linalg._array_form).  The rows R are integer forms:
+    w's basis rows and the reps, all the reps over one common scale, which
+    changes no induced matrix.  With the operators J_i / s on one scale,
+    every image R J_i^T / s comes from one product with their stack
+    (operator_stack), and every coordinate from one solve."""
     nw = w.dim
     if not nw + len(reps):
         return [Matrix.zeros(ctx, 0, 0) for _ in named_ops]
     rows = w.basis.ints
     if len(reps):
         rows = np.concatenate([rows, _array_form(ctx, np.asarray(reps))[0]])
+    r, n = rows.shape
     solver = SpanSolver(ctx, rows)
+    ops_t, s = operator_stack(ctx, n, [op for _, op in named_ops])
+    # row (i, b) is the image of row b under operator i
+    images = int_matmul(ctx, rows, ops_t).reshape(r, len(named_ops), n)
+    coords, u, in_span = solver.coords_int_rows(
+        images.swapaxes(0, 1).reshape(-1, n), s)
     out = []
-    for name, op in named_ops:
-        coords, u, in_span = solver.coords_int_rows(
-            int_matmul(ctx, rows, op.ints.T), op.scale)
-        if not in_span.all() or np.any(coords[:nw, nw:]):
+    for (name, _), c, ok in zip(named_ops, coords.reshape(-1, r, r),
+                                in_span.reshape(-1, r)):
+        if not ok.all() or np.any(c[:nw, nw:]):
             raise NotInvariant(name)
-        out.append(Matrix.from_int(ctx, coords[nw:, nw:].T.copy(), u,
+        out.append(Matrix.from_int(ctx, c[nw:, nw:].T.copy(), u,
                                    reduced=True))
     return out
 
@@ -590,10 +599,10 @@ def trivial_quotient_defect(m: GModule) -> Subspace:
     """The smallest submodule W such that the group acts trivially on m/W:
     the closure of the images of all Lie operators and all positive-degree
     coefficient operators."""
-    seeds = []
-    for op in m.all_operators():
-        seeds.extend(list(op.data.T))
-    return invariant_closure(m.ctx, m.dim, seeds, m.all_operators())
+    ops_t, _ = operator_stack(m.ctx, m.dim, m.all_operators())
+    # row c of the stack holds the images J_i e_c of basis vector c
+    return invariant_closure(m.ctx, m.dim,
+                             ops_t.reshape(ops_t.shape[1], m.dim), ops_t)
 
 
 # ---------------------------------------------------------------------------
@@ -705,14 +714,7 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
         space = kernel(Matrix.from_int(ctx, lmat, reduced=True))
     else:
         space = Subspace.full(ctx, u)
-    # the support indices increase, so the embedded basis stays in reduced
-    # echelon form with the same pivots
-    support = rs * d1 + cs
-    basis = np.zeros((space.dim, n), dtype=space.basis.ints.dtype)
-    basis[:, support] = space.basis.ints
-    return Subspace(ctx, n,
-                    Matrix.from_int(ctx, basis, space.basis.scale, reduced=True),
-                    [int(support[c]) for c in space.pivots])
+    return space.embedded(rs * d1 + cs, n)
 
 
 @dataclass

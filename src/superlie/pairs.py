@@ -32,6 +32,7 @@ from .linalg import (
     kernel,
     largest_invariant_within,
     operator_images,
+    operator_stack,
 )
 from .modules import (
     CoeffOperatorFamily,
@@ -183,33 +184,38 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     (i, j) of f S_m - G_m f is the t^m coefficient of X(t)[v_i, v_j] -
     [X(t)v_i, X(t)v_j], times 2 if i < j (a unit: p is odd), and on integer
     forms f = K / c, S_m = J / s, G_m = H / v it is (v K J - s H K) / vcs.
-    Raises at the first failing family, least pair i <= j, least m."""
+    Raises at the first failing family, least pair i <= j, least m.
+
+    Per family, K J_m for every m comes from one product of K with the J_m
+    side by side, and H_m K from one product of the stacked H_m, all H_m
+    on one scale v; past its degree each side is zero."""
     ctx = odd.ctx
     adj = {f.label: f for f in adjoint_families}
     pairs, _, fold = square_layout(odd.dim, +1)
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     (kmat,), _ = int_family(ctx, [ctx.reduce(
         bracket.consts[i, j] * (1 + (i < j))[:, None]).T])
+    dg, npairs = kmat.shape
     coeffs, s = _kron_coeffs(ctx, [(f.ops, f.ops, range(1, 2 * f.degree + 1))
                                    for f in odd.families], fold)
     for fam, ts in zip(odd.families, coeffs):
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
-        gfam = adj[fam.label]
-        max_deg = max(2 * fam.degree, gfam.degree)
-        bad = np.zeros((max_deg + 1, len(pairs)), dtype=bool)
-        for m in range(1, max_deg + 1):
-            g = gfam.op(m)  # zero past its degree, as S_m is
-            lhs, rhs = 0, int_matmul(ctx, g.ints, kmat)
-            if m <= len(ts):  # ts holds S_1..S_{2 deg X}
-                lhs = int_matmul(ctx, kmat, ts[m - 1]) * g.scale
-                rhs = rhs * s
-            bad[m] = np.any(ctx.reduce(lhs - rhs), axis=0)
-        cols = np.nonzero(np.any(bad, axis=0))[0]
+        hs, v = int_family(ctx, adj[fam.label].ops[1:])
+        # diff[m - 1] = v K J_m - s H_m K; ts holds J_1..J_{2 deg X}
+        diff = np.zeros((max(len(ts), len(hs)), dg, npairs), dtype=kmat.dtype)
+        if ts:
+            diff[:len(ts)] = int_matmul(ctx, kmat, np.concatenate(
+                ts, axis=1)).reshape(dg, len(ts), npairs).swapaxes(0, 1) * v
+        if hs:
+            diff[:len(hs)] -= int_matmul(ctx, np.concatenate(hs), kmat).reshape(
+                len(hs), dg, npairs) * s
+        bad = np.any(ctx.reduce(diff), axis=1)
+        cols = np.flatnonzero(bad.any(axis=0))
         if len(cols):
             c = int(cols[0])
-            raise EquivarianceViolation(fam.label, int(np.argmax(bad[:, c])),
-                                        pairs[c])
+            raise EquivarianceViolation(
+                fam.label, int(np.argmax(bad[:, c])) + 1, pairs[c])
 
 
 def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -321,7 +327,8 @@ def check_sas_conditions(pair: HCPair):
     defect = trivial_quotient_defect(odd)
     cond1 = defect.dim == odd.dim
     ann = pair.bracket.annihilator()
-    core = largest_invariant_within(ann, odd.all_operators())
+    core = largest_invariant_within(ann, operator_stack(
+        odd.ctx, odd.dim, odd.all_operators())[0])
     cond2 = core.dim == 0
     details = {
         "trivial_quotient_defect_dim": defect.dim,

@@ -12,6 +12,12 @@ only by build_superalgebra.  A graded subspace (an ideal, the centre, a
 subalgebra) is one Subspace of the full coordinate space: its reduced
 echelon rows are homogeneous, and those with an even pivot span its even
 part.
+
+Slice i of consts is ad(e_i)^T, so two transposes of its integer form are
+the operator stacks (linalg.operator_stack) of every ad(e_i) and of every
+ad(e_i)^T: Norton's spins and the ideal closures build no ad matrix.  The
+centre is solved only on the coordinates of weight zero under the diagonal
+ad(h), where every central element lies.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from .linalg import (
     Matrix,
     Subspace,
     bilinear,
-    exact_matmul,
     from_int,
+    int_bilinear,
     int_family,
     int_matmul,
     invariant_closure,
@@ -107,8 +113,9 @@ class SuperIdeal:
         All brackets [w, e_j] come from one product and are tested in one
         batch."""
         a, n, w = self.parent, self.parent.dim, self.space
-        images = exact_matmul(a.ctx, w.basis.data, a.consts.reshape(n, n * n))
-        return not w.residuals(images.reshape(-1, n)).astype(bool).any()
+        (c,), _ = int_family(a.ctx, [a.consts])
+        images = int_matmul(a.ctx, w.basis.ints, c.reshape(n, n * n))
+        return not w._residual(images.reshape(-1, n)).astype(bool).any()
 
 
 @dataclass
@@ -169,9 +176,9 @@ class LieSuperalgebra:
     constructor stores the array as given and makes it read-only;
     algebra_from_consts and build_superalgebra complete and check it.
 
-    The support of consts (its nonzero (i, j, k)) is found once, on first
-    use, and kept: over Q each zero test is a Python call, and consts
-    cannot change."""
+    The support of consts (its nonzero (i, j, k)) and the weight keys
+    (_weight_keys) are found once, on first use, and kept: over Q each zero
+    test is a Python call, and consts cannot change."""
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
                  parities: Sequence[int], consts: np.ndarray,
@@ -187,6 +194,7 @@ class LieSuperalgebra:
         self.consts = consts
         self.meta = dict(meta or {})
         self._support: Optional[Tuple[np.ndarray, ...]] = None
+        self._keys: Optional[Tuple[List[int], List[Tuple]]] = None
         # the centre's subspace: a SuperIdeal held here would point back at
         # self and leave every algebra to the cyclic collector
         self._center: Optional[Subspace] = None
@@ -232,8 +240,13 @@ class LieSuperalgebra:
         """Matrix of ad(e_i): x -> [e_i, x]."""
         return Matrix(self.ctx, self.consts[i].T)
 
-    def ad_matrices(self) -> List[Matrix]:
-        return [self.ad(i) for i in range(self.dim)]
+    def _ad_stack(self, c: np.ndarray,
+                  axes: Tuple[int, int, int]) -> np.ndarray:
+        """The operator stack (linalg.operator_stack) of every ad(e_i), for
+        axes (1, 0, 2), or of every ad(e_i)^T, for axes (2, 0, 1), read off
+        an integer form c of consts, whose slice c[i] is ad(e_i)^T up to
+        scale."""
+        return c.transpose(axes).reshape(self.dim, self.dim * self.dim)
 
     # -- validation ---------------------------------------------------------------
     def _coo(self):
@@ -356,11 +369,17 @@ class LieSuperalgebra:
     def center(self) -> SuperIdeal:
         """The centre, computed once per algebra: the kernel of the stacked
         n^2 x n matrix whose row (j, k), column m holds the coefficient of
-        e_k in [e_m, e_j]."""
+        e_k in [e_m, e_j].  A central z has [h, z] = 0 for every diagonal
+        ad(h), so it lies on the coordinates of weight zero (_weight_keys):
+        only their columns are solved, without the all-zero rows, and the
+        kernel is embedded back (linalg.Subspace.embedded)."""
         if self._center is None:
             n = self.dim
-            stacked = self.consts.transpose(1, 2, 0).reshape(n * n, n)
-            self._center = kernel(Matrix(self.ctx, stacked))
+            zero = [j for j, (_, w) in enumerate(self._weight_keys()[1])
+                    if not any(w)]
+            rows = self.consts.transpose(1, 2, 0).reshape(n * n, n)[:, zero]
+            rows = rows[rows.astype(bool).any(axis=1)]
+            self._center = kernel(Matrix(self.ctx, rows)).embedded(zero, n)
         return SuperIdeal(self, self._center)
 
     def ideal_closure(self, seeds: Sequence[np.ndarray]) -> SuperIdeal:
@@ -376,8 +395,9 @@ class LieSuperalgebra:
                 parts.append(ev)
             if np.any(ov):
                 parts.append(ov)
-        return SuperIdeal(self, invariant_closure(self.ctx, self.dim, parts,
-                                                  self.ad_matrices()))
+        (c,), _ = int_family(self.ctx, [self.consts])
+        return SuperIdeal(self, invariant_closure(
+            self.ctx, self.dim, parts, self._ad_stack(c, (1, 0, 2))))
 
     def quotient(self, ideal: SuperIdeal) -> "LieSuperalgebra":
         """The quotient on the non-pivot coordinates of the ideal: every
@@ -412,11 +432,14 @@ class LieSuperalgebra:
             return algebra_from_consts(self.ctx, [], self.ctx.zeros(0, 0, 0),
                                        meta=dict(self.meta))
         order = np.argsort(parities, kind="stable")
-        b = w.basis.data[order]
-        images = bilinear(self.ctx, self.consts, b, b).reshape(d * d, self.dim)
-        if w.residuals(images).astype(bool).any():
+        b, t = w.basis.ints[order], w.basis.scale
+        (c,), s = int_family(self.ctx, [self.consts])
+        # the brackets of the rows b / t, over the scale s t^2
+        images = int_bilinear(self.ctx, c, b, b).reshape(d * d, self.dim)
+        if w._residual(images).astype(bool).any():
             raise NotAnIdeal("subspace is not closed under the bracket")
-        coords = images[:, np.asarray(w.pivots)[order]]
+        coords = from_int(self.ctx, images[:, np.asarray(w.pivots)[order]],
+                          s * t * t)
         if labels is None:
             labels = [f"b{i}" for i in range(d)]
         meta = dict(self.meta)
@@ -523,14 +546,8 @@ class LieSuperalgebra:
         spin itself, the ideal generated by e_j, or, when only the transposed
         spin W is proper, its annihilator {v : w.v = 0 for w in W}, an ideal
         because <w, ad(x) v> = <ad(x)^T w, v>."""
-        ctx = self.ctx
-        # ad(e_a) is diagonal unless some [e_a, e_b] has an e_c term, c != b
-        a, b, c, _ = self._coo()
-        offdiag = set(a[b != c].tolist())
-        diag = [h for h in self.even_coords if h not in offdiag]
-        # weights[j][t] = coefficient of e_j in [h_t, e_j], h_t = e_diag[t]
-        weights = np.diagonal(self.consts, axis1=1, axis2=2)[diag].T.tolist()
-        keys = [(self.parities[j], tuple(w)) for j, w in enumerate(weights)]
+        ctx, n = self.ctx, self.dim
+        diag, keys = self._weight_keys()
         counts = Counter(keys)
         j = next((j for j, k in enumerate(keys) if counts[k] == 1), None)
         if j is None:
@@ -542,16 +559,15 @@ class LieSuperalgebra:
             "parity": keys[j][0],
             "weight": [ctx.scalar_to_str(x) for x in keys[j][1]],
         }
-        ads = self.ad_matrices()
-        seed = [self._basis_vec(j)]
-        spin = invariant_closure(ctx, self.dim, seed, ads)
-        if spin.dim < self.dim:
+        (c,), _ = int_family(ctx, [self.consts])
+        seed = np.eye(1, n, j, dtype=np.int64)
+        spin = invariant_closure(ctx, n, seed, self._ad_stack(c, (1, 0, 2)))
+        if spin.dim < n:
             return SimplicityVerdict(
                 "NotSimple", witness=SuperIdeal(self, spin),
                 certificate={**cert, "proof": False, "proper_spin": "ad"})
-        dual = invariant_closure(ctx, self.dim, seed,
-                                 [m.transpose() for m in ads])
-        if dual.dim < self.dim:
+        dual = invariant_closure(ctx, n, seed, self._ad_stack(c, (2, 0, 1)))
+        if dual.dim < n:
             witness = SuperIdeal(self, kernel(dual.basis))
             return SimplicityVerdict(
                 "NotSimple", witness=witness,
@@ -559,6 +575,23 @@ class LieSuperalgebra:
                              "proper_spin": "transpose"})
         return SimplicityVerdict("GradedSimple",
                                  certificate={**cert, "proof": True})
+
+    def _weight_keys(self) -> Tuple[List[int], List[Tuple]]:
+        """(diag, keys), found once per algebra: the even h with ad(e_h)
+        diagonal, and each basis vector's key, its parity and its joint
+        weight under those ad(e_h)."""
+        if self._keys is None:
+            # ad(e_a) is diagonal unless some [e_a, e_b] has an e_c term,
+            # c != b
+            a, b, c, _ = self._coo()
+            offdiag = set(a[b != c].tolist())
+            diag = [h for h in self.even_coords if h not in offdiag]
+            # weights[j][t] = coefficient of e_j in [h_t, e_j], h_t = e_diag[t]
+            weights = np.diagonal(self.consts, axis1=1,
+                                  axis2=2)[diag].T.tolist()
+            self._keys = diag, [(self.parities[j], tuple(w))
+                                for j, w in enumerate(weights)]
+        return self._keys
 
     def _basis_vec(self, i: int) -> np.ndarray:
         v = self.ctx.zeros(self.dim)

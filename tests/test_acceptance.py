@@ -28,13 +28,13 @@ from superlie.constructions import (
     psq,
     sl,
     sl2_symn_algebra,
-    sl2_symn_constants,
     sl2_symn_pair,
     spo,
     queer,
     symn_dual,
 )
 from superlie.pairs import check_sas_conditions, pair_space
+from sl2_oracles import sl2_symn_constants
 
 Q = FieldCtx.rationals()
 

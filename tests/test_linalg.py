@@ -21,6 +21,7 @@ from superlie.linalg import (
     invariant_closure,
     kernel,
     largest_invariant_within,
+    operator_stack,
     rank,
     rref,
     solve,
@@ -30,6 +31,12 @@ F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
 Q = FieldCtx.rationals()
+
+
+def stack(ctx, n, ops):
+    """The integer stack of the transposes of a Matrix list, as the spins
+    take their operators."""
+    return operator_stack(ctx, n, ops)[0]
 
 
 def rand_matrix(ctx, rows, cols, rng):
@@ -227,8 +234,8 @@ class TestSpinning:
     def test_idempotent_on_invariant_seed(self):
         n = 4
         op = self.shift_op(F5, n)
-        w = invariant_closure(F5, n, [F5.vec([0, 0, 1, 0])], [op])
-        again = invariant_closure(F5, n, list(w.basis.data), [op])
+        w = invariant_closure(F5, n, [F5.vec([0, 0, 1, 0])], stack(F5, n, [op]))
+        again = invariant_closure(F5, n, list(w.basis.data), stack(F5, n, [op]))
         assert again == w
         # exact invariance per operator
         for v in w.basis.data:
@@ -237,10 +244,11 @@ class TestSpinning:
     def test_monotone_in_seeds(self):
         n = 5
         op = self.shift_op(F7, n)
-        small = invariant_closure(F7, n, [F7.vec([0, 0, 0, 1, 0])], [op])
+        small = invariant_closure(F7, n, [F7.vec([0, 0, 0, 1, 0])],
+                                  stack(F7, n, [op]))
         big = invariant_closure(
-            F7, n, [F7.vec([0, 0, 0, 1, 0]), F7.vec([0, 1, 0, 0, 0])], [op]
-        )
+            F7, n, [F7.vec([0, 0, 0, 1, 0]), F7.vec([0, 1, 0, 0, 0])],
+            stack(F7, n, [op]))
         assert small.leq(big)
 
     def test_order_independence(self):
@@ -248,10 +256,21 @@ class TestSpinning:
         n = 6
         ops = [rand_matrix(F5, n, n, rng) for _ in range(4)]
         seeds = [F5.vec([rng.randrange(5) for _ in range(n)])]
-        w1 = invariant_closure(F5, n, seeds, ops)
+        w1 = invariant_closure(F5, n, seeds, stack(F5, n, ops))
         shuffled = list(ops)
         rng.shuffle(shuffled)
-        assert invariant_closure(F5, n, seeds, shuffled) == w1
+        assert invariant_closure(F5, n, seeds, stack(F5, n, shuffled)) == w1
+
+    def test_operator_shapes_checked(self):
+        op = self.shift_op(F5, 4)
+        with pytest.raises(DimensionMismatch):
+            operator_stack(F5, 3, [op])
+        seed = [F5.vec([1, 0, 0, 0])]
+        for bad in (stack(F5, 4, [op])[:3], stack(F5, 4, [op, op])[:, :6]):
+            with pytest.raises(DimensionMismatch):
+                invariant_closure(F5, 4, seed, bad)
+            with pytest.raises(DimensionMismatch):
+                largest_invariant_within(Subspace.full(F5, 4), bad)
 
     def test_largest_invariant_within_invariant_input(self):
         n = 4
@@ -260,17 +279,18 @@ class TestSpinning:
         k = Subspace.from_vectors(
             F5, n, [F5.vec([0, 1, 0, 0]), F5.vec([0, 0, 1, 0]), F5.vec([0, 0, 0, 1])]
         )
-        assert largest_invariant_within(k, [op]) == k
+        assert largest_invariant_within(k, stack(F5, n, [op])) == k
 
     def test_largest_invariant_within_zero(self):
-        assert largest_invariant_within(Subspace.zero(F5, 3), []).dim == 0
+        assert largest_invariant_within(Subspace.zero(F5, 3),
+                                        stack(F5, 3, [])).dim == 0
 
     def test_largest_invariant_within_properties(self):
         rng = random.Random(11)
         n = 5
         ops = [rand_matrix(F5, n, n, rng) for _ in range(2)]
         k = rand_subspace(F5, n, 3, rng)
-        w = largest_invariant_within(k, ops)
+        w = largest_invariant_within(k, stack(F5, n, ops))
         assert w.leq(k)
         for v in w.basis.data:
             for op in ops:
@@ -280,8 +300,7 @@ class TestSpinning:
         for v in k.basis.data:
             if not w.contains(v):
                 grown = invariant_closure(
-                    F5, n, list(w.basis.data) + [v], ops
-                )
+                    F5, n, list(w.basis.data) + [v], stack(F5, n, ops))
                 assert not grown.leq(k)
 
 
@@ -605,7 +624,7 @@ class TestEchelonDifferential:
         seeds = list(data.draw(_matrices(ctx, data.draw(st.integers(1, 2)), n)))
         if data.draw(st.booleans()):
             seeds = [ctx.eye(n)[0]]
-        assert_same(invariant_closure(ctx, n, seeds, ops),
+        assert_same(invariant_closure(ctx, n, seeds, stack(ctx, n, ops)),
                     ref_closure(ctx, n, seeds, ops))
 
     @settings(max_examples=40, deadline=None)
@@ -614,7 +633,7 @@ class TestEchelonDifferential:
         n = data.draw(st.integers(1, 6))
         k = data.draw(_subspaces(ctx, n))
         ops = data.draw(_operators(ctx, n))
-        assert_same(largest_invariant_within(k, ops),
+        assert_same(largest_invariant_within(k, stack(ctx, n, ops)),
                     ref_largest_invariant_within(k, ops))
 
     def test_shift_chain(self, ctx, monkeypatch):
@@ -624,12 +643,12 @@ class TestEchelonDifferential:
         n = 8
         op = _shift(ctx, n)
         seed = [ctx.eye(n)[0]]
-        w = invariant_closure(ctx, n, seed, [op])
+        w = invariant_closure(ctx, n, seed, stack(ctx, n, [op]))
         assert w.dim == n
         assert_same(w, ref_closure(ctx, n, seed, [op]))
         k = Subspace.from_vectors(ctx, n,
                                   list(ctx.eye(n)[[*range(n - 2), n - 1]]))
-        core = largest_invariant_within(k, [op])
+        core = largest_invariant_within(k, stack(ctx, n, [op]))
         assert core.pivots == [n - 1]
         assert_same(core, ref_largest_invariant_within(k, [op]))
 
@@ -647,7 +666,8 @@ class TestEchelonDifferential:
             return real(c, a, b)
 
         monkeypatch.setattr(linalg, name, counting)
-        both = invariant_closure(ctx, n, seed, [op, Matrix.zeros(ctx, n, n)])
+        both = invariant_closure(ctx, n, seed,
+                                 stack(ctx, n, [op, Matrix.zeros(ctx, n, n)]))
         assert_same(both, w)
         assert shapes.count((n, 2 * n)) == n - 1
 
@@ -836,8 +856,8 @@ class TestIntegerRowReduction:
         shift[np.arange(1, n), np.arange(n - 1)] = 1
         shift = Matrix.from_int(Q, shift)
         ops = [shift, Matrix.from_int(Q, ints(n), 3)]
-        closure = invariant_closure(Q, n, [eye[0]], ops)
-        core = largest_invariant_within(grown, [shift])
+        closure = invariant_closure(Q, n, [eye[0]], stack(Q, n, ops))
+        core = largest_invariant_within(grown, stack(Q, n, [shift]))
         rows, c = ints(4), ints(1, 4)
         solver = SpanSolver(Q, rows)
         coeffs, u, in_span = solver.coords_int_rows(
@@ -849,7 +869,8 @@ class TestIntegerRowReduction:
         assert in_span.tolist() == [True, False, False]
         # the same answers as from Fraction arrays
         assert ker == kernel(Matrix(Q, m.data))
-        assert closure == invariant_closure(Q, n, [Q.eye(n)[0]], ops)
+        assert closure == invariant_closure(Q, n, [Q.eye(n)[0]],
+                                            stack(Q, n, ops))
         assert grown == Subspace.from_vectors(
             Q, n, np.concatenate([w.basis.data, from_int(Q, added, 1)]))
         # (c rows / 7) has the coefficients c / 7

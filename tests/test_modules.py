@@ -32,6 +32,7 @@ from superlie.modules import (
     _nonzeros,
     _weight_support,
     dual,
+    induced_operators,
     hom_space,
     lambda2,
     module_from_json,
@@ -163,7 +164,8 @@ def ref_adjoint_module(alg, roots, weights, name):
     conjugation: ad read off the structure constants, and one
     ref_conjugation_family per (label, root, matrix) of roots."""
     fams = [ref_conjugation_family(alg, l, m, w) for l, w, m in roots]
-    return GModule(alg.ctx, alg.labels, alg.labels, alg.ad_matrices(), fams,
+    ads = [alg.ad(i) for i in range(alg.dim)]
+    return GModule(alg.ctx, alg.labels, alg.labels, ads, fams,
                    weights=weights, brackets=alg.consts, meta={"name": name})
 
 
@@ -257,6 +259,22 @@ class TestIntegerFormCount:
         rep = hom_space(sym2(symn_dual(5, Q)), adjoint_sl2_module(Q), "both")
         assert (rep.dim_group, rep.dim_algebra) == (1, 1)
         assert calls == []
+
+    def test_trivial_quotient_defect_reads_integer_forms(self, monkeypatch):
+        # the seeds are the columns of the operators' integer forms, read
+        # off their stack: no Fraction array over Q, and the closure of the
+        # Fraction columns.  Sym2 of the self-dual Sym_4* has one trivial
+        # quotient, the invariant form
+        m = sym2(symn_dual(4, Q))
+        ops = m.all_operators()
+        want = linalg.invariant_closure(
+            Q, m.dim, [v for op in ops for v in op.data.T],
+            linalg.operator_stack(Q, m.dim, ops)[0])
+        calls = count_conversions(monkeypatch)
+        got = trivial_quotient_defect(m)
+        assert calls == []
+        assert got == want and got.pivots == want.pivots
+        assert (got.dim, m.dim) == (14, 15)
 
 
 class TestRepresentationCheck:
@@ -1020,6 +1038,102 @@ class TestJson:
         text = build().to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert module_from_json(text).to_json() == text
+
+
+# ---------------------------------------------------------------------------
+# induced operators from one product, against the per-operator loop
+# ---------------------------------------------------------------------------
+
+def ref_induced_operators(ctx, named_ops, w, reps):
+    """The loop induced_operators replaced: one product and one
+    coordinate solve per operator, each on its own scale."""
+    nw = w.dim
+    if not nw + len(reps):
+        return [Matrix.zeros(ctx, 0, 0) for _ in named_ops]
+    rows = w.basis.ints
+    if len(reps):
+        rows = np.concatenate([rows,
+                               linalg._array_form(ctx, np.asarray(reps))[0]])
+    solver = SpanSolver(ctx, rows)
+    out = []
+    for name, op in named_ops:
+        coords, u, in_span = solver.coords_int_rows(
+            int_matmul(ctx, rows, op.ints.T), op.scale)
+        if not in_span.all() or np.any(coords[:nw, nw:]):
+            raise NotInvariant(name)
+        out.append(Matrix.from_int(ctx, coords[nw:, nw:].T.copy(), u,
+                                   reduced=True))
+    return out
+
+
+def named_operators(m):
+    """Every Lie element and family coefficient of m, named as the
+    subquotients name them."""
+    named = list(zip(m.lie_labels, m.lie_action))
+    for f in m.families:
+        named += [(f"{f.label}[t^{k}]", op) for k, op in enumerate(f.ops)]
+    return named
+
+
+def induced_outcome(fn, *args):
+    """fn(*args), or the name NotInvariant carries."""
+    try:
+        return fn(*args)
+    except NotInvariant as e:
+        return "NotInvariant", e.operator_name
+
+
+class TestInducedOperatorsDifferential:
+    def test_brj_layers(self, monkeypatch):
+        # Lw2 = L2V / line, M <= N on its basis, U = N-span / socle
+        layers = []
+        real = modules.induced_operators
+
+        def checked(ctx, named, w, reps):
+            got = real(ctx, named, w, reps)
+            assert got == ref_induced_operators(ctx, named, w, reps)
+            layers.append((w.dim, len(reps), len(named)))
+            return got
+
+        monkeypatch.setattr(modules, "induced_operators", checked)
+        brj.brj25(p=5, skip_simplicity=True)
+        assert [layer[:2] for layer in layers] == [(1, 5), (0, 16), (4, 12)]
+
+    @pytest.mark.parametrize("ctx", [Q, BIG], ids=repr)
+    def test_sym2_submodule_and_quotient(self, ctx):
+        m = sym2(symn_dual(4, ctx))
+        w = submodule_generated(m, [ctx.eye(m.dim)[0]])
+        assert (m.dim, w.dim) == (15, 9)
+        named = named_operators(m)
+        zero = Subspace.zero(ctx, m.dim)
+        keep = [i for i in range(m.dim) if i not in w.pivots]
+        for sub, reps in ((zero, w.basis.ints), (zero, list(w.basis.data)),
+                          (w, np.eye(m.dim, dtype=np.int64)[keep]),
+                          (zero, np.eye(m.dim, dtype=np.int64))):
+            assert (induced_operators(ctx, named, sub, reps)
+                    == ref_induced_operators(ctx, named, sub, reps))
+
+    @pytest.mark.parametrize("ctx", [F5, Q, BIG], ids=repr)
+    def test_first_failing_operator_is_named(self, ctx):
+        # perturbed operators at k and k + 2: both paths name the one at k
+        m = sym2(symn_dual(4, ctx))
+        w = submodule_generated(m, [ctx.eye(m.dim)[0]])
+        named = named_operators(m)
+        keep = [i for i in range(m.dim) if i not in w.pivots]
+        unit = np.zeros((m.dim, m.dim), dtype=np.int64)
+        unit[keep[0], w.pivots[0]] = 1
+        bump = Matrix.from_int(ctx, unit)
+        for k in (0, 5, len(named) - 3):
+            bad = list(named)
+            for i in (k, k + 2):
+                bad[i] = (bad[i][0], bad[i][1] + bump)
+            for sub, reps in ((w, np.eye(m.dim, dtype=np.int64)[keep]),
+                              (Subspace.zero(ctx, m.dim), w.basis.ints)):
+                want = induced_outcome(ref_induced_operators, ctx, bad, sub,
+                                       reps)
+                assert want == ("NotInvariant", named[k][0])
+                assert induced_outcome(induced_operators, ctx, bad, sub,
+                                       reps) == want
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from superlie.brj import (
     sp4_natural_module,
 )
 from superlie.fields import FieldCtx, InputError, SuperlieError
-from superlie.linalg import DimensionMismatch, Matrix, Subspace, from_int, kernel
-from superlie.modules import CoeffOperatorFamily, GModule, hom_space, sym2
+from superlie.linalg import (DimensionMismatch, Matrix, Subspace, from_int,
+                             int_family, int_matmul, kernel)
+from superlie.modules import (CoeffOperatorFamily, GModule, _kron_coeffs,
+                              hom_space, square_layout, sym2)
 from superlie.pairs import (
     BilinearMap,
     CubicViolation,
@@ -46,11 +48,10 @@ from superlie.constructions import (
     pgl,
     sl2_algebra,
     sl2_symn_algebra,
-    sl2_symn_bracket,
-    sl2_symn_constants,
     sl2_symn_pair,
     symn_dual,
 )
+from sl2_oracles import sl2_symn_bracket, sl2_symn_constants
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
@@ -202,6 +203,55 @@ def equivariance_witness(odd, bracket, adjoint_families):
     except EquivarianceViolation as e:
         return e.family_label, e.power, e.pair
     return None
+
+
+def ref_check_equivariance(odd, bracket, adjoint_families):
+    """The per-power loop _check_equivariance replaced: for each family
+    and each m, K J_m and H_m K from two products of their own, H_m
+    zero past its degree."""
+    ctx = odd.ctx
+    adj = {f.label: f for f in adjoint_families}
+    pairs, _, fold = square_layout(odd.dim, +1)
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    (kmat,), _ = int_family(ctx, [ctx.reduce(
+        bracket.consts[i, j] * (1 + (i < j))[:, None]).T])
+    coeffs, s = _kron_coeffs(ctx, [(f.ops, f.ops, range(1, 2 * f.degree + 1))
+                                   for f in odd.families], fold)
+    for fam, ts in zip(odd.families, coeffs):
+        if fam.label not in adj:
+            raise EquivarianceViolation(fam.label, -1, (-1, -1))
+        gfam = adj[fam.label]
+        max_deg = max(2 * fam.degree, gfam.degree)
+        bad = np.zeros((max_deg + 1, len(pairs)), dtype=bool)
+        for m in range(1, max_deg + 1):
+            g = gfam.op(m)
+            lhs, rhs = 0, int_matmul(ctx, g.ints, kmat)
+            if m <= len(ts):
+                lhs = int_matmul(ctx, kmat, ts[m - 1]) * g.scale
+                rhs = rhs * s
+            bad[m] = np.any(ctx.reduce(lhs - rhs), axis=0)
+        cols = np.nonzero(np.any(bad, axis=0))[0]
+        if len(cols):
+            c = int(cols[0])
+            raise EquivarianceViolation(fam.label, int(np.argmax(bad[:, c])),
+                                        pairs[c])
+
+
+def per_power_witness(odd, bracket, adjoint_families):
+    """ref_check_equivariance's (family label, power, pair), or None."""
+    try:
+        ref_check_equivariance(odd, bracket, adjoint_families)
+    except EquivarianceViolation as e:
+        return e.family_label, e.power, e.pair
+    return None
+
+
+def relabeled(families, shift):
+    """The families with their labels moved shift places along the list:
+    valid families matched to the wrong adjoint family."""
+    labels = [f.label for f in families]
+    return [CoeffOperatorFamily(labels[(k + shift) % len(labels)], f.ops,
+                                f.root) for k, f in enumerate(families)]
 
 
 def adj_families(ctx):
@@ -375,6 +425,34 @@ class TestAssembly:
                 seen.add(got)
             assert len(seen - {None}) > 1
 
+    def test_equivariance_matches_per_power_loop(self):
+        # brj's pair at p = 5 and sl2 x Sym_3* at p = 3: the bracket as it
+        # is, with one basis vector added at each pair (sl2) or four
+        # constants changed (brj), and with the adjoint families relabeled
+        pair = brj25(p=5, skip_simplicity=True).pair
+        base = pair.bracket.consts
+        nz = np.argwhere(np.triu(base.astype(bool).transpose(2, 0, 1)))
+        brj_brackets = [base]
+        for k, i, j in (nz[0], nz[len(nz) // 2], nz[-1]):
+            consts = base.copy()
+            consts[i, j, k] = consts[j, i, k] = F5.mul(base[i, j, k], 2)
+            brj_brackets.append(consts)
+        even, adj = adj_families(F3)
+        sym3 = sl2_symn_bracket(3, 1, F3).consts
+        cases = [(pair.odd, pair.adjoint_families, brj_brackets),
+                 (pair.odd, relabeled(pair.adjoint_families, 1), [base]),
+                 (symn_dual(3, F3), adj, [sym3, *bumped(F3, sym3)]),
+                 (symn_dual(3, F3), relabeled(adj, 1), [sym3])]
+        seen = set()
+        for odd, families, brackets in cases:
+            for consts in brackets:
+                b = BilinearMap(odd.ctx, consts)
+                got = equivariance_witness(odd, b, families)
+                assert got == per_power_witness(odd, b, families)
+                seen.add(got)
+        # the pairs as built pass, and the changes fail at several places
+        assert None in seen and len(seen) > 4
+
     def test_split_pair(self):
         even, adj = adj_families(F5)
         odd = symn_dual(3, F5)
@@ -441,7 +519,8 @@ def sl2_cubed_pieces(ctx):
                 weights=[tuple(1 - 2 * b for b in bits)
                          for bits in product((0, 1), repeat=3)],
                 brackets=even.consts)
-    adj = GModule(ctx, even.labels, even.labels, even.ad_matrices(), adj_fams,
+    ads = [even.ad(i) for i in range(even.dim)]
+    adj = GModule(ctx, even.labels, even.labels, ads, adj_fams,
                   weights=[roots.get(i, (0, 0, 0)) for i in range(9)],
                   brackets=even.consts)
     return even, w, adj

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from superlie.linalg import (
     Subspace,
     invariant_closure,
     kernel,
+    operator_stack,
 )
 from superlie.superalgebra import (
     N_RANDOM,
@@ -34,10 +37,16 @@ from superlie.constructions import (
     coords_of_matrix,
     d21,
     gl,
+    periplectic,
     periplectic_derived,
+    pgl,
+    pq,
     psl,
     psq,
+    queer,
+    scalar_ideal,
     sl,
+    sl2_algebra,
     spo,
 )
 
@@ -621,6 +630,29 @@ class TestGradedInvariant:
         assert a.derived_subalgebra().dims == (4, 4)
         assert calls == []
 
+    def test_ideal_checks_read_integer_forms(self, monkeypatch):
+        # over Q, verify and subalgebra bracket the basis's integer form:
+        # no Fraction array of the basis is made
+        a = sl(2, 2, Q)
+        scalars, derived = scalar_ideal(a), a.derived_subalgebra()
+        root = SuperIdeal(a, Subspace.from_vectors(
+            Q, a.dim, [Q.eye(a.dim)[a.labels.index("E1,2")]]))
+        want = loop_subalgebra_table(a, bracket_table(a), derived.space)
+        bases = [i.space.basis.ints for i in (scalars, root, derived)]
+        on_basis = []
+        real = linalg.from_int
+
+        def counting(ctx, ints, s):
+            on_basis.append(any(ints is b for b in bases))
+            return real(ctx, ints, s)
+
+        monkeypatch.setattr(linalg, "from_int", counting)
+        monkeypatch.setattr(superalgebra, "from_int", counting)
+        assert scalars.verify() and not root.verify()
+        sub = a.subalgebra_from_ideal(derived)
+        assert not any(on_basis)
+        assert bracket_table(sub) == want
+
     @pytest.mark.parametrize("build", [
         lambda: gl(2, 1, F5), lambda: sl(2, 1, Q),
         lambda: periplectic_derived(2, F5), lambda: psq(2, F3),
@@ -733,6 +765,16 @@ def rebased(alg):
     return build_superalgebra(ctx, list(zip(alg.labels, alg.parities)), table)
 
 
+def ad_matrices(alg):
+    return [alg.ad(i) for i in range(alg.dim)]
+
+
+def spin(alg, seed, ops):
+    """The closure of one seed vector under a Matrix list."""
+    return invariant_closure(alg.ctx, alg.dim, [seed],
+                             operator_stack(alg.ctx, alg.dim, ops)[0])
+
+
 class TestNorton:
     @staticmethod
     def keys(alg, cert):
@@ -753,10 +795,9 @@ class TestNorton:
         assert keys.count(keys[j]) == 1
         seed = ctx.zeros(alg.dim)
         seed[j] = ctx.one
-        ads = alg.ad_matrices()
-        assert invariant_closure(ctx, alg.dim, [seed], ads).dim == alg.dim
-        dual = [m.transpose() for m in ads]
-        assert invariant_closure(ctx, alg.dim, [seed], dual).dim == alg.dim
+        ads = ad_matrices(alg)
+        assert spin(alg, seed, ads).dim == alg.dim
+        assert spin(alg, seed, [m.transpose() for m in ads]).dim == alg.dim
 
     @pytest.mark.parametrize("build", [
         lambda: sl(3, 4, F5),
@@ -788,10 +829,9 @@ class TestNorton:
         # e spins to everything under ad, so only the transposed spin sees
         # the ideal V
         alg = sl2_natural_odd(F5)
-        ads = alg.ad_matrices()
         seed = F5.zeros(alg.dim)
         seed[0] = 1
-        assert invariant_closure(F5, alg.dim, [seed], ads).dim == alg.dim
+        assert spin(alg, seed, ad_matrices(alg)).dim == alg.dim
         cert = alg.norton_certificate().certificate
         assert cert["seed_index"] == 0 and cert["proof"] is False
         v = alg.is_graded_simple()
@@ -836,10 +876,121 @@ class TestNorton:
         j = alg.norton_certificate().certificate["seed_index"]
         seed = F5.zeros(alg.dim)
         seed[j] = 1
-        dual = invariant_closure(F5, alg.dim, [seed],
-                                 [m.transpose() for m in alg.ad_matrices()])
+        dual = spin(alg, seed, [m.transpose() for m in ad_matrices(alg)])
         assert 0 < dual.dim < alg.dim
         assert not SuperIdeal(alg, dual).verify()
+
+
+def ref_center(alg):
+    """The dense kernel center() replaced: row (j, k), column m of the
+    n^2 x n system holds the coefficient of e_k in [e_m, e_j]."""
+    n = alg.dim
+    return kernel(Matrix(alg.ctx, alg.consts.transpose(1, 2, 0).reshape(
+        n * n, n)))
+
+
+def ref_norton_certificate(alg):
+    """norton_certificate as it spun over the n ad matrices and their n
+    transposes, from a field unit vector."""
+    ctx, n = alg.ctx, alg.dim
+    ads = ad_matrices(alg)
+    diag = [h for h in alg.even_coords
+            if not np.any(ads[h].data - np.diag(np.diag(ads[h].data)))]
+    keys = [(alg.parities[j], tuple(ads[h].data[j, j] for h in diag))
+            for j in range(n)]
+    counts = Counter(keys)
+    j = next((j for j, k in enumerate(keys) if counts[k] == 1), None)
+    if j is None:
+        return None
+    cert = {"found_by": "norton", "diagonal": diag, "seed_index": j,
+            "parity": keys[j][0],
+            "weight": [ctx.scalar_to_str(x) for x in keys[j][1]]}
+    seed = ctx.zeros(n)
+    seed[j] = ctx.one
+    w = spin(alg, seed, ads)
+    if w.dim < n:
+        return "NotSimple", {**cert, "proof": False, "proper_spin": "ad"}, w
+    dual = spin(alg, seed, [m.transpose() for m in ads])
+    if dual.dim < n:
+        return ("NotSimple", {**cert, "proof": False,
+                              "proper_spin": "transpose"},
+                kernel(dual.basis))
+    return "GradedSimple", {**cert, "proof": True}, None
+
+
+def catalog_algebras(ctx):
+    """One or two small algebras of every catalog family."""
+    return [gl(2, 1, ctx), sl(2, 1, ctx), sl(2, 2, ctx), sl(3, 1, ctx),
+            pgl(2, 2, ctx), psl(2, 2, ctx), spo(2, 1, ctx), spo(2, 3, ctx),
+            spo(4, 1, ctx), periplectic(3, ctx), periplectic_derived(3, ctx),
+            queer(2, ctx), pq(2, ctx), psq(2, ctx), psq(3, ctx),
+            d21(D21Params(1, 1, -2), ctx), d21(D21Params(0, 1, -1), ctx),
+            sl2_algebra(ctx), sl2_natural_odd(ctx)]
+
+
+def assert_same_space(got, want):
+    assert got == want and got.pivots == want.pivots
+
+
+def assert_matches_dense(alg):
+    """centre, Norton and two ideal closures against the references; the
+    Norton verdict, or None."""
+    ctx = alg.ctx
+    assert_same_space(alg.center().space, ref_center(alg))
+    for i in (0, alg.dim - 1):
+        seed = ctx.eye(alg.dim)[i]
+        assert_same_space(alg.ideal_closure([seed]).space,
+                          spin(alg, seed, ad_matrices(alg)))
+    got, want = alg.norton_certificate(), ref_norton_certificate(alg)
+    if want is None:
+        assert got is None
+        return None
+    assert (got.verdict, got.certificate) == want[:2]
+    if want[2] is None:
+        assert got.witness is None
+    else:
+        assert_same_space(got.witness.space, want[2])
+    return want[0]
+
+
+class TestStackedDifferential:
+    """The centre on the weight-zero coordinates and the spins over the
+    stacked structure constants, against the dense centre kernel and the
+    spins over ad matrices."""
+
+    @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
+    def test_catalog_algebras(self, ctx):
+        verdicts = Counter(assert_matches_dense(alg)
+                           for alg in catalog_algebras(ctx))
+        assert verdicts["GradedSimple"] and verdicts["NotSimple"]
+
+    def test_preset_algebras(self):
+        for alg in preset_algebras():
+            assert_matches_dense(alg)
+
+
+class TestSpinTrace:
+    def test_spins_run_under_invariant_closure(self, monkeypatch):
+        # perfbench's linalg.invariant_closure layer wraps every name bound
+        # to the function in the package: Norton's two spins and each ideal
+        # closure are counted there
+        real, calls = linalg.invariant_closure, []
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("superlie"):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is real:
+                        monkeypatch.setattr(mod, attr, counting)
+        alg = sl(2, 1, F5)
+        assert alg.norton_certificate().certificate["proof"] is True
+        assert calls == [alg.dim, alg.dim]
+        calls.clear()
+        assert alg.ideal_closure([F5.eye(alg.dim)[0]]).dim == alg.dim
+        assert calls == [alg.dim]
 
 
 class TestSearch:
