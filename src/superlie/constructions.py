@@ -1,8 +1,13 @@
 """Named builders for the algebra and module families of the catalog.
 
-All matrix families are produced by one generic routine that takes explicit
-supermatrices, computes supercommutators, and re-expresses them in the given
-basis, so the structure constants are derived rather than transcribed.  sl2's
+gl and sl (so pgl and psl, their quotients by the scalars) are spanned by
+matrix units and supertraceless diagonals, so their structure constants are
+read off the matrix-unit rule [E_ab, E_cd] = d_bc E_ad - (-1)^{|E_ab||E_cd|}
+d_da E_cb on integers, by position (_unit_algebra): no matrix product and no
+span solve.  The other matrix families go through algebra_from_matrices,
+which takes explicit supermatrices, computes supercommutators and
+re-expresses them in the given basis.  Either way the structure constants
+are derived rather than transcribed, and validated.  sl2's
 data is written once, as small integer arrays (SL2_*): sl2_algebra takes its
 matrices from them, symn_module its labels and brackets, adjoint_sl2_module
 its labels, brackets and ad(x_i) = SL2_BRACKETS[i].T, and d21 assembles its
@@ -27,7 +32,9 @@ from .linalg import (
     from_int,
     int_family,
     int_matmul,
+    join,
     kernel,
+    nonzero_sums,
 )
 from .modules import CoeffOperatorFamily, GModule, dual, hom_space, sym2
 from .pairs import (BilinearMap, HCPair, assemble_pair, normalised,
@@ -127,72 +134,101 @@ def algebra_from_matrices(ctx: FieldCtx,
 
 
 def coords_of_matrix(alg: LieSuperalgebra, m: np.ndarray) -> Optional[np.ndarray]:
-    """Coordinates of an ambient matrix in a matrix-built algebra's basis."""
-    solver: SpanSolver = alg.matrix_solver  # type: ignore[attr-defined]
+    """Coordinates of an ambient matrix in a matrix-built algebra's basis,
+    from a SpanSolver of its matrix_basis, built on first use and kept."""
+    solver = getattr(alg, "matrix_solver", None)
+    if solver is None:
+        mats: List[np.ndarray] = alg.matrix_basis  # type: ignore[attr-defined]
+        solver = SpanSolver(alg.ctx, np.stack(mats).reshape(len(mats), -1))
+        alg.matrix_solver = solver  # type: ignore[attr-defined]
     return solver.coords(alg.ctx.reduce(np.asarray(m)).reshape(-1))
-
-
-def _unit(ctx: FieldCtx, n: int, a: int, b: int) -> np.ndarray:
-    m = ctx.zeros(n, n)
-    m[a, b] = ctx.one
-    return m
 
 
 # ---------------------------------------------------------------------------
 # gl / sl / pgl / psl
 # ---------------------------------------------------------------------------
 
+def _unit_algebra(ctx: FieldCtx, n_amb: int, basis: Sequence[Tuple[str, int]],
+                  entries: np.ndarray, reader: np.ndarray,
+                  meta: dict) -> LieSuperalgebra:
+    """The algebra spanned by the supermatrices X_e = sum v E_ab over the
+    integer unit entries (e, a, b, v), the columns of entries, on the
+    (label, parity) basis, with every bracket from the matrix-unit rule
+    [E_ab, E_cd] = d_bc E_ad - (-1)^{|E_ab||E_cd|} d_da E_cb.  One join of
+    the entries on the middle index gives every product term v v' E_ad of
+    X_e X_f, which enters [X_e, X_f] as it is and [X_f, X_e] times
+    -(-1)^{|e||f|}; only the pairs e <= f are kept (algebra_from_consts
+    fills the rest by super-antisymmetry).  The columns (pos, k, c) of
+    reader give coordinates by position: E_ab, at pos = a n_amb + b, is
+    the sum of c e_k over its columns.  The terms are summed per (e, f, k) on integers
+    (nonzero_sums) and made field scalars once (from_int); the algebra is
+    validated as every built algebra is."""
+    el, row, col, val = entries
+    pos, k, c = reader
+    d = len(basis)
+    odd = np.array([parity for _, parity in basis], dtype=bool)
+    x, y = join(col, row)
+    e, f = el[x], el[y]
+    sign = np.where(odd[e] & odd[f], -1, 1)
+    coef = (e <= f).astype(np.int64) - sign * (e >= f)
+    keep = np.flatnonzero(coef)
+    x, y, e, f = x[keep], y[keep], e[keep], f[keep]
+    t, u = join(row[x] * n_amb + col[y], pos)
+    keys = (np.minimum(e, f)[t] * d + np.maximum(e, f)[t]) * d + k[u]
+    terms = (val[x] * val[y] * coef[keep])[t] * c[u]
+    keys, sums = nonzero_sums(ctx, keys, terms)
+    consts = ctx.zeros(d, d, d)
+    consts.flat[keys] = from_int(ctx, sums, 1)
+    alg = algebra_from_consts(ctx, basis, consts, meta=meta)
+    mats = ctx.zeros(d, n_amb, n_amb)
+    mats[el, row, col] = from_int(ctx, val, 1)
+    alg.matrix_basis = list(mats)  # type: ignore[attr-defined]
+    return alg
+
+
+def _gl_sl(m: int, n: int, ctx: FieldCtx, name: str) -> LieSuperalgebra:
+    """gl(m|n) on the units E_ab, or sl(m|n) on the off-diagonal units and
+    the supertraceless diagonal H_i = E_ii - E_(i+1)(i+1), except across
+    the parity boundary, where H_m = E_mm + E_(m+1)(m+1).  Basis: the even
+    units row-major (A block, then D block), sl's H_i, then the odd units
+    row-major (B block, then C block).  Labels E{a},{b} and H{i}, 1-based.
+    A unit reads as its own basis element.  A diagonal matrix sum d_a E_aa
+    of supertrace zero is sum h_i H_i with h_0 = d_0 and h_(i+1) =
+    d_(i+1) +- h_i, so E_aa reads as sum T[a, i] H_i for the N x (N-1)
+    integer matrix T[a, i] = 0 for a > i, -1 for a < m <= i, else 1."""
+    N, bp, traceless = m + n, [0] * m + [1] * n, name == "sl"
+    hs = range(N - 1 if traceless else 0)
+    units = [[(a, b) for a in range(N) for b in range(N)
+              if (bp[a] + bp[b]) % 2 == q and not (traceless and a == b)]
+             for q in (0, 1)]
+    elems = [(f"E{a+1},{b+1}", 0, [(a, b, 1)]) for a, b in units[0]]
+    elems += [(f"H{i+1}", 0, [(i, i, 1),
+                              (i + 1, i + 1, 1 if i == m - 1 else -1)])
+              for i in hs]
+    elems += [(f"E{a+1},{b+1}", 1, [(a, b, 1)]) for a, b in units[1]]
+    entries = [(k, a, b, v) for k, (_, _, es) in enumerate(elems)
+               for a, b, v in es]
+    reader = [(a * N + b, k, 1) for k, (_, _, es) in enumerate(elems)
+              if len(es) == 1 for a, b, _ in es]
+    reader += [(a * N + a, len(units[0]) + i, -1 if a < m <= i else 1)
+               for i in hs for a in range(i + 1)]
+    return _unit_algebra(ctx, N, [(label, q) for label, q, _ in elems],
+                         np.array(entries).T, np.array(reader).T,
+                         {"name": name, "m": m, "n": n})
+
+
 def gl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
-    """gl(m|n) on elementary matrices; even elements first (A block row-major,
-    then D block), odd after (B block, then C block).  Labels E{i}{j}, 1-based."""
+    """gl(m|n) on elementary matrices (see _gl_sl for the basis)."""
     if m + n < 1:
         raise InputError("need m+n >= 1")
-    N = m + n
-    bp = [0] * m + [1] * n
-    elems = []
-    for a in range(N):
-        for b in range(N):
-            if (bp[a] + bp[b]) % 2 == 0:
-                elems.append((f"E{a+1},{b+1}", 0, _unit(ctx, N, a, b)))
-    for a in range(N):
-        for b in range(N):
-            if (bp[a] + bp[b]) % 2 == 1:
-                elems.append((f"E{a+1},{b+1}", 1, _unit(ctx, N, a, b)))
-    return algebra_from_matrices(
-        ctx, elems, bp, meta={"name": "gl", "m": m, "n": n})
-
-
-def _sl_elems(m: int, n: int, ctx: FieldCtx):
-    N = m + n
-    bp = [0] * m + [1] * n
-    elems = []
-    for a in range(N):
-        for b in range(N):
-            if a != b and (bp[a] + bp[b]) % 2 == 0:
-                elems.append((f"E{a+1},{b+1}", 0, _unit(ctx, N, a, b)))
-    # supertraceless diagonal basis: H_i = E_ii - E_{i+1,i+1} except across the
-    # parity boundary, where H_m = E_mm + E_{m+1,m+1}
-    for i in range(N - 1):
-        h = _unit(ctx, N, i, i)
-        if i == m - 1:
-            h = ctx.reduce(h + _unit(ctx, N, i + 1, i + 1))
-        else:
-            h = ctx.reduce(h - _unit(ctx, N, i + 1, i + 1))
-        elems.append((f"H{i+1}", 0, h))
-    for a in range(N):
-        for b in range(N):
-            if (bp[a] + bp[b]) % 2 == 1:
-                elems.append((f"E{a+1},{b+1}", 1, _unit(ctx, N, a, b)))
-    return elems, bp
+    return _gl_sl(m, n, ctx, "gl")
 
 
 def sl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
-    """Supertraceless matrices in gl(m|n)."""
+    """Supertraceless matrices in gl(m|n) (see _gl_sl for the basis)."""
     if m + n < 2:
         raise InputError("need m+n >= 2")
-    elems, bp = _sl_elems(m, n, ctx)
-    return algebra_from_matrices(
-        ctx, elems, bp, meta={"name": "sl", "m": m, "n": n})
+    return _gl_sl(m, n, ctx, "sl")
 
 
 def identity_coords(alg: LieSuperalgebra) -> np.ndarray:
@@ -258,11 +294,8 @@ def _gram_orthogonal(ctx: FieldCtx, d: int) -> np.ndarray:
 def _gram_algebra_basis(ctx: FieldCtx, g: np.ndarray) -> List[np.ndarray]:
     """Canonical basis of {X : X^t g + g X = 0}."""
     n = g.shape[0]
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            e = _unit(ctx, n, a, b)
-            cols.append(ctx.reduce(e.T @ g + g @ e).reshape(-1))
+    cols = [ctx.reduce(e.T @ g + g @ e).reshape(-1)
+            for e in ctx.eye(n * n).reshape(n * n, n, n)]
     constraint = Matrix(ctx, np.stack(cols, axis=1))
     ker = kernel(constraint)
     return [v.reshape(n, n).copy() for v in ker.basis.data]

@@ -27,11 +27,11 @@ from .linalg import (
     Subspace,
     bilinear,
     exact_matmul,
+    int_bilinear,
     int_family,
     int_matmul,
     kernel,
     largest_invariant_within,
-    operator_images,
     operator_stack,
 )
 from .modules import (
@@ -344,58 +344,71 @@ def check_sas_conditions(pair: HCPair):
     return cond1, cond2, details
 
 
-def _vector_action(pair: HCPair, hs: np.ndarray) -> np.ndarray:
-    """The actions on the odd part of the even elements hs (rows in g
-    coordinates), as a (len(hs), dim_v, dim_v) stack: one contraction of
-    the lie_action stack."""
-    ctx, n = pair.even.ctx, pair.odd.dim
-    lie = np.array([a.data for a in pair.odd.lie_action], dtype=ctx.dtype)
-    acts = exact_matmul(ctx, hs, lie.reshape(pair.even.dim, n * n))
-    return acts.reshape(len(hs), n, n)
+def _action_stack(pair: HCPair, hs: np.ndarray) -> np.ndarray:
+    """The operator stack (linalg.operator_stack) of the actions on the odd
+    part of the even elements hs, integer rows in g coordinates, up to a
+    scale: one contraction of the stack of the lie_action operators."""
+    ctx, n, g = pair.even.ctx, pair.odd.dim, pair.even.dim
+    lie, _ = operator_stack(ctx, n, pair.odd.lie_action)
+    lie = lie.reshape(n, g, n).transpose(1, 0, 2).reshape(g, n * n)
+    acts = int_matmul(ctx, hs, lie).reshape(len(hs), n, n)
+    return acts.transpose(1, 0, 2).reshape(n, len(hs) * n)
 
 
 def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     """Normality conditions for a subpair, at the level checkable from
     module data.  cond1 is the algebra-level ideal condition; cond2-cond4
     are checked directly on the declared generators.  Each condition is
-    one batched containment test: every image lies in the space iff all
-    its residuals vanish."""
-    ctx, odd = pair.even.ctx, pair.odd
-    if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != odd.dim:
+    one batched containment test on integer forms: every image lies in the
+    space iff all its residuals vanish.  The bases' rows and the operator
+    stacks are taken up to scale, which changes no span."""
+    ctx, odd, n = pair.even.ctx, pair.odd, pair.odd.dim
+    if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != n:
         raise InvalidSubpair("subpair ambient dimensions do not match")
-    h, w = s.h_lie.basis.data, s.w.basis.data
+    h, w = s.h_lie.basis.ints, s.w.basis.ints
+    (c,), _ = int_family(ctx, [pair.bracket.consts])
 
     def inside(space: Subspace, rows: np.ndarray) -> bool:
-        return not space.residuals(rows).any()
+        return not space._residual(rows).astype(bool).any()
+
+    def images(vs: np.ndarray, ops_t: np.ndarray) -> np.ndarray:
+        # every op.v, for the rows v of vs and the operators of a stack
+        return int_matmul(ctx, vs, ops_t).reshape(-1, ops_t.shape[0])
+
+    def brackets(vs: np.ndarray) -> np.ndarray:
+        # every [v, x], for the rows v of vs and x of w
+        return int_bilinear(ctx, c, vs, w).reshape(-1, pair.even.dim)
 
     # subpair internal validity: w closed under H, bracket(w, w) in h_lie
-    gen_ops = []
+    gens = []
     for label in s.h_generators:
-        ops = [op.data for op in odd.family_by_label(label).ops[1:]]
-        if not inside(s.w, operator_images(ctx, w, ops)):
+        ops_t, _ = operator_stack(ctx, n, odd.family_by_label(label).ops[1:])
+        if not inside(s.w, images(w, ops_t)):
             raise InvalidSubpair(f"w not closed under {label}")
-        gen_ops += ops
-    acts = list(_vector_action(pair, h))
-    if not inside(s.w, operator_images(ctx, w, acts)):
+        gens.append(ops_t)
+    acts = _action_stack(pair, h)
+    if not inside(s.w, images(w, acts)):
         raise InvalidSubpair("w not closed under Lie(H)")
-    if not inside(s.h_lie, pair.bracket.brackets(w, w)):
+    if not inside(s.h_lie, brackets(w)):
         raise InvalidSubpair("bracket(w, w) leaves Lie(H)")
 
     report: Dict[str, bool] = {}
     # (1) at algebra level: Lie(H) is an ideal, stable under adjoint families
-    adj_ops = [op.data for f in pair.adjoint_families for op in f.ops[1:]]
+    adj_t, _ = operator_stack(ctx, pair.even.dim, [
+        op for f in pair.adjoint_families for op in f.ops[1:]])
     report["cond1_algebra_level"] = (
         SuperIdeal(pair.even, s.h_lie).verify()
-        and inside(s.h_lie, operator_images(ctx, h, adj_ops)))
+        and inside(s.h_lie, images(h, adj_t)))
     # (2) w invariant under every operator of the whole pair
-    report["cond2"] = inside(s.w, operator_images(
-        ctx, w, [op.data for op in odd.all_operators()]))
+    report["cond2"] = inside(s.w, images(
+        w, operator_stack(ctx, n, odd.all_operators())[0]))
     # (3) H acts trivially on V/w: positive-power images of the generator
-    # families and the images of Lie(H) land in w
-    eye = ctx.eye(odd.dim)
-    report["cond3"] = inside(s.w, operator_images(ctx, eye, gen_ops + acts))
+    # families and the images of Lie(H) land in w; the images of the unit
+    # vectors are the rows of the stacks
+    report["cond3"] = inside(s.w, np.concatenate(
+        [*gens, acts], axis=1).reshape(-1, n))
     # (4) [V, w] inside Lie(H)
-    report["cond4"] = inside(s.h_lie, pair.bracket.brackets(eye, w))
+    report["cond4"] = inside(s.h_lie, brackets(np.eye(n, dtype=w.dtype)))
     report["ok"] = all(report.values())
     return report
 

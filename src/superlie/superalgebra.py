@@ -113,7 +113,7 @@ class SuperIdeal:
         All brackets [w, e_j] come from one product and are tested in one
         batch."""
         a, n, w = self.parent, self.parent.dim, self.space
-        (c,), _ = int_family(a.ctx, [a.consts])
+        c, _ = a._int_consts()
         images = int_matmul(a.ctx, w.basis.ints, c.reshape(n, n * n))
         return not w._residual(images.reshape(-1, n)).astype(bool).any()
 
@@ -176,9 +176,10 @@ class LieSuperalgebra:
     constructor stores the array as given and makes it read-only;
     algebra_from_consts and build_superalgebra complete and check it.
 
-    The support of consts (its nonzero (i, j, k)) and the weight keys
-    (_weight_keys) are found once, on first use, and kept: over Q each zero
-    test is a Python call, and consts cannot change."""
+    The support of consts (its nonzero (i, j, k)), its integer form
+    (_int_consts) and the weight keys (_weight_keys) are found once, on
+    first use, and kept: over Q each zero test and each conversion is a
+    Python call per entry, and consts cannot change."""
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
                  parities: Sequence[int], consts: np.ndarray,
@@ -194,6 +195,7 @@ class LieSuperalgebra:
         self.consts = consts
         self.meta = dict(meta or {})
         self._support: Optional[Tuple[np.ndarray, ...]] = None
+        self._ints: Optional[Tuple[np.ndarray, int]] = None
         self._keys: Optional[Tuple[List[int], List[Tuple]]] = None
         # the centre's subspace: a SuperIdeal held here would point back at
         # self and leave every algebra to the cyclic collector
@@ -247,6 +249,15 @@ class LieSuperalgebra:
         an integer form c of consts, whose slice c[i] is ad(e_i)^T up to
         scale."""
         return c.transpose(axes).reshape(self.dim, self.dim * self.dim)
+
+    def _int_consts(self) -> Tuple[np.ndarray, int]:
+        """(c, s): consts == c / s, its integer form (int_family), made once
+        and read-only.  Over F_p c is consts itself and s is 1."""
+        if self._ints is None:
+            (c,), s = int_family(self.ctx, [self.consts])
+            c.setflags(write=False)
+            self._ints = c, s
+        return self._ints
 
     # -- validation ---------------------------------------------------------------
     def _coo(self):
@@ -395,7 +406,7 @@ class LieSuperalgebra:
                 parts.append(ev)
             if np.any(ov):
                 parts.append(ov)
-        (c,), _ = int_family(self.ctx, [self.consts])
+        c, _ = self._int_consts()
         return SuperIdeal(self, invariant_closure(
             self.ctx, self.dim, parts, self._ad_stack(c, (1, 0, 2))))
 
@@ -433,7 +444,7 @@ class LieSuperalgebra:
                                        meta=dict(self.meta))
         order = np.argsort(parities, kind="stable")
         b, t = w.basis.ints[order], w.basis.scale
-        (c,), s = int_family(self.ctx, [self.consts])
+        c, s = self._int_consts()
         # the brackets of the rows b / t, over the scale s t^2
         images = int_bilinear(self.ctx, c, b, b).reshape(d * d, self.dim)
         if w._residual(images).astype(bool).any():
@@ -559,7 +570,7 @@ class LieSuperalgebra:
             "parity": keys[j][0],
             "weight": [ctx.scalar_to_str(x) for x in keys[j][1]],
         }
-        (c,), _ = int_family(ctx, [self.consts])
+        c, _ = self._int_consts()
         seed = np.eye(1, n, j, dtype=np.int64)
         spin = invariant_closure(ctx, n, seed, self._ad_stack(c, (1, 0, 2)))
         if spin.dim < n:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from superlie import constructions
+from superlie import constructions, linalg
 from superlie.fields import FieldCtx, InputError
 from superlie.linalg import Matrix, from_int, solve
 from superlie.superalgebra import CenterNotInside, JacobiViolation
@@ -32,6 +32,7 @@ from superlie.constructions import (
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
+BIG = FieldCtx.prime(2**31 - 1)
 Q = FieldCtx.rationals()
 
 
@@ -283,13 +284,12 @@ def built_tables(monkeypatch, build):
 class TestMatrixBuildDifferential:
     """algebra_from_matrices against loop_matrix_table."""
 
-    @pytest.mark.parametrize("ctx", [F3, F5, FieldCtx.prime(2**31 - 1), Q],
-                             ids=repr)
+    @pytest.mark.parametrize("ctx", [F3, F5, BIG, Q], ids=repr)
     def test_tables_match_loop(self, monkeypatch, ctx):
-        builds = (lambda: gl(2, 1, ctx), lambda: sl(2, 1, ctx),
-                  lambda: psl(2, 2, ctx), lambda: spo(2, 3, ctx),
-                  lambda: spo(4, 1, ctx), lambda: periplectic(3, ctx),
-                  lambda: psq(3, ctx))
+        # gl, sl and psl are built by the matrix-unit rule, not from
+        # matrices: TestUnitRuleOracle checks their tables against the loop
+        builds = (lambda: spo(2, 3, ctx), lambda: spo(4, 1, ctx),
+                  lambda: periplectic(3, ctx), lambda: psq(3, ctx))
         for build in builds:
             calls = built_tables(monkeypatch, build)
             assert len(calls) == 1
@@ -297,8 +297,8 @@ class TestMatrixBuildDifferential:
             assert table == loop_matrix_table(c, elems)
 
     @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
-    def test_first_pair_leaving_the_span(self, monkeypatch, ctx):
-        (_, elems, _), = built_tables(monkeypatch, lambda: gl(2, 1, ctx))
+    def test_first_pair_leaving_the_span(self, ctx):
+        elems = matrix_elems(gl(2, 1, ctx))
         rng = random.Random(5)
         outside = 0
         for size in (2, 3, 4, 5, 6, 7, 8):
@@ -317,10 +317,105 @@ class TestMatrixBuildDifferential:
                                           "leaves the span")
         assert outside >= 10
 
-    def test_declared_parity_is_checked(self, monkeypatch):
-        (_, elems, _), = built_tables(monkeypatch, lambda: gl(2, 1, F5))
+    def test_declared_parity_is_checked(self):
+        elems = matrix_elems(gl(2, 1, F5))
         wrong = [(label, 1 - parity, m) if label == "E2,3" else (label, parity, m)
                  for label, parity, m in elems]
         with pytest.raises(InputError,
                            match=r"entry \(1,2\) of E2,3 violates declared parity 0"):
             algebra_from_matrices(F5, wrong, [0, 0, 1])
+
+
+def matrix_elems(alg):
+    """The (label, parity, matrix) of each basis element of an algebra
+    with a matrix_basis."""
+    return list(zip(alg.labels, alg.parities, alg.matrix_basis))
+
+
+def matrix_built(alg):
+    """A gl or sl built again by algebra_from_matrices from its
+    matrix_basis: the oracle of the matrix-unit rule."""
+    m, n = alg.meta["m"], alg.meta["n"]
+    return algebra_from_matrices(alg.ctx, matrix_elems(alg),
+                                 [0] * m + [1] * n, meta=dict(alg.meta))
+
+
+def splits(top):
+    """Every (m, n) with 1 <= m + n <= top, m = 0 and n = 0 included."""
+    return [(m, s - m) for s in range(1, top + 1) for m in range(s + 1)]
+
+
+class TestUnitRuleOracle:
+    """gl and sl from the matrix-unit rule against algebra_from_matrices on
+    their own matrix_basis: the same constants, dtype, labels, parities
+    and meta, and the same scalars and quotients by them."""
+
+    @pytest.mark.parametrize("ctx, top", [(F3, 8), (F5, 8), (F7, 8),
+                                          (BIG, 8), (Q, 6)],
+                             ids=["F3", "F5", "F7", "F2147483647", "Q"])
+    def test_consts_match_matrix_build(self, ctx, top):
+        for m, n in splits(top):
+            for alg in [gl(m, n, ctx)] + ([sl(m, n, ctx)] if m + n > 1
+                                          else []):
+                want = matrix_built(alg)
+                assert alg.consts.dtype == want.consts.dtype
+                assert np.array_equal(alg.consts, want.consts)
+                assert (alg.labels, alg.parities, alg.meta) == (
+                    want.labels, want.parities, want.meta)
+                assert alg.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("ctx", [F3, F5, BIG, Q], ids=repr)
+    def test_tables_match_loop(self, ctx):
+        # the builds TestMatrixBuildDifferential compared with the loop
+        # while gl and sl were matrix-built: gl(2|1), sl(2|1) and psl(2|2)'s
+        # sl(2|2)
+        for alg in (gl(2, 1, ctx), sl(2, 1, ctx), sl(2, 2, ctx)):
+            assert upper_table(alg) == loop_matrix_table(ctx,
+                                                         matrix_elems(alg))
+
+    @pytest.mark.parametrize("ctx, top", [(F3, 6), (F5, 6), (BIG, 5),
+                                          (Q, 5)],
+                             ids=["F3", "F5", "F2147483647", "Q"])
+    def test_scalars_and_quotients_match(self, ctx, top):
+        for m, n in splits(top):
+            # psl needs the identity, of supertrace m - n, inside sl
+            traceless = (m - n) % ctx.p == 0 if ctx.p else m == n
+            builds = [(gl, pgl)] + ([(sl, psl)] if m + n > 1 and traceless
+                                    else [])
+            for build, quotient in builds:
+                alg = build(m, n, ctx)
+                want = matrix_built(alg)
+                assert np.array_equal(identity_coords(alg),
+                                      identity_coords(want))
+                got = quotient(m, n, ctx)
+                q = want.quotient(constructions.scalar_ideal(want))
+                assert (got.labels, got.parities) == (q.labels, q.parities)
+                assert np.array_equal(got.consts, q.consts)
+
+
+class TestUnitRuleGuard:
+    """gl and sl build no SpanSolver and no matrix products; coords_of_matrix
+    builds one SpanSolver on its first call and keeps it."""
+
+    def test_no_span_solve(self, monkeypatch):
+        solvers = []
+        real = linalg.SpanSolver.__init__
+
+        def counting(self, *args):
+            solvers.append(args[1].shape)
+            real(self, *args)
+
+        def refused(*args):
+            raise AssertionError("a matrix-built bracket")
+
+        monkeypatch.setattr(linalg.SpanSolver, "__init__", counting)
+        monkeypatch.setattr(constructions, "_bracket_rows", refused)
+        monkeypatch.setattr(constructions, "_bracket_consts", refused)
+        for alg in (sl(3, 3, F5), gl(2, 2, F5)):
+            assert solvers == []
+            assert np.array_equal(constructions.coords_of_matrix(
+                alg, alg.matrix_basis[1]), F5.eye(alg.dim)[1])
+            identity_coords(alg)
+            assert solvers == [(alg.dim, 36 if alg.meta["name"] == "sl"
+                                else 16)]
+            solvers.clear()

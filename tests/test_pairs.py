@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from superlie import linalg
 from superlie.brj import (
     brj25,
     sp4_adjoint_module,
@@ -619,7 +620,8 @@ class TestSasAndSubpairs:
         with pytest.raises(InvalidSubpair):
             check_normality(p, s)
 
-    @pytest.mark.parametrize("n,ctx", [(3, F3), (1, F5), (1, Q)])
+    @pytest.mark.parametrize("n,ctx", [(3, F3), (1, F5), (1, Q),
+                                       (1, FieldCtx.prime(2**31 - 1))])
     def test_normality_matches_loop_reference(self, n, ctx):
         # the zero and the full subpair, generator subsets such as ("X2",),
         # coordinate lines, the InvalidSubpair cases and an unknown label
@@ -735,6 +737,26 @@ class TestProperQuotient:
             # 1 + t ad x + t^2 ad(x)^2 / 2, induced on gl2 / centre
             assert fam.degree == 2
             assert fam.op(1) == q.even.ad(labels.index(x))
+
+    def test_normality_reads_integer_forms(self, monkeypatch):
+        # over Q check_normality reads the integer forms of the bases and
+        # the operators: it makes no Fraction array and converts only the
+        # pair's bracket and the even algebra's constants to integers
+        p = gl2_pair(Q)
+        s = SubpairSpec(Subspace.from_vectors(Q, 4, [Q.vec([1, 0, 0, 1])]),
+                        (), Subspace.zero(Q, 2))
+        want = ref_check_normality(p, s)
+        calls = []
+        for name in ("from_int", "int_scaled"):
+            real = getattr(linalg, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(linalg, name, counting)
+        assert check_normality(p, s) == want
+        assert calls == ["int_scaled", "int_scaled"]
 
 
 class TestPairJson:

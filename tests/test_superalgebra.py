@@ -1018,6 +1018,29 @@ class TestSearch:
         assert "found_by" not in v.certificate
 
 
+class TestIntegerConstsOnce:
+    def test_search_converts_consts_once(self, monkeypatch):
+        # the integer form of consts is made once per algebra and kept:
+        # over Q the closure search (one ideal_closure a seed), Norton's
+        # spins, verify and subalgebra convert the whole array once
+        alg = rebased(sl(2, 1, Q))
+        shapes = []
+        real = linalg.int_scaled
+
+        def counting(m):
+            shapes.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(linalg, "int_scaled", counting)
+        v = alg.is_graded_simple()
+        assert v.verdict == "GradedSimple" and v.certificate["proof"] is False
+        assert alg.norton_certificate() is None
+        derived = alg.derived_subalgebra()
+        assert derived.verify()
+        assert alg.subalgebra_from_ideal(derived).dims == alg.dims
+        assert shapes.count(alg.consts.shape) == 1
+
+
 class TestCenterOnce:
     def test_census_sl_row_solves_center_once(self, monkeypatch):
         calls = []
