@@ -46,7 +46,7 @@ from .modules import (
 from .pairs import (BilinearMap, HCPair, assemble_pair, check_sas_conditions,
                     normalised, pair_space)
 from .superalgebra import LieSuperalgebra
-from .constructions import algebra_from_matrices
+from .constructions import _unit_algebra
 
 EXPECTED_STAGE_DIMS = {
     "V": 4,
@@ -92,39 +92,26 @@ def _check(report: PipelineReport, stage: str, got: int):
         raise PipelineAssertion(stage, want, got, report)
 
 
-def _e(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
-    m = ctx.zeros(4, 4)
-    m[a, b] = ctx.one
-    return m
-
-
-# root-vector data: label, weight in the (e1, e2) lattice, matrix builder
-def _sp4_elements(ctx: FieldCtx):
-    e = lambda a, b: _e(ctx, a, b)
-    roots = [
-        ("x+2e1", (2, 0), e(0, 2)),
-        ("x+2e2", (0, 2), e(1, 3)),
-        ("x+e1-e2", (1, -1), e(0, 1) - e(3, 2)),
-        ("x+e1+e2", (1, 1), e(0, 3) + e(1, 2)),
-        ("x-2e1", (-2, 0), e(2, 0)),
-        ("x-2e2", (0, -2), e(3, 1)),
-        ("x-e1+e2", (-1, 1), e(1, 0) - e(2, 3)),
-        ("x-e1-e2", (-1, -1), e(3, 0) + e(2, 1)),
-    ]
-    cartan = [
-        ("h1", (0, 0), e(0, 0) - e(2, 2)),
-        ("h2", (0, 0), e(1, 1) - e(3, 3)),
-    ]
-    return roots, cartan
+# root-vector data: label, weight in the (e1, e2) lattice, unit entries
+SP4_ROOTS = (
+    ("x+2e1", (2, 0), [(0, 2, 1)]),
+    ("x+2e2", (0, 2), [(1, 3, 1)]),
+    ("x+e1-e2", (1, -1), [(0, 1, 1), (3, 2, -1)]),
+    ("x+e1+e2", (1, 1), [(0, 3, 1), (1, 2, 1)]),
+    ("x-2e1", (-2, 0), [(2, 0, 1)]),
+    ("x-2e2", (0, -2), [(3, 1, 1)]),
+    ("x-e1+e2", (-1, 1), [(1, 0, 1), (2, 3, -1)]),
+    ("x-e1-e2", (-1, -1), [(2, 1, 1), (3, 0, 1)]),
+)
+SP4_CARTAN = (("h1", [(0, 0, 1), (2, 2, -1)]), ("h2", [(1, 1, 1), (3, 3, -1)]))
 
 
 def sp4_algebra(ctx: FieldCtx) -> LieSuperalgebra:
     """Rank-2 symplectic algebra on a weight basis: eight root vectors in the
     order +2e1, +2e2, +e1-e2, +e1+e2 and their negatives, then h1, h2."""
-    roots, cartan = _sp4_elements(ctx)
-    elems = [(l, 0, m) for l, _, m in roots + cartan]
-    return algebra_from_matrices(ctx, elems, [0, 0, 0, 0],
-                                 meta={"name": "sp4"})
+    elems = [(l, 0, es) for l, _, es in SP4_ROOTS]
+    elems += [(l, 0, es) for l, es in SP4_CARTAN]
+    return _unit_algebra(ctx, [0, 0, 0, 0], elems, meta={"name": "sp4"})
 
 
 def sp4_natural_module(g: LieSuperalgebra) -> GModule:
@@ -132,12 +119,9 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
     unipotent family 1 + t x per root vector (every root vector squares to
     zero in this realization)."""
     ctx = g.ctx
-    roots, _ = _sp4_elements(ctx)
     lie = [Matrix(ctx, m) for m in g.matrix_basis]
-    fams = [
-        CoeffOperatorFamily(l, [Matrix.identity(ctx, 4), Matrix(ctx, m)], w)
-        for l, w, m in roots
-    ]
+    fams = [CoeffOperatorFamily(l, [Matrix.identity(ctx, 4), lie[i]], w)
+            for i, (l, w, _) in enumerate(SP4_ROOTS)]
     return GModule(ctx, ["v+e1", "v+e2", "v-e1", "v-e2"], g.labels, lie, fams,
                    weights=[(1, 0), (0, 1), (-1, 0), (0, -1)],
                    brackets=g.consts, meta={"name": "V"})
@@ -146,11 +130,10 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
 def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
     """sp4's adjoint module, with exp(t ad x) for each root vector x."""
     ctx = g.ctx
-    roots, _ = _sp4_elements(ctx)
     lie = [g.ad(i) for i in range(g.dim)]
     fams = [CoeffOperatorFamily.exp(l, lie[i], root=w)
-            for i, (l, w, _) in enumerate(roots)]
-    weights = [w for _, w, _ in roots] + [(0, 0), (0, 0)]
+            for i, (l, w, _) in enumerate(SP4_ROOTS)]
+    weights = [w for _, w, _ in SP4_ROOTS] + [(0, 0), (0, 0)]
     return GModule(ctx, g.labels, g.labels, lie, fams, weights=weights,
                    brackets=g.consts, meta={"name": "adjoint-sp4"})
 

@@ -1,14 +1,17 @@
 """Named builders for the algebra and module families of the catalog.
 
-gl and sl (so pgl and psl, their quotients by the scalars) are spanned by
-matrix units and supertraceless diagonals, so their structure constants are
-read off the matrix-unit rule [E_ab, E_cd] = d_bc E_ad - (-1)^{|E_ab||E_cd|}
-d_da E_cb on integers, by position (_unit_algebra): no matrix product and no
-span solve.  The other matrix families go through algebra_from_matrices,
-which takes explicit supermatrices, computes supercommutators and
-re-expresses them in the given basis.  Either way the structure constants
-are derived rather than transcribed, and validated.  sl2's
-data is written once, as small integer arrays (SL2_*): sl2_algebra takes its
+Every matrix family (gl and sl, so pgl and psl, their quotients by the
+scalars; spo, periplectic, queer, so pq and psq; sl2 and brj's sp4) lists
+its basis as integer unit entries: X_e = sum v E_ab over its (a, b, v).
+One builder, _unit_algebra, reads the structure constants off the
+matrix-unit rule [E_ab, E_cd] = d_bc E_ad - (-1)^{|E_ab||E_cd|} d_da E_cb
+on integers: no matrix product and no span solve.  Coordinates are read by
+position: sl reads its diagonal through a recurrence, every other family
+reads each element at its leading unit, which must be 1 and its own.  Each
+bracket is checked to be the sum of the basis elements it reads as, so a
+hand-listed basis that is not closed is rejected, and the structure
+constants are validated as every built algebra's are.  sl2's data is
+written once, as small integer arrays (SL2_*): sl2_algebra takes its
 matrices from them, symn_module its labels and brackets, adjoint_sl2_module
 its labels, brackets and ad(x_i) = SL2_BRACKETS[i].T, and d21 assembles its
 constants from the brackets, the action on V, the form and Sym2(V) -> sl2.
@@ -20,21 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fields import FieldCtx, InputError, SuperlieError
 from .linalg import (
+    DimensionMismatch,
     Matrix,
-    SpanSolver,
     Subspace,
     from_int,
     int_family,
-    int_matmul,
     join,
-    kernel,
     nonzero_sums,
+    run_starts,
 )
 from .modules import CoeffOperatorFamily, GModule, dual, hom_space, sym2
 from .pairs import (BilinearMap, HCPair, assemble_pair, normalised,
@@ -46,145 +49,146 @@ from .superalgebra import (
     algebra_from_consts,
 )
 
-
-# ---------------------------------------------------------------------------
-# generic matrix-superalgebra builder
-# ---------------------------------------------------------------------------
-
-def _bracket_rows(ctx: FieldCtx, mats: np.ndarray,
-                  parities: Sequence[int]
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(i, j, rows, t): index arrays of the pairs i <= j in row-major order,
-    and the flattened supercommutators [M_i, M_j] of a (d, N, N) stack as
-    the integer rows / t (linalg.int_family's form).  Every product
-    M_i M_j is one block of a single (dN x N)(N x dN) product, taken on
-    the int_family arrays of the M_i."""
-    d, n, _ = mats.shape
-    (ints,), s = int_family(ctx, [mats])
-    prod = int_matmul(ctx, ints.reshape(d * n, n),
-                      ints.transpose(1, 0, 2).reshape(n, d * n))
-    prod = prod.reshape(d, n, d, n).transpose(0, 2, 1, 3)
-    i, j = np.triu_indices(d)
-    odd = np.asarray(parities, dtype=bool)
-    xy, yx = prod[i, j], prod[j, i]
-    br = np.where((odd[i] & odd[j])[:, None, None], xy + yx, xy - yx)
-    return i, j, ctx.reduce(br.reshape(len(i), n * n)), s * s
-
-
-def _bracket_consts(ctx: FieldCtx, mats: np.ndarray, parities: np.ndarray,
-                    solver: SpanSolver, labels: Sequence[str]) -> np.ndarray:
-    """The structure constants of the span of a (d, N, N) stack: every
-    supercommutator from _bracket_rows, solved for with one batched
-    SpanSolver call.  Raises InputError for the first pair (i <= j, in
-    row-major order) whose bracket leaves the span.  Its own function, so
-    that the rows and coordinates are freed before the algebra is
-    completed and validated, where the build's memory peaks."""
-    d = len(mats)
-    i, j, rows, t = _bracket_rows(ctx, mats, parities)
-    coords, u, in_span = solver.coords_int_rows(rows, t)
-    if not in_span.all():
-        r = int(np.argmin(in_span))
-        raise InputError(f"bracket [{labels[i[r]]},{labels[j[r]]}] "
-                         "leaves the span")
-    consts = ctx.zeros(d, d, d)
-    consts[i, j] = from_int(ctx, coords, u)
-    return consts
-
-
-def algebra_from_matrices(ctx: FieldCtx,
-                          elems: Sequence[Tuple[str, int, np.ndarray]],
-                          block_parities: Sequence[int],
-                          meta: Optional[dict] = None) -> LieSuperalgebra:
-    """Build a Lie superalgebra from explicit supermatrices.
-
-    elems: (label, parity, square matrix) triples forming a basis of a
-    subspace closed under the supercommutator.  block_parities gives the
-    parity of each row/column index of the ambient matrix space.  Every
-    bracket [x, y], x before or equal to y, is solved for in one batch; the
-    first pair (in that order) whose bracket leaves the span is reported.
-    """
-    n_amb = len(block_parities)
-    for label, _, m in elems:
-        if np.shape(m) != (n_amb, n_amb):
-            raise InputError(f"matrix for {label} has shape {np.shape(m)}")
-    d = len(elems)
-    mats: List[np.ndarray] = []
-    solver = None
-    consts = ctx.zeros(0, 0, 0)
-    if d:
-        stack = ctx.reduce(np.stack([np.asarray(m) for _, _, m in elems]))
-        # entry (a, b) of a homogeneous element has parity bp[a] + bp[b]
-        bp = np.asarray(block_parities)
-        parities = np.array([parity for _, parity, _ in elems])
-        bad = np.argwhere(stack.astype(bool) & (
-            np.add.outer(bp, bp) % 2 != parities[:, None, None]))
-        if len(bad):
-            e, a, b = bad[0]
-            raise InputError(f"entry ({a},{b}) of {elems[e][0]} violates "
-                             f"declared parity {elems[e][1]}")
-        mats = list(stack)
-        solver = SpanSolver(ctx, stack.reshape(d, -1))
-        consts = _bracket_consts(ctx, stack, parities, solver,
-                                 [label for label, _, _ in elems])
-    alg = algebra_from_consts(
-        ctx, [(label, parity) for label, parity, _ in elems], consts, meta=meta)
-    alg.matrix_basis = mats  # type: ignore[attr-defined]
-    alg.matrix_solver = solver  # type: ignore[attr-defined]
-    return alg
-
-
-def coords_of_matrix(alg: LieSuperalgebra, m: np.ndarray) -> Optional[np.ndarray]:
-    """Coordinates of an ambient matrix in a matrix-built algebra's basis,
-    from a SpanSolver of its matrix_basis, built on first use and kept."""
-    solver = getattr(alg, "matrix_solver", None)
-    if solver is None:
-        mats: List[np.ndarray] = alg.matrix_basis  # type: ignore[attr-defined]
-        solver = SpanSolver(alg.ctx, np.stack(mats).reshape(len(mats), -1))
-        alg.matrix_solver = solver  # type: ignore[attr-defined]
-    return solver.coords(alg.ctx.reduce(np.asarray(m)).reshape(-1))
+# (label, parity, [(a, b, v), ...]): the element sum v E_ab
+UnitElem = Tuple[str, int, Sequence[Tuple[int, int, int]]]
 
 
 # ---------------------------------------------------------------------------
-# gl / sl / pgl / psl
+# the matrix-unit builder
 # ---------------------------------------------------------------------------
 
-def _unit_algebra(ctx: FieldCtx, n_amb: int, basis: Sequence[Tuple[str, int]],
-                  entries: np.ndarray, reader: np.ndarray,
-                  meta: dict) -> LieSuperalgebra:
+def _read(ctx: FieldCtx, units: Tuple[int, int, np.ndarray, np.ndarray],
+          group: np.ndarray, pos: np.ndarray,
+          val: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates, by position, of the integer matrices M_g = sum val E
+    over the terms (g, pos, val) of each g in group, in the basis of a
+    matrix-built algebra.  units is (n_amb, dim, entries, reader):
+    X_e = sum v E_ab over the columns (e, pos, v) of entries, pos =
+    a n_amb + b, and E_ab reads as sum c e_k over the columns (pos, k, c)
+    of reader.  Returns (keys, sums, outside): the nonzero coordinates c_k
+    of each M_g as sums at keys g dim + k, in increasing order, and the g
+    with M_g != sum c_k X_k, in increasing order (repeated): the matrices
+    outside the span."""
+    n_amb, d, (el, epos, ev), (rpos, rk, rc) = units
+    t, u = join(pos, rpos)
+    keys, sums = nonzero_sums(ctx, group[t] * d + rk[u], val[t] * rc[u])
+    x, y = join(keys % d, el)
+    rest, _ = nonzero_sums(ctx, np.concatenate(
+        [keys[x] // d * n_amb ** 2 + epos[y], group * n_amb ** 2 + pos]),
+        np.concatenate([sums[x] * ev[y], -val]))
+    return keys, sums, rest // n_amb ** 2
+
+
+def _leading_reader(elems: Sequence[UnitElem], el: np.ndarray,
+                    pos: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The reader (pos, k, 1) of each element X_k at its leading unit, the
+    first of its entries in row-major order: the coordinate of X_k in a
+    matrix of the span is its entry there when that entry of X_k is 1 and
+    no other element has one there.  Raises InputError otherwise."""
+    lead = np.lexsort((pos, el))
+    lead = lead[run_starts(el[lead])]
+    if len(lead) < len(elems):
+        raise InputError("a basis element has no entries")
+    bad = np.flatnonzero(val[lead] != 1)
+    if len(bad):
+        raise InputError(f"leading entry of {elems[bad[0]][0]} is "
+                         f"{val[lead[bad[0]]]}, not 1")
+    x, y = join(pos[lead], pos)
+    bad = np.flatnonzero(x != el[y])
+    if len(bad):
+        k, e = x[bad[0]], el[y[bad[0]]]
+        raise InputError(f"{elems[e][0]} has an entry at the leading unit "
+                         f"of {elems[k][0]}")
+    return np.stack([pos[lead], np.arange(len(elems)), np.ones_like(lead)])
+
+
+def _unit_algebra(ctx: FieldCtx, block_parities: Sequence[int],
+                  elems: Sequence[UnitElem], meta: dict,
+                  reader: Optional[np.ndarray] = None) -> LieSuperalgebra:
     """The algebra spanned by the supermatrices X_e = sum v E_ab over the
-    integer unit entries (e, a, b, v), the columns of entries, on the
-    (label, parity) basis, with every bracket from the matrix-unit rule
-    [E_ab, E_cd] = d_bc E_ad - (-1)^{|E_ab||E_cd|} d_da E_cb.  One join of
-    the entries on the middle index gives every product term v v' E_ad of
-    X_e X_f, which enters [X_e, X_f] as it is and [X_f, X_e] times
-    -(-1)^{|e||f|}; only the pairs e <= f are kept (algebra_from_consts
-    fills the rest by super-antisymmetry).  The columns (pos, k, c) of
-    reader give coordinates by position: E_ab, at pos = a n_amb + b, is
-    the sum of c e_k over its columns.  The terms are summed per (e, f, k) on integers
-    (nonzero_sums) and made field scalars once (from_int); the algebra is
-    validated as every built algebra is."""
-    el, row, col, val = entries
-    pos, k, c = reader
-    d = len(basis)
-    odd = np.array([parity for _, parity in basis], dtype=bool)
+    integer unit entries (a, b, v) of each (label, parity, entries) of
+    elems; block_parities gives the parity of each row and column index.
+    Every bracket comes from the matrix-unit rule [E_ab, E_cd] = d_bc E_ad
+    - (-1)^{|E_ab||E_cd|} d_da E_cb.  One join of the entries on the middle
+    index gives every product term v v' E_ad of X_e X_f, which enters
+    [X_e, X_f] as it is and [X_f, X_e] times -(-1)^{|e||f|}; only the pairs
+    e <= f are kept (algebra_from_consts fills the rest by
+    super-antisymmetry).  The terms are read into coordinates by position
+    (_read), with the columns (pos, k, c) of reader, or else
+    each element at its leading unit (_leading_reader), summed per
+    (e, f, k) on integers and made field scalars once (from_int).  Raises
+    InputError for an entry against its element's declared parity, and for
+    the first pair (e <= f, in row-major order) whose bracket leaves the
+    span; the algebra is validated as every built algebra is."""
+    n_amb, d = len(block_parities), len(elems)
+    el, row, col, val = np.array(
+        [(e, a, b, v) for e, (_, _, es) in enumerate(elems) for a, b, v in es],
+        dtype=np.int64).reshape(-1, 4).T
+    # entry (a, b) of a homogeneous element has parity bp[a] + bp[b]
+    bp = np.asarray(block_parities)
+    parities = np.array([parity for _, parity, _ in elems], dtype=np.int64)
+    bad = np.flatnonzero((bp[row] + bp[col]) % 2 != parities[el])
+    if len(bad):
+        e, a, b = min(zip(el[bad], row[bad], col[bad]))
+        raise InputError(f"entry ({a},{b}) of {elems[e][0]} violates "
+                         f"declared parity {elems[e][1]}")
+    pos = row * n_amb + col
+    if reader is None:
+        reader = _leading_reader(elems, el, pos, val)
+    units = (n_amb, d, np.stack([el, pos, val]), reader)
+    odd = parities.astype(bool)
     x, y = join(col, row)
     e, f = el[x], el[y]
     sign = np.where(odd[e] & odd[f], -1, 1)
     coef = (e <= f).astype(np.int64) - sign * (e >= f)
     keep = np.flatnonzero(coef)
     x, y, e, f = x[keep], y[keep], e[keep], f[keep]
-    t, u = join(row[x] * n_amb + col[y], pos)
-    keys = (np.minimum(e, f)[t] * d + np.maximum(e, f)[t]) * d + k[u]
-    terms = (val[x] * val[y] * coef[keep])[t] * c[u]
-    keys, sums = nonzero_sums(ctx, keys, terms)
+    keys, sums, outside = _read(
+        ctx, units, np.minimum(e, f) * d + np.maximum(e, f),
+        row[x] * n_amb + col[y], val[x] * val[y] * coef[keep])
+    if len(outside):
+        i, j = divmod(int(outside[0]), d)
+        raise InputError(f"bracket [{elems[i][0]},{elems[j][0]}] "
+                         "leaves the span")
     consts = ctx.zeros(d, d, d)
     consts.flat[keys] = from_int(ctx, sums, 1)
-    alg = algebra_from_consts(ctx, basis, consts, meta=meta)
+    alg = algebra_from_consts(ctx, [(label, parity) for label, parity, _ in elems],
+                              consts, meta=meta)
     mats = ctx.zeros(d, n_amb, n_amb)
     mats[el, row, col] = from_int(ctx, val, 1)
     alg.matrix_basis = list(mats)  # type: ignore[attr-defined]
+    alg.matrix_units = units  # type: ignore[attr-defined]
     return alg
 
+
+def _units(m: np.ndarray) -> List[Tuple[int, int, int]]:
+    """The unit entries (a, b, v) of an integer matrix, in row-major order."""
+    return [(int(a), int(b), int(m[a, b])) for a, b in zip(*np.nonzero(m))]
+
+
+def coords_of_matrix(alg: LieSuperalgebra, m: np.ndarray) -> Optional[np.ndarray]:
+    """Coordinates of an ambient matrix in a matrix-built algebra's basis,
+    read by position as the builder reads its brackets, or None if the
+    matrix is outside the span."""
+    units = alg.matrix_units  # type: ignore[attr-defined]
+    ctx, m, n_amb = alg.ctx, np.asarray(m), units[0]
+    if m.shape != (n_amb, n_amb):
+        raise DimensionMismatch(f"rows of shape {m.shape} for {n_amb} x "
+                                f"{n_amb} matrices")
+    (ints,), s = int_family(ctx, [ctx.reduce(m).reshape(-1)])
+    pos = np.flatnonzero(ints)
+    keys, sums, outside = _read(ctx, units, np.zeros(len(pos), np.int64),
+                                pos, ints[pos])
+    if len(outside):
+        return None
+    coords = ctx.zeros(alg.dim)
+    coords[keys] = from_int(ctx, sums, s)
+    return coords
+
+
+# ---------------------------------------------------------------------------
+# gl / sl / pgl / psl
+# ---------------------------------------------------------------------------
 
 def _gl_sl(m: int, n: int, ctx: FieldCtx, name: str) -> LieSuperalgebra:
     """gl(m|n) on the units E_ab, or sl(m|n) on the off-diagonal units and
@@ -192,10 +196,12 @@ def _gl_sl(m: int, n: int, ctx: FieldCtx, name: str) -> LieSuperalgebra:
     the parity boundary, where H_m = E_mm + E_(m+1)(m+1).  Basis: the even
     units row-major (A block, then D block), sl's H_i, then the odd units
     row-major (B block, then C block).  Labels E{a},{b} and H{i}, 1-based.
-    A unit reads as its own basis element.  A diagonal matrix sum d_a E_aa
-    of supertrace zero is sum h_i H_i with h_0 = d_0 and h_(i+1) =
-    d_(i+1) +- h_i, so E_aa reads as sum T[a, i] H_i for the N x (N-1)
-    integer matrix T[a, i] = 0 for a > i, -1 for a < m <= i, else 1."""
+    A unit reads as its own basis element (gl's leading-unit reader).  sl
+    reads its diagonal through a recurrence: a diagonal matrix
+    sum d_a E_aa of supertrace zero is sum h_i H_i with
+    h_0 = d_0 and h_(i+1) = d_(i+1) +- h_i, so E_aa reads as
+    sum T[a, i] H_i for the N x (N-1) integer matrix T[a, i] = 0 for a > i,
+    -1 for a < m <= i, else 1."""
     N, bp, traceless = m + n, [0] * m + [1] * n, name == "sl"
     hs = range(N - 1 if traceless else 0)
     units = [[(a, b) for a in range(N) for b in range(N)
@@ -206,15 +212,15 @@ def _gl_sl(m: int, n: int, ctx: FieldCtx, name: str) -> LieSuperalgebra:
                               (i + 1, i + 1, 1 if i == m - 1 else -1)])
               for i in hs]
     elems += [(f"E{a+1},{b+1}", 1, [(a, b, 1)]) for a, b in units[1]]
-    entries = [(k, a, b, v) for k, (_, _, es) in enumerate(elems)
-               for a, b, v in es]
-    reader = [(a * N + b, k, 1) for k, (_, _, es) in enumerate(elems)
-              if len(es) == 1 for a, b, _ in es]
-    reader += [(a * N + a, len(units[0]) + i, -1 if a < m <= i else 1)
-               for i in hs for a in range(i + 1)]
-    return _unit_algebra(ctx, N, [(label, q) for label, q, _ in elems],
-                         np.array(entries).T, np.array(reader).T,
-                         {"name": name, "m": m, "n": n})
+    reader = None
+    if traceless:
+        reader = [(a * N + b, k, 1) for k, (_, _, es) in enumerate(elems)
+                  if len(es) == 1 for a, b, _ in es]
+        reader += [(a * N + a, len(units[0]) + i, -1 if a < m <= i else 1)
+                   for i in hs for a in range(i + 1)]
+        reader = np.array(reader).T
+    return _unit_algebra(ctx, bp, elems, {"name": name, "m": m, "n": n},
+                         reader)
 
 
 def gl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
@@ -233,9 +239,8 @@ def sl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
 
 def identity_coords(alg: LieSuperalgebra) -> np.ndarray:
     """Coordinates of the identity matrix in a matrix-built algebra."""
-    mats: List[np.ndarray] = alg.matrix_basis  # type: ignore[attr-defined]
-    N = mats[0].shape[0]
-    coords = coords_of_matrix(alg, alg.ctx.eye(N))
+    n_amb = alg.matrix_units[0]  # type: ignore[attr-defined]
+    coords = coords_of_matrix(alg, alg.ctx.eye(n_amb))
     if coords is None:
         raise CenterNotInside("identity matrix is not in the algebra")
     return coords
@@ -273,65 +278,67 @@ def psl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
 # orthosymplectic spo(2m|d)
 # ---------------------------------------------------------------------------
 
-def _gram_symplectic(ctx: FieldCtx, m: int) -> np.ndarray:
-    j = ctx.zeros(2 * m, 2 * m)
-    for i in range(m):
-        j[i, m + i] = ctx.one
-        j[m + i, i] = ctx.neg(ctx.one)
+def _gram_symplectic(m: int) -> np.ndarray:
+    j = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    j[range(m), range(m, 2 * m)] = 1
+    j[range(m, 2 * m), range(m)] = -1
     return j
 
-def _gram_orthogonal(ctx: FieldCtx, d: int) -> np.ndarray:
+
+def _gram_orthogonal(d: int) -> np.ndarray:
     n = d // 2
-    j = ctx.zeros(d, d)
-    for i in range(n):
-        j[i, n + i] = ctx.one
-        j[n + i, i] = ctx.one
+    j = np.zeros((d, d), dtype=np.int64)
+    j[range(n), range(n, 2 * n)] = j[range(n, 2 * n), range(n)] = 1
     if d % 2:
-        j[d - 1, d - 1] = ctx.one
+        j[d - 1, d - 1] = 1
     return j
 
 
-def _gram_algebra_basis(ctx: FieldCtx, g: np.ndarray) -> List[np.ndarray]:
-    """Canonical basis of {X : X^t g + g X = 0}."""
-    n = g.shape[0]
-    cols = [ctx.reduce(e.T @ g + g @ e).reshape(-1)
-            for e in ctx.eye(n * n).reshape(n * n, n, n)]
-    constraint = Matrix(ctx, np.stack(cols, axis=1))
-    ker = kernel(constraint)
-    return [v.reshape(n, n).copy() for v in ker.basis.data]
+def _gram_units(g: np.ndarray) -> List[List[Tuple[int, int, int]]]:
+    """The unit entries of the canonical (reduced echelon) basis of
+    {X : X^t g + g X = 0}, for a symmetric or skew integer Gram matrix g
+    with one entry g[a, s(a)] = +-1 in each row.  Entry (a, b) of that
+    equation reads g[a, s a] x_ab + g[b, s b] x_(s b)(s a) = 0, so it ties
+    each unit (a, b) to its partner (s b, s a): each pair whose first unit
+    in row-major order is (a, b) gives one element, 1 there and
+    -g[a, s a] g[b, s b] at the partner, and a unit that is its own
+    partner gives one where g is skew there and none where it is
+    symmetric.  The elements are in row-major order of (a, b)."""
+    n = len(g)
+    s = np.abs(g).argmax(axis=1)
+    sg = [int(g[a, s[a]]) for a in range(n)]
+    out = []
+    for a, b in product(range(n), repeat=2):
+        partner = (int(s[b]), int(s[a]))
+        if partner > (a, b):
+            out.append([(a, b, 1), (*partner, -sg[a] * sg[b])])
+        elif partner == (a, b) and sg[a] + sg[b] == 0:
+            out.append([(a, b, 1)])
+    return out
 
 
 def spo(two_m: int, odd_dim: int, ctx: FieldCtx) -> LieSuperalgebra:
     """spo(2m|d) for d = 2n or 2n+1, on the standard Gram blocks
-    (J_s skew for the symplectic part, J_o symmetric for the orthogonal one);
-    odd elements are B in Mat_{2m x d} with C = J_o B^t J_s."""
+    (J_s skew for the symplectic part, J_o symmetric for the orthogonal one).
+    Basis: sp{i} and so{i}, the canonical bases of the two blocks'
+    algebras (_gram_units), then the odd B{a},{b}: the unit E_ab of
+    Mat_{2m x d} in the upper right block, row-major, with
+    C = J_o B^t J_s = J_o[s b, b] J_s[a, s a] E_(s b)(s a) in the lower
+    left, for the involution s of each Gram matrix."""
     if two_m % 2 or two_m < 2 or odd_dim < 1:
         raise InputError("need even 2m >= 2 and odd_dim >= 1")
     m2, d = two_m, odd_dim
-    N = m2 + d
-    bp = [0] * m2 + [1] * d
-    js = _gram_symplectic(ctx, m2 // 2)
-    jo = _gram_orthogonal(ctx, d)
-    elems = []
-    for idx, x in enumerate(_gram_algebra_basis(ctx, js)):
-        m = ctx.zeros(N, N)
-        m[:m2, :m2] = x
-        elems.append((f"sp{idx}", 0, m))
-    for idx, x in enumerate(_gram_algebra_basis(ctx, jo)):
-        m = ctx.zeros(N, N)
-        m[m2:, m2:] = x
-        elems.append((f"so{idx}", 0, m))
-    for a in range(m2):
-        for b in range(d):
-            bfull = ctx.zeros(m2, d)
-            bfull[a, b] = ctx.one
-            cfull = ctx.reduce(jo @ bfull.T @ js)
-            m = ctx.zeros(N, N)
-            m[:m2, m2:] = bfull
-            m[m2:, :m2] = cfull
-            elems.append((f"B{a+1},{b+1}", 1, m))
-    return algebra_from_matrices(
-        ctx, elems, bp, meta={"name": "spo", "two_m": two_m, "odd_dim": odd_dim})
+    js, jo = _gram_symplectic(m2 // 2), _gram_orthogonal(d)
+    ss, so = np.abs(js).argmax(axis=1), np.abs(jo).argmax(axis=1)
+    elems = [(f"sp{i}", 0, es) for i, es in enumerate(_gram_units(js))]
+    elems += [(f"so{i}", 0, [(m2 + a, m2 + b, v) for a, b, v in es])
+              for i, es in enumerate(_gram_units(jo))]
+    elems += [(f"B{a+1},{b+1}", 1, [
+        (a, m2 + b, 1),
+        (m2 + int(so[b]), int(ss[a]), int(jo[so[b], b] * js[a, ss[a]]))])
+        for a in range(m2) for b in range(d)]
+    return _unit_algebra(ctx, [0] * m2 + [1] * d, elems, meta={
+        "name": "spo", "two_m": two_m, "odd_dim": odd_dim})
 
 
 # ---------------------------------------------------------------------------
@@ -344,33 +351,15 @@ def periplectic(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     i<j), then skew C (i<j)."""
     if n < 2:
         raise InputError("need n >= 2")
-    N = 2 * n
-    bp = [0] * n + [1] * n
-    elems = []
-    for a in range(n):
-        for b in range(n):
-            m = ctx.zeros(N, N)
-            m[a, b] = ctx.one
-            m[n + b, n + a] = ctx.neg(ctx.one)
-            elems.append((f"A{a+1},{b+1}", 0, m))
-    for a in range(n):
-        m = ctx.zeros(N, N)
-        m[a, n + a] = ctx.one
-        elems.append((f"B{a+1},{a+1}", 1, m))
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = ctx.zeros(N, N)
-            m[a, n + b] = ctx.one
-            m[b, n + a] = ctx.one
-            elems.append((f"B{a+1},{b+1}", 1, m))
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = ctx.zeros(N, N)
-            m[n + a, b] = ctx.one
-            m[n + b, a] = ctx.neg(ctx.one)
-            elems.append((f"C{a+1},{b+1}", 1, m))
-    return algebra_from_matrices(ctx, elems, bp,
-                                 meta={"name": "p", "n": n})
+    elems = [(f"A{a+1},{b+1}", 0, [(a, b, 1), (n + b, n + a, -1)])
+             for a, b in product(range(n), repeat=2)]
+    elems += [(f"B{a+1},{a+1}", 1, [(a, n + a, 1)]) for a in range(n)]
+    elems += [(f"B{a+1},{b+1}", 1, [(a, n + b, 1), (b, n + a, 1)])
+              for a, b in combinations(range(n), 2)]
+    elems += [(f"C{a+1},{b+1}", 1, [(n + a, b, 1), (n + b, a, -1)])
+              for a, b in combinations(range(n), 2)]
+    return _unit_algebra(ctx, [0] * n + [1] * n, elems,
+                         meta={"name": "p", "n": n})
 
 
 def periplectic_derived(n: int, ctx: FieldCtx) -> LieSuperalgebra:
@@ -390,23 +379,13 @@ def queer(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     A{i}{j} row-major, odd part B{i}{j} row-major."""
     if n < 2:
         raise InputError("need n >= 2")
-    N = 2 * n
-    bp = [0] * n + [1] * n
-    elems = []
-    for a in range(n):
-        for b in range(n):
-            m = ctx.zeros(N, N)
-            m[a, b] = ctx.one
-            m[n + a, n + b] = ctx.one
-            elems.append((f"A{a+1},{b+1}", 0, m))
-    for a in range(n):
-        for b in range(n):
-            m = ctx.zeros(N, N)
-            m[a, n + b] = ctx.one
-            m[n + a, b] = ctx.one
-            elems.append((f"B{a+1},{b+1}", 1, m))
-    return algebra_from_matrices(ctx, elems, bp,
-                                 meta={"name": "q", "n": n})
+    units = list(product(range(n), repeat=2))
+    elems = [(f"A{a+1},{b+1}", 0, [(a, b, 1), (n + a, n + b, 1)])
+             for a, b in units]
+    elems += [(f"B{a+1},{b+1}", 1, [(a, n + b, 1), (n + a, b, 1)])
+              for a, b in units]
+    return _unit_algebra(ctx, [0] * n + [1] * n, elems,
+                         meta={"name": "q", "n": n})
 
 
 def pq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
@@ -474,10 +453,9 @@ SL2_SYM2 = _frozen([[[0, 2, 0], [-1, 0, 0]],
 
 def sl2_algebra(ctx: FieldCtx) -> LieSuperalgebra:
     """Purely even algebra on H, E12, E21 inside 2x2 matrices."""
-    return algebra_from_matrices(
-        ctx, [(label, 0, m) for label, m in
-              zip(SL2_LABELS, from_int(ctx, SL2_ON_V, 1))], [0, 0],
-        meta={"name": "sl2"})
+    return _unit_algebra(ctx, [0, 0], [(label, 0, _units(m)) for label, m
+                                       in zip(SL2_LABELS, SL2_ON_V)],
+                         meta={"name": "sl2"})
 
 
 # ---------------------------------------------------------------------------

@@ -44,18 +44,29 @@ class DimensionMismatch(SuperlieError, ValueError):
 
 
 def exact_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of canonical arrays.  For small primes the product is
-    routed through float64 BLAS: every intermediate is an integer below 2^53,
-    so the result is exact and then reduced mod p.  int64 products whose
-    dot products could pass 2^63 are taken on Python ints."""
-    if ctx.p and a.dtype == np.int64 and b.dtype == np.int64:
-        bound = (ctx.p - 1) ** 2 * max(1, a.shape[-1])
-        if bound < 2**53:
-            prod = a.astype(np.float64) @ b.astype(np.float64)
-            return prod.astype(np.int64) % ctx.p
-        if bound >= 2**63:
-            prod = a.astype(object) @ b.astype(object)
-            return (prod % ctx.p).astype(np.int64)
+    """Exact product of canonical arrays.  Over F_p the residues are below
+    p < 2^31, so they are multiplied as int64 arrays (a large p's object
+    arrays too, and the product returned as objects).  For small primes
+    the product is routed through float64 BLAS: every intermediate is an
+    integer below 2^53, so the result is exact and then reduced mod p.
+    Where the int64 dot products could pass 2^63, a is split into 16-bit
+    halves, a = hi 2^16 + lo: each half's product with b stays below 2^63
+    while (p - 1)(2^16 - 1) k does, and is reduced before the two are
+    combined; past that, the product is taken on Python ints."""
+    if ctx.p and a.dtype == b.dtype and a.dtype in (np.int64, ctx.dtype):
+        p, k = ctx.p, max(1, a.shape[-1])
+        dtype = a.dtype
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+        if (p - 1) ** 2 * k < 2**53:
+            prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(
+                np.int64) % p
+        elif (p - 1) ** 2 * k < 2**63:
+            prod = a @ b % p
+        elif (p - 1) * (2**16 - 1) * k < 2**63:
+            prod = ((a >> 16) @ b % p * 2**16 + (a & 0xFFFF) @ b % p) % p
+        else:
+            prod = (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+        return prod.astype(dtype, copy=False)
     if not ctx.p and a.dtype == object and a.ndim == 2 and b.ndim == 2:
         # Fraction matmul through numpy is a dense Python loop with a gcd on
         # every operation; clearing denominators first and iterating only
@@ -66,16 +77,16 @@ def exact_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ctx.reduce(a @ b)
 
 
-def bilinear(ctx: FieldCtx, consts: np.ndarray, xs: np.ndarray,
+def bilinear(ctx: FieldCtx, consts: np.ndarray, s: int, xs: np.ndarray,
              ys: np.ndarray) -> np.ndarray:
     """B(x_r, y_s) for every row x_r of xs and y_s of ys, as a field array
-    of shape (len(xs), len(ys), g), where B(e_i, e_j) = consts[i, j] for an
-    (n, n, g) array consts: int_bilinear on the integer forms of all three
-    over one scale s, so over s^3."""
-    if ctx.p:
-        return int_bilinear(ctx, consts, xs, ys)
-    (c, x, y), s = int_family(ctx, [consts, xs, ys])
-    return from_int(ctx, int_bilinear(ctx, c, x, y), s ** 3)
+    of shape (len(xs), len(ys), g), where B(e_i, e_j) = consts[i, j] / s
+    for the integer form (consts, s) of an (n, n, g) array (int_family's):
+    int_bilinear on it and the integer forms of xs and ys, over one scale
+    t, so over s t^2."""
+    (x, y), t = int_family(ctx, [xs, ys])
+    out = int_bilinear(ctx, consts, x, y)
+    return out if ctx.p else from_int(ctx, out, s * t * t)
 
 
 def int_bilinear(ctx: FieldCtx, consts: np.ndarray, xs: np.ndarray,

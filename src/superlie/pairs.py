@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,10 +137,18 @@ class BilinearMap:
     def is_zero(self) -> bool:
         return not self.consts.any()
 
+    @cached_property
+    def _int_consts(self) -> Tuple[np.ndarray, int]:
+        """(c, s): consts == c / s, its integer form (int_family), made once
+        and read-only.  Over F_p c is consts itself and s is 1."""
+        (c,), s = int_family(self.ctx, [self.consts])
+        c.setflags(write=False)
+        return c, s
+
     def brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[x_r, y_s] for every row x_r of xs and y_s of ys, as row
         r * len(ys) + s."""
-        return bilinear(self.ctx, self.consts, xs, ys).reshape(
+        return bilinear(self.ctx, *self._int_consts, xs, ys).reshape(
             len(xs) * len(ys), self.dim_g)
 
     def annihilator(self) -> Subspace:
@@ -366,7 +375,7 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != n:
         raise InvalidSubpair("subpair ambient dimensions do not match")
     h, w = s.h_lie.basis.ints, s.w.basis.ints
-    (c,), _ = int_family(ctx, [pair.bracket.consts])
+    c, _ = pair.bracket._int_consts
 
     def inside(space: Subspace, rows: np.ndarray) -> bool:
         return not space._residual(rows).astype(bool).any()

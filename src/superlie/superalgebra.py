@@ -235,7 +235,7 @@ class LieSuperalgebra:
         return dict(zip(ks.tolist(), row[ks].tolist()))
 
     def bracket_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return bilinear(self.ctx, self.consts, np.asarray(x)[None, :],
+        return bilinear(self.ctx, *self._int_consts(), np.asarray(x)[None, :],
                         np.asarray(y)[None, :])[0, 0]
 
     def ad(self, i: int) -> Matrix:

@@ -5,15 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from superlie import constructions, linalg
+from superlie import brj, constructions, linalg, modules, pairs, superalgebra
 from superlie.fields import FieldCtx, InputError
-from superlie.linalg import Matrix, from_int, solve
-from superlie.superalgebra import CenterNotInside, JacobiViolation
+from superlie.linalg import Subspace, from_int
+from superlie.superalgebra import CenterNotInside, JacobiViolation, SuperIdeal
 from superlie.constructions import (
     SL2_BRACKETS,
     SL2_LABELS,
-    algebra_from_matrices,
     D21Params,
+    coords_of_matrix,
     d21,
     gl,
     identity_coords,
@@ -27,6 +27,12 @@ from superlie.constructions import (
     sl,
     sl2_algebra,
     spo,
+)
+from matrix_oracles import (
+    algebra_from_matrices,
+    gram_algebra_basis,
+    loop_matrix_table,
+    solved_coords,
 )
 
 F3 = FieldCtx.prime(3)
@@ -96,8 +102,8 @@ class TestMatrixRealizations:
         from superlie.constructions import _gram_orthogonal, _gram_symplectic
 
         g = ctx.zeros(7, 7)
-        g[:4, :4] = _gram_symplectic(ctx, 2)
-        g[4:, 4:] = _gram_orthogonal(ctx, 3)
+        g[:4, :4] = _gram_symplectic(2)
+        g[4:, 4:] = _gram_orthogonal(3)
         for i in a.even_coords:
             m = a.matrix_basis[i]
             assert not np.any(ctx.reduce(m.T @ g + g @ m))
@@ -238,27 +244,6 @@ class TestSimplicityCatalog:
         assert spo(2, 3, F5).is_graded_simple().is_simple
 
 
-def loop_matrix_table(ctx, elems):
-    """The per-pair build that algebra_from_matrices replaced, as a
-    reference: the table over pairs i <= j, each bracket solved on its own,
-    or the labels of the first pair whose bracket leaves the span."""
-    mats = [ctx.reduce(np.asarray(m)) for _, _, m in elems]
-    basis = Matrix(ctx, np.stack([m.reshape(-1) for m in mats], axis=1))
-    table = {}
-    for i, (li, pi, x) in enumerate(elems):
-        for j in range(i, len(elems)):
-            lj, pj, y = elems[j]
-            xy, yx = ctx.reduce(mats[i] @ mats[j]), ctx.reduce(mats[j] @ mats[i])
-            br = ctx.reduce(xy + yx) if pi and pj else ctx.reduce(xy - yx)
-            c = solve(basis, br.reshape(-1))
-            if c is None:
-                return (li, lj)
-            entry = {int(k): ctx.of(c[k]) for k in np.nonzero(c)[0]}
-            if entry:
-                table[(i, j)] = entry
-    return table
-
-
 def upper_table(alg):
     """The nonzero brackets [e_i, e_j], i <= j, as {(i, j): {k: c}}."""
     rows = {(i, j): alg.bracket_basis(i, j)
@@ -266,35 +251,95 @@ def upper_table(alg):
     return {key: row for key, row in rows.items() if row}
 
 
-def built_tables(monkeypatch, build):
-    """(ctx, elems, table over i <= j) of every algebra_from_matrices call
-    made by build()."""
-    calls = []
+def matrix_elems(alg):
+    """The (label, parity, matrix) of each basis element of an algebra
+    with a matrix_basis."""
+    return list(zip(alg.labels, alg.parities, alg.matrix_basis))
 
-    def recording(ctx, elems, bp, meta=None):
-        alg = algebra_from_matrices(ctx, elems, bp, meta)
-        calls.append((ctx, list(elems), upper_table(alg)))
+
+def unit_elems(elems):
+    """(label, parity, unit entries) of (label, parity, matrix) elements
+    whose matrices have integer entries."""
+    return [(label, parity, constructions._units(np.asarray(m).astype(np.int64)))
+            for label, parity, m in elems]
+
+
+def unit_builds(build):
+    """(block_parities, elems, algebra) of every _unit_algebra call that
+    build() makes."""
+    calls = []
+    real = constructions._unit_algebra
+
+    def recording(ctx, bp, elems, meta, reader=None):
+        alg = real(ctx, bp, elems, meta, reader)
+        calls.append((bp, elems, alg))
         return alg
 
-    monkeypatch.setattr(constructions, "algebra_from_matrices", recording)
-    build()
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (constructions, brj):
+            mp.setattr(mod, "_unit_algebra", recording)
+        build()
     return calls
 
 
+def dense_unit_algebra(ctx, block_parities, elems, meta, reader=None):
+    """_unit_algebra on the dense oracle: the same elements as matrices,
+    through algebra_from_matrices."""
+    n = len(block_parities)
+    mats = []
+    for label, parity, entries in elems:
+        m = np.zeros((n, n), dtype=np.int64)
+        for a, b, v in entries:
+            m[a, b] = v
+        mats.append((label, parity, from_int(ctx, m, 1)))
+    return algebra_from_matrices(ctx, mats, block_parities, meta)
+
+
+def oracle_build(build):
+    """build() with every _unit_algebra call made on the dense oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (constructions, brj):
+            mp.setattr(mod, "_unit_algebra", dense_unit_algebra)
+        return build()
+
+
+# every matrix family but gl and sl, which TestUnitRuleOracle checks for
+# every m + n up to 8
+FAMILIES = [("spo(2|3)", lambda c: spo(2, 3, c)),
+            ("spo(2|4)", lambda c: spo(2, 4, c)),
+            ("spo(4|1)", lambda c: spo(4, 1, c)),
+            ("spo(4|5)", lambda c: spo(4, 5, c)),
+            ("p(3)", lambda c: periplectic(3, c)),
+            ("q(3)", lambda c: queer(3, c)),
+            ("pq(3)", lambda c: pq(3, c)),
+            ("psq(3)", lambda c: psq(3, c)),
+            ("sl2", sl2_algebra),
+            ("sp4", brj.sp4_algebra)]
+FIELDS = [F3, F5, F7, BIG, Q]
+FIELD_IDS = ["F3", "F5", "F7", "F2147483647", "Q"]
+
+
+def assert_same_coords(alg, want, m):
+    """coords_of_matrix against the oracle's span solve, None included."""
+    got, exp = coords_of_matrix(alg, m), solved_coords(want, m)
+    assert (got is None) == (exp is None)
+    if got is not None:
+        assert got.dtype == exp.dtype and np.array_equal(got, exp)
+
+
 class TestMatrixBuildDifferential:
-    """algebra_from_matrices against loop_matrix_table."""
+    """The matrix-unit builder against loop_matrix_table and against the
+    dense algebra_from_matrices, on valid and invalid element lists."""
 
     @pytest.mark.parametrize("ctx", [F3, F5, BIG, Q], ids=repr)
-    def test_tables_match_loop(self, monkeypatch, ctx):
-        # gl, sl and psl are built by the matrix-unit rule, not from
-        # matrices: TestUnitRuleOracle checks their tables against the loop
+    def test_tables_match_loop(self, ctx):
+        # gl, sl and psl: TestUnitRuleOracle checks their tables
         builds = (lambda: spo(2, 3, ctx), lambda: spo(4, 1, ctx),
                   lambda: periplectic(3, ctx), lambda: psq(3, ctx))
         for build in builds:
-            calls = built_tables(monkeypatch, build)
-            assert len(calls) == 1
-            (c, elems, table), = calls
-            assert table == loop_matrix_table(c, elems)
+            (_, _, alg), = unit_builds(build)
+            assert upper_table(alg) == loop_matrix_table(ctx,
+                                                         matrix_elems(alg))
 
     @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
     def test_first_pair_leaving_the_span(self, ctx):
@@ -306,16 +351,47 @@ class TestMatrixBuildDifferential:
                 subset = sorted(rng.sample(range(len(elems)), size))
                 sub = [elems[i] for i in subset]
                 want = loop_matrix_table(ctx, sub)
+                units = unit_elems(sub)
                 if isinstance(want, dict):
-                    alg = algebra_from_matrices(ctx, sub, [0, 0, 1])
+                    alg = constructions._unit_algebra(ctx, [0, 0, 1], units,
+                                                      {})
                     assert upper_table(alg) == want
                     continue
                 outside += 1
                 with pytest.raises(InputError) as exc:
-                    algebra_from_matrices(ctx, sub, [0, 0, 1])
+                    constructions._unit_algebra(ctx, [0, 0, 1], units, {})
                 assert str(exc.value) == (f"bracket [{want[0]},{want[1]}] "
                                           "leaves the span")
         assert outside >= 10
+
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_errors_match_matrix_build(self, ctx):
+        # random subsets of each family's elements, and each family with
+        # one element's parity flipped: the same constants, or InputError
+        # with the same text, from the unit rule and the dense build
+        rng = random.Random(11)
+        outcomes = set()
+        for _, build in FAMILIES:
+            for bp, elems, _ in unit_builds(lambda: build(ctx)):
+                flip = rng.randrange(len(elems))
+                cases = [[(label, 1 - parity if i == flip else parity, es)
+                          for i, (label, parity, es) in enumerate(elems)]]
+                cases += [[elems[i] for i in sorted(rng.sample(
+                    range(len(elems)), min(size, len(elems))))]
+                    for size in (2, 3, 4, 6) for _ in range(2)]
+                for case in cases:
+                    try:
+                        want = dense_unit_algebra(ctx, bp, case, {})
+                    except InputError as exc:
+                        with pytest.raises(InputError) as got:
+                            constructions._unit_algebra(ctx, bp, case, {})
+                        assert str(got.value) == str(exc)
+                        outcomes.add(str(exc).split()[0])
+                        continue
+                    alg = constructions._unit_algebra(ctx, bp, case, {})
+                    assert np.array_equal(alg.consts, want.consts)
+                    outcomes.add("closed")
+        assert outcomes == {"closed", "bracket", "entry"}
 
     def test_declared_parity_is_checked(self):
         elems = matrix_elems(gl(2, 1, F5))
@@ -323,13 +399,41 @@ class TestMatrixBuildDifferential:
                  for label, parity, m in elems]
         with pytest.raises(InputError,
                            match=r"entry \(1,2\) of E2,3 violates declared parity 0"):
-            algebra_from_matrices(F5, wrong, [0, 0, 1])
+            constructions._unit_algebra(F5, [0, 0, 1], unit_elems(wrong), {})
 
+    def test_leading_units_are_checked(self):
+        # each element is read at its first unit, which must be 1 and its
+        # own; a diagonal H reads like this only through sl's recurrence
+        x, y = (0, 0, 1), (1, 1, -1)
+        for elems, message in [
+                ([("H", 0, [x, y]), ("K", 0, [(1, 1, 1)])],
+                 "H has an entry at the leading unit of K"),
+                ([("H", 0, [(0, 0, 2)])], "leading entry of H is 2, not 1"),
+                ([("H", 0, [x]), ("Z", 0, [])],
+                 "a basis element has no entries"),
+                ([("E", 0, [(0, 1, 1)]), ("F", 0, [(1, 0, 1), (0, 1, 1)])],
+                 "F has an entry at the leading unit of E")]:
+            with pytest.raises(InputError) as exc:
+                constructions._unit_algebra(F5, [0, 0], elems, {})
+            assert str(exc.value) == message
 
-def matrix_elems(alg):
-    """The (label, parity, matrix) of each basis element of an algebra
-    with a matrix_basis."""
-    return list(zip(alg.labels, alg.parities, alg.matrix_basis))
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_gram_units_match_kernel(self, ctx):
+        # spo's even blocks: the unit entries of the Gram algebras are the
+        # kernel's canonical basis
+        grams = [constructions._gram_symplectic(m) for m in (1, 2, 3)]
+        grams += [constructions._gram_orthogonal(d) for d in range(1, 8)]
+        for g in grams:
+            n = len(g)
+            got = []
+            for entries in constructions._gram_units(g):
+                m = np.zeros((n, n), dtype=np.int64)
+                for a, b, v in entries:
+                    m[a, b] = v
+                got.append(from_int(ctx, m, 1))
+            want = gram_algebra_basis(ctx, from_int(ctx, g, 1))
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def matrix_built(alg):
@@ -346,13 +450,14 @@ def splits(top):
 
 
 class TestUnitRuleOracle:
-    """gl and sl from the matrix-unit rule against algebra_from_matrices on
-    their own matrix_basis: the same constants, dtype, labels, parities
-    and meta, and the same scalars and quotients by them."""
+    """Every matrix family from the matrix-unit rule against
+    algebra_from_matrices on the same elements: the same constants, dtype,
+    labels, parities, meta, JSON and matrix_basis, the same coordinates of
+    matrices, and the same scalars and quotients by them."""
 
     @pytest.mark.parametrize("ctx, top", [(F3, 8), (F5, 8), (F7, 8),
                                           (BIG, 8), (Q, 6)],
-                             ids=["F3", "F5", "F7", "F2147483647", "Q"])
+                             ids=FIELD_IDS)
     def test_consts_match_matrix_build(self, ctx, top):
         for m, n in splits(top):
             for alg in [gl(m, n, ctx)] + ([sl(m, n, ctx)] if m + n > 1
@@ -364,11 +469,64 @@ class TestUnitRuleOracle:
                     want.labels, want.parities, want.meta)
                 assert alg.to_json() == want.to_json()
 
+    @pytest.mark.parametrize("ctx", FIELDS, ids=FIELD_IDS)
+    def test_families_match_matrix_build(self, ctx):
+        for _, build in FAMILIES:
+            alg, want = build(ctx), oracle_build(lambda: build(ctx))
+            assert alg.consts.dtype == want.consts.dtype
+            assert np.array_equal(alg.consts, want.consts)
+            assert (alg.labels, alg.parities, alg.meta) == (
+                want.labels, want.parities, want.meta)
+            assert alg.to_json() == want.to_json()
+            if not hasattr(want, "matrix_basis"):
+                continue  # pq and psq: a quotient and a subalgebra
+            mats = alg.matrix_basis
+            assert [m.dtype for m in mats] == [
+                m.dtype for m in want.matrix_basis]
+            assert np.array_equal(mats, want.matrix_basis)
+            n = len(mats[0])
+            units = list(ctx.eye(n * n).reshape(n * n, n, n))
+            for m in [ctx.eye(n), ctx.reduce(sum(mats))] + mats + units:
+                assert_same_coords(alg, want, m)
+            if solved_coords(want, ctx.eye(n)) is None:
+                with pytest.raises(CenterNotInside):
+                    identity_coords(alg)
+
+    # sha256 of to_json(), recorded from the algebra_from_matrices builds
+    # of these families: the unit entries keep every label, order and sign
+    DIGESTS = {
+        ("spo(2|3)", 5): "224a852d0e617293870ef343afb444413666c0bfee8e5e3fe50ae12520ca73eb",
+        ("spo(2|3)", 0): "7cd68db2a3b30c8b6d4c186351db7e85a7b2f761afa7b534350a60ce87470b9b",
+        ("spo(2|4)", 5): "aa62205c57c3aaec687f1387d65b341f4f418e8e1a07c7f6bc657768a90d7bde",
+        ("spo(2|4)", 0): "cd4a67aaad35cce9810a2089e43c72d678d44f63e106f9e0260370fb93921f83",
+        ("spo(4|1)", 5): "2fd6851a3a839de7be021647b6278a64c4324e4f0f9534a6c9e4df2cc078ef73",
+        ("spo(4|1)", 0): "679708d974292f2a5fd02a7d2a7126b2dde8ddbfe35024a3b98520adf62ef692",
+        ("spo(4|5)", 5): "ee59ec012d9e3382a469cd8cd852ca7f7334408cbd78259e5713fffaf73fc734",
+        ("spo(4|5)", 0): "99401849312805b6894c02de3efe40b0d3c6c102708d4c9629c3820b43cc7161",
+        ("p(3)", 5): "652ac0d2a399c16fb104e18644c5e06b9227074346f98b25e5cbdcd5622e4b73",
+        ("p(3)", 0): "02cf1c7b64e618f4f36804d82dde49bc270736b91d14b724c60920bb089c3f42",
+        ("q(3)", 5): "923ca72a016bff002346022b44c52d35a158e650aeb2d97effa24ca62031782e",
+        ("q(3)", 0): "2df4dbb50ddb8a1ac60e20aa7e4d1b944d58a5db778d3334792e4984872a558d",
+        ("pq(3)", 5): "434f5c01ebea07c10525a38fd3b73c4e2430d14e7b389e9496b74734f7e395bd",
+        ("pq(3)", 0): "add1d9125325d1342965ed498da86a648a2979001fb4b8fd1cd1429325fd83c0",
+        ("psq(3)", 5): "15daaee03ae40a09ace4a5ad7d64ec98696d04d750dc5d372eee56c00a09ef0e",
+        ("psq(3)", 0): "ad0922c04a93d2115fadc01bdec421d9c4a38853f28ae47f201c20e132d4f071",
+        ("sl2", 5): "0c79d9f4297d72a2448320bfb9088c4e4f890f731806204b68bf5175b31ff049",
+        ("sl2", 0): "982213fd951e0030d8c9cdc4dc81d42a1e25120edbdaeb1624dc22937f4c1a16",
+        ("sp4", 5): "e7e45f6d68c33d96ae824f4e80309d37a4d32379ddbe3ed7f4fdfff8bdcd34aa",
+        ("sp4", 0): "2103fd65b86998b97b7b86ba6877be4bb591ababc20d6a17c2dbdbdb6a33285a",
+    }
+
+    @pytest.mark.parametrize("p", [5, 0], ids=["F5", "Q"])
+    def test_json_digests(self, p):
+        for name, build in FAMILIES:
+            text = build(FieldCtx(p)).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == \
+                self.DIGESTS[name, p], name
+
     @pytest.mark.parametrize("ctx", [F3, F5, BIG, Q], ids=repr)
     def test_tables_match_loop(self, ctx):
-        # the builds TestMatrixBuildDifferential compared with the loop
-        # while gl and sl were matrix-built: gl(2|1), sl(2|1) and psl(2|2)'s
-        # sl(2|2)
+        # gl(2|1), sl(2|1) and psl(2|2)'s sl(2|2)
         for alg in (gl(2, 1, ctx), sl(2, 1, ctx), sl(2, 2, ctx)):
             assert upper_table(alg) == loop_matrix_table(ctx,
                                                          matrix_elems(alg))
@@ -385,37 +543,42 @@ class TestUnitRuleOracle:
             for build, quotient in builds:
                 alg = build(m, n, ctx)
                 want = matrix_built(alg)
-                assert np.array_equal(identity_coords(alg),
-                                      identity_coords(want))
+                scalars = solved_coords(want, ctx.eye(m + n))
+                assert np.array_equal(identity_coords(alg), scalars)
                 got = quotient(m, n, ctx)
-                q = want.quotient(constructions.scalar_ideal(want))
+                q = want.quotient(SuperIdeal(want, Subspace.from_vectors(
+                    ctx, want.dim, [scalars])))
                 assert (got.labels, got.parities) == (q.labels, q.parities)
                 assert np.array_equal(got.consts, q.consts)
 
 
 class TestUnitRuleGuard:
-    """gl and sl build no SpanSolver and no matrix products; coords_of_matrix
-    builds one SpanSolver on its first call and keeps it."""
+    """No catalog build, coords_of_matrix or identity_coords solves in a
+    span: none constructs a SpanSolver or calls kernel, and constructions
+    has neither, nor int_matmul or the dense builder."""
 
     def test_no_span_solve(self, monkeypatch):
-        solvers = []
-        real = linalg.SpanSolver.__init__
-
-        def counting(self, *args):
-            solvers.append(args[1].shape)
-            real(self, *args)
-
         def refused(*args):
-            raise AssertionError("a matrix-built bracket")
+            raise AssertionError("a span solve")
 
-        monkeypatch.setattr(linalg.SpanSolver, "__init__", counting)
-        monkeypatch.setattr(constructions, "_bracket_rows", refused)
-        monkeypatch.setattr(constructions, "_bracket_consts", refused)
-        for alg in (sl(3, 3, F5), gl(2, 2, F5)):
-            assert solvers == []
-            assert np.array_equal(constructions.coords_of_matrix(
-                alg, alg.matrix_basis[1]), F5.eye(alg.dim)[1])
-            identity_coords(alg)
-            assert solvers == [(alg.dim, 36 if alg.meta["name"] == "sl"
-                                else 16)]
-            solvers.clear()
+        monkeypatch.setattr(linalg.SpanSolver, "__init__", refused)
+        for mod in (linalg, superalgebra, pairs, modules, brj):
+            monkeypatch.setattr(mod, "kernel", refused)
+        for name in ("SpanSolver", "kernel", "int_matmul",
+                     "algebra_from_matrices", "_bracket_rows",
+                     "_bracket_consts", "_gram_algebra_basis"):
+            assert not hasattr(constructions, name)
+        algs = [gl(2, 2, F5), sl(3, 3, F5), spo(4, 5, F5), periplectic(3, F5),
+                queer(3, F5), sl2_algebra(F5), brj.sp4_algebra(F5)]
+        for alg in algs:
+            assert np.array_equal(coords_of_matrix(alg, alg.matrix_basis[1]),
+                                  F5.eye(alg.dim)[1])
+            try:
+                identity_coords(alg)
+            except CenterNotInside:
+                assert alg.meta["name"] not in ("gl", "sl")
+        for build in (pgl, psl):
+            build(3, 3, F5)
+        periplectic_derived(3, F5)
+        pq(3, F5)
+        psq(3, F5)

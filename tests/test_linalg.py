@@ -467,6 +467,26 @@ def test_int64_matmul_past_the_dot_product_limit():
     assert got.dtype == np.int64 and got[0, 0] == 9000
 
 
+@pytest.mark.parametrize("k", [1, 2, 65536, 65537, 65538])
+def test_large_prime_matmul_against_object_product(k):
+    # at p = 2^31 - 1 the int64 products split a into 16-bit halves while
+    # (p-1)(2^16-1)k < 2^63, that is k <= 65537, and run on Python ints
+    # past it; int64 and object inputs, entries p-1 and mixed residues
+    ctx = FieldCtx.prime(2**31 - 1)
+    rng = np.random.default_rng(k)
+    a = np.full((2, k), ctx.p - 1, dtype=np.int64)
+    a[1] = rng.integers(0, ctx.p, k)
+    b = np.full((k, 3), ctx.p - 1, dtype=np.int64)
+    b[:, 1] = rng.integers(0, ctx.p, k)
+    b[:, 2] = rng.integers(0, 2**16, k)
+    want = a.astype(object) @ b.astype(object) % ctx.p
+    got = exact_matmul(ctx, a, b)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    got = exact_matmul(ctx, a.astype(object), b.astype(object))
+    assert got.dtype == object and np.array_equal(got, want)
+    assert {type(x) for x in got.flat} == {int}
+
+
 @pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
 class TestSympyOracle:
     @settings(max_examples=30, deadline=None)

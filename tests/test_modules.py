@@ -52,6 +52,7 @@ from superlie.constructions import (
     symn_dual,
     symn_module,
 )
+from matrix_oracles import algebra_from_matrices
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
@@ -140,16 +141,18 @@ class TestExp:
 
 def ref_conjugation_family(alg, label, x, root=None):
     """The adjoint family of the unipotent 1 + t x for a square-zero matrix
-    x on a matrix-built algebra, by conjugation: y -> y + t(xy - yx)
-    - t^2 xyx, each image solved for in the algebra's matrix basis.  The
-    builder that CoeffOperatorFamily.exp(ad x) replaced, kept as its
-    oracle."""
+    x on a purely even matrix-built algebra, by conjugation: y -> y +
+    t(xy - yx) - t^2 xyx, each image solved for in the algebra's matrix
+    basis with the SpanSolver of its dense oracle build.  The builder that
+    CoeffOperatorFamily.exp(ad x) replaced, kept as its oracle."""
     ctx, d = alg.ctx, alg.dim
     (xi, ys), s = int_family(ctx, [x, np.stack(alg.matrix_basis)])
     assert not np.any(ctx.reduce(xi @ xi))
     xy, yx = ctx.reduce(xi @ ys), ctx.reduce(ys @ xi)
     rows = np.concatenate([(xy - yx) * s, -(xy @ xi)]).reshape(2 * d, -1)
-    solver: SpanSolver = alg.matrix_solver
+    solver: SpanSolver = algebra_from_matrices(
+        ctx, list(zip(alg.labels, alg.parities, alg.matrix_basis)),
+        [0] * len(x)).matrix_solver
     coords, u, in_span = solver.coords_int_rows(ctx.reduce(rows), s ** 3)
     assert in_span.all()
     return CoeffOperatorFamily(
@@ -194,9 +197,9 @@ class TestExpDifferential:
     @pytest.mark.parametrize("ctx", [F3, F5, F7, Q], ids=repr)
     def test_adjoint_sp4(self, ctx):
         g = brj.sp4_algebra(ctx)
-        roots, _ = brj._sp4_elements(ctx)
+        roots = brj.SP4_ROOTS
         want = ref_adjoint_module(
-            g, [(l, w, ctx.reduce(m)) for l, w, m in roots],
+            g, [(l, w, g.matrix_basis[i]) for i, (l, w, _) in enumerate(roots)],
             [w for _, w, _ in roots] + [(0, 0), (0, 0)], "adjoint-sp4")
         assert_same_module(brj.sp4_adjoint_module(g), want)
 

@@ -14,7 +14,7 @@ from superlie.brj import (
     sp4_natural_module,
 )
 from superlie.fields import FieldCtx, InputError, SuperlieError
-from superlie.linalg import (DimensionMismatch, Matrix, Subspace, from_int,
+from superlie.linalg import (DimensionMismatch, Matrix, Subspace,
                              int_family, int_matmul, kernel)
 from superlie.modules import (CoeffOperatorFamily, GModule, _kron_coeffs,
                               hom_space, square_layout, sym2)
@@ -42,8 +42,9 @@ from superlie.constructions import (
     SL2_ON_V,
     D21Params,
     RecurrenceViolation,
+    _unit_algebra,
+    _units,
     adjoint_sl2_module,
-    algebra_from_matrices,
     d21,
     gl,
     pgl,
@@ -492,7 +493,7 @@ def sl2_pair_space(n, ctx):
 
 def sl2_cubed_pieces(ctx):
     """(sl2^3, W, adjoint module) for d21's even part and odd module.
-    sl2^3 is matrix-built on block-diagonal 6 x 6 copies of H, E12, E21;
+    sl2^3 is built on block-diagonal 6 x 6 copies of H, E12, E21;
     W = V (x) V (x) V under the Kronecker action, with one family [I, x]
     per root vector x; the adjoint module has one family exp(t ad x) per
     root, under the same labels."""
@@ -502,10 +503,10 @@ def sl2_cubed_pieces(ctx):
         for x, m in zip("HEF", SL2_ON_V):
             block = np.zeros((6, 6), dtype=np.int64)
             block[2 * f:2 * f + 2, 2 * f:2 * f + 2] = m
-            elems.append((f"{x}{f + 1}", 0, from_int(ctx, block, 1)))
+            elems.append((f"{x}{f + 1}", 0, _units(block)))
             acts.append(reduce(np.kron, [m if h == f else eye
                                          for h in range(3)]))
-    even = algebra_from_matrices(ctx, elems, [0] * 6)
+    even = _unit_algebra(ctx, [0] * 6, elems, {})
     roots = {}
     for f in range(3):
         for g, sign in ((1, 1), (2, -1)):
@@ -741,11 +742,12 @@ class TestProperQuotient:
     def test_normality_reads_integer_forms(self, monkeypatch):
         # over Q check_normality reads the integer forms of the bases and
         # the operators: it makes no Fraction array and converts only the
-        # pair's bracket and the even algebra's constants to integers
-        p = gl2_pair(Q)
+        # pair's bracket and the even algebra's constants to integers, each
+        # once, so a second call converts nothing
         s = SubpairSpec(Subspace.from_vectors(Q, 4, [Q.vec([1, 0, 0, 1])]),
                         (), Subspace.zero(Q, 2))
-        want = ref_check_normality(p, s)
+        want = ref_check_normality(gl2_pair(Q), s)
+        p = gl2_pair(Q)
         calls = []
         for name in ("from_int", "int_scaled"):
             real = getattr(linalg, name)
@@ -755,6 +757,8 @@ class TestProperQuotient:
                 return _real(*args)
 
             monkeypatch.setattr(linalg, name, counting)
+        assert check_normality(p, s) == want
+        assert calls == ["int_scaled", "int_scaled"]
         assert check_normality(p, s) == want
         assert calls == ["int_scaled", "int_scaled"]
 
