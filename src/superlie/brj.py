@@ -120,8 +120,9 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
     zero in this realization)."""
     ctx = g.ctx
     lie = [Matrix(ctx, m) for m in g.matrix_basis]
-    fams = [CoeffOperatorFamily(l, [Matrix.identity(ctx, 4), lie[i]], w)
-            for i, (l, w, _) in enumerate(SP4_ROOTS)]
+    fams = CoeffOperatorFamily.batch(
+        (l, [Matrix.identity(ctx, 4), lie[i]], w)
+        for i, (l, w, _) in enumerate(SP4_ROOTS))
     return GModule(ctx, ["v+e1", "v+e2", "v-e1", "v-e2"], g.labels, lie, fams,
                    weights=[(1, 0), (0, 1), (-1, 0), (0, -1)],
                    brackets=g.consts, meta={"name": "V"})
@@ -131,8 +132,9 @@ def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
     """sp4's adjoint module, with exp(t ad x) for each root vector x."""
     ctx = g.ctx
     lie = [g.ad(i) for i in range(g.dim)]
-    fams = [CoeffOperatorFamily.exp(l, lie[i], root=w)
-            for i, (l, w, _) in enumerate(SP4_ROOTS)]
+    fams = CoeffOperatorFamily.batch(
+        (l, CoeffOperatorFamily.exp_ops(l, lie[i]), w)
+        for i, (l, w, _) in enumerate(SP4_ROOTS))
     weights = [w for _, w, _ in SP4_ROOTS] + [(0, 0), (0, 0)]
     return GModule(ctx, g.labels, g.labels, lie, fams, weights=weights,
                    brackets=g.consts, meta={"name": "adjoint-sp4"})

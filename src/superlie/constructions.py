@@ -521,8 +521,9 @@ def adjoint_sl2_module(ctx: FieldCtx) -> GModule:
     """sl2's adjoint module read off SL2_BRACKETS: ad(x_i) is
     SL2_BRACKETS[i].T, with the families exp(t ad E12), exp(t ad E21)."""
     lie = [Matrix.from_int(ctx, b.T) for b in SL2_BRACKETS]
-    fams = [CoeffOperatorFamily.exp("X2", lie[1], root=(2,)),
-            CoeffOperatorFamily.exp("X-2", lie[2], root=(-2,))]
+    fams = CoeffOperatorFamily.batch(
+        (label, CoeffOperatorFamily.exp_ops(label, lie[i]), root)
+        for label, i, root in (("X2", 1, (2,)), ("X-2", 2, (-2,))))
     return GModule(ctx, SL2_LABELS, SL2_LABELS, lie, fams,
                    weights=[(0,), (2,), (-2,)],
                    brackets=Matrix.from_int(ctx, SL2_BRACKETS.reshape(9, 3)),
@@ -562,8 +563,8 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
                 down[i - k, i] = math.comb(i, k)
         up_ops.append(Matrix.from_int(ctx, up))
         down_ops.append(Matrix.from_int(ctx, down))
-    fams = [CoeffOperatorFamily("X2", up_ops, (2,)),
-            CoeffOperatorFamily("X-2", down_ops, (-2,))]
+    fams = CoeffOperatorFamily.batch([("X2", up_ops, (2,)),
+                                      ("X-2", down_ops, (-2,))])
     return GModule(
         ctx, [f"s{i}" for i in range(d)], SL2_LABELS,
         [Matrix.from_int(ctx, a) for a in (h, e, f)], fams,

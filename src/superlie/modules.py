@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,29 +58,50 @@ class CoeffOperatorFamily:
     identity.  root, when set, is the weight shift of each t-power.
 
     Construction drops trailing zero operators and checks the composition
-    law, so every instance is a valid family."""
+    law with validate, so every instance is a valid family.  batch builds
+    several families and checks them all with one validate call."""
 
     label: str
     ops: Tuple[Matrix, ...]
     root: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        ops = list(self.ops)
-        while len(ops) > 1 and ops[-1].is_zero():
-            ops.pop()
-        object.__setattr__(self, "ops", tuple(ops))
-        if self.root is not None:
-            object.__setattr__(self, "root", tuple(self.root))
+        self._hold(self.label, self.ops, self.root)
         self.validate()
 
+    def _hold(self, label: str, ops: Sequence[Matrix],
+              root: Optional[Sequence[int]]):
+        """Set the fields, with trailing zero operators dropped."""
+        ops = list(ops)
+        while len(ops) > 1 and ops[-1].is_zero():
+            ops.pop()
+        for name, value in (("label", label), ("ops", tuple(ops)),
+                            ("root", None if root is None else tuple(root))):
+            object.__setattr__(self, name, value)
+
     @classmethod
-    def exp(cls, label: str, x: Matrix,
-            root: Optional[Sequence[int]] = None) -> "CoeffOperatorFamily":
-        """exp(t x) = sum_k t^k x^k / k! for a nilpotent operator x, as
-        Ad(exp(t y)) = exp(t ad y) on a Lie algebra: A_0 = I and A_k =
-        A_{k-1} x / k (J X over the scale s u k, on integer forms J / s and
-        X / u) up to the first zero power.  Raises InputError unless x is
-        nilpotent and every nonzero x^k has k! a unit."""
+    def batch(cls, specs: Iterable[Tuple[str, Sequence[Matrix],
+                                         Optional[Sequence[int]]]]
+              ) -> List["CoeffOperatorFamily"]:
+        """The families of the (label, ops, root) triples of specs, trimmed
+        as the constructor does and checked by one validate call."""
+        fams = []
+        for spec in specs:
+            f = cls.__new__(cls)
+            f._hold(*spec)
+            fams.append(f)
+        if fams:
+            fams[0].validate(*fams[1:])
+        return fams
+
+    @staticmethod
+    def exp_ops(label: str, x: Matrix) -> List[Matrix]:
+        """The operators of exp(t x) = sum_k t^k x^k / k! for a nilpotent
+        operator x, as Ad(exp(t y)) = exp(t ad y) on a Lie algebra: A_0 = I
+        and A_k = A_{k-1} x / k (J X over the scale s u k, on integer forms
+        J / s and X / u) up to the first zero power.  Raises InputError,
+        naming label, unless x is nilpotent and every nonzero x^k has k! a
+        unit."""
         ctx, n, u = x.ctx, x.rows, x.scale
         if x.cols != n:
             raise DimensionMismatch("exp needs a square operator")
@@ -95,7 +116,13 @@ class CoeffOperatorFamily:
                 raise InputError(f"{label}: x^{k} != 0 and {k}! is 0 mod "
                                  f"{ctx.p}")
             ops.append(Matrix.from_int(ctx, prod, ops[-1].scale * u * k))
-        return cls(label, ops, root)
+        return ops
+
+    @classmethod
+    def exp(cls, label: str, x: Matrix,
+            root: Optional[Sequence[int]] = None) -> "CoeffOperatorFamily":
+        """The family exp(t x) of exp_ops."""
+        return cls(label, cls.exp_ops(label, x), root)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -120,59 +147,102 @@ class CoeffOperatorFamily:
                 "ops": [op.to_rows() for op in self.ops]}
 
     @classmethod
-    def from_json_dict(cls, ctx: FieldCtx, d: dict) -> "CoeffOperatorFamily":
-        return cls(d["label"], [Matrix.from_rows(ctx, m) for m in d["ops"]],
-                   d.get("root"))
+    def from_json_dicts(cls, ctx: FieldCtx,
+                        ds: Iterable[dict]) -> List["CoeffOperatorFamily"]:
+        """The families of to_json_dict's dicts, built by one batch."""
+        return cls.batch((d["label"], [Matrix.from_rows(ctx, m)
+                                       for m in d["ops"]], d.get("root"))
+                         for d in ds)
 
-    def validate(self):
+    def _malformed(self, n: int) -> Optional[SuperlieError]:
+        """The error of an empty family, an op_0 other than the identity or
+        an op that is not n x n, in that order; None if there is none."""
         if not self.ops:
-            raise CompositionViolation(f"{self.label}: empty family")
-        ctx = self.ctx
-        n = self.dim
+            return CompositionViolation(f"{self.label}: empty family")
         if not self.ops[0].is_identity():
-            raise CompositionViolation(f"{self.label}: op_0 is not the identity")
-        d = self.degree
-        if not d:
-            return
-        # on the integer forms A_k = J_k / s (over F_p the residues
-        # themselves, s = 1) the identity A_a A_b = C(a+b,a) A_{a+b} becomes
-        # J_a J_b = C s J_{a+b}.  It holds when a or b is 0; every other
-        # J_a J_b comes from one join of the entries of J_1..J_d on the
-        # middle index, and C s J_{a+b} is added with the opposite sign at
-        # each split a + b of its degree.  A key packs (a, b, row, col), so
-        # the least one left is the least failing (a, b)
-        ints, s = int_family(ctx, self.ops[1:])
-        k, r, c, v = _nonzeros(np.stack(ints))
-        k += 1
-        x, y = join(c, r)
-        lhs_keys = ((k[x] * (d + 1) + k[y]) * n + r[x]) * n + c[y]
-        # entry e of J_k once for each split k = a + b with a, b >= 1
-        splits = k - 1
-        e = np.repeat(np.arange(len(k)), splits)
-        first = np.repeat(np.cumsum(splits) - splits, splits)
-        a = np.arange(len(e)) - first + 1
-        rhs_keys = ((a * (d + 1) + k[e] - a) * n + r[e]) * n + c[e]
-        binom = ctx.reduce(np.array(
-            [[math.comb(i, j) * s for j in range(d + 1)]
-             for i in range(d + 1)], dtype=object)).astype(v.dtype)
-        keys, _ = nonzero_sums(
-            ctx, np.concatenate([lhs_keys, rhs_keys]),
-            np.concatenate([ctx.reduce(v[x] * v[y]),
-                            ctx.reduce(-binom[k[e], a] * v[e])]))
-        if len(keys):
-            a, b = divmod(int(keys[0]) // (n * n), d + 1)
-            if a + b > d:
-                raise CompositionViolation(
-                    f"{self.label}: A_{a} A_{b} nonzero beyond degree {d}")
+            return CompositionViolation(f"{self.label}: op_0 is not the identity")
+        for k, op in enumerate(self.ops):
+            if op.shape != (n, n):
+                return DimensionMismatch(
+                    f"{self.label}: op_{k} is {op.rows}x{op.cols}, not {n}x{n}")
+        return None
+
+    def validate(self, *others: "CoeffOperatorFamily"):
+        """Check self and each family of others; the first one, in that
+        order, that is empty, has an op_0 other than I, has an op that is
+        not n x n for self's n (DimensionMismatch) or breaks the composition
+        law raises, at its least failing (a, b).
+
+        On the integer forms A_k = J_k / s (one s for all families, 1 over
+        F_p) the law is J_a J_b = C(a+b, a) s J_{a+b}, which holds when a or
+        b is 0.  Every other J_a J_b comes from one join of all families'
+        entries on (family, middle index), and C s J_{a+b} is added negated
+        at each split a + b.  A key packs (family, a, b, row, col), so the
+        least one left is the first failure."""
+        fams = (self,) + others
+        n, err = self.dim if self.ops else 0, None
+        for i, f in enumerate(fams):
+            err = f._malformed(n)
+            if err:
+                fams = fams[:i]
+                break
+        fams = [f for f in fams if f.degree]
+        if fams:
+            _check_composition(fams)
+        if err:
+            raise err
+
+
+def _check_composition(fams: Sequence[CoeffOperatorFamily]):
+    """validate's composition check, on n x n families of degree > 0."""
+    ctx, n = fams[0].ctx, fams[0].dim
+    top = max(f.degree for f in fams) + 1
+    ints, s = int_family(ctx, [op for f in fams for op in f.ops[1:]])
+    it = iter(ints)
+    g, k, r, c, v = _family_entries([[next(it) for _ in f.ops[1:]]
+                                     for f in fams])
+    x, y = join(g * n + c, g * n + r)
+    lhs_keys = (((g[x] * top + k[x]) * top + k[y]) * n + r[x]) * n + c[y]
+    # entry e of J_k once for each split k = a + b with a, b >= 1
+    splits = k - 1
+    e = np.repeat(np.arange(len(k)), splits)
+    first = np.repeat(np.cumsum(splits) - splits, splits)
+    a = np.arange(len(e)) - first + 1
+    rhs_keys = (((g[e] * top + a) * top + k[e] - a) * n + r[e]) * n + c[e]
+    binom = ctx.reduce(np.array(
+        [[math.comb(i, j) * s for j in range(top)] for i in range(top)],
+        dtype=object)).astype(v.dtype)
+    keys, _ = nonzero_sums(
+        ctx, np.concatenate([lhs_keys, rhs_keys]),
+        np.concatenate([ctx.reduce(v[x] * v[y]),
+                        ctx.reduce(-binom[k[e], a] * v[e])]))
+    if len(keys):
+        i, ab = divmod(int(keys[0]) // (n * n), top * top)
+        a, b = divmod(ab, top)
+        f = fams[i]
+        if a + b > f.degree:
             raise CompositionViolation(
-                f"{self.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
+                f"{f.label}: A_{a} A_{b} nonzero beyond degree {f.degree}")
+        raise CompositionViolation(
+            f"{f.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
 
 
 def _nonzeros(a: np.ndarray):
     """The indices of the nonzero entries of a, one array per axis in
-    lexicographic order, followed by their values."""
-    idx = np.nonzero(a.astype(bool))
-    return (*idx, a[idx])
+    lexicographic order, followed by their values.  np.nonzero is several
+    times faster on a 1-d bool array than on an n-d or object one."""
+    flat = np.flatnonzero(a.astype(bool))
+    return (*np.unravel_index(flat, a.shape), a.ravel()[flat])
+
+
+def _family_entries(stacks: Sequence[Sequence[np.ndarray]]):
+    """(family, k, row, col, value) of the nonzero entries of [J_1, ...,
+    J_d] = stacks[i] of each family i, with no array of every operator."""
+    parts = []
+    for i, js in enumerate(stacks):
+        k, r, c, v = _nonzeros(np.stack(js))
+        parts.append((np.full(len(k), i), k + 1, r, c, v))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _commutator_terms(ctx: FieldCtx, ints: Sequence[np.ndarray]):
@@ -261,28 +331,39 @@ class GModule:
             self._check_weights()
 
     def _check_weights(self):
-        """Each op_k of a family with a root maps weight w to w + k root:
-        raise at the first entry (r, c), in row-major order, of the first
-        operator that breaks it."""
+        """Each op_k of a family with a root maps weight w to w + k root,
+        tested in one scan of every family's nonzero entries: raise at the
+        first family that breaks it, its first op_k, first entry (r, c) in
+        row-major order; or DimensionMismatch at a root of the wrong length,
+        after the families before it."""
         if (len(self.weights) != self.dim
                 or len({len(wt) for wt in self.weights}) > 1):
             raise DimensionMismatch("weights need one tuple of one length "
                                     "per basis vector")
         w = np.array(self.weights).reshape(self.dim, -1)
+        fams, err = [], None
         for f in self.families:
             if f.root is None:
                 continue
             if len(f.root) != w.shape[1]:
-                raise DimensionMismatch(
-                    f"family {f.label} root length mismatch")
+                err = DimensionMismatch(f"family {f.label} root length mismatch")
+                break
             # op_0 is the identity, which keeps every weight
-            k, r, c, _ = _nonzeros(np.stack([op.ints for op in f.ops]))
-            bad = np.flatnonzero(
-                (w[c] + k[:, None] * np.array(f.root) != w[r]).any(axis=1))
+            if f.degree:
+                fams.append(f)
+        if fams:
+            g, k, r, c, _ = _family_entries(
+                [[op.ints for op in f.ops[1:]] for f in fams])
+            roots = np.array([f.root for f in fams]).reshape(len(fams), -1)
+            bad = np.flatnonzero((w[c] + k[:, None] * roots[g] != w[r])
+                                 .any(axis=1))
             if len(bad):
                 b = bad[0]
                 raise CompositionViolation(
-                    f"{f.label}: op_{k[b]} breaks weights at ({r[b]},{c[b]})")
+                    f"{fams[g[b]].label}: op_{k[b]} breaks weights at "
+                    f"({r[b]},{c[b]})")
+        if err:
+            raise err
 
     def _check_brackets(self):
         """[A_i, A_j] = sum_k brackets[i, j, k] A_k for every pair i < j.
@@ -338,8 +419,7 @@ def module_from_json_dict(d: dict) -> GModule:
     ctx = FieldCtx.from_json_value(d["field"])
     lie_labels = [e["label"] for e in d["lie"]]
     lie_action = [Matrix.from_rows(ctx, e["matrix"]) for e in d["lie"]]
-    fams = [CoeffOperatorFamily.from_json_dict(ctx, e)
-            for e in d["families"]]
+    fams = CoeffOperatorFamily.from_json_dicts(ctx, d["families"])
     return GModule(ctx, d["labels"], lie_labels, lie_action, fams,
                    weights=d.get("weights"), meta=d.get("meta", {}))
 
@@ -361,12 +441,11 @@ def dual(m: GModule) -> GModule:
         return Matrix.from_int(ctx, -a.ints.T, a.scale)
 
     lie = [minus_t(a) for a in m.lie_action]
-    fams = []
-    for f in m.families:
-        ops = [op.transpose() if k % 2 == 0 else minus_t(op)
-               for k, op in enumerate(f.ops)]
-        # the underlying group element is unchanged, so the root is too
-        fams.append(CoeffOperatorFamily(f.label, ops, f.root))
+    # the underlying group element is unchanged, so the root is too
+    fams = CoeffOperatorFamily.batch(
+        (f.label, [op.transpose() if k % 2 == 0 else minus_t(op)
+                   for k, op in enumerate(f.ops)], f.root)
+        for f in m.families)
     weights = [tuple(-x for x in w) for w in m.weights] if m.weights else None
     labels = [l + "*" for l in m.labels]
     meta = dict(m.meta)
@@ -446,9 +525,9 @@ def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
         groups.append((f1.ops, f2.ops, range(f1.degree + f2.degree + 1)))
     ts, s = _kron_coeffs(ctx, groups, fold)
     lie = [Matrix.from_int(ctx, t, s, reduced=True) for (t,) in ts[:nl]]
-    fams = [CoeffOperatorFamily(f.label, [Matrix.from_int(
-                ctx, t, s, reduced=True) for t in ft], f.root)
-            for f, ft in zip(m1.families, ts[nl:])]
+    fams = CoeffOperatorFamily.batch(
+        (f.label, [Matrix.from_int(ctx, t, s, reduced=True) for t in ft],
+         f.root) for f, ft in zip(m1.families, ts[nl:]))
     weights = None
     if m1.weights and m2.weights:
         weights = [tuple(x + y for x, y in zip(m1.weights[i], m2.weights[j]))
@@ -555,8 +634,8 @@ def _subquotient(m: GModule, w: Subspace, reps: Sequence[np.ndarray],
         named += [(f"{f.label}[t^{k}]", op) for k, op in enumerate(f.ops)]
     ops = iter(induced_operators(m.ctx, named, w, reps))
     lie = [next(ops) for _ in m.lie_action]
-    fams = [CoeffOperatorFamily(f.label, [next(ops) for _ in f.ops], f.root)
-            for f in m.families]
+    fams = CoeffOperatorFamily.batch(
+        (f.label, [next(ops) for _ in f.ops], f.root) for f in m.families)
     return GModule(m.ctx, labels, m.lie_labels, lie, fams, weights=weights,
                    brackets=m.bracket_matrix, meta=meta)
 

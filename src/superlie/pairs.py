@@ -442,12 +442,11 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
     bracket_q = BilinearMap(ctx, s.h_lie.residuals(rows)[:, keep_g].reshape(
         dv, dv, len(keep_g)))
     reps_g = np.eye(pair.even.dim, dtype=np.int64)[keep_g]
-    adj_q = []
-    for gfam in pair.adjoint_families:
-        named = [(f"{gfam.label}[t^{k}]", op) for k, op in enumerate(gfam.ops)]
-        adj_q.append(CoeffOperatorFamily(
-            gfam.label, induced_operators(ctx, named, s.h_lie, reps_g),
-            gfam.root))
+    adj_q = CoeffOperatorFamily.batch(
+        (f.label, induced_operators(
+            ctx, [(f"{f.label}[t^{k}]", op) for k, op in enumerate(f.ops)],
+            s.h_lie, reps_g), f.root)
+        for f in pair.adjoint_families)
     return assemble_pair(even_q, odd_q, bracket_q, adj_q,
                          meta={"name": pair.meta.get("name", "pair") + "/q"})
 
@@ -479,8 +478,7 @@ def pair_from_json_dict(d: dict) -> HCPair:
         (int(i), int(j)): ctx.vec(v) for i, j, v in d["odd_bracket"]
     }
     bracket = BilinearMap.from_entries(ctx, odd.dim, even.dim, entries)
-    adj = [CoeffOperatorFamily.from_json_dict(ctx, e)
-           for e in d["adjoint_families"]]
+    adj = CoeffOperatorFamily.from_json_dicts(ctx, d["adjoint_families"])
     return assemble_pair(even, odd, bracket, adj, meta=d.get("meta", {}))
 
 

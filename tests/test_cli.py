@@ -9,7 +9,7 @@ import pytest
 import superlie.brj as brj_module
 from superlie.brj import brj25
 from superlie.cli import _brj_report_dict, main, make_parser
-from superlie.constructions import sl2_symn_pair, symn_dual
+from superlie.constructions import sl2_symn_pair, symn_dual, symn_module
 from superlie.fields import FieldCtx
 from superlie.modules import sym2
 from superlie.pairs import pair_to_json_dict
@@ -410,6 +410,17 @@ class TestValidateFile:
         rc, out, _ = run(capsys, "validate-file", str(path))
         assert rc == 1
         assert out.startswith("invalid: CompositionViolation")
+
+    def test_module_op_of_another_shape(self, capsys, tmp_path):
+        # Sym_1 at p = 5 with X2's op_1 replaced by a 3 x 3 nilpotent
+        d = symn_module(1, FieldCtx.prime(5)).to_json_dict()
+        fam = next(f for f in d["families"] if f["label"] == "X2")
+        fam["ops"][1] = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(d))
+        rc, out, _ = run(capsys, "validate-file", str(path))
+        assert rc == 1
+        assert out.startswith("invalid: DimensionMismatch")
 
     def test_unrecognized_shape_exits_2(self, capsys, tmp_path):
         path = tmp_path / "x.json"

@@ -8,7 +8,7 @@ import pytest
 import superlie.brj as brj
 import superlie.linalg as linalg
 import superlie.modules as modules
-from superlie.fields import FieldCtx, InputError
+from superlie.fields import FieldCtx, InputError, SuperlieError
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -88,6 +88,48 @@ class TestFamilies:
         m = symn_module(5, F3)
         for f in m.families:
             f.validate()
+
+    def test_op_of_another_shape(self):
+        # a square-zero 3 x 3 op_1 passes the composition law
+        e13 = Matrix.from_int(F5, np.eye(3, k=2, dtype=np.int64))
+        with pytest.raises(DimensionMismatch, match="op_1 is 3x3, not 2x2"):
+            CoeffOperatorFamily("X2", [Matrix.identity(F5, 2), e13])
+
+    def test_batch_checks_shapes(self):
+        ok = ("ok", [Matrix.identity(F5, 2), jordan_block(F5, 2)], None)
+        # a family of another dimension than the first
+        with pytest.raises(DimensionMismatch, match="j: op_0 is 3x3"):
+            CoeffOperatorFamily.batch(
+                [ok, ("j", [Matrix.identity(F5, 3), jordan_block(F5, 3)],
+                      None)])
+        # an op of another shape than its op_0, in a later family
+        with pytest.raises(DimensionMismatch, match="X2: op_1 is 3x3"):
+            CoeffOperatorFamily.batch(
+                [ok, ("X2", [Matrix.identity(F5, 2), jordan_block(F5, 3)],
+                      None)])
+
+    def test_batch_empty_and_identity(self):
+        ok = ("ok", [Matrix.identity(F5, 2), jordan_block(F5, 2)], None)
+        for specs in ([("e", [], None), ok], [ok, ("e", [], None)]):
+            with pytest.raises(CompositionViolation, match="e: empty family"):
+                CoeffOperatorFamily.batch(specs)
+        two = Matrix.from_int(F5, 2 * np.eye(2, dtype=np.int64))
+        with pytest.raises(CompositionViolation,
+                           match="b: op_0 is not the identity"):
+            CoeffOperatorFamily.batch([ok, ("b", [two], None)])
+        assert CoeffOperatorFamily.batch([]) == []
+
+    def test_batch_matches_constructor(self):
+        a1 = Matrix.from_rows(F5, [[0, 1], [0, 0]])
+        specs = [("x", [Matrix.identity(F5, 2), a1, Matrix.zeros(F5, 2, 2)],
+                  [2]),
+                 ("y", [Matrix.identity(F5, 2)], None),
+                 ("z", CoeffOperatorFamily.exp_ops("z", jordan_block(F5, 2)),
+                  (1,))]
+        fams = CoeffOperatorFamily.batch(specs)
+        assert fams == [CoeffOperatorFamily(*spec) for spec in specs]
+        assert fams[0].ops == (Matrix.identity(F5, 2), a1)
+        assert fams[0].root == (2,)
 
     def test_trailing_zero_operators_dropped(self):
         a1 = Matrix.from_rows(F5, [[0, 1], [0, 0]])
@@ -205,37 +247,51 @@ class TestExpDifferential:
 
 
 def count_validations(monkeypatch):
-    """The families CoeffOperatorFamily.validate runs on, in call order."""
-    seen = []
+    """The families of each CoeffOperatorFamily.validate call, self first,
+    one tuple per call in call order."""
+    calls = []
     validate = CoeffOperatorFamily.validate
 
-    def counting(self):
-        seen.append(self)
-        validate(self)
+    def counting(self, *others):
+        calls.append((self, *others))
+        validate(self, *others)
 
     monkeypatch.setattr(CoeffOperatorFamily, "validate", counting)
-    return seen
+    return calls
+
+
+def checked_once(calls):
+    """The families the calls cover, asserting that none is covered twice.
+    The calls keep every family alive, so distinct families have distinct
+    ids."""
+    fams = [f for call in calls for f in call]
+    assert len(fams) == len({id(f) for f in fams})
+    return fams
 
 
 class TestValidationCount:
     def test_sym2_validates_each_family_once(self, monkeypatch):
-        seen = count_validations(monkeypatch)
+        calls = count_validations(monkeypatch)
         sym2(symn_dual(5, Q))
-        # two families each for Sym_5, its dual and Sym2 of the dual; the
-        # tensor square is never built as a module
-        assert len(seen) == 6
+        # one call for each of Sym_5, its dual and Sym2 of the dual, two
+        # families each; the tensor square is never built as a module
+        assert len(calls) == 3
+        assert [f.label for f in checked_once(calls)] == ["X2", "X-2"] * 3
 
     def test_adjoint_sl2_validates_each_family_once(self, monkeypatch):
-        seen = count_validations(monkeypatch)
+        calls = count_validations(monkeypatch)
         adjoint_sl2_module(F7)
-        assert [f.label for f in seen] == ["X2", "X-2"]
+        assert [[f.label for f in call] for call in calls] == [["X2", "X-2"]]
 
     def test_brj_validates_each_family_once(self, monkeypatch):
-        seen = count_validations(monkeypatch)
+        calls = count_validations(monkeypatch)
         brj.brj25(p=5, skip_simplicity=True)
-        # seen keeps every family alive, so distinct families have
-        # distinct ids
-        assert len(seen) == len({id(f) for f in seen})
+        # one call for each of the eight modules V, L2V, Lw2, N, M, U,
+        # Sym2U and the adjoint module, each with sp4's eight root families
+        assert len(calls) == 8
+        assert len(checked_once(calls)) == 64
+        labels = [l for l, _, _ in brj.SP4_ROOTS]
+        assert all([f.label for f in call] == labels for call in calls)
 
 
 def count_conversions(monkeypatch):
@@ -1002,6 +1058,131 @@ class TestModuleChecksDifferential:
             GModule(*args, weights=m.weights[:-1])
         with pytest.raises(DimensionMismatch):
             GModule(*args, weights=[w + (0,) for w in m.weights])
+
+
+def failure(fn, *args, **kw):
+    """(exception type, message) of the SuperlieError fn(*args, **kw)
+    raises, or None."""
+    try:
+        fn(*args, **kw)
+    except SuperlieError as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def ref_validate_each(ctx, specs):
+    """validate's checks on (label, ops, root) specs as one family at a
+    time ran them, in order: an empty family, op_0, then
+    ref_family_validate."""
+    for label, ops, _ in specs:
+        if not ops:
+            raise CompositionViolation(f"{label}: empty family")
+        if not ops[0].is_identity():
+            raise CompositionViolation(f"{label}: op_0 is not the identity")
+        ref_family_validate(ctx, label, ops)
+
+
+def ref_weights_each(families, weights):
+    """GModule's weight check as one family at a time ran it, in order: a
+    root of the wrong length, then ref_check_weights."""
+    for f in families:
+        if f.root is not None and len(f.root) != len(weights[0]):
+            raise DimensionMismatch(f"family {f.label} root length mismatch")
+        ref_check_weights([f], weights)
+
+
+def trimmed(ops):
+    ops = list(ops)
+    while len(ops) > 1 and ops[-1].is_zero():
+        ops.pop()
+    return ops
+
+
+def broken_ops(ctx, f):
+    """f's operators with one entry of op_1 changed so that the composition
+    law fails: the first of its spots that does."""
+    delta = ctx.of(Fraction(1, 2))
+    for r, c in spots(f.ops[1].data):
+        ops = trimmed([f.ops[0], bumped(f.ops[1], r, c, delta), *f.ops[2:]])
+        if failure(ref_family_validate, ctx, f.label, ops):
+            return ops
+    raise AssertionError(f"no spot of {f.label} breaks its composition law")
+
+
+def first_and_last(n):
+    """Family index pairs i < j to break together."""
+    return sorted({(0, n - 1), (0, 1), (n - 2, n - 1)})
+
+
+BATCH_MODULES = ["sym2", "lw2"]
+BATCH_FIELDS = [F3, F5, BIG, Q]
+
+
+class TestBatchOrder:
+    """A batch of families, or a module's families in the weight scan,
+    fails as checking the families one at a time in order fails first:
+    the same exception type and message."""
+
+    @pytest.mark.parametrize("name", BATCH_MODULES)
+    @pytest.mark.parametrize("ctx", BATCH_FIELDS, ids=repr)
+    def test_two_families_fail(self, ctx, name):
+        fams = DIFF_MODULES[name](ctx).families
+        specs = [(f.label, list(f.ops), f.root) for f in fams]
+        for i, j in first_and_last(len(fams)):
+            case = list(specs)
+            for t in (i, j):
+                case[t] = (fams[t].label, broken_ops(ctx, fams[t]),
+                           fams[t].root)
+            want = failure(ref_validate_each, ctx, case)
+            assert want[1].startswith(f"{fams[i].label}: A_")
+            assert failure(CoeffOperatorFamily.batch, case) == want
+
+    @pytest.mark.parametrize("name", BATCH_MODULES)
+    @pytest.mark.parametrize("ctx", BATCH_FIELDS, ids=repr)
+    def test_identity_and_composition(self, ctx, name):
+        fams = DIFF_MODULES[name](ctx).families
+        specs = [(f.label, list(f.ops), f.root) for f in fams]
+        two = Matrix.from_int(ctx, 2 * np.eye(fams[0].dim, dtype=np.int64))
+        for i, j in first_and_last(len(fams)):
+            for comp, ident in ((i, j), (j, i)):
+                case = list(specs)
+                f = fams[comp]
+                case[comp] = (f.label, broken_ops(ctx, f), f.root)
+                f = fams[ident]
+                case[ident] = (f.label, [two, *f.ops[1:]], f.root)
+                want = failure(ref_validate_each, ctx, case)
+                assert want[1].startswith(fams[min(i, j)].label + ":")
+                assert failure(CoeffOperatorFamily.batch, case) == want
+
+    @pytest.mark.parametrize("name", BATCH_MODULES)
+    @pytest.mark.parametrize("ctx", BATCH_FIELDS, ids=repr)
+    def test_weights_and_root_length(self, ctx, name):
+        m = DIFF_MODULES[name](ctx)
+        fams = m.families
+
+        def rooted(t, root):
+            return CoeffOperatorFamily(fams[t].label, fams[t].ops, root)
+
+        def outcomes(case):
+            want = failure(ref_weights_each, case, m.weights)
+            got = failure(GModule, ctx, m.labels, m.lie_labels, m.lie_action,
+                          case, weights=m.weights, brackets=m.brackets)
+            assert got == want
+            return want
+
+        for i, j in first_and_last(len(fams)):
+            # a shifted root breaks the weights; a longer one has the
+            # wrong length
+            shifted = [rooted(t, [x + 1 for x in fams[t].root])
+                       for t in (i, j)]
+            longer = rooted(j, fams[j].root + (0,))
+            case = list(fams)
+            case[i], case[j] = shifted
+            assert outcomes(case)[1].startswith(f"{fams[i].label}: op_")
+            case[j] = longer
+            assert outcomes(case)[1].startswith(f"{fams[i].label}: op_")
+            case[i] = fams[i]
+            assert outcomes(case)[0] == "DimensionMismatch"
 
 
 class TestJson:
