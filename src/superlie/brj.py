@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .fields import FieldCtx, SuperlieError
-from .linalg import Matrix, Subspace, exact_matmul, kernel, operator_images
+from .linalg import Matrix, Subspace, int_matmul, kernel, operator_stack
 from .modules import (
     CoeffOperatorFamily,
     GModule,
@@ -43,7 +43,7 @@ from .modules import (
     sym2,
     tensor,
 )
-from .pairs import (BilinearMap, HCPair, assemble_pair, check_sas_conditions,
+from .pairs import (HCPair, assemble_pair, check_sas_conditions,
                     normalised, pair_space)
 from .superalgebra import LieSuperalgebra
 from .constructions import _unit_algebra
@@ -125,7 +125,7 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
         for i, (l, w, _) in enumerate(SP4_ROOTS))
     return GModule(ctx, ["v+e1", "v+e2", "v-e1", "v-e2"], g.labels, lie, fams,
                    weights=[(1, 0), (0, 1), (-1, 0), (0, -1)],
-                   brackets=g.consts, meta={"name": "V"})
+                   brackets=g.bracket_matrix, meta={"name": "V"})
 
 
 def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
@@ -137,7 +137,7 @@ def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
         for i, (l, w, _) in enumerate(SP4_ROOTS))
     weights = [w for _, w, _ in SP4_ROOTS] + [(0, 0), (0, 0)]
     return GModule(ctx, g.labels, g.labels, lie, fams, weights=weights,
-                   brackets=g.consts, meta={"name": "adjoint-sp4"})
+                   brackets=g.bracket_matrix, meta={"name": "adjoint-sp4"})
 
 
 def _vector(ctx: FieldCtx, dim: int, terms: Dict[int, int]) -> np.ndarray:
@@ -234,8 +234,8 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     # the invariant form element v+e1 ^ v-e1 + v+e2 ^ v-e2
     z = _vector(ctx, 6, {l2pos[0, 2]: 1, l2pos[1, 3]: 1})
     zspan = Subspace.from_vectors(ctx, 6, [z])
-    images = operator_images(
-        ctx, z[None, :], [op.data for op in l2.all_operators()])
+    ops_t, _ = operator_stack(ctx, 6, l2.all_operators())
+    images = int_matmul(ctx, zspan.basis.ints, ops_t).reshape(-1, 6)
     if zspan.residuals(images).any():
         raise PipelineAssertion("L2V", "invariant form element",
                                 "not invariant", report)
@@ -267,8 +267,8 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     if soc_in_m.dim != 4:
         raise PipelineAssertion("socle", 4, soc_in_m.dim, report)
     # back to ambient coordinates of N and against the expected span
-    soc = Subspace.from_vectors(ctx, 20, exact_matmul(
-        ctx, soc_in_m.basis.data, m_sub.basis.data))
+    soc = Subspace.from_vectors(ctx, 20, int_matmul(
+        ctx, soc_in_m.basis.ints, m_sub.basis.ints))
     expected = Subspace.from_vectors(ctx, 20, expected_socle_vectors(ctx))
     report.socle_matches_expected = soc == expected
     if not report.socle_matches_expected:
@@ -300,8 +300,7 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     _, ks = pair_space(u_mod, rep.basis_group)
     if len(ks) != 1:
         raise PipelineAssertion("pair", "dim K = 1", len(ks), report)
-    consts, pos = normalised(ctx, ks[0])
-    bracket = BilinearMap(ctx, consts)
+    bracket, pos = normalised(ctx, ks[0])
     report.first_constant = f"[{u_labels[pos[0]]},{u_labels[pos[1]]}] " \
                             f"-> {g.labels[pos[2]]}"
 

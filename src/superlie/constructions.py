@@ -33,6 +33,7 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _int_form,
     from_int,
     int_family,
     join,
@@ -116,7 +117,7 @@ def _unit_algebra(ctx: FieldCtx, block_parities: Sequence[int],
     super-antisymmetry).  The terms are read into coordinates by position
     (_read), with the columns (pos, k, c) of reader, or else
     each element at its leading unit (_leading_reader), summed per
-    (e, f, k) on integers and made field scalars once (from_int).  Raises
+    (e, f, k) on integers, which algebra_from_consts takes as they are.  Raises
     InputError for an entry against its element's declared parity, and for
     the first pair (e <= f, in row-major order) whose bracket leaves the
     span; the algebra is validated as every built algebra is."""
@@ -150,10 +151,10 @@ def _unit_algebra(ctx: FieldCtx, block_parities: Sequence[int],
         i, j = divmod(int(outside[0]), d)
         raise InputError(f"bracket [{elems[i][0]},{elems[j][0]}] "
                          "leaves the span")
-    consts = ctx.zeros(d, d, d)
-    consts.flat[keys] = from_int(ctx, sums, 1)
+    ints = np.zeros((d, d, d), dtype=ctx.dtype)
+    ints.flat[keys] = sums
     alg = algebra_from_consts(ctx, [(label, parity) for label, parity, _ in elems],
-                              consts, meta=meta)
+                              ints, meta=meta)
     mats = ctx.zeros(d, n_amb, n_amb)
     mats[el, row, col] = from_int(ctx, val, 1)
     alg.matrix_basis = list(mats)  # type: ignore[attr-defined]
@@ -509,7 +510,7 @@ def d21(params: D21Params, ctx: FieldCtx) -> LieSuperalgebra:
     labels = [(f"{x}{f}", 0) for f in (1, 2, 3) for x in "HEF"]
     labels += [(f"v{i}{j}{k}", 1) for i in "12" for j in "12" for k in "12"]
     return algebra_from_consts(
-        ctx, labels, from_int(ctx, ints, 2 * s),
+        ctx, labels, *_int_form(ctx, ints, 2 * s),
         meta={"name": "d21", "a1": str(a[0]), "a2": str(a[1]), "a3": str(a[2])})
 
 
@@ -588,8 +589,7 @@ def _sl2_symn(n: int, a, ctx: FieldCtx):
     hs, _ = pair_space(odd, hom_space(sym2(odd), adj, mode="group").basis)
     if len(hs) != 1:
         raise RecurrenceViolation(f"{len(hs)} brackets for n={n}, not one")
-    consts, _ = normalised(ctx, hs[0])
-    bracket = BilinearMap(ctx, ctx.reduce(consts * ctx.of(a)))
+    bracket, _ = normalised(ctx, hs[0], a)
     return sl2_algebra(ctx), odd, bracket, adj.families
 
 

@@ -36,6 +36,14 @@ class InexactScalar(SuperlieError, TypeError):
     pass
 
 
+def json_ints(xs, what: str) -> tuple:
+    """A JSON array of ints as a tuple; InputError naming what for anything
+    else (a float, string or bool entry is rejected, not coerced)."""
+    if not isinstance(xs, (list, tuple)) or any(type(x) is not int for x in xs):
+        raise InputError(f"{what}: expected a list of ints, got {xs!r}")
+    return tuple(xs)
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the bases 2, 3, 5, 7, exact for
     n < 3215031751 (the least strong pseudoprime to all four), which covers

@@ -2,9 +2,9 @@
 
 A Matrix holds one canonical integer form, ints / scale: the residues
 themselves over F_p (int64 below 2^25, Python ints above), Python ints over
-their least common denominator over Q.  Row reduction, subspaces, spinning
-and SpanSolver read only that form; the field array (Fractions over Q) is
-made on first use, for output and for callers that want field elements.
+their least common denominator over Q.  Row reduction, subspaces, spinning,
+SpanSolver and the structure constants of algebras and pairs use only that
+form; the field array (Fractions over Q) is made on first use, for output.
 Everything is exact; there is no floating point anywhere.
 
 Row reduction works on integer arrays over every field and returns the
@@ -67,26 +67,18 @@ def exact_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             prod = (a.astype(object) @ b.astype(object) % p).astype(np.int64)
         return prod.astype(dtype, copy=False)
-    if not ctx.p and a.dtype == object and a.ndim == 2 and b.ndim == 2:
-        # Fraction matmul through numpy is a dense Python loop with a gcd on
-        # every operation; clearing denominators first and iterating only
-        # the nonzero entries is far cheaper on the sparse matrices in play
-        ai, sa = int_scaled(a)
-        bi, sb = int_scaled(b)
-        return from_int(ctx, sparse_int_matmul(ai, bi), sa * sb)
     return ctx.reduce(a @ b)
 
 
-def bilinear(ctx: FieldCtx, consts: np.ndarray, s: int, xs: np.ndarray,
-             ys: np.ndarray) -> np.ndarray:
+def bilinear(m: "Matrix", xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """B(x_r, y_s) for every row x_r of xs and y_s of ys, as a field array
-    of shape (len(xs), len(ys), g), where B(e_i, e_j) = consts[i, j] / s
-    for the integer form (consts, s) of an (n, n, g) array (int_family's):
-    int_bilinear on it and the integer forms of xs and ys, over one scale
-    t, so over s t^2."""
-    (x, y), t = int_family(ctx, [xs, ys])
-    out = int_bilinear(ctx, consts, x, y)
-    return out if ctx.p else from_int(ctx, out, s * t * t)
+    of shape (len(xs), len(ys), g), where B(e_i, e_j) is row i n + j of the
+    (n^2, g) Matrix m: int_bilinear on its integer form and those of xs
+    and ys, over one scale t, so over m.scale t^2."""
+    (x, y), t = int_family(m.ctx, [xs, ys])
+    n = x.shape[1]
+    out = int_bilinear(m.ctx, m.ints.reshape(n, n, m.cols), x, y)
+    return out if m.ctx.p else from_int(m.ctx, out, m.scale * t * t)
 
 
 def int_bilinear(ctx: FieldCtx, consts: np.ndarray, xs: np.ndarray,
@@ -118,19 +110,21 @@ def sparse_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def nonzeros(a: np.ndarray):
+    """The indices of the nonzero entries of a, one array per axis in
+    lexicographic order, followed by their values.  np.nonzero is several
+    times faster on a 1-d bool array than on an n-d or object one."""
+    flat = np.flatnonzero(a.astype(bool))
+    return (*np.unravel_index(flat, a.shape), a.ravel()[flat])
+
+
 def int_scaled(m: np.ndarray) -> Tuple[np.ndarray, int]:
     """(integer object array, scale) with m == array / scale, entrywise."""
-    # np.nonzero on an object array tests every entry twice
-    idx = np.nonzero(m.astype(bool))
-    vals = m[idx]
-    s = 1
-    for x in vals:
-        d = getattr(x, "denominator", 1)
-        if d != 1:
-            s = lcm(s, d)
+    *idx, vals = nonzeros(m)
+    s = lcm(1, *(getattr(x, "denominator", 1) for x in vals))
     out = np.zeros(m.shape, dtype=object)
-    out[idx] = [int(x.numerator) * (s // x.denominator)
-                if isinstance(x, Fraction) else int(x) * s for x in vals]
+    out[tuple(idx)] = [int(x.numerator) * (s // x.denominator)
+                       if isinstance(x, Fraction) else int(x) * s for x in vals]
     return out, s
 
 
@@ -138,7 +132,7 @@ def int_family(ctx: FieldCtx,
                items: Sequence) -> Tuple[List[np.ndarray], int]:
     """(integer arrays J_i, one scale s) with items[i] == J_i / s in the
     field.  A Matrix gives its integer form, only rescaled; a field array
-    (the raw arrays of superalgebra.py) is converted by int_scaled.  Over
+    (a caller's vectors or scalars) is converted by int_scaled.  Over
     F_p the J_i are the residues themselves (int64, or Python ints for a
     large p) and s is 1; over Q they are Python ints and s is the least
     common denominator of every entry of every item."""
@@ -760,17 +754,6 @@ def invariant_closure(ctx: FieldCtx, ambient_dim: int,
         w, frontier = w._extend(int_matmul(ctx, frontier, ops_t)
                                 .reshape(-1, ambient_dim))
     return w
-
-
-def operator_images(ctx: FieldCtx, vs: np.ndarray,
-                    ops: Sequence[np.ndarray]) -> np.ndarray:
-    """op.v for every row v of vs and every (n, n) array op of ops, as the
-    rows of one product: the images of row i are rows i*len(ops) onwards."""
-    n = vs.shape[1]
-    if not len(ops):
-        return ctx.zeros(0, n)
-    ops_t = np.concatenate([op.T for op in ops], axis=1)
-    return exact_matmul(ctx, vs, ops_t).reshape(len(vs) * len(ops), n)
 
 
 def largest_invariant_within(k: Subspace, ops_t: np.ndarray) -> Subspace:

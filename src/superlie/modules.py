@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import FieldCtx, InputError, SuperlieError
+from .fields import FieldCtx, InputError, SuperlieError, json_ints
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -33,6 +33,7 @@ from .linalg import (
     join,
     kernel,
     nonzero_sums,
+    nonzeros,
     operator_stack,
     run_starts,
 )
@@ -151,7 +152,9 @@ class CoeffOperatorFamily:
                         ds: Iterable[dict]) -> List["CoeffOperatorFamily"]:
         """The families of to_json_dict's dicts, built by one batch."""
         return cls.batch((d["label"], [Matrix.from_rows(ctx, m)
-                                       for m in d["ops"]], d.get("root"))
+                                       for m in d["ops"]],
+                          None if d.get("root") is None
+                          else json_ints(d["root"], "root"))
                          for d in ds)
 
     def _malformed(self, n: int) -> Optional[SuperlieError]:
@@ -227,20 +230,12 @@ def _check_composition(fams: Sequence[CoeffOperatorFamily]):
             f"{f.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
 
 
-def _nonzeros(a: np.ndarray):
-    """The indices of the nonzero entries of a, one array per axis in
-    lexicographic order, followed by their values.  np.nonzero is several
-    times faster on a 1-d bool array than on an n-d or object one."""
-    flat = np.flatnonzero(a.astype(bool))
-    return (*np.unravel_index(flat, a.shape), a.ravel()[flat])
-
-
 def _family_entries(stacks: Sequence[Sequence[np.ndarray]]):
     """(family, k, row, col, value) of the nonzero entries of [J_1, ...,
     J_d] = stacks[i] of each family i, with no array of every operator."""
     parts = []
     for i, js in enumerate(stacks):
-        k, r, c, v = _nonzeros(np.stack(js))
+        k, r, c, v = nonzeros(np.stack(js))
         parts.append((np.full(len(k), i), k + 1, r, c, v))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -250,7 +245,7 @@ def _commutator_terms(ctx: FieldCtx, ints: Sequence[np.ndarray]):
     entries of J_i J_j - J_j J_i for the n x n integer arrays ints: every
     product from one join of all their entries on the middle index."""
     d, n = len(ints), ints[0].shape[0]
-    i, r, c, v = _nonzeros(np.stack(ints))
+    i, r, c, v = nonzeros(np.stack(ints))
     x, y = join(c, r)
     off = i[x] != i[y]
     x, y = x[off], y[off]
@@ -382,8 +377,8 @@ class GModule:
         ints, s = int_family(ctx, self.lie_action)
         consts, t = b.ints.reshape(d, d, d), b.scale
         lhs_keys, prod = _commutator_terms(ctx, ints)
-        i, r, c, v = _nonzeros(np.stack(ints))
-        bi, bj, bk, bv = _nonzeros(consts)
+        i, r, c, v = nonzeros(np.stack(ints))
+        bi, bj, bk, bv = nonzeros(consts)
         upper = bi < bj
         bi, bj, bk, bv = bi[upper], bj[upper], bk[upper], bv[upper]
         x, y = join(bk, i)
@@ -420,8 +415,11 @@ def module_from_json_dict(d: dict) -> GModule:
     lie_labels = [e["label"] for e in d["lie"]]
     lie_action = [Matrix.from_rows(ctx, e["matrix"]) for e in d["lie"]]
     fams = CoeffOperatorFamily.from_json_dicts(ctx, d["families"])
+    weights = d.get("weights")
+    if weights is not None:
+        weights = [json_ints(w, "weight") for w in weights]
     return GModule(ctx, d["labels"], lie_labels, lie_action, fams,
-                   weights=d.get("weights"), meta=d.get("meta", {}))
+                   weights=weights, meta=d.get("meta", {}))
 
 
 def module_from_json(s: str) -> GModule:
@@ -483,8 +481,8 @@ def _kron_coeffs(ctx: FieldCtx, groups: Sequence[Tuple], fold=None):
         n1, n2 = n1 + len(a_ops), n2 + len(b_ops)
     so, s1, s2 = np.array(splits, dtype=np.int64).reshape(-1, 3).T
     (j1, t1), (j2, t2) = int_family(ctx, ops1), int_family(ctx, ops2)
-    i1, r1, c1, v1 = _nonzeros(np.stack(j1))
-    i2, r2, c2, v2 = _nonzeros(np.stack(j2))
+    i1, r1, c1, v1 = nonzeros(np.stack(j1))
+    i2, r2, c2, v2 = nonzeros(np.stack(j2))
     x, e1 = join(s1, i1)
     y, e2 = join(s2[x], i2)
     x, e1 = x[y], e1[y]
@@ -775,8 +773,8 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
     u = len(rs)
     if op_pairs:
         ja, jb = zip(*(int_family(ctx, ab)[0] for ab in op_pairs))
-        pa, ac, aj, av = _nonzeros(np.stack(ja))
-        pb, bi, br, bv = _nonzeros(np.stack(jb))
+        pa, ac, aj, av = nonzeros(np.stack(ja))
+        pb, bi, br, bv = nonzeros(np.stack(jb))
         x, xu = join(br, rs)
         y, yu = join(ac, cs)
         keys, vals = nonzero_sums(ctx, np.concatenate([

@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from math import isqrt
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import FieldCtx, InputError, SuperlieError
+from .fields import FieldCtx, InputError, SuperlieError, json_ints
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _array_form,
     bilinear,
-    exact_matmul,
     int_bilinear,
     int_family,
     int_matmul,
@@ -82,29 +82,27 @@ class InvalidSubpair(SuperlieError, ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class BilinearMap:
-    """Symmetric bilinear map V x V -> g: consts[i, j, k] is the coefficient
-    of e_k in [v_i, v_j], a read-only (dim_v, dim_v, dim_g) array of
-    canonical scalars in ctx.zeros' dtype.  The constructor checks the
-    shape, the dtype and the symmetry."""
+    """Symmetric bilinear map V x V -> g, held as one (dim_v^2, dim_g)
+    Matrix bracket_matrix: row i dim_v + j holds [v_i, v_j].  The
+    constructor takes that Matrix, or reads it from the (dim_v, dim_v,
+    dim_g) field array of canonical scalars in ctx.zeros' dtype, and checks
+    the shape, the dtype and the symmetry."""
 
-    ctx: FieldCtx
-    consts: np.ndarray
-
-    def __post_init__(self):
-        c = self.consts
-        if (c.ndim != 3 or c.shape[0] != c.shape[1]
-                or c.dtype != self.ctx.dtype):
-            raise DimensionMismatch(
-                f"bracket array of shape {c.shape} and dtype {c.dtype}")
+    def __init__(self, ctx: FieldCtx, consts: Union[np.ndarray, Matrix]):
+        if not isinstance(consts, Matrix):
+            shape, dtype = consts.shape, consts.dtype
+            if len(shape) != 3 or shape[0] != shape[1] or dtype != ctx.dtype:
+                raise DimensionMismatch(
+                    f"bracket array of shape {shape} and dtype {dtype}")
+            consts = Matrix(ctx, consts.reshape(shape[0] ** 2, shape[2]))
+        n = isqrt(consts.rows)
+        c = consts.ints.reshape(n, n, consts.cols)
         bad = np.argwhere(c != c.transpose(1, 0, 2))
         if len(bad):
             raise SymmetryViolation(
                 f"conflicting values for pair {tuple(bad[0, :2].tolist())}")
-        view = c.view()
-        view.flags.writeable = False
-        object.__setattr__(self, "consts", view)
+        self.ctx, self.dim_v, self.bracket_matrix = ctx, n, consts
 
     @classmethod
     def from_entries(cls, ctx: FieldCtx, dim_v: int, dim_g: int,
@@ -127,36 +125,34 @@ class BilinearMap:
         return cls(ctx, consts)
 
     @property
-    def dim_v(self) -> int:
-        return self.consts.shape[0]
+    def dim_g(self) -> int:
+        return self.bracket_matrix.cols
 
     @property
-    def dim_g(self) -> int:
-        return self.consts.shape[2]
+    def consts(self) -> np.ndarray:
+        """The read-only (dim_v, dim_v, dim_g) field array, for output:
+        consts[i, j, k] is the coefficient of e_k in [v_i, v_j]."""
+        return self.bracket_matrix.data.reshape(self.dim_v, self.dim_v, self.dim_g)
+
+    def _cube(self) -> np.ndarray:
+        """bracket_matrix's ints as a (dim_v, dim_v, dim_g) array."""
+        return self.bracket_matrix.ints.reshape(self.dim_v, self.dim_v, self.dim_g)
 
     def is_zero(self) -> bool:
-        return not self.consts.any()
-
-    @cached_property
-    def _int_consts(self) -> Tuple[np.ndarray, int]:
-        """(c, s): consts == c / s, its integer form (int_family), made once
-        and read-only.  Over F_p c is consts itself and s is 1."""
-        (c,), s = int_family(self.ctx, [self.consts])
-        c.setflags(write=False)
-        return c, s
+        return self.bracket_matrix.is_zero()
 
     def brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[x_r, y_s] for every row x_r of xs and y_s of ys, as row
         r * len(ys) + s."""
-        return bilinear(self.ctx, *self._int_consts, xs, ys).reshape(
+        return bilinear(self.bracket_matrix, xs, ys).reshape(
             len(xs) * len(ys), self.dim_g)
 
     def annihilator(self) -> Subspace:
         """{v : [v, w] = 0 for all w}: the kernel of the dim_v^2 dim_g x
         dim_v matrix whose column i holds every [v_i, v_j]."""
         n = self.dim_v
-        return kernel(Matrix(self.ctx,
-                             self.consts.reshape(n, n * self.dim_g).T))
+        return kernel(Matrix.from_int(self.ctx, self.bracket_matrix.ints.reshape(
+            n, n * self.dim_g).T, reduced=True))
 
 
 @dataclass(frozen=True)
@@ -202,8 +198,8 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     adj = {f.label: f for f in adjoint_families}
     pairs, _, fold = square_layout(odd.dim, +1)
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    (kmat,), _ = int_family(ctx, [ctx.reduce(
-        bracket.consts[i, j] * (1 + (i < j))[:, None]).T])
+    # K up to the bracket's scale, which changes no zero test
+    kmat = ctx.reduce(bracket._cube()[i, j] * (1 + (i < j))[:, None]).T
     dg, npairs = kmat.shape
     coeffs, s = _kron_coeffs(ctx, [(f.ops, f.ops, range(1, 2 * f.degree + 1))
                                    for f in odd.families], fold)
@@ -230,19 +226,20 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
 def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
                   meta: dict) -> LieSuperalgebra:
     """The superalgebra even + odd, unvalidated.  Its structure constants
-    are three blocks: the even algebra's own, the odd action
+    are three blocks, on one scale: the even algebra's own, the odd action
     [e_i, v_j] = lie_action[i] v_j, and the odd bracket [v_i, v_j]; the
     mirror block of the odd action is completed by super-antisymmetry."""
     ctx = even.ctx
     ne, no = even.dim, odd.dim
-    consts = ctx.zeros(ne + no, ne + no, ne + no)
-    consts[:ne, :ne, :ne] = even.consts
+    (eb, bb, *lie), s = int_family(
+        ctx, [even.bracket_matrix, bracket.bracket_matrix, *odd.lie_action])
+    ints = np.zeros((ne + no,) * 3, dtype=eb.dtype)
+    ints[:ne, :ne, :ne] = eb.reshape(ne, ne, ne)
     if ne and no:
-        consts[:ne, ne:, ne:] = np.stack(
-            [a.data.T for a in odd.lie_action])
-    consts[ne:, ne:, :ne] = bracket.consts
+        ints[:ne, ne:, ne:] = np.stack([a.T for a in lie])
+    ints[ne:, ne:, :ne] = bb.reshape(no, no, ne)
     basis = [(l, 0) for l in even.labels] + [(l, 1) for l in odd.labels]
-    return algebra_from_consts(ctx, basis, consts, meta=meta, validate=False)
+    return algebra_from_consts(ctx, basis, ints, s, meta=meta, validate=False)
 
 
 def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -293,34 +290,42 @@ def pair_space(odd: GModule,
     of v_i (x) v_j + v_j (x) v_i).  The cubic map, linear in the bracket,
     is the cubic_sums of [[v, v], v] against the odd action; for odd p, K
     is exactly the set of pair structures.  Returns the (dim, n, n, dim g)
-    bracket stacks of the bases of H and K."""
+    bracket stacks of bases of H and K on integers (residues over F_p),
+    each bracket up to a nonzero scalar, which normalised fixes."""
     ctx, n, dg = odd.ctx, odd.dim, len(odd.lie_action)
     pairs, pos, _ = square_layout(n, +1)
     if any(f.shape != (dg, len(pairs)) for f in basis):
         raise DimensionMismatch(f"maps Sym^2 V -> g are {dg} x {len(pairs)}")
-    fs = np.array([f.data for f in basis], dtype=ctx.dtype).reshape(
-        len(basis), dg, len(pairs))
-    half = np.where(np.eye(n, dtype=bool), ctx.one, ctx.inv(ctx.of(2)))
-    hs = ctx.reduce(fs[:, :, pos].transpose(0, 2, 3, 1) * half[..., None])
-    rho = np.array([a.data.T for a in odd.lie_action], dtype=ctx.dtype)
+    fs, _ = int_family(ctx, basis)
+    fs = np.array(fs, dtype=ctx.dtype).reshape(len(basis), dg, len(pairs))
+    # twice the brackets: f(v_i v_i) doubled on the diagonal
+    hs = ctx.reduce(fs[:, :, pos].transpose(0, 2, 3, 1)
+                    * (1 + np.eye(n, dtype=np.int64))[..., None])
+    rho = np.array([a.T for a in int_family(ctx, odd.lie_action)[0]],
+                   dtype=ctx.dtype).reshape(dg, n, n)
     _, sums = cubic_sums(ctx, hs, rho)
-    k = kernel(Matrix(ctx, sums.T)).basis.data
-    return hs, exact_matmul(ctx, k, hs.reshape(len(hs), n * n * dg)).reshape(
+    k = kernel(Matrix.from_int(ctx, sums.T, reduced=True)).basis.ints
+    return hs, int_matmul(ctx, k, hs.reshape(len(hs), n * n * dg)).reshape(
         len(k), n, n, dg)
 
 
-def normalised(ctx: FieldCtx,
-               consts: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int, int]]:
-    """consts scaled so that its first nonzero constant in (i <= j, target)
-    order is one, and that constant's position (i, j, target); InputError
-    for the zero bracket."""
-    iu = np.triu_indices(consts.shape[0])
-    nonzero = np.flatnonzero(consts[iu])
+def normalised(ctx: FieldCtx, consts: np.ndarray,
+               value=1) -> Tuple[BilinearMap, Tuple[int, int, int]]:
+    """The bracket of consts, a symmetric exact array known up to a
+    nonzero scalar (as pair_space gives them), scaled so that its first
+    nonzero constant in (i <= j, target) order is value, and that
+    constant's position (i, j, target); InputError for the zero bracket."""
+    ints, _ = _array_form(ctx, consts)
+    iu = np.triu_indices(ints.shape[0])
+    nonzero = np.flatnonzero(ints[iu])
     if not len(nonzero):
         raise InputError("the zero bracket cannot be normalised")
-    row, target = divmod(int(nonzero[0]), consts.shape[2])
+    row, target = divmod(int(nonzero[0]), ints.shape[2])
     pos = (int(iu[0][row]), int(iu[1][row]), target)
-    return ctx.reduce(consts * ctx.inv(consts[pos])), pos
+    v = ctx.of(value)  # a residue (an int) or a Fraction
+    return BilinearMap(ctx, Matrix.from_int(
+        ctx, ints.reshape(-1, ints.shape[2]) * v.numerator,
+        ints[pos] * v.denominator)), pos
 
 
 def is_split(pair: HCPair) -> bool:
@@ -375,7 +380,7 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != n:
         raise InvalidSubpair("subpair ambient dimensions do not match")
     h, w = s.h_lie.basis.ints, s.w.basis.ints
-    c, _ = pair.bracket._int_consts
+    c = pair.bracket._cube()
 
     def inside(space: Subspace, rows: np.ndarray) -> bool:
         return not space._residual(rows).astype(bool).any()
@@ -437,10 +442,11 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
         meta={"name": pair.meta.get("name", "pair") + "/sub"})
     keep_v = [i for i in range(pair.odd.dim) if i not in set(s.w.pivots)]
     dv = len(keep_v)
-    rows = pair.bracket.consts[np.ix_(keep_v, keep_v)].reshape(
-        dv * dv, pair.even.dim)
-    bracket_q = BilinearMap(ctx, s.h_lie.residuals(rows)[:, keep_g].reshape(
-        dv, dv, len(keep_g)))
+    b = pair.bracket
+    rows = b._cube()[np.ix_(keep_v, keep_v)].reshape(dv * dv, pair.even.dim)
+    bracket_q = BilinearMap(ctx, Matrix.from_int(
+        ctx, s.h_lie._residual(rows)[:, keep_g],
+        s.h_lie.basis.scale * b.bracket_matrix.scale, reduced=True))
     reps_g = np.eye(pair.even.dim, dtype=np.int64)[keep_g]
     adj_q = CoeffOperatorFamily.batch(
         (f.label, induced_operators(
@@ -475,8 +481,8 @@ def pair_from_json_dict(d: dict) -> HCPair:
     odd = module_from_json_dict(d["odd_action"])
     ctx = even.ctx
     entries = {
-        (int(i), int(j)): ctx.vec(v) for i, j, v in d["odd_bracket"]
-    }
+        json_ints([i, j], "odd bracket pair"): ctx.vec(v)
+        for i, j, v in d["odd_bracket"]}
     bracket = BilinearMap.from_entries(ctx, odd.dim, even.dim, entries)
     adj = CoeffOperatorFamily.from_json_dicts(ctx, d["adjoint_families"])
     return assemble_pair(even, odd, bracket, adj, meta=d.get("meta", {}))

@@ -4,17 +4,19 @@ graded simplicity, proved by Norton's criterion or searched for).
 
 Conventions.  A superalgebra of total dimension n lives on coordinates
 0..n-1 in the given basis order; parities are per basis element.  The
-bracket is one (n, n, n) array consts in ctx.zeros' dtype:
-[e_i, e_j] = sum_k consts[i, j, k] e_k, held for all ordered pairs
-(completion by super-antisymmetry happens at build time).  The sparse
+bracket is one (n^2, n) linalg.Matrix bracket_matrix, ints / scale:
+[e_i, e_j] = sum_k c[i, j, k] e_k for c its ints as (n, n, n) over scale,
+held for all ordered pairs (completion by super-antisymmetry happens at
+build time, on the integers builders hand to algebra_from_consts).  The
+field array consts (Fractions over Q) is made only for output.  The sparse
 table (i, j) -> {k: c} of JSON files and hand-written algebras is read
 only by build_superalgebra.  A graded subspace (an ideal, the centre, a
 subalgebra) is one Subspace of the full coordinate space: its reduced
 echelon rows are homogeneous, and those with an even pivot span its even
 part.
 
-Slice i of consts is ad(e_i)^T, so two transposes of its integer form are
-the operator stacks (linalg.operator_stack) of every ad(e_i) and of every
+Slice i of c is ad(e_i)^T up to scale, so two transposes of c are the
+operator stacks (linalg.operator_stack) of every ad(e_i) and of every
 ad(e_i)^T: Norton's spins and the ideal closures build no ad matrix.  The
 centre is solved only on the coordinates of weight zero under the diagonal
 ad(h), where every central element lies.
@@ -26,24 +28,25 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import FieldCtx, SuperlieError
+from .fields import FieldCtx, InputError, SuperlieError, json_ints
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _array_form,
     bilinear,
     from_int,
     int_bilinear,
-    int_family,
     int_matmul,
     invariant_closure,
     join,
     kernel,
     nonzero_sums,
+    nonzeros,
     run_starts,
 )
 
@@ -113,8 +116,8 @@ class SuperIdeal:
         All brackets [w, e_j] come from one product and are tested in one
         batch."""
         a, n, w = self.parent, self.parent.dim, self.space
-        c, _ = a._int_consts()
-        images = int_matmul(a.ctx, w.basis.ints, c.reshape(n, n * n))
+        images = int_matmul(a.ctx, w.basis.ints,
+                            a.bracket_matrix.ints.reshape(n, n * n))
         return not w._residual(images.reshape(-1, n)).astype(bool).any()
 
 
@@ -135,22 +138,22 @@ def cubic_sums(ctx: FieldCtx, quads: np.ndarray,
                right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The coefficients of [[v, v], v], v = sum x_a e_a, under each bracket
     k: [e_a, e_b] = sum_m quads[k, a, b, m] f_m, [f_m, e_c] = sum_l
-    right[m, c, l] e_l.  One product on integer arrays, summed over the
-    distinct orderings (a, b, c) of each monomial, keyed l n^3 + a n^2 +
-    b n + c (a <= b <= c): the keys of the nonzero products, increasing,
-    and the (len(quads), len(keys)) field array of the sums."""
+    right[m, c, l] e_l, on integer arrays (the sums are over the product of
+    their scales).  One product, summed over the distinct orderings (a, b,
+    c) of each monomial, keyed l n^3 + a n^2 + b n + c (a <= b <= c): the
+    keys of the nonzero products, increasing, and the (len(quads),
+    len(keys)) integer array of the sums."""
     h, n, _, g = quads.shape
-    (quad, rest), s = int_family(ctx, [quads.reshape(h * n * n, g),
-                                       right.reshape(g, n * right.shape[2])])
-    prod = int_matmul(ctx, quad, rest).reshape(h, n, n, n, right.shape[2])
-    k, a, b, c, l = np.nonzero(prod)
+    prod = int_matmul(ctx, quads.reshape(h * n * n, g),
+                      right.reshape(g, n * right.shape[2]))
+    k, a, b, c, l, vals = nonzeros(prod.reshape(h, n, n, n, right.shape[2]))
     # one key per (l, monomial): the sorted indices of x_a x_b x_c
     tri = np.sort(np.stack([a, b, c], axis=1), axis=1)
     keys, inv = np.unique(l * n ** 3 + tri @ np.array([n ** 2, n, 1]),
                           return_inverse=True)
     sums = np.zeros((h, len(keys)), dtype=prod.dtype)
-    np.add.at(sums, (k, inv), prod[k, a, b, c, l])
-    return keys, from_int(ctx, sums, s * s)
+    np.add.at(sums, (k, inv), vals)
+    return keys, ctx.reduce(sums)
 
 
 @dataclass
@@ -171,31 +174,32 @@ class SimplicityVerdict:
 
 
 class LieSuperalgebra:
-    """A Lie superalgebra on a graded basis; consts[i, j, k] is the
-    coefficient of e_k in [e_i, e_j] (see the module docstring).  The
-    constructor stores the array as given and makes it read-only;
-    algebra_from_consts and build_superalgebra complete and check it.
+    """A Lie superalgebra on a graded basis, its structure constants the
+    (n^2, n) Matrix bracket_matrix: row i n + j holds [e_i, e_j] (see the
+    module docstring).  The constructor holds that Matrix, or one read
+    from an (n, n, n) field array, as given; algebra_from_consts and
+    build_superalgebra complete and check it.
 
-    The support of consts (its nonzero (i, j, k)), its integer form
-    (_int_consts) and the weight keys (_weight_keys) are found once, on
-    first use, and kept: over Q each zero test and each conversion is a
-    Python call per entry, and consts cannot change."""
+    The support of the constants (their nonzero (i, j, k)) and the weight
+    keys (_weight_keys) are found once, on first use, and kept: the
+    constants cannot change."""
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
-                 parities: Sequence[int], consts: np.ndarray,
+                 parities: Sequence[int], brackets: Union[np.ndarray, Matrix],
                  meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
         self.parities = tuple(int(p) & 1 for p in parities)
         n = len(self.labels)
-        if consts.shape != (n, n, n):
+        if brackets.shape != ((n * n, n) if isinstance(brackets, Matrix)
+                              else (n, n, n)):
             raise DimensionMismatch(
-                f"structure constants of shape {consts.shape} for dimension {n}")
-        consts.setflags(write=False)
-        self.consts = consts
+                f"structure constants of shape {brackets.shape} for dimension {n}")
+        if not isinstance(brackets, Matrix):
+            brackets = Matrix(ctx, brackets.reshape(n * n, n))
+        self.bracket_matrix = brackets
         self.meta = dict(meta or {})
         self._support: Optional[Tuple[np.ndarray, ...]] = None
-        self._ints: Optional[Tuple[np.ndarray, int]] = None
         self._keys: Optional[Tuple[List[int], List[Tuple]]] = None
         # the centre's subspace: a SuperIdeal held here would point back at
         # self and leave every algebra to the cyclic collector
@@ -228,6 +232,16 @@ class LieSuperalgebra:
         return [self.parities[c] for c in w.pivots]
 
     # -- bracket ----------------------------------------------------------------
+    @property
+    def consts(self) -> np.ndarray:
+        """The read-only (n, n, n) field array, made on first use for output:
+        consts[i, j, k] is the coefficient of e_k in [e_i, e_j]."""
+        return self.bracket_matrix.data.reshape((self.dim,) * 3)
+
+    def _cube(self) -> np.ndarray:
+        """bracket_matrix's ints as the (n, n, n) array c."""
+        return self.bracket_matrix.ints.reshape((self.dim,) * 3)
+
     def bracket_basis(self, i: int, j: int) -> Dict[int, object]:
         """[e_i, e_j] as {k: coefficient of e_k}, nonzero coefficients only."""
         row = self.consts[i, j]
@@ -235,38 +249,30 @@ class LieSuperalgebra:
         return dict(zip(ks.tolist(), row[ks].tolist()))
 
     def bracket_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return bilinear(self.ctx, *self._int_consts(), np.asarray(x)[None, :],
+        return bilinear(self.bracket_matrix, np.asarray(x)[None, :],
                         np.asarray(y)[None, :])[0, 0]
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): x -> [e_i, x]."""
-        return Matrix(self.ctx, self.consts[i].T)
+        return Matrix.from_int(self.ctx, self._cube()[i].T,
+                               self.bracket_matrix.scale, reduced=True)
 
-    def _ad_stack(self, c: np.ndarray,
-                  axes: Tuple[int, int, int]) -> np.ndarray:
+    def _ad_stack(self, axes: Tuple[int, int, int]) -> np.ndarray:
         """The operator stack (linalg.operator_stack) of every ad(e_i), for
-        axes (1, 0, 2), or of every ad(e_i)^T, for axes (2, 0, 1), read off
-        an integer form c of consts, whose slice c[i] is ad(e_i)^T up to
-        scale."""
-        return c.transpose(axes).reshape(self.dim, self.dim * self.dim)
-
-    def _int_consts(self) -> Tuple[np.ndarray, int]:
-        """(c, s): consts == c / s, its integer form (int_family), made once
-        and read-only.  Over F_p c is consts itself and s is 1."""
-        if self._ints is None:
-            (c,), s = int_family(self.ctx, [self.consts])
-            c.setflags(write=False)
-            self._ints = c, s
-        return self._ints
+        axes (1, 0, 2), or of every ad(e_i)^T, for axes (2, 0, 1), up to
+        scale: slice c[i] is ad(e_i)^T."""
+        n = self.dim
+        return self._cube().transpose(axes).reshape(n, n * n)
 
     # -- validation ---------------------------------------------------------------
     def _coo(self):
         """The nonzero structure constants as arrays (i, j, k, c) in
-        lexicographic order of (i, j, k)."""
+        lexicographic order of (i, j, k), c on the integers over scale."""
+        c = self._cube()
         if self._support is None:
-            self._support = np.nonzero(self.consts.astype(bool))
+            self._support = nonzeros(c)[:3]
         i, j, k = self._support
-        return i, j, k, self.consts[i, j, k]
+        return i, j, k, c[i, j, k]
 
     def _upper_pairs(self) -> np.ndarray:
         """The flat indices i * n + j of the pairs i <= j with
@@ -293,7 +299,6 @@ class LieSuperalgebra:
         denominator."""
         n = self.dim
         ea, eb, ek, vals = self._coo()
-        (vals,), _ = int_family(self.ctx, [vals])
         # join: entry x = ([e_a,e_b] -> e_m) meets every entry y with a = m
         x, y = join(ek, ea)
         a, b, c, l = ea[x], eb[x], eb[y], ek[y]
@@ -331,14 +336,13 @@ class LieSuperalgebra:
         """Expand [[v, v], v] for a symbolic odd vector v = sum x_a e_a and
         check coefficientwise vanishing: the cubic_sums of the brackets of
         the odd basis against the whole algebra."""
-        ctx, odd = self.ctx, self.odd_coords
+        ctx, odd, c = self.ctx, self.odd_coords, self._cube()
         arity = len(odd)
-        keys, sums = cubic_sums(ctx, self.consts[np.ix_(odd, odd)][None],
-                                self.consts[:, odd, :])
+        keys, sums = cubic_sums(ctx, c[np.ix_(odd, odd)][None], c[:, odd, :])
+        nz = np.flatnonzero(sums[0])
         cubic: Dict[int, Dict[Tuple[int, ...], object]] = {}
-        for key, v in zip(keys.tolist(), sums[0].tolist()):
-            if ctx.is_zero(v):
-                continue
+        for key, v in zip(keys[nz].tolist(), from_int(
+                ctx, sums[0, nz], self.bracket_matrix.scale ** 2).tolist()):
             l, rest = divmod(key, arity ** 3)
             ev = [0] * arity
             for x in (rest // arity ** 2, rest // arity % arity, rest % arity):
@@ -353,9 +357,8 @@ class LieSuperalgebra:
 
     # -- structural computations -----------------------------------------------
     def derived_subalgebra(self) -> SuperIdeal:
-        n = self.dim
-        rows = self.consts.reshape(n * n, n)[self._upper_pairs()]
-        return SuperIdeal(self, Subspace.from_vectors(self.ctx, n, rows))
+        rows = self.bracket_matrix.ints[self._upper_pairs()]
+        return SuperIdeal(self, Subspace._span(self.ctx, self.dim, rows))
 
     def derived_series(self) -> List[Tuple[int, int]]:
         """Dims of the derived series of the algebra, down to stabilization."""
@@ -388,27 +391,21 @@ class LieSuperalgebra:
             n = self.dim
             zero = [j for j, (_, w) in enumerate(self._weight_keys()[1])
                     if not any(w)]
-            rows = self.consts.transpose(1, 2, 0).reshape(n * n, n)[:, zero]
+            rows = self._cube().transpose(1, 2, 0)[:, :, zero].reshape(
+                n * n, len(zero))
             rows = rows[rows.astype(bool).any(axis=1)]
-            self._center = kernel(Matrix(self.ctx, rows)).embedded(zero, n)
+            self._center = kernel(Matrix.from_int(
+                self.ctx, rows, reduced=True)).embedded(zero, n)
         return SuperIdeal(self, self._center)
 
     def ideal_closure(self, seeds: Sequence[np.ndarray]) -> SuperIdeal:
         """Smallest superideal containing the seeds: invariant closure of the
         homogeneous components of the seeds under all ad operators."""
-        parts = []
-        for s in seeds:
-            s = self.ctx.reduce(np.asarray(s))
-            ev, ov = s.copy(), s.copy()
-            ev[self.odd_coords] = 0
-            ov[self.even_coords] = 0
-            if np.any(ev):
-                parts.append(ev)
-            if np.any(ov):
-                parts.append(ov)
-        c, _ = self._int_consts()
+        s = self.ctx.reduce(np.asarray(seeds)).reshape(-1, self.dim)
+        odd = np.asarray(self.parities, dtype=bool)
         return SuperIdeal(self, invariant_closure(
-            self.ctx, self.dim, parts, self._ad_stack(c, (1, 0, 2))))
+            self.ctx, self.dim, np.concatenate([s * ~odd, s * odd]),
+            self._ad_stack((1, 0, 2))))
 
     def quotient(self, ideal: SuperIdeal) -> "LieSuperalgebra":
         """The quotient on the non-pivot coordinates of the ideal: every
@@ -420,12 +417,13 @@ class LieSuperalgebra:
         pivot = set(ideal.space.pivots)
         keep = [i for i in range(self.dim) if i not in pivot]
         d = len(keep)
-        rows = self.consts[np.ix_(keep, keep)].reshape(d * d, self.dim)
-        consts = ideal.space.residuals(rows)[:, keep].reshape(d, d, d)
+        rows = self._cube()[np.ix_(keep, keep)].reshape(d * d, self.dim)
+        ints = ideal.space._residual(rows)[:, keep].reshape(d, d, d)
         basis = [(self.labels[c] + "~", self.parities[c]) for c in keep]
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + "/ideal"
-        return algebra_from_consts(self.ctx, basis, consts, meta=meta)
+        return algebra_from_consts(self.ctx, basis, ints, ideal.space.basis.scale
+                                   * self.bracket_matrix.scale, meta=meta)
 
     def subalgebra_from_ideal(self, ideal: SuperIdeal) -> "LieSuperalgebra":
         return self.subalgebra(ideal.space)
@@ -444,20 +442,19 @@ class LieSuperalgebra:
                                        meta=dict(self.meta))
         order = np.argsort(parities, kind="stable")
         b, t = w.basis.ints[order], w.basis.scale
-        c, s = self._int_consts()
         # the brackets of the rows b / t, over the scale s t^2
-        images = int_bilinear(self.ctx, c, b, b).reshape(d * d, self.dim)
+        images = int_bilinear(self.ctx, self._cube(), b, b).reshape(
+            d * d, self.dim)
         if w._residual(images).astype(bool).any():
             raise NotAnIdeal("subspace is not closed under the bracket")
-        coords = from_int(self.ctx, images[:, np.asarray(w.pivots)[order]],
-                          s * t * t)
+        coords = images[:, np.asarray(w.pivots)[order]].reshape(d, d, d)
         if labels is None:
             labels = [f"b{i}" for i in range(d)]
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + ".sub"
-        return algebra_from_consts(self.ctx,
-                                   list(zip(labels, sorted(parities))),
-                                   coords.reshape(d, d, d), meta=meta)
+        return algebra_from_consts(
+            self.ctx, list(zip(labels, sorted(parities))), coords,
+            self.bracket_matrix.scale * t * t, meta=meta)
 
     # -- simplicity ----------------------------------------------------------------
     def _proper(self, ideal: SuperIdeal) -> bool:
@@ -498,8 +495,9 @@ class LieSuperalgebra:
             return norton
 
         # last resort: closure of every basis vector
+        eye = np.eye(self.dim, dtype=np.int64)
         for i in range(self.dim):
-            cl = self.ideal_closure([self._basis_vec(i)])
+            cl = self.ideal_closure([eye[i]])
             if self._proper(cl):
                 return SimplicityVerdict(
                     "NotSimple", witness=cl,
@@ -513,11 +511,10 @@ class LieSuperalgebra:
             coords = self.odd_coords if parity else self.even_coords
             if not coords:
                 continue
-            v = self.ctx.zeros(self.dim)
+            v = np.zeros(self.dim, dtype=np.int64)
             for c in coords:
-                v[c] = self.ctx.of(
-                    rng.randrange(self.ctx.p) if self.ctx.p
-                    else rng.randrange(-5, 6))
+                v[c] = (rng.randrange(self.ctx.p) if self.ctx.p
+                        else rng.randrange(-5, 6))
             if not np.any(v):
                 continue
             cl = self.ideal_closure([v])
@@ -568,16 +565,17 @@ class LieSuperalgebra:
             "diagonal": diag,
             "seed_index": j,
             "parity": keys[j][0],
-            "weight": [ctx.scalar_to_str(x) for x in keys[j][1]],
+            "weight": [ctx.scalar_to_str(x) for x in from_int(
+                ctx, np.array(keys[j][1], dtype=object),
+                self.bracket_matrix.scale).tolist()],
         }
-        c, _ = self._int_consts()
         seed = np.eye(1, n, j, dtype=np.int64)
-        spin = invariant_closure(ctx, n, seed, self._ad_stack(c, (1, 0, 2)))
+        spin = invariant_closure(ctx, n, seed, self._ad_stack((1, 0, 2)))
         if spin.dim < n:
             return SimplicityVerdict(
                 "NotSimple", witness=SuperIdeal(self, spin),
                 certificate={**cert, "proof": False, "proper_spin": "ad"})
-        dual = invariant_closure(ctx, n, seed, self._ad_stack(c, (2, 0, 1)))
+        dual = invariant_closure(ctx, n, seed, self._ad_stack((2, 0, 1)))
         if dual.dim < n:
             witness = SuperIdeal(self, kernel(dual.basis))
             return SimplicityVerdict(
@@ -590,7 +588,7 @@ class LieSuperalgebra:
     def _weight_keys(self) -> Tuple[List[int], List[Tuple]]:
         """(diag, keys), found once per algebra: the even h with ad(e_h)
         diagonal, and each basis vector's key, its parity and its joint
-        weight under those ad(e_h)."""
+        weight under those ad(e_h), on the integers over scale."""
         if self._keys is None:
             # ad(e_a) is diagonal unless some [e_a, e_b] has an e_c term,
             # c != b
@@ -598,16 +596,11 @@ class LieSuperalgebra:
             offdiag = set(a[b != c].tolist())
             diag = [h for h in self.even_coords if h not in offdiag]
             # weights[j][t] = coefficient of e_j in [h_t, e_j], h_t = e_diag[t]
-            weights = np.diagonal(self.consts, axis1=1,
+            weights = np.diagonal(self._cube(), axis1=1,
                                   axis2=2)[diag].T.tolist()
             self._keys = diag, [(self.parities[j], tuple(w))
                                 for j, w in enumerate(weights)]
         return self._keys
-
-    def _basis_vec(self, i: int) -> np.ndarray:
-        v = self.ctx.zeros(self.dim)
-        v[i] = self.ctx.one
-        return v
 
     # -- serialization ----------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -632,11 +625,17 @@ class LieSuperalgebra:
 
 
 def algebra_from_json_dict(d: dict) -> LieSuperalgebra:
+    """The algebra of to_json_dict's dict.  A parity other than the int 0
+    or 1, or a bracket index that is not an int, raises InputError."""
     ctx = FieldCtx.from_json_value(d["field"])
-    basis = [(b["label"], int(b["parity"])) for b in d["basis"]]
+    basis = [(b["label"], b["parity"]) for b in d["basis"]]
+    for _, p in basis:
+        if type(p) is not int or p not in (0, 1):
+            raise InputError(f"parity {p!r} is not 0 or 1")
     table: Table = {}
     for i, j, entry in d["brackets"]:
-        table[(int(i), int(j))] = {int(k): c for k, c in entry}
+        json_ints([i, j, *(k for k, _ in entry)], "bracket indices")
+        table[(i, j)] = {k: c for k, c in entry}
     return build_superalgebra(ctx, basis, table, meta=d.get("meta", {}))
 
 
@@ -645,39 +644,45 @@ def algebra_from_json(s: str) -> LieSuperalgebra:
 
 
 def algebra_from_consts(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
-                        consts: np.ndarray, meta: Optional[dict] = None,
+                        ints: np.ndarray, scale: int = 1,
+                        meta: Optional[dict] = None,
                         validate: bool = True) -> LieSuperalgebra:
     """The algebra on the (label, parity) basis with structure constants
-    consts (canonical scalars, see the module docstring), which may give
-    either order of each pair.  Every all-zero slice consts[j, i] whose
-    mirror consts[i, j] is not is filled by super-antisymmetry,
+    ints / scale, for an (n, n, n) integer array as int_matmul gives them
+    (canonical residues over F_p, where scale is 1), which may give either
+    order of each pair.  Every all-zero slice ints[j, i] whose mirror
+    ints[i, j] is not is filled by super-antisymmetry,
     [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]; where both slices are given
     they must agree, else SkewViolation at the least (i, j, k) where they
-    differ.  Works on the nonzero entries only and completes consts in
-    place, with no copy: the algebra keeps the caller's array, read-only,
-    as its own.  With validate, the algebra then runs validate()."""
+    differ.  Works on the nonzero entries only and completes ints in
+    place, with no copy over F_p: the algebra holds it, read-only, as its
+    bracket_matrix.  With validate, the algebra then runs validate()."""
     labels = [b[0] for b in basis]
     parities = [int(b[1]) & 1 for b in basis]
+    n = len(labels)
+    if ints.shape != (n, n, n):
+        raise DimensionMismatch(
+            f"structure constants of shape {ints.shape} for dimension {n}")
     odd = np.asarray(parities, dtype=bool)
-    nz = consts.astype(bool)
-    i, j, k = np.nonzero(nz)
-    vals = consts[i, j, k]
+    i, j, k, vals = nonzeros(ints)
     mirror = np.where(odd[i] & odd[j], vals, ctx.reduce(-vals))
-    fill = ~nz.any(axis=2)[j, i]
-    consts[j[fill], i[fill], k[fill]] = mirror[fill]
-    given = ~fill
-    bad = ctx.reduce(consts[j[given], i[given], k[given]]
-                     - mirror[given]).astype(bool)
+    given = np.zeros((n, n), dtype=bool)
+    given[i, j] = True
+    fill = ~given[j, i]
+    ints[j[fill], i[fill], k[fill]] = mirror[fill]
+    keep = ~fill
+    bad = ctx.reduce(ints[j[keep], i[keep], k[keep]]
+                     - mirror[keep]).astype(bool)
     if bad.any():
-        i, j, k = i[given][bad], j[given][bad], k[given][bad]
+        i, j, k = i[keep][bad], j[keep][bad], k[keep][bad]
         raise SkewViolation(*min(zip(np.minimum(i, j).tolist(),
                                      np.maximum(i, j).tolist(), k.tolist())))
-    alg = LieSuperalgebra(ctx, labels, parities, consts, meta)
+    ints.setflags(write=False)
+    alg = LieSuperalgebra(ctx, labels, parities, Matrix.from_int(
+        ctx, ints.reshape(n * n, n), scale, reduced=True), meta)
     # the completed array's support, so that no second scan finds it
-    support = [np.concatenate(x)
-               for x in ((i, j[fill]), (j, i[fill]), (k, k[fill]))]
-    order = np.lexsort(support[::-1])
-    alg._support = tuple(x[order] for x in support)
+    alg._support = np.unravel_index(np.sort(np.concatenate(
+        [(i * n + j) * n + k, ((j * n + i) * n + k)[fill]])), (n, n, n))
     if validate:
         alg.validate()
     return alg
@@ -701,5 +706,5 @@ def build_superalgebra(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
             if not 0 <= k < n:
                 raise BracketIndexError(f"bracket target {k} out of range")
             consts[i, j, k] = ctx.of(c)
-    return algebra_from_consts(ctx, basis, consts, meta=meta,
-                               validate=validate)
+    return algebra_from_consts(ctx, basis, *_array_form(ctx, consts),
+                               meta=meta, validate=validate)

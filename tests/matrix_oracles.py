@@ -12,7 +12,6 @@ from superlie.fields import FieldCtx, InputError
 from superlie.linalg import (
     Matrix,
     SpanSolver,
-    from_int,
     int_family,
     int_matmul,
     kernel,
@@ -42,10 +41,11 @@ def _bracket_rows(ctx: FieldCtx, mats: np.ndarray,
 
 
 def _bracket_consts(ctx: FieldCtx, mats: np.ndarray, parities: np.ndarray,
-                    solver: SpanSolver, labels: Sequence[str]) -> np.ndarray:
-    """The structure constants of the span of a (d, N, N) stack: every
-    supercommutator from _bracket_rows, solved for with one batched
-    SpanSolver call.  Raises InputError for the first pair (i <= j, in
+                    solver: SpanSolver, labels: Sequence[str]
+                    ) -> Tuple[np.ndarray, int]:
+    """The structure constants of the span of a (d, N, N) stack, as an
+    integer array and its scale: every supercommutator from _bracket_rows,
+    solved for with one batched SpanSolver call.  Raises InputError for the first pair (i <= j, in
     row-major order) whose bracket leaves the span.  Its own function, so
     that the rows and coordinates are freed before the algebra is
     completed and validated, where the build's memory peaks."""
@@ -56,9 +56,9 @@ def _bracket_consts(ctx: FieldCtx, mats: np.ndarray, parities: np.ndarray,
         r = int(np.argmin(in_span))
         raise InputError(f"bracket [{labels[i[r]]},{labels[j[r]]}] "
                          "leaves the span")
-    consts = ctx.zeros(d, d, d)
-    consts[i, j] = from_int(ctx, coords, u)
-    return consts
+    consts = np.zeros((d, d, d), dtype=coords.dtype)
+    consts[i, j] = coords
+    return consts, u
 
 
 def algebra_from_matrices(ctx: FieldCtx,
@@ -80,7 +80,7 @@ def algebra_from_matrices(ctx: FieldCtx,
     d = len(elems)
     mats: List[np.ndarray] = []
     solver = None
-    consts = ctx.zeros(0, 0, 0)
+    consts, u = ctx.zeros(0, 0, 0), 1
     if d:
         stack = ctx.reduce(np.stack([np.asarray(m) for _, _, m in elems]))
         # entry (a, b) of a homogeneous element has parity bp[a] + bp[b]
@@ -94,10 +94,11 @@ def algebra_from_matrices(ctx: FieldCtx,
                              f"declared parity {elems[e][1]}")
         mats = list(stack)
         solver = SpanSolver(ctx, stack.reshape(d, -1))
-        consts = _bracket_consts(ctx, stack, parities, solver,
-                                 [label for label, _, _ in elems])
+        consts, u = _bracket_consts(ctx, stack, parities, solver,
+                                    [label for label, _, _ in elems])
     alg = algebra_from_consts(
-        ctx, [(label, parity) for label, parity, _ in elems], consts, meta=meta)
+        ctx, [(label, parity) for label, parity, _ in elems], consts, u,
+        meta=meta)
     alg.matrix_basis = mats  # type: ignore[attr-defined]
     alg.matrix_solver = solver  # type: ignore[attr-defined]
     return alg

@@ -9,7 +9,7 @@ import pytest
 import superlie.brj as brj_module
 from superlie.brj import brj25
 from superlie.cli import _brj_report_dict, main, make_parser
-from superlie.constructions import sl2_symn_pair, symn_dual, symn_module
+from superlie.constructions import sl, sl2_symn_pair, symn_dual, symn_module
 from superlie.fields import FieldCtx
 from superlie.modules import sym2
 from superlie.pairs import pair_to_json_dict
@@ -392,6 +392,31 @@ class TestValidateFile:
         rc, out, _ = run(capsys, "validate-file", path)
         assert rc == 1
         assert out.startswith("invalid: InexactScalar")
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("algebra", lambda d: d["basis"][0].update(parity=2)),
+        ("algebra", lambda d: d["brackets"][0].__setitem__(0, 0.9)),
+        ("module", lambda d: d["weights"].__setitem__(0, ["a"])),
+        ("module", lambda d: d["weights"].__setitem__(0, [2.5])),
+        ("module", lambda d: d["families"][0].update(root=[2.0])),
+        ("pair", lambda d: d["odd_bracket"][0].__setitem__(1, 1.5)),
+    ], ids=["parity-2", "index-0.9", "weight-str", "weight-float",
+            "root-float", "odd-pair-1.5"])
+    def test_inexact_json_entries_rejected(self, capsys, tmp_path, kind,
+                                           edit):
+        # sl(2|1), Sym_2 and sl2 x Sym_1* at p = 5 with one parity, bracket
+        # index, weight or root that is not an int: each is rejected, not
+        # coerced
+        ctx = FieldCtx.prime(5)
+        d = {"algebra": lambda: sl(2, 1, ctx).to_json_dict(),
+             "module": lambda: symn_module(2, ctx).to_json_dict(),
+             "pair": lambda: pair_to_json_dict(sl2_symn_pair(1, 1, ctx))}[kind]()
+        edit(d)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(d))
+        rc, out, _ = run(capsys, "validate-file", str(path))
+        assert rc == 1
+        assert out.startswith("invalid: InputError")
 
     def test_pair_and_module_files(self, capsys, tmp_path):
         pair = sl2_symn_pair(3, 1, FieldCtx.prime(3))

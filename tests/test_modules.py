@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from superlie.linalg import (
     int_family,
     int_matmul,
     kernel,
+    nonzeros,
 )
 from superlie.modules import (
     CoeffOperatorFamily,
@@ -29,7 +31,6 @@ from superlie.modules import (
     _implied_pairs,
     _intertwiner_space,
     _is_diagonal,
-    _nonzeros,
     _weight_support,
     dual,
     induced_operators,
@@ -857,7 +858,7 @@ def ref_product_coeffs(ctx, ops1, ops2, ks):
     n1 n2 x n1 n2 array per k, each Kronecker term J_a (x) K_b added into
     it from the nonzero entries."""
     (j1, s1), (j2, s2) = int_family(ctx, ops1), int_family(ctx, ops2)
-    nz1, nz2 = [_nonzeros(j) for j in j1], [_nonzeros(j) for j in j2]
+    nz1, nz2 = [nonzeros(j) for j in j1], [nonzeros(j) for j in j2]
     (r1, c1), (r2, c2) = j1[0].shape, j2[0].shape
     out = []
     for k in ks:
@@ -1195,6 +1196,22 @@ class TestJson:
             assert np.array_equal(a.data, b.data)
         for fa, fb in zip(m2.families, m.families):
             assert fa.label == fb.label and fa.root == fb.root
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["weights"].__setitem__(0, ["a"]),
+        lambda d: d["weights"].__setitem__(0, [2.5]),
+        lambda d: d["weights"].__setitem__(0, [True]),
+        lambda d: d["families"][0].update(root=[2.0]),
+        lambda d: d["families"][0].update(root=["2"]),
+    ], ids=["weight-str", "weight-float", "weight-bool", "root-float",
+            "root-str"])
+    def test_inexact_weight_or_root_rejected(self, edit):
+        # a weight ["a"] ended in a numpy error, [2.5] in a misleading
+        # CompositionViolation, and a root [2.0] was kept as a float
+        d = symn_module(2, F5).to_json_dict()
+        edit(d)
+        with pytest.raises(InputError):
+            module_from_json(json.dumps(d))
 
     def test_rational_round_trip(self):
         m = symn_dual(2, Q)

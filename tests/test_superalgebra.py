@@ -1,3 +1,4 @@
+import fractions
 import functools
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 
 from superlie import constructions, linalg, superalgebra
 from superlie.census import GRID_PRESETS, _row, build_from_params
-from superlie.fields import FieldCtx, SuperlieError
+from superlie.fields import FieldCtx, InputError, SuperlieError
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -735,6 +736,23 @@ class TestJson:
         with pytest.raises(SkewViolation):
             algebra_from_json(json.dumps(d))
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["basis"][0].update(parity=2),
+        lambda d: d["basis"][0].update(parity=True),
+        lambda d: d["basis"][0].update(parity="1"),
+        lambda d: d["brackets"][0].__setitem__(0, 0.9),
+        lambda d: d["brackets"][0].__setitem__(1, False),
+        lambda d: d["brackets"][0][2][0].__setitem__(0, 1.0),
+    ], ids=["parity-2", "parity-bool", "parity-str", "index-float",
+            "index-bool", "target-float"])
+    def test_inexact_parity_or_index_rejected(self, edit):
+        # read as they are, a parity of 2 would be even and an index of 0.9
+        # would be 0: each is rejected rather than coerced
+        d = sl(2, 1, F5).to_json_dict()
+        edit(d)
+        with pytest.raises(InputError):
+            algebra_from_json(json.dumps(d))
+
 
 def sl2_natural_odd(ctx):
     # sl2 (e, h, f) acting on its natural module V = (v+, v-) placed in odd
@@ -1019,11 +1037,9 @@ class TestSearch:
 
 
 class TestIntegerConstsOnce:
-    def test_search_converts_consts_once(self, monkeypatch):
-        # the integer form of consts is made once per algebra and kept:
-        # over Q the closure search (one ideal_closure a seed), Norton's
-        # spins, verify and subalgebra convert the whole array once
-        alg = rebased(sl(2, 1, Q))
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """The shapes of the arrays linalg.int_scaled converts."""
         shapes = []
         real = linalg.int_scaled
 
@@ -1032,13 +1048,53 @@ class TestIntegerConstsOnce:
             return real(m)
 
         monkeypatch.setattr(linalg, "int_scaled", counting)
+        return shapes
+
+    def test_search_converts_consts_once(self, shapes):
+        # an algebra read from a table converts its constants to the
+        # integer form once, when it is built: over Q the closure search
+        # (one ideal_closure a seed), Norton's spins, verify and
+        # subalgebra convert nothing
+        alg = rebased(sl(2, 1, Q))
+        shapes.clear()
         v = alg.is_graded_simple()
         assert v.verdict == "GradedSimple" and v.certificate["proof"] is False
         assert alg.norton_certificate() is None
         derived = alg.derived_subalgebra()
         assert derived.verify()
         assert alg.subalgebra_from_ideal(derived).dims == alg.dims
-        assert shapes.count(alg.consts.shape) == 1
+        assert shapes == []
+
+    def test_builders_hand_over_integers(self, shapes):
+        # constants a builder makes from integers reach the algebra, its
+        # subalgebras and its quotients as integers: over Q nothing is
+        # turned into Fractions and back (the scalar ideal is made first,
+        # from the field entries of the identity)
+        s22 = sl(2, 2, Q)
+        ideal = scalar_ideal(s22)
+        shapes.clear()
+        for alg in (sl(2, 1, Q), periplectic_derived(3, Q),
+                    s22.quotient(ideal)):
+            alg.is_graded_simple()
+            derived = alg.derived_subalgebra()
+            assert derived.verify()
+            alg.subalgebra_from_ideal(derived)
+        assert shapes == []
+
+    def test_sl43_over_q_scans_no_fraction(self, monkeypatch):
+        # sl(4|3) over Q, built and tested for simplicity, makes fewer
+        # Fraction zero tests than it has basis vectors (n = 48)
+        calls = []
+        real = fractions.Fraction.__bool__
+
+        def counting(x):
+            calls.append(1)
+            return real(x)
+
+        monkeypatch.setattr(fractions.Fraction, "__bool__", counting)
+        alg = sl(4, 3, Q)
+        assert alg.is_graded_simple().verdict == "GradedSimple"
+        assert alg.dim == 48 and len(calls) < alg.dim
 
 
 class TestCenterOnce:
