@@ -32,7 +32,9 @@ from .fields import FieldCtx, InputError, SuperlieError
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    OpTable,
     Subspace,
+    _array_form,
     _int_form,
     from_int,
     int_family,
@@ -171,20 +173,27 @@ def coords_of_matrix(alg: LieSuperalgebra, m: np.ndarray) -> Optional[np.ndarray
     """Coordinates of an ambient matrix in a matrix-built algebra's basis,
     read by position as the builder reads its brackets, or None if the
     matrix is outside the span."""
+    coords = _int_coords(alg, m)
+    return None if coords is None else from_int(alg.ctx, *coords)
+
+
+def _int_coords(alg: LieSuperalgebra,
+                m: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """coords_of_matrix as (C, s), the coordinates C / s on integers."""
     units = alg.matrix_units  # type: ignore[attr-defined]
     ctx, m, n_amb = alg.ctx, np.asarray(m), units[0]
     if m.shape != (n_amb, n_amb):
         raise DimensionMismatch(f"rows of shape {m.shape} for {n_amb} x "
                                 f"{n_amb} matrices")
-    (ints,), s = int_family(ctx, [ctx.reduce(m).reshape(-1)])
+    ints, s = _array_form(ctx, m.reshape(-1))
     pos = np.flatnonzero(ints)
     keys, sums, outside = _read(ctx, units, np.zeros(len(pos), np.int64),
                                 pos, ints[pos])
     if len(outside):
         return None
-    coords = ctx.zeros(alg.dim)
-    coords[keys] = from_int(ctx, sums, s)
-    return coords
+    coords = np.zeros(alg.dim, dtype=sums.dtype)
+    coords[keys] = sums
+    return coords, s
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +248,13 @@ def sl(m: int, n: int, ctx: FieldCtx) -> LieSuperalgebra:
 
 
 def identity_coords(alg: LieSuperalgebra) -> np.ndarray:
-    """Coordinates of the identity matrix in a matrix-built algebra."""
+    """Coordinates of the identity matrix in a matrix-built algebra, read
+    off the integer unit matrix: integers (residues over F_p)."""
     n_amb = alg.matrix_units[0]  # type: ignore[attr-defined]
-    coords = coords_of_matrix(alg, alg.ctx.eye(n_amb))
+    coords = _int_coords(alg, np.eye(n_amb, dtype=np.int64))
     if coords is None:
         raise CenterNotInside("identity matrix is not in the algebra")
-    return coords
+    return coords[0]
 
 
 def scalar_ideal(alg: LieSuperalgebra) -> SuperIdeal:
@@ -393,9 +403,8 @@ def pq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     """q(n) / k.(I|0)"""
     qn = queer(n, ctx)
     # (I|0) is the sum of the diagonal A elements
-    v = ctx.zeros(qn.dim)
-    for a in range(n):
-        v[qn.even_coords[a * n + a]] = ctx.one
+    v = np.zeros(qn.dim, dtype=np.int64)
+    v[[qn.even_coords[a * n + a] for a in range(n)]] = 1
     out = qn.quotient(SuperIdeal(qn, Subspace.from_vectors(ctx, qn.dim, [v])))
     out.meta.update({"name": "pq", "n": n})
     return out
@@ -405,18 +414,12 @@ def psq(n: int, ctx: FieldCtx) -> LieSuperalgebra:
     """The subalgebra (pgl_n | sl_n) of pq(n)."""
     pqn = pq(n, ctx)
     odd = pqn.odd_coords
-    vecs = list(ctx.eye(pqn.dim)[pqn.even_coords])
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                v = ctx.zeros(pqn.dim)
-                v[odd[a * n + b]] = ctx.one
-                vecs.append(v)
-    for a in range(n - 1):
-        v = ctx.zeros(pqn.dim)
-        v[odd[a * n + a]] = ctx.one
-        v[odd[(n - 1) * n + (n - 1)]] = ctx.neg(ctx.one)
-        vecs.append(v)
+    # integer unit vectors: the even part, the off-diagonal odd units and
+    # the odd diagonal differences with the last
+    eye = np.eye(pqn.dim, dtype=np.int64)
+    vecs = list(eye[pqn.even_coords])
+    vecs += [eye[odd[a * n + b]] for a in range(n) for b in range(n) if a != b]
+    vecs += [eye[odd[a * n + a]] - eye[odd[n * n - 1]] for a in range(n - 1)]
     labels = [pqn.labels[c] for c in pqn.even_coords]
     labels += [f"s{i}" for i in range(len(vecs) - len(labels))]
     out = pqn.subalgebra(Subspace.from_vectors(ctx, pqn.dim, vecs),
@@ -541,35 +544,22 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
     if n < 0:
         raise InputError("n must be nonnegative")
     d = n + 1
-
-    def zeros():
-        # Python ints: binomials pass int64 for large n
-        return np.zeros((d, d), dtype=object)
-
-    h, e, f = zeros(), zeros(), zeros()
-    for i in range(d):
-        h[i, i] = 2 * i - n
-        if i + 1 <= n:
-            e[i + 1, i] = n - i
-        if i - 1 >= 0:
-            f[i - 1, i] = i
-    up_ops = []
-    down_ops = []
-    for k in range(n + 1):
-        up, down = zeros(), zeros()
-        for i in range(d):
-            if i + k <= n:
-                up[i + k, i] = math.comb(n - i, k)
-            if i - k >= 0:
-                down[i - k, i] = math.comb(i, k)
-        up_ops.append(Matrix.from_int(ctx, up))
-        down_ops.append(Matrix.from_int(ctx, down))
-    fams = CoeffOperatorFamily.batch([("X2", up_ops, (2,)),
-                                      ("X-2", down_ops, (-2,))])
+    # up[k] is X2[t^k], Python ints (binomials pass int64 for large n); op
+    # n + 1 is zero, so up[1] is E12 when n = 0 too.  X-2[t^k] and E21 are
+    # the same operators on the reversed basis
+    up = np.zeros((d + 1, d, d), dtype=object)
+    for k in range(d):
+        for i in range(d - k):
+            up[k, i + k, i] = math.comb(n - i, k)
+    down = up[:, ::-1, ::-1]
+    h = np.diag(np.arange(-n, n + 1, 2)).astype(object)
+    fams = CoeffOperatorFamily.batch([
+        ("X2", OpTable.from_dense(ctx, ctx.reduce(up)), (2,)),
+        ("X-2", OpTable.from_dense(ctx, ctx.reduce(down)), (-2,))])
     return GModule(
         ctx, [f"s{i}" for i in range(d)], SL2_LABELS,
-        [Matrix.from_int(ctx, a) for a in (h, e, f)], fams,
-        weights=[(2 * i - n,) for i in range(d)],
+        OpTable.from_dense(ctx, ctx.reduce(np.stack([h, up[1], down[1]]))),
+        fams, weights=[(2 * i - n,) for i in range(d)],
         brackets=Matrix.from_int(ctx, SL2_BRACKETS.reshape(9, 3)),
         meta={"name": f"sym{n}"})
 

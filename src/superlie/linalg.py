@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a FieldCtx.
+"""Exact linear algebra over a FieldCtx.
 
 A Matrix holds one canonical integer form, ints / scale: the residues
 themselves over F_p (int64 below 2^25, Python ints above), Python ints over
@@ -22,9 +22,12 @@ rows of the centre and derived systems are single.  The leftmost nonzero
 pivot loop then runs only on the rows that remain, and the unit rows are
 merged back by pivot: the result is the same unique form.
 
+An OpTable holds a list of n x n operators as one sparse integer table,
+the nonzero entries (op, row, col, value) of their integer forms on one
+scale: the modules keep their operators so, and join the entries.
 Spinning (invariant_closure, largest_invariant_within) takes its k
 operators as one integer stack of their transposes, of shape (n, n k)
-(operator_stack): each round takes the images of its rows under every
+(OpTable.stack): each round takes the images of its rows under every
 operator from one product.
 """
 
@@ -202,6 +205,101 @@ def nonzero_sums(ctx: FieldCtx, keys: np.ndarray,
     first = np.flatnonzero(run_starts(keys))
     sums = ctx.reduce(np.add.reduceat(terms, first))
     return keys[first[sums != 0]], sums[sums != 0]
+
+
+class OpTable:
+    """count operators on ctx^n as one sparse integer table: the nonzero
+    entries (op, row, col, val) of their integer forms J_op, sorted by
+    (op, row, col), on one scale: operator k is J_k / scale.  The values
+    are residues over F_p, where scale is 1, and Python ints over Q, where
+    scale > 0 is made their least common denominator, so equal tables hold
+    equal operators (T. A. Davis, Direct Methods for Sparse Linear
+    Systems, SIAM 2006, ch. 2).  dense, stack and matrices are dense views
+    made on request."""
+
+    __slots__ = ("ctx", "n", "count", "op", "row", "col", "val", "scale")
+
+    def __init__(self, ctx: FieldCtx, n: int, count: int, op: np.ndarray,
+                 row: np.ndarray, col: np.ndarray, val, scale: int = 1):
+        val = np.asarray(val, dtype=ctx.dtype)
+        g = gcd(scale, *val.tolist()) if scale != 1 else 1
+        if g != 1:
+            val, scale = val // g, scale // g
+        self.ctx, self.n, self.count, self.scale = ctx, n, count, scale
+        self.op, self.row, self.col, self.val = op, row, col, val
+        for a in (self.op, self.row, self.col, self.val):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_dense(cls, ctx: FieldCtx, a: np.ndarray,
+                   scale: int = 1) -> "OpTable":
+        """The table of the (count, n, n) integer array a over scale."""
+        return cls(ctx, a.shape[1], a.shape[0], *nonzeros(a), scale)
+
+    @classmethod
+    def of(cls, ctx: FieldCtx, n: int, mats: Sequence["Matrix"]) -> "OpTable":
+        """The table of n x n Matrices; DimensionMismatch for another shape."""
+        for m in mats:
+            if m.shape != (n, n):
+                raise DimensionMismatch(
+                    f"operator shape {m.rows}x{m.cols} vs ambient {n}")
+        js, s = int_family(ctx, mats)
+        return cls.from_dense(ctx, np.array(js, dtype=ctx.dtype).reshape(
+            len(js), n, n), s)
+
+    @classmethod
+    def concat(cls, tables: Sequence["OpTable"]) -> "OpTable":
+        """The ops of the tables, in order, on one scale."""
+        s = lcm(1, *(t.scale for t in tables))
+        parts = [t.entries(0, s) for t in tables]
+        op, row, col, val = (np.concatenate(a) for a in zip(*parts))
+        counts = [t.count for t in tables]
+        op = op + np.repeat(np.cumsum(counts) - counts,
+                            [len(p[0]) for p in parts])
+        return cls(tables[0].ctx, tables[0].n, sum(counts), op, row, col,
+                   val, s)
+
+    @classmethod
+    def empty(cls, ctx: FieldCtx, n: int, count: int = 0) -> "OpTable":
+        return cls.from_dense(ctx, np.zeros((count, n, n), np.int64))
+
+    def entries(self, lo: int = 0, scale: Optional[int] = None):
+        """(op, row, col, val) of ops lo, lo + 1, ...; the values over
+        scale, a multiple of self.scale, when given."""
+        a = int(np.searchsorted(self.op, lo)) if lo else 0
+        val = self.val[a:]
+        if scale and scale != self.scale:
+            val = val * (scale // self.scale)
+        return self.op[a:], self.row[a:], self.col[a:], val
+
+    def select(self, lo: int, hi: int) -> "OpTable":
+        """The table of ops lo, ..., hi - 1 (zero past count), from 0."""
+        a, b = np.searchsorted(self.op, [lo, hi])
+        return OpTable(self.ctx, self.n, hi - lo, self.op[a:b] - lo,
+                       self.row[a:b], self.col[a:b], self.val[a:b], self.scale)
+
+    def dense(self) -> np.ndarray:
+        """The (count, n, n) integer array of the J_k."""
+        a = np.zeros((self.count, self.n, self.n), dtype=self.val.dtype)
+        a[self.op, self.row, self.col] = self.val
+        return a
+
+    def stack(self) -> Tuple[np.ndarray, int]:
+        """(S, scale): S = [J_0^T ... J_{count-1}^T] of shape (n, n count),
+        the operator form of the spins."""
+        return (self.dense().transpose(2, 0, 1).reshape(
+            self.n, self.count * self.n), self.scale)
+
+    def matrices(self) -> List["Matrix"]:
+        return [Matrix.from_int(self.ctx, j, self.scale, reduced=True)
+                for j in self.dense()]
+
+    def __eq__(self, other):
+        return (isinstance(other, OpTable) and (
+            self.ctx, self.n, self.count, self.scale) == (
+            other.ctx, other.n, other.count, other.scale) and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("op", "row", "col", "val")))
 
 
 def _int_form(ctx: FieldCtx, ints: np.ndarray, s: int) -> Tuple[np.ndarray, int]:
@@ -712,22 +810,6 @@ def kernel(m: Matrix) -> Subspace:
 # spinning
 # ---------------------------------------------------------------------------
 
-def operator_stack(ctx: FieldCtx, n: int,
-                   ops: Sequence[Matrix]) -> Tuple[np.ndarray, int]:
-    """(S, s): S = [J_1^T ... J_k^T], the (n, n k) integer stack of the
-    transposes of n x n operators ops[i] = J_i / s on one scale
-    (int_family).  Row v of an integer array times S holds every J_i v
-    side by side, the images of v up to the scale s: the operator form
-    invariant_closure and largest_invariant_within take."""
-    for op in ops:
-        if op.shape != (n, n):
-            raise DimensionMismatch(
-                f"operator shape {op.rows}x{op.cols} vs ambient {n}")
-    js, s = int_family(ctx, ops)
-    return np.concatenate([np.zeros((n, 0), dtype=np.int64),
-                           *(j.T for j in js)], axis=1), s
-
-
 def _check_stack(ambient_dim: int, ops_t: np.ndarray):
     if ops_t.ndim != 2 or ops_t.shape[0] != ambient_dim or (
             ambient_dim and ops_t.shape[1] % ambient_dim):
@@ -740,7 +822,7 @@ def invariant_closure(ctx: FieldCtx, ambient_dim: int,
                       ops_t: np.ndarray) -> Subspace:
     """Smallest subspace containing the seeds and invariant under every
     operator, given as the integer stack ops_t of their transposes (see
-    operator_stack): the fixed point of W -> W + sum(op(W)).  Only the
+    OpTable.stack): the fixed point of W -> W + sum(op(W)).  Only the
     images of the rows added last round can enlarge the span, so each
     round extends the basis by the residuals of those images, all from one
     product with ops_t (each image up to a scale, which changes no
@@ -758,7 +840,7 @@ def invariant_closure(ctx: FieldCtx, ambient_dim: int,
 
 def largest_invariant_within(k: Subspace, ops_t: np.ndarray) -> Subspace:
     """Largest subspace W <= k with op(W) <= W for every operator of the
-    integer stack ops_t (see operator_stack); iterates W <- {w in W :
+    integer stack ops_t (see OpTable.stack); iterates W <- {w in W :
     op(w) in W for all op} to a fixed point.  Row i of the images is the
     residual against W of every op(b_i), b_i basis row i, side by side."""
     _check_stack(k.ambient_dim, ops_t)

@@ -1,14 +1,21 @@
 """Finite-dimensional modules carrying both a Lie-algebra action and a group
 action encoded by coefficient operators of one-parameter subgroups.
 
-A polynomial one-parameter subgroup X(t) = sum_i t^i A_i is stored as the
-finite list of its coefficient operators.  The composition identity
+A polynomial one-parameter subgroup X(t) = sum_i t^i A_i is given by its
+finite list of coefficient operators.  The composition identity
 X(t)X(s) = X(t+s), expanded symbolically in two variables, is equivalent to
 A_a A_b = C(a+b, a) A_{a+b} for all a, b (with A_k = 0 past the end), and is
 checked exactly at construction.  Closure and equivariance under all the A_i
 is then equivalent to closure/equivariance under X(t) for every t in the
 algebraic closure, which turns all group-theoretic questions here into finite
 linear algebra.
+
+A family's operators, and a module's Lie action, are held once, at
+construction, as one OpTable: the nonzero entries (op, row, col, value) of
+their integer forms on one scale.  The checks, the tensor constructions
+and the hom systems join those entries; the dense Matrix views (ops,
+lie_action) are made on first use, for output and tests, and the operator
+stacks for spinning are made from the table.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,17 +32,16 @@ from .fields import FieldCtx, InputError, SuperlieError, json_ints
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    OpTable,
     SpanSolver,
     Subspace,
     _array_form,
-    int_family,
     int_matmul,
     invariant_closure,
     join,
     kernel,
     nonzero_sums,
     nonzeros,
-    operator_stack,
     run_starts,
 )
 
@@ -53,36 +60,44 @@ class LabelMismatch(SuperlieError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+Ops = Union[Sequence[Matrix], OpTable]
+
+
 class CoeffOperatorFamily:
-    """One-parameter subgroup X(t) = sum_i t^i ops[i]; ops[0] must be the
+    """One-parameter subgroup X(t) = sum_i t^i A_i; A_0 must be the
     identity.  root, when set, is the weight shift of each t-power.
 
-    Construction drops trailing zero operators and checks the composition
-    law with validate, so every instance is a valid family.  batch builds
-    several families and checks them all with one validate call."""
+    table holds A_0, ..., A_d (op k is A_k), trailing zero operators
+    dropped; ops and op(k) are its dense views, made on first use.
+    Construction checks the composition law with validate, so every
+    instance is a valid family.  batch builds several families and checks
+    them all with one validate call."""
 
-    label: str
-    ops: Tuple[Matrix, ...]
-    root: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self):
-        self._hold(self.label, self.ops, self.root)
+    def __init__(self, label: str, ops: Ops,
+                 root: Optional[Sequence[int]] = None):
+        self._hold(label, ops, root)
         self.validate()
 
-    def _hold(self, label: str, ops: Sequence[Matrix],
-              root: Optional[Sequence[int]]):
-        """Set the fields, with trailing zero operators dropped."""
-        ops = list(ops)
-        while len(ops) > 1 and ops[-1].is_zero():
-            ops.pop()
-        for name, value in (("label", label), ("ops", tuple(ops)),
-                            ("root", None if root is None else tuple(root))):
-            object.__setattr__(self, name, value)
+    def _hold(self, label: str, ops: Ops, root: Optional[Sequence[int]]):
+        """Set the fields from Matrices or a table, trailing zero operators
+        dropped.  Matrices of no one square shape make no table: validate
+        reports them from _bad."""
+        self.label, self._bad = label, None
+        self.root = None if root is None else tuple(root)
+        if not isinstance(ops, OpTable):
+            ops = list(ops)
+            while len(ops) > 1 and ops[-1].is_zero():
+                ops.pop()
+            n = ops[0].rows if ops else 0
+            if not ops or any(op.shape != (n, n) for op in ops):
+                self.table, self._bad = None, ops
+                return
+            ops = OpTable.of(ops[0].ctx, n, ops)
+        last = int(ops.op[-1]) + 1 if len(ops.op) else 1
+        self.table = ops.select(0, last) if last < ops.count else ops
 
     @classmethod
-    def batch(cls, specs: Iterable[Tuple[str, Sequence[Matrix],
-                                         Optional[Sequence[int]]]]
+    def batch(cls, specs: Iterable[Tuple[str, Ops, Optional[Sequence[int]]]]
               ) -> List["CoeffOperatorFamily"]:
         """The families of the (label, ops, root) triples of specs, trimmed
         as the constructor does and checked by one validate call."""
@@ -127,20 +142,33 @@ class CoeffOperatorFamily:
 
     @property
     def ctx(self) -> FieldCtx:
-        return self.ops[0].ctx
+        return self.table.ctx
 
     @property
     def dim(self) -> int:
-        return self.ops[0].rows
+        if self.table is None:
+            return self._bad[0].rows if self._bad else 0
+        return self.table.n
 
     @property
     def degree(self) -> int:
-        return len(self.ops) - 1
+        return self.table.count - 1
+
+    @cached_property
+    def ops(self) -> Tuple[Matrix, ...]:
+        """A_0, ..., A_d as Matrices: a dense view of the table."""
+        return tuple(self.table.matrices())
 
     def op(self, k: int) -> Matrix:
-        if 0 <= k < len(self.ops):
-            return self.ops[k]
-        return Matrix.zeros(self.ctx, self.dim, self.dim)
+        if not 0 <= k <= self.degree:
+            raise IndexError(f"{self.label} has no op_{k}: degree "
+                             f"{self.degree}")
+        return self.ops[k]
+
+    def __eq__(self, other):
+        return (isinstance(other, CoeffOperatorFamily)
+                and (self.label, self.root, self.table)
+                == (other.label, other.root, other.table))
 
     def to_json_dict(self) -> dict:
         return {"label": self.label,
@@ -160,14 +188,23 @@ class CoeffOperatorFamily:
     def _malformed(self, n: int) -> Optional[SuperlieError]:
         """The error of an empty family, an op_0 other than the identity or
         an op that is not n x n, in that order; None if there is none."""
-        if not self.ops:
+        t, ops = self.table, self._bad
+        if t is None and not ops:
             return CompositionViolation(f"{self.label}: empty family")
-        if not self.ops[0].is_identity():
+        if t is None:
+            ident = ops[0].is_identity()
+        else:  # op_0's entries are the diagonal, each the table's scale
+            a = int(np.searchsorted(t.op, 1))
+            ident = (a == t.n and (t.row[:a] == np.arange(a)).all()
+                     and (t.col[:a] == t.row[:a]).all()
+                     and (t.val[:a] == t.scale).all())
+        if not ident:
             return CompositionViolation(f"{self.label}: op_0 is not the identity")
-        for k, op in enumerate(self.ops):
-            if op.shape != (n, n):
+        for k, (r, c) in enumerate([op.shape for op in ops] if t is None
+                                   else [(t.n, t.n)]):
+            if (r, c) != (n, n):
                 return DimensionMismatch(
-                    f"{self.label}: op_{k} is {op.rows}x{op.cols}, not {n}x{n}")
+                    f"{self.label}: op_{k} is {r}x{c}, not {n}x{n}")
         return None
 
     def validate(self, *others: "CoeffOperatorFamily"):
@@ -179,11 +216,11 @@ class CoeffOperatorFamily:
         On the integer forms A_k = J_k / s (one s for all families, 1 over
         F_p) the law is J_a J_b = C(a+b, a) s J_{a+b}, which holds when a or
         b is 0.  Every other J_a J_b comes from one join of all families'
-        entries on (family, middle index), and C s J_{a+b} is added negated
-        at each split a + b.  A key packs (family, a, b, row, col), so the
-        least one left is the first failure."""
+        table entries on (family, middle index), and C s J_{a+b} is added
+        negated at each split a + b.  A key packs (family, a, b, row, col),
+        so the least one left is the first failure."""
         fams = (self,) + others
-        n, err = self.dim if self.ops else 0, None
+        n, err = self.dim, None
         for i, f in enumerate(fams):
             err = f._malformed(n)
             if err:
@@ -196,14 +233,20 @@ class CoeffOperatorFamily:
             raise err
 
 
+def _positive_entries(fams: Sequence[CoeffOperatorFamily], scale=None):
+    """(family, k, row, col, value) of the entries of every op_k, k >= 1,
+    of the families, the values over scale when given."""
+    parts = [f.table.entries(1, scale) for f in fams]
+    g = np.repeat(np.arange(len(fams)), [len(p[0]) for p in parts])
+    return (g, *(np.concatenate(a) for a in zip(*parts)))
+
+
 def _check_composition(fams: Sequence[CoeffOperatorFamily]):
     """validate's composition check, on n x n families of degree > 0."""
     ctx, n = fams[0].ctx, fams[0].dim
     top = max(f.degree for f in fams) + 1
-    ints, s = int_family(ctx, [op for f in fams for op in f.ops[1:]])
-    it = iter(ints)
-    g, k, r, c, v = _family_entries([[next(it) for _ in f.ops[1:]]
-                                     for f in fams])
+    s = math.lcm(*(f.table.scale for f in fams))
+    g, k, r, c, v = _positive_entries(fams, s)
     x, y = join(g * n + c, g * n + r)
     lhs_keys = (((g[x] * top + k[x]) * top + k[y]) * n + r[x]) * n + c[y]
     # entry e of J_k once for each split k = a + b with a, b >= 1
@@ -230,27 +273,17 @@ def _check_composition(fams: Sequence[CoeffOperatorFamily]):
             f"{f.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
 
 
-def _family_entries(stacks: Sequence[Sequence[np.ndarray]]):
-    """(family, k, row, col, value) of the nonzero entries of [J_1, ...,
-    J_d] = stacks[i] of each family i, with no array of every operator."""
-    parts = []
-    for i, js in enumerate(stacks):
-        k, r, c, v = nonzeros(np.stack(js))
-        parts.append((np.full(len(k), i), k + 1, r, c, v))
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _commutator_terms(ctx: FieldCtx, ints: Sequence[np.ndarray]):
+def _commutator_terms(t: OpTable):
     """(keys, terms) whose sums per key (i, j, row, col), i < j, are the
-    entries of J_i J_j - J_j J_i for the n x n integer arrays ints: every
-    product from one join of all their entries on the middle index."""
-    d, n = len(ints), ints[0].shape[0]
-    i, r, c, v = nonzeros(np.stack(ints))
+    entries of J_i J_j - J_j J_i for the ops of the table: every product
+    from one join of its entries on the middle index."""
+    d, n = t.count, t.n
+    i, r, c, v = t.entries()
     x, y = join(c, r)
     off = i[x] != i[y]
     x, y = x[off], y[off]
     lo, hi = np.minimum(i[x], i[y]), np.maximum(i[x], i[y])
-    prod = ctx.reduce(v[x] * v[y])
+    prod = t.ctx.reduce(v[x] * v[y])
     # J_j J_i with i < j enters the commutator of (i, j) negated
     prod = np.where(i[x] < i[y], prod, -prod)
     return ((lo * d + hi) * n + r[x]) * n + c[y], prod
@@ -260,16 +293,17 @@ class GModule:
     """A module with aligned Lie-algebra generators and group families.
 
     lie_labels/lie_action list the acting even Lie elements (typically a full
-    basis of the even algebra); families are the group generators.  brackets,
-    when provided, is the acting algebra's structure-constant array consts
-    (superalgebra.LieSuperalgebra) in the same indexing, so the
+    basis of the even algebra), held as the OpTable lie (lie_action is its
+    dense view, made on first use); families are the group generators.
+    brackets, when provided, is the acting algebra's structure-constant
+    array consts (superalgebra.LieSuperalgebra) in the same indexing, so the
     representation property can be verified.  It is held as the (d^2, d)
     Matrix bracket_matrix, which modules built from this one share, so its
     integer form is made once.
     """
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
-                 lie_labels: Sequence[str], lie_action: Sequence[Matrix],
+                 lie_labels: Sequence[str], lie_action: Ops,
                  families: Sequence[CoeffOperatorFamily],
                  weights: Optional[Sequence[Tuple[int, ...]]] = None,
                  brackets: Union[np.ndarray, Matrix, None] = None,
@@ -278,16 +312,21 @@ class GModule:
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.lie_labels = tuple(lie_labels)
-        self.lie_action = tuple(lie_action)
         self.families = tuple(families)
         self.weights = tuple(tuple(w) for w in weights) if weights else None
+        held = isinstance(lie_action, OpTable)
         if brackets is not None and not isinstance(brackets, Matrix):
-            d = len(self.lie_action)
+            d = lie_action.count if held else len(lie_action)
             if brackets.shape != (d, d, d):
                 raise DimensionMismatch("brackets shape mismatch")
             brackets = Matrix(ctx, brackets.reshape(d * d, d))
         self.bracket_matrix = brackets
         self.meta = dict(meta or {})
+        if not held:
+            if any(m.shape != (self.dim, self.dim) for m in lie_action):
+                raise DimensionMismatch("lie action shape mismatch")
+            lie_action = OpTable.of(ctx, self.dim, lie_action)
+        self.lie = lie_action
         self.validate()
 
     def __repr__(self):
@@ -299,11 +338,22 @@ class GModule:
         b = self.bracket_matrix
         return None if b is None else b.data.reshape(b.cols, b.cols, b.cols)
 
+    @cached_property
+    def lie_action(self) -> Tuple[Matrix, ...]:
+        """The Lie action as Matrices: a dense view of lie."""
+        return tuple(self.lie.matrices())
+
     def all_operators(self) -> List[Matrix]:
         ops = list(self.lie_action)
         for f in self.families:
             ops.extend(f.ops[1:])
         return ops
+
+    def table(self, lo: int = 0) -> OpTable:
+        """The Lie action and then ops lo, lo + 1, ... of each family: with
+        lo = 1, every operator a spin (OpTable.stack) needs."""
+        return OpTable.concat([self.lie] + [
+            f.table.select(lo, f.table.count) for f in self.families])
 
     def family_by_label(self, label: str) -> CoeffOperatorFamily:
         for f in self.families:
@@ -312,10 +362,9 @@ class GModule:
         raise LabelMismatch(f"no family labeled {label}")
 
     def validate(self):
-        for m in self.lie_action:
-            if m.rows != self.dim or m.cols != self.dim:
-                raise DimensionMismatch("lie action shape mismatch")
-        if len(self.lie_action) != len(self.lie_labels):
+        if self.lie.n != self.dim:
+            raise DimensionMismatch("lie action shape mismatch")
+        if self.lie.count != len(self.lie_labels):
             raise DimensionMismatch("lie label count mismatch")
         for f in self.families:
             if f.dim != self.dim:
@@ -327,7 +376,7 @@ class GModule:
 
     def _check_weights(self):
         """Each op_k of a family with a root maps weight w to w + k root,
-        tested in one scan of every family's nonzero entries: raise at the
+        tested in one scan of every family's table entries: raise at the
         first family that breaks it, its first op_k, first entry (r, c) in
         row-major order; or DimensionMismatch at a root of the wrong length,
         after the families before it."""
@@ -347,8 +396,7 @@ class GModule:
             if f.degree:
                 fams.append(f)
         if fams:
-            g, k, r, c, _ = _family_entries(
-                [[op.ints for op in f.ops[1:]] for f in fams])
+            g, k, r, c, _ = _positive_entries(fams)
             roots = np.array([f.root for f in fams]).reshape(len(fams), -1)
             bad = np.flatnonzero((w[c] + k[:, None] * roots[g] != w[r])
                                  .any(axis=1))
@@ -368,16 +416,15 @@ class GModule:
         from _commutator_terms, every right-hand side from one join of the
         entries of K with those of the J_k.  A key packs (i, j, row, col),
         so the least one left is the least failing (i, j)."""
-        ctx, n, d = self.ctx, self.dim, len(self.lie_action)
+        ctx, n, d = self.ctx, self.dim, self.lie.count
         b = self.bracket_matrix
         if b.shape != (d * d, d):
             raise DimensionMismatch("brackets shape mismatch")
         if not d:
             return
-        ints, s = int_family(ctx, self.lie_action)
-        consts, t = b.ints.reshape(d, d, d), b.scale
-        lhs_keys, prod = _commutator_terms(ctx, ints)
-        i, r, c, v = nonzeros(np.stack(ints))
+        consts, t, s = b.ints.reshape(d, d, d), b.scale, self.lie.scale
+        lhs_keys, prod = _commutator_terms(self.lie)
+        i, r, c, v = self.lie.entries()
         bi, bj, bk, bv = nonzeros(consts)
         upper = bi < bj
         bi, bj, bk, bv = bi[upper], bj[upper], bk[upper], bv[upper]
@@ -432,74 +479,60 @@ def module_from_json(s: str) -> GModule:
 
 def dual(m: GModule) -> GModule:
     """Dual module: x acts by -x^T; X(t) acts by (X(t)^{-1})^T = X(-t)^T,
-    so the k-th coefficient operator is (-1)^k A_k^T."""
-    ctx = m.ctx
-
-    def minus_t(a: Matrix) -> Matrix:
-        return Matrix.from_int(ctx, -a.ints.T, a.scale)
-
-    lie = [minus_t(a) for a in m.lie_action]
-    # the underlying group element is unchanged, so the root is too
-    fams = CoeffOperatorFamily.batch(
-        (f.label, [op.transpose() if k % 2 == 0 else minus_t(op)
-                   for k, op in enumerate(f.ops)], f.root)
-        for f in m.families)
+    so the k-th coefficient operator is (-1)^k A_k^T: m's table entries
+    swapped and signed.  The group element, so the root, is unchanged."""
+    t, sizes = m.table(), [f.degree + 1 for f in m.families]
+    signs = np.concatenate([np.full(m.lie.count, -1)] + [
+        (-1) ** np.arange(k) for k in sizes])
+    order = np.argsort((t.op * t.n + t.col) * t.n + t.row, kind="stable")
+    t = OpTable(m.ctx, t.n, t.count, t.op[order], t.col[order], t.row[order],
+                m.ctx.reduce(t.val * signs[t.op])[order], t.scale)
     weights = [tuple(-x for x in w) for w in m.weights] if m.weights else None
-    labels = [l + "*" for l in m.labels]
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "*"
-    return GModule(ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.bracket_matrix, meta=meta)
+    return _rebuilt(m, t, sizes, [l + "*" for l in m.labels], weights, meta)
 
 
-def _kron_coeffs(ctx: FieldCtx, groups: Sequence[Tuple], fold=None):
-    """Per group (ops1, ops2, ks), the integer T_k for k in ks, and one
-    scale: T_k / scale is the t^k coefficient of
-    (sum_a t^a ops1[a]) (x) (sum_b t^b ops2[b]), T_k = sum_{a+b=k} J_a (x) K_b
-    over the int_family forms J of every ops1 and K of every ops2.
+def _kron_coeffs(t1: OpTable, t2: OpTable, groups: Sequence[Tuple],
+                 fold=None) -> OpTable:
+    """The table of T_0, T_1, ...: per group (ids1, ids2, ks), in order,
+    one T_k for each k in ks, with T_k / scale the t^k coefficient of
+    (sum_a t^a A_a) (x) (sum_b t^b B_b) for A_a op ids1[a] of t1 and B_b op
+    ids2[b] of t2.  On their integer forms J and K, T_k = sum_{a+b=k}
+    J_a (x) K_b, over the scale t1.scale t2.scale.
 
-    Only the splits a + b = k asked for are formed, on nonzero entries: one
+    Only the splits a + b = k asked for are formed, on table entries: one
     join pairs each split with the entries of its J_a, a second with those
     of its K_b.  The terms (over F_p products of residues, 8192 of which
-    int64 holds) are summed per entry and reduced: residues over F_p, as
-    Matrix.from_int(reduced=True) reads them.  Entry (r1, r2), (c1, c2) of
-    J (x) K is at row r1 h2 + r2 and column c1 w2 + c2, for K of shape
-    h2 x w2.  fold = (size, rows, cols, signs) sends row r and column c to
-    rows[r], cols[c] of a size x size array instead, times signs[c]; -1
-    drops the term."""
-    if not groups:
-        return [], 1
-    ops1 = [op for g in groups for op in g[0]]
-    ops2 = [op for g in groups for op in g[1]]
-    splits, o, n1, n2 = [], 0, 0, 0
-    for a_ops, b_ops, ks in groups:
+    int64 holds) are summed per entry and reduced, and the keyed sums are
+    the table.  Entry (r1, r2), (c1, c2) of J (x) K is at row r1 n2 + r2
+    and column c1 n2 + c2, for t2 on ctx^n2.  fold = (size, rows, cols,
+    signs) sends row r and column c to rows[r], cols[c] of a size x size
+    operator instead, times signs[c]; -1 drops the term."""
+    ctx, splits, o = t1.ctx, [], 0
+    for ids1, ids2, ks in groups:
         for k in ks:
-            for a in range(max(0, k - len(b_ops) + 1),
-                           min(k, len(a_ops) - 1) + 1):
-                splits.append((o, n1 + a, n2 + k - a))
+            for a in range(max(0, k - len(ids2) + 1),
+                           min(k, len(ids1) - 1) + 1):
+                splits.append((o, ids1[a], ids2[k - a]))
             o += 1
-        n1, n2 = n1 + len(a_ops), n2 + len(b_ops)
     so, s1, s2 = np.array(splits, dtype=np.int64).reshape(-1, 3).T
-    (j1, t1), (j2, t2) = int_family(ctx, ops1), int_family(ctx, ops2)
-    i1, r1, c1, v1 = nonzeros(np.stack(j1))
-    i2, r2, c2, v2 = nonzeros(np.stack(j2))
+    i1, r1, c1, v1 = t1.entries()
+    i2, r2, c2, v2 = t2.entries()
     x, e1 = join(s1, i1)
     y, e2 = join(s2[x], i2)
     x, e1 = x[y], e1[y]
-    (h1, w1), (h2, w2) = j1[0].shape, j2[0].shape
-    row, col, v = r1[e1] * h2 + r2[e2], c1[e1] * w2 + c2[e2], v1[e1] * v2[e2]
-    out, shape = so[x], (h1 * h2, w1 * w2)
+    n2 = t2.n
+    row, col, v = r1[e1] * n2 + r2[e2], c1[e1] * n2 + c2[e2], v1[e1] * v2[e2]
+    out, size = so[x], t1.n * n2
     if fold:
         size, rows, cols, signs = fold
-        row, col, v, shape = rows[row], cols[col], v * signs[col], (size, size)
+        row, col, v = rows[row], cols[col], v * signs[col]
         keep = (row >= 0) & (col >= 0)
         out, row, col, v = out[keep], row[keep], col[keep], v[keep]
-    acc = np.zeros((o, *shape), dtype=ctx.dtype)
-    # a key is the flat index of its entry in the stacked T
-    keys, sums = nonzero_sums(ctx, (out * shape[0] + row) * shape[1] + col, v)
-    acc.reshape(-1)[keys] = sums
-    ts = iter(acc)
-    return [[next(ts) for _ in g[2]] for g in groups], t1 * t2
+    keys, sums = nonzero_sums(ctx, (out * size + row) * size + col, v)
+    return OpTable(ctx, size, o, *np.unravel_index(keys, (o, size, size)),
+                   sums, t1.scale * t2.scale)
 
 
 def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
@@ -509,30 +542,47 @@ def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
     coefficients _kron_coeffs makes (with fold) of the Leibniz action
     a (x) 1 + 1 (x) b of each Lie element, the t^1 coefficient of
     (1 + t a) (x) (1 + t b), and of every t-power of X(t) (x) X(t), for each
-    family X of m1 and the family of m2 with the same label."""
+    family X of m1 and the family of m2 with the same label.  Each side's
+    ops are the identity, the Lie action and every family's, in one table."""
     if m1.ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
     if {f.label for f in m1.families} != {f.label for f in m2.families}:
         raise LabelMismatch("modules carry different family labels")
-    ctx, nl = m1.ctx, len(m1.lie_action)
-    i1, i2 = Matrix.identity(ctx, m1.dim), Matrix.identity(ctx, m2.dim)
-    groups = [([i1, a], [i2, b], [1])
-              for a, b in zip(m1.lie_action, m2.lie_action)]
+    ctx, nl = m1.ctx, m1.lie.count
+    sides = [OpTable.concat([OpTable.from_dense(ctx, np.eye(
+        m.dim, dtype=np.int64)[None]), m.table()]) for m in (m1, m2)]
+    # the op of A_0 of each family in its side's table
+    start = {id(f): o for m in (m1, m2) for f, o in zip(m.families, np.cumsum(
+        [1 + nl] + [f.degree + 1 for f in m.families]).tolist())}
+    groups = [([0, 1 + i], [0, 1 + i], [1]) for i in range(nl)]
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
-        groups.append((f1.ops, f2.ops, range(f1.degree + f2.degree + 1)))
-    ts, s = _kron_coeffs(ctx, groups, fold)
-    lie = [Matrix.from_int(ctx, t, s, reduced=True) for (t,) in ts[:nl]]
-    fams = CoeffOperatorFamily.batch(
-        (f.label, [Matrix.from_int(ctx, t, s, reduced=True) for t in ft],
-         f.root) for f, ft in zip(m1.families, ts[nl:]))
+        o1, o2 = start[id(f1)], start[id(f2)]
+        groups.append((range(o1, o1 + f1.degree + 1),
+                       range(o2, o2 + f2.degree + 1),
+                       range(f1.degree + f2.degree + 1)))
     weights = None
     if m1.weights and m2.weights:
         weights = [tuple(x + y for x, y in zip(m1.weights[i], m2.weights[j]))
                    for i, j in pairs]
     labels = [f"{m1.labels[i]}{sep}{m2.labels[j]}" for i, j in pairs]
-    return GModule(ctx, labels, m1.lie_labels, lie, fams, weights=weights,
-                   brackets=m1.bracket_matrix, meta={"name": name})
+    return _rebuilt(m1, _kron_coeffs(*sides, groups, fold),
+                    [len(ks) for _, _, ks in groups[nl:]], labels, weights,
+                    {"name": name})
+
+
+def _rebuilt(m: GModule, table: OpTable, sizes: Sequence[int],
+             labels: Sequence[str], weights: Optional[Sequence],
+             meta: dict) -> GModule:
+    """The module on labels with m's Lie labels, family labels, roots and
+    brackets whose Lie action and families are the consecutive ops of
+    table, sizes[i] of them for family i."""
+    bounds = np.cumsum([0, m.lie.count, *sizes]).tolist()
+    lie, *parts = (table.select(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    fams = CoeffOperatorFamily.batch(
+        (f.label, t, f.root) for f, t in zip(m.families, parts))
+    return GModule(m.ctx, labels, m.lie_labels, lie, fams, weights=weights,
+                   brackets=m.bracket_matrix, meta=meta)
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
@@ -582,60 +632,51 @@ def lambda2(m: GModule) -> GModule:
 def submodule_generated(m: GModule, seeds: Sequence[np.ndarray]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the Lie
     action and every coefficient operator."""
-    return invariant_closure(m.ctx, m.dim, list(seeds), operator_stack(
-        m.ctx, m.dim, m.all_operators())[0])
+    return invariant_closure(m.ctx, m.dim, list(seeds), m.table(1).stack()[0])
 
 
-def induced_operators(ctx: FieldCtx,
-                      named_ops: Sequence[Tuple[str, Matrix]],
-                      w: Subspace, reps: Sequence[np.ndarray]) -> List[Matrix]:
-    """Matrices of the operators on span(w, reps)/w in the basis of the reps.
+def _induced(ctx: FieldCtx, names: Sequence[str], table: OpTable,
+             w: Subspace, reps: Sequence[np.ndarray]) -> OpTable:
+    """The table of the operators of table on span(w, reps)/w in the basis
+    of the reps.
 
     Each image is expressed in the spanning set w's basis followed by the
     reps; the rep coordinates are the induced matrix column.  Raises
-    NotInvariant(name) for the first operator, in order, that maps a
-    vector of w out of w, or a rep out of span(w, reps).  The reps are
-    exact arrays (see linalg._array_form).  The rows R are integer forms:
-    w's basis rows and the reps, all the reps over one common scale, which
-    changes no induced matrix.  With the operators J_i / s on one scale,
-    every image R J_i^T / s comes from one product with their stack
-    (operator_stack), and every coordinate from one solve."""
+    NotInvariant(names[k]) for the first operator k that maps a vector of w
+    out of w, or a rep out of span(w, reps).  The reps are exact arrays
+    (see linalg._array_form).  The rows R are integer forms: w's basis
+    rows and the reps, all the reps over one common scale, which changes
+    no induced matrix.  Every image R J_k^T / s comes from one product with
+    the table's stack, and every coordinate from one solve."""
     nw = w.dim
     if not nw + len(reps):
-        return [Matrix.zeros(ctx, 0, 0) for _ in named_ops]
+        return OpTable.empty(ctx, 0, table.count)
     rows = w.basis.ints
     if len(reps):
         rows = np.concatenate([rows, _array_form(ctx, np.asarray(reps))[0]])
     r, n = rows.shape
     solver = SpanSolver(ctx, rows)
-    ops_t, s = operator_stack(ctx, n, [op for _, op in named_ops])
+    ops_t, s = table.stack()
     # row (i, b) is the image of row b under operator i
-    images = int_matmul(ctx, rows, ops_t).reshape(r, len(named_ops), n)
+    images = int_matmul(ctx, rows, ops_t).reshape(r, table.count, n)
     coords, u, in_span = solver.coords_int_rows(
         images.swapaxes(0, 1).reshape(-1, n), s)
-    out = []
-    for (name, _), c, ok in zip(named_ops, coords.reshape(-1, r, r),
-                                in_span.reshape(-1, r)):
-        if not ok.all() or np.any(c[:nw, nw:]):
-            raise NotInvariant(name)
-        out.append(Matrix.from_int(ctx, c[nw:, nw:].T.copy(), u,
-                                   reduced=True))
-    return out
+    coords = coords.reshape(-1, r, r)
+    bad = ~in_span.reshape(-1, r).all(axis=1) | coords[:, :nw, nw:].astype(
+        bool).any(axis=(1, 2))
+    if bad.any():
+        raise NotInvariant(names[int(np.argmax(bad))])
+    return OpTable.from_dense(ctx, coords[:, nw:, nw:].transpose(0, 2, 1), u)
 
 
 def _subquotient(m: GModule, w: Subspace, reps: Sequence[np.ndarray],
                  labels: Sequence[str], weights: Optional[Sequence],
                  meta: dict) -> GModule:
     """The module span(w, reps)/w on the basis of the reps."""
-    named = list(zip(m.lie_labels, m.lie_action))
-    for f in m.families:
-        named += [(f"{f.label}[t^{k}]", op) for k, op in enumerate(f.ops)]
-    ops = iter(induced_operators(m.ctx, named, w, reps))
-    lie = [next(ops) for _ in m.lie_action]
-    fams = CoeffOperatorFamily.batch(
-        (f.label, [next(ops) for _ in f.ops], f.root) for f in m.families)
-    return GModule(m.ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.bracket_matrix, meta=meta)
+    names = list(m.lie_labels) + [f"{f.label}[t^{k}]" for f in m.families
+                                  for k in range(f.degree + 1)]
+    return _rebuilt(m, _induced(m.ctx, names, m.table(), w, reps),
+                    [f.degree + 1 for f in m.families], labels, weights, meta)
 
 
 def quotient_module(m: GModule, w: Subspace,
@@ -676,7 +717,7 @@ def trivial_quotient_defect(m: GModule) -> Subspace:
     """The smallest submodule W such that the group acts trivially on m/W:
     the closure of the images of all Lie operators and all positive-degree
     coefficient operators."""
-    ops_t, _ = operator_stack(m.ctx, m.dim, m.all_operators())
+    ops_t, _ = m.table(1).stack()
     # row c of the stack holds the images J_i e_c of basis vector c
     return invariant_closure(m.ctx, m.dim,
                              ops_t.reshape(ops_t.shape[1], m.dim), ops_t)
@@ -686,101 +727,117 @@ def trivial_quotient_defect(m: GModule) -> Subspace:
 # intertwiners
 # ---------------------------------------------------------------------------
 
-OpPair = Tuple[Matrix, Matrix]
+# (A, B): tables of as many ops on m1 and on m2, pair p being (A_p, B_p)
+OpPairs = Tuple[OpTable, OpTable]
+# ((a, s), (b, t)): rows a[k] / s and b[k] / t are the diagonals of pair k
+Diagonals = Tuple[Tuple[np.ndarray, int], Tuple[np.ndarray, int]]
 
 
-def _constraint_pairs(m1: GModule, m2: GModule, mode: str):
-    """(algebra pairs, group pairs, degree-1 group pairs) of (op on m1, op on
-    m2); the lists a mode does not use are empty."""
-    alg: List[OpPair] = []
-    grp: List[OpPair] = []
-    deg1: List[OpPair] = []
+def _group_side(m: GModule, fams: Sequence[CoeffOperatorFamily],
+                tops: Sequence[int]) -> OpTable:
+    """The table of A_1, ..., A_{top - 1} of each family, zero past its
+    degree, in order."""
+    return OpTable.concat([OpTable.empty(m.ctx, m.dim)] + [
+        f.table.select(1, top) for f, top in zip(fams, tops)])
+
+
+def _constraint_pairs(m1: GModule, m2: GModule, mode: str
+                      ) -> Tuple[Optional[OpPairs], Optional[OpPairs],
+                                 Optional[OpPairs]]:
+    """(algebra pairs, group pairs, degree-1 group pairs), each matched by
+    op index; None for those a mode does not use.  The group pairs are the
+    A_k of each family of m1 and of the family of m2 with its label, for
+    k = 1..max of their degrees."""
+    alg = grp = deg1 = None
     if mode in ("algebra", "both"):
         if m1.lie_labels != m2.lie_labels:
             raise LabelMismatch("modules act under different Lie labels")
-        alg = list(zip(m1.lie_action, m2.lie_action))
+        alg = (m1.lie, m2.lie)
     if mode in ("group", "both"):
         if {f.label for f in m1.families} != {f.label for f in m2.families}:
             raise LabelMismatch("modules carry different family labels")
-        for f1 in m1.families:
-            f2 = m2.family_by_label(f1.label)
-            deg1.append((f1.op(1), f2.op(1)))
-            for k in range(1, max(f1.degree, f2.degree) + 1):
-                grp.append((f1.op(k), f2.op(k)))
+        f2s = [m2.family_by_label(f.label) for f in m1.families]
+        tops = [1 + max(f1.degree, f2.degree)
+                for f1, f2 in zip(m1.families, f2s)]
+        grp, deg1 = ((_group_side(m1, m1.families, ts),
+                      _group_side(m2, f2s, ts)) for ts in (tops, [2] * len(f2s)))
     return alg, grp, deg1
 
 
-def _implied_pairs(ctx: FieldCtx, deg1: Sequence[OpPair]) -> List[OpPair]:
-    """([a, a'], [b, b']) for every two pairs (a, b), (a', b') of deg1 whose
-    commutators are both diagonal: a map with b f = f a and b' f = f a'
-    satisfies their constraint too, and only diagonal pairs shape the
-    weight support.  Each side's commutators are its summed
-    _commutator_terms, over the scale s^2 of its integer forms J / s."""
-    d = len(deg1)
-    if d < 2:
-        return []
-    keep, sides = np.ones(d * d, dtype=bool), []
-    for ops in zip(*deg1):
-        n = ops[0].rows
-        ints, s = int_family(ctx, ops)
-        keys, sums = nonzero_sums(ctx, *_commutator_terms(ctx, ints))
-        ij, r, c = keys // (n * n), keys // n % n, keys % n
-        keep[ij[r != c]] = False
-        diag = np.zeros((d * d, n), dtype=ctx.dtype)
-        diag[ij[r == c], r[r == c]] = sums[r == c]
-        sides.append((diag, s * s))
-    (a, sa), (b, sb) = sides
-    return [(Matrix.from_int(ctx, np.diag(a[k]), sa),
-             Matrix.from_int(ctx, np.diag(b[k]), sb))
-            for k in np.flatnonzero(keep).tolist() if k // d < k % d]
+def _implied_pairs(ctx: FieldCtx, deg1: OpPairs) -> Diagonals:
+    """The diagonals of ([a, a'], [b, b']) for every two pairs (a, b),
+    (a', b') of deg1 whose commutators are both diagonal: a map with
+    b f = f a and b' f = f a' satisfies their constraint too, and only
+    diagonal pairs shape the weight support.  Each side's commutators are
+    its summed _commutator_terms, the table of op i d + j, i < j, over the
+    scale s^2 of its ops."""
+    d, sides = deg1[0].count, []
+    for t in deg1:
+        keys, sums = nonzero_sums(ctx, *_commutator_terms(t))
+        sides.append(OpTable(ctx, t.n, d * d, *np.unravel_index(
+            keys, (d * d, t.n, t.n)), sums, t.scale ** 2))
+    i, j = np.divmod(np.arange(d * d), d)
+    return _diagonals(sides, i < j)
 
 
-def _is_diagonal(m: Matrix) -> bool:
-    return np.count_nonzero(m.ints) == np.count_nonzero(np.diagonal(m.ints))
+def _diagonals(pairs: OpPairs, keep: Optional[np.ndarray] = None
+               ) -> Diagonals:
+    """The diagonals of the pairs (A_p, B_p), for p with keep[p] if given,
+    whose two ops are both diagonal."""
+    both = np.ones(pairs[0].count, dtype=bool) if keep is None \
+        else keep.copy()
+    sides = []
+    for t in pairs:
+        on = t.row == t.col
+        both[t.op[~on]] = False
+        diag = np.zeros((t.count, t.n), dtype=t.val.dtype)
+        diag[t.op[on], t.row[on]] = t.val[on]
+        sides.append((diag, t.scale))
+    return tuple((diag[both], s) for diag, s in sides)
 
 
-def _weight_support(d1: int, d2: int, pairs: Sequence[OpPair]) -> np.ndarray:
+def _weight_support(d1: int, d2: int,
+                    diagonals: Sequence[Diagonals]) -> np.ndarray:
     """d2 x d1 mask of the entries of f that B f = f A allows to be nonzero.
 
-    Each pair with both operators diagonal forces (b_r - a_c) f_rc = 0, so
+    Each pair of diagonal operators forces (b_r - a_c) f_rc = 0, so
     f_rc = 0 unless b_r == a_c as field elements, that is unless
-    J_b[r, r] s_a == J_a[c, c] s_b on the integer forms; other pairs allow
-    everything."""
+    b[k, r] s == a[k, c] t for the rows a[k] / s and b[k] / t of
+    diagonals; other pairs allow everything."""
     mask = np.ones((d2, d1), dtype=bool)
-    for a, b in pairs:
-        if _is_diagonal(a) and _is_diagonal(b):
-            mask &= (np.diagonal(b.ints)[:, None] * a.scale
-                     == np.diagonal(a.ints)[None, :] * b.scale)
+    for (a, s), (b, t) in diagonals:
+        mask &= (b[:, :, None] * s == a[:, None, :] * t).all(axis=0)
     return mask
 
 
 def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
-                       op_pairs: Sequence[OpPair],
-                       implied: Sequence[OpPair] = ()) -> Subspace:
+                       op_pairs: Optional[OpPairs],
+                       implied: Sequence[Diagonals] = ()) -> Subspace:
     """Solutions f (d2 x d1, flattened row-major) of B f = f A for all pairs.
 
-    implied are pairs every solution satisfies anyway.  Only the entries
-    f_rc in the weight support of both lists are unknowns.  Row (i, j) of a
-    pair's system is (B f - f A)[i, j]: entry B[i, r] enters it at unknown
-    f_rj and entry A[c, j], negated, at f_ic.  One join of the entries of
-    all the B with the unknowns' rows, one of all the A with their columns,
-    and a sum per (pair, row, unknown) give the rows of every pair: on the
-    integer forms A = J_A / s, B = J_B / s of a pair, s times those over
-    the field, with the same solutions.  The nonzero rows, by (pair, row)
-    and then sparsest first, are solved by one kernel."""
+    implied are diagonal pairs every solution satisfies anyway.  Only the
+    entries f_rc in the weight support of both are unknowns.  Row (p, i, j)
+    of the system is (B_p f - f A_p)[i, j]: entry B_p[i, r] enters it at
+    unknown f_rj and entry A_p[c, j], negated, at f_ic.  One join of the
+    entries of the table B with the unknowns' rows, one of A with their
+    columns, and a sum per (pair, row, unknown) give every row: on the
+    tables A = J_A / s and B = J_B / t, s t times those over the field,
+    with the same solutions.  The nonzero rows, by (pair, row) and then
+    sparsest first, are solved by one kernel."""
     n = d1 * d2
-    rs, cs = np.nonzero(_weight_support(d1, d2, list(op_pairs) + list(implied)))
+    diagonals = list(implied) + ([_diagonals(op_pairs)] if op_pairs else [])
+    rs, cs = np.nonzero(_weight_support(d1, d2, diagonals))
     u = len(rs)
-    if op_pairs:
-        ja, jb = zip(*(int_family(ctx, ab)[0] for ab in op_pairs))
-        pa, ac, aj, av = nonzeros(np.stack(ja))
-        pb, bi, br, bv = nonzeros(np.stack(jb))
+    if op_pairs and op_pairs[0].count:
+        a, b = op_pairs
+        pa, ac, aj, av = a.entries()
+        pb, bi, br, bv = b.entries()
         x, xu = join(br, rs)
         y, yu = join(ac, cs)
         keys, vals = nonzero_sums(ctx, np.concatenate([
             ((pb[x] * d2 + bi[x]) * d1 + cs[xu]) * u + xu,
             ((pa[y] * d2 + rs[yu]) * d1 + aj[y]) * u + yu]),
-            np.concatenate([bv[x], -av[y]]))
+            np.concatenate([bv[x] * a.scale, -av[y] * b.scale]))
         row, unknown = np.divmod(keys, u)  # both empty when u == 0
         starts = run_starts(row)
         lmat = np.zeros((int(starts.sum()), u), dtype=ctx.dtype)
@@ -810,10 +867,10 @@ def hom_space(m1: GModule, m2: GModule, mode: str = "group") -> HomReport:
     algebra mode: f a = b f over the Lie generators; group mode: the same per
     positive t-power of every family, matched by label (the label sets must
     agree); both computes both spaces.  Each solve is one kernel of the
-    system _intertwiner_space joins, with unknowns only on the weight
-    support: the entries f_rc that diagonal constraints (the Cartan
-    elements of the Lie action, or diagonal commutators of the families'
-    degree-1 operators) leave free."""
+    system _intertwiner_space joins from the tables, with unknowns only on
+    the weight support: the entries f_rc that diagonal constraints (the
+    Cartan elements of the Lie action, or diagonal commutators of the
+    families' degree-1 operators) leave free."""
     if m1.ctx != m2.ctx:
         raise DimensionMismatch("field mismatch")
     ctx, d1, d2 = m1.ctx, m1.dim, m2.dim
@@ -832,7 +889,7 @@ def hom_space(m1: GModule, m2: GModule, mode: str = "group") -> HomReport:
         dim, basis = solve_pairs(alg)
         return HomReport(dim=dim, basis=basis, dim_algebra=dim,
                          basis_algebra=basis)
-    implied = _implied_pairs(ctx, deg1)
+    implied = [_implied_pairs(ctx, deg1)]
     if mode == "group":
         dim, basis = solve_pairs(grp, implied)
         return HomReport(dim=dim, basis=basis, dim_group=dim,

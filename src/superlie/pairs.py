@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,21 +25,24 @@ from .fields import FieldCtx, InputError, SuperlieError, json_ints
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    OpTable,
     Subspace,
     _array_form,
     bilinear,
     int_bilinear,
     int_family,
     int_matmul,
+    join,
     kernel,
     largest_invariant_within,
-    operator_stack,
+    nonzero_sums,
+    nonzeros,
 )
 from .modules import (
     CoeffOperatorFamily,
     GModule,
+    _induced,
     _kron_coeffs,
-    induced_operators,
     module_from_json_dict,
     quotient_module,
     square_layout,
@@ -191,36 +194,37 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     forms f = K / c, S_m = J / s, G_m = H / v it is (v K J - s H K) / vcs.
     Raises at the first failing family, least pair i <= j, least m.
 
-    Per family, K J_m for every m comes from one product of K with the J_m
-    side by side, and H_m K from one product of the stacked H_m, all H_m
-    on one scale v; past its degree each side is zero."""
-    ctx = odd.ctx
+    Per family, every K J_m comes from one join of the entries of K with
+    the table of the J_m, every H_m K from one join of K with the adjoint
+    family's table; past its degree each side is zero.  A key packs
+    (pair, m, row), so the least one left fails first."""
+    ctx, dg = odd.ctx, bracket.dim_g
     adj = {f.label: f for f in adjoint_families}
     pairs, _, fold = square_layout(odd.dim, +1)
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    # K up to the bracket's scale, which changes no zero test
-    kmat = ctx.reduce(bracket._cube()[i, j] * (1 + (i < j))[:, None]).T
-    dg, npairs = kmat.shape
-    coeffs, s = _kron_coeffs(ctx, [(f.ops, f.ops, range(1, 2 * f.degree + 1))
-                                   for f in odd.families], fold)
-    for fam, ts in zip(odd.families, coeffs):
+    # K^T up to the bracket's scale, which changes no zero test
+    kr, kc, kv = nonzeros(ctx.reduce(
+        bracket._cube()[i, j] * (1 + (i < j))[:, None]))
+    for fam in odd.families:
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
-        hs, v = int_family(ctx, adj[fam.label].ops[1:])
-        # diff[m - 1] = v K J_m - s H_m K; ts holds J_1..J_{2 deg X}
-        diff = np.zeros((max(len(ts), len(hs)), dg, npairs), dtype=kmat.dtype)
-        if ts:
-            diff[:len(ts)] = int_matmul(ctx, kmat, np.concatenate(
-                ts, axis=1)).reshape(dg, len(ts), npairs).swapaxes(0, 1) * v
-        if hs:
-            diff[:len(hs)] -= int_matmul(ctx, np.concatenate(hs), kmat).reshape(
-                len(hs), dg, npairs) * s
-        bad = np.any(ctx.reduce(diff), axis=1)
-        cols = np.flatnonzero(bad.any(axis=0))
-        if len(cols):
-            c = int(cols[0])
-            raise EquivarianceViolation(
-                fam.label, int(np.argmax(bad[:, c])) + 1, pairs[c])
+        d, hs = fam.degree, adj[fam.label].table
+        # op m - 1 of js is J_m
+        js = _kron_coeffs(fam.table, fam.table,
+                          [(range(d + 1),) * 2 + (range(1, 2 * d + 1),)], fold)
+        top = max(2 * d + 1, hs.count)
+        o, r, c, v = js.entries()
+        x, y = join(r, kr)
+        keys = [(c[x] * top + o[x] + 1) * dg + kc[y]]
+        vals = [ctx.reduce(v[x] * kv[y]) * hs.scale]
+        o, r, c, v = hs.entries(1)
+        x, y = join(c, kc)
+        keys.append((kr[y] * top + o[x]) * dg + r[x])
+        vals.append(ctx.reduce(-v[x] * kv[y]) * js.scale)
+        keys, _ = nonzero_sums(ctx, np.concatenate(keys), np.concatenate(vals))
+        if len(keys):
+            c, m = divmod(int(keys[0]) // dg, top)
+            raise EquivarianceViolation(fam.label, m, pairs[c])
 
 
 def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -229,17 +233,17 @@ def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
     are three blocks, on one scale: the even algebra's own, the odd action
     [e_i, v_j] = lie_action[i] v_j, and the odd bracket [v_i, v_j]; the
     mirror block of the odd action is completed by super-antisymmetry."""
-    ctx = even.ctx
-    ne, no = even.dim, odd.dim
-    (eb, bb, *lie), s = int_family(
-        ctx, [even.bracket_matrix, bracket.bracket_matrix, *odd.lie_action])
+    ctx, ne, no, lie = even.ctx, even.dim, odd.dim, odd.lie
+    (eb, bb), s = int_family(ctx, [even.bracket_matrix,
+                                   bracket.bracket_matrix])
+    t = lcm(s, lie.scale)
     ints = np.zeros((ne + no,) * 3, dtype=eb.dtype)
-    ints[:ne, :ne, :ne] = eb.reshape(ne, ne, ne)
-    if ne and no:
-        ints[:ne, ne:, ne:] = np.stack([a.T for a in lie])
-    ints[ne:, ne:, :ne] = bb.reshape(no, no, ne)
+    ints[:ne, :ne, :ne] = eb.reshape(ne, ne, ne) * (t // s)
+    i, r, c, v = lie.entries(0, t)
+    ints[i, ne + c, ne + r] = v
+    ints[ne:, ne:, :ne] = bb.reshape(no, no, ne) * (t // s)
     basis = [(l, 0) for l in even.labels] + [(l, 1) for l in odd.labels]
-    return algebra_from_consts(ctx, basis, ints, s, meta=meta, validate=False)
+    return algebra_from_consts(ctx, basis, ints, t, meta=meta, validate=False)
 
 
 def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -292,7 +296,7 @@ def pair_space(odd: GModule,
     is exactly the set of pair structures.  Returns the (dim, n, n, dim g)
     bracket stacks of bases of H and K on integers (residues over F_p),
     each bracket up to a nonzero scalar, which normalised fixes."""
-    ctx, n, dg = odd.ctx, odd.dim, len(odd.lie_action)
+    ctx, n, dg = odd.ctx, odd.dim, odd.lie.count
     pairs, pos, _ = square_layout(n, +1)
     if any(f.shape != (dg, len(pairs)) for f in basis):
         raise DimensionMismatch(f"maps Sym^2 V -> g are {dg} x {len(pairs)}")
@@ -301,8 +305,7 @@ def pair_space(odd: GModule,
     # twice the brackets: f(v_i v_i) doubled on the diagonal
     hs = ctx.reduce(fs[:, :, pos].transpose(0, 2, 3, 1)
                     * (1 + np.eye(n, dtype=np.int64))[..., None])
-    rho = np.array([a.T for a in int_family(ctx, odd.lie_action)[0]],
-                   dtype=ctx.dtype).reshape(dg, n, n)
+    rho = odd.lie.dense().transpose(0, 2, 1)
     _, sums = cubic_sums(ctx, hs, rho)
     k = kernel(Matrix.from_int(ctx, sums.T, reduced=True)).basis.ints
     return hs, int_matmul(ctx, k, hs.reshape(len(hs), n * n * dg)).reshape(
@@ -341,8 +344,7 @@ def check_sas_conditions(pair: HCPair):
     defect = trivial_quotient_defect(odd)
     cond1 = defect.dim == odd.dim
     ann = pair.bracket.annihilator()
-    core = largest_invariant_within(ann, operator_stack(
-        odd.ctx, odd.dim, odd.all_operators())[0])
+    core = largest_invariant_within(ann, odd.table(1).stack()[0])
     cond2 = core.dim == 0
     details = {
         "trivial_quotient_defect_dim": defect.dim,
@@ -359,12 +361,11 @@ def check_sas_conditions(pair: HCPair):
 
 
 def _action_stack(pair: HCPair, hs: np.ndarray) -> np.ndarray:
-    """The operator stack (linalg.operator_stack) of the actions on the odd
+    """The operator stack (linalg.OpTable.stack) of the actions on the odd
     part of the even elements hs, integer rows in g coordinates, up to a
-    scale: one contraction of the stack of the lie_action operators."""
+    scale: one contraction of the transposed lie_action operators."""
     ctx, n, g = pair.even.ctx, pair.odd.dim, pair.even.dim
-    lie, _ = operator_stack(ctx, n, pair.odd.lie_action)
-    lie = lie.reshape(n, g, n).transpose(1, 0, 2).reshape(g, n * n)
+    lie = pair.odd.lie.dense().transpose(0, 2, 1).reshape(g, n * n)
     acts = int_matmul(ctx, hs, lie).reshape(len(hs), n, n)
     return acts.transpose(1, 0, 2).reshape(n, len(hs) * n)
 
@@ -396,7 +397,8 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     # subpair internal validity: w closed under H, bracket(w, w) in h_lie
     gens = []
     for label in s.h_generators:
-        ops_t, _ = operator_stack(ctx, n, odd.family_by_label(label).ops[1:])
+        t = odd.family_by_label(label).table
+        ops_t, _ = t.select(1, t.count).stack()
         if not inside(s.w, images(w, ops_t)):
             raise InvalidSubpair(f"w not closed under {label}")
         gens.append(ops_t)
@@ -408,14 +410,14 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
 
     report: Dict[str, bool] = {}
     # (1) at algebra level: Lie(H) is an ideal, stable under adjoint families
-    adj_t, _ = operator_stack(ctx, pair.even.dim, [
-        op for f in pair.adjoint_families for op in f.ops[1:]])
+    adj_t, _ = OpTable.concat([OpTable.empty(ctx, pair.even.dim)] + [
+        f.table.select(1, f.table.count)
+        for f in pair.adjoint_families]).stack()
     report["cond1_algebra_level"] = (
         SuperIdeal(pair.even, s.h_lie).verify()
         and inside(s.h_lie, images(h, adj_t)))
     # (2) w invariant under every operator of the whole pair
-    report["cond2"] = inside(s.w, images(
-        w, operator_stack(ctx, n, odd.all_operators())[0]))
+    report["cond2"] = inside(s.w, images(w, odd.table(1).stack()[0]))
     # (3) H acts trivially on V/w: positive-power images of the generator
     # families and the images of Lie(H) land in w; the images of the unit
     # vectors are the rows of the stacks
@@ -449,9 +451,9 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
         s.h_lie.basis.scale * b.bracket_matrix.scale, reduced=True))
     reps_g = np.eye(pair.even.dim, dtype=np.int64)[keep_g]
     adj_q = CoeffOperatorFamily.batch(
-        (f.label, induced_operators(
-            ctx, [(f"{f.label}[t^{k}]", op) for k, op in enumerate(f.ops)],
-            s.h_lie, reps_g), f.root)
+        (f.label, _induced(ctx, [f"{f.label}[t^{k}]"
+                                 for k in range(f.degree + 1)],
+                           f.table, s.h_lie, reps_g), f.root)
         for f in pair.adjoint_families)
     return assemble_pair(even_q, odd_q, bracket_q, adj_q,
                          meta={"name": pair.meta.get("name", "pair") + "/q"})

@@ -16,7 +16,7 @@ echelon rows are homogeneous, and those with an even pivot span its even
 part.
 
 Slice i of c is ad(e_i)^T up to scale, so two transposes of c are the
-operator stacks (linalg.operator_stack) of every ad(e_i) and of every
+operator stacks (linalg.OpTable.stack) of every ad(e_i) and of every
 ad(e_i)^T: Norton's spins and the ideal closures build no ad matrix.  The
 centre is solved only on the coordinates of weight zero under the diagonal
 ad(h), where every central element lies.
@@ -258,7 +258,7 @@ class LieSuperalgebra:
                                self.bracket_matrix.scale, reduced=True)
 
     def _ad_stack(self, axes: Tuple[int, int, int]) -> np.ndarray:
-        """The operator stack (linalg.operator_stack) of every ad(e_i), for
+        """The operator stack (linalg.OpTable.stack) of every ad(e_i), for
         axes (1, 0, 2), or of every ad(e_i)^T, for axes (2, 0, 1), up to
         scale: slice c[i] is ad(e_i)^T."""
         n = self.dim

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import superlie.brj as brj
 import superlie.modules as modules
 from superlie.fields import FieldCtx
-from superlie.linalg import Subspace
+from superlie.linalg import OpTable, Subspace
 from superlie.brj import (
     EXPECTED_STAGE_DIMS,
     PipelineAssertion,
@@ -112,3 +114,29 @@ class TestOtherCharacteristics:
         partial = e.value.report.stage_dims
         assert partial["M"] == 16
         assert partial["hom"] == 0
+
+
+class TestMemoryBudget:
+    def test_pipeline_peak_and_no_dense_sym2u(self, monkeypatch):
+        # a budget, as the runtime budgets of the acceptance tests are: the
+        # traced peak was 6.27 MB when every module held its operators as
+        # dense n x n arrays, 2.82 MB of them Sym2(U)'s.  Met by the code,
+        # never raised
+        views = []
+        dense = OpTable.dense
+
+        def counted(self):
+            views.append((self.n, self.count))
+            return dense(self)
+
+        monkeypatch.setattr(OpTable, "dense", counted)
+        brj25(p=5, skip_simplicity=True)
+        # no dense view of Sym2(U)'s operators, only of small modules'
+        assert views and all(n <= 20 for n, _ in views)
+        tracemalloc.start()
+        try:
+            brj25(p=5, skip_simplicity=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6, f"tracemalloc peak {peak / 1e6:.2f} MB"

@@ -324,6 +324,28 @@ class TestByteStable:
         text = fn(*args).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name, build, digest", [
+        ("sym2-dual3-F7", lambda _: sym2(symn_dual(3, FieldCtx.prime(7))),
+         "5ff66d882ee15d6a0ef177dd529ead0dfcfac1cf30f1b983d89138e3b6afa37a"),
+        ("U-F5", lambda inputs: inputs["sym2(U)"][1][0],
+         "08cd2ba879d36bed0e0e6ea1216aa6d2973e3bd4c80d9df0c333967b9b210ded"),
+    ])
+    def test_table_held_module_json(self, brj_square_inputs, name, build,
+                                    digest):
+        # the sha256 the modules had when they held dense operators
+        text = build(brj_square_inputs).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_hom_both_out_file(self, capsys, tmp_path):
+        path = str(tmp_path / "hom.json")
+        rc, _, _ = run(capsys, "hom", "sym2-dual-sym", "adjoint-sl2",
+                       "--mode", "both", "--n", "3", "--p", "7", "--out",
+                       path)
+        assert rc == 0
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == \
+                "35b20bed44b835d62de46f5d447fa5a354731f6362a0cbf13453cfa26141c3c0"
+
     def test_sym2_dual_module_json_over_q(self):
         text = sym2(symn_dual(3, FieldCtx.rationals())).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == \

@@ -582,3 +582,28 @@ class TestUnitRuleGuard:
         periplectic_derived(3, F5)
         pq(3, F5)
         psq(3, F5)
+
+
+class TestScalarQuotientInputs:
+    @pytest.mark.parametrize("name, build", [
+        ("psl(2|2)", lambda: constructions.psl(2, 2, Q)),
+        ("pgl(2|1)", lambda: constructions.pgl(2, 1, Q)),
+        ("psq(3)", lambda: constructions.psq(3, Q)),
+    ])
+    def test_no_fraction_vector_to_convert(self, monkeypatch, name, build):
+        # the identity's coordinates and psq's spanning vectors are built
+        # as integers, so over Q nothing is turned from Fractions into
+        # integers: int_scaled saw shapes (16,) and (1, 15), (9,) and
+        # (1, 9), (1, 18) and (16, 17) when they were Fraction vectors
+        shapes = []
+        real = linalg.int_scaled
+
+        def counted(m):
+            shapes.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(linalg, "int_scaled", counted)
+        alg = build()
+        assert shapes == []
+        assert alg.dims == {"psl(2|2)": (6, 8), "pgl(2|1)": (4, 4),
+                            "psq(3)": (8, 8)}[name]

@@ -14,6 +14,7 @@ from superlie.fields import FieldCtx, InexactScalar
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
+    OpTable,
     SpanSolver,
     Subspace,
     exact_matmul,
@@ -21,7 +22,6 @@ from superlie.linalg import (
     invariant_closure,
     kernel,
     largest_invariant_within,
-    operator_stack,
     rank,
     rref,
     solve,
@@ -36,7 +36,7 @@ Q = FieldCtx.rationals()
 def stack(ctx, n, ops):
     """The integer stack of the transposes of a Matrix list, as the spins
     take their operators."""
-    return operator_stack(ctx, n, ops)[0]
+    return OpTable.of(ctx, n, ops).stack()[0]
 
 
 def rand_matrix(ctx, rows, cols, rng):
@@ -264,7 +264,7 @@ class TestSpinning:
     def test_operator_shapes_checked(self):
         op = self.shift_op(F5, 4)
         with pytest.raises(DimensionMismatch):
-            operator_stack(F5, 3, [op])
+            OpTable.of(F5, 3, [op])
         seed = [F5.vec([1, 0, 0, 0])]
         for bad in (stack(F5, 4, [op])[:3], stack(F5, 4, [op, op])[:, :6]):
             with pytest.raises(DimensionMismatch):
@@ -930,3 +930,43 @@ class TestIntegerRowReduction:
         solver = SpanSolver(Q, rows)
         coeffs, in_span = solver.coords_rows(exact_matmul(Q, c, rows))
         assert in_span.all() and np.array_equal(coeffs, c)
+
+
+class TestOpTable:
+    """An OpTable holds operators as sorted nonzero entries on one
+    canonical scale, so equal tables hold equal operators."""
+
+    @pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(2**31 - 1), Q],
+                             ids=repr)
+    def test_round_trip_and_stack(self, ctx):
+        rng = random.Random(3)
+        mats = [Matrix.from_rows(ctx, [[rng.choice([0, 0, 1, -2, "1/3"])
+                                        for _ in range(4)] for _ in range(4)])
+                for _ in range(5)]
+        mats.append(Matrix.zeros(ctx, 4, 4))
+        t = OpTable.of(ctx, 4, mats)
+        assert t.matrices() == mats and t.count == 6
+        keys = (t.op * 4 + t.row) * 4 + t.col
+        assert np.all(keys[1:] > keys[:-1]) and np.all(t.val != 0)
+        s, scale = t.stack()
+        for k, m in enumerate(mats):
+            assert Matrix.from_int(ctx, s[:, 4 * k:4 * k + 4].T.copy(),
+                                   scale) == m
+        assert OpTable.concat([t.select(0, 2), t.select(2, 7)]) == \
+            OpTable.of(ctx, 4, mats + [Matrix.zeros(ctx, 4, 4)])
+
+    def test_scale_is_canonical_over_q(self):
+        half, third = (Matrix.from_rows(Q, [[x, 0], [0, 1]])
+                       for x in ("1/2", "1/3"))
+        t = OpTable.of(Q, 2, [half, third])
+        assert t.scale == 6
+        assert (t.select(0, 1).scale, t.select(1, 2).scale) == (2, 3)
+        assert OpTable.concat([t.select(0, 1), t.select(1, 2)]) == t
+        assert t.select(0, 1) == OpTable.of(Q, 2, [half])
+        assert t != OpTable.of(Q, 2, [half, half])
+
+    def test_tables_are_read_only(self):
+        t = OpTable.of(F5, 2, [Matrix.identity(F5, 2)])
+        for a in (t.op, t.row, t.col, t.val):
+            with pytest.raises(ValueError):
+                a[0] = 0

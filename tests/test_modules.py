@@ -13,6 +13,7 @@ from superlie.fields import FieldCtx, InputError, SuperlieError
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
+    OpTable,
     SpanSolver,
     Subspace,
     exact_matmul,
@@ -28,12 +29,11 @@ from superlie.modules import (
     LabelMismatch,
     NotInvariant,
     _constraint_pairs,
+    _diagonals,
     _implied_pairs,
     _intertwiner_space,
-    _is_diagonal,
     _weight_support,
     dual,
-    induced_operators,
     hom_space,
     lambda2,
     module_from_json,
@@ -131,6 +131,15 @@ class TestFamilies:
         assert fams == [CoeffOperatorFamily(*spec) for spec in specs]
         assert fams[0].ops == (Matrix.identity(F5, 2), a1)
         assert fams[0].root == (2,)
+
+    def test_op_views(self):
+        # ops is made once from the table; there is no op past the degree
+        f = symn_module(3, F5).family_by_label("X2")
+        assert f.ops is f.ops and f.op(3) is f.ops[3]
+        assert f.table == OpTable.of(F5, 4, f.ops)
+        for k in (-1, 4):
+            with pytest.raises(IndexError):
+                f.op(k)
 
     def test_trailing_zero_operators_dropped(self):
         a1 = Matrix.from_rows(F5, [[0, 1], [0, 0]])
@@ -329,7 +338,7 @@ class TestIntegerFormCount:
         ops = m.all_operators()
         want = linalg.invariant_closure(
             Q, m.dim, [v for op in ops for v in op.data.T],
-            linalg.operator_stack(Q, m.dim, ops)[0])
+            OpTable.of(Q, m.dim, ops).stack()[0])
         calls = count_conversions(monkeypatch)
         got = trivial_quotient_defect(m)
         assert calls == []
@@ -426,12 +435,19 @@ def _ref_tensor_ops(m1, m2):
     fams = []
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
-        ops = [sum(np.kron(_ints(ctx, f1.op(a).data),
-                           _ints(ctx, f2.op(k - a).data))
+        ops = [sum(np.kron(_ints(ctx, op_or_zero(f1, a).data),
+                           _ints(ctx, op_or_zero(f2, k - a).data))
                    for a in range(k + 1))
                for k in range(f1.degree + f2.degree + 1)]
         fams.append(ops)
     return lie, fams
+
+
+def op_or_zero(fam, k):
+    """op_k of the family, the zero operator past its degree."""
+    if k <= fam.degree:
+        return fam.op(k)
+    return Matrix.zeros(fam.ctx, fam.dim, fam.dim)
 
 
 def _ref_pair_maps(n, sign):
@@ -614,6 +630,21 @@ class TestHom:
         assert soc.dim == 0
 
 
+def is_diagonal(m: Matrix) -> bool:
+    return np.count_nonzero(m.ints) == np.count_nonzero(np.diagonal(m.ints))
+
+
+def ref_weight_support(d1, d2, pairs):
+    """d2 x d1 mask of the entries of f that B f = f A allows to be
+    nonzero, from the Matrix pairs (A, B) that are both diagonal."""
+    mask = np.ones((d2, d1), dtype=bool)
+    for a, b in pairs:
+        if is_diagonal(a) and is_diagonal(b):
+            mask &= (np.diagonal(b.ints)[:, None] * a.scale
+                     == np.diagonal(a.ints)[None, :] * b.scale)
+    return mask
+
+
 def full_system_kernel(ctx, d1, d2, pairs):
     """Kernel of the stacked Kronecker system B f - f A = 0 on all d1*d2
     entries of f (flattened row-major), one pair's block at a time.  The
@@ -622,7 +653,7 @@ def full_system_kernel(ctx, d1, d2, pairs):
     n = d1 * d2
     space = None
     for a, b in sorted(pairs, key=lambda ab: not (
-            _is_diagonal(ab[0]) and _is_diagonal(ab[1]))):
+            is_diagonal(ab[0]) and is_diagonal(ab[1]))):
         block = ctx.reduce(np.kron(b.data, ctx.eye(d1))
                            - np.kron(ctx.eye(d2), a.data.T))
         if space is None:
@@ -636,17 +667,54 @@ def full_system_kernel(ctx, d1, d2, pairs):
     return space
 
 
-def mode_pairs(m1, m2, mode):
-    """(constraint pairs, implied pairs) that hom_space solves in mode."""
+def as_pairs(tables):
+    """The Matrix pairs (A_p, B_p) of the op pairs of two tables."""
+    return list(zip(*(t.matrices() for t in tables)))
+
+
+def table_pairs(m1, m2, mode):
+    """(op pairs, implied diagonals) that hom_space solves in mode."""
     alg, grp, deg1 = _constraint_pairs(m1, m2, mode)
     if mode == "algebra":
         return alg, []
+    return grp, [_implied_pairs(m1.ctx, deg1)]
+
+
+def ref_constraint_pairs(m1, m2):
+    """(algebra pairs, group pairs, degree-1 group pairs) as the Matrix
+    lists _constraint_pairs made before it matched tables by op index:
+    (a, b) for each Lie element, then (A_k, B_k) of each family of m1 and
+    m2's family of its label, k = 1..max degree, zero past a degree."""
+    grp, deg1 = [], []
+    for f1 in m1.families:
+        f2 = m2.family_by_label(f1.label)
+        deg1.append((op_or_zero(f1, 1), op_or_zero(f2, 1)))
+        grp += [(op_or_zero(f1, k), op_or_zero(f2, k))
+                for k in range(1, max(f1.degree, f2.degree) + 1)]
+    return list(zip(m1.lie_action, m2.lie_action)), grp, deg1
+
+
+def mode_pairs(m1, m2, mode):
+    """(constraint pairs, implied pairs) of mode as Matrix pairs: those of
+    ref_constraint_pairs, which the tables' pairs match, and the dense
+    commutator pairs."""
+    alg, grp, deg1 = ref_constraint_pairs(m1, m2)
+    tables = table_pairs(m1, m2, mode)[0]
+    if mode == "algebra":
+        assert as_pairs(tables) == alg
+        return alg, []
+    assert as_pairs(tables) == grp
+    assert as_pairs(_constraint_pairs(m1, m2, mode)[2]) == deg1
     return grp, ref_commutator_pairs(deg1)
 
 
 def support_size(m1, m2, mode):
-    pairs, implied = mode_pairs(m1, m2, mode)
-    return int(_weight_support(m1.dim, m2.dim, pairs + implied).sum())
+    pairs, implied = table_pairs(m1, m2, mode)
+    mask = _weight_support(m1.dim, m2.dim, [_diagonals(pairs)] + implied)
+    ref_pairs, ref_implied = mode_pairs(m1, m2, mode)
+    assert np.array_equal(mask, ref_weight_support(
+        m1.dim, m2.dim, ref_pairs + ref_implied))
+    return int(mask.sum())
 
 
 def assert_matches_full_system(m1, m2, mode):
@@ -655,7 +723,7 @@ def assert_matches_full_system(m1, m2, mode):
     ctx, d1, d2 = m1.ctx, m1.dim, m2.dim
     pairs, implied = mode_pairs(m1, m2, mode)
     want = full_system_kernel(ctx, d1, d2, pairs)
-    got = _intertwiner_space(ctx, d1, d2, pairs, implied)
+    got = _intertwiner_space(ctx, d1, d2, *table_pairs(m1, m2, mode))
     assert got == want and got.pivots == want.pivots
     # the integer Kronecker system against the one built over the field
     ref = ref_intertwiner_space(ctx, d1, d2, pairs, implied)
@@ -759,7 +827,7 @@ class TestHomWeightSupport:
         c = conjugated(adj, [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
                        [[1, -1, 1], [0, 1, -1], [0, 0, 1]])
         s = sym2(symn_dual(1, F7))
-        assert not any(_is_diagonal(op) for op in c.all_operators())
+        assert not any(is_diagonal(op) for op in c.all_operators())
         for m1, m2 in ((c, c), (s, c), (c, s)):
             assert support_size(m1, m2, mode) == 9
             rep = assert_matches_full_system(m1, m2, mode)
@@ -827,7 +895,8 @@ def ref_intertwiner_space(ctx, d1, d2, op_pairs, implied=()):
     """_intertwiner_space with the Kronecker columns built over the field
     (Fraction subtraction over Q)."""
     n = d1 * d2
-    rs, cs = np.nonzero(_weight_support(d1, d2, list(op_pairs) + list(implied)))
+    rs, cs = np.nonzero(ref_weight_support(d1, d2,
+                                           list(op_pairs) + list(implied)))
     unknowns = np.arange(len(rs))
     space = None
     for a, b in op_pairs:
@@ -1267,6 +1336,13 @@ def ref_induced_operators(ctx, named_ops, w, reps):
     return out
 
 
+def induced_operators(ctx, named_ops, w, reps):
+    """_induced on the table of the named Matrices, as Matrices."""
+    table = OpTable.of(ctx, w.ambient_dim, [op for _, op in named_ops])
+    return modules._induced(ctx, [name for name, _ in named_ops], table, w,
+                            reps).matrices()
+
+
 def named_operators(m):
     """Every Lie element and family coefficient of m, named as the
     subquotients name them."""
@@ -1288,15 +1364,16 @@ class TestInducedOperatorsDifferential:
     def test_brj_layers(self, monkeypatch):
         # Lw2 = L2V / line, M <= N on its basis, U = N-span / socle
         layers = []
-        real = modules.induced_operators
+        real = modules._induced
 
-        def checked(ctx, named, w, reps):
-            got = real(ctx, named, w, reps)
-            assert got == ref_induced_operators(ctx, named, w, reps)
-            layers.append((w.dim, len(reps), len(named)))
+        def checked(ctx, names, table, w, reps):
+            got = real(ctx, names, table, w, reps)
+            named = list(zip(names, table.matrices()))
+            assert got.matrices() == ref_induced_operators(ctx, named, w, reps)
+            layers.append((w.dim, len(reps), len(names)))
             return got
 
-        monkeypatch.setattr(modules, "induced_operators", checked)
+        monkeypatch.setattr(modules, "_induced", checked)
         brj.brj25(p=5, skip_simplicity=True)
         assert [layer[:2] for layer in layers] == [(1, 5), (0, 16), (4, 12)]
 
@@ -1428,19 +1505,26 @@ class TestImpliedPairs:
         # diagonal on both sides, in order, so the weight support is the
         # one the full list gives
         for m1, m2 in implied_cases(brj_hom_calls):
+            ctx = m1.ctx
             _, _, deg1 = _constraint_pairs(m1, m2, "group")
-            ref = ref_commutator_pairs(deg1)
-            got = _implied_pairs(m1.ctx, deg1)
+            ref = ref_commutator_pairs(ref_constraint_pairs(m1, m2)[2])
+            implied = _implied_pairs(ctx, deg1)
+            (a, sa), (b, sb) = implied
+            got = [(Matrix.from_int(ctx, np.diag(x), sa),
+                    Matrix.from_int(ctx, np.diag(y), sb))
+                   for x, y in zip(a, b)]
             assert got == [(a, b) for a, b in ref
-                           if _is_diagonal(a) and _is_diagonal(b)]
-            assert np.array_equal(_weight_support(m1.dim, m2.dim, got),
-                                  _weight_support(m1.dim, m2.dim, ref))
+                           if is_diagonal(a) and is_diagonal(b)]
+            assert np.array_equal(_weight_support(m1.dim, m2.dim, [implied]),
+                                  ref_weight_support(m1.dim, m2.dim, ref))
 
     def test_brj_keeps_sixteen_pairs(self, brj_hom_calls):
         m1, m2, _ = brj_hom_calls[("Sym2(U)", "adjoint-sp4")]
         _, _, deg1 = _constraint_pairs(m1, m2, "group")
-        assert len(ref_commutator_pairs(deg1)) == 28
-        assert len(_implied_pairs(F5, deg1)) == 16
+        deg1_ref = ref_constraint_pairs(m1, m2)[2]
+        assert len(ref_commutator_pairs(deg1_ref)) == 28
+        (a, _), (b, _) = _implied_pairs(F5, deg1)
+        assert len(a) == len(b) == 16
 
 
 def half_sym2():
@@ -1499,3 +1583,170 @@ class TestEdgeCases:
         assert rep.basis[0] == Matrix.identity(ctx, 1)
         rep = hom_space(zero, s0, "both")
         assert (rep.dim_group, rep.dim_algebra) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the table paths against the dense references, module by module
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def brj_modules():
+    """Every module brj25(5) builds, by name: V, L2(V), Lw2, V(x)Lw2 (N),
+    M, U, Sym2(U) and adjoint-sp4."""
+    seen = {}
+    init = GModule.__init__
+
+    def record(self, *args, **kw):
+        init(self, *args, **kw)
+        seen.setdefault(self.meta.get("name"), self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GModule, "__init__", record)
+        brj.brj25(p=5, skip_simplicity=True)
+    return seen
+
+
+TABLE_CASES = ([("brj", name, None) for name in
+                ("V", "L2(V)", "Lw2", "V(x)Lw2", "M", "U", "Sym2(U)")]
+               + [(kind, n, ctx) for ctx in (F7, Q, BIG)
+                  for kind in ("dual", "sym2") for n in (1, 2, 3)])
+
+
+@pytest.fixture(params=TABLE_CASES,
+                ids=lambda c: "-".join(map(str, (c[0], c[1], c[2] or F5))))
+def table_case(request, brj_modules):
+    """(module, adjoint module of its even algebra)."""
+    kind, n, ctx = request.param
+    if kind == "brj" and n == "M":
+        # M's echelon basis is of weight vectors: the weights of N at its
+        # pivots, which GModule checks
+        m, big = brj_modules["M"], brj_modules["V(x)Lw2"]
+        w = submodule_generated(big, [units(big.dim, 0)])
+        return GModule(F5, m.labels, m.lie_labels, m.lie, m.families,
+                       weights=[big.weights[i] for i in w.pivots],
+                       brackets=m.bracket_matrix), brj_modules["adjoint-sp4"]
+    if kind == "brj":
+        return brj_modules[n], brj_modules["adjoint-sp4"]
+    m = symn_dual(n, ctx)
+    return (sym2(m) if kind == "sym2" else m), adjoint_sl2_module(ctx)
+
+
+def units(n, rows):
+    """Integer unit vectors of ctx^n: rows of the identity."""
+    return np.eye(n, dtype=np.int64)[rows]
+
+
+class TestTablePathsDifferential:
+    """Each check that reads the operator tables against the dense loop it
+    replaced, on the modules as built and with one entry changed: the same
+    verdict, the same error type and message, so the same first failing
+    family, (a, b), pair, op_k or entry."""
+
+    def test_family_law(self, table_case):
+        m, _ = table_case
+        ctx, caught = m.ctx, 0
+        delta = ctx.of(Fraction(1, 2))
+        for f in m.families:
+            for k in range(1, len(f.ops)):
+                for r, c in spots(f.ops[k].data):
+                    ops = trimmed([*f.ops[:k], bumped(f.ops[k], r, c, delta),
+                                   *f.ops[k + 1:]])
+                    want = failure(ref_family_validate, ctx, f.label, ops)
+                    assert failure(CoeffOperatorFamily, f.label, ops,
+                                   f.root) == want
+                    caught += want is not None
+        assert caught
+        fams = [f for f in m.families if f.degree]
+        specs = [(f.label, list(f.ops), f.root) for f in fams]
+        for i, j in first_and_last(len(fams)):
+            case = list(specs)
+            for t in (i, j):
+                case[t] = (fams[t].label, broken_ops(ctx, fams[t]),
+                           fams[t].root)
+            want = failure(ref_validate_each, ctx, case)
+            assert want[1].startswith(f"{fams[i].label}: A_")
+            assert failure(CoeffOperatorFamily.batch, case) == want
+
+    def test_brackets(self, table_case):
+        m, _ = table_case
+        ctx, caught = m.ctx, 0
+        args = (ctx, m.labels, m.lie_labels)
+        for i, a in enumerate(m.lie_action):
+            for r, c in spots(a.data):
+                lie = list(m.lie_action)
+                lie[i] = bumped(a, r, c, ctx.one)
+                want = failure(ref_module, *args, lie, m.families, None,
+                               m.brackets)
+                assert failure(GModule, *args, lie, m.families,
+                               brackets=m.brackets) == want
+                caught += want is not None
+        assert caught
+
+    def test_weights(self, table_case):
+        m, _ = table_case
+        fams = m.families
+        args = (m.ctx, m.labels, m.lie_labels, m.lie_action)
+        for i in sorted({0, m.dim // 2, m.dim - 1}):
+            weights = list(m.weights)
+            weights[i] = tuple(x + 1 for x in weights[i])
+            want = failure(ref_weights_each, fams, weights)
+            assert want is not None
+            assert failure(GModule, *args, fams, weights=weights) == want
+        for i, j in first_and_last(len(fams)):
+            case = list(fams)
+            for t in (i, j):
+                case[t] = CoeffOperatorFamily(
+                    fams[t].label, fams[t].ops,
+                    [x + 1 for x in fams[t].root])
+            want = failure(ref_weights_each, case, m.weights)
+            assert failure(GModule, *args, case, weights=m.weights) == want
+
+    @pytest.mark.parametrize("mode", ["algebra", "group"])
+    def test_hom_system(self, table_case, mode):
+        # m -> its algebra's adjoint module, and with one entry of the
+        # first and of the last operator of m changed
+        m, adj = table_case
+        ctx, d1, d2 = m.ctx, m.dim, adj.dim
+        (a, b), implied = table_pairs(m, adj, mode)
+        ref_implied = mode_pairs(m, adj, mode)[1]
+        mats = a.matrices()
+        cases = [mats]
+        for k in (0, len(mats) - 1):
+            for r, c in spots(mats[k].data)[:2]:
+                cases.append(mats[:k] + [bumped(mats[k], r, c, ctx.one)]
+                             + mats[k + 1:])
+        for ops in cases:
+            got = _intertwiner_space(
+                ctx, d1, d2, (OpTable.of(ctx, d1, ops), b), implied)
+            want = ref_intertwiner_space(ctx, d1, d2,
+                                         list(zip(ops, b.matrices())),
+                                         ref_implied)
+            assert got == want and got.pivots == want.pivots
+            assert [(type(x), x) for x in got.basis.data.flat] == \
+                [(type(x), x) for x in want.basis.data.flat]
+
+    def test_induced(self, table_case):
+        m, _ = table_case
+        ctx, n = m.ctx, m.dim
+        named = named_operators(m)
+        w = submodule_generated(m, [units(n, 0)])
+        keep = [i for i in range(n) if i not in w.pivots]
+        zero = Subspace.zero(ctx, n)
+        for sub, reps in ((w, units(n, keep)), (zero, w.basis.ints)):
+            assert (induced_operators(ctx, named, sub, reps)
+                    == ref_induced_operators(ctx, named, sub, reps))
+        if not keep:
+            return
+        # operators k and k + 2 map w out of w: both name operator k
+        bump = np.zeros((n, n), dtype=np.int64)
+        bump[keep[0], w.pivots[0]] = 1
+        bump = Matrix.from_int(ctx, bump)
+        for k in (0, len(named) - 3):
+            bad = list(named)
+            for i in (k, k + 2):
+                bad[i] = (bad[i][0], bad[i][1] + bump)
+            reps = units(n, keep)
+            want = induced_outcome(ref_induced_operators, ctx, bad, w, reps)
+            assert want == ("NotInvariant", named[k][0])
+            assert induced_outcome(induced_operators, ctx, bad, w,
+                                   reps) == want

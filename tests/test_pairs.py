@@ -16,7 +16,8 @@ from superlie.brj import (
 from superlie.fields import FieldCtx, InputError, SuperlieError
 from superlie.linalg import (DimensionMismatch, Matrix, Subspace,
                              int_family, int_matmul, kernel)
-from superlie.modules import (CoeffOperatorFamily, GModule, _kron_coeffs,
+from superlie.modules import (CoeffOperatorFamily, GModule, OpTable,
+                              _kron_coeffs,
                               hom_space, square_layout, sym2)
 from superlie.pairs import (
     BilinearMap,
@@ -190,12 +191,34 @@ def loop_equivariance_witness(odd, bracket, adjoint_families):
                     lhs = ctx.zeros(bracket.dim_g)
                     for a in range(m + 1):
                         lhs = ctx.reduce(lhs + ref_apply(
-                            bracket, fam.op(a).data[:, i],
-                            fam.op(m - a).data[:, j]))
-                    rhs = gfam.op(m).mv(ref_value(bracket, i, j))
+                            bracket, op_or_zero(fam, a).data[:, i],
+                            op_or_zero(fam, m - a).data[:, j]))
+                    rhs = op_or_zero(gfam, m).mv(ref_value(bracket, i, j))
                     if np.any(ctx.reduce(lhs - rhs)):
                         return fam.label, m, (i, j)
     return None
+
+
+def op_or_zero(fam, k):
+    """op_k of the family, the zero operator past its degree."""
+    if k <= fam.degree:
+        return fam.op(k)
+    return Matrix.zeros(fam.ctx, fam.dim, fam.dim)
+
+
+def sym2_coeffs(odd, fold):
+    """([T_1, ..., T_{2 deg X}] for each family X of odd, scale): the t^m
+    coefficients T_m / scale of X(t) on Sym^2 V as dense integer arrays,
+    read off _kron_coeffs's table."""
+    fams = odd.families
+    t = OpTable.concat([f.table for f in fams])
+    lo = np.cumsum([0] + [f.degree + 1 for f in fams]).tolist()
+    coeffs = _kron_coeffs(t, t, [(range(a, a + f.degree + 1),) * 2
+                                 + (range(1, 2 * f.degree + 1),)
+                                 for f, a in zip(fams, lo)], fold)
+    ts = iter(coeffs.dense())
+    return [[next(ts) for _ in range(2 * f.degree)] for f in fams], \
+        coeffs.scale
 
 
 def equivariance_witness(odd, bracket, adjoint_families):
@@ -217,8 +240,7 @@ def ref_check_equivariance(odd, bracket, adjoint_families):
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     (kmat,), _ = int_family(ctx, [ctx.reduce(
         bracket.consts[i, j] * (1 + (i < j))[:, None]).T])
-    coeffs, s = _kron_coeffs(ctx, [(f.ops, f.ops, range(1, 2 * f.degree + 1))
-                                   for f in odd.families], fold)
+    coeffs, s = sym2_coeffs(odd, fold)
     for fam, ts in zip(odd.families, coeffs):
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
@@ -226,7 +248,7 @@ def ref_check_equivariance(odd, bracket, adjoint_families):
         max_deg = max(2 * fam.degree, gfam.degree)
         bad = np.zeros((max_deg + 1, len(pairs)), dtype=bool)
         for m in range(1, max_deg + 1):
-            g = gfam.op(m)
+            g = op_or_zero(gfam, m)
             lhs, rhs = 0, int_matmul(ctx, g.ints, kmat)
             if m <= len(ts):
                 lhs = int_matmul(ctx, kmat, ts[m - 1]) * g.scale
@@ -453,6 +475,24 @@ class TestAssembly:
                 assert got == per_power_witness(odd, b, families)
                 seen.add(got)
         # the pairs as built pass, and the changes fail at several places
+        assert None in seen and len(seen) > 4
+
+    @pytest.mark.parametrize("ctx", [F7, Q, FieldCtx.prime(2**31 - 1)],
+                             ids=repr)
+    def test_equivariance_matches_per_power_loop_on_sl2(self, ctx):
+        # Sym_n* for n = 1, 3 with its bracket, one basis vector added at
+        # each pair, and the adjoint families relabeled
+        even, adj = adj_families(ctx)
+        seen = set()
+        for n in (1, 3):
+            odd, base = symn_dual(n, ctx), sl2_symn_bracket(n, 1, ctx).consts
+            for families, brackets in ((adj, [base, *bumped(ctx, base)]),
+                                       (relabeled(adj, 1), [base])):
+                for consts in brackets:
+                    b = BilinearMap(ctx, consts)
+                    got = equivariance_witness(odd, b, families)
+                    assert got == per_power_witness(odd, b, families)
+                    seen.add(got)
         assert None in seen and len(seen) > 4
 
     def test_split_pair(self):

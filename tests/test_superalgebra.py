@@ -18,8 +18,8 @@ from superlie.linalg import (
     SpanSolver,
     Subspace,
     invariant_closure,
+    OpTable,
     kernel,
-    operator_stack,
 )
 from superlie.superalgebra import (
     N_RANDOM,
@@ -790,7 +790,7 @@ def ad_matrices(alg):
 def spin(alg, seed, ops):
     """The closure of one seed vector under a Matrix list."""
     return invariant_closure(alg.ctx, alg.dim, [seed],
-                             operator_stack(alg.ctx, alg.dim, ops)[0])
+                             OpTable.of(alg.ctx, alg.dim, ops).stack()[0])
 
 
 class TestNorton:
