@@ -234,9 +234,7 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     # the invariant form element v+e1 ^ v-e1 + v+e2 ^ v-e2
     z = _vector(ctx, 6, {l2pos[0, 2]: 1, l2pos[1, 3]: 1})
     zspan = Subspace.from_vectors(ctx, 6, [z])
-    ops_t, _ = l2.table(1).stack()
-    images = int_matmul(ctx, zspan.basis.ints, ops_t).reshape(-1, 6)
-    if zspan.residuals(images).any():
+    if zspan.residuals(l2.table(1).images(zspan.basis.ints)).any():
         raise PipelineAssertion("L2V", "invariant form element",
                                 "not invariant", report)
     w_labels = ["w+e1+e2", "w+e1-e2", "w0", "w-e1+e2", "w-e1-e2"]

@@ -24,11 +24,10 @@ merged back by pivot: the result is the same unique form.
 
 An OpTable holds a list of n x n operators as one sparse integer table,
 the nonzero entries (op, row, col, value) of their integer forms on one
-scale: the modules keep their operators so, and join the entries.
-Spinning (invariant_closure, largest_invariant_within) takes its k
-operators as one integer stack of their transposes, of shape (n, n k)
-(OpTable.stack): each round takes the images of its rows under every
-operator from one product.
+scale: the modules and the adjoint action keep their operators so.
+Spinning (invariant_closure, largest_invariant_within) and every other
+batch of images take a table, whose images method alone lays the
+operators out for one product with a block of rows.
 """
 
 from __future__ import annotations
@@ -215,7 +214,7 @@ class OpTable:
     scale > 0 is made their least common denominator, so equal tables hold
     equal operators (T. A. Davis, Direct Methods for Sparse Linear
     Systems, SIAM 2006, ch. 2).  dense, stack and matrices are dense views
-    made on request."""
+    made on request; images applies every operator to a block of rows."""
 
     __slots__ = ("ctx", "n", "count", "op", "row", "col", "val", "scale")
 
@@ -284,11 +283,28 @@ class OpTable:
         a[self.op, self.row, self.col] = self.val
         return a
 
-    def stack(self) -> Tuple[np.ndarray, int]:
-        """(S, scale): S = [J_0^T ... J_{count-1}^T] of shape (n, n count),
-        the operator form of the spins."""
-        return (self.dense().transpose(2, 0, 1).reshape(
-            self.n, self.count * self.n), self.scale)
+    def transposed(self) -> "OpTable":
+        """The table of the J_k^T, on the same scale."""
+        order = np.argsort((self.op * self.n + self.col) * self.n + self.row)
+        return OpTable(self.ctx, self.n, self.count, self.op[order],
+                       self.col[order], self.row[order], self.val[order],
+                       self.scale)
+
+    def stack(self) -> np.ndarray:
+        """S = [J_0^T ... J_{count-1}^T], the (n, n count) integer array
+        with S[c, k n + r] = J_k[r, c], scattered from the entries."""
+        s = np.zeros((self.n, self.count * self.n), dtype=self.val.dtype)
+        s[self.col, self.op * self.n + self.row] = self.val
+        return s
+
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """The (r count, n) integer array whose row b count + k is J_k v_b
+        (over scale), for the (r, n) integer rows v_b, from one product
+        with the stack; DimensionMismatch for rows of another width."""
+        if rows.shape[1:] != (self.n,):
+            raise DimensionMismatch(f"rows {rows.shape} on ctx^{self.n}")
+        return int_matmul(self.ctx, rows, self.stack()).reshape(
+            len(rows) * self.count, self.n)
 
     def matrices(self) -> List["Matrix"]:
         return [Matrix.from_int(self.ctx, j, self.scale, reduced=True)
@@ -810,46 +826,33 @@ def kernel(m: Matrix) -> Subspace:
 # spinning
 # ---------------------------------------------------------------------------
 
-def _check_stack(ambient_dim: int, ops_t: np.ndarray):
-    if ops_t.ndim != 2 or ops_t.shape[0] != ambient_dim or (
-            ambient_dim and ops_t.shape[1] % ambient_dim):
-        raise DimensionMismatch(f"operator stack of shape {ops_t.shape} "
-                                f"vs ambient {ambient_dim}")
-
-
 def invariant_closure(ctx: FieldCtx, ambient_dim: int,
-                      seeds: Sequence[np.ndarray],
-                      ops_t: np.ndarray) -> Subspace:
+                      seeds: Sequence[np.ndarray], ops: OpTable) -> Subspace:
     """Smallest subspace containing the seeds and invariant under every
-    operator, given as the integer stack ops_t of their transposes (see
-    OpTable.stack): the fixed point of W -> W + sum(op(W)).  Only the
-    images of the rows added last round can enlarge the span, so each
-    round extends the basis by the residuals of those images, all from one
-    product with ops_t (each image up to a scale, which changes no
-    span)."""
-    _check_stack(ambient_dim, ops_t)
+    operator of the table ops: the fixed point of W -> W + sum(op(W)).
+    Only the images of the rows added last round can enlarge the span, so
+    each round extends the basis by the residuals of those images, all
+    from one OpTable.images call (each image up to a scale, which changes
+    no span)."""
+    if ops.n != ambient_dim:
+        raise DimensionMismatch(f"operators on ctx^{ops.n} in {ambient_dim}")
     w = Subspace.from_vectors(ctx, ambient_dim, seeds)
-    if not ops_t.shape[1]:
-        return w
     frontier = w.basis.ints
     while 0 < w.dim < ambient_dim and frontier.shape[0]:
-        w, frontier = w._extend(int_matmul(ctx, frontier, ops_t)
-                                .reshape(-1, ambient_dim))
+        w, frontier = w._extend(ops.images(frontier))
     return w
 
 
-def largest_invariant_within(k: Subspace, ops_t: np.ndarray) -> Subspace:
+def largest_invariant_within(k: Subspace, ops: OpTable) -> Subspace:
     """Largest subspace W <= k with op(W) <= W for every operator of the
-    integer stack ops_t (see OpTable.stack); iterates W <- {w in W :
-    op(w) in W for all op} to a fixed point.  Row i of the images is the
-    residual against W of every op(b_i), b_i basis row i, side by side."""
-    _check_stack(k.ambient_dim, ops_t)
+    table ops; iterates W <- {w in W : op(w) in W for all op} to a fixed
+    point.  Row i of the images is the residual against W of every
+    op(b_i), b_i basis row i, side by side."""
+    if ops.n != k.ambient_dim:
+        raise DimensionMismatch(f"operators on ctx^{ops.n} in {k.ambient_dim}")
     w = k
-    if not ops_t.shape[1]:
-        return w
-    while w.dim:
-        images = int_matmul(k.ctx, w.basis.ints, ops_t)
-        res = w._residual(images.reshape(-1, k.ambient_dim))
+    while w.dim and ops.count:
+        res = w._residual(ops.images(w.basis.ints))
         nxt = w.where_zero(res.reshape(w.dim, -1))
         if nxt.dim == w.dim:
             return w

@@ -13,9 +13,9 @@ linear algebra.
 A family's operators, and a module's Lie action, are held once, at
 construction, as one OpTable: the nonzero entries (op, row, col, value) of
 their integer forms on one scale.  The checks, the tensor constructions
-and the hom systems join those entries; the dense Matrix views (ops,
-lie_action) are made on first use, for output and tests, and the operator
-stacks for spinning are made from the table.
+and the hom systems join those entries, and the spins and the induced
+operators take the table itself (linalg.OpTable.images); the dense Matrix
+views (ops, lie_action) are made on first use, for output and tests.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ class GModule:
 
     def table(self, lo: int = 0) -> OpTable:
         """The Lie action and then ops lo, lo + 1, ... of each family: with
-        lo = 1, every operator a spin (OpTable.stack) needs."""
+        lo = 1, every operator a spin needs."""
         return OpTable.concat([self.lie] + [
             f.table.select(lo, f.table.count) for f in self.families])
 
@@ -479,14 +479,13 @@ def module_from_json(s: str) -> GModule:
 
 def dual(m: GModule) -> GModule:
     """Dual module: x acts by -x^T; X(t) acts by (X(t)^{-1})^T = X(-t)^T,
-    so the k-th coefficient operator is (-1)^k A_k^T: m's table entries
-    swapped and signed.  The group element, so the root, is unchanged."""
-    t, sizes = m.table(), [f.degree + 1 for f in m.families]
+    so the k-th coefficient operator is (-1)^k A_k^T: m's table transposed
+    and signed.  The group element, so the root, is unchanged."""
+    t, sizes = m.table().transposed(), [f.degree + 1 for f in m.families]
     signs = np.concatenate([np.full(m.lie.count, -1)] + [
         (-1) ** np.arange(k) for k in sizes])
-    order = np.argsort((t.op * t.n + t.col) * t.n + t.row, kind="stable")
-    t = OpTable(m.ctx, t.n, t.count, t.op[order], t.col[order], t.row[order],
-                m.ctx.reduce(t.val * signs[t.op])[order], t.scale)
+    t = OpTable(m.ctx, t.n, t.count, t.op, t.row, t.col,
+                m.ctx.reduce(t.val * signs[t.op]), t.scale)
     weights = [tuple(-x for x in w) for w in m.weights] if m.weights else None
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "*"
@@ -632,7 +631,7 @@ def lambda2(m: GModule) -> GModule:
 def submodule_generated(m: GModule, seeds: Sequence[np.ndarray]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the Lie
     action and every coefficient operator."""
-    return invariant_closure(m.ctx, m.dim, list(seeds), m.table(1).stack()[0])
+    return invariant_closure(m.ctx, m.dim, list(seeds), m.table(1))
 
 
 def _induced(ctx: FieldCtx, names: Sequence[str], table: OpTable,
@@ -646,24 +645,21 @@ def _induced(ctx: FieldCtx, names: Sequence[str], table: OpTable,
     out of w, or a rep out of span(w, reps).  The reps are exact arrays
     (see linalg._array_form).  The rows R are integer forms: w's basis
     rows and the reps, all the reps over one common scale, which changes
-    no induced matrix.  Every image R J_k^T / s comes from one product with
-    the table's stack, and every coordinate from one solve."""
+    no induced matrix.  Every image comes from one OpTable.images call,
+    and every coordinate from one solve."""
     nw = w.dim
     if not nw + len(reps):
         return OpTable.empty(ctx, 0, table.count)
     rows = w.basis.ints
     if len(reps):
         rows = np.concatenate([rows, _array_form(ctx, np.asarray(reps))[0]])
-    r, n = rows.shape
-    solver = SpanSolver(ctx, rows)
-    ops_t, s = table.stack()
-    # row (i, b) is the image of row b under operator i
-    images = int_matmul(ctx, rows, ops_t).reshape(r, table.count, n)
-    coords, u, in_span = solver.coords_int_rows(
-        images.swapaxes(0, 1).reshape(-1, n), s)
-    coords = coords.reshape(-1, r, r)
-    bad = ~in_span.reshape(-1, r).all(axis=1) | coords[:, :nw, nw:].astype(
-        bool).any(axis=(1, 2))
+    r = len(rows)
+    coords, u, in_span = SpanSolver(ctx, rows).coords_int_rows(
+        table.images(rows), table.scale)
+    # coords[i, b] are the coordinates of the image of row b under op i
+    coords = coords.reshape(r, table.count, r).swapaxes(0, 1)
+    bad = ~in_span.reshape(r, table.count).all(axis=0) | coords[
+        :, :nw, nw:].astype(bool).any(axis=(1, 2))
     if bad.any():
         raise NotInvariant(names[int(np.argmax(bad))])
     return OpTable.from_dense(ctx, coords[:, nw:, nw:].transpose(0, 2, 1), u)
@@ -717,10 +713,9 @@ def trivial_quotient_defect(m: GModule) -> Subspace:
     """The smallest submodule W such that the group acts trivially on m/W:
     the closure of the images of all Lie operators and all positive-degree
     coefficient operators."""
-    ops_t, _ = m.table(1).stack()
-    # row c of the stack holds the images J_i e_c of basis vector c
-    return invariant_closure(m.ctx, m.dim,
-                             ops_t.reshape(ops_t.shape[1], m.dim), ops_t)
+    t = m.table(1)
+    return invariant_closure(
+        m.ctx, m.dim, t.images(np.eye(m.dim, dtype=m.ctx.dtype)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +728,11 @@ OpPairs = Tuple[OpTable, OpTable]
 Diagonals = Tuple[Tuple[np.ndarray, int], Tuple[np.ndarray, int]]
 
 
-def _group_side(m: GModule, fams: Sequence[CoeffOperatorFamily],
+def _group_side(ctx: FieldCtx, n: int, fams: Sequence[CoeffOperatorFamily],
                 tops: Sequence[int]) -> OpTable:
-    """The table of A_1, ..., A_{top - 1} of each family, zero past its
-    degree, in order."""
-    return OpTable.concat([OpTable.empty(m.ctx, m.dim)] + [
+    """The table of A_1, ..., A_{top - 1} of each family on ctx^n, zero
+    past its degree, in order."""
+    return OpTable.concat([OpTable.empty(ctx, n)] + [
         f.table.select(1, top) for f, top in zip(fams, tops)])
 
 
@@ -759,8 +754,9 @@ def _constraint_pairs(m1: GModule, m2: GModule, mode: str
         f2s = [m2.family_by_label(f.label) for f in m1.families]
         tops = [1 + max(f1.degree, f2.degree)
                 for f1, f2 in zip(m1.families, f2s)]
-        grp, deg1 = ((_group_side(m1, m1.families, ts),
-                      _group_side(m2, f2s, ts)) for ts in (tops, [2] * len(f2s)))
+        grp, deg1 = ((_group_side(m1.ctx, m1.dim, m1.families, ts),
+                      _group_side(m2.ctx, m2.dim, f2s, ts))
+                     for ts in (tops, [2] * len(f2s)))
     return alg, grp, deg1
 
 

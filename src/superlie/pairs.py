@@ -41,6 +41,7 @@ from .linalg import (
 from .modules import (
     CoeffOperatorFamily,
     GModule,
+    _group_side,
     _induced,
     _kron_coeffs,
     module_from_json_dict,
@@ -344,7 +345,7 @@ def check_sas_conditions(pair: HCPair):
     defect = trivial_quotient_defect(odd)
     cond1 = defect.dim == odd.dim
     ann = pair.bracket.annihilator()
-    core = largest_invariant_within(ann, odd.table(1).stack()[0])
+    core = largest_invariant_within(ann, odd.table(1))
     cond2 = core.dim == 0
     details = {
         "trivial_quotient_defect_dim": defect.dim,
@@ -360,23 +361,14 @@ def check_sas_conditions(pair: HCPair):
     return cond1, cond2, details
 
 
-def _action_stack(pair: HCPair, hs: np.ndarray) -> np.ndarray:
-    """The operator stack (linalg.OpTable.stack) of the actions on the odd
-    part of the even elements hs, integer rows in g coordinates, up to a
-    scale: one contraction of the transposed lie_action operators."""
-    ctx, n, g = pair.even.ctx, pair.odd.dim, pair.even.dim
-    lie = pair.odd.lie.dense().transpose(0, 2, 1).reshape(g, n * n)
-    acts = int_matmul(ctx, hs, lie).reshape(len(hs), n, n)
-    return acts.transpose(1, 0, 2).reshape(n, len(hs) * n)
-
-
 def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     """Normality conditions for a subpair, at the level checkable from
     module data.  cond1 is the algebra-level ideal condition; cond2-cond4
     are checked directly on the declared generators.  Each condition is
-    one batched containment test on integer forms: every image lies in the
-    space iff all its residuals vanish.  The bases' rows and the operator
-    stacks are taken up to scale, which changes no span."""
+    one batched containment test on integer forms: every image
+    (OpTable.images) lies in the space iff all its residuals vanish.  The
+    bases' rows and the operator tables are taken up to scale, which
+    changes no span."""
     ctx, odd, n = pair.even.ctx, pair.odd, pair.odd.dim
     if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != n:
         raise InvalidSubpair("subpair ambient dimensions do not match")
@@ -386,10 +378,6 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     def inside(space: Subspace, rows: np.ndarray) -> bool:
         return not space._residual(rows).astype(bool).any()
 
-    def images(vs: np.ndarray, ops_t: np.ndarray) -> np.ndarray:
-        # every op.v, for the rows v of vs and the operators of a stack
-        return int_matmul(ctx, vs, ops_t).reshape(-1, ops_t.shape[0])
-
     def brackets(vs: np.ndarray) -> np.ndarray:
         # every [v, x], for the rows v of vs and x of w
         return int_bilinear(ctx, c, vs, w).reshape(-1, pair.even.dim)
@@ -398,33 +386,32 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     gens = []
     for label in s.h_generators:
         t = odd.family_by_label(label).table
-        ops_t, _ = t.select(1, t.count).stack()
-        if not inside(s.w, images(w, ops_t)):
+        gens.append(t.select(1, t.count))
+        if not inside(s.w, gens[-1].images(w)):
             raise InvalidSubpair(f"w not closed under {label}")
-        gens.append(ops_t)
-    acts = _action_stack(pair, h)
-    if not inside(s.w, images(w, acts)):
+    # the actions on V of the basis rows of Lie(H), up to a scale
+    acts = int_matmul(ctx, h, odd.lie.dense().reshape(odd.lie.count, n * n))
+    gens.append(OpTable.from_dense(ctx, acts.reshape(len(h), n, n)))
+    if not inside(s.w, gens[-1].images(w)):
         raise InvalidSubpair("w not closed under Lie(H)")
     if not inside(s.h_lie, brackets(w)):
         raise InvalidSubpair("bracket(w, w) leaves Lie(H)")
 
     report: Dict[str, bool] = {}
     # (1) at algebra level: Lie(H) is an ideal, stable under adjoint families
-    adj_t, _ = OpTable.concat([OpTable.empty(ctx, pair.even.dim)] + [
-        f.table.select(1, f.table.count)
-        for f in pair.adjoint_families]).stack()
-    report["cond1_algebra_level"] = (
-        SuperIdeal(pair.even, s.h_lie).verify()
-        and inside(s.h_lie, images(h, adj_t)))
+    adj = _group_side(ctx, pair.even.dim, pair.adjoint_families,
+                      [f.degree + 1 for f in pair.adjoint_families])
+    report["cond1_algebra_level"] = (SuperIdeal(pair.even, s.h_lie).verify()
+                                     and inside(s.h_lie, adj.images(h)))
     # (2) w invariant under every operator of the whole pair
-    report["cond2"] = inside(s.w, images(w, odd.table(1).stack()[0]))
-    # (3) H acts trivially on V/w: positive-power images of the generator
-    # families and the images of Lie(H) land in w; the images of the unit
-    # vectors are the rows of the stacks
-    report["cond3"] = inside(s.w, np.concatenate(
-        [*gens, acts], axis=1).reshape(-1, n))
+    report["cond2"] = inside(s.w, odd.table(1).images(w))
+    # (3) H acts trivially on V/w: the images of the unit vectors under
+    # the positive-power ops of the generator families and under Lie(H)
+    # land in w
+    eye = np.eye(n, dtype=ctx.dtype)
+    report["cond3"] = inside(s.w, OpTable.concat(gens).images(eye))
     # (4) [V, w] inside Lie(H)
-    report["cond4"] = inside(s.h_lie, brackets(np.eye(n, dtype=w.dtype)))
+    report["cond4"] = inside(s.h_lie, brackets(eye))
     report["ok"] = all(report.values())
     return report
 

@@ -15,9 +15,9 @@ subalgebra) is one Subspace of the full coordinate space: its reduced
 echelon rows are homogeneous, and those with an even pivot span its even
 part.
 
-Slice i of c is ad(e_i)^T up to scale, so two transposes of c are the
-operator stacks (linalg.OpTable.stack) of every ad(e_i) and of every
-ad(e_i)^T: Norton's spins and the ideal closures build no ad matrix.  The
+Slice i of c is ad(e_i)^T up to scale, so the sorted nonzero constants
+are the linalg.OpTable of every ad(e_i)^T: Norton's spins and the ideal
+closures take its transpose, ad_table, or it, and build no ad matrix.  The
 centre is solved only on the coordinates of weight zero under the diagonal
 ad(h), where every central element lies.
 """
@@ -28,6 +28,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -36,6 +37,7 @@ from .fields import FieldCtx, InputError, SuperlieError, json_ints
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    OpTable,
     Subspace,
     _array_form,
     bilinear,
@@ -113,12 +115,11 @@ class SuperIdeal:
 
     def verify(self) -> bool:
         """Exact check: bracketing with every basis element stays inside.
-        All brackets [w, e_j] come from one product and are tested in one
-        batch."""
-        a, n, w = self.parent, self.parent.dim, self.space
-        images = int_matmul(a.ctx, w.basis.ints,
-                            a.bracket_matrix.ints.reshape(n, n * n))
-        return not w._residual(images.reshape(-1, n)).astype(bool).any()
+        All brackets [e_j, w] of the basis rows (homogeneous) are their
+        images under ad_table, tested in one batch."""
+        w = self.space
+        return not w._residual(self.parent.ad_table.images(
+            w.basis.ints)).astype(bool).any()
 
 
 @dataclass
@@ -148,7 +149,7 @@ def cubic_sums(ctx: FieldCtx, quads: np.ndarray,
                       right.reshape(g, n * right.shape[2]))
     k, a, b, c, l, vals = nonzeros(prod.reshape(h, n, n, n, right.shape[2]))
     # one key per (l, monomial): the sorted indices of x_a x_b x_c
-    tri = np.sort(np.stack([a, b, c], axis=1), axis=1)
+    tri = np.sort(np.column_stack([a, b, c]), axis=1)
     keys, inv = np.unique(l * n ** 3 + tri @ np.array([n ** 2, n, 1]),
                           return_inverse=True)
     sums = np.zeros((h, len(keys)), dtype=prod.dtype)
@@ -180,16 +181,17 @@ class LieSuperalgebra:
     from an (n, n, n) field array, as given; algebra_from_consts and
     build_superalgebra complete and check it.
 
-    The support of the constants (their nonzero (i, j, k)) and the weight
-    keys (_weight_keys) are found once, on first use, and kept: the
-    constants cannot change."""
+    A parity other than the int 0 or 1 (a bool, a NumPy integer, a string
+    "1" included) raises InputError.  The support of the constants (their nonzero (i, j, k)),
+    ad_table and the weight keys (_weight_keys) are found once, on first
+    use, and kept: the constants cannot change."""
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
                  parities: Sequence[int], brackets: Union[np.ndarray, Matrix],
                  meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
-        self.parities = tuple(int(p) & 1 for p in parities)
+        self.parities = _parities(parities)
         n = len(self.labels)
         if brackets.shape != ((n * n, n) if isinstance(brackets, Matrix)
                               else (n, n, n)):
@@ -257,12 +259,13 @@ class LieSuperalgebra:
         return Matrix.from_int(self.ctx, self._cube()[i].T,
                                self.bracket_matrix.scale, reduced=True)
 
-    def _ad_stack(self, axes: Tuple[int, int, int]) -> np.ndarray:
-        """The operator stack (linalg.OpTable.stack) of every ad(e_i), for
-        axes (1, 0, 2), or of every ad(e_i)^T, for axes (2, 0, 1), up to
-        scale: slice c[i] is ad(e_i)^T."""
+    @cached_property
+    def ad_table(self) -> OpTable:
+        """The OpTable of every ad(e_i), made once: the _coo entries
+        (i, j, k, c), in their order, are the table of every ad(e_i)^T."""
         n = self.dim
-        return self._cube().transpose(axes).reshape(n, n * n)
+        return OpTable(self.ctx, n, n, *self._coo(),
+                       self.bracket_matrix.scale).transposed()
 
     # -- validation ---------------------------------------------------------------
     def _coo(self):
@@ -405,7 +408,7 @@ class LieSuperalgebra:
         odd = np.asarray(self.parities, dtype=bool)
         return SuperIdeal(self, invariant_closure(
             self.ctx, self.dim, np.concatenate([s * ~odd, s * odd]),
-            self._ad_stack((1, 0, 2))))
+            self.ad_table))
 
     def quotient(self, ideal: SuperIdeal) -> "LieSuperalgebra":
         """The quotient on the non-pivot coordinates of the ideal: every
@@ -570,12 +573,12 @@ class LieSuperalgebra:
                 self.bracket_matrix.scale).tolist()],
         }
         seed = np.eye(1, n, j, dtype=np.int64)
-        spin = invariant_closure(ctx, n, seed, self._ad_stack((1, 0, 2)))
+        spin = invariant_closure(ctx, n, seed, self.ad_table)
         if spin.dim < n:
             return SimplicityVerdict(
                 "NotSimple", witness=SuperIdeal(self, spin),
                 certificate={**cert, "proof": False, "proper_spin": "ad"})
-        dual = invariant_closure(ctx, n, seed, self._ad_stack((2, 0, 1)))
+        dual = invariant_closure(ctx, n, seed, self.ad_table.transposed())
         if dual.dim < n:
             witness = SuperIdeal(self, kernel(dual.basis))
             return SimplicityVerdict(
@@ -624,14 +627,19 @@ class LieSuperalgebra:
         return json.dumps(self.to_json_dict(), **kw)
 
 
+def _parities(parities: Sequence) -> Tuple[int, ...]:
+    """The parities; InputError for one that is not the int 0 or 1."""
+    for p in parities:
+        if type(p) is not int or p not in (0, 1):
+            raise InputError(f"parity {p!r} is not 0 or 1")
+    return tuple(parities)
+
+
 def algebra_from_json_dict(d: dict) -> LieSuperalgebra:
     """The algebra of to_json_dict's dict.  A parity other than the int 0
     or 1, or a bracket index that is not an int, raises InputError."""
     ctx = FieldCtx.from_json_value(d["field"])
     basis = [(b["label"], b["parity"]) for b in d["basis"]]
-    for _, p in basis:
-        if type(p) is not int or p not in (0, 1):
-            raise InputError(f"parity {p!r} is not 0 or 1")
     table: Table = {}
     for i, j, entry in d["brackets"]:
         json_ints([i, j, *(k for k, _ in entry)], "bracket indices")
@@ -658,7 +666,7 @@ def algebra_from_consts(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
     place, with no copy over F_p: the algebra holds it, read-only, as its
     bracket_matrix.  With validate, the algebra then runs validate()."""
     labels = [b[0] for b in basis]
-    parities = [int(b[1]) & 1 for b in basis]
+    parities = _parities([b[1] for b in basis])
     n = len(labels)
     if ints.shape != (n, n, n):
         raise DimensionMismatch(

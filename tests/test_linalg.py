@@ -33,12 +33,6 @@ F7 = FieldCtx.prime(7)
 Q = FieldCtx.rationals()
 
 
-def stack(ctx, n, ops):
-    """The integer stack of the transposes of a Matrix list, as the spins
-    take their operators."""
-    return OpTable.of(ctx, n, ops).stack()[0]
-
-
 def rand_matrix(ctx, rows, cols, rng):
     return Matrix.from_rows(
         ctx, [[rng.randrange(ctx.p) for _ in range(cols)] for _ in range(rows)]
@@ -234,8 +228,9 @@ class TestSpinning:
     def test_idempotent_on_invariant_seed(self):
         n = 4
         op = self.shift_op(F5, n)
-        w = invariant_closure(F5, n, [F5.vec([0, 0, 1, 0])], stack(F5, n, [op]))
-        again = invariant_closure(F5, n, list(w.basis.data), stack(F5, n, [op]))
+        ops = OpTable.of(F5, n, [op])
+        w = invariant_closure(F5, n, [F5.vec([0, 0, 1, 0])], ops)
+        again = invariant_closure(F5, n, list(w.basis.data), ops)
         assert again == w
         # exact invariance per operator
         for v in w.basis.data:
@@ -245,10 +240,10 @@ class TestSpinning:
         n = 5
         op = self.shift_op(F7, n)
         small = invariant_closure(F7, n, [F7.vec([0, 0, 0, 1, 0])],
-                                  stack(F7, n, [op]))
+                                  OpTable.of(F7, n, [op]))
         big = invariant_closure(
             F7, n, [F7.vec([0, 0, 0, 1, 0]), F7.vec([0, 1, 0, 0, 0])],
-            stack(F7, n, [op]))
+            OpTable.of(F7, n, [op]))
         assert small.leq(big)
 
     def test_order_independence(self):
@@ -256,21 +251,29 @@ class TestSpinning:
         n = 6
         ops = [rand_matrix(F5, n, n, rng) for _ in range(4)]
         seeds = [F5.vec([rng.randrange(5) for _ in range(n)])]
-        w1 = invariant_closure(F5, n, seeds, stack(F5, n, ops))
+        w1 = invariant_closure(F5, n, seeds, OpTable.of(F5, n, ops))
         shuffled = list(ops)
         rng.shuffle(shuffled)
-        assert invariant_closure(F5, n, seeds, stack(F5, n, shuffled)) == w1
+        assert invariant_closure(F5, n, seeds,
+                                 OpTable.of(F5, n, shuffled)) == w1
 
     def test_operator_shapes_checked(self):
         op = self.shift_op(F5, 4)
         with pytest.raises(DimensionMismatch):
             OpTable.of(F5, 3, [op])
+        # tables on ctx^3 and ctx^5, and one with no ops, against ambient 4
         seed = [F5.vec([1, 0, 0, 0])]
-        for bad in (stack(F5, 4, [op])[:3], stack(F5, 4, [op, op])[:, :6]):
+        for bad in (OpTable.of(F5, 3, [self.shift_op(F5, 3)]),
+                    OpTable.of(F5, 5, [self.shift_op(F5, 5)] * 2),
+                    OpTable.empty(F5, 5)):
             with pytest.raises(DimensionMismatch):
                 invariant_closure(F5, 4, seed, bad)
             with pytest.raises(DimensionMismatch):
+                invariant_closure(F5, 4, [], bad)
+            with pytest.raises(DimensionMismatch):
                 largest_invariant_within(Subspace.full(F5, 4), bad)
+            with pytest.raises(DimensionMismatch):
+                largest_invariant_within(Subspace.zero(F5, 4), bad)
 
     def test_largest_invariant_within_invariant_input(self):
         n = 4
@@ -279,18 +282,18 @@ class TestSpinning:
         k = Subspace.from_vectors(
             F5, n, [F5.vec([0, 1, 0, 0]), F5.vec([0, 0, 1, 0]), F5.vec([0, 0, 0, 1])]
         )
-        assert largest_invariant_within(k, stack(F5, n, [op])) == k
+        assert largest_invariant_within(k, OpTable.of(F5, n, [op])) == k
 
     def test_largest_invariant_within_zero(self):
         assert largest_invariant_within(Subspace.zero(F5, 3),
-                                        stack(F5, 3, [])).dim == 0
+                                        OpTable.of(F5, 3, [])).dim == 0
 
     def test_largest_invariant_within_properties(self):
         rng = random.Random(11)
         n = 5
         ops = [rand_matrix(F5, n, n, rng) for _ in range(2)]
         k = rand_subspace(F5, n, 3, rng)
-        w = largest_invariant_within(k, stack(F5, n, ops))
+        w = largest_invariant_within(k, OpTable.of(F5, n, ops))
         assert w.leq(k)
         for v in w.basis.data:
             for op in ops:
@@ -300,7 +303,7 @@ class TestSpinning:
         for v in k.basis.data:
             if not w.contains(v):
                 grown = invariant_closure(
-                    F5, n, list(w.basis.data) + [v], stack(F5, n, ops))
+                    F5, n, list(w.basis.data) + [v], OpTable.of(F5, n, ops))
                 assert not grown.leq(k)
 
 
@@ -644,7 +647,7 @@ class TestEchelonDifferential:
         seeds = list(data.draw(_matrices(ctx, data.draw(st.integers(1, 2)), n)))
         if data.draw(st.booleans()):
             seeds = [ctx.eye(n)[0]]
-        assert_same(invariant_closure(ctx, n, seeds, stack(ctx, n, ops)),
+        assert_same(invariant_closure(ctx, n, seeds, OpTable.of(ctx, n, ops)),
                     ref_closure(ctx, n, seeds, ops))
 
     @settings(max_examples=40, deadline=None)
@@ -653,7 +656,7 @@ class TestEchelonDifferential:
         n = data.draw(st.integers(1, 6))
         k = data.draw(_subspaces(ctx, n))
         ops = data.draw(_operators(ctx, n))
-        assert_same(largest_invariant_within(k, stack(ctx, n, ops)),
+        assert_same(largest_invariant_within(k, OpTable.of(ctx, n, ops)),
                     ref_largest_invariant_within(k, ops))
 
     def test_shift_chain(self, ctx, monkeypatch):
@@ -663,12 +666,12 @@ class TestEchelonDifferential:
         n = 8
         op = _shift(ctx, n)
         seed = [ctx.eye(n)[0]]
-        w = invariant_closure(ctx, n, seed, stack(ctx, n, [op]))
+        w = invariant_closure(ctx, n, seed, OpTable.of(ctx, n, [op]))
         assert w.dim == n
         assert_same(w, ref_closure(ctx, n, seed, [op]))
         k = Subspace.from_vectors(ctx, n,
                                   list(ctx.eye(n)[[*range(n - 2), n - 1]]))
-        core = largest_invariant_within(k, stack(ctx, n, [op]))
+        core = largest_invariant_within(k, OpTable.of(ctx, n, [op]))
         assert core.pivots == [n - 1]
         assert_same(core, ref_largest_invariant_within(k, [op]))
 
@@ -686,8 +689,8 @@ class TestEchelonDifferential:
             return real(c, a, b)
 
         monkeypatch.setattr(linalg, name, counting)
-        both = invariant_closure(ctx, n, seed,
-                                 stack(ctx, n, [op, Matrix.zeros(ctx, n, n)]))
+        both = invariant_closure(
+            ctx, n, seed, OpTable.of(ctx, n, [op, Matrix.zeros(ctx, n, n)]))
         assert_same(both, w)
         assert shapes.count((n, 2 * n)) == n - 1
 
@@ -876,8 +879,8 @@ class TestIntegerRowReduction:
         shift[np.arange(1, n), np.arange(n - 1)] = 1
         shift = Matrix.from_int(Q, shift)
         ops = [shift, Matrix.from_int(Q, ints(n), 3)]
-        closure = invariant_closure(Q, n, [eye[0]], stack(Q, n, ops))
-        core = largest_invariant_within(grown, stack(Q, n, [shift]))
+        closure = invariant_closure(Q, n, [eye[0]], OpTable.of(Q, n, ops))
+        core = largest_invariant_within(grown, OpTable.of(Q, n, [shift]))
         rows, c = ints(4), ints(1, 4)
         solver = SpanSolver(Q, rows)
         coeffs, u, in_span = solver.coords_int_rows(
@@ -890,7 +893,7 @@ class TestIntegerRowReduction:
         # the same answers as from Fraction arrays
         assert ker == kernel(Matrix(Q, m.data))
         assert closure == invariant_closure(Q, n, [Q.eye(n)[0]],
-                                            stack(Q, n, ops))
+                                            OpTable.of(Q, n, ops))
         assert grown == Subspace.from_vectors(
             Q, n, np.concatenate([w.basis.data, from_int(Q, added, 1)]))
         # (c rows / 7) has the coefficients c / 7
@@ -948,12 +951,71 @@ class TestOpTable:
         assert t.matrices() == mats and t.count == 6
         keys = (t.op * 4 + t.row) * 4 + t.col
         assert np.all(keys[1:] > keys[:-1]) and np.all(t.val != 0)
-        s, scale = t.stack()
+        s = t.stack()
+        assert s.shape == (4, 24)
         for k, m in enumerate(mats):
             assert Matrix.from_int(ctx, s[:, 4 * k:4 * k + 4].T.copy(),
-                                   scale) == m
+                                   t.scale) == m
         assert OpTable.concat([t.select(0, 2), t.select(2, 7)]) == \
             OpTable.of(ctx, 4, mats + [Matrix.zeros(ctx, 4, 4)])
+
+    @staticmethod
+    def mixed(ctx, rng, count, n):
+        """count n x n Matrices with zero, integer and fractional entries
+        (over F_p 1/3 is its residue)."""
+        return [Matrix.from_rows(ctx, [[rng.choice([0, 0, 1, -2, "1/3", 4])
+                                        for _ in range(n)] for _ in range(n)])
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(2**31 - 1), Q],
+                             ids=repr)
+    def test_images_and_transposed_against_matrices(self, ctx):
+        # row b count + k of images(rows) is J_k v_b, over scale times the
+        # rows' scale: per-operator Matrix products are the oracle
+        rng = random.Random(5)
+        mats = self.mixed(ctx, rng, 3, 5)
+        rows = Matrix.from_rows(ctx, [[rng.choice([0, 1, -1, "2/7"])
+                                       for _ in range(5)] for _ in range(4)])
+        # the table of ops 0 and 2, then two zero ops past the end
+        for t in (OpTable.of(ctx, 5, mats), OpTable.of(ctx, 5, mats[::2]),
+                  OpTable.of(ctx, 5, mats).select(1, 5)):
+            ops = t.matrices()
+            got = t.images(rows.ints)
+            assert got.shape == (4 * t.count, 5)
+            for b in range(4):
+                for k, m in enumerate(ops):
+                    want = m @ Matrix.from_int(ctx,
+                                               rows.ints[b:b + 1].T.copy())
+                    assert Matrix.from_int(
+                        ctx, got[b * t.count + k][:, None].copy(),
+                        t.scale) == want
+            tt = t.transposed()
+            assert tt.matrices() == [m.transpose() for m in ops]
+            assert tt == OpTable.of(ctx, 5, [m.transpose() for m in ops])
+            assert tt.transposed() == t
+
+    @pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(2**31 - 1), Q],
+                             ids=repr)
+    def test_images_of_empty_and_zero_tables(self, ctx):
+        rows = np.eye(3, dtype=ctx.dtype)
+        empty = OpTable.empty(ctx, 3)
+        assert empty.images(rows).shape == (0, 3)
+        assert empty.transposed() == empty
+        # select past count gives trailing zero ops: their images are zero
+        t = OpTable.of(ctx, 3, [Matrix.identity(ctx, 3)]).select(0, 3)
+        got = t.images(rows)
+        assert got.shape == (9, 3)
+        assert np.array_equal(got[::3].astype(bool), np.eye(3, dtype=bool))
+        assert not got[1::3].any() and not got[2::3].any()
+        assert t.transposed() == t
+        assert OpTable.empty(ctx, 0, 2).images(
+            np.zeros((2, 0), dtype=ctx.dtype)).shape == (4, 0)
+        for bad in (np.eye(4, dtype=ctx.dtype), np.zeros(3, dtype=ctx.dtype),
+                    np.zeros((2, 2), dtype=ctx.dtype)):
+            with pytest.raises(DimensionMismatch):
+                t.images(bad)
+            with pytest.raises(DimensionMismatch):
+                empty.images(bad)
 
     def test_scale_is_canonical_over_q(self):
         half, third = (Matrix.from_rows(Q, [[x, 0], [0, 1]])

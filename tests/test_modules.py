@@ -330,15 +330,15 @@ class TestIntegerFormCount:
         assert calls == []
 
     def test_trivial_quotient_defect_reads_integer_forms(self, monkeypatch):
-        # the seeds are the columns of the operators' integer forms, read
-        # off their stack: no Fraction array over Q, and the closure of the
-        # Fraction columns.  Sym2 of the self-dual Sym_4* has one trivial
-        # quotient, the invariant form
+        # the seeds are the columns of the operators' integer forms, the
+        # table's images of the unit vectors: no Fraction array over Q, and
+        # the closure of the Fraction columns.  Sym2 of the self-dual Sym_4*
+        # has one trivial quotient, the invariant form
         m = sym2(symn_dual(4, Q))
         ops = m.all_operators()
         want = linalg.invariant_closure(
             Q, m.dim, [v for op in ops for v in op.data.T],
-            OpTable.of(Q, m.dim, ops).stack()[0])
+            OpTable.of(Q, m.dim, ops))
         calls = count_conversions(monkeypatch)
         got = trivial_quotient_defect(m)
         assert calls == []

@@ -33,6 +33,7 @@ from superlie.superalgebra import (
     algebra_from_json,
     build_superalgebra,
 )
+from superlie.brj import sp4_algebra
 from superlie.constructions import (
     D21Params,
     coords_of_matrix,
@@ -790,7 +791,7 @@ def ad_matrices(alg):
 def spin(alg, seed, ops):
     """The closure of one seed vector under a Matrix list."""
     return invariant_closure(alg.ctx, alg.dim, [seed],
-                             OpTable.of(alg.ctx, alg.dim, ops).stack()[0])
+                             OpTable.of(alg.ctx, alg.dim, ops))
 
 
 class TestNorton:
@@ -985,6 +986,43 @@ class TestStackedDifferential:
     def test_preset_algebras(self):
         for alg in preset_algebras():
             assert_matches_dense(alg)
+
+
+class TestAdTable:
+    """ad_table is the OpTable of every ad(e_i), made from the sorted
+    nonzero constants; its transpose is the table of the ad(e_i)^T."""
+
+    CATALOG = [lambda c: spo(2, 3, c), lambda c: spo(4, 1, c),
+               lambda c: periplectic(3, c), lambda c: queer(3, c),
+               lambda c: pq(3, c), lambda c: psq(3, c), sl2_algebra,
+               sp4_algebra, lambda c: sl(2, 1, c), lambda c: psl(2, 2, c),
+               lambda c: d21(D21Params("1/2", "1/2", -1), c)]
+
+    @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
+    def test_matches_ad_matrices(self, ctx):
+        for build in self.CATALOG:
+            alg = build(ctx)
+            ads = [alg.ad(i) for i in range(alg.dim)]
+            assert alg.ad_table == OpTable.of(ctx, alg.dim, ads)
+            assert alg.ad_table.transposed() == OpTable.of(
+                ctx, alg.dim, [m.transpose() for m in ads])
+            assert alg.ad_table is alg.ad_table
+
+
+class TestParities:
+    """A parity is the int 0 or 1; nothing else is coerced to one."""
+
+    @pytest.mark.parametrize("p", [2, 3, -1, True, False, 1.0, "1",
+                                   fractions.Fraction(1), np.bool_(True),
+                                   np.int64(1), None], ids=repr)
+    def test_non_parities_rejected(self, p):
+        with pytest.raises(InputError, match="is not 0 or 1"):
+            LieSuperalgebra(F5, ["a"], [p], F5.zeros(1, 1, 1))
+        with pytest.raises(InputError, match="is not 0 or 1"):
+            algebra_from_consts(F5, [("a", p)],
+                                np.zeros((1, 1, 1), dtype=np.int64))
+        with pytest.raises(InputError, match="is not 0 or 1"):
+            build_superalgebra(F5, [("a", 0), ("b", p)], {})
 
 
 class TestSpinTrace:
