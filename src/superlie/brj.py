@@ -125,7 +125,7 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
         for i, (l, w, _) in enumerate(SP4_ROOTS))
     return GModule(ctx, ["v+e1", "v+e2", "v-e1", "v-e2"], g.labels, lie, fams,
                    weights=[(1, 0), (0, 1), (-1, 0), (0, -1)],
-                   brackets=g.bracket_matrix, meta={"name": "V"})
+                   brackets=g.bracket_table, meta={"name": "V"})
 
 
 def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
@@ -137,7 +137,7 @@ def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
         for i, (l, w, _) in enumerate(SP4_ROOTS))
     weights = [w for _, w, _ in SP4_ROOTS] + [(0, 0), (0, 0)]
     return GModule(ctx, g.labels, g.labels, lie, fams, weights=weights,
-                   brackets=g.bracket_matrix, meta={"name": "adjoint-sp4"})
+                   brackets=g.bracket_table, meta={"name": "adjoint-sp4"})
 
 
 def _vector(ctx: FieldCtx, dim: int, terms: Dict[int, int]) -> np.ndarray:

@@ -102,7 +102,7 @@ def _leading_reader(elems: Sequence[UnitElem], el: np.ndarray,
         k, e = x[bad[0]], el[y[bad[0]]]
         raise InputError(f"{elems[e][0]} has an entry at the leading unit "
                          f"of {elems[k][0]}")
-    return np.stack([pos[lead], np.arange(len(elems)), np.ones_like(lead)])
+    return np.array([pos[lead], np.arange(len(elems)), np.ones_like(lead)])
 
 
 def _unit_algebra(ctx: FieldCtx, block_parities: Sequence[int],
@@ -119,7 +119,7 @@ def _unit_algebra(ctx: FieldCtx, block_parities: Sequence[int],
     super-antisymmetry).  The terms are read into coordinates by position
     (_read), with the columns (pos, k, c) of reader, or else
     each element at its leading unit (_leading_reader), summed per
-    (e, f, k) on integers, which algebra_from_consts takes as they are.  Raises
+    (e, f, k) on integers, the table algebra_from_consts takes.  Raises
     InputError for an entry against its element's declared parity, and for
     the first pair (e <= f, in row-major order) whose bracket leaves the
     span; the algebra is validated as every built algebra is."""
@@ -138,7 +138,7 @@ def _unit_algebra(ctx: FieldCtx, block_parities: Sequence[int],
     pos = row * n_amb + col
     if reader is None:
         reader = _leading_reader(elems, el, pos, val)
-    units = (n_amb, d, np.stack([el, pos, val]), reader)
+    units = (n_amb, d, np.array([el, pos, val]), reader)
     odd = parities.astype(bool)
     x, y = join(col, row)
     e, f = el[x], el[y]
@@ -153,10 +153,9 @@ def _unit_algebra(ctx: FieldCtx, block_parities: Sequence[int],
         i, j = divmod(int(outside[0]), d)
         raise InputError(f"bracket [{elems[i][0]},{elems[j][0]}] "
                          "leaves the span")
-    ints = np.zeros((d, d, d), dtype=ctx.dtype)
-    ints.flat[keys] = sums
-    alg = algebra_from_consts(ctx, [(label, parity) for label, parity, _ in elems],
-                              ints, meta=meta)
+    alg = algebra_from_consts(
+        ctx, [(label, parity) for label, parity, _ in elems],
+        OpTable.from_keys(ctx, d, d, keys, sums), meta=meta)
     mats = ctx.zeros(d, n_amb, n_amb)
     mats[el, row, col] = from_int(ctx, val, 1)
     alg.matrix_basis = list(mats)  # type: ignore[attr-defined]
@@ -513,7 +512,7 @@ def d21(params: D21Params, ctx: FieldCtx) -> LieSuperalgebra:
     labels = [(f"{x}{f}", 0) for f in (1, 2, 3) for x in "HEF"]
     labels += [(f"v{i}{j}{k}", 1) for i in "12" for j in "12" for k in "12"]
     return algebra_from_consts(
-        ctx, labels, *_int_form(ctx, ints, 2 * s),
+        ctx, labels, OpTable.from_dense(ctx, *_int_form(ctx, ints, 2 * s)),
         meta={"name": "d21", "a1": str(a[0]), "a2": str(a[1]), "a3": str(a[2])})
 
 
@@ -530,8 +529,7 @@ def adjoint_sl2_module(ctx: FieldCtx) -> GModule:
         for label, i, root in (("X2", 1, (2,)), ("X-2", 2, (-2,))))
     return GModule(ctx, SL2_LABELS, SL2_LABELS, lie, fams,
                    weights=[(0,), (2,), (-2,)],
-                   brackets=Matrix.from_int(ctx, SL2_BRACKETS.reshape(9, 3)),
-                   meta={"name": "adjoint-sl2"})
+                   brackets=SL2_BRACKETS, meta={"name": "adjoint-sl2"})
 
 
 def symn_module(n: int, ctx: FieldCtx) -> GModule:
@@ -558,10 +556,9 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
         ("X-2", OpTable.from_dense(ctx, ctx.reduce(down)), (-2,))])
     return GModule(
         ctx, [f"s{i}" for i in range(d)], SL2_LABELS,
-        OpTable.from_dense(ctx, ctx.reduce(np.stack([h, up[1], down[1]]))),
+        OpTable.from_dense(ctx, ctx.reduce(np.array([h, up[1], down[1]]))),
         fams, weights=[(2 * i - n,) for i in range(d)],
-        brackets=Matrix.from_int(ctx, SL2_BRACKETS.reshape(9, 3)),
-        meta={"name": f"sym{n}"})
+        brackets=SL2_BRACKETS, meta={"name": f"sym{n}"})
 
 
 def symn_dual(n: int, ctx: FieldCtx) -> GModule:

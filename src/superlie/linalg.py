@@ -24,10 +24,10 @@ merged back by pivot: the result is the same unique form.
 
 An OpTable holds a list of n x n operators as one sparse integer table,
 the nonzero entries (op, row, col, value) of their integer forms on one
-scale: the modules and the adjoint action keep their operators so.
-Spinning (invariant_closure, largest_invariant_within) and every other
-batch of images take a table, whose images method alone lays the
-operators out for one product with a block of rows.
+scale: modules, the adjoint action and an algebra's structure constants
+are held so.  Spinning (invariant_closure, largest_invariant_within) and
+every other batch of images take a table, whose images method gathers and
+sums over its entries: no dense operator is laid out.
 """
 
 from __future__ import annotations
@@ -72,22 +72,12 @@ def exact_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ctx.reduce(a @ b)
 
 
-def bilinear(m: "Matrix", xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """B(x_r, y_s) for every row x_r of xs and y_s of ys, as a field array
-    of shape (len(xs), len(ys), g), where B(e_i, e_j) is row i n + j of the
-    (n^2, g) Matrix m: int_bilinear on its integer form and those of xs
-    and ys, over one scale t, so over m.scale t^2."""
-    (x, y), t = int_family(m.ctx, [xs, ys])
-    n = x.shape[1]
-    out = int_bilinear(m.ctx, m.ints.reshape(n, n, m.cols), x, y)
-    return out if m.ctx.p else from_int(m.ctx, out, m.scale * t * t)
-
-
 def int_bilinear(ctx: FieldCtx, consts: np.ndarray, xs: np.ndarray,
                  ys: np.ndarray) -> np.ndarray:
-    """bilinear on integer arrays as int_family gives them, from two
-    products on integers (int_matmul): the result is over the product of
-    the three scales."""
+    """B(x_r, y_s) for every row x_r of xs and y_s of ys, as the (len(xs),
+    len(ys), g) integer array, where B(e_i, e_j) is consts[i, j]: two
+    products on integer arrays as int_family gives them (int_matmul), so
+    over the product of the three scales."""
     n, g = consts.shape[1:]
     # left[b, r, k] = B(x_r, e_b)_k
     left = int_matmul(ctx, xs, consts.reshape(n, n * g))
@@ -133,15 +123,13 @@ def int_scaled(m: np.ndarray) -> Tuple[np.ndarray, int]:
 def int_family(ctx: FieldCtx,
                items: Sequence) -> Tuple[List[np.ndarray], int]:
     """(integer arrays J_i, one scale s) with items[i] == J_i / s in the
-    field.  A Matrix gives its integer form, only rescaled; a field array
-    (a caller's vectors or scalars) is converted by int_scaled.  Over
+    field.  A Matrix gives its integer form, only rescaled; any other item
+    is read by _array_form, so an inexact one raises InexactScalar.  Over
     F_p the J_i are the residues themselves (int64, or Python ints for a
     large p) and s is 1; over Q they are Python ints and s is the least
     common denominator of every entry of every item."""
-    if ctx.p:
-        return [m.ints if isinstance(m, Matrix) else m for m in items], 1
-    forms = [(m.ints, m.scale) if isinstance(m, Matrix) else int_scaled(m)
-             for m in items]
+    forms = [(m.ints, m.scale) if isinstance(m, Matrix)
+             else _array_form(ctx, np.asarray(m)) for m in items]
     s = lcm(1, *(sk for _, sk in forms))
     return [j if sk == s else j * (s // sk) for j, sk in forms], s
 
@@ -206,6 +194,18 @@ def nonzero_sums(ctx: FieldCtx, keys: np.ndarray,
     return keys[first[sums != 0]], sums[sums != 0]
 
 
+def keyed_rows(keys: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, increasing, and the integer array of width columns
+    whose row r holds, at cols, the vals of the entries of the r-th key."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = run_starts(keys)
+    rows = np.zeros((int(first.sum()), width), dtype=vals.dtype)
+    rows[np.cumsum(first) - 1, cols[order]] = vals[order]
+    return keys[first], rows
+
+
 class OpTable:
     """count operators on ctx^n as one sparse integer table: the nonzero
     entries (op, row, col, val) of their integer forms J_op, sorted by
@@ -213,10 +213,11 @@ class OpTable:
     are residues over F_p, where scale is 1, and Python ints over Q, where
     scale > 0 is made their least common denominator, so equal tables hold
     equal operators (T. A. Davis, Direct Methods for Sparse Linear
-    Systems, SIAM 2006, ch. 2).  dense, stack and matrices are dense views
-    made on request; images applies every operator to a block of rows."""
+    Systems, SIAM 2006, ch. 2).  dense and matrices are dense views made
+    on request; images applies every operator to a block of rows."""
 
-    __slots__ = ("ctx", "n", "count", "op", "row", "col", "val", "scale")
+    __slots__ = ("ctx", "n", "count", "op", "row", "col", "val", "scale",
+                 "_runs")
 
     def __init__(self, ctx: FieldCtx, n: int, count: int, op: np.ndarray,
                  row: np.ndarray, col: np.ndarray, val, scale: int = 1):
@@ -228,12 +229,20 @@ class OpTable:
         self.op, self.row, self.col, self.val = op, row, col, val
         for a in (self.op, self.row, self.col, self.val):
             a.setflags(write=False)
+        self._runs = None
 
     @classmethod
     def from_dense(cls, ctx: FieldCtx, a: np.ndarray,
                    scale: int = 1) -> "OpTable":
         """The table of the (count, n, n) integer array a over scale."""
         return cls(ctx, a.shape[1], a.shape[0], *nonzeros(a), scale)
+
+    @classmethod
+    def from_keys(cls, ctx: FieldCtx, n: int, count: int, keys: np.ndarray,
+                  val, scale: int = 1) -> "OpTable":
+        """The table of the increasing keys (op n + row) n + col, values val."""
+        return cls(ctx, n, count, *np.unravel_index(keys, (count, n, n)),
+                   val, scale)
 
     @classmethod
     def of(cls, ctx: FieldCtx, n: int, mats: Sequence["Matrix"]) -> "OpTable":
@@ -290,21 +299,27 @@ class OpTable:
                        self.col[order], self.row[order], self.val[order],
                        self.scale)
 
-    def stack(self) -> np.ndarray:
-        """S = [J_0^T ... J_{count-1}^T], the (n, n count) integer array
-        with S[c, k n + r] = J_k[r, c], scattered from the entries."""
-        s = np.zeros((self.n, self.count * self.n), dtype=self.val.dtype)
-        s[self.col, self.op * self.n + self.row] = self.val
-        return s
-
     def images(self, rows: np.ndarray) -> np.ndarray:
         """The (r count, n) integer array whose row b count + k is J_k v_b
-        (over scale), for the (r, n) integer rows v_b, from one product
-        with the stack; DimensionMismatch for rows of another width."""
+        (over scale), for the (r, n) integer rows v_b; DimensionMismatch
+        for rows of another width.  The terms v_b[col] val of each (op, row),
+        one run of the sort, are summed by one np.add.reduceat and reduced
+        once; over F_p a run has at most n terms below (p - 1)^2, reduced
+        first if that could pass 2^63.  The runs, found on first use, are
+        kept with the table."""
         if rows.shape[1:] != (self.n,):
             raise DimensionMismatch(f"rows {rows.shape} on ctx^{self.n}")
-        return int_matmul(self.ctx, rows, self.stack()).reshape(
-            len(rows) * self.count, self.n)
+        if self._runs is None:
+            key = self.op * self.n + self.row
+            first = np.flatnonzero(run_starts(key))
+            self._runs = first, key[first]
+        (first, at), p = self._runs, self.ctx.p
+        terms = rows[:, self.col] * self.val
+        if terms.dtype == np.int64 and self.n * (p - 1) ** 2 >= 2**63:
+            terms %= p
+        out = np.zeros((len(rows), self.count * self.n), dtype=self.val.dtype)
+        out[:, at] = self.ctx.reduce(np.add.reduceat(terms, first, axis=1))
+        return out.reshape(len(rows) * self.count, self.n)
 
     def matrices(self) -> List["Matrix"]:
         return [Matrix.from_int(self.ctx, j, self.scale, reduced=True)
@@ -473,10 +488,12 @@ class Matrix:
         return Matrix._canonical(self.ctx, self.ints.T.copy(), self.scale)
 
     def mv(self, v: np.ndarray) -> np.ndarray:
-        """Apply to a column vector given as a 1d array."""
+        """Apply to a column vector, a 1d exact array (see _array_form)."""
         if v.shape[0] != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return self.ctx.reduce(self.data @ v)
+        ints, t = _array_form(self.ctx, v.reshape(-1, 1))
+        return from_int(self.ctx, int_matmul(self.ctx, self.ints, ints)[:, 0],
+                        self.scale * t)
 
     def is_zero(self) -> bool:
         return not np.any(self.ints)

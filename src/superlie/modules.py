@@ -36,13 +36,13 @@ from .linalg import (
     SpanSolver,
     Subspace,
     _array_form,
+    from_int,
     int_matmul,
     invariant_closure,
     join,
     kernel,
+    keyed_rows,
     nonzero_sums,
-    nonzeros,
-    run_starts,
 )
 
 
@@ -295,18 +295,17 @@ class GModule:
     lie_labels/lie_action list the acting even Lie elements (typically a full
     basis of the even algebra), held as the OpTable lie (lie_action is its
     dense view, made on first use); families are the group generators.
-    brackets, when provided, is the acting algebra's structure-constant
-    array consts (superalgebra.LieSuperalgebra) in the same indexing, so the
-    representation property can be verified.  It is held as the (d^2, d)
-    Matrix bracket_matrix, which modules built from this one share, so its
-    integer form is made once.
+    brackets, when provided, are the acting algebra's structure constants
+    in the same indexing, its OpTable bracket_table or a (d, d, d) exact
+    array, so the representation property can be verified: held as
+    bracket_table, which modules built from this one share.
     """
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
                  lie_labels: Sequence[str], lie_action: Ops,
                  families: Sequence[CoeffOperatorFamily],
                  weights: Optional[Sequence[Tuple[int, ...]]] = None,
-                 brackets: Union[np.ndarray, Matrix, None] = None,
+                 brackets: Union[np.ndarray, OpTable, None] = None,
                  meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
@@ -315,12 +314,11 @@ class GModule:
         self.families = tuple(families)
         self.weights = tuple(tuple(w) for w in weights) if weights else None
         held = isinstance(lie_action, OpTable)
-        if brackets is not None and not isinstance(brackets, Matrix):
-            d = lie_action.count if held else len(lie_action)
-            if brackets.shape != (d, d, d):
+        if isinstance(brackets, np.ndarray):
+            if brackets.ndim != 3 or len(set(brackets.shape)) != 1:
                 raise DimensionMismatch("brackets shape mismatch")
-            brackets = Matrix(ctx, brackets.reshape(d * d, d))
-        self.bracket_matrix = brackets
+            brackets = OpTable.from_dense(ctx, *_array_form(ctx, brackets))
+        self.bracket_table = brackets
         self.meta = dict(meta or {})
         if not held:
             if any(m.shape != (self.dim, self.dim) for m in lie_action):
@@ -334,9 +332,9 @@ class GModule:
 
     @property
     def brackets(self) -> Optional[np.ndarray]:
-        """The structure constants as a (d, d, d) array."""
-        b = self.bracket_matrix
-        return None if b is None else b.data.reshape(b.cols, b.cols, b.cols)
+        """The structure constants as a (d, d, d) field array, for output."""
+        b = self.bracket_table
+        return None if b is None else from_int(self.ctx, b.dense(), b.scale)
 
     @cached_property
     def lie_action(self) -> Tuple[Matrix, ...]:
@@ -369,7 +367,7 @@ class GModule:
         for f in self.families:
             if f.dim != self.dim:
                 raise DimensionMismatch(f"family {f.label} shape mismatch")
-        if self.bracket_matrix is not None:
+        if self.bracket_table is not None:
             self._check_brackets()
         if self.weights is not None:
             self._check_weights()
@@ -411,21 +409,20 @@ class GModule:
     def _check_brackets(self):
         """[A_i, A_j] = sum_k brackets[i, j, k] A_k for every pair i < j.
 
-        With A_i = J_i / s and brackets = K / t on integer arrays, that is
+        With A_i = J_i / s and brackets = K / t on integers, that is
         t (J_i J_j - J_j J_i) = s sum_k K_ijk J_k.  The commutators come
         from _commutator_terms, every right-hand side from one join of the
-        entries of K with those of the J_k.  A key packs (i, j, row, col),
-        so the least one left is the least failing (i, j)."""
+        entries of K and the J_k.  A key packs (i, j, row, col), so the
+        least one left is the least failing (i, j)."""
         ctx, n, d = self.ctx, self.dim, self.lie.count
-        b = self.bracket_matrix
-        if b.shape != (d * d, d):
+        b = self.bracket_table
+        if (b.n, b.count) != (d, d):
             raise DimensionMismatch("brackets shape mismatch")
         if not d:
             return
-        consts, t, s = b.ints.reshape(d, d, d), b.scale, self.lie.scale
         lhs_keys, prod = _commutator_terms(self.lie)
         i, r, c, v = self.lie.entries()
-        bi, bj, bk, bv = nonzeros(consts)
+        bi, bj, bk, bv = b.entries()
         upper = bi < bj
         bi, bj, bk, bv = bi[upper], bj[upper], bk[upper], bv[upper]
         x, y = join(bk, i)
@@ -433,7 +430,8 @@ class GModule:
             ctx,
             np.concatenate([lhs_keys,
                             ((bi[x] * d + bj[x]) * n + r[y]) * n + c[y]]),
-            np.concatenate([prod * t, ctx.reduce(-(bv[x] * v[y] * s))]))
+            np.concatenate([prod * b.scale,
+                            ctx.reduce(-(bv[x] * v[y] * self.lie.scale))]))
         if len(keys):
             i, j = divmod(int(keys[0]) // (n * n), d)
             raise CompositionViolation(
@@ -530,8 +528,7 @@ def _kron_coeffs(t1: OpTable, t2: OpTable, groups: Sequence[Tuple],
         keep = (row >= 0) & (col >= 0)
         out, row, col, v = out[keep], row[keep], col[keep], v[keep]
     keys, sums = nonzero_sums(ctx, (out * size + row) * size + col, v)
-    return OpTable(ctx, size, o, *np.unravel_index(keys, (o, size, size)),
-                   sums, t1.scale * t2.scale)
+    return OpTable.from_keys(ctx, size, o, keys, sums, t1.scale * t2.scale)
 
 
 def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
@@ -581,7 +578,7 @@ def _rebuilt(m: GModule, table: OpTable, sizes: Sequence[int],
     fams = CoeffOperatorFamily.batch(
         (f.label, t, f.root) for f, t in zip(m.families, parts))
     return GModule(m.ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.bracket_matrix, meta=meta)
+                   brackets=m.bracket_table, meta=meta)
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
@@ -770,8 +767,8 @@ def _implied_pairs(ctx: FieldCtx, deg1: OpPairs) -> Diagonals:
     d, sides = deg1[0].count, []
     for t in deg1:
         keys, sums = nonzero_sums(ctx, *_commutator_terms(t))
-        sides.append(OpTable(ctx, t.n, d * d, *np.unravel_index(
-            keys, (d * d, t.n, t.n)), sums, t.scale ** 2))
+        sides.append(OpTable.from_keys(ctx, t.n, d * d, keys, sums,
+                                       t.scale ** 2))
     i, j = np.divmod(np.arange(d * d), d)
     return _diagonals(sides, i < j)
 
@@ -792,8 +789,8 @@ def _diagonals(pairs: OpPairs, keep: Optional[np.ndarray] = None
     return tuple((diag[both], s) for diag, s in sides)
 
 
-def _weight_support(d1: int, d2: int,
-                    diagonals: Sequence[Diagonals]) -> np.ndarray:
+def _weight_mask(d1: int, d2: int,
+                 diagonals: Sequence[Diagonals]) -> np.ndarray:
     """d2 x d1 mask of the entries of f that B f = f A allows to be nonzero.
 
     Each pair of diagonal operators forces (b_r - a_c) f_rc = 0, so
@@ -822,7 +819,7 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
     sparsest first, are solved by one kernel."""
     n = d1 * d2
     diagonals = list(implied) + ([_diagonals(op_pairs)] if op_pairs else [])
-    rs, cs = np.nonzero(_weight_support(d1, d2, diagonals))
+    rs, cs = np.nonzero(_weight_mask(d1, d2, diagonals))
     u = len(rs)
     if op_pairs and op_pairs[0].count:
         a, b = op_pairs
@@ -835,9 +832,7 @@ def _intertwiner_space(ctx: FieldCtx, d1: int, d2: int,
             ((pa[y] * d2 + rs[yu]) * d1 + aj[y]) * u + yu]),
             np.concatenate([bv[x] * a.scale, -av[y] * b.scale]))
         row, unknown = np.divmod(keys, u)  # both empty when u == 0
-        starts = run_starts(row)
-        lmat = np.zeros((int(starts.sum()), u), dtype=ctx.dtype)
-        lmat[np.cumsum(starts) - 1, unknown] = vals
+        _, lmat = keyed_rows(row, unknown, vals, u)
         # sparsest rows first: the pivot loop takes the first nonzero row
         # of a column as its pivot, and a sparse pivot row fills in less
         lmat = lmat[np.argsort(lmat.astype(bool).sum(axis=1), kind="stable")]

@@ -28,12 +28,13 @@ from .linalg import (
     OpTable,
     Subspace,
     _array_form,
-    bilinear,
+    from_int,
     int_bilinear,
     int_family,
     int_matmul,
     join,
     kernel,
+    keyed_rows,
     largest_invariant_within,
     nonzero_sums,
     nonzeros,
@@ -54,7 +55,6 @@ from .superalgebra import (
     SuperIdeal,
     algebra_from_consts,
     algebra_from_json_dict,
-    cubic_sums,
 )
 
 
@@ -107,6 +107,8 @@ class BilinearMap:
             raise SymmetryViolation(
                 f"conflicting values for pair {tuple(bad[0, :2].tolist())}")
         self.ctx, self.dim_v, self.bracket_matrix = ctx, n, consts
+        # the integer form as a (dim_v, dim_v, dim_g) array, over scale
+        self.ints, self.scale, self.dim_g = c, consts.scale, consts.cols
 
     @classmethod
     def from_entries(cls, ctx: FieldCtx, dim_v: int, dim_g: int,
@@ -129,27 +131,22 @@ class BilinearMap:
         return cls(ctx, consts)
 
     @property
-    def dim_g(self) -> int:
-        return self.bracket_matrix.cols
-
-    @property
     def consts(self) -> np.ndarray:
         """The read-only (dim_v, dim_v, dim_g) field array, for output:
         consts[i, j, k] is the coefficient of e_k in [v_i, v_j]."""
         return self.bracket_matrix.data.reshape(self.dim_v, self.dim_v, self.dim_g)
-
-    def _cube(self) -> np.ndarray:
-        """bracket_matrix's ints as a (dim_v, dim_v, dim_g) array."""
-        return self.bracket_matrix.ints.reshape(self.dim_v, self.dim_v, self.dim_g)
 
     def is_zero(self) -> bool:
         return self.bracket_matrix.is_zero()
 
     def brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[x_r, y_s] for every row x_r of xs and y_s of ys, as row
-        r * len(ys) + s."""
-        return bilinear(self.bracket_matrix, xs, ys).reshape(
-            len(xs) * len(ys), self.dim_g)
+        r * len(ys) + s: int_bilinear on the integer forms, over one scale
+        t for the rows, so over scale t^2."""
+        (x, y), t = int_family(self.ctx, [xs, ys])
+        out = int_bilinear(self.ctx, self.ints, x, y)
+        return from_int(self.ctx, out.reshape(-1, self.dim_g),
+                        self.scale * t * t)
 
     def annihilator(self) -> Subspace:
         """{v : [v, w] = 0 for all w}: the kernel of the dim_v^2 dim_g x
@@ -205,7 +202,7 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     # K^T up to the bracket's scale, which changes no zero test
     kr, kc, kv = nonzeros(ctx.reduce(
-        bracket._cube()[i, j] * (1 + (i < j))[:, None]))
+        bracket.ints[i, j] * (1 + (i < j))[:, None]))
     for fam in odd.families:
         if fam.label not in adj:
             raise EquivarianceViolation(fam.label, -1, (-1, -1))
@@ -231,20 +228,22 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
 def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
                   meta: dict) -> LieSuperalgebra:
     """The superalgebra even + odd, unvalidated.  Its structure constants
-    are three blocks, on one scale: the even algebra's own, the odd action
-    [e_i, v_j] = lie_action[i] v_j, and the odd bracket [v_i, v_j]; the
-    mirror block of the odd action is completed by super-antisymmetry."""
+    are three blocks of entries, on one scale: the even algebra's own, the
+    odd action [e_i, v_j] = lie_action[i] v_j and the odd bracket; the
+    mirror of the odd action is completed by super-antisymmetry."""
     ctx, ne, no, lie = even.ctx, even.dim, odd.dim, odd.lie
-    (eb, bb), s = int_family(ctx, [even.bracket_matrix,
-                                   bracket.bracket_matrix])
-    t = lcm(s, lie.scale)
-    ints = np.zeros((ne + no,) * 3, dtype=eb.dtype)
-    ints[:ne, :ne, :ne] = eb.reshape(ne, ne, ne) * (t // s)
-    i, r, c, v = lie.entries(0, t)
-    ints[i, ne + c, ne + r] = v
-    ints[ne:, ne:, :ne] = bb.reshape(no, no, ne) * (t // s)
+    n, g = ne + no, even.bracket_table
+    t = lcm(g.scale, bracket.scale, lie.scale)
+    i, j, k, v = g.entries(0, t)
+    a, r, c, w = lie.entries(0, t)
+    x, y, z, u = nonzeros(bracket.ints)
+    keys, vals = nonzero_sums(ctx, np.concatenate([
+        (i * n + j) * n + k, (a * n + ne + c) * n + ne + r,
+        ((ne + x) * n + ne + y) * n + z]),
+        np.concatenate([v, w, u * (t // bracket.scale)]))
     basis = [(l, 0) for l in even.labels] + [(l, 1) for l in odd.labels]
-    return algebra_from_consts(ctx, basis, ints, t, meta=meta, validate=False)
+    return algebra_from_consts(ctx, basis, OpTable.from_keys(
+        ctx, n, n, keys, vals, t), meta=meta, validate=False)
 
 
 def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -292,11 +291,13 @@ def pair_space(odd: GModule,
     maps on the square_layout basis of Sym^2 V (DimensionMismatch unless
     dim g x n(n+1)/2); no solve is made here.  A map f gives the bracket
     [v_i, v_j] = f(v_i v_j), halved off the diagonal (v_i v_j is the image
-    of v_i (x) v_j + v_j (x) v_i).  The cubic map, linear in the bracket,
-    is the cubic_sums of [[v, v], v] against the odd action; for odd p, K
-    is exactly the set of pair structures.  Returns the (dim, n, n, dim g)
-    bracket stacks of bases of H and K on integers (residues over F_p),
-    each bracket up to a nonzero scalar, which normalised fixes."""
+    of v_i (x) v_j + v_j (x) v_i).  The cubic map [[v, v], v] is linear in
+    the bracket: one join of the brackets' entries [v_a, v_b]_m with the
+    odd action's [f_m, v_c]_l gives every term, summed per (l, monomial,
+    map).  For odd p, K is exactly the set of pair structures.  Returns
+    the (dim, n, n, dim g) bracket stacks of bases of H and K on integers
+    (residues over F_p), each bracket up to a nonzero scalar, which
+    normalised fixes."""
     ctx, n, dg = odd.ctx, odd.dim, odd.lie.count
     pairs, pos, _ = square_layout(n, +1)
     if any(f.shape != (dg, len(pairs)) for f in basis):
@@ -306,9 +307,15 @@ def pair_space(odd: GModule,
     # twice the brackets: f(v_i v_i) doubled on the diagonal
     hs = ctx.reduce(fs[:, :, pos].transpose(0, 2, 3, 1)
                     * (1 + np.eye(n, dtype=np.int64))[..., None])
-    rho = odd.lie.dense().transpose(0, 2, 1)
-    _, sums = cubic_sums(ctx, hs, rho)
-    k = kernel(Matrix.from_int(ctx, sums.T, reduced=True)).basis.ints
+    h, a, b, m, v = nonzeros(hs)
+    op, r, c, w = odd.lie.entries()
+    x, y = join(m, op)
+    abc = np.sort(np.column_stack([a[x], b[x], c[y]]), axis=1)
+    keys, sums = nonzero_sums(
+        ctx, (r[y] * n ** 3 + abc @ [n * n, n, 1]) * len(hs) + h[x],
+        ctx.reduce(v[x] * w[y]))
+    _, rows = keyed_rows(keys // len(hs), keys % len(hs), sums, len(hs))
+    k = kernel(Matrix.from_int(ctx, rows, reduced=True)).basis.ints
     return hs, int_matmul(ctx, k, hs.reshape(len(hs), n * n * dg)).reshape(
         len(k), n, n, dg)
 
@@ -373,7 +380,7 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
     if s.h_lie.ambient_dim != pair.even.dim or s.w.ambient_dim != n:
         raise InvalidSubpair("subpair ambient dimensions do not match")
     h, w = s.h_lie.basis.ints, s.w.basis.ints
-    c = pair.bracket._cube()
+    c = pair.bracket.ints
 
     def inside(space: Subspace, rows: np.ndarray) -> bool:
         return not space._residual(rows).astype(bool).any()
@@ -432,10 +439,10 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
     keep_v = [i for i in range(pair.odd.dim) if i not in set(s.w.pivots)]
     dv = len(keep_v)
     b = pair.bracket
-    rows = b._cube()[np.ix_(keep_v, keep_v)].reshape(dv * dv, pair.even.dim)
+    rows = b.ints[np.ix_(keep_v, keep_v)].reshape(dv * dv, pair.even.dim)
     bracket_q = BilinearMap(ctx, Matrix.from_int(
         ctx, s.h_lie._residual(rows)[:, keep_g],
-        s.h_lie.basis.scale * b.bracket_matrix.scale, reduced=True))
+        s.h_lie.basis.scale * b.scale, reduced=True))
     reps_g = np.eye(pair.even.dim, dtype=np.int64)[keep_g]
     adj_q = CoeffOperatorFamily.batch(
         (f.label, _induced(ctx, [f"{f.label}[t^{k}]"

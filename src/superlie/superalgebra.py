@@ -1,25 +1,26 @@
-"""Lie superalgebras: graded basis, structure-constant array, validation,
+"""Lie superalgebras: graded basis, structure constants, validation,
 and structural computations (ideals, center, derived series, quotients,
 graded simplicity, proved by Norton's criterion or searched for).
 
 Conventions.  A superalgebra of total dimension n lives on coordinates
 0..n-1 in the given basis order; parities are per basis element.  The
-bracket is one (n^2, n) linalg.Matrix bracket_matrix, ints / scale:
-[e_i, e_j] = sum_k c[i, j, k] e_k for c its ints as (n, n, n) over scale,
-held for all ordered pairs (completion by super-antisymmetry happens at
-build time, on the integers builders hand to algebra_from_consts).  The
-field array consts (Fractions over Q) is made only for output.  The sparse
+bracket is one linalg.OpTable, bracket_table: the nonzero structure
+constants (i, j, k, c), sorted, on one scale, with [e_i, e_j] =
+sum_k c[i, j, k] e_k / scale for all ordered pairs (completion by
+super-antisymmetry happens at build time, on the entries builders hand to
+algebra_from_consts).  Every computation reads those entries; the field
+array consts (Fractions over Q) is made only for output.  The sparse
 table (i, j) -> {k: c} of JSON files and hand-written algebras is read
 only by build_superalgebra.  A graded subspace (an ideal, the centre, a
 subalgebra) is one Subspace of the full coordinate space: its reduced
 echelon rows are homogeneous, and those with an even pivot span its even
 part.
 
-Slice i of c is ad(e_i)^T up to scale, so the sorted nonzero constants
-are the linalg.OpTable of every ad(e_i)^T: Norton's spins and the ideal
-closures take its transpose, ad_table, or it, and build no ad matrix.  The
-centre is solved only on the coordinates of weight zero under the diagonal
-ad(h), where every central element lies.
+Op i of bracket_table, row j, column k holds c[i, j, k], so it is the
+table of every ad(e_i)^T: Norton's spins and the ideal closures take its
+transpose, ad_table, or it, and build no ad matrix.  The centre is solved
+only on the coordinates of weight zero under the diagonal ad(h), where
+every central element lies.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,13 +42,13 @@ from .linalg import (
     OpTable,
     Subspace,
     _array_form,
-    bilinear,
     from_int,
-    int_bilinear,
+    int_family,
     int_matmul,
     invariant_closure,
     join,
     kernel,
+    keyed_rows,
     nonzero_sums,
     nonzeros,
     run_starts,
@@ -135,28 +137,6 @@ class CubicReport:
     coefficient_polys: Optional[List[Dict[Tuple[int, ...], object]]] = None
 
 
-def cubic_sums(ctx: FieldCtx, quads: np.ndarray,
-               right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The coefficients of [[v, v], v], v = sum x_a e_a, under each bracket
-    k: [e_a, e_b] = sum_m quads[k, a, b, m] f_m, [f_m, e_c] = sum_l
-    right[m, c, l] e_l, on integer arrays (the sums are over the product of
-    their scales).  One product, summed over the distinct orderings (a, b,
-    c) of each monomial, keyed l n^3 + a n^2 + b n + c (a <= b <= c): the
-    keys of the nonzero products, increasing, and the (len(quads),
-    len(keys)) integer array of the sums."""
-    h, n, _, g = quads.shape
-    prod = int_matmul(ctx, quads.reshape(h * n * n, g),
-                      right.reshape(g, n * right.shape[2]))
-    k, a, b, c, l, vals = nonzeros(prod.reshape(h, n, n, n, right.shape[2]))
-    # one key per (l, monomial): the sorted indices of x_a x_b x_c
-    tri = np.sort(np.column_stack([a, b, c]), axis=1)
-    keys, inv = np.unique(l * n ** 3 + tri @ np.array([n ** 2, n, 1]),
-                          return_inverse=True)
-    sums = np.zeros((h, len(keys)), dtype=prod.dtype)
-    np.add.at(sums, (k, inv), vals)
-    return keys, ctx.reduce(sums)
-
-
 @dataclass
 class JacobiReport:
     ok: bool
@@ -176,32 +156,24 @@ class SimplicityVerdict:
 
 class LieSuperalgebra:
     """A Lie superalgebra on a graded basis, its structure constants the
-    (n^2, n) Matrix bracket_matrix: row i n + j holds [e_i, e_j] (see the
-    module docstring).  The constructor holds that Matrix, or one read
-    from an (n, n, n) field array, as given; algebra_from_consts and
-    build_superalgebra complete and check it.
+    OpTable bracket_table (see the module docstring).  The constructor
+    holds that table as given; algebra_from_consts and build_superalgebra
+    complete and check it.
 
     A parity other than the int 0 or 1 (a bool, a NumPy integer, a string
-    "1" included) raises InputError.  The support of the constants (their nonzero (i, j, k)),
-    ad_table and the weight keys (_weight_keys) are found once, on first
-    use, and kept: the constants cannot change."""
+    "1" included) raises InputError.  ad_table and the weight keys
+    (_weight_keys) are found once, on first use, and kept: the constants
+    cannot change."""
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
-                 parities: Sequence[int], brackets: Union[np.ndarray, Matrix],
+                 parities: Sequence[int], brackets: OpTable,
                  meta: Optional[dict] = None):
         self.ctx = ctx
         self.labels = tuple(labels)
         self.parities = _parities(parities)
-        n = len(self.labels)
-        if brackets.shape != ((n * n, n) if isinstance(brackets, Matrix)
-                              else (n, n, n)):
-            raise DimensionMismatch(
-                f"structure constants of shape {brackets.shape} for dimension {n}")
-        if not isinstance(brackets, Matrix):
-            brackets = Matrix(ctx, brackets.reshape(n * n, n))
-        self.bracket_matrix = brackets
+        _check_dim(brackets, len(self.labels))
+        self.bracket_table = brackets
         self.meta = dict(meta or {})
-        self._support: Optional[Tuple[np.ndarray, ...]] = None
         self._keys: Optional[Tuple[List[int], List[Tuple]]] = None
         # the centre's subspace: a SuperIdeal held here would point back at
         # self and leave every algebra to the cyclic collector
@@ -236,55 +208,44 @@ class LieSuperalgebra:
     # -- bracket ----------------------------------------------------------------
     @property
     def consts(self) -> np.ndarray:
-        """The read-only (n, n, n) field array, made on first use for output:
+        """The (n, n, n) field array, made on each call for output:
         consts[i, j, k] is the coefficient of e_k in [e_i, e_j]."""
-        return self.bracket_matrix.data.reshape((self.dim,) * 3)
-
-    def _cube(self) -> np.ndarray:
-        """bracket_matrix's ints as the (n, n, n) array c."""
-        return self.bracket_matrix.ints.reshape((self.dim,) * 3)
+        t = self.bracket_table
+        return from_int(self.ctx, t.dense(), t.scale)
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, object]:
         """[e_i, e_j] as {k: coefficient of e_k}, nonzero coefficients only."""
-        row = self.consts[i, j]
-        ks = np.flatnonzero(row)
-        return dict(zip(ks.tolist(), row[ks].tolist()))
+        t = self.bracket_table.select(i, i + 1)
+        on = t.row == j
+        return dict(zip(t.col[on].tolist(),
+                        from_int(self.ctx, t.val[on], t.scale).tolist()))
+
+    def _brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """[x_a, y_b] for integer rows, as a (len(xs), len(ys), n) integer
+        array over the three scales: the xs times the ad_table images."""
+        n = self.dim
+        imgs = self.ad_table.images(ys).reshape(len(ys), n, n)
+        return int_matmul(self.ctx, xs, imgs.transpose(1, 0, 2).reshape(
+            n, len(ys) * n)).reshape(len(xs), len(ys), n)
 
     def bracket_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return bilinear(self.bracket_matrix, np.asarray(x)[None, :],
-                        np.asarray(y)[None, :])[0, 0]
+        """[x, y] for exact vectors (see linalg._array_form)."""
+        (x, y), t = int_family(self.ctx, [np.asarray(x)[None, :],
+                                          np.asarray(y)[None, :]])
+        return from_int(self.ctx, self._brackets(x, y)[0, 0],
+                        self.bracket_table.scale * t * t)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): x -> [e_i, x]."""
-        return Matrix.from_int(self.ctx, self._cube()[i].T,
-                               self.bracket_matrix.scale, reduced=True)
+        return self.ad_table.select(i, i + 1).matrices()[0]
 
     @cached_property
     def ad_table(self) -> OpTable:
-        """The OpTable of every ad(e_i), made once: the _coo entries
-        (i, j, k, c), in their order, are the table of every ad(e_i)^T."""
-        n = self.dim
-        return OpTable(self.ctx, n, n, *self._coo(),
-                       self.bracket_matrix.scale).transposed()
+        """The OpTable of every ad(e_i), made once: bracket_table is the
+        table of every ad(e_i)^T."""
+        return self.bracket_table.transposed()
 
     # -- validation ---------------------------------------------------------------
-    def _coo(self):
-        """The nonzero structure constants as arrays (i, j, k, c) in
-        lexicographic order of (i, j, k), c on the integers over scale."""
-        c = self._cube()
-        if self._support is None:
-            self._support = nonzeros(c)[:3]
-        i, j, k = self._support
-        return i, j, k, c[i, j, k]
-
-    def _upper_pairs(self) -> np.ndarray:
-        """The flat indices i * n + j of the pairs i <= j with
-        [e_i, e_j] != 0, in increasing order."""
-        i, j, _, _ = self._coo()
-        # sorted, as the support is; np.unique would import numpy.ma
-        flat = (i * self.dim + j)[i <= j]
-        return flat[run_starts(flat)]
-
     def validate_jacobi(self, full: bool = False) -> JacobiReport:
         """Graded Jacobi on basis triples: J(i, j, k) = s_ik [[e_i,e_j],e_k]
         + s_ji [[e_j,e_k],e_i] + s_kj [[e_k,e_i],e_j] = 0, s_xy =
@@ -301,7 +262,7 @@ class LieSuperalgebra:
         F_p the values are residues, over Q integers over one common
         denominator."""
         n = self.dim
-        ea, eb, ek, vals = self._coo()
+        ea, eb, ek, vals = self.bracket_table.entries()
         # join: entry x = ([e_a,e_b] -> e_m) meets every entry y with a = m
         x, y = join(ek, ea)
         a, b, c, l = ea[x], eb[x], eb[y], ek[y]
@@ -324,7 +285,7 @@ class LieSuperalgebra:
         """Raise GradingViolation at the least (i, j, k) where a bracket
         breaks parity, then JacobiViolation at the first failing triple of
         validate_jacobi."""
-        i, j, k, _ = self._coo()
+        i, j, k, _ = self.bracket_table.entries()
         odd = np.asarray(self.parities, dtype=bool)
         bad = np.flatnonzero(odd[i] ^ odd[j] ^ odd[k])
         if len(bad):
@@ -337,15 +298,21 @@ class LieSuperalgebra:
 
     def validate_cubic_odd(self, with_polys: bool = False) -> CubicReport:
         """Expand [[v, v], v] for a symbolic odd vector v = sum x_a e_a and
-        check coefficientwise vanishing: the cubic_sums of the brackets of
-        the odd basis against the whole algebra."""
-        ctx, odd, c = self.ctx, self.odd_coords, self._cube()
-        arity = len(odd)
-        keys, sums = cubic_sums(ctx, c[np.ix_(odd, odd)][None], c[:, odd, :])
-        nz = np.flatnonzero(sums[0])
+        check coefficientwise vanishing: every term c[a, b, m] c[m, c, l],
+        a, b, c odd, from one join on m (as in validate_jacobi), summed per
+        l and monomial (the sorted positions of a, b, c in odd_coords)."""
+        ctx, odd = self.ctx, self.odd_coords
+        arity, pos = len(odd), _positions(self.dim, odd)
+        i, j, k, v = self.bracket_table.entries()
+        x, y = join(k, i)
+        abc = np.sort(pos[np.column_stack([i[x], j[x], j[y]])], axis=1)
+        on = abc[:, 0] >= 0
+        keys, sums = nonzero_sums(
+            ctx, (k[y] * arity ** 3 + abc @ [arity ** 2, arity, 1])[on],
+            ctx.reduce(v[x] * v[y])[on])
         cubic: Dict[int, Dict[Tuple[int, ...], object]] = {}
-        for key, v in zip(keys[nz].tolist(), from_int(
-                ctx, sums[0, nz], self.bracket_matrix.scale ** 2).tolist()):
+        for key, v in zip(keys.tolist(), from_int(
+                ctx, sums, self.bracket_table.scale ** 2).tolist()):
             l, rest = divmod(key, arity ** 3)
             ev = [0] * arity
             for x in (rest // arity ** 2, rest // arity % arity, rest % arity):
@@ -360,7 +327,9 @@ class LieSuperalgebra:
 
     # -- structural computations -----------------------------------------------
     def derived_subalgebra(self) -> SuperIdeal:
-        rows = self.bracket_matrix.ints[self._upper_pairs()]
+        i, j, k, v = self.bracket_table.entries()
+        up = i <= j
+        _, rows = keyed_rows((i * self.dim + j)[up], k[up], v[up], self.dim)
         return SuperIdeal(self, Subspace._span(self.ctx, self.dim, rows))
 
     def derived_series(self) -> List[Tuple[int, int]]:
@@ -384,19 +353,21 @@ class LieSuperalgebra:
         return series[-1] == (0, 0)
 
     def center(self) -> SuperIdeal:
-        """The centre, computed once per algebra: the kernel of the stacked
-        n^2 x n matrix whose row (j, k), column m holds the coefficient of
-        e_k in [e_m, e_j].  A central z has [h, z] = 0 for every diagonal
-        ad(h), so it lies on the coordinates of weight zero (_weight_keys):
-        only their columns are solved, without the all-zero rows, and the
-        kernel is embedded back (linalg.Subspace.embedded)."""
+        """The centre, computed once per algebra: the kernel of the system
+        whose row (j, k), column m holds the coefficient of e_k in
+        [e_m, e_j], gathered from the entries.  A central z has [h, z] = 0
+        for every diagonal ad(h), so it lies on the coordinates of weight
+        zero (_weight_keys): only their columns are solved, on the nonzero
+        rows, and the kernel is embedded back (linalg.Subspace.embedded)."""
         if self._center is None:
             n = self.dim
             zero = [j for j, (_, w) in enumerate(self._weight_keys()[1])
                     if not any(w)]
-            rows = self._cube().transpose(1, 2, 0)[:, :, zero].reshape(
-                n * n, len(zero))
-            rows = rows[rows.astype(bool).any(axis=1)]
+            pos = _positions(n, zero)
+            i, j, k, v = self.bracket_table.entries()
+            on = pos[i] >= 0
+            _, rows = keyed_rows((j * n + k)[on], pos[i[on]], v[on],
+                                 len(zero))
             self._center = kernel(Matrix.from_int(
                 self.ctx, rows, reduced=True)).embedded(zero, n)
         return SuperIdeal(self, self._center)
@@ -419,14 +390,18 @@ class LieSuperalgebra:
             raise NotAnIdeal("subspace is not closed under bracketing")
         pivot = set(ideal.space.pivots)
         keep = [i for i in range(self.dim) if i not in pivot]
-        d = len(keep)
-        rows = self._cube()[np.ix_(keep, keep)].reshape(d * d, self.dim)
-        ints = ideal.space._residual(rows)[:, keep].reshape(d, d, d)
+        d, pos = len(keep), _positions(self.dim, keep)
+        i, j, k, v = self.bracket_table.entries()
+        on = (pos[i] >= 0) & (pos[j] >= 0)
+        pairs, rows = keyed_rows(pos[i[on]] * d + pos[j[on]], k[on], v[on],
+                                 self.dim)
+        row, col, vals = nonzeros(ideal.space._residual(rows)[:, keep])
         basis = [(self.labels[c] + "~", self.parities[c]) for c in keep]
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + "/ideal"
-        return algebra_from_consts(self.ctx, basis, ints, ideal.space.basis.scale
-                                   * self.bracket_matrix.scale, meta=meta)
+        return algebra_from_consts(self.ctx, basis, OpTable.from_keys(
+            self.ctx, d, d, pairs[row] * d + col, vals, ideal.space.basis.scale
+            * self.bracket_table.scale), meta=meta)
 
     def subalgebra_from_ideal(self, ideal: SuperIdeal) -> "LieSuperalgebra":
         return self.subalgebra(ideal.space)
@@ -435,19 +410,18 @@ class LieSuperalgebra:
                    labels: Optional[Sequence[str]] = None) -> "LieSuperalgebra":
         """The algebra structure on a graded subspace closed under the
         bracket, on its basis rows with the even pivots first: every
-        bracket of two basis vectors from one contraction.  The basis is
-        in echelon form, so a bracket in the span has its pivot entries as
-        its coordinates."""
+        bracket of two basis vectors from their images under ad_table and
+        one product (_brackets).  The basis is in echelon form, so a
+        bracket in the span has its pivot entries as its coordinates."""
         parities = self._row_parities(w)
         d = w.dim
         if d == 0:
-            return algebra_from_consts(self.ctx, [], self.ctx.zeros(0, 0, 0),
-                                       meta=dict(self.meta))
+            return algebra_from_consts(self.ctx, [], OpTable.empty(
+                self.ctx, 0), meta=dict(self.meta))
         order = np.argsort(parities, kind="stable")
         b, t = w.basis.ints[order], w.basis.scale
         # the brackets of the rows b / t, over the scale s t^2
-        images = int_bilinear(self.ctx, self._cube(), b, b).reshape(
-            d * d, self.dim)
+        images = self._brackets(b, b).reshape(d * d, self.dim)
         if w._residual(images).astype(bool).any():
             raise NotAnIdeal("subspace is not closed under the bracket")
         coords = images[:, np.asarray(w.pivots)[order]].reshape(d, d, d)
@@ -456,8 +430,8 @@ class LieSuperalgebra:
         meta = dict(self.meta)
         meta["name"] = meta.get("name", "algebra") + ".sub"
         return algebra_from_consts(
-            self.ctx, list(zip(labels, sorted(parities))), coords,
-            self.bracket_matrix.scale * t * t, meta=meta)
+            self.ctx, list(zip(labels, sorted(parities))), OpTable.from_dense(
+                self.ctx, coords, self.bracket_table.scale * t * t), meta=meta)
 
     # -- simplicity ----------------------------------------------------------------
     def _proper(self, ideal: SuperIdeal) -> bool:
@@ -474,7 +448,7 @@ class LieSuperalgebra:
         it rests on the search finding no proper ideal."""
         if self.dim == 0:
             return SimplicityVerdict("Zero")
-        if not self._upper_pairs().size:
+        if not len(self.bracket_table.val):
             return SimplicityVerdict("Abelian")
         cert = {"strategy": [], "rng_seed": seed, "n_random": N_RANDOM}
 
@@ -570,7 +544,7 @@ class LieSuperalgebra:
             "parity": keys[j][0],
             "weight": [ctx.scalar_to_str(x) for x in from_int(
                 ctx, np.array(keys[j][1], dtype=object),
-                self.bracket_matrix.scale).tolist()],
+                self.bracket_table.scale).tolist()],
         }
         seed = np.eye(1, n, j, dtype=np.int64)
         spin = invariant_closure(ctx, n, seed, self.ad_table)
@@ -578,7 +552,7 @@ class LieSuperalgebra:
             return SimplicityVerdict(
                 "NotSimple", witness=SuperIdeal(self, spin),
                 certificate={**cert, "proof": False, "proper_spin": "ad"})
-        dual = invariant_closure(ctx, n, seed, self.ad_table.transposed())
+        dual = invariant_closure(ctx, n, seed, self.bracket_table)
         if dual.dim < n:
             witness = SuperIdeal(self, kernel(dual.basis))
             return SimplicityVerdict(
@@ -595,24 +569,26 @@ class LieSuperalgebra:
         if self._keys is None:
             # ad(e_a) is diagonal unless some [e_a, e_b] has an e_c term,
             # c != b
-            a, b, c, _ = self._coo()
+            a, b, c, v = self.bracket_table.entries()
             offdiag = set(a[b != c].tolist())
             diag = [h for h in self.even_coords if h not in offdiag]
             # weights[j][t] = coefficient of e_j in [h_t, e_j], h_t = e_diag[t]
-            weights = np.diagonal(self._cube(), axis1=1,
-                                  axis2=2)[diag].T.tolist()
+            pos = _positions(self.dim, diag)
+            on = (b == c) & (pos[a] >= 0)
+            weights = np.zeros((self.dim, len(diag)), dtype=v.dtype)
+            weights[b[on], pos[a[on]]] = v[on]
             self._keys = diag, [(self.parities[j], tuple(w))
-                                for j, w in enumerate(weights)]
+                                for j, w in enumerate(weights.tolist())]
         return self._keys
 
     # -- serialization ----------------------------------------------------------
     def to_json_dict(self) -> dict:
-        brackets = [
-            [i, j, [[k, self.ctx.scalar_to_str(c)]
-                    for k, c in self.bracket_basis(i, j).items()]]
-            for i, j in (divmod(f, self.dim)
-                         for f in self._upper_pairs().tolist())
-        ]
+        t = self.bracket_table
+        entries = zip(t.op.tolist(), t.row.tolist(), t.col.tolist(),
+                      from_int(self.ctx, t.val, t.scale).tolist())
+        brackets = [[i, j, [[k, self.ctx.scalar_to_str(c)] for *_, k, c in g]]
+                    for (i, j), g in groupby(entries, lambda e: e[:2])
+                    if i <= j]
         return {
             "field": self.ctx.to_json_value(),
             "basis": [
@@ -625,6 +601,18 @@ class LieSuperalgebra:
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_json_dict(), **kw)
+
+
+def _positions(n: int, coords: Sequence[int]) -> np.ndarray:
+    """The position of each coordinate in coords, -1 for the others."""
+    pos = np.full(n, -1)
+    pos[coords] = np.arange(len(coords))
+    return pos
+
+
+def _check_dim(table: OpTable, n: int):
+    if (table.n, table.count) != (n, n):
+        raise DimensionMismatch(f"{table.count} ops on ctx^{table.n}, n={n}")
 
 
 def _parities(parities: Sequence) -> Tuple[int, ...]:
@@ -652,45 +640,38 @@ def algebra_from_json(s: str) -> LieSuperalgebra:
 
 
 def algebra_from_consts(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
-                        ints: np.ndarray, scale: int = 1,
-                        meta: Optional[dict] = None,
+                        table: OpTable, meta: Optional[dict] = None,
                         validate: bool = True) -> LieSuperalgebra:
-    """The algebra on the (label, parity) basis with structure constants
-    ints / scale, for an (n, n, n) integer array as int_matmul gives them
-    (canonical residues over F_p, where scale is 1), which may give either
-    order of each pair.  Every all-zero slice ints[j, i] whose mirror
-    ints[i, j] is not is filled by super-antisymmetry,
-    [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]; where both slices are given
-    they must agree, else SkewViolation at the least (i, j, k) where they
-    differ.  Works on the nonzero entries only and completes ints in
-    place, with no copy over F_p: the algebra holds it, read-only, as its
-    bracket_matrix.  With validate, the algebra then runs validate()."""
+    """The algebra on the (label, parity) basis whose structure constants
+    c[i, j, k] are the table's op i, row j, column k, given for either order
+    of each pair.  Every pair (j, i) with no entry whose mirror (i, j) has
+    some is filled by super-antisymmetry, [e_j, e_i] = -(-1)^{|i||j|}
+    [e_i, e_j]; where both orders are given, each entry minus the mirror
+    of its partner must vanish, else SkewViolation at the least (i, j, k).
+    The completed entries are the algebra's bracket_table.  With validate,
+    the algebra then runs validate()."""
     labels = [b[0] for b in basis]
     parities = _parities([b[1] for b in basis])
     n = len(labels)
-    if ints.shape != (n, n, n):
-        raise DimensionMismatch(
-            f"structure constants of shape {ints.shape} for dimension {n}")
+    _check_dim(table, n)
     odd = np.asarray(parities, dtype=bool)
-    i, j, k, vals = nonzeros(ints)
+    i, j, k, vals = table.entries()
     mirror = np.where(odd[i] & odd[j], vals, ctx.reduce(-vals))
     given = np.zeros((n, n), dtype=bool)
     given[i, j] = True
     fill = ~given[j, i]
-    ints[j[fill], i[fill], k[fill]] = mirror[fill]
-    keep = ~fill
-    bad = ctx.reduce(ints[j[keep], i[keep], k[keep]]
-                     - mirror[keep]).astype(bool)
-    if bad.any():
-        i, j, k = i[keep][bad], j[keep][bad], k[keep][bad]
-        raise SkewViolation(*min(zip(np.minimum(i, j).tolist(),
-                                     np.maximum(i, j).tolist(), k.tolist())))
-    ints.setflags(write=False)
-    alg = LieSuperalgebra(ctx, labels, parities, Matrix.from_int(
-        ctx, ints.reshape(n * n, n), scale, reduced=True), meta)
-    # the completed array's support, so that no second scan finds it
-    alg._support = np.unravel_index(np.sort(np.concatenate(
-        [(i * n + j) * n + k, ((j * n + i) * n + k)[fill]])), (n, n, n))
+    keys, mkeys = (i * n + j) * n + k, (j * n + i) * n + k
+    both = ~fill
+    bad, _ = nonzero_sums(ctx, np.concatenate([keys[both], mkeys[both]]),
+                          np.concatenate([vals[both], -mirror[both]]))
+    if len(bad):
+        # the sums at (i, j, k) and (j, i, k) vanish together, so the least
+        # key has i <= j
+        raise SkewViolation(*map(int, np.unravel_index(bad[0], (n, n, n))))
+    keys, vals = nonzero_sums(ctx, np.concatenate([keys, mkeys[fill]]),
+                              np.concatenate([vals, mirror[fill]]))
+    alg = LieSuperalgebra(ctx, labels, parities, OpTable.from_keys(
+        ctx, n, n, keys, vals, table.scale), meta)
     if validate:
         alg.validate()
     return alg
@@ -714,5 +695,6 @@ def build_superalgebra(ctx: FieldCtx, basis: Sequence[Tuple[str, int]],
             if not 0 <= k < n:
                 raise BracketIndexError(f"bracket target {k} out of range")
             consts[i, j, k] = ctx.of(c)
-    return algebra_from_consts(ctx, basis, *_array_form(ctx, consts),
-                               meta=meta, validate=validate)
+    return algebra_from_consts(
+        ctx, basis, OpTable.from_dense(ctx, *_array_form(ctx, consts)),
+        meta=meta, validate=validate)

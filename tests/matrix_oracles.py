@@ -11,6 +11,7 @@ import numpy as np
 from superlie.fields import FieldCtx, InputError
 from superlie.linalg import (
     Matrix,
+    OpTable,
     SpanSolver,
     int_family,
     int_matmul,
@@ -97,8 +98,8 @@ def algebra_from_matrices(ctx: FieldCtx,
         consts, u = _bracket_consts(ctx, stack, parities, solver,
                                     [label for label, _, _ in elems])
     alg = algebra_from_consts(
-        ctx, [(label, parity) for label, parity, _ in elems], consts, u,
-        meta=meta)
+        ctx, [(label, parity) for label, parity, _ in elems],
+        OpTable.from_dense(ctx, consts, u), meta=meta)
     alg.matrix_basis = mats  # type: ignore[attr-defined]
     alg.matrix_solver = solver  # type: ignore[attr-defined]
     return alg

@@ -676,23 +676,20 @@ class TestEchelonDifferential:
         assert_same(core, ref_largest_invariant_within(k, [op]))
 
         # a second operator that adds nothing keeps the n - 1 rounds, and
-        # each round takes the images under both from one product with the
-        # stacked transposes, of shape (n, 2n).  Over Q the products are
-        # taken on Python ints by int_matmul, which exact_matmul serves over
-        # F_p
-        shapes = []
-        name = "exact_matmul" if ctx.p else "int_matmul"
-        real = getattr(linalg, name)
+        # each round takes the images of its one new row under both from
+        # one OpTable.images call
+        calls = []
+        real = OpTable.images
 
-        def counting(c, a, b):
-            shapes.append(b.shape)
-            return real(c, a, b)
+        def counting(self, rows):
+            calls.append((self.count, rows.shape))
+            return real(self, rows)
 
-        monkeypatch.setattr(linalg, name, counting)
+        monkeypatch.setattr(OpTable, "images", counting)
         both = invariant_closure(
             ctx, n, seed, OpTable.of(ctx, n, [op, Matrix.zeros(ctx, n, n)]))
         assert_same(both, w)
-        assert shapes.count((n, 2 * n)) == n - 1
+        assert calls == [(2, (1, n))] * (n - 1)
 
 
 # -- the integer form of a Matrix ----------------------------------------------
@@ -941,7 +938,7 @@ class TestOpTable:
 
     @pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(2**31 - 1), Q],
                              ids=repr)
-    def test_round_trip_and_stack(self, ctx):
+    def test_round_trip_and_dense_views(self, ctx):
         rng = random.Random(3)
         mats = [Matrix.from_rows(ctx, [[rng.choice([0, 0, 1, -2, "1/3"])
                                         for _ in range(4)] for _ in range(4)])
@@ -951,11 +948,11 @@ class TestOpTable:
         assert t.matrices() == mats and t.count == 6
         keys = (t.op * 4 + t.row) * 4 + t.col
         assert np.all(keys[1:] > keys[:-1]) and np.all(t.val != 0)
-        s = t.stack()
-        assert s.shape == (4, 24)
+        assert OpTable.from_keys(ctx, 4, 6, keys, t.val, t.scale) == t
+        dense = t.dense()
+        assert dense.shape == (6, 4, 4)
         for k, m in enumerate(mats):
-            assert Matrix.from_int(ctx, s[:, 4 * k:4 * k + 4].T.copy(),
-                                   t.scale) == m
+            assert Matrix.from_int(ctx, dense[k], t.scale) == m
         assert OpTable.concat([t.select(0, 2), t.select(2, 7)]) == \
             OpTable.of(ctx, 4, mats + [Matrix.zeros(ctx, 4, 4)])
 
@@ -976,9 +973,11 @@ class TestOpTable:
         mats = self.mixed(ctx, rng, 3, 5)
         rows = Matrix.from_rows(ctx, [[rng.choice([0, 1, -1, "2/7"])
                                        for _ in range(5)] for _ in range(4)])
-        # the table of ops 0 and 2, then two zero ops past the end
+        # the table of ops 0 and 2, then two zero ops past the end, a
+        # table of two ops with no entries and one of no ops
         for t in (OpTable.of(ctx, 5, mats), OpTable.of(ctx, 5, mats[::2]),
-                  OpTable.of(ctx, 5, mats).select(1, 5)):
+                  OpTable.of(ctx, 5, mats).select(1, 5),
+                  OpTable.empty(ctx, 5, 2), OpTable.empty(ctx, 5)):
             ops = t.matrices()
             got = t.images(rows.ints)
             assert got.shape == (4 * t.count, 5)
@@ -1016,6 +1015,34 @@ class TestOpTable:
                 t.images(bad)
             with pytest.raises(DimensionMismatch):
                 empty.images(bad)
+
+    def test_images_at_the_int64_bound(self):
+        # p = 33554393 is the largest prime below 2^25, so the last field
+        # on int64 residues: every value and row entry is p - 1, so each
+        # term is (p - 1)^2, about 2^50, and a run sums n of them
+        ctx = FieldCtx.prime(33554393)
+        assert ctx.dtype is np.int64
+        n, top = 6, ctx.p - 1
+        mats = [Matrix.from_int(ctx, np.full((n, n), top, dtype=np.int64)),
+                Matrix.from_int(ctx, np.triu(np.full((n, n), top,
+                                                     dtype=np.int64)))]
+        rows = np.full((3, n), top, dtype=np.int64)
+        rows[1, ::2] = 0
+        t = OpTable.of(ctx, n, mats)
+        got = t.images(rows)
+        assert got.dtype == np.int64 and ((0 <= got) & (got < ctx.p)).all()
+        for b in range(3):
+            v = Matrix.from_int(ctx, rows[b:b + 1].T.copy())
+            for k, m in enumerate(mats):
+                assert np.array_equal(got[b * 2 + k], (m @ v).ints[:, 0])
+        # past the bound a run of n terms (p - 1)^2 would pass 2^63, so
+        # they are reduced first: J v_0 = n (p - 1)^2 = n mod p
+        n = 2**63 // top**2 + 1
+        row = OpTable(ctx, n, 1, np.zeros(n, np.int64), np.zeros(n, np.int64),
+                      np.arange(n), np.full(n, top))
+        got = row.images(np.full((1, n), top, dtype=np.int64))
+        assert n * top**2 >= 2**63 and got[0, 0] == n * top**2 % ctx.p
+        assert not got[0, 1:].any()
 
     def test_scale_is_canonical_over_q(self):
         half, third = (Matrix.from_rows(Q, [[x, 0], [0, 1]])

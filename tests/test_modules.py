@@ -32,7 +32,7 @@ from superlie.modules import (
     _diagonals,
     _implied_pairs,
     _intertwiner_space,
-    _weight_support,
+    _weight_mask,
     dual,
     hom_space,
     lambda2,
@@ -229,7 +229,7 @@ def assert_same_module(got, want):
     assert got.lie_action == want.lie_action
     assert [(f.label, f.root, f.ops) for f in got.families] == \
         [(f.label, f.root, f.ops) for f in want.families]
-    assert got.bracket_matrix == want.bracket_matrix
+    assert got.bracket_table == want.bracket_table
 
 
 class TestExpDifferential:
@@ -710,7 +710,7 @@ def mode_pairs(m1, m2, mode):
 
 def support_size(m1, m2, mode):
     pairs, implied = table_pairs(m1, m2, mode)
-    mask = _weight_support(m1.dim, m2.dim, [_diagonals(pairs)] + implied)
+    mask = _weight_mask(m1.dim, m2.dim, [_diagonals(pairs)] + implied)
     ref_pairs, ref_implied = mode_pairs(m1, m2, mode)
     assert np.array_equal(mask, ref_weight_support(
         m1.dim, m2.dim, ref_pairs + ref_implied))
@@ -1515,7 +1515,7 @@ class TestImpliedPairs:
                    for x, y in zip(a, b)]
             assert got == [(a, b) for a, b in ref
                            if is_diagonal(a) and is_diagonal(b)]
-            assert np.array_equal(_weight_support(m1.dim, m2.dim, [implied]),
+            assert np.array_equal(_weight_mask(m1.dim, m2.dim, [implied]),
                                   ref_weight_support(m1.dim, m2.dim, ref))
 
     def test_brj_keeps_sixteen_pairs(self, brj_hom_calls):
@@ -1624,7 +1624,7 @@ def table_case(request, brj_modules):
         w = submodule_generated(big, [units(big.dim, 0)])
         return GModule(F5, m.labels, m.lie_labels, m.lie, m.families,
                        weights=[big.weights[i] for i in w.pivots],
-                       brackets=m.bracket_matrix), brj_modules["adjoint-sp4"]
+                       brackets=m.bracket_table), brj_modules["adjoint-sp4"]
     if kind == "brj":
         return brj_modules[n], brj_modules["adjoint-sp4"]
     m = symn_dual(n, ctx)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from superlie import constructions, linalg, superalgebra
 from superlie.census import GRID_PRESETS, _row, build_from_params
-from superlie.fields import FieldCtx, InputError, SuperlieError
+from superlie.fields import FieldCtx, InexactScalar, InputError, SuperlieError
 from superlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -34,6 +35,7 @@ from superlie.superalgebra import (
     build_superalgebra,
 )
 from superlie.brj import sp4_algebra
+from superlie.pairs import BilinearMap
 from superlie.constructions import (
     D21Params,
     coords_of_matrix,
@@ -56,6 +58,11 @@ F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
 Q = FieldCtx.rationals()
+
+
+def table_of(ctx, consts):
+    """The OpTable of an exact (n, n, n) structure-constant array."""
+    return OpTable.from_dense(ctx, *linalg._array_form(ctx, consts))
 
 
 def sl11(ctx):
@@ -110,21 +117,26 @@ class TestBuild:
             for k, c in row.items():
                 consts[i, j, k] = F5.of(c)
         with pytest.raises(error) as exc:
-            algebra_from_consts(F5, basis, consts)
+            algebra_from_consts(F5, basis, table_of(F5, consts))
         assert exc.value.triple == triple
 
-    def test_consts_completed_in_place(self):
-        # the algebra keeps the array it is given: no second (n, n, n) copy
+    def test_consts_completed_on_the_table(self):
+        # the mirror entry is filled on the table's entries, which the
+        # algebra holds read-only: no (n, n, n) array is made
         consts = F5.zeros(3, 3, 3)
         consts[0, 1, 2] = 1
-        alg = algebra_from_consts(F5, [("a", 0), ("b", 0), ("c", 0)], consts,
-                                  validate=False)
-        assert np.shares_memory(alg.consts, consts)
-        assert consts[1, 0, 2] == 4 and not consts.flags.writeable
+        alg = algebra_from_consts(F5, [("a", 0), ("b", 0), ("c", 0)],
+                                  table_of(F5, consts), validate=False)
+        t = alg.bracket_table
+        assert [t.op.tolist(), t.row.tolist(), t.col.tolist(),
+                t.val.tolist()] == [[0, 1], [1, 0], [2, 2], [1, 4]]
+        assert alg.consts[1, 0, 2] == 4 and alg.bracket_basis(1, 0) == {2: 4}
+        assert not any(a.flags.writeable for a in (t.op, t.row, t.col, t.val))
 
     def test_consts_shape_is_checked(self):
         with pytest.raises(DimensionMismatch):
-            LieSuperalgebra(F5, ["a", "b"], [0, 0], F5.zeros(3, 3, 3))
+            LieSuperalgebra(F5, ["a", "b"], [0, 0],
+                            table_of(F5, F5.zeros(3, 3, 3)))
 
     def test_jacobi_violation(self):
         # [a,b]=c, [a,c]=b on even elements fails Jacobi unless more relations
@@ -258,7 +270,7 @@ class TestStructure:
 
     def test_zero_and_abelian_verdicts(self):
         for ctx in (F3, Q):
-            zero = algebra_from_consts(ctx, [], ctx.zeros(0, 0, 0))
+            zero = algebra_from_consts(ctx, [], OpTable.empty(ctx, 0))
             assert zero.is_graded_simple().verdict == "Zero"
             abelian = build_superalgebra(ctx, [("x", 0), ("y", 1)], {})
             v = abelian.is_graded_simple()
@@ -284,7 +296,7 @@ class TestJacobiScan:
         bad = a.consts.copy()
         i, j, k = next(zip(*np.nonzero(bad)))
         bad[i, j, k] = F5.add(bad[i, j, k], 1)
-        broken = LieSuperalgebra(F5, a.labels, a.parities, bad)
+        broken = LieSuperalgebra(F5, a.labels, a.parities, table_of(F5, bad))
         assert not broken.validate_jacobi(full=True).ok
 
 
@@ -348,7 +360,8 @@ def perturbed(alg, rng):
         consts[j, i, rng.choice(sorted(mirror))] = ctx.zero
     else:
         consts[i, j, k] = ctx.add(consts[i, j, k], ctx.of(rng.randrange(1, 3)))
-    return LieSuperalgebra(ctx, alg.labels, alg.parities, consts)
+    return LieSuperalgebra(ctx, alg.labels, alg.parities,
+                           table_of(ctx, consts))
 
 
 class TestJacobiDifferential:
@@ -612,7 +625,7 @@ class TestGradedInvariant:
         consts = F5.zeros(2, 2, 2)
         consts[0, 1] = [1, 1]
         consts[1, 0] = [4, 4]
-        alg = LieSuperalgebra(F5, ["H", "x"], [0, 1], consts)
+        alg = LieSuperalgebra(F5, ["H", "x"], [0, 1], table_of(F5, consts))
         with pytest.raises(NotAnIdeal, match="not graded"):
             alg.derived_subalgebra()
 
@@ -1017,10 +1030,9 @@ class TestParities:
                                    np.int64(1), None], ids=repr)
     def test_non_parities_rejected(self, p):
         with pytest.raises(InputError, match="is not 0 or 1"):
-            LieSuperalgebra(F5, ["a"], [p], F5.zeros(1, 1, 1))
+            LieSuperalgebra(F5, ["a"], [p], OpTable.empty(F5, 1, 1))
         with pytest.raises(InputError, match="is not 0 or 1"):
-            algebra_from_consts(F5, [("a", p)],
-                                np.zeros((1, 1, 1), dtype=np.int64))
+            algebra_from_consts(F5, [("a", p)], OpTable.empty(F5, 1, 1))
         with pytest.raises(InputError, match="is not 0 or 1"):
             build_superalgebra(F5, [("a", 0), ("b", p)], {})
 
@@ -1182,3 +1194,59 @@ class TestCertificateDigest:
                 h.update(_space_text(alg.center().space).encode())
                 h.update(_space_text(alg.derived_subalgebra().space).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestInexactVectors:
+    """bracket_vec, BilinearMap.brackets and Matrix.mv read their vectors
+    as exact arrays: float, complex and bool ones raise InexactScalar.
+    Once a float 0.5 was truncated to 0 over Q and passed through over
+    F_p."""
+
+    INEXACT = {"float": lambda v: v * 0.5,
+               "complex": lambda v: v * (1 + 0j),
+               "bool": lambda v: v.astype(bool),
+               "float entry": lambda v: np.array([*v[:-1], 0.5], dtype=object)}
+
+    @pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(2**31 - 1), Q],
+                             ids=repr)
+    def test_inexact_vectors_rejected(self, ctx):
+        a = sl(2, 1, ctx)
+        e = np.eye(a.dim, dtype=np.int64)
+        half = [ctx.vec(["1/2" if i == c else 0 for i in range(a.dim)])
+                for c in (0, 2)]
+        # e_0 = E1,2 and e_2 = H1, so [e_0 / 2, e_2] = [e_0, e_2 / 2] = -e_0
+        minus_e0 = ctx.vec([-1] + [0] * (a.dim - 1))
+        assert np.array_equal(a.bracket_vec(half[0], e[2]), minus_e0)
+        assert np.array_equal(a.ad(0).mv(half[1]), minus_e0)
+        half = half[0]
+        consts = ctx.zeros(2, 2, 1)
+        consts[0, 1, 0] = consts[1, 0, 0] = ctx.one
+        b = BilinearMap(ctx, consts)
+        assert b.brackets(half[None, :2], e[1:2, :2]).tolist() == [
+            [ctx.of("1/2")]]
+        for name, inexact in self.INEXACT.items():
+            for call in (lambda: a.bracket_vec(inexact(e[0]), e[2]),
+                         lambda: a.bracket_vec(e[0], inexact(e[2])),
+                         lambda: b.brackets(inexact(e[:1, :2]), e[1:2, :2]),
+                         lambda: b.brackets(e[:1, :2], inexact(e[1:2, :2])),
+                         lambda: a.ad(0).mv(inexact(e[2]))):
+                with pytest.raises(InexactScalar):
+                    call()
+
+
+class TestMemoryBudget:
+    def test_sl65_simplicity_peak(self):
+        # a budget, as the runtime budgets of the acceptance tests are:
+        # below one dense (n, n, n) int64 array at n = 120 (13.2 MiB).  The
+        # traced peak was 43.6 MiB when the constants were also held as a
+        # dense (n^2, n) matrix and every spin round scattered a dense
+        # operator stack.  Met by the code, never raised
+        tracemalloc.start()
+        try:
+            alg = sl(6, 5, F5)
+            proof = alg.is_graded_simple().certificate.get("proof")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (alg.dim, proof) == (120, True)
+        assert peak < 13 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
