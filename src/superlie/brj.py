@@ -129,14 +129,14 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
 
 
 def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
-    """sp4's adjoint module, with exp(t ad x) for each root vector x."""
-    ctx = g.ctx
-    lie = [g.ad(i) for i in range(g.dim)]
+    """sp4's adjoint module, its Lie action g's ad_table, with exp(t ad x)
+    for each root vector x."""
+    ctx, ads = g.ctx, g.ad_table.matrices()
     fams = CoeffOperatorFamily.batch(
-        (l, CoeffOperatorFamily.exp_ops(l, lie[i]), w)
+        (l, CoeffOperatorFamily.exp_ops(l, ads[i]), w)
         for i, (l, w, _) in enumerate(SP4_ROOTS))
     weights = [w for _, w, _ in SP4_ROOTS] + [(0, 0), (0, 0)]
-    return GModule(ctx, g.labels, g.labels, lie, fams, weights=weights,
+    return GModule(ctx, g.labels, g.labels, g.ad_table, fams, weights=weights,
                    brackets=g.bracket_table, meta={"name": "adjoint-sp4"})
 
 
@@ -234,7 +234,7 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     # the invariant form element v+e1 ^ v-e1 + v+e2 ^ v-e2
     z = _vector(ctx, 6, {l2pos[0, 2]: 1, l2pos[1, 3]: 1})
     zspan = Subspace.from_vectors(ctx, 6, [z])
-    if zspan.residuals(l2.table(1).images(zspan.basis.ints)).any():
+    if zspan.residuals(l2.table.images(zspan.basis.ints)).any():
         raise PipelineAssertion("L2V", "invariant form element",
                                 "not invariant", report)
     w_labels = ["w+e1+e2", "w+e1-e2", "w0", "w-e1+e2", "w-e1-e2"]

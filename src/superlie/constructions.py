@@ -31,7 +31,6 @@ import numpy as np
 from .fields import FieldCtx, InputError, SuperlieError
 from .linalg import (
     DimensionMismatch,
-    Matrix,
     OpTable,
     Subspace,
     _array_form,
@@ -522,10 +521,12 @@ def d21(params: D21Params, ctx: FieldCtx) -> LieSuperalgebra:
 
 def adjoint_sl2_module(ctx: FieldCtx) -> GModule:
     """sl2's adjoint module read off SL2_BRACKETS: ad(x_i) is
-    SL2_BRACKETS[i].T, with the families exp(t ad E12), exp(t ad E21)."""
-    lie = [Matrix.from_int(ctx, b.T) for b in SL2_BRACKETS]
+    SL2_BRACKETS[i].T, the table of the transposed brackets, with the
+    families exp(t ad E12), exp(t ad E21)."""
+    lie = OpTable.from_dense(ctx, ctx.reduce(SL2_BRACKETS.transpose(0, 2, 1)))
+    ads = lie.matrices()
     fams = CoeffOperatorFamily.batch(
-        (label, CoeffOperatorFamily.exp_ops(label, lie[i]), root)
+        (label, CoeffOperatorFamily.exp_ops(label, ads[i]), root)
         for label, i, root in (("X2", 1, (2,)), ("X-2", 2, (-2,))))
     return GModule(ctx, SL2_LABELS, SL2_LABELS, lie, fams,
                    weights=[(0,), (2,), (-2,)],
@@ -551,14 +552,15 @@ def symn_module(n: int, ctx: FieldCtx) -> GModule:
             up[k, i + k, i] = math.comb(n - i, k)
     down = up[:, ::-1, ::-1]
     h = np.diag(np.arange(-n, n + 1, 2)).astype(object)
-    fams = CoeffOperatorFamily.batch([
-        ("X2", OpTable.from_dense(ctx, ctx.reduce(up)), (2,)),
-        ("X-2", OpTable.from_dense(ctx, ctx.reduce(down)), (-2,))])
-    return GModule(
-        ctx, [f"s{i}" for i in range(d)], SL2_LABELS,
-        OpTable.from_dense(ctx, ctx.reduce(np.array([h, up[1], down[1]]))),
-        fams, weights=[(2 * i - n,) for i in range(d)],
-        brackets=SL2_BRACKETS, meta={"name": f"sym{n}"})
+    # one table: the Lie action, then X2[t^1..t^n] and X-2[t^1..t^n]
+    table = OpTable.from_dense(ctx, ctx.reduce(np.concatenate(
+        [np.array([h, up[1], down[1]]), up[1:d], down[1:d]])))
+    return GModule.on_table(
+        ctx, [f"s{i}" for i in range(d)], SL2_LABELS, table,
+        [3, 3 + n, 3 + 2 * n], [("X2", (2,)), ("X-2", (-2,))],
+        weights=[(2 * i - n,) for i in range(d)],
+        brackets=OpTable.from_dense(ctx, *_array_form(ctx, SL2_BRACKETS)),
+        meta={"name": f"sym{n}"})
 
 
 def symn_dual(n: int, ctx: FieldCtx) -> GModule:

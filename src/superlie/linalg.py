@@ -162,21 +162,23 @@ def run_starts(a: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the previous
     one: the first entry of each run of equal values."""
     starts = np.ones(len(a), dtype=bool)
-    starts[1:] = a[1:] != a[:-1]
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
     return starts
 
 
 def join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The index pairs (x, y) with left[x] == right[y], by increasing x and,
     for one x, increasing y.  Joining the entries of matrices on the middle
-    index gives every term of their products."""
-    order = np.argsort(right, kind="stable")
+    index gives every term of their products.  The array methods skip
+    numpy's function dispatch, a large share of a join of a few hundred
+    entries."""
+    order = right.argsort(kind="stable")
     srt = right[order]
-    lo = np.searchsorted(srt, left, "left")
-    cnt = np.searchsorted(srt, left, "right") - lo
-    x = np.repeat(np.arange(len(left)), cnt)
-    start = np.repeat(np.cumsum(cnt) - cnt, cnt)
-    y = order[np.repeat(lo, cnt) + np.arange(len(x)) - start]
+    lo = srt.searchsorted(left, "left")
+    cnt = srt.searchsorted(left, "right") - lo
+    x = np.arange(len(left)).repeat(cnt)
+    # the y of x are order[lo[x]], order[lo[x] + 1], ...
+    y = order[(lo - cnt.cumsum() + cnt).repeat(cnt) + np.arange(len(x))]
     return x, y
 
 
@@ -187,11 +189,12 @@ def nonzero_sums(ctx: FieldCtx, keys: np.ndarray,
     key (residues over F_p, integers over one common denominator over Q)."""
     if not len(keys):
         return keys, terms
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys, terms = keys[order], terms[order]
-    first = np.flatnonzero(run_starts(keys))
+    first = run_starts(keys).nonzero()[0]
     sums = ctx.reduce(np.add.reduceat(terms, first))
-    return keys[first[sums != 0]], sums[sums != 0]
+    keep = sums != 0
+    return keys[first[keep]], sums[keep]
 
 
 def keyed_rows(keys: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -256,48 +259,71 @@ class OpTable:
             len(js), n, n), s)
 
     @classmethod
-    def concat(cls, tables: Sequence["OpTable"]) -> "OpTable":
-        """The ops of the tables, in order, on one scale."""
-        s = lcm(1, *(t.scale for t in tables))
-        parts = [t.entries(0, s) for t in tables]
-        op, row, col, val = (np.concatenate(a) for a in zip(*parts))
-        counts = [t.count for t in tables]
-        op = op + np.repeat(np.cumsum(counts) - counts,
-                            [len(p[0]) for p in parts])
-        return cls(tables[0].ctx, tables[0].n, sum(counts), op, row, col,
-                   val, s)
+    def concat(cls, parts: Sequence) -> "OpTable":
+        """The ops of the parts, in order, on one scale: a part is a table,
+        or (table, lo, hi) for its ops lo, ..., hi - 1."""
+        parts = [p if isinstance(p, tuple) else (p, 0, p.count)
+                 for p in parts]
+        s = lcm(1, *(t.scale for t, _, _ in parts))
+        cols, o = [], 0
+        for t, lo, hi in parts:
+            op, row, col, val = t.entries(lo, hi, s)
+            cols.append((op + (o - lo), row, col, val))
+            o += hi - lo
+        op, row, col, val = (np.concatenate(a) for a in zip(*cols))
+        return cls(parts[0][0].ctx, parts[0][0].n, o, op, row, col, val, s)
 
     @classmethod
     def empty(cls, ctx: FieldCtx, n: int, count: int = 0) -> "OpTable":
         return cls.from_dense(ctx, np.zeros((count, n, n), np.int64))
 
-    def entries(self, lo: int = 0, scale: Optional[int] = None):
-        """(op, row, col, val) of ops lo, lo + 1, ...; the values over
-        scale, a multiple of self.scale, when given."""
-        a = int(np.searchsorted(self.op, lo)) if lo else 0
-        val = self.val[a:]
+    def entries(self, lo: int = 0, hi: Optional[int] = None,
+                scale: Optional[int] = None):
+        """(op, row, col, val) of ops lo, ..., hi - 1 (to the last when hi
+        is None); the values over scale, a multiple of self.scale, when
+        given."""
+        a = int(self.op.searchsorted(lo)) if lo else 0
+        b = None if hi is None else int(self.op.searchsorted(hi))
+        val = self.val[a:b]
         if scale and scale != self.scale:
             val = val * (scale // self.scale)
-        return self.op[a:], self.row[a:], self.col[a:], val
+        return self.op[a:b], self.row[a:b], self.col[a:b], val
 
-    def select(self, lo: int, hi: int) -> "OpTable":
-        """The table of ops lo, ..., hi - 1 (zero past count), from 0."""
-        a, b = np.searchsorted(self.op, [lo, hi])
-        return OpTable(self.ctx, self.n, hi - lo, self.op[a:b] - lo,
-                       self.row[a:b], self.col[a:b], self.val[a:b], self.scale)
+    def pick(self, ops: Sequence[int]) -> "OpTable":
+        """The table of ops ops[0], ops[1], ... of self, distinct or -1 for
+        a zero op: one mask of the entries, re-sorted by their new op only
+        when ops is not increasing."""
+        ops = np.asarray(ops, dtype=np.int64).reshape(-1)
+        new = np.full(self.count, -1)
+        on = ops >= 0
+        new[ops[on]] = np.flatnonzero(on)
+        k = new[self.op]
+        e = np.flatnonzero(k >= 0)
+        k = k[e]
+        if len(k) and (k[1:] < k[:-1]).any():
+            order = np.argsort(k, kind="stable")
+            e, k = e[order], k[order]
+        return OpTable(self.ctx, self.n, len(ops), k, self.row[e],
+                       self.col[e], self.val[e], self.scale)
 
-    def dense(self) -> np.ndarray:
-        """The (count, n, n) integer array of the J_k."""
-        a = np.zeros((self.count, self.n, self.n), dtype=self.val.dtype)
-        a[self.op, self.row, self.col] = self.val
+    def dense(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """The (hi - lo, n, n) integer array of J_lo, ..., J_{hi - 1}, of
+        every J_k when hi is None."""
+        hi = self.count if hi is None else hi
+        op, row, col, val = self.entries(lo, hi)
+        a = np.zeros((hi - lo, self.n, self.n), dtype=self.val.dtype)
+        a[op - lo, row, col] = val
         return a
 
-    def transposed(self) -> "OpTable":
-        """The table of the J_k^T, on the same scale."""
+    def transposed(self, signs: Optional[np.ndarray] = None) -> "OpTable":
+        """The table of the J_k^T, on the same scale; of the signs[k] J_k^T
+        when signs (one per op) are given."""
         order = np.argsort((self.op * self.n + self.col) * self.n + self.row)
-        return OpTable(self.ctx, self.n, self.count, self.op[order],
-                       self.col[order], self.row[order], self.val[order],
-                       self.scale)
+        op, val = self.op[order], self.val[order]
+        if signs is not None:
+            val = self.ctx.reduce(val * signs[op])
+        return OpTable(self.ctx, self.n, self.count, op, self.col[order],
+                       self.row[order], val, self.scale)
 
     def images(self, rows: np.ndarray) -> np.ndarray:
         """The (r count, n) integer array whose row b count + k is J_k v_b
@@ -321,9 +347,12 @@ class OpTable:
         out[:, at] = self.ctx.reduce(np.add.reduceat(terms, first, axis=1))
         return out.reshape(len(rows) * self.count, self.n)
 
-    def matrices(self) -> List["Matrix"]:
+    def matrices(self, lo: int = 0,
+                 hi: Optional[int] = None) -> List["Matrix"]:
+        """J_lo / scale, ..., J_{hi - 1} / scale as Matrices, every J_k
+        when hi is None."""
         return [Matrix.from_int(self.ctx, j, self.scale, reduced=True)
-                for j in self.dense()]
+                for j in self.dense(lo, hi)]
 
     def __eq__(self, other):
         return (isinstance(other, OpTable) and (
@@ -567,9 +596,9 @@ def _pivot_rref(ctx: FieldCtx,
                 a: np.ndarray) -> Tuple[np.ndarray, int, int, List[int]]:
     """Gauss-Jordan elimination in place on an integer array, on the
     leftmost nonzero pivot, as _rref_array returns it.  Over F_p the pivot
-    row is scaled to 1.  Over Q, fraction-free: a row with entry f in the
-    pivot column becomes p row - f (pivot row), p the pivot, divided by
-    its content, and the pivots are divided out at the end."""
+    row is scaled to 1.  Over Q, fraction-free (_fraction_free_rref)."""
+    if not ctx.p:
+        return _fraction_free_rref(ctx, a)
     n_rows, n_cols = a.shape
     # np.nonzero tests each entry of an object array twice; a cast to bool
     # tests it once
@@ -591,20 +620,49 @@ def _pivot_rref(ctx: FieldCtx,
         factors = a[:, c].copy()
         factors[r] = 0
         rows_nz = np.nonzero(factors.astype(bool) if obj else factors)[0]
-        if len(rows_nz) and ctx.p:
+        if len(rows_nz):
             # the rank-1 update touches only the rows with a nonzero factor
             # and the pivot row's support: the systems in play are sparse
             cols_nz = np.nonzero(a[r].astype(bool) if obj else a[r])[0]
             ix = np.ix_(rows_nz, cols_nz)
             a[ix] = ctx.reduce(
                 a[ix] - np.outer(factors[rows_nz], a[r][cols_nz]))
-        elif len(rows_nz):
-            b = a[rows_nz] * a[r, c] - np.outer(factors[rows_nz], a[r])
-            g = np.gcd.reduce(b, axis=1)
-            a[rows_nz] = b // np.where(g == 0, 1, g)[:, None]
         pivots.append(c)
         r += 1
-    if ctx.p or not r:
+    return a, 1, r, pivots
+
+
+def _fraction_free_rref(ctx: FieldCtx, a: np.ndarray
+                        ) -> Tuple[np.ndarray, int, int, List[int]]:
+    """_pivot_rref over Q, in place on Python ints: a row with entry f in
+    the pivot column becomes p row - f (pivot row), p the pivot, divided
+    by its content, and the pivots are divided out at the end.  A column
+    is tested with any and argmax on its nonzero mask, so only a pivot
+    makes an index array, of the rows it changes.  (A mask of the whole
+    array kept up to date across pivots measured slower, on the small hom
+    systems and on sl(6|5)'s centre alike.)"""
+    n_rows, n_cols = a.shape
+    pivots: List[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        col = a[r:, c].astype(bool)
+        if not col.any():
+            continue
+        i = r + int(col.argmax())
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        factors = a[:, c].astype(bool)
+        factors[r] = False
+        rows = np.flatnonzero(factors)
+        if len(rows):
+            b = a[rows] * a[r, c] - np.outer(a[rows, c], a[r])
+            g = np.gcd.reduce(b, axis=1)
+            a[rows] = b // np.where(g == 0, 1, g)[:, None]
+        pivots.append(c)
+        r += 1
+    if not r:
         return a, 1, r, pivots
     # row i is p_i times RREF row i; times s / p_i, for s the lcm of the
     # p_i, it is s times RREF row i

@@ -10,12 +10,18 @@ is then equivalent to closure/equivariance under X(t) for every t in the
 algebraic closure, which turns all group-theoretic questions here into finite
 linear algebra.
 
-A family's operators, and a module's Lie action, are held once, at
-construction, as one OpTable: the nonzero entries (op, row, col, value) of
-their integer forms on one scale.  The checks, the tensor constructions
-and the hom systems join those entries, and the spins and the induced
-operators take the table itself (linalg.OpTable.images); the dense Matrix
-views (ops, lie_action) are made on first use, for output and tests.
+A module holds its Lie action and its families as one OpTable, the
+nonzero entries (op, row, col, value) of their integer forms on one
+scale: first the Lie action, then A_1, ..., A_d of each family in order,
+with one offsets array for the family boundaries (A_0 = I is checked on
+input and then implied).  A family reads its coefficients off that table;
+a standalone family keeps a table of its own until a module takes it
+over.  The checks read each entry's family and t-power off the offsets,
+the tensor constructions, duals and subquotients build the next module's
+table from this one's in one piece, the hom systems pick their ops with
+one mask, and the spins and the induced operators take the table itself
+(linalg.OpTable.images); the dense Matrix views (ops, lie_action) are made
+on first use, for output and tests.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -67,11 +73,13 @@ class CoeffOperatorFamily:
     """One-parameter subgroup X(t) = sum_i t^i A_i; A_0 must be the
     identity.  root, when set, is the weight shift of each t-power.
 
-    table holds A_0, ..., A_d (op k is A_k), trailing zero operators
-    dropped; ops and op(k) are its dense views, made on first use.
-    Construction checks the composition law with validate, so every
-    instance is a valid family.  batch builds several families and checks
-    them all with one validate call."""
+    A_0 = I is checked on input and then implied: the family reads A_1,
+    ..., A_d as ops lo, ..., lo + d - 1 of the OpTable source, trailing
+    zero operators dropped.  A standalone family holds its own source; a
+    module's families read the module's one table.  ops and op(k) are
+    dense views, made on first use.  Construction checks the composition
+    law with validate, so every instance is a valid family.  batch builds
+    several families and checks them all with one validate call."""
 
     def __init__(self, label: str, ops: Ops,
                  root: Optional[Sequence[int]] = None):
@@ -79,22 +87,39 @@ class CoeffOperatorFamily:
         self.validate()
 
     def _hold(self, label: str, ops: Ops, root: Optional[Sequence[int]]):
-        """Set the fields from Matrices or a table, trailing zero operators
-        dropped.  Matrices of no one square shape make no table: validate
-        reports them from _bad."""
-        self.label, self._bad = label, None
+        """Set the fields from A_0, ..., A_d as Matrices or a table.
+        Matrices of no one square shape make no source: validate reports
+        them, as it reports an A_0 other than I, from _bad and _ident."""
+        self.label, self.source, self._bad = label, None, None
         self.root = None if root is None else tuple(root)
-        if not isinstance(ops, OpTable):
-            ops = list(ops)
-            while len(ops) > 1 and ops[-1].is_zero():
-                ops.pop()
-            n = ops[0].rows if ops else 0
-            if not ops or any(op.shape != (n, n) for op in ops):
-                self.table, self._bad = None, ops
-                return
-            ops = OpTable.of(ops[0].ctx, n, ops)
-        last = int(ops.op[-1]) + 1 if len(ops.op) else 1
-        self.table = ops.select(0, last) if last < ops.count else ops
+        if isinstance(ops, OpTable):
+            # A_0's entries are the diagonal, each the table's scale
+            t, a = ops, int(np.searchsorted(ops.op, 1))
+            self._ident = (a == t.n and (t.row[:a] == np.arange(a)).all()
+                           and (t.col[:a] == t.row[:a]).all()
+                           and (t.val[:a] == t.scale).all())
+            self.source, self.lo = t, 1
+            self.degree = int(t.op[-1]) if len(t.op) else 0
+            return
+        ops = list(ops)
+        while len(ops) > 1 and ops[-1].is_zero():
+            ops.pop()
+        n = ops[0].rows if ops else 0
+        if not ops or any(op.shape != (n, n) for op in ops):
+            self._bad, self._ident = ops, bool(ops) and ops[0].is_identity()
+            return
+        self._ident = ops[0].is_identity()
+        self.source, self.lo = OpTable.of(ops[0].ctx, n, ops[1:]), 0
+        self.degree = len(ops) - 1
+
+    @classmethod
+    def _view(cls, label: str, root: Optional[Tuple[int, ...]],
+              source: OpTable, lo: int, degree: int) -> "CoeffOperatorFamily":
+        """The family whose A_1, ..., A_degree are ops lo, ... of source."""
+        f = cls.__new__(cls)
+        f.label, f.root, f._bad, f._ident = label, root, None, True
+        f.source, f.lo, f.degree = source, lo, degree
+        return f
 
     @classmethod
     def batch(cls, specs: Iterable[Tuple[str, Ops, Optional[Sequence[int]]]]
@@ -142,22 +167,19 @@ class CoeffOperatorFamily:
 
     @property
     def ctx(self) -> FieldCtx:
-        return self.table.ctx
+        return self._bad[0].ctx if self.source is None else self.source.ctx
 
     @property
     def dim(self) -> int:
-        if self.table is None:
+        if self.source is None:
             return self._bad[0].rows if self._bad else 0
-        return self.table.n
-
-    @property
-    def degree(self) -> int:
-        return self.table.count - 1
+        return self.source.n
 
     @cached_property
     def ops(self) -> Tuple[Matrix, ...]:
-        """A_0, ..., A_d as Matrices: a dense view of the table."""
-        return tuple(self.table.matrices())
+        """A_0, ..., A_d as Matrices: a dense view of the source."""
+        return (Matrix.identity(self.ctx, self.dim),
+                *self.source.matrices(self.lo, self.lo + self.degree))
 
     def op(self, k: int) -> Matrix:
         if not 0 <= k <= self.degree:
@@ -167,8 +189,8 @@ class CoeffOperatorFamily:
 
     def __eq__(self, other):
         return (isinstance(other, CoeffOperatorFamily)
-                and (self.label, self.root, self.table)
-                == (other.label, other.root, other.table))
+                and (self.label, self.root, self.ops)
+                == (other.label, other.root, other.ops))
 
     def to_json_dict(self) -> dict:
         return {"label": self.label,
@@ -188,20 +210,13 @@ class CoeffOperatorFamily:
     def _malformed(self, n: int) -> Optional[SuperlieError]:
         """The error of an empty family, an op_0 other than the identity or
         an op that is not n x n, in that order; None if there is none."""
-        t, ops = self.table, self._bad
-        if t is None and not ops:
+        if self.source is None and not self._bad:
             return CompositionViolation(f"{self.label}: empty family")
-        if t is None:
-            ident = ops[0].is_identity()
-        else:  # op_0's entries are the diagonal, each the table's scale
-            a = int(np.searchsorted(t.op, 1))
-            ident = (a == t.n and (t.row[:a] == np.arange(a)).all()
-                     and (t.col[:a] == t.row[:a]).all()
-                     and (t.val[:a] == t.scale).all())
-        if not ident:
+        if not self._ident:
             return CompositionViolation(f"{self.label}: op_0 is not the identity")
-        for k, (r, c) in enumerate([op.shape for op in ops] if t is None
-                                   else [(t.n, t.n)]):
+        for k, (r, c) in enumerate([op.shape for op in self._bad]
+                                   if self.source is None
+                                   else [(self.dim, self.dim)]):
             if (r, c) != (n, n):
                 return DimensionMismatch(
                     f"{self.label}: op_{k} is {r}x{c}, not {n}x{n}")
@@ -215,10 +230,11 @@ class CoeffOperatorFamily:
 
         On the integer forms A_k = J_k / s (one s for all families, 1 over
         F_p) the law is J_a J_b = C(a+b, a) s J_{a+b}, which holds when a or
-        b is 0.  Every other J_a J_b comes from one join of all families'
-        table entries on (family, middle index), and C s J_{a+b} is added
-        negated at each split a + b.  A key packs (family, a, b, row, col),
-        so the least one left is the first failure."""
+        b is 0.  Every other J_a J_b comes from one join of the families'
+        entries, read off one table (_block), on (family, middle index),
+        and C s J_{a+b} is added negated at each split a + b.  A key packs
+        (family, a, b, row, col), so the least one left is the first
+        failure."""
         fams = (self,) + others
         n, err = self.dim, None
         for i, f in enumerate(fams):
@@ -233,20 +249,41 @@ class CoeffOperatorFamily:
             raise err
 
 
-def _positive_entries(fams: Sequence[CoeffOperatorFamily], scale=None):
-    """(family, k, row, col, value) of the entries of every op_k, k >= 1,
-    of the families, the values over scale when given."""
-    parts = [f.table.entries(1, scale) for f in fams]
-    g = np.repeat(np.arange(len(fams)), [len(p[0]) for p in parts])
-    return (g, *(np.concatenate(a) for a in zip(*parts)))
+def _block(fams: Sequence[CoeffOperatorFamily],
+           head: Optional[OpTable] = None) -> Tuple[OpTable, np.ndarray]:
+    """(table, offsets): A_1, ..., A_d of fams[i] are the ops offsets[i],
+    ..., offsets[i + 1] - 1 of table, after the ops of head when given.
+    Families that follow each other in one source, as a module's and a
+    batch's do, are read where they are; others are copied by one concat,
+    as a module takes over standalone families."""
+    parts = [] if head is None else [(head, 0, head.count)]
+    for f in (f for f in fams if f.degree):
+        if parts and parts[-1][0] is f.source and parts[-1][2] == f.lo:
+            parts[-1] = (f.source, parts[-1][1], f.lo + f.degree)
+        else:
+            parts.append((f.source, f.lo, f.lo + f.degree))
+    ends = np.cumsum([0] + [f.degree for f in fams])
+    if len(parts) > 1:
+        return OpTable.concat(parts), (0 if head is None else head.count) \
+            + ends
+    src, lo, _ = parts[0] if parts else (fams[0].source, 0, 0)
+    return src, (lo if head is None else head.count) + ends
+
+
+def _family_ops(offsets: np.ndarray, op: np.ndarray):
+    """(family, t-power) of each op of a table whose family i is ops
+    offsets[i], offsets[i] + 1, ... (A_1, A_2, ...)."""
+    g = np.searchsorted(offsets, op, "right") - 1
+    return g, op - offsets[g] + 1
 
 
 def _check_composition(fams: Sequence[CoeffOperatorFamily]):
     """validate's composition check, on n x n families of degree > 0."""
-    ctx, n = fams[0].ctx, fams[0].dim
+    t, offsets = _block(fams)
+    ctx, n, s = t.ctx, t.n, t.scale
     top = max(f.degree for f in fams) + 1
-    s = math.lcm(*(f.table.scale for f in fams))
-    g, k, r, c, v = _positive_entries(fams, s)
+    op, r, c, v = t.entries(offsets[0], offsets[-1])
+    g, k = _family_ops(offsets, op)
     x, y = join(g * n + c, g * n + r)
     lhs_keys = (((g[x] * top + k[x]) * top + k[y]) * n + r[x]) * n + c[y]
     # entry e of J_k once for each split k = a + b with a, b >= 1
@@ -255,13 +292,10 @@ def _check_composition(fams: Sequence[CoeffOperatorFamily]):
     first = np.repeat(np.cumsum(splits) - splits, splits)
     a = np.arange(len(e)) - first + 1
     rhs_keys = (((g[e] * top + a) * top + k[e] - a) * n + r[e]) * n + c[e]
-    binom = ctx.reduce(np.array(
-        [[math.comb(i, j) * s for j in range(top)] for i in range(top)],
-        dtype=object)).astype(v.dtype)
     keys, _ = nonzero_sums(
         ctx, np.concatenate([lhs_keys, rhs_keys]),
-        np.concatenate([ctx.reduce(v[x] * v[y]),
-                        ctx.reduce(-binom[k[e], a] * v[e])]))
+        np.concatenate([ctx.reduce(v[x] * v[y]), ctx.reduce(
+            -_binomials(ctx, top)[k[e], a] * s * v[e])]))
     if len(keys):
         i, ab = divmod(int(keys[0]) // (n * n), top * top)
         a, b = divmod(ab, top)
@@ -273,12 +307,53 @@ def _check_composition(fams: Sequence[CoeffOperatorFamily]):
             f"{f.label}: A_{a} A_{b} != C({a+b},{a}) A_{a+b}")
 
 
-def _commutator_terms(t: OpTable):
+@lru_cache(maxsize=64)
+def _binomials(ctx: FieldCtx, top: int) -> np.ndarray:
+    """C(i, j) for i, j < top, in ctx's integer form (residues over F_p),
+    read-only: made once per field and degree, not per check."""
+    a = ctx.reduce(np.array([[math.comb(i, j) for j in range(top)]
+                             for i in range(top)], dtype=object))
+    a = a.astype(ctx.dtype)
+    a.setflags(write=False)
+    return a
+
+
+def _trimmed(table: OpTable, offsets: np.ndarray):
+    """(table, offsets, degrees): table without the trailing zero ops of
+    each family's ops offsets[i], ..., offsets[i + 1] - 1 (one pick, only
+    when there are some), its offsets and the families' degrees."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    ends = np.searchsorted(table.op, offsets[1:])
+    last = np.append(table.op, -1)[ends - 1]
+    degrees = np.maximum(last - offsets[:-1] + 1, 0)
+    if (degrees == np.diff(offsets)).all():
+        return table, offsets, degrees
+    keep = np.concatenate([np.arange(offsets[0])] + [
+        np.arange(o, o + d) for o, d in zip(offsets, degrees)])
+    return (table.pick(keep),
+            np.cumsum(np.concatenate([offsets[:1], degrees])), degrees)
+
+
+def _families_on(table: OpTable, offsets: Sequence[int],
+                 specs: Sequence[Tuple[str, Optional[Tuple[int, ...]]]]
+                 ) -> Tuple[OpTable, np.ndarray, list]:
+    """(table, offsets, families): the families with the (label, root) of
+    specs whose A_1, A_2, ... are ops offsets[i], ... of table, after
+    _trimmed, checked by one validate call."""
+    table, offsets, degrees = _trimmed(table, offsets)
+    fams = [CoeffOperatorFamily._view(label, root, table, int(o), int(d))
+            for (label, root), o, d in zip(specs, offsets, degrees)]
+    if fams:
+        fams[0].validate(*fams[1:])
+    return table, offsets, fams
+
+
+def _commutator_terms(t: OpTable, d: int):
     """(keys, terms) whose sums per key (i, j, row, col), i < j, are the
-    entries of J_i J_j - J_j J_i for the ops of the table: every product
-    from one join of its entries on the middle index."""
-    d, n = t.count, t.n
-    i, r, c, v = t.entries()
+    entries of J_i J_j - J_j J_i for the ops 0, ..., d - 1 of the table:
+    every product from one join of their entries on the middle index."""
+    n = t.n
+    i, r, c, v = t.entries(0, d)
     x, y = join(c, r)
     off = i[x] != i[y]
     x, y = x[off], y[off]
@@ -293,12 +368,17 @@ class GModule:
     """A module with aligned Lie-algebra generators and group families.
 
     lie_labels/lie_action list the acting even Lie elements (typically a full
-    basis of the even algebra), held as the OpTable lie (lie_action is its
-    dense view, made on first use); families are the group generators.
-    brackets, when provided, are the acting algebra's structure constants
-    in the same indexing, its OpTable bracket_table or a (d, d, d) exact
-    array, so the representation property can be verified: held as
-    bracket_table, which modules built from this one share.
+    basis of the even algebra); families are the group generators.  Both
+    are held as one OpTable, table: its first ops are the Lie action, then
+    come A_1, ..., A_d of each family in order, family i from op
+    offsets[i] (offsets[-1] is the count); A_0 = I is implied.  The
+    families read their coefficients off table, and lie_action and
+    all_operators are its dense views, made on first use.  brackets, when
+    provided, are the acting algebra's structure constants in the same
+    indexing, its OpTable bracket_table or a (d, d, d) exact array, so the
+    representation property can be verified: held as bracket_table, which
+    modules built from this one share.  Every operator, family and bracket
+    table must be over ctx.
     """
 
     def __init__(self, ctx: FieldCtx, labels: Sequence[str],
@@ -307,24 +387,65 @@ class GModule:
                  weights: Optional[Sequence[Tuple[int, ...]]] = None,
                  brackets: Union[np.ndarray, OpTable, None] = None,
                  meta: Optional[dict] = None):
-        self.ctx = ctx
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.lie_labels = tuple(lie_labels)
-        self.families = tuple(families)
-        self.weights = tuple(tuple(w) for w in weights) if weights else None
-        held = isinstance(lie_action, OpTable)
+        dim = len(labels)
         if isinstance(brackets, np.ndarray):
             if brackets.ndim != 3 or len(set(brackets.shape)) != 1:
                 raise DimensionMismatch("brackets shape mismatch")
             brackets = OpTable.from_dense(ctx, *_array_form(ctx, brackets))
+        if not isinstance(lie_action, OpTable):
+            mats = list(lie_action)
+            if any(m.ctx != ctx for m in mats):
+                raise DimensionMismatch("field mismatch")
+            if any(m.shape != (dim, dim) for m in mats):
+                raise DimensionMismatch("lie action shape mismatch")
+            lie_action = OpTable.of(ctx, dim, mats)
+        if any(x.ctx != ctx for x in [lie_action, *families]
+               + ([] if brackets is None else [brackets])):
+            raise DimensionMismatch("field mismatch")
+        if lie_action.n != dim:
+            raise DimensionMismatch("lie action shape mismatch")
+        if lie_action.count != len(lie_labels):
+            raise DimensionMismatch("lie label count mismatch")
+        for f in families:
+            if f.dim != dim:
+                raise DimensionMismatch(f"family {f.label} shape mismatch")
+        table, offsets = _block(families, lie_action)
+        fams = [CoeffOperatorFamily._view(f.label, f.root, table, int(o),
+                                          f.degree)
+                for f, o in zip(families, offsets)]
+        self._hold(ctx, labels, lie_labels, table, offsets, fams, weights,
+                   brackets, meta)
+
+    @classmethod
+    def on_table(cls, ctx: FieldCtx, labels: Sequence[str],
+                 lie_labels: Sequence[str], table: OpTable,
+                 offsets: Sequence[int],
+                 families: Sequence[Tuple[str, Optional[Tuple[int, ...]]]],
+                 weights: Optional[Sequence[Tuple[int, ...]]] = None,
+                 brackets: Optional[OpTable] = None,
+                 meta: Optional[dict] = None) -> "GModule":
+        """The module whose Lie action is the ops before offsets[0] of
+        table and whose family i, with the (label, root) families[i], is
+        its ops offsets[i], ..., offsets[i + 1] - 1 (A_1, A_2, ...): the
+        table is held as it is, but for trailing zero ops of a family, and
+        the families are checked by one validate call."""
+        table, offsets, fams = _families_on(table, offsets, families)
+        m = cls.__new__(cls)
+        m._hold(ctx, labels, lie_labels, table, offsets, fams, weights,
+                brackets, meta)
+        return m
+
+    def _hold(self, ctx, labels, lie_labels, table, offsets, fams, weights,
+              brackets, meta):
+        self.ctx = ctx
+        self.labels = tuple(labels)
+        self.dim = len(self.labels)
+        self.lie_labels = tuple(lie_labels)
+        self.table, self.offsets = table, offsets
+        self.families = tuple(fams)
+        self.weights = tuple(tuple(w) for w in weights) if weights else None
         self.bracket_table = brackets
         self.meta = dict(meta or {})
-        if not held:
-            if any(m.shape != (self.dim, self.dim) for m in lie_action):
-                raise DimensionMismatch("lie action shape mismatch")
-            lie_action = OpTable.of(ctx, self.dim, lie_action)
-        self.lie = lie_action
         self.validate()
 
     def __repr__(self):
@@ -338,20 +459,13 @@ class GModule:
 
     @cached_property
     def lie_action(self) -> Tuple[Matrix, ...]:
-        """The Lie action as Matrices: a dense view of lie."""
-        return tuple(self.lie.matrices())
+        """The Lie action as Matrices: a dense view of table."""
+        return tuple(self.table.matrices(0, len(self.lie_labels)))
 
     def all_operators(self) -> List[Matrix]:
-        ops = list(self.lie_action)
-        for f in self.families:
-            ops.extend(f.ops[1:])
-        return ops
-
-    def table(self, lo: int = 0) -> OpTable:
-        """The Lie action and then ops lo, lo + 1, ... of each family: with
-        lo = 1, every operator a spin needs."""
-        return OpTable.concat([self.lie] + [
-            f.table.select(lo, f.table.count) for f in self.families])
+        """The Lie action and every A_k, k >= 1, of each family: table's
+        ops as Matrices."""
+        return self.table.matrices()
 
     def family_by_label(self, label: str) -> CoeffOperatorFamily:
         for f in self.families:
@@ -360,13 +474,10 @@ class GModule:
         raise LabelMismatch(f"no family labeled {label}")
 
     def validate(self):
-        if self.lie.n != self.dim:
+        if self.table.n != self.dim:
             raise DimensionMismatch("lie action shape mismatch")
-        if self.lie.count != len(self.lie_labels):
+        if self.offsets[0] != len(self.lie_labels):
             raise DimensionMismatch("lie label count mismatch")
-        for f in self.families:
-            if f.dim != self.dim:
-                raise DimensionMismatch(f"family {f.label} shape mismatch")
         if self.bracket_table is not None:
             self._check_brackets()
         if self.weights is not None:
@@ -374,8 +485,8 @@ class GModule:
 
     def _check_weights(self):
         """Each op_k of a family with a root maps weight w to w + k root,
-        tested in one scan of every family's table entries: raise at the
-        first family that breaks it, its first op_k, first entry (r, c) in
+        tested in one scan of table's family entries: raise at the first
+        family that breaks it, its first op_k, first entry (r, c) in
         row-major order; or DimensionMismatch at a root of the wrong length,
         after the families before it."""
         if (len(self.weights) != self.dim
@@ -383,26 +494,24 @@ class GModule:
             raise DimensionMismatch("weights need one tuple of one length "
                                     "per basis vector")
         w = np.array(self.weights).reshape(self.dim, -1)
-        fams, err = [], None
-        for f in self.families:
+        roots = np.zeros((len(self.families), w.shape[1]), dtype=np.int64)
+        checked, err = np.zeros(len(self.families), dtype=bool), None
+        for i, f in enumerate(self.families):
             if f.root is None:
                 continue
             if len(f.root) != w.shape[1]:
                 err = DimensionMismatch(f"family {f.label} root length mismatch")
                 break
-            # op_0 is the identity, which keeps every weight
-            if f.degree:
-                fams.append(f)
-        if fams:
-            g, k, r, c, _ = _positive_entries(fams)
-            roots = np.array([f.root for f in fams]).reshape(len(fams), -1)
-            bad = np.flatnonzero((w[c] + k[:, None] * roots[g] != w[r])
-                                 .any(axis=1))
-            if len(bad):
-                b = bad[0]
-                raise CompositionViolation(
-                    f"{fams[g[b]].label}: op_{k[b]} breaks weights at "
-                    f"({r[b]},{c[b]})")
+            roots[i], checked[i] = f.root, True
+        op, r, c, _ = self.table.entries(self.offsets[0])
+        g, k = _family_ops(self.offsets, op)
+        bad = np.flatnonzero(checked[g] & (
+            w[c] + k[:, None] * roots[g] != w[r]).any(axis=1))
+        if len(bad):
+            b = bad[0]
+            raise CompositionViolation(
+                f"{self.families[g[b]].label}: op_{k[b]} breaks weights at "
+                f"({r[b]},{c[b]})")
         if err:
             raise err
 
@@ -414,14 +523,14 @@ class GModule:
         from _commutator_terms, every right-hand side from one join of the
         entries of K and the J_k.  A key packs (i, j, row, col), so the
         least one left is the least failing (i, j)."""
-        ctx, n, d = self.ctx, self.dim, self.lie.count
+        ctx, n, d, t = self.ctx, self.dim, len(self.lie_labels), self.table
         b = self.bracket_table
         if (b.n, b.count) != (d, d):
             raise DimensionMismatch("brackets shape mismatch")
         if not d:
             return
-        lhs_keys, prod = _commutator_terms(self.lie)
-        i, r, c, v = self.lie.entries()
+        lhs_keys, prod = _commutator_terms(t, d)
+        i, r, c, v = t.entries(0, d)
         bi, bj, bk, bv = b.entries()
         upper = bi < bj
         bi, bj, bk, bv = bi[upper], bj[upper], bk[upper], bv[upper]
@@ -431,7 +540,7 @@ class GModule:
             np.concatenate([lhs_keys,
                             ((bi[x] * d + bj[x]) * n + r[y]) * n + c[y]]),
             np.concatenate([prod * b.scale,
-                            ctx.reduce(-(bv[x] * v[y] * self.lie.scale))]))
+                            ctx.reduce(-(bv[x] * v[y] * t.scale))]))
         if len(keys):
             i, j = divmod(int(keys[0]) // (n * n), d)
             raise CompositionViolation(
@@ -479,15 +588,13 @@ def dual(m: GModule) -> GModule:
     """Dual module: x acts by -x^T; X(t) acts by (X(t)^{-1})^T = X(-t)^T,
     so the k-th coefficient operator is (-1)^k A_k^T: m's table transposed
     and signed.  The group element, so the root, is unchanged."""
-    t, sizes = m.table().transposed(), [f.degree + 1 for f in m.families]
-    signs = np.concatenate([np.full(m.lie.count, -1)] + [
-        (-1) ** np.arange(k) for k in sizes])
-    t = OpTable(m.ctx, t.n, t.count, t.op, t.row, t.col,
-                m.ctx.reduce(t.val * signs[t.op]), t.scale)
+    signs = np.concatenate([np.full(len(m.lie_labels), -1)] + [
+        (-1) ** np.arange(1, f.degree + 1) for f in m.families])
     weights = [tuple(-x for x in w) for w in m.weights] if m.weights else None
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "*"
-    return _rebuilt(m, t, sizes, [l + "*" for l in m.labels], weights, meta)
+    return _rebuilt(m, m.table.transposed(signs), m.offsets,
+                    [l + "*" for l in m.labels], weights, meta)
 
 
 def _kron_coeffs(t1: OpTable, t2: OpTable, groups: Sequence[Tuple],
@@ -495,8 +602,8 @@ def _kron_coeffs(t1: OpTable, t2: OpTable, groups: Sequence[Tuple],
     """The table of T_0, T_1, ...: per group (ids1, ids2, ks), in order,
     one T_k for each k in ks, with T_k / scale the t^k coefficient of
     (sum_a t^a A_a) (x) (sum_b t^b B_b) for A_a op ids1[a] of t1 and B_b op
-    ids2[b] of t2.  On their integer forms J and K, T_k = sum_{a+b=k}
-    J_a (x) K_b, over the scale t1.scale t2.scale.
+    ids2[b] of t2, op -1 being the identity.  On their integer forms J and
+    K, T_k = sum_{a+b=k} J_a (x) K_b, over the scale t1.scale t2.scale.
 
     Only the splits a + b = k asked for are formed, on table entries: one
     join pairs each split with the entries of its J_a, a second with those
@@ -514,8 +621,8 @@ def _kron_coeffs(t1: OpTable, t2: OpTable, groups: Sequence[Tuple],
                 splits.append((o, ids1[a], ids2[k - a]))
             o += 1
     so, s1, s2 = np.array(splits, dtype=np.int64).reshape(-1, 3).T
-    i1, r1, c1, v1 = t1.entries()
-    i2, r2, c2, v2 = t2.entries()
+    i1, r1, c1, v1 = _with_identity(t1)
+    i2, r2, c2, v2 = _with_identity(t2)
     x, e1 = join(s1, i1)
     y, e2 = join(s2[x], i2)
     x, e1 = x[y], e1[y]
@@ -531,54 +638,54 @@ def _kron_coeffs(t1: OpTable, t2: OpTable, groups: Sequence[Tuple],
     return OpTable.from_keys(ctx, size, o, keys, sums, t1.scale * t2.scale)
 
 
+def _with_identity(t: OpTable):
+    """(op, row, col, val) of the entries of t and, as op -1, of the
+    identity over t.scale."""
+    d = np.arange(t.n)
+    return tuple(np.concatenate([x, y]) for x, y in zip(
+        (np.full(t.n, -1), d, d, np.full(t.n, t.scale, dtype=t.val.dtype)),
+        t.entries()))
+
+
 def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
               sep: str, name: str, fold=None) -> GModule:
     """The module on the basis vectors e_i sep e_j, (i, j) in pairs, of
     weight w_i + w_j, with labels and roots of m1.  Its operators are the
-    coefficients _kron_coeffs makes (with fold) of the Leibniz action
-    a (x) 1 + 1 (x) b of each Lie element, the t^1 coefficient of
-    (1 + t a) (x) (1 + t b), and of every t-power of X(t) (x) X(t), for each
-    family X of m1 and the family of m2 with the same label.  Each side's
-    ops are the identity, the Lie action and every family's, in one table."""
+    coefficients _kron_coeffs makes (with fold) from the two tables of
+    the Leibniz action a (x) 1 + 1 (x) b of each Lie element, the t^1
+    coefficient of (1 + t a) (x) (1 + t b), and of every positive t-power
+    of X(t) (x) X(t), for each family X of m1 and the family of m2 with the
+    same label."""
     if m1.ctx != m2.ctx or m1.lie_labels != m2.lie_labels:
         raise LabelMismatch("tensor factors must share field and Lie labels")
     if {f.label for f in m1.families} != {f.label for f in m2.families}:
         raise LabelMismatch("modules carry different family labels")
-    ctx, nl = m1.ctx, m1.lie.count
-    sides = [OpTable.concat([OpTable.from_dense(ctx, np.eye(
-        m.dim, dtype=np.int64)[None]), m.table()]) for m in (m1, m2)]
-    # the op of A_0 of each family in its side's table
-    start = {id(f): o for m in (m1, m2) for f, o in zip(m.families, np.cumsum(
-        [1 + nl] + [f.degree + 1 for f in m.families]).tolist())}
-    groups = [([0, 1 + i], [0, 1 + i], [1]) for i in range(nl)]
+    nl = len(m1.lie_labels)
+    groups = [([-1, i], [-1, i], [1]) for i in range(nl)]
     for f1 in m1.families:
         f2 = m2.family_by_label(f1.label)
-        o1, o2 = start[id(f1)], start[id(f2)]
-        groups.append((range(o1, o1 + f1.degree + 1),
-                       range(o2, o2 + f2.degree + 1),
-                       range(f1.degree + f2.degree + 1)))
+        groups.append(([-1, *range(f1.lo, f1.lo + f1.degree)],
+                       [-1, *range(f2.lo, f2.lo + f2.degree)],
+                       range(1, f1.degree + f2.degree + 1)))
     weights = None
     if m1.weights and m2.weights:
         weights = [tuple(x + y for x, y in zip(m1.weights[i], m2.weights[j]))
                    for i, j in pairs]
     labels = [f"{m1.labels[i]}{sep}{m2.labels[j]}" for i, j in pairs]
-    return _rebuilt(m1, _kron_coeffs(*sides, groups, fold),
-                    [len(ks) for _, _, ks in groups[nl:]], labels, weights,
-                    {"name": name})
+    offsets = np.cumsum([nl] + [len(ks) for _, _, ks in groups[nl:]])
+    return _rebuilt(m1, _kron_coeffs(m1.table, m2.table, groups, fold),
+                    offsets, labels, weights, {"name": name})
 
 
-def _rebuilt(m: GModule, table: OpTable, sizes: Sequence[int],
+def _rebuilt(m: GModule, table: OpTable, offsets: Sequence[int],
              labels: Sequence[str], weights: Optional[Sequence],
              meta: dict) -> GModule:
     """The module on labels with m's Lie labels, family labels, roots and
-    brackets whose Lie action and families are the consecutive ops of
-    table, sizes[i] of them for family i."""
-    bounds = np.cumsum([0, m.lie.count, *sizes]).tolist()
-    lie, *parts = (table.select(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-    fams = CoeffOperatorFamily.batch(
-        (f.label, t, f.root) for f, t in zip(m.families, parts))
-    return GModule(m.ctx, labels, m.lie_labels, lie, fams, weights=weights,
-                   brackets=m.bracket_table, meta=meta)
+    brackets whose Lie action and families are the ops of table, family i
+    from op offsets[i] (GModule.on_table)."""
+    return GModule.on_table(m.ctx, labels, m.lie_labels, table, offsets,
+                            [(f.label, f.root) for f in m.families],
+                            weights, m.bracket_table, meta)
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
@@ -628,7 +735,7 @@ def lambda2(m: GModule) -> GModule:
 def submodule_generated(m: GModule, seeds: Sequence[np.ndarray]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the Lie
     action and every coefficient operator."""
-    return invariant_closure(m.ctx, m.dim, list(seeds), m.table(1))
+    return invariant_closure(m.ctx, m.dim, list(seeds), m.table)
 
 
 def _induced(ctx: FieldCtx, names: Sequence[str], table: OpTable,
@@ -666,10 +773,14 @@ def _subquotient(m: GModule, w: Subspace, reps: Sequence[np.ndarray],
                  labels: Sequence[str], weights: Optional[Sequence],
                  meta: dict) -> GModule:
     """The module span(w, reps)/w on the basis of the reps."""
-    names = list(m.lie_labels) + [f"{f.label}[t^{k}]" for f in m.families
-                                  for k in range(f.degree + 1)]
-    return _rebuilt(m, _induced(m.ctx, names, m.table(), w, reps),
-                    [f.degree + 1 for f in m.families], labels, weights, meta)
+    names = list(m.lie_labels) + _op_names(m.families)
+    return _rebuilt(m, _induced(m.ctx, names, m.table, w, reps), m.offsets,
+                    labels, weights, meta)
+
+
+def _op_names(fams: Sequence[CoeffOperatorFamily]) -> List[str]:
+    """The name of each A_k, k >= 1, of each family, in order."""
+    return [f"{f.label}[t^{k}]" for f in fams for k in range(1, f.degree + 1)]
 
 
 def quotient_module(m: GModule, w: Subspace,
@@ -710,7 +821,7 @@ def trivial_quotient_defect(m: GModule) -> Subspace:
     """The smallest submodule W such that the group acts trivially on m/W:
     the closure of the images of all Lie operators and all positive-degree
     coefficient operators."""
-    t = m.table(1)
+    t = m.table
     return invariant_closure(
         m.ctx, m.dim, t.images(np.eye(m.dim, dtype=m.ctx.dtype)), t)
 
@@ -725,35 +836,34 @@ OpPairs = Tuple[OpTable, OpTable]
 Diagonals = Tuple[Tuple[np.ndarray, int], Tuple[np.ndarray, int]]
 
 
-def _group_side(ctx: FieldCtx, n: int, fams: Sequence[CoeffOperatorFamily],
-                tops: Sequence[int]) -> OpTable:
-    """The table of A_1, ..., A_{top - 1} of each family on ctx^n, zero
-    past its degree, in order."""
-    return OpTable.concat([OpTable.empty(ctx, n)] + [
-        f.table.select(1, top) for f, top in zip(fams, tops)])
-
-
 def _constraint_pairs(m1: GModule, m2: GModule, mode: str
                       ) -> Tuple[Optional[OpPairs], Optional[OpPairs],
                                  Optional[OpPairs]]:
     """(algebra pairs, group pairs, degree-1 group pairs), each matched by
     op index; None for those a mode does not use.  The group pairs are the
     A_k of each family of m1 and of the family of m2 with its label, for
-    k = 1..max of their degrees."""
+    k = 1..max of their degrees.  Each side is one pick of its module's
+    table."""
     alg = grp = deg1 = None
     if mode in ("algebra", "both"):
         if m1.lie_labels != m2.lie_labels:
             raise LabelMismatch("modules act under different Lie labels")
-        alg = (m1.lie, m2.lie)
+        ops = range(len(m1.lie_labels))
+        alg = (m1.table.pick(ops), m2.table.pick(ops))
     if mode in ("group", "both"):
         if {f.label for f in m1.families} != {f.label for f in m2.families}:
             raise LabelMismatch("modules carry different family labels")
-        f2s = [m2.family_by_label(f.label) for f in m1.families]
-        tops = [1 + max(f1.degree, f2.degree)
-                for f1, f2 in zip(m1.families, f2s)]
-        grp, deg1 = ((_group_side(m1.ctx, m1.dim, m1.families, ts),
-                      _group_side(m2.ctx, m2.dim, f2s, ts))
-                     for ts in (tops, [2] * len(f2s)))
+        fams = [(f, m2.family_by_label(f.label)) for f in m1.families]
+
+        def side(m, i, tops):
+            # op of A_k, k = 1..top, of each family; -1 past its degree
+            return m.table.pick([f[i].lo + k if k < f[i].degree else -1
+                                 for f, top in zip(fams, tops)
+                                 for k in range(top)])
+
+        tops = [max(f1.degree, f2.degree) for f1, f2 in fams]
+        grp, deg1 = ((side(m1, 0, ts), side(m2, 1, ts))
+                     for ts in (tops, [1] * len(fams)))
     return alg, grp, deg1
 
 
@@ -766,7 +876,7 @@ def _implied_pairs(ctx: FieldCtx, deg1: OpPairs) -> Diagonals:
     scale s^2 of its ops."""
     d, sides = deg1[0].count, []
     for t in deg1:
-        keys, sums = nonzero_sums(ctx, *_commutator_terms(t))
+        keys, sums = nonzero_sums(ctx, *_commutator_terms(t, d))
         sides.append(OpTable.from_keys(ctx, t.n, d * d, keys, sums,
                                        t.scale ** 2))
     i, j = np.divmod(np.arange(d * d), d)

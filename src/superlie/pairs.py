@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import takewhile
 from math import isqrt, lcm
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -42,9 +43,12 @@ from .linalg import (
 from .modules import (
     CoeffOperatorFamily,
     GModule,
-    _group_side,
+    _block,
+    _families_on,
+    _family_ops,
     _induced,
     _kron_coeffs,
+    _op_names,
     module_from_json_dict,
     quotient_module,
     square_layout,
@@ -192,37 +196,60 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
     forms f = K / c, S_m = J / s, G_m = H / v it is (v K J - s H K) / vcs.
     Raises at the first failing family, least pair i <= j, least m.
 
-    Per family, every K J_m comes from one join of the entries of K with
-    the table of the J_m, every H_m K from one join of K with the adjoint
-    family's table; past its degree each side is zero.  A key packs
-    (pair, m, row), so the least one left fails first."""
+    Every K J_m comes from one join of the entries of K with the table of
+    all the J_m (one _kron_coeffs of the odd module's table), every H_m K
+    from one join of K with the adjoint families' table; past its degree
+    each side is zero.  A key packs (family, pair, m, row), so the least
+    one left fails first, before a family with no adjoint family."""
     ctx, dg = odd.ctx, bracket.dim_g
     adj = {f.label: f for f in adjoint_families}
+    fams = list(odd.families)
+    missing = next((i for i, f in enumerate(fams) if f.label not in adj),
+                   len(fams))
+    fams = fams[:missing]
     pairs, _, fold = square_layout(odd.dim, +1)
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     # K^T up to the bracket's scale, which changes no zero test
     kr, kc, kv = nonzeros(ctx.reduce(
         bracket.ints[i, j] * (1 + (i < j))[:, None]))
-    for fam in odd.families:
-        if fam.label not in adj:
-            raise EquivarianceViolation(fam.label, -1, (-1, -1))
-        d, hs = fam.degree, adj[fam.label].table
-        # op m - 1 of js is J_m
-        js = _kron_coeffs(fam.table, fam.table,
-                          [(range(d + 1),) * 2 + (range(1, 2 * d + 1),)], fold)
-        top = max(2 * d + 1, hs.count)
+    if fams:
+        t = odd.table
+        # op jo[f] + m - 1 of js is J_m of family f
+        js = _kron_coeffs(t, t, [([-1, *range(f.lo, f.lo + f.degree)],) * 2
+                                 + (range(1, 2 * f.degree + 1),)
+                                 for f in fams], fold)
+        jo = np.cumsum([0] + [2 * f.degree for f in fams])
+        hs, ho = _block([adj[f.label] for f in fams])
+        top = 1 + max(max(2 * f.degree, adj[f.label].degree) for f in fams)
         o, r, c, v = js.entries()
+        g, m = _family_ops(jo, o)
         x, y = join(r, kr)
-        keys = [(c[x] * top + o[x] + 1) * dg + kc[y]]
+        keys = [((g[x] * len(pairs) + c[x]) * top + m[x]) * dg + kc[y]]
         vals = [ctx.reduce(v[x] * kv[y]) * hs.scale]
-        o, r, c, v = hs.entries(1)
+        o, r, c, v = hs.entries(ho[0], ho[-1])
+        g, m = _family_ops(ho, o)
         x, y = join(c, kc)
-        keys.append((kr[y] * top + o[x]) * dg + r[x])
+        keys.append(((g[x] * len(pairs) + kr[y]) * top + m[x]) * dg + r[x])
         vals.append(ctx.reduce(-v[x] * kv[y]) * js.scale)
         keys, _ = nonzero_sums(ctx, np.concatenate(keys), np.concatenate(vals))
         if len(keys):
-            c, m = divmod(int(keys[0]) // dg, top)
-            raise EquivarianceViolation(fam.label, m, pairs[c])
+            f, rest = divmod(int(keys[0]) // dg, len(pairs) * top)
+            c, m = divmod(rest, top)
+            raise EquivarianceViolation(fams[f].label, m, pairs[c])
+    if missing < len(odd.families):
+        raise EquivarianceViolation(odd.families[missing].label, -1, (-1, -1))
+
+
+def _coefficients(ctx: FieldCtx, n: int,
+                  fams: Sequence[CoeffOperatorFamily]
+                  ) -> Tuple[OpTable, np.ndarray]:
+    """(table, offsets): A_1, A_2, ... of fams[i], families on ctx^n, are
+    the ops offsets[i], ... of table, which holds no other op: one pick of
+    _block's."""
+    if not fams:
+        return OpTable.empty(ctx, n), np.zeros(1, dtype=np.int64)
+    t, offsets = _block(fams)
+    return t.pick(range(offsets[0], offsets[-1])), offsets - offsets[0]
 
 
 def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
@@ -231,11 +258,11 @@ def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
     are three blocks of entries, on one scale: the even algebra's own, the
     odd action [e_i, v_j] = lie_action[i] v_j and the odd bracket; the
     mirror of the odd action is completed by super-antisymmetry."""
-    ctx, ne, no, lie = even.ctx, even.dim, odd.dim, odd.lie
+    ctx, ne, no, lie = even.ctx, even.dim, odd.dim, odd.table
     n, g = ne + no, even.bracket_table
     t = lcm(g.scale, bracket.scale, lie.scale)
-    i, j, k, v = g.entries(0, t)
-    a, r, c, w = lie.entries(0, t)
+    i, j, k, v = g.entries(scale=t)
+    a, r, c, w = lie.entries(0, len(odd.lie_labels), t)
     x, y, z, u = nonzeros(bracket.ints)
     keys, vals = nonzero_sums(ctx, np.concatenate([
         (i * n + j) * n + k, (a * n + ne + c) * n + ne + r,
@@ -298,7 +325,7 @@ def pair_space(odd: GModule,
     the (dim, n, n, dim g) bracket stacks of bases of H and K on integers
     (residues over F_p), each bracket up to a nonzero scalar, which
     normalised fixes."""
-    ctx, n, dg = odd.ctx, odd.dim, odd.lie.count
+    ctx, n, dg = odd.ctx, odd.dim, len(odd.lie_labels)
     pairs, pos, _ = square_layout(n, +1)
     if any(f.shape != (dg, len(pairs)) for f in basis):
         raise DimensionMismatch(f"maps Sym^2 V -> g are {dg} x {len(pairs)}")
@@ -308,7 +335,7 @@ def pair_space(odd: GModule,
     hs = ctx.reduce(fs[:, :, pos].transpose(0, 2, 3, 1)
                     * (1 + np.eye(n, dtype=np.int64))[..., None])
     h, a, b, m, v = nonzeros(hs)
-    op, r, c, w = odd.lie.entries()
+    op, r, c, w = odd.table.entries(0, dg)
     x, y = join(m, op)
     abc = np.sort(np.column_stack([a[x], b[x], c[y]]), axis=1)
     keys, sums = nonzero_sums(
@@ -352,7 +379,7 @@ def check_sas_conditions(pair: HCPair):
     defect = trivial_quotient_defect(odd)
     cond1 = defect.dim == odd.dim
     ann = pair.bracket.annihilator()
-    core = largest_invariant_within(ann, odd.table(1))
+    core = largest_invariant_within(ann, odd.table)
     cond2 = core.dim == 0
     details = {
         "trivial_quotient_defect_dim": defect.dim,
@@ -389,34 +416,46 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
         # every [v, x], for the rows v of vs and x of w
         return int_bilinear(ctx, c, vs, w).reshape(-1, pair.even.dim)
 
-    # subpair internal validity: w closed under H, bracket(w, w) in h_lie
-    gens = []
-    for label in s.h_generators:
-        t = odd.family_by_label(label).table
-        gens.append(t.select(1, t.count))
-        if not inside(s.w, gens[-1].images(w)):
-            raise InvalidSubpair(f"w not closed under {label}")
+    # subpair internal validity: w closed under H, bracket(w, w) in h_lie.
+    # gens: A_k, k >= 1, of the generator families, one pick of the
+    # table, up to the first unknown label, which raises LabelMismatch
+    # after them
+    fams = {f.label: f for f in odd.families}
+    fams = [fams[label] for label in takewhile(fams.__contains__,
+                                               s.h_generators)]
+    gens = odd.table.pick([o for f in fams
+                           for o in range(f.lo, f.lo + f.degree)])
+    out = s.w._residual(gens.images(w)).astype(bool).any(axis=1)
+    out = out.reshape(len(w), gens.count).any(axis=0)
+    if out.any():
+        owner = np.repeat(np.arange(len(fams)), [f.degree for f in fams])
+        raise InvalidSubpair(
+            f"w not closed under {fams[owner[np.argmax(out)]].label}")
+    if len(fams) < len(s.h_generators):
+        odd.family_by_label(s.h_generators[len(fams)])
     # the actions on V of the basis rows of Lie(H), up to a scale
-    acts = int_matmul(ctx, h, odd.lie.dense().reshape(odd.lie.count, n * n))
-    gens.append(OpTable.from_dense(ctx, acts.reshape(len(h), n, n)))
-    if not inside(s.w, gens[-1].images(w)):
+    nl = len(odd.lie_labels)
+    acts = int_matmul(ctx, h, odd.table.dense(0, nl).reshape(nl, n * n))
+    acts = OpTable.from_dense(ctx, acts.reshape(len(h), n, n))
+    if not inside(s.w, acts.images(w)):
         raise InvalidSubpair("w not closed under Lie(H)")
     if not inside(s.h_lie, brackets(w)):
         raise InvalidSubpair("bracket(w, w) leaves Lie(H)")
 
     report: Dict[str, bool] = {}
     # (1) at algebra level: Lie(H) is an ideal, stable under adjoint families
-    adj = _group_side(ctx, pair.even.dim, pair.adjoint_families,
-                      [f.degree + 1 for f in pair.adjoint_families])
     report["cond1_algebra_level"] = (SuperIdeal(pair.even, s.h_lie).verify()
-                                     and inside(s.h_lie, adj.images(h)))
+                                     and inside(s.h_lie, _coefficients(
+                                         ctx, pair.even.dim,
+                                         pair.adjoint_families)[0].images(h)))
     # (2) w invariant under every operator of the whole pair
-    report["cond2"] = inside(s.w, odd.table(1).images(w))
+    report["cond2"] = inside(s.w, odd.table.images(w))
     # (3) H acts trivially on V/w: the images of the unit vectors under
     # the positive-power ops of the generator families and under Lie(H)
     # land in w
     eye = np.eye(n, dtype=ctx.dtype)
-    report["cond3"] = inside(s.w, OpTable.concat(gens).images(eye))
+    report["cond3"] = inside(s.w, gens.images(eye)) and inside(
+        s.w, acts.images(eye))
     # (4) [V, w] inside Lie(H)
     report["cond4"] = inside(s.h_lie, brackets(eye))
     report["ok"] = all(report.values())
@@ -431,10 +470,14 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
     even_q = pair.even.quotient(SuperIdeal(pair.even, s.h_lie))
     keep_g = [i for i in range(pair.even.dim) if i not in set(s.h_lie.pivots)]
     odd_q_all = quotient_module(pair.odd, s.w)
-    odd_q = GModule(
+    # the Lie ops of keep_g and every family op, one pick of the table
+    t, nl = odd_q_all.table, pair.even.dim
+    odd_q = GModule.on_table(
         ctx, odd_q_all.labels, even_q.labels,
-        [odd_q_all.lie_action[i] for i in keep_g],
-        odd_q_all.families, weights=odd_q_all.weights,
+        t.pick(keep_g + list(range(nl, t.count))),
+        odd_q_all.offsets - (nl - len(keep_g)),
+        [(f.label, f.root) for f in odd_q_all.families],
+        weights=odd_q_all.weights,
         meta={"name": pair.meta.get("name", "pair") + "/sub"})
     keep_v = [i for i in range(pair.odd.dim) if i not in set(s.w.pivots)]
     dv = len(keep_v)
@@ -444,11 +487,11 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
         ctx, s.h_lie._residual(rows)[:, keep_g],
         s.h_lie.basis.scale * b.scale, reduced=True))
     reps_g = np.eye(pair.even.dim, dtype=np.int64)[keep_g]
-    adj_q = CoeffOperatorFamily.batch(
-        (f.label, _induced(ctx, [f"{f.label}[t^{k}]"
-                                 for k in range(f.degree + 1)],
-                           f.table, s.h_lie, reps_g), f.root)
-        for f in pair.adjoint_families)
+    adj = pair.adjoint_families
+    coeffs, offsets = _coefficients(ctx, pair.even.dim, adj)
+    _, _, adj_q = _families_on(
+        _induced(ctx, _op_names(adj), coeffs, s.h_lie, reps_g), offsets,
+        [(f.label, f.root) for f in adj])
     return assemble_pair(even_q, odd_q, bracket_q, adj_q,
                          meta={"name": pair.meta.get("name", "pair") + "/q"})
 

@@ -215,10 +215,11 @@ class LieSuperalgebra:
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, object]:
         """[e_i, e_j] as {k: coefficient of e_k}, nonzero coefficients only."""
-        t = self.bracket_table.select(i, i + 1)
-        on = t.row == j
-        return dict(zip(t.col[on].tolist(),
-                        from_int(self.ctx, t.val[on], t.scale).tolist()))
+        t = self.bracket_table
+        _, row, col, val = t.entries(i, i + 1)
+        on = row == j
+        return dict(zip(col[on].tolist(),
+                        from_int(self.ctx, val[on], t.scale).tolist()))
 
     def _brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[x_a, y_b] for integer rows, as a (len(xs), len(ys), n) integer
@@ -237,7 +238,7 @@ class LieSuperalgebra:
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): x -> [e_i, x]."""
-        return self.ad_table.select(i, i + 1).matrices()[0]
+        return self.ad_table.matrices(i, i + 1)[0]
 
     @cached_property
     def ad_table(self) -> OpTable:

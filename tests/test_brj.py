@@ -125,9 +125,9 @@ class TestMemoryBudget:
         views = []
         dense = OpTable.dense
 
-        def counted(self):
+        def counted(self, *args):
             views.append((self.n, self.count))
-            return dense(self)
+            return dense(self, *args)
 
         monkeypatch.setattr(OpTable, "dense", counted)
         brj25(p=5, skip_simplicity=True)

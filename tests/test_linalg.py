@@ -916,6 +916,30 @@ class TestIntegerRowReduction:
         assert np.array_equal(ker.basis.data,
                               _from_sympy(Q, dm.nullspace().rref()[0]))
 
+    def test_one_nonzero_scan_per_pivot(self, monkeypatch):
+        # the fraction-free loop tests a column without an index array: a
+        # pivot costs one np.nonzero, a column with no pivot none (a
+        # rank-10 40 x 60 product: 70 calls when every column was
+        # scanned), and the RREF is sympy's
+        rng = random.Random(23)
+        a, b = (np.array([[rng.randint(-9, 9) for _ in range(c)]
+                          for _ in range(r)], dtype=object)
+                for r, c in ((40, 10), (10, 60)))
+        prod = a @ b
+        calls = []
+        for name in ("nonzero", "flatnonzero"):
+            def counting(*args, _real=getattr(np, name), _name=name, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(np, name, counting)
+        got, rk, pivots = rref(Matrix.from_int(Q, prod))
+        monkeypatch.undo()
+        assert rk == 10 and calls.count("nonzero") <= rk
+        want, want_pivots = _to_sympy(Q, prod).rref()
+        assert pivots == list(want_pivots)
+        assert got == Matrix(Q, _from_sympy(Q, want))
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_span_solver_on_fractional_rows(self, data):
@@ -953,7 +977,7 @@ class TestOpTable:
         assert dense.shape == (6, 4, 4)
         for k, m in enumerate(mats):
             assert Matrix.from_int(ctx, dense[k], t.scale) == m
-        assert OpTable.concat([t.select(0, 2), t.select(2, 7)]) == \
+        assert OpTable.concat([(t, 0, 2), (t, 2, 7)]) == \
             OpTable.of(ctx, 4, mats + [Matrix.zeros(ctx, 4, 4)])
 
     @staticmethod
@@ -973,10 +997,10 @@ class TestOpTable:
         mats = self.mixed(ctx, rng, 3, 5)
         rows = Matrix.from_rows(ctx, [[rng.choice([0, 1, -1, "2/7"])
                                        for _ in range(5)] for _ in range(4)])
-        # the table of ops 0 and 2, then two zero ops past the end, a
+        # the table of ops 0 and 2, ops 1 and 2 then two zero ops, a
         # table of two ops with no entries and one of no ops
         for t in (OpTable.of(ctx, 5, mats), OpTable.of(ctx, 5, mats[::2]),
-                  OpTable.of(ctx, 5, mats).select(1, 5),
+                  OpTable.of(ctx, 5, mats).pick([1, 2, -1, -1]),
                   OpTable.empty(ctx, 5, 2), OpTable.empty(ctx, 5)):
             ops = t.matrices()
             got = t.images(rows.ints)
@@ -1000,8 +1024,8 @@ class TestOpTable:
         empty = OpTable.empty(ctx, 3)
         assert empty.images(rows).shape == (0, 3)
         assert empty.transposed() == empty
-        # select past count gives trailing zero ops: their images are zero
-        t = OpTable.of(ctx, 3, [Matrix.identity(ctx, 3)]).select(0, 3)
+        # a pick of op -1 gives a zero op: its images are zero
+        t = OpTable.of(ctx, 3, [Matrix.identity(ctx, 3)]).pick([0, -1, -1])
         got = t.images(rows)
         assert got.shape == (9, 3)
         assert np.array_equal(got[::3].astype(bool), np.eye(3, dtype=bool))
@@ -1049,9 +1073,10 @@ class TestOpTable:
                        for x in ("1/2", "1/3"))
         t = OpTable.of(Q, 2, [half, third])
         assert t.scale == 6
-        assert (t.select(0, 1).scale, t.select(1, 2).scale) == (2, 3)
-        assert OpTable.concat([t.select(0, 1), t.select(1, 2)]) == t
-        assert t.select(0, 1) == OpTable.of(Q, 2, [half])
+        assert (t.pick([0]).scale, t.pick([1]).scale) == (2, 3)
+        assert OpTable.concat([t.pick([0]), t.pick([1])]) == t
+        assert t.pick([0]) == OpTable.of(Q, 2, [half])
+        assert t.pick([1, 0]) == OpTable.of(Q, 2, [third, half])
         assert t != OpTable.of(Q, 2, [half, half])
 
     def test_tables_are_read_only(self):

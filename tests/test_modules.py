@@ -133,10 +133,13 @@ class TestFamilies:
         assert fams[0].root == (2,)
 
     def test_op_views(self):
-        # ops is made once from the table; there is no op past the degree
-        f = symn_module(3, F5).family_by_label("X2")
+        # ops is made once from the module's table, where A_1, ..., A_3
+        # are ops lo, ..., lo + 2; there is no op past the degree
+        m = symn_module(3, F5)
+        f = m.family_by_label("X2")
         assert f.ops is f.ops and f.op(3) is f.ops[3]
-        assert f.table == OpTable.of(F5, 4, f.ops)
+        assert f.source is m.table
+        assert m.table.pick(range(f.lo, f.lo + 3)) == OpTable.of(F5, 4, f.ops[1:])
         for k in (-1, 4):
             with pytest.raises(IndexError):
                 f.op(k)
@@ -1594,14 +1597,15 @@ def brj_modules():
     """Every module brj25(5) builds, by name: V, L2(V), Lw2, V(x)Lw2 (N),
     M, U, Sym2(U) and adjoint-sp4."""
     seen = {}
-    init = GModule.__init__
+    validate = GModule.validate
 
-    def record(self, *args, **kw):
-        init(self, *args, **kw)
+    def record(self):
+        # every module, built by GModule or GModule.on_table, is checked
+        validate(self)
         seen.setdefault(self.meta.get("name"), self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GModule, "__init__", record)
+        mp.setattr(GModule, "validate", record)
         brj.brj25(p=5, skip_simplicity=True)
     return seen
 
@@ -1622,7 +1626,7 @@ def table_case(request, brj_modules):
         # pivots, which GModule checks
         m, big = brj_modules["M"], brj_modules["V(x)Lw2"]
         w = submodule_generated(big, [units(big.dim, 0)])
-        return GModule(F5, m.labels, m.lie_labels, m.lie, m.families,
+        return GModule(F5, m.labels, m.lie_labels, m.lie_action, m.families,
                        weights=[big.weights[i] for i in w.pivots],
                        brackets=m.bracket_table), brj_modules["adjoint-sp4"]
     if kind == "brj":
@@ -1750,3 +1754,101 @@ class TestTablePathsDifferential:
             assert want == ("NotInvariant", named[k][0])
             assert induced_outcome(induced_operators, ctx, bad, w,
                                    reps) == want
+
+
+class TestFieldMismatch:
+    """A module's operators, families and brackets are over its field,
+    as Matrix and hom_space require."""
+
+    def test_parts_over_another_field(self):
+        m5, m7 = symn_module(2, F5), symn_module(2, F7)
+        args = (F7, m7.labels, m7.lie_labels)
+        cases = [(m7.lie_action, m5.families, None),
+                 (m5.lie_action, m7.families, None),
+                 (OpTable.of(F5, 3, m5.lie_action), m7.families, None),
+                 (m7.lie_action, m7.families, m5.bracket_table)]
+        for lie, fams, brackets in cases:
+            with pytest.raises(DimensionMismatch, match="field mismatch"):
+                GModule(*args, lie, fams, weights=m7.weights,
+                        brackets=brackets)
+
+
+def count_tables(monkeypatch):
+    """The counts of OpTable constructions and of OpTable.pick and
+    OpTable.concat calls, by name."""
+    counts = {"OpTable": 0, "pick": 0, "concat": 0}
+    init, pick, concat = OpTable.__init__, OpTable.pick, OpTable.concat
+
+    def counting_init(self, *args, **kw):
+        counts["OpTable"] += 1
+        init(self, *args, **kw)
+
+    def counting_pick(self, *args):
+        counts["pick"] += 1
+        return pick(self, *args)
+
+    def counting_concat(parts):
+        counts["concat"] += 1
+        return concat(parts)
+
+    monkeypatch.setattr(OpTable, "__init__", counting_init)
+    monkeypatch.setattr(OpTable, "pick", counting_pick)
+    monkeypatch.setattr(OpTable, "concat", staticmethod(counting_concat))
+    return counts
+
+
+class TestTableBudget:
+    """Each module holds one table, which its derived modules, checks and
+    hom systems read without splitting it per family and joining the
+    parts again.  Budgets, met by the code, never raised: 50 tables for
+    the forms job and 263 selects (the per-family splits pick replaced)
+    and concats for brj when each family held a table of its own."""
+
+    @pytest.mark.parametrize("p", [7, 0])
+    def test_forms_job(self, monkeypatch, capsys, p):
+        from superlie import cli
+        counts = count_tables(monkeypatch)
+        assert cli.main(["hom", "sym2-dual-sym", "adjoint-sl2", "--mode",
+                         "both", "--n", "5", "--p", str(p)]) == 0
+        assert "dim group: 1" in capsys.readouterr().out
+        assert counts["OpTable"] <= 25, counts
+
+    def test_brj(self, monkeypatch):
+        counts = count_tables(monkeypatch)
+        brj.brj25(p=5, skip_simplicity=True)
+        assert counts["pick"] + counts["concat"] <= 30, counts
+
+
+def round_trip_modules(ctx):
+    """Modules of every construction: dual, Sym2, Lambda2 (whose families
+    lose their top power: brj's L2(V)), tensor, the two quotients and a
+    submodule."""
+    s2 = sym2(symn_module(2, ctx))
+    top = submodule_generated(s2, [units(s2.dim, 0)])
+    rest = [i for i in range(s2.dim) if i not in top.pivots]
+    return {"dual": dual(symn_module(3, ctx)),
+            "sym2": sym2(symn_dual(2, ctx)),
+            "lambda2": lambda2(symn_module(3, ctx)),
+            "L2(V)": lambda2(brj.sp4_natural_module(brj.sp4_algebra(ctx))),
+            "tensor": tensor(symn_module(1, ctx), symn_dual(2, ctx)),
+            "quotient": quotient_module(s2, top),
+            "quotient_with_basis": quotient_module_with_basis(
+                s2, top, units(s2.dim, rest), [f"r{i}" for i in rest],
+                [s2.weights[i] for i in rest]),
+            "lw2": lw2(ctx),
+            "submodule": module_from_subspace(s2, top)}
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("ctx", [F7, BIG, Q], ids=repr)
+    def test_json_round_trip(self, ctx):
+        for name, m in round_trip_modules(ctx).items():
+            r = module_from_json(m.to_json())
+            assert r.to_json() == m.to_json(), name
+            assert (r.table, r.offsets.tolist()) == \
+                (m.table, m.offsets.tolist()), name
+            assert r.families == m.families, name
+            assert (r.lie_action, r.all_operators()) == \
+                (m.lie_action, m.all_operators()), name
+            assert [f.ops for f in r.families] == \
+                [f.ops for f in m.families], name

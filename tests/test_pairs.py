@@ -209,13 +209,11 @@ def op_or_zero(fam, k):
 def sym2_coeffs(odd, fold):
     """([T_1, ..., T_{2 deg X}] for each family X of odd, scale): the t^m
     coefficients T_m / scale of X(t) on Sym^2 V as dense integer arrays,
-    read off _kron_coeffs's table."""
-    fams = odd.families
-    t = OpTable.concat([f.table for f in fams])
-    lo = np.cumsum([0] + [f.degree + 1 for f in fams]).tolist()
-    coeffs = _kron_coeffs(t, t, [(range(a, a + f.degree + 1),) * 2
+    read off _kron_coeffs's table (op -1 the identity, A_0)."""
+    fams, t = odd.families, odd.table
+    coeffs = _kron_coeffs(t, t, [([-1, *range(f.lo, f.lo + f.degree)],) * 2
                                  + (range(1, 2 * f.degree + 1),)
-                                 for f, a in zip(fams, lo)], fold)
+                                 for f in fams], fold)
     ts = iter(coeffs.dense())
     return [[next(ts) for _ in range(2 * f.degree)] for f in fams], \
         coeffs.scale
