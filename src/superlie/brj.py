@@ -302,7 +302,7 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     report.first_constant = f"[{u_labels[pos[0]]},{u_labels[pos[1]]}] " \
                             f"-> {g.labels[pos[2]]}"
 
-    pair = assemble_pair(g, u_mod, bracket, adj.families,
+    pair = assemble_pair(g, u_mod, bracket, adj,
                          meta={"name": f"brj(2;5)@p={p}"})
     report.pair = pair
     report.algebra = pair.algebra

@@ -42,8 +42,8 @@ from .linalg import (
     run_starts,
 )
 from .modules import CoeffOperatorFamily, GModule, dual, hom_space, sym2
-from .pairs import (BilinearMap, HCPair, assemble_pair, normalised,
-                    pair_space, total_algebra)
+from .pairs import (HCPair, assemble_pair, normalised, pair_space,
+                    total_algebra)
 from .superalgebra import (
     CenterNotInside,
     LieSuperalgebra,
@@ -572,14 +572,14 @@ class RecurrenceViolation(SuperlieError, ValueError):
 
 
 def _sl2_symn(n: int, a, ctx: FieldCtx):
-    """(sl2, Sym_n(V)*, bracket, adjoint families): the bracket is a times
+    """(sl2, Sym_n(V)*, bracket, adjoint module): the bracket is a times
     the normalized generator of Hom_G(Sym^2(Sym_n(V)*), sl2)."""
     odd, adj = symn_dual(n, ctx), adjoint_sl2_module(ctx)
     hs, _ = pair_space(odd, hom_space(sym2(odd), adj, mode="group").basis)
     if len(hs) != 1:
         raise RecurrenceViolation(f"{len(hs)} brackets for n={n}, not one")
     bracket, _ = normalised(ctx, hs[0], a)
-    return sl2_algebra(ctx), odd, bracket, adj.families
+    return sl2_algebra(ctx), odd, bracket, adj
 
 
 def sl2_symn_algebra(n: int, a, ctx: FieldCtx) -> LieSuperalgebra:

@@ -334,20 +334,6 @@ def _trimmed(table: OpTable, offsets: np.ndarray):
             np.cumsum(np.concatenate([offsets[:1], degrees])), degrees)
 
 
-def _families_on(table: OpTable, offsets: Sequence[int],
-                 specs: Sequence[Tuple[str, Optional[Tuple[int, ...]]]]
-                 ) -> Tuple[OpTable, np.ndarray, list]:
-    """(table, offsets, families): the families with the (label, root) of
-    specs whose A_1, A_2, ... are ops offsets[i], ... of table, after
-    _trimmed, checked by one validate call."""
-    table, offsets, degrees = _trimmed(table, offsets)
-    fams = [CoeffOperatorFamily._view(label, root, table, int(o), int(d))
-            for (label, root), o, d in zip(specs, offsets, degrees)]
-    if fams:
-        fams[0].validate(*fams[1:])
-    return table, offsets, fams
-
-
 def _commutator_terms(t: OpTable, d: int):
     """(keys, terms) whose sums per key (i, j, row, col), i < j, are the
     entries of J_i J_j - J_j J_i for the ops 0, ..., d - 1 of the table:
@@ -368,8 +354,9 @@ class GModule:
     """A module with aligned Lie-algebra generators and group families.
 
     lie_labels/lie_action list the acting even Lie elements (typically a full
-    basis of the even algebra); families are the group generators.  Both
-    are held as one OpTable, table: its first ops are the Lie action, then
+    basis of the even algebra); families are the group generators, one
+    per label (LabelMismatch for two with one label).  Both are held as
+    one OpTable, table: its first ops are the Lie action, then
     come A_1, ..., A_d of each family in order, family i from op
     offsets[i] (offsets[-1] is the count); A_0 = I is implied.  The
     families read their coefficients off table, and lie_action and
@@ -429,7 +416,11 @@ class GModule:
         its ops offsets[i], ..., offsets[i + 1] - 1 (A_1, A_2, ...): the
         table is held as it is, but for trailing zero ops of a family, and
         the families are checked by one validate call."""
-        table, offsets, fams = _families_on(table, offsets, families)
+        table, offsets, degrees = _trimmed(table, offsets)
+        fams = [CoeffOperatorFamily._view(label, root, table, int(o), int(d))
+                for (label, root), o, d in zip(families, offsets, degrees)]
+        if fams:
+            fams[0].validate(*fams[1:])
         m = cls.__new__(cls)
         m._hold(ctx, labels, lie_labels, table, offsets, fams, weights,
                 brackets, meta)
@@ -478,6 +469,10 @@ class GModule:
             raise DimensionMismatch("lie action shape mismatch")
         if self.offsets[0] != len(self.lie_labels):
             raise DimensionMismatch("lie label count mismatch")
+        labels = [f.label for f in self.families]
+        if len(set(labels)) < len(labels):
+            dup = next(l for i, l in enumerate(labels) if l in labels[:i])
+            raise LabelMismatch(f"two families labeled {dup}")
         if self.bracket_table is not None:
             self._check_brackets()
         if self.weights is not None:
@@ -773,14 +768,10 @@ def _subquotient(m: GModule, w: Subspace, reps: Sequence[np.ndarray],
                  labels: Sequence[str], weights: Optional[Sequence],
                  meta: dict) -> GModule:
     """The module span(w, reps)/w on the basis of the reps."""
-    names = list(m.lie_labels) + _op_names(m.families)
+    names = list(m.lie_labels) + [f"{f.label}[t^{k}]" for f in m.families
+                                  for k in range(1, f.degree + 1)]
     return _rebuilt(m, _induced(m.ctx, names, m.table, w, reps), m.offsets,
                     labels, weights, meta)
-
-
-def _op_names(fams: Sequence[CoeffOperatorFamily]) -> List[str]:
-    """The name of each A_k, k >= 1, of each family, in order."""
-    return [f"{f.label}[t^{k}]" for f in fams for k in range(1, f.degree + 1)]
 
 
 def quotient_module(m: GModule, w: Subspace,

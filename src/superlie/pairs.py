@@ -4,7 +4,8 @@ even part.  Assembly checks the three pair axioms exactly:
 
 1. the bracket is symmetric,
 2. X(t)[v, w] = [X(t)v, X(t)w] as polynomial identities in t, where X(t)
-   acts on the even part through the matching adjoint coefficient family,
+   acts on the even part through the family of the same label of the
+   even algebra's adjoint module (a GModule on its ad_table),
 3. [[v, v], v] = 0 symbolically in the odd coordinates.
 
 The assembled object carries the total Lie superalgebra, which is also put
@@ -44,11 +45,8 @@ from .modules import (
     CoeffOperatorFamily,
     GModule,
     _block,
-    _families_on,
     _family_ops,
-    _induced,
     _kron_coeffs,
-    _op_names,
     module_from_json_dict,
     quotient_module,
     square_layout,
@@ -91,11 +89,12 @@ class InvalidSubpair(SuperlieError, ValueError):
 
 
 class BilinearMap:
-    """Symmetric bilinear map V x V -> g, held as one (dim_v^2, dim_g)
-    Matrix bracket_matrix: row i dim_v + j holds [v_i, v_j].  The
-    constructor takes that Matrix, or reads it from the (dim_v, dim_v,
-    dim_g) field array of canonical scalars in ctx.zeros' dtype, and checks
-    the shape, the dtype and the symmetry."""
+    """Symmetric bilinear map V x V -> g, held as one integer form: ints,
+    the (dim_v, dim_v, dim_g) array of [v_i, v_j] over scale.  The
+    constructor takes a (dim_v^2, dim_g) Matrix whose row i dim_v + j holds
+    [v_i, v_j], or the (dim_v, dim_v, dim_g) field array of canonical
+    scalars in ctx.zeros' dtype, and checks the shape, the dtype and the
+    symmetry."""
 
     def __init__(self, ctx: FieldCtx, consts: Union[np.ndarray, Matrix]):
         if not isinstance(consts, Matrix):
@@ -105,14 +104,16 @@ class BilinearMap:
                     f"bracket array of shape {shape} and dtype {dtype}")
             consts = Matrix(ctx, consts.reshape(shape[0] ** 2, shape[2]))
         n = isqrt(consts.rows)
+        if n * n != consts.rows:
+            raise DimensionMismatch(
+                f"{consts.rows} bracket rows are not dim_v^2 for any dim_v")
         c = consts.ints.reshape(n, n, consts.cols)
         bad = np.argwhere(c != c.transpose(1, 0, 2))
         if len(bad):
             raise SymmetryViolation(
                 f"conflicting values for pair {tuple(bad[0, :2].tolist())}")
-        self.ctx, self.dim_v, self.bracket_matrix = ctx, n, consts
-        # the integer form as a (dim_v, dim_v, dim_g) array, over scale
-        self.ints, self.scale, self.dim_g = c, consts.scale, consts.cols
+        self.ctx, self.dim_v, self.dim_g = ctx, n, consts.cols
+        self.ints, self.scale = c, consts.scale
 
     @classmethod
     def from_entries(cls, ctx: FieldCtx, dim_v: int, dim_g: int,
@@ -136,12 +137,15 @@ class BilinearMap:
 
     @property
     def consts(self) -> np.ndarray:
-        """The read-only (dim_v, dim_v, dim_g) field array, for output:
-        consts[i, j, k] is the coefficient of e_k in [v_i, v_j]."""
-        return self.bracket_matrix.data.reshape(self.dim_v, self.dim_v, self.dim_g)
+        """The read-only (dim_v, dim_v, dim_g) field array, made on each
+        call for output: consts[i, j, k] is the coefficient of e_k in
+        [v_i, v_j]."""
+        c = from_int(self.ctx, self.ints, self.scale)
+        c.setflags(write=False)
+        return c
 
     def is_zero(self) -> bool:
-        return self.bracket_matrix.is_zero()
+        return not self.ints.any()
 
     def brackets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[x_r, y_s] for every row x_r of xs and y_s of ys, as row
@@ -156,7 +160,7 @@ class BilinearMap:
         """{v : [v, w] = 0 for all w}: the kernel of the dim_v^2 dim_g x
         dim_v matrix whose column i holds every [v_i, v_j]."""
         n = self.dim_v
-        return kernel(Matrix.from_int(self.ctx, self.bracket_matrix.ints.reshape(
+        return kernel(Matrix.from_int(self.ctx, self.ints.reshape(
             n, n * self.dim_g).T, reduced=True))
 
 
@@ -169,10 +173,15 @@ class SubpairSpec:
 
 @dataclass
 class HCPair:
+    """A validated pair: the purely even algebra, the odd module, the odd
+    bracket, adjoint, the even algebra's adjoint module (its Lie action is
+    even.ad_table; its families act on the even part under the odd
+    module's family labels), and the total superalgebra."""
+
     even: LieSuperalgebra
     odd: GModule
     bracket: BilinearMap
-    adjoint_families: Tuple[CoeffOperatorFamily, ...]
+    adjoint: GModule
     algebra: LieSuperalgebra
     certificate: Dict = field(default_factory=dict)
     meta: Dict = field(default_factory=dict)
@@ -240,18 +249,6 @@ def _check_equivariance(odd: GModule, bracket: BilinearMap,
         raise EquivarianceViolation(odd.families[missing].label, -1, (-1, -1))
 
 
-def _coefficients(ctx: FieldCtx, n: int,
-                  fams: Sequence[CoeffOperatorFamily]
-                  ) -> Tuple[OpTable, np.ndarray]:
-    """(table, offsets): A_1, A_2, ... of fams[i], families on ctx^n, are
-    the ops offsets[i], ... of table, which holds no other op: one pick of
-    _block's."""
-    if not fams:
-        return OpTable.empty(ctx, n), np.zeros(1, dtype=np.int64)
-    t, offsets = _block(fams)
-    return t.pick(range(offsets[0], offsets[-1])), offsets - offsets[0]
-
-
 def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
                   meta: dict) -> LieSuperalgebra:
     """The superalgebra even + odd, unvalidated.  Its structure constants
@@ -274,21 +271,22 @@ def total_algebra(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
 
 
 def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
-                  adjoint_families: Sequence[CoeffOperatorFamily],
-                  meta: Optional[dict] = None) -> HCPair:
-    """Validated Harish-Chandra pair.  Runs the symmetry, equivariance and
-    cubic axioms, assembles the total superalgebra and validates Jacobi."""
+                  adjoint: GModule, meta: Optional[dict] = None) -> HCPair:
+    """Validated Harish-Chandra pair.  adjoint is even's adjoint module:
+    its Lie action must be even.ad_table, under even's labels.  Runs the
+    symmetry, equivariance and cubic axioms, assembles the total
+    superalgebra and validates Jacobi."""
     if any(p for p in even.parities):
         raise DimensionMismatch("even part must be purely even")
     if odd.lie_labels != even.labels:
         raise DimensionMismatch("odd module does not act under the even basis")
     if bracket.dim_v != odd.dim or bracket.dim_g != even.dim:
         raise DimensionMismatch("bracket shape mismatch")
-    for f in adjoint_families:
-        if f.dim != even.dim:
-            raise DimensionMismatch("adjoint family shape mismatch")
+    if (adjoint.lie_labels != even.labels
+            or adjoint.table.pick(range(even.dim)) != even.ad_table):
+        raise DimensionMismatch("adjoint module is not even's adjoint action")
 
-    _check_equivariance(odd, bracket, adjoint_families)
+    _check_equivariance(odd, bracket, adjoint.families)
 
     meta = dict(meta or {})
     meta.setdefault("name", "pair")
@@ -304,9 +302,8 @@ def assemble_pair(even: LieSuperalgebra, odd: GModule, bracket: BilinearMap,
         "jacobi": True,
         "group_level_assumptions": "declared, not computed",
     }
-    return HCPair(even=even, odd=odd, bracket=bracket,
-                  adjoint_families=tuple(adjoint_families), algebra=alg,
-                  certificate=cert, meta=meta)
+    return HCPair(even=even, odd=odd, bracket=bracket, adjoint=adjoint,
+                  algebra=alg, certificate=cert, meta=meta)
 
 
 def pair_space(odd: GModule,
@@ -443,11 +440,10 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
         raise InvalidSubpair("bracket(w, w) leaves Lie(H)")
 
     report: Dict[str, bool] = {}
-    # (1) at algebra level: Lie(H) is an ideal, stable under adjoint families
-    report["cond1_algebra_level"] = (SuperIdeal(pair.even, s.h_lie).verify()
-                                     and inside(s.h_lie, _coefficients(
-                                         ctx, pair.even.dim,
-                                         pair.adjoint_families)[0].images(h)))
+    # (1) at algebra level: Lie(H) is an ideal, stable under the adjoint
+    # families: the adjoint table holds ad, then every family op
+    report["cond1_algebra_level"] = inside(s.h_lie,
+                                           pair.adjoint.table.images(h))
     # (2) w invariant under every operator of the whole pair
     report["cond2"] = inside(s.w, odd.table.images(w))
     # (3) H acts trivially on V/w: the images of the unit vectors under
@@ -463,22 +459,29 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
 
 
 def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
+    """The pair (G/H, V/w) of a normal subpair: V/w and the adjoint module
+    by Lie(H) are quotient_module's, acting under the quotient's basis."""
     report = check_normality(pair, s)
     if not report["ok"]:
         raise NotNormal(f"normality criterion fails: {report}")
-    ctx = pair.even.ctx
+    ctx, name = pair.even.ctx, pair.meta.get("name", "pair")
     even_q = pair.even.quotient(SuperIdeal(pair.even, s.h_lie))
     keep_g = [i for i in range(pair.even.dim) if i not in set(s.h_lie.pivots)]
-    odd_q_all = quotient_module(pair.odd, s.w)
-    # the Lie ops of keep_g and every family op, one pick of the table
-    t, nl = odd_q_all.table, pair.even.dim
-    odd_q = GModule.on_table(
-        ctx, odd_q_all.labels, even_q.labels,
-        t.pick(keep_g + list(range(nl, t.count))),
-        odd_q_all.offsets - (nl - len(keep_g)),
-        [(f.label, f.root) for f in odd_q_all.families],
-        weights=odd_q_all.weights,
-        meta={"name": pair.meta.get("name", "pair") + "/sub"})
+
+    def on_quotient(m: GModule, w: Subspace, meta: dict) -> GModule:
+        # m / w under even_q: the Lie ops of keep_g and every family op,
+        # one pick of the quotient's table
+        q, nl = quotient_module(m, w), pair.even.dim
+        t = q.table
+        return GModule.on_table(
+            ctx, q.labels, even_q.labels,
+            t.pick(keep_g + list(range(nl, t.count))),
+            q.offsets - (nl - len(keep_g)),
+            [(f.label, f.root) for f in q.families], weights=q.weights,
+            brackets=even_q.bracket_table, meta=meta)
+
+    odd_q = on_quotient(pair.odd, s.w, {"name": name + "/sub"})
+    adj_q = on_quotient(pair.adjoint, s.h_lie, pair.adjoint.meta)
     keep_v = [i for i in range(pair.odd.dim) if i not in set(s.w.pivots)]
     dv = len(keep_v)
     b = pair.bracket
@@ -486,14 +489,8 @@ def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
     bracket_q = BilinearMap(ctx, Matrix.from_int(
         ctx, s.h_lie._residual(rows)[:, keep_g],
         s.h_lie.basis.scale * b.scale, reduced=True))
-    reps_g = np.eye(pair.even.dim, dtype=np.int64)[keep_g]
-    adj = pair.adjoint_families
-    coeffs, offsets = _coefficients(ctx, pair.even.dim, adj)
-    _, _, adj_q = _families_on(
-        _induced(ctx, _op_names(adj), coeffs, s.h_lie, reps_g), offsets,
-        [(f.label, f.root) for f in adj])
     return assemble_pair(even_q, odd_q, bracket_q, adj_q,
-                         meta={"name": pair.meta.get("name", "pair") + "/q"})
+                         meta={"name": name + "/q"})
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +507,7 @@ def pair_to_json_dict(pair: HCPair) -> dict:
         for i, j in np.argwhere(np.triu(b.astype(bool).any(axis=2))).tolist()
     ]
     d["adjoint_families"] = [f.to_json_dict()
-                             for f in pair.adjoint_families]
+                             for f in pair.adjoint.families]
     return d
 
 
@@ -523,7 +520,10 @@ def pair_from_json_dict(d: dict) -> HCPair:
         json_ints([i, j], "odd bracket pair"): ctx.vec(v)
         for i, j, v in d["odd_bracket"]}
     bracket = BilinearMap.from_entries(ctx, odd.dim, even.dim, entries)
-    adj = CoeffOperatorFamily.from_json_dicts(ctx, d["adjoint_families"])
+    adj = GModule(ctx, even.labels, even.labels, even.ad_table,
+                  CoeffOperatorFamily.from_json_dicts(
+                      ctx, d["adjoint_families"]),
+                  brackets=even.bracket_table)
     return assemble_pair(even, odd, bracket, adj, meta=d.get("meta", {}))
 
 

@@ -1560,6 +1560,25 @@ class TestFamilyLabels:
         assert hom_space(half, m, "algebra").dim == \
             hom_space(m, half, "algebra").dim == 1
 
+    def test_duplicate_labels_rejected(self):
+        # Sym_1 with X2 and X-2 both labeled X2 was accepted, and its
+        # group-mode endomorphisms came out 0 (the identity lost: one
+        # label matched both families), against 1 in algebra mode
+        m = symn_module(1, F5)
+        x2, xm2 = m.families
+        fams = [CoeffOperatorFamily("X2", f.ops, f.root) for f in (x2, xm2)]
+        with pytest.raises(LabelMismatch, match="two families labeled X2"):
+            GModule(F5, m.labels, m.lie_labels, m.lie_action, fams,
+                    weights=m.weights, brackets=m.bracket_table)
+        with pytest.raises(LabelMismatch, match="two families labeled X2"):
+            GModule.on_table(F5, m.labels, m.lie_labels, m.table, m.offsets,
+                             [("X2", x2.root), ("X2", xm2.root)],
+                             weights=m.weights, brackets=m.bracket_table)
+        d = m.to_json_dict()
+        d["families"][1]["label"] = "X2"
+        with pytest.raises(LabelMismatch, match="two families labeled X2"):
+            module_from_json(json.dumps(d))
+
 
 def zero_module(ctx):
     """The 0-dimensional module with Sym_0's Lie labels and families."""

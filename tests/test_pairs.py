@@ -17,7 +17,7 @@ from superlie.fields import FieldCtx, InputError, SuperlieError
 from superlie.linalg import (DimensionMismatch, Matrix, Subspace,
                              int_family, int_matmul, kernel)
 from superlie.modules import (CoeffOperatorFamily, GModule, OpTable,
-                              _kron_coeffs,
+                              _kron_coeffs, dual,
                               hom_space, square_layout, sym2)
 from superlie.pairs import (
     BilinearMap,
@@ -136,7 +136,7 @@ def ref_check_normality(pair, s):
         for e in ctx.eye(pair.even.dim):
             if not s.h_lie.contains(pair.even.bracket_vec(h, e)):
                 ok = False
-    for gfam in pair.adjoint_families:
+    for gfam in pair.adjoint.families:
         for op in gfam.ops[1:]:
             for h in s.h_lie.basis.data:
                 if not s.h_lie.contains(op.mv(h)):
@@ -276,12 +276,17 @@ def relabeled(families, shift):
                                 f.root) for k, f in enumerate(families)]
 
 
-def adj_families(ctx):
-    even = sl2_algebra(ctx)
-    return even, [
-        CoeffOperatorFamily.exp("X2", even.ad(1), root=(2,)),
-        CoeffOperatorFamily.exp("X-2", even.ad(2), root=(-2,)),
-    ]
+def adjoint_module(even, roots=(("X2", 1, (2,)), ("X-2", 2, (-2,)))):
+    """even's adjoint module on its ad_table, with the family exp(t ad e_i)
+    of each (label, i, root) of roots (by default, gl2's root vectors)."""
+    return GModule(even.ctx, even.labels, even.labels, even.ad_table,
+                   [CoeffOperatorFamily.exp(label, even.ad(i), root=root)
+                    for label, i, root in roots],
+                   brackets=even.bracket_table)
+
+
+def sl2_adjoint(ctx):
+    return sl2_algebra(ctx), adjoint_sl2_module(ctx)
 
 
 class TestBilinearMap:
@@ -313,6 +318,14 @@ class TestBilinearMap:
                 BilinearMap(F5, bad)
         with pytest.raises(DimensionMismatch):
             BilinearMap.from_entries(F5, 2, 3, {(0, 2): F5.vec([1, 0, 0])})
+
+    def test_matrix_rows_must_be_a_square(self):
+        # 5 rows are no dim_v^2: numpy's reshape raised ValueError before
+        for ctx in (F5, Q):
+            with pytest.raises(DimensionMismatch, match="5 bracket rows"):
+                BilinearMap(ctx, Matrix(ctx, ctx.zeros(5, 3)))
+        b = BilinearMap(F5, Matrix(F5, F5.zeros(4, 3)))
+        assert (b.dim_v, b.dim_g) == (2, 3) and b.is_zero()
 
     def test_apply_is_bilinear(self):
         # brackets(xs, ys) against the loop reference, and bilinear
@@ -398,7 +411,7 @@ class TestAssembly:
             (Q, 1, (0, 0), 2, ("X2", 1, (0, 1))),
         ]
         for ctx, n, entry, factor, witness in cases:
-            even, adj = adj_families(ctx)
+            even, adj = sl2_adjoint(ctx)
             odd = symn_dual(n, ctx)
             consts = sl2_symn_bracket(n, 1, ctx).consts.copy()
             i, j = entry
@@ -418,7 +431,7 @@ class TestAssembly:
         # and its first zero constant set to one.
         cases = []
         for ctx in (F3, F5, Q):
-            even, adj = adj_families(ctx)
+            adj = sl2_adjoint(ctx)[1].families
             for n in (1, 3):
                 cases.append((symn_dual(n, ctx), adj,
                               bumped(ctx, sl2_symn_bracket(n, 1, ctx).consts)))
@@ -437,7 +450,7 @@ class TestAssembly:
             consts = base.copy()
             consts[i, j, k] = consts[j, i, k] = value
             doctored.append(consts)
-        cases.append((pair.odd, pair.adjoint_families, doctored))
+        cases.append((pair.odd, pair.adjoint.families, doctored))
         for odd, adj, brackets in cases:
             seen = set()
             for consts in brackets:
@@ -459,10 +472,10 @@ class TestAssembly:
             consts = base.copy()
             consts[i, j, k] = consts[j, i, k] = F5.mul(base[i, j, k], 2)
             brj_brackets.append(consts)
-        even, adj = adj_families(F3)
+        adj = sl2_adjoint(F3)[1].families
         sym3 = sl2_symn_bracket(3, 1, F3).consts
-        cases = [(pair.odd, pair.adjoint_families, brj_brackets),
-                 (pair.odd, relabeled(pair.adjoint_families, 1), [base]),
+        cases = [(pair.odd, pair.adjoint.families, brj_brackets),
+                 (pair.odd, relabeled(pair.adjoint.families, 1), [base]),
                  (symn_dual(3, F3), adj, [sym3, *bumped(F3, sym3)]),
                  (symn_dual(3, F3), relabeled(adj, 1), [sym3])]
         seen = set()
@@ -480,7 +493,7 @@ class TestAssembly:
     def test_equivariance_matches_per_power_loop_on_sl2(self, ctx):
         # Sym_n* for n = 1, 3 with its bracket, one basis vector added at
         # each pair, and the adjoint families relabeled
-        even, adj = adj_families(ctx)
+        adj = sl2_adjoint(ctx)[1].families
         seen = set()
         for n in (1, 3):
             odd, base = symn_dual(n, ctx), sl2_symn_bracket(n, 1, ctx).consts
@@ -493,8 +506,22 @@ class TestAssembly:
                     seen.add(got)
         assert None in seen and len(seen) > 4
 
+    def test_adjoint_module_must_be_the_even_adjoint(self):
+        # the adjoint module must act under even's labels by even.ad_table:
+        # sl2's adjoint under other labels, and its dual (x acting by
+        # -ad(x)^T), are rejected
+        even, adj = sl2_adjoint(F5)
+        odd = symn_dual(1, F5)
+        bracket = sl2_symn_bracket(1, 1, F5)
+        assert assemble_pair(even, odd, bracket, adj).dims == (3, 2)
+        relabeled_lie = GModule(F5, adj.labels, ("h", "e", "f"),
+                                even.ad_table, adj.families)
+        for bad in (relabeled_lie, dual(adj)):
+            with pytest.raises(DimensionMismatch, match="adjoint module"):
+                assemble_pair(even, odd, bracket, bad)
+
     def test_split_pair(self):
-        even, adj = adj_families(F5)
+        even, adj = sl2_adjoint(F5)
         odd = symn_dual(3, F5)
         zero = BilinearMap.from_entries(F5, 4, 3, {})
         p = assemble_pair(even, odd, zero, adj)
@@ -603,7 +630,7 @@ class TestPairSpace:
         hs, ks = pair_space(v, hom_space(sym2(v), adj, mode="group").basis)
         assert (len(hs), len(ks)) == (1, 1)
         bracket, _ = normalised(ctx, ks[0])
-        pair = assemble_pair(g, v, bracket, adj.families)
+        pair = assemble_pair(g, v, bracket, adj)
         assert pair.algebra.dims == (10, 4)
         assert pair.algebra.is_graded_simple(seed=0).verdict == "GradedSimple"
 
@@ -621,7 +648,7 @@ class TestPairSpace:
                 == Subspace.from_vectors(ctx, 8 * 8 * 9, plane))
         pair = assemble_pair(even, w,
                              BilinearMap(ctx, alg.consts[9:, 9:, :9].copy()),
-                             adj.families)
+                             adj)
         assert np.array_equal(pair.algebra.consts, alg.consts)
 
     def test_map_of_wrong_shape_rejected(self):
@@ -690,7 +717,7 @@ class TestSasAndSubpairs:
         odd = symn_dual(1, F5)
         odd = GModule(F5, odd.labels, odd.lie_labels, odd.lie_action, [])
         p = assemble_pair(even, odd, BilinearMap.from_entries(F5, 2, 3, {}),
-                          [])
+                          adjoint_module(even, ()))
         for h, want in (([1, 0, 0], False), ([0, 0, 0], True)):
             s = SubpairSpec(Subspace.from_vectors(F5, 3, [F5.vec(h)]), (),
                             Subspace.zero(F5, 2))
@@ -723,7 +750,8 @@ def gl11_pair(ctx):
                    Matrix.from_rows(ctx, [[-1, 0], [0, 1]])], [],
                   brackets=even.consts)
     bracket = BilinearMap.from_entries(ctx, 2, 2, {(0, 1): ctx.vec([1, 1])})
-    return assemble_pair(even, odd, bracket, [], meta={"name": "gl11"})
+    return assemble_pair(even, odd, bracket, adjoint_module(even, ()),
+                         meta={"name": "gl11"})
 
 
 def gl2_pair(ctx):
@@ -732,8 +760,6 @@ def gl2_pair(ctx):
     module symn_dual(1) with E1,1 acting as H/2 and E2,2 as -H/2, and the
     bracket sl2_symn_bracket(1, 1) with H placed as E1,1 - E2,2."""
     even = gl(2, 0, ctx)
-    adj = [CoeffOperatorFamily.exp("X2", even.ad(1), root=(2,)),
-           CoeffOperatorFamily.exp("X-2", even.ad(2), root=(-2,))]
     sym = symn_dual(1, ctx)
     h, e, f = sym.lie_action
     half = ctx.reduce(h.data * ctx.inv(ctx.of(2)))
@@ -743,7 +769,8 @@ def gl2_pair(ctx):
     c = sl2_symn_bracket(1, 1, ctx).consts
     bracket = BilinearMap(ctx, np.concatenate([c, ctx.reduce(-c[..., :1])],
                                               axis=2))
-    return assemble_pair(even, odd, bracket, adj, meta={"name": "gl2"})
+    return assemble_pair(even, odd, bracket, adjoint_module(even),
+                         meta={"name": "gl2"})
 
 
 class TestProperQuotient:
@@ -773,7 +800,10 @@ class TestProperQuotient:
         assert q.algebra.dims == (3, 2)
         assert q.algebra.is_graded_simple(seed=0).verdict == "GradedSimple"
         labels = [l.rstrip("~") for l in q.even.labels]
-        for fam, x in zip(q.adjoint_families, ("E1,2", "E2,1")):
+        # the adjoint module of gl2 / centre, its Lie ops re-picked to the
+        # kept coordinates
+        assert q.adjoint.table.pick(range(3)) == q.even.ad_table
+        for fam, x in zip(q.adjoint.families, ("E1,2", "E2,1")):
             # 1 + t ad x + t^2 ad(x)^2 / 2, induced on gl2 / centre
             assert fam.degree == 2
             assert fam.op(1) == q.even.ad(labels.index(x))
@@ -830,5 +860,6 @@ class TestPairJson:
         assert q.dims == p.dims
         assert np.array_equal(q.algebra.consts, p.algebra.consts)
         assert q.odd.labels == p.odd.labels
-        assert [f.label for f in q.adjoint_families] == \
-               [f.label for f in p.adjoint_families]
+        assert [f.label for f in q.adjoint.families] == \
+               [f.label for f in p.adjoint.families]
+        assert q.adjoint.table == p.adjoint.table
