@@ -33,6 +33,7 @@ from .linalg import Matrix, Subspace, int_matmul, kernel
 from .modules import (
     CoeffOperatorFamily,
     GModule,
+    adjoint_module,
     hom_space,
     lambda2,
     module_from_subspace,
@@ -129,15 +130,13 @@ def sp4_natural_module(g: LieSuperalgebra) -> GModule:
 
 
 def sp4_adjoint_module(g: LieSuperalgebra) -> GModule:
-    """sp4's adjoint module, its Lie action g's ad_table, with exp(t ad x)
-    for each root vector x."""
-    ctx, ads = g.ctx, g.ad_table.matrices()
-    fams = CoeffOperatorFamily.batch(
-        (l, CoeffOperatorFamily.exp_ops(l, ads[i]), w)
-        for i, (l, w, _) in enumerate(SP4_ROOTS))
-    weights = [w for _, w, _ in SP4_ROOTS] + [(0, 0), (0, 0)]
-    return GModule(ctx, g.labels, g.labels, g.ad_table, fams, weights=weights,
-                   brackets=g.bracket_table, meta={"name": "adjoint-sp4"})
+    """sp4's adjoint module (modules.adjoint_module), with exp(t ad x) for
+    each root vector x."""
+    return adjoint_module(
+        g.labels, g.bracket_table,
+        [(l, i, w) for i, (l, w, _) in enumerate(SP4_ROOTS)],
+        weights=[w for _, w, _ in SP4_ROOTS] + [(0, 0), (0, 0)],
+        meta={"name": "adjoint-sp4"})
 
 
 def _vector(ctx: FieldCtx, dim: int, terms: Dict[int, int]) -> np.ndarray:
@@ -172,14 +171,11 @@ def expected_socle_vectors(ctx: FieldCtx) -> List[np.ndarray]:
 
 
 def u_basis_vectors(ctx: FieldCtx):
-    """Weight-vector representatives for U = M/socle, eight long-weight pure
-    tensors and four short-weight combinations."""
+    """(vectors, labels): weight-vector representatives for U = M/socle,
+    eight long-weight pure tensors and four short-weight combinations."""
     labels = ["u+2e1+e2", "u+2e1-e2", "u+e1+2e2", "u+e1-2e2",
               "u-2e1+e2", "u-2e1-e2", "u-e1-2e2", "u-e1+2e2",
               "u+e1", "u+e2", "u-e2", "u-e1"]
-    weights = [(2, 1), (2, -1), (1, 2), (1, -2),
-               (-2, 1), (-2, -1), (-1, -2), (-1, 2),
-               (1, 0), (0, 1), (0, -1), (-1, 0)]
     vecs = [
         _vector(ctx, 20, {_n_idx(0, "++"): 1}),
         _vector(ctx, 20, {_n_idx(0, "+-"): 1}),
@@ -194,7 +190,7 @@ def u_basis_vectors(ctx: FieldCtx):
         _vector(ctx, 20, {_n_idx(0, "--"): 1, _n_idx(3, "0"): -2}),
         _vector(ctx, 20, {_n_idx(1, "--"): 1, _n_idx(2, "0"): -2}),
     ]
-    return labels, weights, vecs
+    return vecs, labels
 
 
 # Stability of a weight-(2, 0) vector of Sym^2(U) under the two simple
@@ -238,11 +234,9 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
         raise PipelineAssertion("L2V", "invariant form element",
                                 "not invariant", report)
     w_labels = ["w+e1+e2", "w+e1-e2", "w0", "w-e1+e2", "w-e1-e2"]
-    w_weights = [(1, 1), (1, -1), (0, 0), (-1, 1), (-1, -1)]
     w_reps = [_vector(ctx, 6, {l2pos[i, j]: c}) for i, j, c in
               ((0, 1, 1), (0, 3, 1), (0, 2, 1), (1, 2, -1), (2, 3, 1))]
-    w_mod = quotient_module_with_basis(l2, zspan, w_reps, w_labels,
-                                       weights=w_weights, name="Lw2")
+    w_mod = quotient_module_with_basis(l2, zspan, w_reps, w_labels, name="Lw2")
     _check(report, "Lw2", w_mod.dim)
     report.seconds["modules"] = time.monotonic() - t0
 
@@ -272,9 +266,8 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     if not report.socle_matches_expected:
         raise PipelineAssertion("socle", "span of the four layer vectors",
                                 "different subspace", report)
-    u_labels, u_weights, u_vecs = u_basis_vectors(ctx)
-    u_mod = quotient_module_with_basis(n_mod, soc, u_vecs, u_labels,
-                                       weights=u_weights, name="U")
+    u_mod = quotient_module_with_basis(n_mod, soc, *u_basis_vectors(ctx),
+                                       name="U")
     _check(report, "U", u_mod.dim)
     report.seconds["submodule"] = time.monotonic() - t0
 
@@ -299,8 +292,8 @@ def brj25(p: int = 5, skip_simplicity: bool = False,
     if len(ks) != 1:
         raise PipelineAssertion("pair", "dim K = 1", len(ks), report)
     bracket, pos = normalised(ctx, ks[0])
-    report.first_constant = f"[{u_labels[pos[0]]},{u_labels[pos[1]]}] " \
-                            f"-> {g.labels[pos[2]]}"
+    report.first_constant = "[{},{}] -> {}".format(
+        u_mod.labels[pos[0]], u_mod.labels[pos[1]], g.labels[pos[2]])
 
     pair = assemble_pair(g, u_mod, bracket, adj,
                          meta={"name": f"brj(2;5)@p={p}"})

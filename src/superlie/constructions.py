@@ -12,9 +12,9 @@ bracket is checked to be the sum of the basis elements it reads as, so a
 hand-listed basis that is not closed is rejected, and the structure
 constants are validated as every built algebra's are.  sl2's data is
 written once, as small integer arrays (SL2_*): sl2_algebra takes its
-matrices from them, symn_module its labels and brackets, adjoint_sl2_module
-its labels, brackets and ad(x_i) = SL2_BRACKETS[i].T, and d21 assembles its
-constants from the brackets, the action on V, the form and Sym2(V) -> sl2.
+matrices from them, symn_module and adjoint_sl2_module their labels and
+brackets, and d21 assembles its constants from the brackets, the action
+on V, the form and Sym2(V) -> sl2.
 Basis orders are fixed and documented per construction.
 """
 
@@ -41,7 +41,7 @@ from .linalg import (
     nonzero_sums,
     run_starts,
 )
-from .modules import CoeffOperatorFamily, GModule, dual, hom_space, sym2
+from .modules import GModule, adjoint_module, dual, hom_space, sym2
 from .pairs import (HCPair, assemble_pair, normalised, pair_space,
                     total_algebra)
 from .superalgebra import (
@@ -520,17 +520,12 @@ def d21(params: D21Params, ctx: FieldCtx) -> LieSuperalgebra:
 # ---------------------------------------------------------------------------
 
 def adjoint_sl2_module(ctx: FieldCtx) -> GModule:
-    """sl2's adjoint module read off SL2_BRACKETS: ad(x_i) is
-    SL2_BRACKETS[i].T, the table of the transposed brackets, with the
-    families exp(t ad E12), exp(t ad E21)."""
-    lie = OpTable.from_dense(ctx, ctx.reduce(SL2_BRACKETS.transpose(0, 2, 1)))
-    ads = lie.matrices()
-    fams = CoeffOperatorFamily.batch(
-        (label, CoeffOperatorFamily.exp_ops(label, ads[i]), root)
-        for label, i, root in (("X2", 1, (2,)), ("X-2", 2, (-2,))))
-    return GModule(ctx, SL2_LABELS, SL2_LABELS, lie, fams,
-                   weights=[(0,), (2,), (-2,)],
-                   brackets=SL2_BRACKETS, meta={"name": "adjoint-sl2"})
+    """sl2's adjoint module read off SL2_BRACKETS (modules.adjoint_module),
+    with the families exp(t ad E12), exp(t ad E21)."""
+    return adjoint_module(
+        SL2_LABELS, OpTable.from_dense(ctx, *_array_form(ctx, SL2_BRACKETS)),
+        (("X2", 1, (2,)), ("X-2", 2, (-2,))), weights=[(0,), (2,), (-2,)],
+        meta={"name": "adjoint-sl2"})
 
 
 def symn_module(n: int, ctx: FieldCtx) -> GModule:

@@ -615,7 +615,7 @@ def _pivot_rref(ctx: FieldCtx,
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        if ctx.p and a[r, c] != 1:
+        if a[r, c] != 1:
             a[r] = ctx.reduce(a[r] * ctx.inv(a[r, c]))
         factors = a[:, c].copy()
         factors[r] = 0

@@ -67,6 +67,7 @@ class LabelMismatch(SuperlieError, ValueError):
 
 
 Ops = Union[Sequence[Matrix], OpTable]
+Acting = Tuple[Sequence[int], Sequence[str], OpTable]  # see _subquotient
 
 
 class CoeffOperatorFamily:
@@ -158,12 +159,6 @@ class CoeffOperatorFamily:
                                  f"{ctx.p}")
             ops.append(Matrix.from_int(ctx, prod, ops[-1].scale * u * k))
         return ops
-
-    @classmethod
-    def exp(cls, label: str, x: Matrix,
-            root: Optional[Sequence[int]] = None) -> "CoeffOperatorFamily":
-        """The family exp(t x) of exp_ops."""
-        return cls(label, cls.exp_ops(label, x), root)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -575,6 +570,22 @@ def module_from_json(s: str) -> GModule:
     return module_from_json_dict(json.loads(s))
 
 
+def adjoint_module(labels: Sequence[str], brackets: OpTable,
+                   roots: Iterable[Tuple[str, int, Sequence[int]]] = (),
+                   weights: Optional[Sequence[Tuple[int, ...]]] = None,
+                   meta: Optional[dict] = None) -> GModule:
+    """The adjoint module of the algebra on labels with structure constants
+    brackets: ad(x_i) is op i of brackets transposed, with the family
+    exp(t ad x_i) of each (label, i, root) of roots."""
+    ad = brackets.transposed()
+    ads = ad.matrices()
+    fams = CoeffOperatorFamily.batch(
+        (label, CoeffOperatorFamily.exp_ops(label, ads[i]), root)
+        for label, i, root in roots)
+    return GModule(brackets.ctx, labels, labels, ad, fams, weights=weights,
+                   brackets=brackets, meta=meta)
+
+
 # ---------------------------------------------------------------------------
 # functorial constructions
 # ---------------------------------------------------------------------------
@@ -588,8 +599,10 @@ def dual(m: GModule) -> GModule:
     weights = [tuple(-x for x in w) for w in m.weights] if m.weights else None
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "*"
-    return _rebuilt(m, m.table.transposed(signs), m.offsets,
-                    [l + "*" for l in m.labels], weights, meta)
+    return GModule.on_table(m.ctx, [l + "*" for l in m.labels], m.lie_labels,
+                            m.table.transposed(signs), m.offsets,
+                            [(f.label, f.root) for f in m.families], weights,
+                            m.bracket_table, meta)
 
 
 def _kron_coeffs(t1: OpTable, t2: OpTable, groups: Sequence[Tuple],
@@ -668,19 +681,11 @@ def _on_pairs(m1: GModule, m2: GModule, pairs: Sequence[Tuple[int, int]],
                    for i, j in pairs]
     labels = [f"{m1.labels[i]}{sep}{m2.labels[j]}" for i, j in pairs]
     offsets = np.cumsum([nl] + [len(ks) for _, _, ks in groups[nl:]])
-    return _rebuilt(m1, _kron_coeffs(m1.table, m2.table, groups, fold),
-                    offsets, labels, weights, {"name": name})
-
-
-def _rebuilt(m: GModule, table: OpTable, offsets: Sequence[int],
-             labels: Sequence[str], weights: Optional[Sequence],
-             meta: dict) -> GModule:
-    """The module on labels with m's Lie labels, family labels, roots and
-    brackets whose Lie action and families are the ops of table, family i
-    from op offsets[i] (GModule.on_table)."""
-    return GModule.on_table(m.ctx, labels, m.lie_labels, table, offsets,
-                            [(f.label, f.root) for f in m.families],
-                            weights, m.bracket_table, meta)
+    return GModule.on_table(
+        m1.ctx, labels, m1.lie_labels,
+        _kron_coeffs(m1.table, m2.table, groups, fold), offsets,
+        [(f.label, f.root) for f in m1.families], weights, m1.bracket_table,
+        {"name": name})
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
@@ -765,47 +770,64 @@ def _induced(ctx: FieldCtx, names: Sequence[str], table: OpTable,
 
 
 def _subquotient(m: GModule, w: Subspace, reps: Sequence[np.ndarray],
-                 labels: Sequence[str], weights: Optional[Sequence],
-                 meta: dict) -> GModule:
-    """The module span(w, reps)/w on the basis of the reps."""
+                 labels: Sequence[str], meta: dict,
+                 acting: Optional[Acting] = None) -> GModule:
+    """The module span(w, reps)/w on the basis of the reps, labelled labels.
+    Rep i has the one weight of the nonzero coordinates of its residual
+    against w (InputError, naming labels[i], if they have two), when m has
+    weights.  acting = (ops, lie_labels, brackets) induces only m's Lie ops
+    ops, and every family op, acting as the algebra (a quotient) of those
+    labels and bracket table."""
+    nl = len(m.lie_labels)
     names = list(m.lie_labels) + [f"{f.label}[t^{k}]" for f in m.families
                                   for k in range(1, f.degree + 1)]
-    return _rebuilt(m, _induced(m.ctx, names, m.table, w, reps), m.offsets,
-                    labels, weights, meta)
+    ops, lie_labels, brackets = acting or (range(nl), m.lie_labels,
+                                           m.bracket_table)
+    keep = [*ops, *range(nl, m.table.count)]
+    table = m.table if acting is None else m.table.pick(keep)
+    table = _induced(m.ctx, [names[i] for i in keep], table, w, reps)
+    weights = None
+    if m.weights and len(reps):
+        res = w._residual(_array_form(m.ctx, np.asarray(reps))[0]) != 0
+        wt = np.array(m.weights).reshape(m.dim, -1)
+        first = res.argmax(axis=1)
+        mixed = (res & (wt != wt[first][:, None]).any(axis=2)).any(axis=1)
+        if mixed.any():
+            raise InputError(f"representative {labels[np.argmax(mixed)]} "
+                             "mixes weights")
+        weights = [m.weights[i] for i in first]
+    return GModule.on_table(m.ctx, labels, lie_labels, table,
+                            m.offsets - (nl - len(lie_labels)),
+                            [(f.label, f.root) for f in m.families],
+                            weights, brackets, meta)
 
 
 def quotient_module(m: GModule, w: Subspace,
-                    labels: Optional[Sequence[str]] = None) -> GModule:
-    """Quotient by an invariant subspace; basis = non-pivot coordinates."""
-    pivots = set(w.pivots)
-    keep = [i for i in range(m.dim) if i not in pivots]
-    eye = np.eye(m.dim, dtype=np.int64)
-    if labels is None:
-        labels = [m.labels[i] + "~" for i in keep]
-    weights = [m.weights[i] for i in keep] if m.weights else None
+                    acting: Optional[Acting] = None) -> GModule:
+    """Quotient by an invariant subspace on the non-pivot coordinates,
+    labelled with a trailing "~"; acting, when given, is _subquotient's."""
+    keep = np.setdiff1d(np.arange(m.dim), w.pivots)
     meta = dict(m.meta)
     meta["name"] = meta.get("name", "module") + "/w"
-    return _subquotient(m, w, eye[keep], labels, weights, meta)
+    return _subquotient(m, w, np.eye(m.dim, dtype=np.int64)[keep],
+                        [m.labels[i] + "~" for i in keep], meta, acting)
 
 
 def quotient_module_with_basis(m: GModule, w: Subspace,
                                reps: Sequence[np.ndarray],
                                labels: Sequence[str],
-                               weights: Optional[Sequence] = None,
                                name: str = "quotient") -> GModule:
     """Quotient of span(w, reps) by the invariant subspace w, on the given
     representative basis.  Operators must preserve the span."""
-    return _subquotient(m, w, reps, labels, weights, {"name": name})
+    return _subquotient(m, w, reps, labels, {"name": name})
 
 
 def module_from_subspace(m: GModule, w: Subspace,
-                         labels: Optional[Sequence[str]] = None,
                          name: str = "submodule") -> GModule:
-    """Restriction of all operators to an invariant subspace."""
-    if labels is None:
-        labels = [f"w{i}" for i in range(w.dim)]
+    """Restriction of all operators to an invariant subspace, on its
+    echelon basis w0, w1, ..."""
     return _subquotient(m, Subspace.zero(m.ctx, m.dim), w.basis.ints,
-                        labels, None, {"name": name})
+                        [f"w{i}" for i in range(w.dim)], {"name": name})
 
 
 def trivial_quotient_defect(m: GModule) -> Subspace:

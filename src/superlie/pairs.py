@@ -460,28 +460,18 @@ def check_normality(pair: HCPair, s: SubpairSpec) -> Dict:
 
 def quotient_pair(pair: HCPair, s: SubpairSpec) -> HCPair:
     """The pair (G/H, V/w) of a normal subpair: V/w and the adjoint module
-    by Lie(H) are quotient_module's, acting under the quotient's basis."""
+    by Lie(H) are quotient_module's, each induced once, acting as G/H
+    through the Lie ops of its basis."""
     report = check_normality(pair, s)
     if not report["ok"]:
         raise NotNormal(f"normality criterion fails: {report}")
     ctx, name = pair.even.ctx, pair.meta.get("name", "pair")
     even_q = pair.even.quotient(SuperIdeal(pair.even, s.h_lie))
     keep_g = [i for i in range(pair.even.dim) if i not in set(s.h_lie.pivots)]
-
-    def on_quotient(m: GModule, w: Subspace, meta: dict) -> GModule:
-        # m / w under even_q: the Lie ops of keep_g and every family op,
-        # one pick of the quotient's table
-        q, nl = quotient_module(m, w), pair.even.dim
-        t = q.table
-        return GModule.on_table(
-            ctx, q.labels, even_q.labels,
-            t.pick(keep_g + list(range(nl, t.count))),
-            q.offsets - (nl - len(keep_g)),
-            [(f.label, f.root) for f in q.families], weights=q.weights,
-            brackets=even_q.bracket_table, meta=meta)
-
-    odd_q = on_quotient(pair.odd, s.w, {"name": name + "/sub"})
-    adj_q = on_quotient(pair.adjoint, s.h_lie, pair.adjoint.meta)
+    acting = (keep_g, even_q.labels, even_q.bracket_table)
+    odd_q = quotient_module(pair.odd, s.w, acting=acting)
+    odd_q.meta = {"name": name + "/sub"}
+    adj_q = quotient_module(pair.adjoint, s.h_lie, acting=acting)
     keep_v = [i for i in range(pair.odd.dim) if i not in set(s.w.pivots)]
     dv = len(keep_v)
     b = pair.bracket

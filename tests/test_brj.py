@@ -78,6 +78,29 @@ class TestChar5Pipeline:
         assert rep.algebra.dims == (10, 12)
 
 
+class TestWeightsReadOff:
+    # the weights the pipeline once passed in by hand, kept as oracles:
+    # each subquotient now reads them off its representatives
+    LW2 = ((1, 1), (1, -1), (0, 0), (-1, 1), (-1, -1))
+    U = ((2, 1), (2, -1), (1, 2), (1, -2), (-2, 1), (-2, -1), (-1, -2),
+         (-1, 2), (1, 0), (0, 1), (0, -1), (-1, 0))
+
+    def test_lw2_and_u(self, monkeypatch):
+        made = {}
+        quotient = brj.quotient_module_with_basis
+
+        def recording(*args, **kw):
+            m = quotient(*args, **kw)
+            made[m.meta["name"]] = m
+            return m
+
+        monkeypatch.setattr(brj, "quotient_module_with_basis", recording)
+        rep = brj25(p=5, skip_simplicity=True)
+        assert made["Lw2"].weights == self.LW2
+        assert made["U"].weights == self.U
+        assert rep.pair.odd is made["U"]
+
+
 class TestPairStage:
     def test_three_solves(self, monkeypatch):
         # the socle solve and Sym^2 U -> adj in both modes; pair_space

@@ -1,6 +1,8 @@
-"""Every name a superlie module imports is used in that module: a deletion
-that leaves its import behind fails here.  The check reads the source with
-the standard library's ast, so it runs wherever the tests do."""
+"""Every name a superlie module imports is used in that module, and every
+_private function or method it defines is referenced somewhere in the
+package: a deletion that leaves its import or its helper behind fails
+here.  The check reads the source with the standard library's ast, so it
+runs wherever the tests do."""
 
 import ast
 from pathlib import Path
@@ -67,3 +69,48 @@ def test_finds_an_unused_import():
     used = used_names(tree)
     assert sorted(n for n in imported_names(tree) if n not in used) == \
         ["List", "np"]
+
+
+def private_defs(tree):
+    """{name: line} of the _private functions a module defines at its top
+    level and of the _private methods of its top-level classes, dunders
+    aside."""
+    defs = {}
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for f in body:
+            if (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and f.name.startswith("_")
+                    and not (f.name.startswith("__")
+                             and f.name.endswith("__"))):
+                defs[f.name] = f.lineno
+    return defs
+
+
+def referenced_names(tree):
+    """Every name the module reads, and every attribute it reads."""
+    return used_names(tree) | {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)}
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    unused = {f"{name}:{line}": helper
+              for name, tree in trees.items()
+              for helper, line in private_defs(tree).items()
+              if helper not in referenced}
+    assert not unused, f"defined and never referenced: {unused}"
+
+
+def test_finds_an_unreferenced_helper():
+    # the check itself: a helper read as a name or as an attribute counts,
+    # a dunder is exempt, one never read does not count
+    tree = ast.parse("def _used():\n    pass\n"
+                     "def _unused():\n    pass\n"
+                     "class C:\n    def __init__(self):\n        self._m()\n"
+                     "    def _m(self):\n        _used()\n"
+                     "    def _dead(self):\n        pass\n")
+    assert sorted(n for n in private_defs(tree)
+                  if n not in referenced_names(tree)) == ["_dead", "_unused"]

@@ -157,6 +157,12 @@ def jordan_block(ctx, n):
     return Matrix.from_int(ctx, np.eye(n, k=1, dtype=np.int64))
 
 
+def exp_family(label, x, root=None):
+    """The family exp(t x) of CoeffOperatorFamily.exp_ops."""
+    return CoeffOperatorFamily(label, CoeffOperatorFamily.exp_ops(label, x),
+                               root)
+
+
 class TestExp:
     @pytest.mark.parametrize("ctx, top", [(F3, 2), (F5, 4), (F7, 6), (Q, 6)],
                              ids=repr)
@@ -165,13 +171,13 @@ class TestExp:
         # every n < p
         for n in range(top + 1):
             m = symn_module(n, ctx)
-            f = CoeffOperatorFamily.exp("X2", m.lie_action[1], (2,))
+            f = exp_family("X2", m.lie_action[1], (2,))
             assert f == m.family_by_label("X2"), n
 
     @pytest.mark.parametrize("ctx", [F5, Q], ids=repr)
     def test_jordan_block(self, ctx):
         j = jordan_block(ctx, 4)
-        f = CoeffOperatorFamily.exp("j", j)
+        f = exp_family("j", j)
         assert f.degree == 3
         assert f.ops[1] == j
         assert f.ops[2] == Matrix.from_int(ctx, (j @ j).ints, 2)
@@ -180,18 +186,18 @@ class TestExp:
     def test_jordan_block_needs_its_factorials(self):
         # J^3 != 0 and 3! = 0 in F_3
         with pytest.raises(InputError, match="3! is 0 mod 3"):
-            CoeffOperatorFamily.exp("j", jordan_block(F3, 4))
+            exp_family("j", jordan_block(F3, 4))
 
     @pytest.mark.parametrize("ctx", [F3, F5, Q], ids=repr)
     def test_not_nilpotent(self, ctx):
         for rows in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[2]]):
             with pytest.raises(InputError, match="not nilpotent"):
-                CoeffOperatorFamily.exp("x", Matrix.from_rows(ctx, rows))
+                exp_family("x", Matrix.from_rows(ctx, rows))
 
     def test_zero_and_empty_operators(self):
-        f = CoeffOperatorFamily.exp("z", Matrix.zeros(F5, 3, 3), (1,))
+        f = exp_family("z", Matrix.zeros(F5, 3, 3), (1,))
         assert f.ops == (Matrix.identity(F5, 3),) and f.root == (1,)
-        assert CoeffOperatorFamily.exp("e", Matrix.zeros(Q, 0, 0)).degree == 0
+        assert exp_family("e", Matrix.zeros(Q, 0, 0)).degree == 0
 
 
 def ref_conjugation_family(alg, label, x, root=None):
@@ -199,7 +205,7 @@ def ref_conjugation_family(alg, label, x, root=None):
     x on a purely even matrix-built algebra, by conjugation: y -> y +
     t(xy - yx) - t^2 xyx, each image solved for in the algebra's matrix
     basis with the SpanSolver of its dense oracle build.  The builder that
-    CoeffOperatorFamily.exp(ad x) replaced, kept as its oracle."""
+    exp(t ad x) (modules.adjoint_module) replaced, kept as its oracle."""
     ctx, d = alg.ctx, alg.dim
     (xi, ys), s = int_family(ctx, [x, np.stack(alg.matrix_basis)])
     assert not np.any(ctx.reduce(xi @ xi))
@@ -558,7 +564,8 @@ class TestSubquotients:
         keep = [i for i in range(4) if i not in w.pivots]
         q = quotient_module(m, w)
         qb = quotient_module_with_basis(
-            m, w, [F3.eye(4)[i] for i in keep], q.labels, q.weights)
+            m, w, [F3.eye(4)[i] for i in keep], q.labels)
+        assert qb.weights == q.weights == tuple(m.weights[i] for i in keep)
         assert qb.lie_action == q.lie_action
         assert [f.ops for f in qb.families] == [f.ops for f in q.families]
 
@@ -586,11 +593,22 @@ class TestSubquotients:
         keep = [i for i in range(m.dim) if i not in w.pivots]
         want = quotient_module_with_basis(
             m, w, list(Q.eye(m.dim)[keep]), [m.labels[i] + "~" for i in keep],
-            [m.weights[i] for i in keep], name=m.meta["name"] + "/w")
+            name=m.meta["name"] + "/w")
         calls = count_conversions(monkeypatch)
         got = quotient_module(m, w)
         assert calls == []
         assert_same_module(got, want)
+
+    def test_mixed_weight_representative_rejected(self):
+        # span(s0 + s1, s1, s2) is all of Sym_2, so the operators preserve
+        # it, but s0 + s1 has coordinates of weights -2 and 0
+        m, zero = symn_module(2, F5), Subspace.zero(F5, 3)
+        e = F5.eye(3)
+        with pytest.raises(InputError, match="representative mix"):
+            quotient_module_with_basis(m, zero, [e[0] + e[1], e[1], e[2]],
+                                       ["mix", "s1", "s2"])
+        q = quotient_module_with_basis(m, zero, list(e), ["s0", "s1", "s2"])
+        assert q.weights == m.weights
 
     def test_module_from_subspace_roundtrip_dims(self):
         m = symn_module(3, F3)
@@ -1629,6 +1647,16 @@ def brj_modules():
     return seen
 
 
+def test_submodule_reads_weights_off_its_basis(brj_modules):
+    # M's echelon basis is of weight vectors: each row has the weight of
+    # N at its pivot, which module_from_subspace reads off the row
+    m, big = brj_modules["M"], brj_modules["V(x)Lw2"]
+    w = submodule_generated(big, [units(big.dim, 0)])
+    assert m.weights == tuple(big.weights[i] for i in w.pivots)
+    assert len(m.weights) == 16
+    assert module_from_subspace(big, w).weights == m.weights
+
+
 TABLE_CASES = ([("brj", name, None) for name in
                 ("V", "L2(V)", "Lw2", "V(x)Lw2", "M", "U", "Sym2(U)")]
                + [(kind, n, ctx) for ctx in (F7, Q, BIG)
@@ -1640,14 +1668,6 @@ TABLE_CASES = ([("brj", name, None) for name in
 def table_case(request, brj_modules):
     """(module, adjoint module of its even algebra)."""
     kind, n, ctx = request.param
-    if kind == "brj" and n == "M":
-        # M's echelon basis is of weight vectors: the weights of N at its
-        # pivots, which GModule checks
-        m, big = brj_modules["M"], brj_modules["V(x)Lw2"]
-        w = submodule_generated(big, [units(big.dim, 0)])
-        return GModule(F5, m.labels, m.lie_labels, m.lie_action, m.families,
-                       weights=[big.weights[i] for i in w.pivots],
-                       brackets=m.bracket_table), brj_modules["adjoint-sp4"]
     if kind == "brj":
         return brj_modules[n], brj_modules["adjoint-sp4"]
     m = symn_dual(n, ctx)
@@ -1852,8 +1872,7 @@ def round_trip_modules(ctx):
             "tensor": tensor(symn_module(1, ctx), symn_dual(2, ctx)),
             "quotient": quotient_module(s2, top),
             "quotient_with_basis": quotient_module_with_basis(
-                s2, top, units(s2.dim, rest), [f"r{i}" for i in rest],
-                [s2.weights[i] for i in rest]),
+                s2, top, units(s2.dim, rest), [f"r{i}" for i in rest]),
             "lw2": lw2(ctx),
             "submodule": module_from_subspace(s2, top)}
 

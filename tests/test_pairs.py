@@ -17,7 +17,7 @@ from superlie.fields import FieldCtx, InputError, SuperlieError
 from superlie.linalg import (DimensionMismatch, Matrix, Subspace,
                              int_family, int_matmul, kernel)
 from superlie.modules import (CoeffOperatorFamily, GModule, OpTable,
-                              _kron_coeffs, dual,
+                              _kron_coeffs, adjoint_module, dual,
                               hom_space, square_layout, sym2)
 from superlie.pairs import (
     BilinearMap,
@@ -276,13 +276,6 @@ def relabeled(families, shift):
                                 f.root) for k, f in enumerate(families)]
 
 
-def adjoint_module(even, roots=(("X2", 1, (2,)), ("X-2", 2, (-2,)))):
-    """even's adjoint module on its ad_table, with the family exp(t ad e_i)
-    of each (label, i, root) of roots (by default, gl2's root vectors)."""
-    return GModule(even.ctx, even.labels, even.labels, even.ad_table,
-                   [CoeffOperatorFamily.exp(label, even.ad(i), root=root)
-                    for label, i, root in roots],
-                   brackets=even.bracket_table)
 
 
 def sl2_adjoint(ctx):
@@ -579,17 +572,15 @@ def sl2_cubed_pieces(ctx):
     odd_fams = [CoeffOperatorFamily(even.labels[i], [
         Matrix.identity(ctx, 8), Matrix.from_int(ctx, acts[i])], root)
         for i, root in roots.items()]
-    adj_fams = [CoeffOperatorFamily.exp(even.labels[i], even.ad(i), root)
-                for i, root in roots.items()]
     w = GModule(ctx, [f"v{i}{j}{k}" for i, j, k in product("12", repeat=3)],
                 even.labels, [Matrix.from_int(ctx, a) for a in acts], odd_fams,
                 weights=[tuple(1 - 2 * b for b in bits)
                          for bits in product((0, 1), repeat=3)],
                 brackets=even.consts)
-    ads = [even.ad(i) for i in range(even.dim)]
-    adj = GModule(ctx, even.labels, even.labels, ads, adj_fams,
-                  weights=[roots.get(i, (0, 0, 0)) for i in range(9)],
-                  brackets=even.consts)
+    adj = adjoint_module(
+        even.labels, even.bracket_table,
+        [(even.labels[i], i, root) for i, root in roots.items()],
+        weights=[roots.get(i, (0, 0, 0)) for i in range(9)])
     return even, w, adj
 
 
@@ -717,7 +708,7 @@ class TestSasAndSubpairs:
         odd = symn_dual(1, F5)
         odd = GModule(F5, odd.labels, odd.lie_labels, odd.lie_action, [])
         p = assemble_pair(even, odd, BilinearMap.from_entries(F5, 2, 3, {}),
-                          adjoint_module(even, ()))
+                          adjoint_module(even.labels, even.bracket_table))
         for h, want in (([1, 0, 0], False), ([0, 0, 0], True)):
             s = SubpairSpec(Subspace.from_vectors(F5, 3, [F5.vec(h)]), (),
                             Subspace.zero(F5, 2))
@@ -750,7 +741,8 @@ def gl11_pair(ctx):
                    Matrix.from_rows(ctx, [[-1, 0], [0, 1]])], [],
                   brackets=even.consts)
     bracket = BilinearMap.from_entries(ctx, 2, 2, {(0, 1): ctx.vec([1, 1])})
-    return assemble_pair(even, odd, bracket, adjoint_module(even, ()),
+    return assemble_pair(even, odd, bracket,
+                         adjoint_module(even.labels, even.bracket_table),
                          meta={"name": "gl11"})
 
 
@@ -769,8 +761,9 @@ def gl2_pair(ctx):
     c = sl2_symn_bracket(1, 1, ctx).consts
     bracket = BilinearMap(ctx, np.concatenate([c, ctx.reduce(-c[..., :1])],
                                               axis=2))
-    return assemble_pair(even, odd, bracket, adjoint_module(even),
-                         meta={"name": "gl2"})
+    adj = adjoint_module(even.labels, even.bracket_table,
+                         (("X2", 1, (2,)), ("X-2", 2, (-2,))))
+    return assemble_pair(even, odd, bracket, adj, meta={"name": "gl2"})
 
 
 class TestProperQuotient:
@@ -807,6 +800,29 @@ class TestProperQuotient:
             # 1 + t ad x + t^2 ad(x)^2 / 2, induced on gl2 / centre
             assert fam.degree == 2
             assert fam.op(1) == q.even.ad(labels.index(x))
+
+    def test_gl2_by_centre_builds_each_quotient_once(self, monkeypatch):
+        # V/w and the adjoint module by the centre are induced once each,
+        # on the kept Lie ops and every family op: one family validation
+        # and one bracket check a module (4 and 4 when each quotient was
+        # built on every Lie op and then picked to the kept ones)
+        p = gl2_pair(Q)
+        s = SubpairSpec(Subspace.from_vectors(Q, 4, [Q.vec([1, 0, 0, 1])]),
+                        (), Subspace.zero(Q, 2))
+        calls = []
+        for cls, name in ((CoeffOperatorFamily, "validate"),
+                          (GModule, "_check_brackets")):
+            real = getattr(cls, name)
+
+            def counting(self, *args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        q = quotient_pair(p, s)
+        assert sorted(calls) == ["_check_brackets"] * 2 + ["validate"] * 2
+        assert q.odd.lie_labels == q.adjoint.lie_labels == q.even.labels
+        assert q.odd.bracket_table == q.even.bracket_table
 
     def test_normality_reads_integer_forms(self, monkeypatch):
         # over Q check_normality reads the integer forms of the bases, the
